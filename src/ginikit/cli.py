@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mwd as mwdmod
-from ._util import atomic_write_text, format_double
+from ._util import atomic_write_text, format_double, read_text
 from .audit import AuditVerdict, scan_monotonicity
 from .errors import (
     DataError,
@@ -200,7 +200,7 @@ def _read_sample_file(path: str) -> PositiveSample:
     'value,weight'.
     """
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
+    text = read_text(p)
     stripped = [line.strip() for line in text.splitlines()]
     first = next((line for line in stripped if line), "")
     if p.suffix.lower() == ".json" or first == mwdmod.CSV_HEADER:

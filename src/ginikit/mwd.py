@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, format_double
+from ._util import atomic_write_text, format_double, read_text
 from .errors import DataError, IngestionError, ParameterDomainError
 from .means import gini_mean
 from .sample import ExponentPair, PositiveSample
@@ -375,8 +375,7 @@ def load_mwd(path: str | Path, format: str | None = None) -> MWDataset:
 def _load_csv(path: Path) -> MWDataset:
     masses: list[float] = []
     abundances: list[float] = []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise IngestionError(f"expected header '{CSV_HEADER}'", line=1)
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -411,11 +410,11 @@ def _load_csv(path: Path) -> MWDataset:
 
 
 def _load_json(path: Path) -> MWDataset:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"malformed JSON: {exc.msg}", line=exc.lineno) from exc
+    text = read_text(path)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise IngestionError(f"malformed JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(payload, dict) or "species" not in payload:
         raise IngestionError("JSON document must be an object with a 'species' array")
     rows = payload["species"]

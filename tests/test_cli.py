@@ -388,6 +388,36 @@ class TestPlot:
         assert out.read_text(encoding="utf-8") == "sentinel"
 
 
+class TestNonUtf8Input:
+    """Undecodable input bytes are a data error (exit 1), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mwd-report", "--input", "{csv}"),
+            ("plot", "--input", "{csv}", "--out", "{out}"),
+            ("verify", "--input", "{csv}"),
+            ("verify", "--input", "{json}"),
+            ("mean", "--input", "{txt}", "--r", "1"),
+        ],
+    )
+    def test_clean_error_line(self, tmp_path, argv, capsys):
+        paths = {
+            "csv": tmp_path / "bad.csv",
+            "json": tmp_path / "bad.json",
+            "txt": tmp_path / "bad.txt",
+            "out": tmp_path / "plot.svg",
+        }
+        paths["csv"].write_bytes(b"molar_mass,abundance\n100,1\n\xe9,1\n")
+        paths["json"].write_bytes(b'{"species": [\n  {"molar_mass": "\xe9"}]}')
+        paths["txt"].write_bytes(b"1\n2\n\xe9\n")
+        assert run_cli(*(a.format(**paths) for a in argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ")
+        assert "invalid UTF-8 byte 0xe9" in err
+        assert not paths["out"].exists()
+
+
 class TestEntryPoints:
     def test_module_help(self):
         out = subprocess.run(

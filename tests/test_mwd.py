@@ -367,6 +367,26 @@ class TestIngestionErrors:
             load_mwd(path)
         assert "species[1]" in str(err.value)
 
+    def test_non_utf8_csv_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"molar_mass,abundance\n100,1\n\xff00,1\n")
+        with pytest.raises(IngestionError) as err:
+            load_mwd(path)
+        assert err.value.line == 3
+        assert "0xff" in str(err.value)
+
+    def test_non_utf8_json_names_line(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"species": [\r\n  {"label": "\xc3"}]}')
+        with pytest.raises(IngestionError) as err:
+            load_mwd(path)
+        assert err.value.line == 2
+
+    def test_crlf_csv_reads_like_lf(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"molar_mass,abundance\r\n100,1\r\n300,1\r\n")
+        assert load_mwd(path).n == 2
+
 
 class TestReportSerialization:
     def test_json_report_full_precision(self, tmp_path, two_species):
