@@ -28,14 +28,7 @@ import numpy as np
 from . import mwd as mwdmod
 from ._util import atomic_write_text, format_double, read_text
 from .audit import AuditVerdict, scan_monotonicity
-from .errors import (
-    DataError,
-    GinikitError,
-    HypothesisError,
-    IngestionError,
-    OracleDomainError,
-    ParameterDomainError,
-)
+from .errors import GinikitError, HypothesisError, IngestionError, ParameterDomainError
 from .means import gini_mean, lehmer_mean, power_mean
 from .oracle import OracleConfig, equivalence_report
 from .plotting import render_csv, render_svg
@@ -52,6 +45,16 @@ DEFAULT_GRID_CHAINS: tuple[tuple[tuple[float, float], ...], ...] = (
 )
 
 _MARK_NAMES = ("Mn", "Mv", "Mw", "Mz")
+
+#: Exit code of each error kind, first match wins (see the module docstring
+#: and :mod:`ginikit.errors`).  Data errors, including ingestion and oracle
+#: domain errors, and I/O errors exit 1.
+_EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (ParameterDomainError, 2),
+    (HypothesisError, 2),
+    (GinikitError, 1),
+    (OSError, 1),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,10 +220,20 @@ def _read_sample_file(path: str) -> PositiveSample:
                 f"expected 'value' or 'value,weight', got {line!r}", line=lineno
             )
         try:
-            values.append(float(fields[0]))
-            weights.append(float(fields[1]) if len(fields) == 2 else 1.0)
+            value = float(fields[0])
+            weight = float(fields[1]) if len(fields) == 2 else 1.0
         except ValueError:
             raise IngestionError(f"could not parse numbers from {line!r}", line=lineno)
+        if not (math.isfinite(value) and value > 0.0):
+            raise IngestionError(
+                f"value must be finite and > 0, got {fields[0].strip()}", line=lineno
+            )
+        if not (math.isfinite(weight) and weight > 0.0):
+            raise IngestionError(
+                f"weight must be finite and > 0, got {fields[1].strip()}", line=lineno
+            )
+        values.append(value)
+        weights.append(weight)
     if not values:
         raise IngestionError("no values found", line=len(stripped) or 1)
     return PositiveSample(values, weights)
@@ -273,10 +286,7 @@ def _cmd_mwd_report(args: argparse.Namespace) -> int:
     custom: list[tuple[float, float]] = []
     if args.b is not None:
         b = args.b
-        if not (isinstance(b, float) and math.isfinite(b) and 0.0 < b < 1.0):
-            raise ParameterDomainError(
-                f"calibration exponent b must be in (0, 1), got {b!r}"
-            )
+        mwdmod._check_calibration_exponent(b)
         custom.append((1.0, 1.0 - b))
         custom.append((2.0 - b, 1.0 - b))
     custom.extend(_parse_custom_pair(spec) for spec in args.custom)
@@ -390,11 +400,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         summary = equivalence_report(
             samples, [unique_pairs] * len(samples), OracleConfig(), rel_tol=1e-12
         )
+        worst = None
+        if summary.worst_params is not None:
+            worst = {
+                "sample": summary.worst_index,
+                "p": summary.worst_params.p,
+                "q": summary.worst_params.q,
+                "rel_error": summary.max_rel_error,
+            }
         oracle_payload = {
             "cases": summary.cases,
             "max_rel_error": summary.max_rel_error,
             "rel_tol": summary.rel_tol,
             "passed": summary.passed,
+            "worst": worst,
         }
         print(
             f"oracle: cases={summary.cases} max_rel_error={summary.max_rel_error:.3e} "
@@ -486,24 +505,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except IngestionError as exc:
+    except (GinikitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OracleDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParameterDomainError, HypothesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GinikitError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

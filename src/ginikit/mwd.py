@@ -55,6 +55,11 @@ __all__ = [
 
 CSV_HEADER = "molar_mass,abundance"
 
+#: Most species a generator may produce.  The species count is worked out
+#: from the parameters and checked before anything is allocated; the cap
+#: sits about 100x above a 102k-species Flory distribution (x = 0.99973).
+MAX_SPECIES = 10_000_000
+
 
 class Species(NamedTuple):
     molar_mass: float
@@ -199,7 +204,8 @@ class MeansReport:
 
     Satisfies Mn <= Mv <= Mw <= Mz, pdi = Mw/Mn >= 1, z_ratio = Mz/Mw >= 1
     and schulz_u = pdi - 1 >= 0 for every dataset (equalities exactly on
-    monodisperse ones).  ``s`` records the Mark-Houwink exponent used for
+    monodisperse ones); :func:`polydispersity` enforces the chain where
+    rounding would break it.  ``s`` records the Mark-Houwink exponent used for
     Mv.  Custom entries carry their exponent pair in canonical (p >= q)
     order.
     """
@@ -226,6 +232,13 @@ def polydispersity(
     the reported chain Mn <= Mv <= Mw <= Mz is guaranteed; call
     :func:`viscosity_average` directly for s in (1, 2].  ``custom`` lists
     extra exponent pairs to evaluate and append.
+
+    The chain is a theorem, but each average is rounded on its own, and at
+    extreme spreads the log-domain rounding can invert two neighbours by a
+    few ulps of their logs (masses {1e-308, 1e308} give Mz about 2e-13
+    below Mw).  Such an inversion is clamped: Mw is raised to Mn, Mz to
+    Mw, and Mv is moved into [Mn, Mw].  A chain already in order is
+    reported exactly as computed.
     """
     if not (isinstance(s, (int, float)) and math.isfinite(s) and 0.0 < s <= 1.0):
         raise ParameterDomainError(
@@ -236,6 +249,9 @@ def polydispersity(
     mw = gini_mean(sample, ExponentPair(2.0, 1.0))
     mz = gini_mean(sample, ExponentPair(3.0, 2.0))
     mv = gini_mean(sample, ExponentPair(1.0 + s, 1.0))
+    mw = max(mw, mn)
+    mz = max(mz, mw)
+    mv = min(max(mv, mn), mw)
     pdi = mw / mn
     extras = tuple(
         CustomMean(pair.p, pair.q, gini_mean(sample, pair))
@@ -278,6 +294,7 @@ def generate_flory(m0: float, x: float, tail_tol: float = 1e-12) -> MWDataset:
     kmax = max(1, math.ceil(math.log(tail_tol) / math.log(x)))
     while x**kmax >= tail_tol:
         kmax += 1
+    _check_species_count(kmax, "flory")
     k = np.arange(1, kmax + 1, dtype=np.float64)
     weights = np.exp((k - 1.0) * math.log(x)) * (1.0 - x)
     weights /= weights.sum()
@@ -304,6 +321,7 @@ def generate_poisson(m0: float, mean_degree: float) -> MWDataset:
     half_width = 10.0 * math.sqrt(lam) + 30.0
     k_low = max(1, math.floor(1.0 + lam - half_width))
     k_high = math.ceil(1.0 + lam + half_width)
+    _check_species_count(k_high - k_low + 1, "poisson")
     k = np.arange(k_low, k_high + 1, dtype=np.float64)
     log_weights = (k - 1.0) * math.log(lam) - np.array(
         [math.lgamma(float(ki)) for ki in k]
@@ -331,6 +349,7 @@ def generate_lognormal(median_mass: float, sigma: float, n_points: int) -> MWDat
         raise ParameterDomainError(f"sigma must be a finite real >= 0, got {sigma!r}")
     if int(n_points) != n_points or n_points < 2:
         raise ParameterDomainError(f"n_points must be an integer >= 2, got {n_points!r}")
+    _check_species_count(int(n_points), "lognormal")
     z = np.linspace(-4.0, 4.0, int(n_points))
     weights = np.exp(-0.5 * z * z)
     weights /= weights.sum()
@@ -342,6 +361,13 @@ def generate_lognormal(median_mass: float, sigma: float, n_points: int) -> MWDat
             f"sigma={format_double(sigma)}, n={int(n_points)})"
         ),
     )
+
+
+def _check_species_count(count: int, model: str) -> None:
+    if count > MAX_SPECIES:
+        raise ParameterDomainError(
+            f"{model} parameters need {count} species, more than the cap of {MAX_SPECIES}"
+        )
 
 
 def _check_positive_finite(value: float, name: str) -> None:

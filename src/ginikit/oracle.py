@@ -73,6 +73,51 @@ def _check_domain(
         )
 
 
+class _LiftedSample:
+    """One sample lifted to mpf, with its tilted terms memoised by exponent.
+
+    Build it inside the ``mp.workdps`` block it is evaluated in: the cached
+    mpf numbers carry that working precision.  The values and weights are
+    converted and the logs taken once; the terms ``w * exp(e * ln a)`` and
+    their power sum are formed once per distinct exponent, by the same
+    mpmath operations the per-pair formula would run, so every result is
+    the one a fresh evaluation gives.  ``0.0`` and ``-0.0`` share an entry:
+    both convert to the same mpf zero.
+    """
+
+    def __init__(self, sample: PositiveSample) -> None:
+        values = [mp.mpf(float(v)) for v in sample.values]
+        self.weights = [mp.mpf(float(w)) for w in sample.weights]
+        self.logs = [mp.log(v) for v in values]
+        self._terms: dict[float, list[mp.mpf]] = {}
+        self._sums: dict[float, mp.mpf] = {}
+
+    def terms(self, exponent: float) -> list[mp.mpf]:
+        key = float(exponent)
+        if key not in self._terms:
+            e = mp.mpf(key)
+            self._terms[key] = [w * mp.exp(e * lg) for w, lg in zip(self.weights, self.logs)]
+        return self._terms[key]
+
+    def power_sum(self, exponent: float) -> mp.mpf:
+        key = float(exponent)
+        if key not in self._sums:
+            self._sums[key] = mp.fsum(self.terms(key))
+        return self._sums[key]
+
+    def gini(self, params: ExponentPair) -> float:
+        if params.p == params.q:
+            tilted = self.terms(params.p)
+            result = mp.exp(
+                mp.fsum(t * lg for t, lg in zip(tilted, self.logs))
+                / self.power_sum(params.p)
+            )
+        else:
+            ratio = self.power_sum(params.p) / self.power_sum(params.q)
+            result = ratio ** (1 / (mp.mpf(float(params.p)) - mp.mpf(float(params.q))))
+        return float(result)
+
+
 def oracle_gini(
     sample: PositiveSample,
     params: ExponentPair,
@@ -87,29 +132,17 @@ def oracle_gini(
     """
     _check_domain(sample, params, config)
     with mp.workdps(config.precision_digits):
-        values = [mp.mpf(float(v)) for v in sample.values]
-        weights = [mp.mpf(float(w)) for w in sample.weights]
-        logs = [mp.log(v) for v in values]
-
-        def power_sum(exponent: float) -> mp.mpf:
-            e = mp.mpf(float(exponent))
-            return mp.fsum(w * mp.exp(e * lg) for w, lg in zip(weights, logs))
-
-        if params.p == params.q:
-            p = mp.mpf(float(params.p))
-            tilted = [w * mp.exp(p * lg) for w, lg in zip(weights, logs)]
-            result = mp.exp(
-                mp.fsum(t * lg for t, lg in zip(tilted, logs)) / mp.fsum(tilted)
-            )
-        else:
-            ratio = power_sum(params.p) / power_sum(params.q)
-            result = ratio ** (1 / (mp.mpf(float(params.p)) - mp.mpf(float(params.q))))
-        return float(result)
+        return _LiftedSample(sample).gini(params)
 
 
 @dataclass(frozen=True)
 class EquivalenceSummary:
-    """Worst-case disagreement between the fast path and the oracle."""
+    """Worst-case disagreement between the fast path and the oracle.
+
+    ``worst_index`` is the position of ``worst_sample`` in the samples
+    passed to :func:`equivalence_report`.  The three ``worst_*`` fields are
+    None when no case disagreed at all.
+    """
 
     cases: int
     max_rel_error: float
@@ -117,6 +150,7 @@ class EquivalenceSummary:
     worst_params: ExponentPair | None
     rel_tol: float
     passed: bool
+    worst_index: int | None = None
 
 
 def equivalence_report(
@@ -139,17 +173,27 @@ def equivalence_report(
     worst = 0.0
     worst_sample: PositiveSample | None = None
     worst_params: ExponentPair | None = None
+    worst_index: int | None = None
     cases = 0
-    for sample, grid in zip(samples, grids):
+    for index, (sample, grid) in enumerate(zip(samples, grids)):
+        # Each sample is lifted once, after its first pair passes the domain
+        # check, and serves every pair of its grid; nothing is kept across
+        # samples.
+        lifted: _LiftedSample | None = None
         for params in grid:
             fast = gini_mean(sample, params)
-            reference = oracle_gini(sample, params, config)
+            _check_domain(sample, params, config)
+            with mp.workdps(config.precision_digits):
+                if lifted is None:
+                    lifted = _LiftedSample(sample)
+                reference = lifted.gini(params)
             rel = abs(fast - reference) / reference
             cases += 1
             if rel > worst:
                 worst = rel
                 worst_sample = sample
                 worst_params = params
+                worst_index = index
     return EquivalenceSummary(
         cases=cases,
         max_rel_error=worst,
@@ -157,4 +201,5 @@ def equivalence_report(
         worst_params=worst_params,
         rel_tol=rel_tol,
         passed=worst <= rel_tol,
+        worst_index=worst_index,
     )

@@ -13,7 +13,10 @@ import pytest
 import ginikit.cli as cli
 from ginikit.audit import AuditVerdict
 from ginikit.cli import main
+from ginikit.means import gini_mean
 from ginikit.mwd import load_mwd, polydispersity
+from ginikit.oracle import oracle_gini
+from ginikit.sample import ExponentPair
 
 
 def run_cli(*argv):
@@ -83,6 +86,16 @@ class TestMean:
         path.write_text("1\nfoo\n", encoding="utf-8")
         assert run_cli("mean", "--input", str(path), "--r", "1") == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [("1\nnan\n", 2), ("1\n\ninf\n", 3), ("2,-inf\n", 1), ("1\n0,1\n", 2)],
+    )
+    def test_unusable_number_in_values_file_names_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "vals.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("mean", "--input", str(path), "--r", "1") == 1
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
     def test_non_finite_exponent(self, capsys):
         assert run_cli("mean", "1", "2", "--r", "inf") == 2
@@ -205,6 +218,24 @@ class TestVerify:
             "weak", "margin", "tolerance",
         }
 
+    def test_report_keeps_worst_oracle_case(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert run_cli("verify", "--random", "7", "3", "--oracle") == 0
+        plain = capsys.readouterr().out
+        code = run_cli(
+            "verify", "--random", "7", "3", "--oracle", "--report", str(out_path)
+        )
+        assert code == 0
+        assert capsys.readouterr().out == plain
+        oracle = json.loads(out_path.read_text(encoding="utf-8"))["oracle"]
+        worst = oracle["worst"]
+        assert set(worst) == {"sample", "p", "q", "rel_error"}
+        assert worst["rel_error"] == oracle["max_rel_error"] > 0.0
+        sample = cli._random_samples(7, 3)[worst["sample"]]
+        pair = ExponentPair(worst["p"], worst["q"])
+        reference = oracle_gini(sample, pair)
+        assert abs(gini_mean(sample, pair) - reference) / reference == worst["rel_error"]
+
     def test_oracle_cross_check(self, capsys):
         code = run_cli("verify", "--random", "3", "2", "--oracle")
         assert code == 0
@@ -309,6 +340,9 @@ class TestGenerate:
             ("generate", "flory", "--m0", "100", "--x", "1.5", "--out", "f.csv"),
             ("generate", "flory", "--m0", "-1", "--x", "0.5", "--out", "f.csv"),
             ("generate", "poisson", "--m0", "100", "--mean-degree", "0", "--out", "p.csv"),
+            ("generate", "flory", "--m0", "28", "--x", "0.999999999", "--out", "f.csv"),
+            ("generate", "poisson", "--m0", "28", "--mean-degree", "1e12", "--out", "p.csv"),
+            ("generate", "lognormal", "--median", "1", "--sigma", "1", "--n", "1000000000000", "--out", "l.csv"),
             ("generate", "lognormal", "--median", "1", "--sigma", "-1", "--n", "5", "--out", "l.csv"),
             ("generate", "lognormal", "--median", "1", "--sigma", "1", "--n", "1", "--out", "l.csv"),
         ],

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ginikit import mwd
 from ginikit.errors import DataError, IngestionError, ParameterDomainError
 from ginikit.mwd import (
     MWDataset,
@@ -174,6 +175,33 @@ class TestPolydispersityReport:
         with pytest.raises(ParameterDomainError):
             polydispersity(two_species, s=s)
 
+    def test_chain_holds_at_extreme_spread(self):
+        # rounded on its own, Mz came out 2e-13 below Mw here
+        rep = polydispersity(MWDataset(masses=[1e-308, 1e308], abundances=[1.0, 1.0]))
+        assert rep.Mn <= rep.Mv <= rep.Mw <= rep.Mz
+        assert rep.Mw == 1e308 and rep.Mz == rep.Mw
+        assert rep.z_ratio == 1.0 and rep.pdi >= 1.0 and rep.schulz_u >= 0.0
+
+    @pytest.mark.parametrize(
+        "computed,reported",
+        [
+            # (Mn, Mw, Mz, Mv) as evaluated -> as reported
+            ((1.0, 3.0, 2.9, 2.0), (1.0, 3.0, 3.0, 2.0)),
+            ((1.0, 3.0, 4.0, 0.9), (1.0, 3.0, 4.0, 1.0)),
+            ((1.0, 3.0, 4.0, 3.1), (1.0, 3.0, 4.0, 3.0)),
+            ((2.0, 1.9, 1.8, 2.5), (2.0, 2.0, 2.0, 2.0)),
+            ((1.0, 3.0, 4.0, 2.0), (1.0, 3.0, 4.0, 2.0)),
+        ],
+    )
+    def test_inverted_chain_is_clamped(self, two_species, monkeypatch, computed, reported):
+        mn, mw, mz, mv = computed
+        by_pair = {(1.0, 0.0): mn, (2.0, 1.0): mw, (3.0, 2.0): mz, (1.7, 1.0): mv}
+        monkeypatch.setattr(mwd, "gini_mean", lambda sample, pair: by_pair[(pair.p, pair.q)])
+        rep = polydispersity(two_species, s=0.7)
+        assert (rep.Mn, rep.Mw, rep.Mz, rep.Mv) == reported
+        assert rep.pdi == reported[1] / reported[0]
+        assert rep.z_ratio == reported[2] / reported[1]
+
 
 class TestGenerateFlory:
     def test_truncation_below_tolerance(self):
@@ -210,6 +238,47 @@ class TestGenerateFlory:
     def test_domain(self, m0, x, tail):
         with pytest.raises(ParameterDomainError):
             generate_flory(m0, x, tail)
+
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Fail the test if a generator reaches its array allocation."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator allocated its support")
+
+    monkeypatch.setattr(mwd.np, "arange", refuse)
+    monkeypatch.setattr(mwd.np, "linspace", refuse)
+
+
+class TestGeneratorSpeciesCap:
+    @pytest.mark.parametrize(
+        "generate,args",
+        [
+            (generate_flory, (28.0, 0.999999999)),  # about 2.8e10 species
+            (generate_poisson, (28.0, 1e12)),  # about 2e7 species
+            (generate_lognormal, (1e5, 0.4, 10**12)),
+        ],
+    )
+    def test_huge_support_rejected_before_allocation(self, no_allocation, generate, args):
+        with pytest.raises(ParameterDomainError, match="species"):
+            generate(*args)
+
+    @pytest.mark.parametrize(
+        "generate,args",
+        [
+            (generate_flory, (100.0, 0.5)),
+            (generate_poisson, (100.0, 5.0)),
+            (generate_lognormal, (1e5, 0.4, 101)),
+        ],
+    )
+    def test_cap_is_inclusive(self, monkeypatch, generate, args):
+        count = generate(*args).n
+        monkeypatch.setattr(mwd, "MAX_SPECIES", count)
+        assert generate(*args).n == count
+        monkeypatch.setattr(mwd, "MAX_SPECIES", count - 1)
+        with pytest.raises(ParameterDomainError):
+            generate(*args)
 
 
 class TestGeneratePoisson:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import ginikit.oracle as oracle
 from ginikit.errors import OracleDomainError, ParameterDomainError
+from ginikit.means import gini_mean
 from ginikit.oracle import EquivalenceSummary, OracleConfig, equivalence_report, oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
@@ -114,3 +117,130 @@ class TestEquivalenceReport:
         s = PositiveSample([1.0, 2.0])
         with pytest.raises(ParameterDomainError):
             equivalence_report([s], [[ExponentPair(1.0, 0.0)], [ExponentPair(2.0, 0.0)]])
+
+
+#: Grids whose pairs share exponents, with p == q pairs and both signs of
+#: zero: 0.0 and -0.0 are one memo entry in the lifted sample.
+SHARED_EXPONENT_GRIDS = [
+    [
+        ExponentPair(1.0, -1.0),
+        ExponentPair(1.0, 0.0),
+        ExponentPair(2.0, 0.0),
+        ExponentPair(2.0, 1.0),
+        ExponentPair(3.0, 2.0),
+        ExponentPair(1.5, -1.5),
+    ],
+    [
+        ExponentPair(1.0, 1.0),
+        ExponentPair(2.0, 1.0),
+        ExponentPair(1.0, 1.0),
+        ExponentPair(1.0, -0.0),
+        ExponentPair(0.0, 0.0),
+        ExponentPair(-0.0, -0.0),
+        ExponentPair(-0.0, -2.5),
+        ExponentPair(0.0, -2.5),
+        ExponentPair(-2.5, -2.5),
+    ],
+]
+
+
+def _per_pair_gini(sample: PositiveSample, params: ExponentPair, digits: int) -> float:
+    """The oracle formula evaluated from scratch for one pair, nothing reused."""
+    with mp.workdps(digits):
+        values = [mp.mpf(float(v)) for v in sample.values]
+        weights = [mp.mpf(float(w)) for w in sample.weights]
+        logs = [mp.log(v) for v in values]
+
+        def power_sum(exponent: float) -> mp.mpf:
+            e = mp.mpf(float(exponent))
+            return mp.fsum(w * mp.exp(e * lg) for w, lg in zip(weights, logs))
+
+        if params.p == params.q:
+            p = mp.mpf(float(params.p))
+            tilted = [w * mp.exp(p * lg) for w, lg in zip(weights, logs)]
+            result = mp.exp(
+                mp.fsum(t * lg for t, lg in zip(tilted, logs)) / mp.fsum(tilted)
+            )
+        else:
+            ratio = power_sum(params.p) / power_sum(params.q)
+            result = ratio ** (1 / (mp.mpf(float(params.p)) - mp.mpf(float(params.q))))
+        return float(result)
+
+
+def _shared_exponent_cases(seed: int):
+    rng = np.random.default_rng(seed)
+    samples = [random_sample(rng) for _ in range(6)] + [PositiveSample([3.0, 3.0, 3.0])]
+    grids = [SHARED_EXPONENT_GRIDS[i % 2] for i in range(len(samples))]
+    return samples, grids
+
+
+class TestMemoisedOracle:
+    """equivalence_report lifts each sample once; it must match oracle_gini bit for bit."""
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_each_case_matches_a_fresh_oracle_call(self, monkeypatch, digits):
+        config = OracleConfig(precision_digits=digits)
+        samples, grids = _shared_exponent_cases(7)
+        # Serve the "fast" side from a fresh oracle_gini call per case: the
+        # report then measures memoised against fresh, and any bit of
+        # difference in any case makes max_rel_error nonzero.
+        monkeypatch.setattr(
+            oracle, "gini_mean", lambda sample, pair: oracle_gini(sample, pair, config)
+        )
+        summary = equivalence_report(samples, grids, config)
+        assert summary.cases == sum(len(grid) for grid in grids)
+        assert summary.max_rel_error == 0.0
+        assert summary.worst_sample is summary.worst_params is summary.worst_index is None
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_summary_matches_case_by_case_replay(self, digits):
+        config = OracleConfig(precision_digits=digits)
+        samples, grids = _shared_exponent_cases(8)
+        worst, where = 0.0, None
+        for index, (sample, grid) in enumerate(zip(samples, grids)):
+            for pair in grid:
+                reference = oracle_gini(sample, pair, config)
+                rel = abs(gini_mean(sample, pair) - reference) / reference
+                if rel > worst:
+                    worst, where = rel, (index, pair)
+        summary = equivalence_report(samples, grids, config)
+        assert summary.max_rel_error.hex() == worst.hex()
+        assert worst > 0.0
+        assert (summary.worst_index, summary.worst_params) == where
+        assert summary.worst_sample is samples[where[0]]
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_matches_the_per_pair_formula(self, digits):
+        config = OracleConfig(precision_digits=digits)
+        samples, grids = _shared_exponent_cases(9)
+        for sample, grid in zip(samples, grids):
+            for pair in grid:
+                want = _per_pair_gini(sample, pair, digits)
+                assert oracle_gini(sample, pair, config).hex() == want.hex()
+
+    def test_signed_zero_exponents_give_identical_bits(self):
+        sample = random_sample(np.random.default_rng(9))
+        for p, q in [(1.0, 0.0), (0.0, 0.0), (0.0, -2.5)]:
+            flipped = ExponentPair(-0.0 if p == 0.0 else p, -0.0 if q == 0.0 else q)
+            want = oracle_gini(sample, ExponentPair(p, q)).hex()
+            assert oracle_gini(sample, flipped).hex() == want
+
+    def test_domain_checked_for_every_pair(self):
+        s = PositiveSample([1.0, 2.0])
+        # the first pair lifts the sample; the second is still checked
+        grid = [ExponentPair(1.0, 0.0), ExponentPair(31.0, 0.0)]
+        with pytest.raises(OracleDomainError, match="exponents"):
+            equivalence_report([s], [grid])
+        with pytest.raises(OracleDomainError, match="exponents"):
+            equivalence_report([s, s], [[ExponentPair(1.0, 0.0)], grid])
+
+    def test_oversized_sample_rejected_before_lifting(self, monkeypatch):
+        def refuse(sample):
+            raise AssertionError("sample lifted before its domain check")
+
+        monkeypatch.setattr(oracle, "_LiftedSample", refuse)
+        big = PositiveSample(np.arange(1.0, 6.0))
+        with pytest.raises(OracleDomainError, match="cap"):
+            equivalence_report([big], [[ExponentPair(1.0, 0.0)]], OracleConfig(max_n=4))
+        with pytest.raises(OracleDomainError, match="cap"):
+            oracle_gini(big, ExponentPair(1.0, 0.0), OracleConfig(max_n=4))
