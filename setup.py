@@ -1,8 +1,7 @@
 """Build script for the optional compiled accumulation kernel.
 
 The package works without the extension (a pure-Python kernel is selected at
-import time), so a missing compiler or Cython only costs speed, not
-functionality.
+import time), so a missing or failing C compiler only costs speed.
 """
 
 from setuptools import Extension, setup
@@ -10,30 +9,14 @@ from setuptools import Extension, setup
 # -ffp-contract=off forbids FMA contraction inside the compensated sums so the
 # compiled kernel stays bit-identical to the pure-Python fallback.  No
 # -ffast-math and no -march=native for the same reason: both backends must go
-# through plain libm exp/log with IEEE semantics.
-COMPILE_ARGS = ["-O2", "-ffp-contract=off"]
-
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    extensions = []
-else:
-    extensions = cythonize(
-        [
-            Extension(
-                "ginikit._kernels",
-                ["src/ginikit/_kernels.pyx"],
-                extra_compile_args=COMPILE_ARGS,
-            )
-        ],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-            "initializedcheck": False,
-            "embedsignature": True,
-        },
-    )
-
-setup(ext_modules=extensions)
+# through plain libm exp with IEEE semantics.
+setup(
+    ext_modules=[
+        Extension(
+            "ginikit._kernels",
+            ["src/ginikit/_kernels.c"],
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

@@ -1,6 +1,7 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when importable; the pure-Python twin is
+The compiled extension (``_kernels.c``, built by ``setup.py`` when a C
+compiler is present) is preferred when importable; the pure-Python twin is
 the fallback.  Set the environment variable ``GINIKIT_PURE=1`` (before
 import) to force the pure backend, e.g. to compare them.  Both produce
 bit-identical results, so the choice only affects speed.
@@ -41,8 +42,7 @@ def backend_name() -> str:
 def available_backends() -> dict[str, ModuleType]:
     """All importable kernel implementations, keyed by name.
 
-    Ignores ``GINIKIT_PURE``; used by the bit-identity tests and the
-    benchmark.
+    Ignores ``GINIKIT_PURE``; used by the kernel benchmark.
     """
     impls: dict[str, ModuleType] = {"python": _kernels_py}
     compiled = _load_compiled()

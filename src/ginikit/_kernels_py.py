@@ -4,8 +4,8 @@ This mirrors the compiled extension ``ginikit._kernels`` operation for
 operation: same Neumaier compensation branches, same association order in
 every product, same libm ``exp``.  Keeping the two implementations
 bit-identical is a hard requirement (golden CLI output must not depend on
-which backend got selected), so any edit here must be replayed in the
-``.pyx`` file and vice versa.
+which backend got selected), so any edit here must be replayed in
+``_kernels.c`` and vice versa.
 
 Inputs of ``VECTOR_MIN_N`` or more elements take a numpy path that still
 mirrors the extension operation for operation, because it performs the same

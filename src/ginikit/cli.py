@@ -355,6 +355,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     chain_pairs = [
         [ExponentPair(p, q) for (p, q) in chain] for chain in chains
     ]
+    oracle_payload: dict[str, object] | None = None
+    if args.oracle:
+        # the oracle runs before the audit, so a sample or pair outside its
+        # domain ends the command before any audit line is printed
+        unique_pairs: list[ExponentPair] = []
+        for chain in chain_pairs:
+            for pair in chain:
+                if pair not in unique_pairs:
+                    unique_pairs.append(pair)
+        summary = equivalence_report(
+            samples, [unique_pairs] * len(samples), OracleConfig(), rel_tol=1e-12
+        )
+        worst = None
+        if summary.worst_params is not None:
+            worst = {
+                "sample": summary.worst_index,
+                "p": summary.worst_params.p,
+                "q": summary.worst_params.q,
+                "rel_error": summary.max_rel_error,
+            }
+        oracle_payload = {
+            "cases": summary.cases,
+            "max_rel_error": summary.max_rel_error,
+            "rel_tol": summary.rel_tol,
+            "passed": summary.passed,
+            "worst": worst,
+        }
     checks: list[dict[str, object]] = []
     counts = {"holds": 0, "weak": 0, "degenerate": 0, "failed": 0}
     for index, sample in enumerate(samples):
@@ -390,31 +417,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     }
                 )
 
-    oracle_payload: dict[str, object] | None = None
     if args.oracle:
-        unique_pairs: list[ExponentPair] = []
-        for chain in chain_pairs:
-            for pair in chain:
-                if pair not in unique_pairs:
-                    unique_pairs.append(pair)
-        summary = equivalence_report(
-            samples, [unique_pairs] * len(samples), OracleConfig(), rel_tol=1e-12
-        )
-        worst = None
-        if summary.worst_params is not None:
-            worst = {
-                "sample": summary.worst_index,
-                "p": summary.worst_params.p,
-                "q": summary.worst_params.q,
-                "rel_error": summary.max_rel_error,
-            }
-        oracle_payload = {
-            "cases": summary.cases,
-            "max_rel_error": summary.max_rel_error,
-            "rel_tol": summary.rel_tol,
-            "passed": summary.passed,
-            "worst": worst,
-        }
         print(
             f"oracle: cases={summary.cases} max_rel_error={summary.max_rel_error:.3e} "
             f"tol={summary.rel_tol:.1e} -> {'ok' if summary.passed else 'FAIL'}"

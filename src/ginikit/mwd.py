@@ -28,7 +28,7 @@ import numpy as np
 from ._util import atomic_write_text, format_double, read_text
 from .errors import DataError, IngestionError, ParameterDomainError
 from .means import gini_mean
-from .sample import ExponentPair, PositiveSample
+from .sample import ExponentPair, PositiveSample, _as_positive_array
 
 __all__ = [
     "Species",
@@ -92,26 +92,16 @@ class MWDataset:
             if masses is not None or abundances is not None:
                 raise DataError("pass either species pairs or mass/abundance arrays, not both")
             pairs = list(species)
-            if not pairs:
-                raise DataError("dataset must contain at least one species")
             masses = [pair[0] for pair in pairs]
             abundances = [pair[1] for pair in pairs]
         if masses is None or abundances is None:
             raise DataError("dataset needs both masses and abundances")
-        mass_arr = np.asarray(masses, dtype=np.float64)
-        abundance_arr = np.asarray(abundances, dtype=np.float64)
-        if mass_arr.ndim != 1 or abundance_arr.ndim != 1:
-            raise DataError("masses and abundances must be one-dimensional")
-        if mass_arr.size == 0:
-            raise DataError("dataset must contain at least one species")
+        mass_arr = _as_positive_array(masses, "molar masses")
+        abundance_arr = _as_positive_array(abundances, "abundances")
         if mass_arr.shape != abundance_arr.shape:
             raise DataError(
                 f"got {mass_arr.size} masses but {abundance_arr.size} abundances"
             )
-        if not np.all(np.isfinite(mass_arr)) or not np.all(mass_arr > 0.0):
-            raise DataError("molar masses must be finite and strictly positive")
-        if not np.all(np.isfinite(abundance_arr)) or not np.all(abundance_arr > 0.0):
-            raise DataError("abundances must be finite and strictly positive")
         mass_arr.flags.writeable = False
         abundance_arr.flags.writeable = False
         object.__setattr__(self, "masses", mass_arr)
@@ -441,6 +431,9 @@ def _load_json(path: Path) -> MWDataset:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"malformed JSON: {exc.msg}", line=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's digit limit, or nesting too deep
+        raise IngestionError(f"malformed JSON: {exc}") from exc
     if not isinstance(payload, dict) or "species" not in payload:
         raise IngestionError("JSON document must be an object with a 'species' array")
     rows = payload["species"]
@@ -457,25 +450,27 @@ def _load_json(path: Path) -> MWDataset:
             raise IngestionError(
                 f"species[{index}] must be an object with molar_mass and abundance"
             )
-        mass, abundance = row["molar_mass"], row["abundance"]
-        if not isinstance(mass, (int, float)) or isinstance(mass, bool):
-            raise IngestionError(f"species[{index}].molar_mass must be a number")
-        if not isinstance(abundance, (int, float)) or isinstance(abundance, bool):
-            raise IngestionError(f"species[{index}].abundance must be a number")
-        if not (math.isfinite(mass) and mass > 0.0):
-            raise IngestionError(
-                f"species[{index}].molar_mass must be finite and > 0, got {mass}"
-            )
-        if not (math.isfinite(abundance) and abundance > 0.0):
-            raise IngestionError(
-                f"species[{index}].abundance must be finite and > 0, got {abundance}"
-            )
-        masses.append(float(mass))
-        abundances.append(float(abundance))
+        masses.append(_json_number(row["molar_mass"], f"species[{index}].molar_mass"))
+        abundances.append(_json_number(row["abundance"], f"species[{index}].abundance"))
     label = payload.get("label", "")
     if not isinstance(label, str):
         raise IngestionError("'label' must be a string when present")
     return MWDataset(masses=masses, abundances=abundances, label=label)
+
+
+def _json_number(value: object, what: str) -> float:
+    """A JSON number as a finite positive double, or an error naming ``what``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise IngestionError(f"{what} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise IngestionError(
+            f"{what} must be finite and > 0, got an integer too large for a double"
+        ) from None
+    if not (math.isfinite(number) and number > 0.0):
+        raise IngestionError(f"{what} must be finite and > 0, got {value}")
+    return number
 
 
 def save_mwd(dataset: MWDataset, path: str | Path, format: str | None = None) -> None:

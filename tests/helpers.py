@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.machinery
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -41,3 +44,18 @@ def random_sample(
         values = log_uniform(rng, value_lo, value_hi, n)
     weights = rng.uniform(0.5, 2.0, n) if weighted else None
     return PositiveSample(values, weights)
+
+
+def compiled_kernel_file(src: Path) -> Path | None:
+    """The compiled kernel built into ``src/ginikit``, or None if there is none."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = src / "ginikit" / f"_kernels{suffix}"
+        if path.exists():
+            return path
+    return None
+
+
+def env_importing_from(src: Path, **overrides: str) -> dict[str, str]:
+    """``os.environ`` with ``src`` first on ``PYTHONPATH``, for a subprocess."""
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **overrides)

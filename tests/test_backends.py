@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import struct
@@ -14,12 +15,18 @@ import pytest
 from ginikit import _backend, _kernels_py, backend_name, gini_mean
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import random_sample
+from helpers import compiled_kernel_file, env_importing_from, random_sample
 
-compiled_backends = _backend.available_backends()
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in compiled_backends, reason="compiled extension not built"
-)
+
+@pytest.fixture(scope="module")
+def compiled_kernels(compiled_src):
+    """The compiled kernel module, loaded from the built copy of the package."""
+    spec = importlib.util.spec_from_file_location(
+        "ginikit._kernels", compiled_kernel_file(compiled_src)
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 #: Sizes on both sides of the pure kernel's switch to its numpy path.
@@ -64,9 +71,8 @@ class TestSelection:
         assert "python" in impls
         assert callable(impls["python"].exp_moments)
 
-    @needs_compiled
-    def test_compiled_preferred_by_default(self):
-        env = dict(os.environ)
+    def test_compiled_preferred_by_default(self, compiled_src):
+        env = env_importing_from(compiled_src)
         env.pop("GINIKIT_PURE", None)
         out = subprocess.run(
             [sys.executable, "-c", "import ginikit; print(ginikit.backend_name())"],
@@ -94,14 +100,13 @@ class TestSelection:
             text=True,
             env=env,
         )
-        expected = "compiled" if "compiled" in compiled_backends else "python"
+        expected = "compiled" if "compiled" in _backend.available_backends() else "python"
         assert out.stdout.strip() == expected
 
 
-@needs_compiled
 class TestBitIdentity:
-    def test_kernel_outputs_identical(self):
-        compiled = compiled_backends["compiled"].exp_moments
+    def test_kernel_outputs_identical(self, compiled_kernels):
+        compiled = compiled_kernels.exp_moments
         pure = _kernels_py.exp_moments
         rng = np.random.default_rng(7)
         for _ in range(400):
@@ -112,8 +117,8 @@ class TestBitIdentity:
             t, la, shift = kernel_case(rng, n)
             assert bits(compiled(t, la, shift)) == bits(pure(t, la, shift))
 
-    def test_kernel_outputs_identical_extreme_magnitudes(self):
-        compiled = compiled_backends["compiled"].exp_moments
+    def test_kernel_outputs_identical_extreme_magnitudes(self, compiled_kernels):
+        compiled = compiled_kernels.exp_moments
         pure = _kernels_py.exp_moments
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -121,11 +126,12 @@ class TestBitIdentity:
             t, la, shift = extreme_case(rng, n)
             assert bits(compiled(t, la, shift)) == bits(pure(t, la, shift))
 
-    def test_full_pipeline_identical(self, monkeypatch):
+    def test_full_pipeline_identical(self, compiled_kernels, monkeypatch):
         # the mean evaluator looks the kernel up through the backend module,
         # so swapping it there re-routes the whole pipeline
         rng = np.random.default_rng(23)
         cases = []
+        monkeypatch.setattr(_backend, "exp_moments", compiled_kernels.exp_moments)
         for _ in range(150):
             s = random_sample(rng)
             pair = ExponentPair(rng.uniform(-20, 20), rng.uniform(-20, 20))
@@ -134,11 +140,35 @@ class TestBitIdentity:
         for s, pair, reference in cases:
             assert gini_mean(s, pair) == reference
 
-    def test_single_element_sample(self):
-        compiled = compiled_backends["compiled"].exp_moments
+    def test_single_element_sample(self, compiled_kernels):
+        compiled = compiled_kernels.exp_moments
         t = np.array([0.25])
         la = np.array([1.5])
         assert compiled(t, la, 0.25) == _kernels_py.exp_moments(t, la, 0.25)
+
+    def test_buffer_contract(self, compiled_kernels):
+        compiled = compiled_kernels.exp_moments
+        ok = np.array([0.0, 1.0])
+        for bad in (
+            np.array([0, 1]),
+            ok.astype(np.float32),
+            ok.astype(">f8"),
+            np.zeros((2, 2)),
+            np.zeros(4)[::2],
+            ok[:1],
+        ):
+            with pytest.raises(ValueError):
+                compiled(bad, ok, 0.0)
+            with pytest.raises(ValueError):
+                compiled(ok, bad, 0.0)
+        readonly = ok.copy()
+        readonly.flags.writeable = False
+        assert bits(compiled(readonly, readonly, 0.0)) == bits(compiled(ok, ok, 0.0))
+
+    def test_empty_input(self, compiled_kernels):
+        total, mean, variance = compiled_kernels.exp_moments(np.empty(0), np.empty(0), 0.0)
+        assert struct.pack("<d", total) == struct.pack("<d", 0.0)
+        assert math.isnan(mean) and math.isnan(variance)
 
 
 class TestPureKernel:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
-import os
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ginikit.cli as cli
 from ginikit.audit import AuditVerdict
@@ -17,6 +20,8 @@ from ginikit.means import gini_mean
 from ginikit.mwd import load_mwd, polydispersity
 from ginikit.oracle import oracle_gini
 from ginikit.sample import ExponentPair
+
+from helpers import env_importing_from
 
 
 def run_cli(*argv):
@@ -186,6 +191,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "degenerate=5 failed=0" in out
         assert "DEGENERATE" in out
+
+    @pytest.mark.parametrize("grid", [None, "1:0,40:0"])
+    def test_oracle_domain_checked_before_the_audit(self, tmp_path, capsys, grid):
+        # too many species for the oracle, or an exponent beyond its bound:
+        # the command fails before it prints or writes anything
+        path = tmp_path / ("wide.csv" if grid is None else "two.csv")
+        report = tmp_path / "report.json"
+        assert run_cli(
+            "generate", "lognormal", "--median", "1e4", "--sigma", "1",
+            "--n", "2000" if grid is None else "2", "--out", str(path),
+        ) == 0
+        argv = ["verify", "--input", str(path), "--oracle", "--report", str(report)]
+        assert run_cli(*argv, *(["--grid", grid] if grid else [])) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: sample size 2000 exceeds the oracle cap of 1024\n"
+            if grid is None
+            else "error: |exponents| must be <= 30.0 for the oracle, got (40.0, 0.0)\n"
+        )
+        assert not report.exists()
 
     def test_random_audit(self, capsys):
         assert run_cli("verify", "--random", "7", "3") == 0
@@ -480,10 +506,10 @@ class TestEntryPoints:
         assert out.returncode == 0
         assert out.stdout == "4.999999999999999\n"
 
-    def test_golden_report_independent_of_backend(self, data_dir):
+    def test_golden_report_independent_of_backend(self, data_dir, compiled_src):
         golden = (data_dir / "golden_report.txt").read_bytes()
         for pure in ("0", "1"):
-            env = dict(os.environ, GINIKIT_PURE=pure)
+            env = env_importing_from(compiled_src, GINIKIT_PURE=pure)
             out = subprocess.run(
                 [
                     sys.executable, "-m", "ginikit", "mwd-report",
@@ -495,18 +521,93 @@ class TestEntryPoints:
             assert out.returncode == 0
             assert out.stdout == golden
 
-    def test_golden_plot_independent_of_backend(self, data_dir, tmp_path):
+    def test_golden_plot_independent_of_backend(self, data_dir, tmp_path, compiled_src):
         golden = (data_dir / "golden_plot.svg").read_bytes()
-        out_path = tmp_path / "plot.svg"
-        env = dict(os.environ, GINIKIT_PURE="1")
-        out = subprocess.run(
-            [
-                sys.executable, "-m", "ginikit", "plot",
-                "--input", str(data_dir / "two_species.csv"),
-                "--out", str(out_path),
-            ],
-            capture_output=True,
-            env=env,
-        )
-        assert out.returncode == 0
-        assert out_path.read_bytes() == golden
+        for pure in ("0", "1"):
+            out_path = tmp_path / f"plot{pure}.svg"
+            env = env_importing_from(compiled_src, GINIKIT_PURE=pure)
+            out = subprocess.run(
+                [
+                    sys.executable, "-m", "ginikit", "plot",
+                    "--input", str(data_dir / "two_species.csv"),
+                    "--out", str(out_path),
+                ],
+                capture_output=True,
+                env=env,
+            )
+            assert out.returncode == 0
+            assert out_path.read_bytes() == golden
+
+
+#: The commands that read a user's file, with ``{path}`` for the file.
+INGEST_COMMANDS = (
+    ("mwd-report", "--input", "{path}"),
+    ("mean", "--input", "{path}", "--r", "1"),
+    ("verify", "--input", "{path}"),
+)
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.text(max_size=8)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+_species_entries = st.fixed_dictionaries(
+    {"molar_mass": _json_scalars, "abundance": _json_scalars}
+)
+_species_documents = st.fixed_dictionaries(
+    {"species": st.lists(_species_entries, max_size=6)},
+    optional={"label": _json_values},
+)
+#: Arbitrary JSON, and JSON shaped like a distribution, which gets past the
+#: top-level checks.
+json_documents = (_json_values | _species_documents).map(lambda doc: json.dumps(doc).encode())
+
+_csv_fields = st.floats().map(repr) | st.integers().map(str) | st.text(max_size=6)
+#: Arbitrary bytes, and text shaped like a distribution or values file.
+file_bytes = st.binary(max_size=120) | st.builds(
+    lambda header, rows: "\n".join([header, *rows]).encode(),
+    st.sampled_from(["molar_mass,abundance", ""]),
+    st.lists(st.lists(_csv_fields, min_size=1, max_size=3).map(",".join), max_size=8),
+)
+
+
+class TestIngestFuzz:
+    """Any input file ends in exit 0, or exit 1 with exactly one ``error:`` line."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @staticmethod
+    def assert_exit_contract(path, data, command):
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(path=path) for arg in command])
+        assert code in (0, 1)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize("command", INGEST_COMMANDS, ids=lambda c: c[0])
+    @given(data=file_bytes)
+    @settings(max_examples=25, deadline=None)
+    def test_arbitrary_bytes(self, workdir, command, data):
+        self.assert_exit_contract(workdir / "input.csv", data, command)
+
+    @pytest.mark.parametrize("command", INGEST_COMMANDS, ids=lambda c: c[0])
+    @given(data=json_documents)
+    @settings(max_examples=25, deadline=None)
+    def test_arbitrary_json(self, workdir, command, data):
+        self.assert_exit_contract(workdir / "input.json", data, command)

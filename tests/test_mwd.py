@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ginikit import mwd
+from ginikit.cli import main
 from ginikit.errors import DataError, IngestionError, ParameterDomainError
 from ginikit.mwd import (
     MWDataset,
@@ -69,6 +70,17 @@ class TestMWDataset:
     def test_immutable(self, two_species):
         with pytest.raises(AttributeError):
             two_species.label = "other"
+
+    def test_caller_arrays_stay_writeable_and_unaliased(self):
+        masses = np.array([100.0, 300.0])
+        abundances = np.array([1.0, 2.0])
+        ds = MWDataset(masses=masses, abundances=abundances)
+        assert masses.flags.writeable and abundances.flags.writeable
+        assert not ds.masses.flags.writeable and not ds.abundances.flags.writeable
+        assert not np.may_share_memory(ds.masses, masses)
+        assert not np.may_share_memory(ds.abundances, abundances)
+        masses[0] = 5.0
+        assert ds.masses[0] == 100.0
 
 
 class TestAverages:
@@ -435,6 +447,34 @@ class TestIngestionErrors:
         with pytest.raises(IngestionError) as err:
             load_mwd(path)
         assert "species[1]" in str(err.value)
+
+    @pytest.mark.parametrize("field", ["molar_mass", "abundance"])
+    def test_json_integer_too_large_for_a_double(self, tmp_path, capsys, field):
+        path = tmp_path / "big.json"
+        entry = {"molar_mass": 100, "abundance": 1}
+        entry[field] = 10**400
+        path.write_text(json.dumps({"species": [entry, entry]}), encoding="utf-8")
+        with pytest.raises(IngestionError) as err:
+            load_mwd(path)
+        assert str(err.value).startswith(f"species[0].{field} must be finite and > 0")
+        assert main(["mwd-report", "--input", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {err.value}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"species": [{"molar_mass": 1' + "0" * 5000 + ', "abundance": 1}]}',
+            "[" * 100_000,
+        ],
+        ids=["integer-past-digit-limit", "nesting-past-recursion-limit"],
+    )
+    def test_json_past_parser_limits(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestionError, match="^malformed JSON: "):
+            load_mwd(path)
 
     def test_non_utf8_csv_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
