@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .errors import IngestionError
 
@@ -43,11 +45,15 @@ def read_text(path: str | os.PathLike[str]) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + rename).
+@contextlib.contextmanager
+def atomic_writer(path: str | os.PathLike[str]) -> Iterator[TextIO]:
+    """A UTF-8 text handle whose contents replace ``path`` atomically.
 
-    On any failure the destination is left untouched; no partial output is
-    ever visible.
+    Everything written in the ``with`` block goes to a temp file beside
+    ``path``, which is renamed over it when the block ends.  If the block
+    raises, or the write or rename fails, the destination is left untouched
+    and the temp file is removed; no partial output is ever visible.  So a
+    large file can be written a chunk at a time without holding its text.
     """
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -55,7 +61,7 @@ def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -63,3 +69,9 @@ def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
+    """Write ``text`` to ``path`` atomically (see :func:`atomic_writer`)."""
+    with atomic_writer(path) as handle:
+        handle.write(text)

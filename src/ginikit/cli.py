@@ -203,15 +203,21 @@ def _read_sample_file(path: str) -> PositiveSample:
     'value,weight'.
     """
     p = Path(path)
-    text = read_text(p)
-    stripped = [line.strip() for line in text.splitlines()]
-    first = next((line for line in stripped if line), "")
-    if p.suffix.lower() == ".json" or first == mwdmod.CSV_HEADER:
-        dataset = mwdmod.load_mwd(p)
-        return PositiveSample(dataset.masses, dataset.abundances)
+    if p.suffix.lower() != ".json":
+        text = read_text(p)
+        if _first_nonblank_line(text) != mwdmod.CSV_HEADER:
+            return _parse_values(text)
+    dataset = mwdmod.load_mwd(p)
+    return PositiveSample(dataset.masses, dataset.abundances)
+
+
+def _parse_values(text: str) -> PositiveSample:
+    """Sample from the text of a values file: 'value' or 'value,weight' lines."""
+    lines = text.splitlines()
     values: list[float] = []
     weights: list[float] = []
-    for lineno, line in enumerate(stripped, start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
         if not line:
             continue
         fields = line.split(",")
@@ -235,8 +241,22 @@ def _read_sample_file(path: str) -> PositiveSample:
         values.append(value)
         weights.append(weight)
     if not values:
-        raise IngestionError("no values found", line=len(stripped) or 1)
+        raise IngestionError("no values found", line=len(lines) or 1)
     return PositiveSample(values, weights)
+
+
+def _first_nonblank_line(text: str) -> str:
+    """The first line of ``text`` that is not blank, stripped ("" if none).
+
+    The same line as the first non-empty ``line.strip()`` over
+    ``text.splitlines()``, found without splitting the rest of the text.
+    """
+    rest = text.lstrip()
+    end = rest.find("\n")
+    # every break that splitlines() knows is whitespace, so lstrip() took the
+    # blank lines; a rarer break (\v, \f, \x1c, ...) may remain before the "\n"
+    head = rest if end < 0 else rest[:end]
+    return next(iter(head.splitlines()), "").strip()
 
 
 def _cmd_mean(args: argparse.Namespace) -> int:

@@ -73,6 +73,10 @@ def _finite_exponent(p: float, name: str = "p") -> float:
         value = float(p)
     except (TypeError, ValueError) as exc:
         raise ParameterDomainError(f"exponent {name} must be a real number") from exc
+    except OverflowError:
+        raise ParameterDomainError(
+            f"exponent {name} must be finite, got an integer too large for a double"
+        ) from None
     if not math.isfinite(value):
         raise ParameterDomainError(
             f"exponent {name} must be finite, got {p!r}; use extreme_value for limits"

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, format_double, read_text
+from ._util import atomic_write_text, atomic_writer, format_double, read_text
 from .errors import DataError, IngestionError, ParameterDomainError
 from .means import gini_mean
 from .sample import ExponentPair, PositiveSample, _as_positive_array
@@ -59,6 +60,25 @@ CSV_HEADER = "molar_mass,abundance"
 #: from the parameters and checked before anything is allocated; the cap
 #: sits about 100x above a 102k-species Flory distribution (x = 0.99973).
 MAX_SPECIES = 10_000_000
+
+#: Rows formatted per chunk by :func:`save_mwd`: enough that the per-chunk
+#: cost vanishes, few enough that no copy of the whole file's text is held.
+_WRITE_BLOCK_ROWS = 8192
+
+#: One species row of a JSON file, laid out as ``json.dumps(..., indent=2)``
+#: lays it out; ``%r`` of a float is the shortest round-trip form that
+#: ``json`` writes too.
+_JSON_ROW = '    {\n      "molar_mass": %r,\n      "abundance": %r\n    }'
+
+#: The body of a plain CSV file, which :func:`_load_csv` parses in bulk:
+#: rows of exactly two non-empty fields of number characters, one comma
+#: between them, one newline after each (optional after the last).  No
+#: spaces, no blank lines, no letters other than an exponent's ``e``.
+_FIELD = "[0-9.eE+-]+"
+_PLAIN_CSV_BODY = re.compile(rf"(?:{_FIELD},{_FIELD}(?:\n|\Z))+")
+
+#: Characters of CSV body parsed per block (rounded up to a whole row).
+_PARSE_BLOCK_CHARS = 1 << 16
 
 
 class Species(NamedTuple):
@@ -155,8 +175,8 @@ def viscosity_average(dataset: MWDataset, s: float = 0.7) -> float:
     At s = 1 this is Mw by the same evaluation, and for s in (0, 1) it sits
     strictly between Mn and Mw on polydisperse samples.
     """
-    if not (isinstance(s, (int, float)) and math.isfinite(s) and 0.0 < s <= 2.0):
-        raise ParameterDomainError(f"viscosity exponent s must be in (0, 2], got {s!r}")
+    if not (_is_finite_real(s) and 0.0 < s <= 2.0):
+        raise ParameterDomainError(f"viscosity exponent s must be in (0, 2], got {_shown(s)}")
     return gini_mean(dataset.to_sample(), ExponentPair(1.0 + s, 1.0))
 
 
@@ -177,9 +197,30 @@ def effective_parameter_mean(dataset: MWDataset) -> float:
     return gini_mean(dataset.to_sample(), ExponentPair(1.5, -1.5))
 
 
+def _is_finite_real(value: object) -> bool:
+    """True for an int or float that is a finite double.
+
+    An int past the double range (``10**400``) is not one; ``math.isfinite``
+    would raise ``OverflowError`` on it rather than answer.
+    """
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _shown(value: object) -> str:
+    """``value`` as an error message shows it; a huge int is not spelled out."""
+    if isinstance(value, int) and not _is_finite_real(value):
+        return "an integer too large for a double"
+    return repr(value)
+
+
 def _check_calibration_exponent(b: float) -> None:
-    if not (isinstance(b, (int, float)) and math.isfinite(b) and 0.0 < b < 1.0):
-        raise ParameterDomainError(f"calibration exponent b must be in (0, 1), got {b!r}")
+    if not (_is_finite_real(b) and 0.0 < b < 1.0):
+        raise ParameterDomainError(f"calibration exponent b must be in (0, 1), got {_shown(b)}")
 
 
 class CustomMean(NamedTuple):
@@ -230,9 +271,9 @@ def polydispersity(
     Mw, and Mv is moved into [Mn, Mw].  A chain already in order is
     reported exactly as computed.
     """
-    if not (isinstance(s, (int, float)) and math.isfinite(s) and 0.0 < s <= 1.0):
+    if not (_is_finite_real(s) and 0.0 < s <= 1.0):
         raise ParameterDomainError(
-            f"report viscosity exponent s must be in (0, 1], got {s!r}"
+            f"report viscosity exponent s must be in (0, 1], got {_shown(s)}"
         )
     sample = dataset.to_sample()
     mn = gini_mean(sample, ExponentPair(1.0, 0.0))
@@ -275,11 +316,11 @@ def generate_flory(m0: float, x: float, tail_tol: float = 1e-12) -> MWDataset:
     pdi -> 1 + x.
     """
     _check_positive_finite(m0, "m0")
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and 0.0 < x < 1.0):
-        raise ParameterDomainError(f"conversion x must be in (0, 1), got {x!r}")
+    if not (_is_finite_real(x) and 0.0 < x < 1.0):
+        raise ParameterDomainError(f"conversion x must be in (0, 1), got {_shown(x)}")
     if not (isinstance(tail_tol, (int, float)) and 0.0 < tail_tol <= 1e-6):
         raise ParameterDomainError(
-            f"tail_tol must be in (0, 1e-6], got {tail_tol!r}"
+            f"tail_tol must be in (0, 1e-6], got {_shown(tail_tol)}"
         )
     kmax = max(1, math.ceil(math.log(tail_tol) / math.log(x)))
     while x**kmax >= tail_tol:
@@ -288,10 +329,8 @@ def generate_flory(m0: float, x: float, tail_tol: float = 1e-12) -> MWDataset:
     k = np.arange(1, kmax + 1, dtype=np.float64)
     weights = np.exp((k - 1.0) * math.log(x)) * (1.0 - x)
     weights /= weights.sum()
-    return MWDataset(
-        masses=k * m0,
-        abundances=weights,
-        label=f"flory(m0={format_double(m0)}, x={format_double(x)})",
+    return _dataset_of_fresh_arrays(
+        k * m0, weights, f"flory(m0={format_double(m0)}, x={format_double(x)})"
     )
 
 
@@ -319,10 +358,10 @@ def generate_poisson(m0: float, mean_degree: float) -> MWDataset:
     log_weights -= log_weights.max()
     weights = np.exp(log_weights)
     weights /= weights.sum()
-    return MWDataset(
-        masses=k * m0,
-        abundances=weights,
-        label=f"poisson(m0={format_double(m0)}, mean_degree={format_double(mean_degree)})",
+    return _dataset_of_fresh_arrays(
+        k * m0,
+        weights,
+        f"poisson(m0={format_double(m0)}, mean_degree={format_double(mean_degree)})",
     )
 
 
@@ -335,34 +374,50 @@ def generate_lognormal(median_mass: float, sigma: float, n_points: int) -> MWDat
     (a monodisperse dataset).
     """
     _check_positive_finite(median_mass, "median_mass")
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma >= 0.0):
-        raise ParameterDomainError(f"sigma must be a finite real >= 0, got {sigma!r}")
-    if int(n_points) != n_points or n_points < 2:
-        raise ParameterDomainError(f"n_points must be an integer >= 2, got {n_points!r}")
+    if not (_is_finite_real(sigma) and sigma >= 0.0):
+        raise ParameterDomainError(f"sigma must be a finite real >= 0, got {_shown(sigma)}")
+    try:
+        integral = int(n_points) == n_points
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinity
+        integral = False
+    if not integral or n_points < 2:
+        raise ParameterDomainError(f"n_points must be an integer >= 2, got {_shown(n_points)}")
     _check_species_count(int(n_points), "lognormal")
     z = np.linspace(-4.0, 4.0, int(n_points))
     weights = np.exp(-0.5 * z * z)
     weights /= weights.sum()
-    return MWDataset(
-        masses=median_mass * np.exp(sigma * z),
-        abundances=weights,
-        label=(
-            f"lognormal(median={format_double(median_mass)}, "
-            f"sigma={format_double(sigma)}, n={int(n_points)})"
-        ),
+    return _dataset_of_fresh_arrays(
+        median_mass * np.exp(sigma * z),
+        weights,
+        f"lognormal(median={format_double(median_mass)}, "
+        f"sigma={format_double(sigma)}, n={int(n_points)})",
     )
+
+
+def _dataset_of_fresh_arrays(
+    masses: np.ndarray, abundances: np.ndarray, label: str
+) -> MWDataset:
+    """A dataset that takes over arrays built here and held by no one else.
+
+    ``MWDataset`` copies a writeable array, because its caller may still
+    change it; arrays already frozen are taken as they are, without a copy.
+    """
+    masses.flags.writeable = False
+    abundances.flags.writeable = False
+    return MWDataset(masses=masses, abundances=abundances, label=label)
 
 
 def _check_species_count(count: int, model: str) -> None:
     if count > MAX_SPECIES:
+        need = count if _is_finite_real(count) else "more than 1e308"
         raise ParameterDomainError(
-            f"{model} parameters need {count} species, more than the cap of {MAX_SPECIES}"
+            f"{model} parameters need {need} species, more than the cap of {MAX_SPECIES}"
         )
 
 
 def _check_positive_finite(value: float, name: str) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-        raise ParameterDomainError(f"{name} must be a finite real > 0, got {value!r}")
+    if not (_is_finite_real(value) and value > 0.0):
+        raise ParameterDomainError(f"{name} must be a finite real > 0, got {_shown(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +444,61 @@ def load_mwd(path: str | Path, format: str | None = None) -> MWDataset:
 
 
 def _load_csv(path: Path) -> MWDataset:
+    text = read_text(path)
+    columns = _parse_plain_csv(text)
+    if columns is None:
+        return _scan_csv(text, path.stem)
+    return MWDataset(masses=columns[0], abundances=columns[1], label=path.stem)
+
+
+def _parse_plain_csv(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two columns of a plain CSV file in bulk, or None for any other text.
+
+    Plain means the exact header line, then a body that
+    :data:`_PLAIN_CSV_BODY` matches whole, with every number finite and
+    positive.  Each field is parsed by ``float`` as in :func:`_scan_csv`, so
+    the columns are the scanner's bit for bit.  Text that is not plain,
+    valid or not, gets None and goes to the scanner, which alone raises
+    errors; so each message and line number is the scanner's.  The body is
+    taken in blocks of whole rows, so only one block's strings are alive.
+    """
+    header = CSV_HEADER + "\n"
+    if not text.startswith(header) or len(text) == len(header):
+        return None
+    blocks: list[np.ndarray] = []
+    start = len(header)
+    while start < len(text):
+        cut = text.find("\n", start + _PARSE_BLOCK_CHARS)
+        stop = len(text) if cut < 0 else cut + 1
+        if not _PLAIN_CSV_BODY.fullmatch(text, start, stop):
+            return None
+        # mass, abundance, mass, abundance, ... of the block's rows
+        fields = text[start:stop].replace(",", "\n").split()
+        try:
+            blocks.append(np.array(list(map(float, fields)), dtype=np.float64))
+        except ValueError:
+            # number characters in an order float() refuses, e.g. "1e" or "1-2"
+            return None
+        start = stop
+    columns = np.concatenate(blocks).reshape(-1, 2).T.copy()
+    if not (np.isfinite(columns).all() and (columns > 0.0).all()):
+        return None
+    columns.flags.writeable = False
+    return columns[0], columns[1]
+
+
+def _scan_csv(text: str, label: str) -> MWDataset:
+    """Parse CSV text row by row, naming the line of the first bad row."""
     masses: list[float] = []
     abundances: list[float] = []
-    lines = read_text(path).splitlines()
+    lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise IngestionError(f"expected header '{CSV_HEADER}'", line=1)
     for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text:
+        row = raw.strip()
+        if not row:
             continue
-        fields = text.split(",")
+        fields = row.split(",")
         if len(fields) != 2:
             raise IngestionError(
                 f"expected 2 comma-separated fields, got {len(fields)}", line=lineno
@@ -407,7 +507,7 @@ def _load_csv(path: Path) -> MWDataset:
             mass = float(fields[0])
             abundance = float(fields[1])
         except ValueError:
-            raise IngestionError(f"could not parse numbers from {text!r}", line=lineno)
+            raise IngestionError(f"could not parse numbers from {row!r}", line=lineno)
         if not (math.isfinite(mass) and mass > 0.0):
             raise IngestionError(
                 f"molar_mass must be finite and > 0, got {fields[0].strip()}",
@@ -422,7 +522,7 @@ def _load_csv(path: Path) -> MWDataset:
         abundances.append(abundance)
     if not masses:
         raise IngestionError("no species rows found", line=len(lines))
-    return MWDataset(masses=masses, abundances=abundances, label=path.stem)
+    return MWDataset(masses=masses, abundances=abundances, label=label)
 
 
 def _load_json(path: Path) -> MWDataset:
@@ -477,29 +577,50 @@ def save_mwd(dataset: MWDataset, path: str | Path, format: str | None = None) ->
     """Write a distribution to CSV or JSON (atomically).
 
     Numbers are written in shortest round-trip form, so save/load preserves
-    every species bit for bit.
+    every species bit for bit.  CSV fields follow :func:`format_double`
+    (``28.0`` is written ``28``); JSON is laid out as
+    ``json.dumps(payload, indent=2)`` lays it out.  Rows are formatted and
+    written a block at a time.
     """
     path = Path(path)
     if format is None:
         format = "json" if path.suffix.lower() == ".json" else "csv"
     if format == "csv":
-        rows = [CSV_HEADER]
-        rows.extend(
-            f"{format_double(m)},{format_double(a)}"
-            for m, a in zip(dataset.masses, dataset.abundances)
-        )
-        atomic_write_text(path, "\n".join(rows) + "\n")
+        chunks = _csv_chunks(dataset)
     elif format == "json":
-        payload = {
-            "label": dataset.label,
-            "species": [
-                {"molar_mass": float(m), "abundance": float(a)}
-                for m, a in zip(dataset.masses, dataset.abundances)
-            ],
-        }
-        atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+        chunks = _json_chunks(dataset)
     else:
         raise ParameterDomainError(f"format must be 'csv' or 'json', got {format!r}")
+    with atomic_writer(path) as handle:
+        handle.writelines(chunks)
+
+
+def _row_blocks(dataset: MWDataset) -> Iterator[tuple[list[float], list[float]]]:
+    """Masses and abundances as Python floats, :data:`_WRITE_BLOCK_ROWS` rows at a time."""
+    for start in range(0, dataset.n, _WRITE_BLOCK_ROWS):
+        stop = start + _WRITE_BLOCK_ROWS
+        yield dataset.masses[start:stop].tolist(), dataset.abundances[start:stop].tolist()
+
+
+def _csv_chunks(dataset: MWDataset) -> Iterator[str]:
+    yield CSV_HEADER + "\n"
+    for masses, abundances in _row_blocks(dataset):
+        rows = "".join(map("%r,%r\n".__mod__, zip(masses, abundances)))
+        # format_double's rule for a whole block: a repr ends in ".0" exactly
+        # when its double is integral (and below 1e16), and only then is the
+        # ".0" dropped
+        yield rows.replace(".0,", ",").replace(".0\n", "\n")
+
+
+def _json_chunks(dataset: MWDataset) -> Iterator[str]:
+    # the bytes of json.dumps(payload, indent=2), whose encoder leaves C for
+    # pure Python once indent is set
+    yield '{\n  "label": %s,\n  "species": [\n' % json.dumps(dataset.label)
+    separator = ""
+    for masses, abundances in _row_blocks(dataset):
+        yield separator + ",\n".join(map(_JSON_ROW.__mod__, zip(masses, abundances)))
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def report_to_json(report: MeansReport) -> str:

@@ -17,6 +17,10 @@ def _as_positive_array(data: Iterable[float], what: str) -> np.ndarray:
         arr = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{what} must be a sequence of real numbers") from exc
+    except OverflowError:
+        raise DataError(
+            f"{what} must be finite, got an integer too large for a double"
+        ) from None
     if (
         isinstance(data, np.ndarray)
         and arr.flags.writeable
@@ -120,6 +124,10 @@ class ExponentPair:
             q = float(self.q)
         except (TypeError, ValueError) as exc:
             raise ParameterDomainError("exponents must be real numbers") from exc
+        except OverflowError:
+            raise ParameterDomainError(
+                "exponents must be finite, got an integer too large for a double"
+            ) from None
         if not (np.isfinite(p) and np.isfinite(q)):
             raise ParameterDomainError(
                 f"exponents must be finite, got p={self.p!r}, q={self.q!r}"

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import importlib.machinery
+import json
 import math
 import os
 from pathlib import Path
 
 import numpy as np
 
+from ginikit._util import format_double
+from ginikit.mwd import CSV_HEADER, MWDataset
 from ginikit.sample import PositiveSample
 
 
@@ -59,3 +62,27 @@ def env_importing_from(src: Path, **overrides: str) -> dict[str, str]:
     """``os.environ`` with ``src`` first on ``PYTHONPATH``, for a subprocess."""
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
     return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+def reference_mwd_text(dataset: MWDataset, format: str) -> str:
+    """The text ``save_mwd`` writes, formatted one row at a time.
+
+    This is the writer as it was before rows were formatted a block at a
+    time; it is kept as the reference the block writer must match byte for
+    byte.
+    """
+    if format == "csv":
+        rows = [CSV_HEADER]
+        rows.extend(
+            f"{format_double(m)},{format_double(a)}"
+            for m, a in zip(dataset.masses, dataset.abundances)
+        )
+        return "\n".join(rows) + "\n"
+    payload = {
+        "label": dataset.label,
+        "species": [
+            {"molar_mass": float(m), "abundance": float(a)}
+            for m, a in zip(dataset.masses, dataset.abundances)
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"

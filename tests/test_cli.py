@@ -611,3 +611,18 @@ class TestIngestFuzz:
     @settings(max_examples=25, deadline=None)
     def test_arbitrary_json(self, workdir, command, data):
         self.assert_exit_contract(workdir / "input.json", data, command)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=st.lists(
+        st.sampled_from(
+            ["", " ", "\t", "\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", "\u3000",
+             "molar_mass,abundance", "1.5", "1,2", "x"]
+        ),
+        max_size=10,
+    ).map("".join)
+)
+def test_first_nonblank_line_is_the_split_lines_one(text):
+    stripped = [line.strip() for line in text.splitlines()]
+    assert cli._first_nonblank_line(text) == next((line for line in stripped if line), "")

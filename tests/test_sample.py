@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ginikit import audit, means, mwd
 from ginikit.errors import DataError, ParameterDomainError
 from ginikit.sample import ExponentPair, PositiveSample
 
@@ -99,3 +100,68 @@ class TestExponentPair:
         pair = ExponentPair(2, 1)
         assert isinstance(pair.p, float)
         assert pair.p == 2.0
+
+
+BIG = 10**400  # an int past the double range
+SAMPLE = PositiveSample([1.0, 2.0])
+DATASET = mwd.MWDataset([(1.0, 1.0), (2.0, 1.0)])
+
+#: Every public entry point that takes a number, called with BIG in one slot.
+HUGE_INT_CALLS = {
+    "ExponentPair.p": (lambda: ExponentPair(BIG, 0), ParameterDomainError),
+    "ExponentPair.q": (lambda: ExponentPair(0, -BIG), ParameterDomainError),
+    "PositiveSample.values": (lambda: PositiveSample([1.0, BIG]), DataError),
+    "PositiveSample.weights": (lambda: PositiveSample([1.0], [BIG]), DataError),
+    "MWDataset.masses": (lambda: mwd.MWDataset(masses=[BIG], abundances=[1.0]), DataError),
+    "MWDataset.species": (lambda: mwd.MWDataset([(1.0, BIG)]), DataError),
+    "power_mean": (lambda: means.power_mean(SAMPLE, BIG), ParameterDomainError),
+    "lehmer_mean": (lambda: means.lehmer_mean(SAMPLE, -BIG), ParameterDomainError),
+    "identical_parameter_gini": (
+        lambda: means.identical_parameter_gini(SAMPLE, BIG), ParameterDomainError
+    ),
+    "log_power_sum": (lambda: means.log_power_sum(SAMPLE, BIG), ParameterDomainError),
+    "secant_slope": (lambda: means.secant_slope(SAMPLE, 1.0, BIG), ParameterDomainError),
+    "convexity_gap": (lambda: audit.convexity_gap(SAMPLE, BIG), ParameterDomainError),
+    "check_power_mean_bound": (
+        lambda: audit.check_power_mean_bound(SAMPLE, BIG, 1.0, 2.0), ParameterDomainError
+    ),
+    "viscosity_average": (lambda: mwd.viscosity_average(DATASET, BIG), ParameterDomainError),
+    "hydrodynamic_mean": (lambda: mwd.hydrodynamic_mean(DATASET, BIG), ParameterDomainError),
+    "sedimentation_mean": (lambda: mwd.sedimentation_mean(DATASET, BIG), ParameterDomainError),
+    "polydispersity.s": (lambda: mwd.polydispersity(DATASET, s=BIG), ParameterDomainError),
+    "polydispersity.custom": (
+        lambda: mwd.polydispersity(DATASET, custom=[(BIG, 0.0)]), ParameterDomainError
+    ),
+    "generate_flory.m0": (lambda: mwd.generate_flory(BIG, 0.5), ParameterDomainError),
+    "generate_flory.x": (lambda: mwd.generate_flory(28.0, BIG), ParameterDomainError),
+    "generate_flory.tail_tol": (
+        lambda: mwd.generate_flory(28.0, 0.5, BIG), ParameterDomainError
+    ),
+    "generate_poisson.m0": (lambda: mwd.generate_poisson(-BIG, 3.0), ParameterDomainError),
+    "generate_poisson.mean_degree": (
+        lambda: mwd.generate_poisson(28.0, BIG), ParameterDomainError
+    ),
+    "generate_lognormal.median": (
+        lambda: mwd.generate_lognormal(BIG, 0.5, 10), ParameterDomainError
+    ),
+    "generate_lognormal.sigma": (
+        lambda: mwd.generate_lognormal(1e4, BIG, 10), ParameterDomainError
+    ),
+    "generate_lognormal.n_points": (
+        lambda: mwd.generate_lognormal(1e4, 0.5, BIG), ParameterDomainError
+    ),
+    "generate_lognormal.n_points=inf": (
+        lambda: mwd.generate_lognormal(1e4, 0.5, float("inf")), ParameterDomainError
+    ),
+    "generate_lognormal.n_points=nan": (
+        lambda: mwd.generate_lognormal(1e4, 0.5, float("nan")), ParameterDomainError
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", HUGE_INT_CALLS.values(), ids=list(HUGE_INT_CALLS))
+def test_numbers_past_the_double_range_are_package_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    # the message names the problem without spelling out 401 digits
+    assert str(BIG) not in str(info.value)
