@@ -1,14 +1,37 @@
-"""Small shared helpers: float formatting, text file reads and atomic writes."""
+"""Small shared helpers: number checks, float formatting, text reads and atomic writes."""
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import tempfile
 from pathlib import Path
 from typing import Iterator, TextIO
 
 from .errors import IngestionError
+
+
+def _is_finite_real(value: object) -> bool:
+    """True for an int or float that is a finite double.
+
+    An int past the double range (``10**400``) is not one; ``math.isfinite``
+    would raise ``OverflowError`` on it rather than answer.
+    """
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _shown(value: object) -> str:
+    """``value`` as an error message shows it; a huge int is not spelled out
+    (past 4,300 digits, ``repr`` would raise ``ValueError`` instead)."""
+    if isinstance(value, int) and not _is_finite_real(value):
+        return "an integer too large for a double"
+    return repr(value)
 
 
 def format_double(x: float) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._util import _shown
 from .errors import HypothesisError
 from .means import log_power_sum, secant_slope
 from .sample import ExponentPair, PositiveSample
@@ -117,13 +118,7 @@ def check_monotonicity(sample: PositiveSample, order: ParameterOrder) -> AuditVe
     """
     lo = secant_slope(sample, order.lower.p, order.lower.q)
     up = secant_slope(sample, order.upper.p, order.upper.q)
-    margin = up - lo
-    tolerance = strict_tolerance(max(abs(lo), abs(up)))
-    if sample.is_uniform:
-        return AuditVerdict(holds=False, margin=margin, degenerate=True, tolerance=tolerance)
-    return AuditVerdict(
-        holds=margin > 0.0, margin=margin, degenerate=False, tolerance=tolerance
-    )
+    return _verdict(sample, lo, up)
 
 
 def check_power_mean_bound(
@@ -145,18 +140,22 @@ def check_power_mean_bound(
     side_high = (p >= r > 0.0) and (p > q > 0.0)
     if side_low == side_high:
         raise HypothesisError(
-            f"(p={p}, q={q}, r={r}) fits neither bracketing of the power-mean "
-            "comparison (need r >= p > q, r > 0 > q, or p >= r > 0, p > q > 0)"
+            f"(p={_shown(p)}, q={_shown(q)}, r={_shown(r)}) fits neither bracketing "
+            "of the power-mean comparison (need r >= p > q, r > 0 > q, or p >= r > 0, "
+            "p > q > 0)"
         )
     gini_log = secant_slope(sample, p, q)
     power_log = secant_slope(sample, r, 0.0)
-    margin = power_log - gini_log if side_low else gini_log - power_log
-    tolerance = strict_tolerance(max(abs(gini_log), abs(power_log)))
-    if sample.is_uniform:
-        return AuditVerdict(holds=False, margin=margin, degenerate=True, tolerance=tolerance)
-    return AuditVerdict(
-        holds=margin > 0.0, margin=margin, degenerate=False, tolerance=tolerance
-    )
+    lower, upper = (gini_log, power_log) if side_low else (power_log, gini_log)
+    return _verdict(sample, lower, upper)
+
+
+def _verdict(sample: PositiveSample, lower_log: float, upper_log: float) -> AuditVerdict:
+    """The verdict on ln G(lower) < ln G(upper); every check here ends in it."""
+    margin = upper_log - lower_log
+    tolerance = strict_tolerance(max(abs(lower_log), abs(upper_log)))
+    degenerate = sample.is_uniform
+    return AuditVerdict(not degenerate and margin > 0.0, margin, degenerate, tolerance)
 
 
 def convexity_gap(sample: PositiveSample, p: float) -> float:

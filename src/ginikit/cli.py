@@ -36,15 +36,13 @@ from .sample import ExponentPair, PositiveSample
 
 __all__ = ["main", "build_parser", "DEFAULT_GRID_CHAINS"]
 
-#: The default audit grid: every named exponent pair from the standard
-#: averages, arranged into chains whose consecutive pairs satisfy the
-#: componentwise-dominance hypothesis.
+#: The default audit grid: the Mn, Mw, Mz and effective-parameter pairs of
+#: ``mwd._AVERAGES`` and G(1,-1) and G(2,0), which name no average, in chains
+#: whose consecutive pairs satisfy the componentwise-dominance hypothesis.
 DEFAULT_GRID_CHAINS: tuple[tuple[tuple[float, float], ...], ...] = (
-    ((1.0, -1.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (3.0, 2.0)),
-    ((1.5, -1.5), (2.0, 0.0)),
+    ((1.0, -1.0), mwdmod._pair("Mn"), (2.0, 0.0), mwdmod._pair("Mw"), mwdmod._pair("Mz")),
+    (mwdmod._pair("effective"), (2.0, 0.0)),
 )
-
-_MARK_NAMES = ("Mn", "Mv", "Mw", "Mz")
 
 #: Exit code of each error kind, first match wins (see the module docstring
 #: and :mod:`ginikit.errors`).  Data errors, including ingestion and oracle
@@ -203,12 +201,12 @@ def _read_sample_file(path: str) -> PositiveSample:
     'value,weight'.
     """
     p = Path(path)
-    if p.suffix.lower() != ".json":
-        text = read_text(p)
-        if _first_nonblank_line(text) != mwdmod.CSV_HEADER:
-            return _parse_values(text)
-    dataset = mwdmod.load_mwd(p)
-    return PositiveSample(dataset.masses, dataset.abundances)
+    if p.suffix.lower() == ".json":
+        return mwdmod.load_mwd(p).to_sample()
+    text = read_text(p)
+    if _first_nonblank_line(text) != mwdmod.CSV_HEADER:
+        return _parse_values(text)
+    return mwdmod._parse_csv(text, p.stem).to_sample()
 
 
 def _parse_values(text: str) -> PositiveSample:
@@ -303,12 +301,8 @@ def _parse_custom_pair(spec: str) -> tuple[float, float]:
 
 def _cmd_mwd_report(args: argparse.Namespace) -> int:
     dataset = mwdmod.load_mwd(args.input)
-    custom: list[tuple[float, float]] = []
-    if args.b is not None:
-        b = args.b
-        mwdmod._check_calibration_exponent(b)
-        custom.append((1.0, 1.0 - b))
-        custom.append((2.0 - b, 1.0 - b))
+    calibration = ("hydrodynamic", "sedimentation") if args.b is not None else ()
+    custom = [mwdmod._pair(name, args.b) for name in calibration]
     custom.extend(_parse_custom_pair(spec) for spec in args.custom)
     report = mwdmod.polydispersity(dataset, s=args.s, custom=custom)
     if args.format == "json":
@@ -364,8 +358,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     chains = _parse_grid(args.grid)
 
     if args.input is not None:
-        dataset = mwdmod.load_mwd(args.input)
-        samples = [PositiveSample(dataset.masses, dataset.abundances)]
+        samples = [mwdmod.load_mwd(args.input).to_sample()]
         source = str(args.input)
     else:
         seed, count = args.random
@@ -379,11 +372,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.oracle:
         # the oracle runs before the audit, so a sample or pair outside its
         # domain ends the command before any audit line is printed
-        unique_pairs: list[ExponentPair] = []
-        for chain in chain_pairs:
-            for pair in chain:
-                if pair not in unique_pairs:
-                    unique_pairs.append(pair)
+        unique_pairs = list(dict.fromkeys(pair for chain in chain_pairs for pair in chain))
         summary = equivalence_report(
             samples, [unique_pairs] * len(samples), OracleConfig(), rel_tol=1e-12
         )
@@ -410,14 +399,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for link, verdict in enumerate(verdicts):
                 lower, upper = chain[link], chain[link + 1]
                 status = _verdict_status(verdict)
-                if verdict.degenerate:
-                    counts["degenerate"] += 1
-                elif not verdict.holds:
-                    counts["failed"] += 1
-                else:
-                    counts["holds"] += 1
-                    if verdict.weak:
-                        counts["weak"] += 1
+                counts["holds"] += verdict.holds
+                counts["weak"] += verdict.weak
+                counts["degenerate"] += verdict.degenerate
+                counts["failed"] += verdict.failed
                 print(
                     f"sample {index:04d}  "
                     f"G({format_double(lower.p)},{format_double(lower.q)})"
@@ -492,21 +477,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         )
     names = [token.strip() for token in args.marks.split(",") if token.strip()]
     for name in names:
-        if name not in _MARK_NAMES:
+        if name not in mwdmod._CHAIN:
             raise ParameterDomainError(
-                f"unknown mark {name!r}; choose from {', '.join(_MARK_NAMES)}"
+                f"unknown mark {name!r}; choose from {', '.join(mwdmod._CHAIN)}"
             )
     dataset = mwdmod.load_mwd(args.input)
-    marks: dict[str, float] = {}
-    for name in names:
-        if name == "Mn":
-            marks[name] = mwdmod.number_average(dataset)
-        elif name == "Mv":
-            marks[name] = mwdmod.viscosity_average(dataset, args.s)
-        elif name == "Mw":
-            marks[name] = mwdmod.weight_average(dataset)
-        else:
-            marks[name] = mwdmod.z_average(dataset)
+    marks = dict(zip(names, mwdmod._evaluate(dataset.to_sample(), names, args.s)))
     text = (
         render_svg(dataset, marks) if suffix == ".svg" else render_csv(dataset, marks)
     )

@@ -13,6 +13,8 @@ mass list weighted by abundance:
 
 so the monotonicity machinery in :mod:`ginikit.audit` directly yields the
 familiar chain Mn <= Mv <= Mw <= Mz (strict for any polydisperse sample).
+These pairs are written once, in :data:`_AVERAGES`; the helpers below, the
+report, the CLI's plot marks and its default audit grid all take them from it.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, atomic_writer, format_double, read_text
+from ._util import (
+    _is_finite_real, _shown, atomic_write_text, atomic_writer, format_double, read_text
+)
 from .errors import DataError, IngestionError, ParameterDomainError
 from .means import gini_mean
 from .sample import ExponentPair, PositiveSample, _as_positive_array
@@ -70,7 +74,7 @@ _WRITE_BLOCK_ROWS = 8192
 #: ``json`` writes too.
 _JSON_ROW = '    {\n      "molar_mass": %r,\n      "abundance": %r\n    }'
 
-#: The body of a plain CSV file, which :func:`_load_csv` parses in bulk:
+#: The body of a plain CSV file, which :func:`_parse_csv` parses in bulk:
 #: rows of exactly two non-empty fields of number characters, one comma
 #: between them, one newline after each (optional after the last).  No
 #: spaces, no blank lines, no letters other than an exponent's ``e``.
@@ -154,19 +158,66 @@ class MWDataset:
 # ---------------------------------------------------------------------------
 
 
+def _check_viscosity_exponent(s: float) -> None:
+    if not (_is_finite_real(s) and 0.0 < s <= 2.0):
+        raise ParameterDomainError(f"viscosity exponent s must be in (0, 2], got {_shown(s)}")
+
+
+def _check_calibration_exponent(b: float) -> None:
+    if not (_is_finite_real(b) and 0.0 < b < 1.0):
+        raise ParameterDomainError(f"calibration exponent b must be in (0, 1), got {_shown(b)}")
+
+
+#: Each named average: the domain check of its parameter (None when it takes
+#: none) and its exponent pair (p, q) as a function of that parameter, which
+#: is s for Mv and b for the two calibration means.
+_AVERAGES = {
+    "Mn": (None, lambda _: (1.0, 0.0)),
+    "Mw": (None, lambda _: (2.0, 1.0)),
+    "Mz": (None, lambda _: (3.0, 2.0)),
+    "Mv": (_check_viscosity_exponent, lambda s: (1.0 + s, 1.0)),
+    "hydrodynamic": (_check_calibration_exponent, lambda b: (1.0, 1.0 - b)),
+    "sedimentation": (_check_calibration_exponent, lambda b: (2.0 - b, 1.0 - b)),
+    "effective": (None, lambda _: (1.5, -1.5)),
+}
+
+#: The chain Mn <= Mv <= Mw <= Mz: the averages of every report and the plot marks.
+_CHAIN = ("Mn", "Mv", "Mw", "Mz")
+
+
+def _pair(name: str, parameter: float | None = None) -> tuple[float, float]:
+    """The exponent pair of a named average, after its parameter's domain check."""
+    check, pair = _AVERAGES[name]
+    if check is not None:
+        check(parameter)
+    return pair(parameter)
+
+
+def _evaluate(
+    sample: PositiveSample, names: Iterable[str], parameter: float | None = None
+) -> list[float]:
+    """The named averages of one sample, in the order of ``names``.
+
+    ``parameter`` goes to each name that takes one; every pair is checked
+    before any is evaluated.
+    """
+    pairs = [ExponentPair(*_pair(name, parameter)) for name in names]
+    return [gini_mean(sample, pair) for pair in pairs]
+
+
 def number_average(dataset: MWDataset) -> float:
     """Mn: abundance-weighted mean mass, G(1, 0)."""
-    return gini_mean(dataset.to_sample(), ExponentPair(1.0, 0.0))
+    return _evaluate(dataset.to_sample(), ["Mn"])[0]
 
 
 def weight_average(dataset: MWDataset) -> float:
     """Mw: mass-fraction-weighted mean mass, G(2, 1)."""
-    return gini_mean(dataset.to_sample(), ExponentPair(2.0, 1.0))
+    return _evaluate(dataset.to_sample(), ["Mw"])[0]
 
 
 def z_average(dataset: MWDataset) -> float:
     """Mz: z-fraction-weighted mean mass, G(3, 2)."""
-    return gini_mean(dataset.to_sample(), ExponentPair(3.0, 2.0))
+    return _evaluate(dataset.to_sample(), ["Mz"])[0]
 
 
 def viscosity_average(dataset: MWDataset, s: float = 0.7) -> float:
@@ -175,52 +226,22 @@ def viscosity_average(dataset: MWDataset, s: float = 0.7) -> float:
     At s = 1 this is Mw by the same evaluation, and for s in (0, 1) it sits
     strictly between Mn and Mw on polydisperse samples.
     """
-    if not (_is_finite_real(s) and 0.0 < s <= 2.0):
-        raise ParameterDomainError(f"viscosity exponent s must be in (0, 2], got {_shown(s)}")
-    return gini_mean(dataset.to_sample(), ExponentPair(1.0 + s, 1.0))
+    return _evaluate(dataset.to_sample(), ["Mv"], s)[0]
 
 
 def hydrodynamic_mean(dataset: MWDataset, b: float) -> float:
     """G(1, 1-b) for a calibration exponent b in (0, 1)."""
-    _check_calibration_exponent(b)
-    return gini_mean(dataset.to_sample(), ExponentPair(1.0, 1.0 - b))
+    return _evaluate(dataset.to_sample(), ["hydrodynamic"], b)[0]
 
 
 def sedimentation_mean(dataset: MWDataset, b: float) -> float:
     """G(2-b, 1-b) for b in (0, 1); a Lehmer mean of order 2-b."""
-    _check_calibration_exponent(b)
-    return gini_mean(dataset.to_sample(), ExponentPair(2.0 - b, 1.0 - b))
+    return _evaluate(dataset.to_sample(), ["sedimentation"], b)[0]
 
 
 def effective_parameter_mean(dataset: MWDataset) -> float:
     """G(3/2, -3/2), the symmetric mean used in effective-parameter fits."""
-    return gini_mean(dataset.to_sample(), ExponentPair(1.5, -1.5))
-
-
-def _is_finite_real(value: object) -> bool:
-    """True for an int or float that is a finite double.
-
-    An int past the double range (``10**400``) is not one; ``math.isfinite``
-    would raise ``OverflowError`` on it rather than answer.
-    """
-    if not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _shown(value: object) -> str:
-    """``value`` as an error message shows it; a huge int is not spelled out."""
-    if isinstance(value, int) and not _is_finite_real(value):
-        return "an integer too large for a double"
-    return repr(value)
-
-
-def _check_calibration_exponent(b: float) -> None:
-    if not (_is_finite_real(b) and 0.0 < b < 1.0):
-        raise ParameterDomainError(f"calibration exponent b must be in (0, 1), got {_shown(b)}")
+    return _evaluate(dataset.to_sample(), ["effective"])[0]
 
 
 class CustomMean(NamedTuple):
@@ -276,10 +297,7 @@ def polydispersity(
             f"report viscosity exponent s must be in (0, 1], got {_shown(s)}"
         )
     sample = dataset.to_sample()
-    mn = gini_mean(sample, ExponentPair(1.0, 0.0))
-    mw = gini_mean(sample, ExponentPair(2.0, 1.0))
-    mz = gini_mean(sample, ExponentPair(3.0, 2.0))
-    mv = gini_mean(sample, ExponentPair(1.0 + s, 1.0))
+    mn, mv, mw, mz = _evaluate(sample, _CHAIN, s)
     mw = max(mw, mn)
     mz = max(mz, mw)
     mv = min(max(mv, mn), mw)
@@ -437,18 +455,18 @@ def load_mwd(path: str | Path, format: str | None = None) -> MWDataset:
     if format is None:
         format = "json" if path.suffix.lower() == ".json" else "csv"
     if format == "csv":
-        return _load_csv(path)
+        return _parse_csv(read_text(path), path.stem)
     if format == "json":
-        return _load_json(path)
+        return _parse_json(read_text(path))
     raise ParameterDomainError(f"format must be 'csv' or 'json', got {format!r}")
 
 
-def _load_csv(path: Path) -> MWDataset:
-    text = read_text(path)
+def _parse_csv(text: str, label: str) -> MWDataset:
+    """The distribution in CSV ``text``: in bulk when plain, else row by row."""
     columns = _parse_plain_csv(text)
     if columns is None:
-        return _scan_csv(text, path.stem)
-    return MWDataset(masses=columns[0], abundances=columns[1], label=path.stem)
+        return _scan_csv(text, label)
+    return MWDataset(masses=columns[0], abundances=columns[1], label=label)
 
 
 def _parse_plain_csv(text: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -525,8 +543,7 @@ def _scan_csv(text: str, label: str) -> MWDataset:
     return MWDataset(masses=masses, abundances=abundances, label=label)
 
 
-def _load_json(path: Path) -> MWDataset:
-    text = read_text(path)
+def _parse_json(text: str) -> MWDataset:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -562,15 +579,9 @@ def _json_number(value: object, what: str) -> float:
     """A JSON number as a finite positive double, or an error naming ``what``."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise IngestionError(f"{what} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise IngestionError(
-            f"{what} must be finite and > 0, got an integer too large for a double"
-        ) from None
-    if not (math.isfinite(number) and number > 0.0):
-        raise IngestionError(f"{what} must be finite and > 0, got {value}")
-    return number
+    if not (_is_finite_real(value) and value > 0.0):
+        raise IngestionError(f"{what} must be finite and > 0, got {_shown(value)}")
+    return float(value)
 
 
 def save_mwd(dataset: MWDataset, path: str | Path, format: str | None = None) -> None:
@@ -624,21 +635,9 @@ def _json_chunks(dataset: MWDataset) -> Iterator[str]:
 
 
 def report_to_json(report: MeansReport) -> str:
-    """Serialize a report as JSON at full double precision."""
-    payload = {
-        "Mn": report.Mn,
-        "Mw": report.Mw,
-        "Mz": report.Mz,
-        "Mv": report.Mv,
-        "pdi": report.pdi,
-        "z_ratio": report.z_ratio,
-        "schulz_u": report.schulz_u,
-        "s": report.s,
-        "custom": [
-            {"p": entry.p, "q": entry.q, "value": entry.value}
-            for entry in report.custom
-        ],
-    }
+    """Serialize a report as JSON at full double precision, keyed by field."""
+    payload = {field.name: getattr(report, field.name) for field in fields(report)}
+    payload["custom"] = [entry._asdict() for entry in report.custom]
     return json.dumps(payload, indent=2) + "\n"
 
 

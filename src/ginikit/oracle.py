@@ -16,6 +16,7 @@ from typing import Sequence
 
 import mpmath as mp
 
+from ._util import _shown
 from .errors import OracleDomainError, ParameterDomainError
 from .means import gini_mean
 from .sample import ExponentPair, PositiveSample
@@ -44,11 +45,12 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if int(self.precision_digits) != self.precision_digits or self.precision_digits < 50:
             raise ParameterDomainError(
-                f"precision_digits must be an integer >= 50, got {self.precision_digits!r}"
+                "precision_digits must be an integer >= 50, "
+                f"got {_shown(self.precision_digits)}"
             )
         if int(self.max_n) != self.max_n or not 1 <= self.max_n <= 1024:
             raise ParameterDomainError(
-                f"max_n must be an integer in [1, 1024], got {self.max_n!r}"
+                f"max_n must be an integer in [1, 1024], got {_shown(self.max_n)}"
             )
         object.__setattr__(self, "precision_digits", int(self.precision_digits))
         object.__setattr__(self, "max_n", int(self.max_n))

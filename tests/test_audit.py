@@ -169,12 +169,22 @@ class TestCheckPowerMeanBound:
                 s, ParameterOrder(ExponentPair(1.0, -1.0), ExponentPair(2.0, 0.0))
             )
             assert low.margin == mono.margin
+            assert low == mono
             # high side corresponds to the order (r,0) -> (p,q)
             high = check_power_mean_bound(s, 3.0, 1.0, 2.0)
             mono2 = check_monotonicity(
                 s, ParameterOrder(ExponentPair(2.0, 0.0), ExponentPair(3.0, 1.0))
             )
             assert high.margin == mono2.margin
+            assert high == mono2
+
+    def test_agrees_with_monotonicity_on_uniform_samples(self):
+        s = PositiveSample([3.0, 3.0, 3.0], [1.0, 2.0, 0.5])
+        low = check_power_mean_bound(s, 1.0, -1.0, 2.0)
+        mono = check_monotonicity(
+            s, ParameterOrder(ExponentPair(1.0, -1.0), ExponentPair(2.0, 0.0))
+        )
+        assert low == mono and low.degenerate and not low.holds
 
 
 class TestSecantSlope:

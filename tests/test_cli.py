@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ginikit.cli as cli
+from ginikit import mwd
+from ginikit._util import read_text
 from ginikit.audit import AuditVerdict
 from ginikit.cli import main
 from ginikit.means import gini_mean
 from ginikit.mwd import load_mwd, polydispersity
 from ginikit.oracle import oracle_gini
-from ginikit.sample import ExponentPair
+from ginikit.sample import ExponentPair, PositiveSample
 
 from helpers import env_importing_from
 
@@ -60,6 +62,32 @@ class TestMean:
         path = str(data_dir / "two_species.csv")
         assert run_cli("mean", "--input", path, "--p", "1", "--q", "0") == 0
         assert capsys.readouterr().out == "199.99999999999991\n"
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("dist.csv", "molar_mass,abundance\n100,1\n300,1\n"),
+            ("dist.csv", "molar_mass,abundance\n 100 , 1\n\n300,1\n"),  # scanned row by row
+            ("vals.txt", "100\n300\n"),
+            ("dist.json", '{"species": [{"molar_mass": 100, "abundance": 1},'
+                          ' {"molar_mass": 300, "abundance": 1}]}'),
+        ],
+        ids=["distribution-csv", "distribution-csv-not-plain", "values", "json"],
+    )
+    def test_input_file_is_read_once(self, tmp_path, monkeypatch, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        reads = []
+
+        def counting_read_text(target):
+            reads.append(target)
+            return read_text(target)
+
+        monkeypatch.setattr(cli, "read_text", counting_read_text)
+        monkeypatch.setattr(mwd, "read_text", counting_read_text)
+        assert run_cli("mean", "--input", str(path), "--p", "1", "--q", "0") == 0
+        assert capsys.readouterr().out == "199.99999999999991\n"
+        assert len(reads) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -269,6 +297,15 @@ class TestVerify:
         assert "oracle:" in out
         assert "-> ok" in out
 
+    def test_default_grid_is_its_literal_chains(self):
+        assert cli.DEFAULT_GRID_CHAINS == (
+            ((1.0, -1.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (3.0, 2.0)),
+            ((1.5, -1.5), (2.0, 0.0)),
+        )
+        pairs = [pair for chain in cli.DEFAULT_GRID_CHAINS for pair in chain]
+        assert all(type(pair) is tuple for pair in pairs)
+        assert all(type(x) is float for pair in pairs for x in pair)
+
     def test_custom_grid(self, data_dir, capsys):
         code = run_cli(
             "verify", "--input", str(data_dir / "two_species.csv"),
@@ -436,6 +473,68 @@ class TestPlot:
         ]
         assert main(argv) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("marks", ["Mn,Mv,Mw,Mz", "Mz", "Mv,Mn", "Mw,Mw"])
+    def test_one_sample_per_run(self, data_dir, tmp_path, monkeypatch, marks):
+        built = []
+        init = PositiveSample.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PositiveSample, "__init__", counting_init)
+        out = tmp_path / "plot.csv"
+        code = run_cli(
+            "plot", "--input", str(data_dir / "two_species.csv"),
+            "--out", str(out), "--marks", marks,
+        )
+        assert code == 0
+        assert len(built) == 1
+
+    def test_marks_are_the_library_averages(self, data_dir, tmp_path):
+        out = tmp_path / "plot.csv"
+        path = data_dir / "two_species.csv"
+        assert run_cli("plot", "--input", str(path), "--out", str(out), "--s", "1.5") == 0
+        dataset = load_mwd(path)
+        expected = {
+            "Mn": mwd.number_average(dataset),
+            "Mv": mwd.viscosity_average(dataset, 1.5),
+            "Mw": mwd.weight_average(dataset),
+            "Mz": mwd.z_average(dataset),
+        }
+        rows = out.read_text(encoding="utf-8").splitlines()
+        marks = dict(row.split(",") for row in rows[rows.index("mark,value") + 1 :])
+        assert {name: float(value) for name, value in marks.items()} == expected
+
+    @pytest.mark.parametrize(
+        "input_name, extra, code, message",
+        [
+            # a bad mark name is a usage error before the file is read
+            ("missing.csv", ("--marks", "Mn,Bogus"), 2,
+             "error: unknown mark 'Bogus'; choose from Mn, Mv, Mw, Mz"),
+            # then an unreadable file is a data error, bad --s or not
+            ("missing.csv", ("--s", "0"), 1, "error: [Errno 2]"),
+            ("bad.csv", ("--s", "0"), 1, "error: line 2: could not parse numbers"),
+            # a bad --s is a usage error only when Mv is requested
+            ("good.csv", ("--s", "0"), 2,
+             "error: viscosity exponent s must be in (0, 2], got 0.0"),
+            ("good.csv", ("--s", "2.5", "--marks", "Mz,Mv"), 2,
+             "error: viscosity exponent s must be in (0, 2], got 2.5"),
+            ("good.csv", ("--s", "0", "--marks", "Mn,Mw,Mz"), 0, ""),
+            ("good.csv", ("--s", "nan", "--marks", ""), 0, ""),
+        ],
+    )
+    def test_error_precedence(self, tmp_path, capsys, input_name, extra, code, message):
+        good = "molar_mass,abundance\n100,1\n300,1\n"
+        (tmp_path / "good.csv").write_text(good, encoding="utf-8")
+        (tmp_path / "bad.csv").write_text("molar_mass,abundance\nnope,1\n", encoding="utf-8")
+        out = tmp_path / "plot.svg"
+        argv = ["plot", "--input", str(tmp_path / input_name), "--out", str(out), *extra]
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and (code == 0) == (err == "")
+        assert out.exists() == (code == 0)
 
     def test_failed_run_leaves_existing_output_untouched(self, tmp_path, capsys):
         bad_input = tmp_path / "bad.csv"

@@ -30,6 +30,7 @@ from ginikit.mwd import (
     weight_average,
     z_average,
 )
+from ginikit.means import gini_mean
 from ginikit.oracle import oracle_gini
 from ginikit.sample import ExponentPair
 
@@ -83,7 +84,30 @@ class TestMWDataset:
         assert ds.masses[0] == 100.0
 
 
+#: Each single-average helper with its parameters and its exponent pair as a
+#: function of them, written out here as the reference for ``mwd._AVERAGES``.
+HELPER_PAIRS = [
+    (number_average, [()], lambda: (1.0, 0.0)),
+    (weight_average, [()], lambda: (2.0, 1.0)),
+    (z_average, [()], lambda: (3.0, 2.0)),
+    (viscosity_average, [(0.3,), (0.7,), (1.0,), (1.9,), (2.0,)], lambda s: (1.0 + s, 1.0)),
+    (hydrodynamic_mean, [(0.1,), (0.5,), (0.9,)], lambda b: (1.0, 1.0 - b)),
+    (sedimentation_mean, [(0.1,), (0.5,), (0.9,)], lambda b: (2.0 - b, 1.0 - b)),
+    (effective_parameter_mean, [()], lambda: (1.5, -1.5)),
+]
+
+
 class TestAverages:
+    @pytest.mark.parametrize(
+        "helper, params, pair", HELPER_PAIRS, ids=[row[0].__name__ for row in HELPER_PAIRS]
+    )
+    def test_helper_is_gini_mean_of_its_pair_bitwise(self, two_species, helper, params, pair):
+        for dataset in (two_species, generate_flory(28.0, 0.9), generate_lognormal(1e4, 0.8, 50)):
+            sample = dataset.to_sample()
+            for args in params:
+                expected = gini_mean(sample, ExponentPair(*pair(*args)))
+                assert helper(dataset, *args).hex() == expected.hex()
+
     def test_two_species_reference(self, two_species):
         # direct ratios: 400/2, (1e4+9e4)/400, (1e6+2.7e7)/1e5, 250/200
         assert number_average(two_species) == pytest.approx(200.0, rel=5e-15)
@@ -152,6 +176,16 @@ class TestPolydispersityReport:
     def test_chain_ordering(self, two_species):
         rep = polydispersity(two_species)
         assert rep.Mn < rep.Mv < rep.Mw < rep.Mz
+
+    @pytest.mark.parametrize("s", [0.3, 0.7, 1.0])
+    def test_chain_is_gini_mean_of_literal_pairs_bitwise(self, s):
+        # an ordered chain is reported exactly as gini_mean computes it
+        dataset = generate_flory(28.0, 0.95)
+        sample = dataset.to_sample()
+        rep = polydispersity(dataset, s=s)
+        pairs = {"Mn": (1.0, 0.0), "Mw": (2.0, 1.0), "Mz": (3.0, 2.0), "Mv": (1.0 + s, 1.0)}
+        for name, pair in pairs.items():
+            assert getattr(rep, name).hex() == gini_mean(sample, ExponentPair(*pair)).hex()
 
     def test_chain_over_s_grid(self):
         dataset = generate_flory(100.0, 0.7)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ginikit import audit, means, mwd
-from ginikit.errors import DataError, ParameterDomainError
+from ginikit.errors import DataError, HypothesisError, ParameterDomainError
+from ginikit.oracle import OracleConfig
 from ginikit.sample import ExponentPair, PositiveSample
 
 
@@ -125,6 +126,10 @@ HUGE_INT_CALLS = {
     "check_power_mean_bound": (
         lambda: audit.check_power_mean_bound(SAMPLE, BIG, 1.0, 2.0), ParameterDomainError
     ),
+    "check_power_mean_bound.q": (
+        lambda: audit.check_power_mean_bound(SAMPLE, 1.0, BIG, 2.0), HypothesisError
+    ),
+    "OracleConfig.max_n": (lambda: OracleConfig(max_n=BIG), ParameterDomainError),
     "viscosity_average": (lambda: mwd.viscosity_average(DATASET, BIG), ParameterDomainError),
     "hydrodynamic_mean": (lambda: mwd.hydrodynamic_mean(DATASET, BIG), ParameterDomainError),
     "sedimentation_mean": (lambda: mwd.sedimentation_mean(DATASET, BIG), ParameterDomainError),
@@ -165,3 +170,21 @@ def test_numbers_past_the_double_range_are_package_errors(call, error):
         call()
     # the message names the problem without spelling out 401 digits
     assert str(BIG) not in str(info.value)
+
+
+HUGE = 10**5000  # past Python's 4,300-digit limit: str() and repr() raise on it
+
+#: Entry points that put a number into their error message, called with HUGE.
+HUGE_DIGIT_CALLS = {
+    "check_power_mean_bound.q": (
+        lambda: audit.check_power_mean_bound(SAMPLE, 1.0, HUGE, 2.0), HypothesisError
+    ),
+    "OracleConfig.max_n": (lambda: OracleConfig(max_n=HUGE), ParameterDomainError),
+}
+
+
+@pytest.mark.parametrize("call, error", HUGE_DIGIT_CALLS.values(), ids=list(HUGE_DIGIT_CALLS))
+def test_ints_past_the_digit_limit_are_package_errors(call, error):
+    # formatting HUGE into the message would raise a bare ValueError instead
+    with pytest.raises(error, match="an integer too large for a double"):
+        call()
