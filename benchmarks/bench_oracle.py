@@ -1,0 +1,108 @@
+"""Benchmark the mpmath oracle: ``equivalence_report`` and its term formation.
+
+Run from the repository root:
+
+    PYTHONPATH=src python benchmarks/bench_oracle.py
+
+Times ``equivalence_report`` on the CLI's default audit grid (its six
+distinct pairs, as ``verify --oracle`` passes them) over the seeded samples
+of ``verify --random SEED 200`` for seeds 0-4, and the fast side alone
+(``gini_mean`` over the same pairs), so the oracle's own share is the
+difference.  Then it times the forming of a lifted sample's terms at 50
+digits, per term, for three groups of exponents, each on a fresh lift so
+that a group pays for the square roots or logs it needs:
+
+- integer exponents of the default grid (-1, 0, 1, 2, 3);
+- odd multiples of 1/2 from it (1.5, -1.5);
+- general exponents (0.3, -1.7, 1e-5).
+
+Every report must pass, so an oracle that got faster by getting wrong
+fails loudly.  Each row gives the median and the minimum of ``REPEATS``
+rounds.  The last line of output is one JSON object with the medians.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import time
+
+import mpmath as mp
+
+from ginikit import oracle
+from ginikit._backend import backend_name
+from ginikit.cli import DEFAULT_GRID_CHAINS, _random_samples
+from ginikit.means import gini_mean
+from ginikit.sample import ExponentPair
+
+SEEDS = range(5)
+SAMPLES_PER_SEED = 200
+REPEATS = 5
+#: The pairs ``verify --oracle`` hands to ``equivalence_report``.
+GRID = list(
+    dict.fromkeys(ExponentPair(p, q) for chain in DEFAULT_GRID_CHAINS for p, q in chain)
+)
+TERM_GROUPS = {
+    "integer": (-1.0, 0.0, 1.0, 2.0, 3.0),
+    "half_integer": (1.5, -1.5),
+    "general": (0.3, -1.7, 1e-5),
+}
+
+
+def timed(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def report(samples) -> None:
+    summary = oracle.equivalence_report(samples, [GRID] * len(samples))
+    if not summary.passed or summary.cases != len(GRID) * len(samples):
+        raise AssertionError(f"oracle report failed: {summary}")
+
+
+def fast_side(samples) -> None:
+    for sample in samples:
+        for pair in GRID:
+            gini_mean(sample, pair)
+
+
+def form_terms(samples, exponents) -> None:
+    with mp.workdps(50):
+        for sample in samples:
+            lifted = oracle._LiftedSample(sample)
+            for e in exponents:
+                lifted.terms(e)
+
+
+def main() -> None:
+    batches = [_random_samples(seed, SAMPLES_PER_SEED) for seed in SEEDS]
+    values = sum(sample.n for batch in batches for sample in batch)
+    print(
+        f"backend {backend_name()}, mpmath {mp.__version__} ({mp.libmp.BACKEND}), "
+        f"{len(GRID)} pairs on {len(batches)}x{SAMPLES_PER_SEED} samples, {REPEATS} rounds"
+    )
+    rows = {"equivalence_report": report, "fast_side": fast_side}
+    for name, exponents in TERM_GROUPS.items():
+        rows[f"terms_{name}"] = lambda batch, es=exponents: form_terms(batch, es)
+    medians: dict[str, float] = {}
+    print(f"{'layer':>20} {'median':>10} {'min':>10} {'per term':>10}")
+    for name, call in rows.items():
+        times = [
+            statistics.median(timed(lambda: call(batch)) for batch in batches)
+            for _ in range(REPEATS)
+        ]
+        median = statistics.median(times)
+        medians[f"{name}_s"] = median
+        per_term = ""
+        if name.startswith("terms_"):
+            terms = values / len(batches) * len(TERM_GROUPS[name[len("terms_"):]])
+            per_term = f"{median / terms * 1e9:>8.0f}ns"
+        print(f"{name:>20} {median * 1e3:>8.1f}ms {min(times) * 1e3:>8.1f}ms {per_term:>10}")
+    medians["oracle_share_s"] = medians["equivalence_report_s"] - medians["fast_side_s"]
+    print(f"{'oracle share':>20} {medians['oracle_share_s'] * 1e3:>8.1f}ms")
+    print(json.dumps({"backend": backend_name(), "repeats": REPEATS, "median_s": medians}))
+
+
+if __name__ == "__main__":
+    main()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import tempfile
 from pathlib import Path
@@ -13,12 +14,13 @@ from .errors import IngestionError
 
 
 def _is_finite_real(value: object) -> bool:
-    """True for an int or float that is a finite double.
+    """True for a real number, such as an int, a float or a numpy integer,
+    that is a finite double.
 
     An int past the double range (``10**400``) is not one; ``math.isfinite``
     would raise ``OverflowError`` on it rather than answer.
     """
-    if not isinstance(value, (int, float)):
+    if not isinstance(value, numbers.Real):
         return False
     try:
         return math.isfinite(value)

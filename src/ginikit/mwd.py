@@ -510,9 +510,12 @@ def _scan_csv(text: str, label: str) -> MWDataset:
     masses: list[float] = []
     abundances: list[float] = []
     lines = text.splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise IngestionError(f"expected header '{CSV_HEADER}'", line=1)
-    for lineno, raw in enumerate(lines[1:], start=2):
+    # the header is the first non-blank line; line numbers count from the
+    # file's first line all the same
+    first = next((index for index, raw in enumerate(lines) if raw.strip()), 0)
+    if not lines or lines[first].strip() != CSV_HEADER:
+        raise IngestionError(f"expected header '{CSV_HEADER}'", line=first + 1)
+    for lineno, raw in enumerate(lines[first + 1 :], start=first + 2):
         row = raw.strip()
         if not row:
             continue

@@ -1,22 +1,40 @@
 """Extended-precision reference evaluation.
 
 This is the deliberately *naive* route: power sums are formed term by term
-as exp(p * ln a_i) in arbitrary-precision arithmetic (mpmath) and the
-textbook formula is applied directly.  It shares no code with the log-domain
-kernel, so agreement between the two is evidence that both are right, not
-that they make the same mistake.  The price is a restricted domain: inputs
-are capped where 50 digits of working precision comfortably absorb the
-naive formula's dynamic range.
+in arbitrary-precision arithmetic (mpmath) and the textbook formula is
+applied directly.  The term of value a and weight w at exponent e is
+
+- ``w * a**e``, an integer power, when e is an integer;
+- ``w * sqrt(a)**(2e)``, an integer power of the correctly rounded square
+  root, when e is an odd multiple of 1/2;
+- ``w * exp(e * ln a)`` for any other exponent.
+
+The first two take no logarithm, and every exponent of the CLI's default
+grid is of those kinds; the logs are taken only for other exponents and for
+the p == q formula, which needs them.  None of this shares a method with
+the log-domain kernel: there is no shift by the largest log, no log-sum-exp
+and no tangent at small gaps, so agreement between the two is evidence that
+both are right, not that they make the same mistake.  The price is a
+restricted domain: inputs are capped where 50 digits of working precision
+comfortably absorb the naive formula's dynamic range.
+
+A pair whose exponents differ by less than 1e-20 is evaluated at raised
+precision.  At a gap h = |p - q| the ratio S_p / S_q is 1 + O(h), and
+raising it to the power 1/h magnifies its rounding error by 1/h, so a fixed
+precision loses about ceil(-log10 h) digits.  Such a pair gets its own lift
+at the configured digits plus those, plus 10 of margin.  Every other pair
+runs at the configured digits, so its double does not depend on this rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
 
-from ._util import _shown
+from ._util import _is_finite_real, _shown
 from .errors import OracleDomainError, ParameterDomainError
 from .means import gini_mean
 from .sample import ExponentPair, PositiveSample
@@ -27,6 +45,10 @@ __all__ = ["OracleConfig", "oracle_gini", "equivalence_report", "EquivalenceSumm
 MAX_ABS_EXPONENT = 30.0
 MIN_VALUE = 1e-30
 MAX_VALUE = 1e30
+#: Pairs whose exponents differ by less than this get raised precision.
+TINY_GAP = 1e-20
+#: Digits added beyond those the gap cancels, for such a pair.
+TINY_GAP_MARGIN_DIGITS = 10
 
 
 @dataclass(frozen=True)
@@ -43,12 +65,18 @@ class OracleConfig:
     max_n: int = 1024
 
     def __post_init__(self) -> None:
-        if int(self.precision_digits) != self.precision_digits or self.precision_digits < 50:
+        # finiteness first: int() raises a bare ValueError on NaN and an
+        # OverflowError on infinity, and a huge int is no usable precision
+        digits = self.precision_digits
+        if not _is_finite_real(digits) or int(digits) != digits or digits < 50:
             raise ParameterDomainError(
-                "precision_digits must be an integer >= 50, "
-                f"got {_shown(self.precision_digits)}"
+                f"precision_digits must be an integer >= 50, got {_shown(digits)}"
             )
-        if int(self.max_n) != self.max_n or not 1 <= self.max_n <= 1024:
+        if (
+            not _is_finite_real(self.max_n)
+            or int(self.max_n) != self.max_n
+            or not 1 <= self.max_n <= 1024
+        ):
             raise ParameterDomainError(
                 f"max_n must be an integer in [1, 1024], got {_shown(self.max_n)}"
             )
@@ -76,30 +104,63 @@ def _check_domain(
 
 
 class _LiftedSample:
-    """One sample lifted to mpf, with its tilted terms memoised by exponent.
+    """One sample lifted to mpf, with its terms memoised by exponent.
 
     Build it inside the ``mp.workdps`` block it is evaluated in: the cached
     mpf numbers carry that working precision.  The values and weights are
-    converted and the logs taken once; the terms ``w * exp(e * ln a)`` and
-    their power sum are formed once per distinct exponent, by the same
-    mpmath operations the per-pair formula would run, so every result is
-    the one a fresh evaluation gives.  ``0.0`` and ``-0.0`` share an entry:
-    both convert to the same mpf zero.
+    converted once.  The terms of an exponent e and their power sum are
+    formed once per distinct exponent:
+
+    - for an integer e, ``w * a**e``;
+    - for an odd multiple e of 1/2, ``w * r**(2e)`` with ``r = sqrt(a)``;
+    - for any other e, ``w * exp(e * ln a)``.
+
+    mpmath forms an integer power with guard bits and rounds it once, so a
+    term of the first form is within about one unit in the last place of
+    the working precision, and one of the second within about |2e| units
+    (the square root's rounding, raised to the power 2e).  ``exp(e * ln a)``
+    carries the rounding of ``ln a`` times e, up to |e * ln a| units.
+    The square roots and the logs are each taken once, when a term first
+    needs them: a grid of integer and half-integer exponents without a p == q
+    pair takes no log at all.  ``0.0`` and ``-0.0`` share an entry: both give
+    the terms ``w * a**0 == w``.
     """
 
     def __init__(self, sample: PositiveSample) -> None:
-        values = [mp.mpf(float(v)) for v in sample.values]
+        self.values = [mp.mpf(float(v)) for v in sample.values]
         self.weights = [mp.mpf(float(w)) for w in sample.weights]
-        self.logs = [mp.log(v) for v in values]
+        self._roots: list[mp.mpf] | None = None
+        self._logs: list[mp.mpf] | None = None
         self._terms: dict[float, list[mp.mpf]] = {}
         self._sums: dict[float, mp.mpf] = {}
+
+    @property
+    def roots(self) -> list[mp.mpf]:
+        if self._roots is None:
+            self._roots = [mp.sqrt(v) for v in self.values]
+        return self._roots
+
+    @property
+    def logs(self) -> list[mp.mpf]:
+        if self._logs is None:
+            self._logs = [mp.log(v) for v in self.values]
+        return self._logs
 
     def terms(self, exponent: float) -> list[mp.mpf]:
         key = float(exponent)
         if key not in self._terms:
-            e = mp.mpf(key)
-            self._terms[key] = [w * mp.exp(e * lg) for w, lg in zip(self.weights, self.logs)]
+            self._terms[key] = self._form_terms(key)
         return self._terms[key]
+
+    def _form_terms(self, exponent: float) -> list[mp.mpf]:
+        # 2e is exact in binary, so this finds every multiple of 1/2
+        twice = 2.0 * exponent
+        if twice.is_integer():
+            k = int(twice)
+            bases, power = (self.values, k // 2) if k % 2 == 0 else (self.roots, k)
+            return [w * b**power for w, b in zip(self.weights, bases)]
+        e = mp.mpf(exponent)
+        return [w * mp.exp(e * lg) for w, lg in zip(self.weights, self.logs)]
 
     def power_sum(self, exponent: float) -> mp.mpf:
         key = float(exponent)
@@ -120,6 +181,15 @@ class _LiftedSample:
         return float(result)
 
 
+def _working_digits(params: ExponentPair, config: OracleConfig) -> int:
+    """Digits to evaluate ``params`` at: the configured ones, raised by the
+    digits a gap below :data:`TINY_GAP` cancels, plus a margin."""
+    gap = abs(params.p - params.q)
+    if gap == 0.0 or gap >= TINY_GAP:
+        return config.precision_digits
+    return config.precision_digits + math.ceil(-math.log10(gap)) + TINY_GAP_MARGIN_DIGITS
+
+
 def oracle_gini(
     sample: PositiveSample,
     params: ExponentPair,
@@ -130,10 +200,11 @@ def oracle_gini(
     Raises :class:`OracleDomainError` outside the certified domain
     (n <= config.max_n, |p|, |q| <= 30, values in [1e-30, 1e30]).  Inside
     it, the returned double is correct to <= 2 ulp (in practice: correctly
-    rounded).
+    rounded), at every exponent gap: a gap below :data:`TINY_GAP` raises the
+    working precision (see the module docstring).
     """
     _check_domain(sample, params, config)
-    with mp.workdps(config.precision_digits):
+    with mp.workdps(_working_digits(params, config)):
         return _LiftedSample(sample).gini(params)
 
 
@@ -179,23 +250,27 @@ def equivalence_report(
     cases = 0
     for index, (sample, grid) in enumerate(zip(samples, grids)):
         # Each sample is lifted once, after its first pair passes the domain
-        # check, and serves every pair of its grid; nothing is kept across
-        # samples.
+        # check, and serves every pair of its grid at the configured digits;
+        # a pair with a tiny gap gets its own lift at raised precision.
+        # Nothing is kept across samples.
         lifted: _LiftedSample | None = None
-        for params in grid:
-            fast = gini_mean(sample, params)
-            _check_domain(sample, params, config)
-            with mp.workdps(config.precision_digits):
-                if lifted is None:
-                    lifted = _LiftedSample(sample)
-                reference = lifted.gini(params)
-            rel = abs(fast - reference) / reference
-            cases += 1
-            if rel > worst:
-                worst = rel
-                worst_sample = sample
-                worst_params = params
-                worst_index = index
+        with mp.workdps(config.precision_digits):
+            for params in grid:
+                fast = gini_mean(sample, params)
+                _check_domain(sample, params, config)
+                if _working_digits(params, config) != config.precision_digits:
+                    reference = oracle_gini(sample, params, config)
+                else:
+                    if lifted is None:
+                        lifted = _LiftedSample(sample)
+                    reference = lifted.gini(params)
+                rel = abs(fast - reference) / reference
+                cases += 1
+                if rel > worst:
+                    worst = rel
+                    worst_sample = sample
+                    worst_params = params
+                    worst_index = index
     return EquivalenceSummary(
         cases=cases,
         max_rel_error=worst,

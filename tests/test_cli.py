@@ -68,11 +68,15 @@ class TestMean:
         [
             ("dist.csv", "molar_mass,abundance\n100,1\n300,1\n"),
             ("dist.csv", "molar_mass,abundance\n 100 , 1\n\n300,1\n"),  # scanned row by row
+            ("dist.csv", "\n \nmolar_mass,abundance\n100,1\n300,1\n"),  # header after blanks
             ("vals.txt", "100\n300\n"),
             ("dist.json", '{"species": [{"molar_mass": 100, "abundance": 1},'
                           ' {"molar_mass": 300, "abundance": 1}]}'),
         ],
-        ids=["distribution-csv", "distribution-csv-not-plain", "values", "json"],
+        ids=[
+            "distribution-csv", "distribution-csv-not-plain", "distribution-csv-blank-lead",
+            "values", "json",
+        ],
     )
     def test_input_file_is_read_once(self, tmp_path, monkeypatch, capsys, name, text):
         path = tmp_path / name
@@ -202,6 +206,21 @@ class TestMwdReport:
         path.write_text("molar_mass,abundance\n-1,1\n", encoding="utf-8")
         assert run_cli("mwd-report", "--input", str(path)) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_header_after_blank_lines(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "two_species.csv"
+        text = (data_dir / "two_species.csv").read_text(encoding="utf-8")
+        path.write_text("\n\n" + text, encoding="utf-8")
+        assert run_cli("mwd-report", "--input", str(path)) == 0
+        golden = (data_dir / "golden_report.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
+    def test_header_after_blank_lines_keeps_file_line_numbers(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n\nmolar_mass,abundance\n100,1\n-1,1\n", encoding="utf-8")
+        assert run_cli("mwd-report", "--input", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 5: molar_mass must be finite and > 0, got -1\n"
 
 
 class TestVerify:

@@ -461,6 +461,28 @@ class TestIngestionErrors:
         path = self.write(tmp_path, "molar_mass,abundance\n\n100,1\n\n300,1\n")
         assert load_mwd(path).n == 2
 
+    def test_blank_lines_before_header_tolerated(self, tmp_path):
+        path = self.write(tmp_path, "\n  \nmolar_mass,abundance\n100,1\n300,1\n")
+        loaded = load_mwd(path)
+        assert list(loaded.masses) == [100.0, 300.0]
+        assert list(loaded.abundances) == [1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("\n\nmass,amount\n100,1\n", 3),  # the header's own line
+            ("\n\nmolar_mass,abundance\n100,1\n200,1,9\n", 5),
+            ("\nmolar_mass,abundance\nabc,1\n", 3),
+            ("\n\n", 1),  # no header at all
+            ("", 1),
+        ],
+    )
+    def test_line_numbers_count_from_the_first_line(self, tmp_path, text, line):
+        path = self.write(tmp_path, text)
+        with pytest.raises(IngestionError) as err:
+            load_mwd(path)
+        assert err.value.line == line
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"species": [\n  {"molar_mass": 100,,}\n]}', encoding="utf-8")

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import ginikit.oracle as oracle
+from ginikit.cli import DEFAULT_GRID_CHAINS, _random_samples
 from ginikit.errors import OracleDomainError, ParameterDomainError
 from ginikit.means import gini_mean
 from ginikit.oracle import EquivalenceSummary, OracleConfig, equivalence_report, oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import random_sample
+from helpers import assert_within_ulps, random_sample
 
 
 class TestOracleConfig:
@@ -30,6 +31,11 @@ class TestOracleConfig:
     def test_max_n_cap(self, max_n):
         with pytest.raises(ParameterDomainError):
             OracleConfig(max_n=max_n)
+
+    def test_numpy_integers_accepted(self):
+        cfg = OracleConfig(precision_digits=np.int64(60), max_n=np.int32(5))
+        assert (cfg.precision_digits, cfg.max_n) == (60, 5)
+        assert type(cfg.precision_digits) is type(cfg.max_n) is int
 
 
 class TestOracleGini:
@@ -244,3 +250,148 @@ class TestMemoisedOracle:
             equivalence_report([big], [[ExponentPair(1.0, 0.0)]], OracleConfig(max_n=4))
         with pytest.raises(OracleDomainError, match="cap"):
             oracle_gini(big, ExponentPair(1.0, 0.0), OracleConfig(max_n=4))
+
+
+def _reference_terms(sample: PositiveSample, exponent: float) -> list[mp.mpf]:
+    """The terms ``w * exp(e * ln a)`` of the general formula, at any
+    exponent: the reference the integer-power terms must round to."""
+    e = mp.mpf(float(exponent))
+    return [
+        mp.mpf(float(w)) * mp.exp(e * mp.log(mp.mpf(float(v))))
+        for v, w in zip(sample.values, sample.weights)
+    ]
+
+
+def _term_samples(seed: int) -> list[PositiveSample]:
+    """CLI-like samples, and samples spanning the whole value domain."""
+    rng = np.random.default_rng(seed)
+    narrow = [random_sample(rng) for _ in range(4)]
+    wide = [random_sample(rng, value_lo=1e-30, value_hi=1e30) for _ in range(4)]
+    return narrow + wide + [PositiveSample([1e-30, 1e30])]
+
+
+HALF_INTEGER_EXPONENTS = [k / 2 for k in range(-60, 61)]
+
+
+class TestTermFormulas:
+    """Integer and half-integer exponents take integer powers; the rest keep exp(e ln a)."""
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_half_integer_power_sums_round_to_the_reference(self, digits):
+        for sample in _term_samples(11):
+            with mp.workdps(digits):
+                lifted = oracle._LiftedSample(sample)
+                for e in HALF_INTEGER_EXPONENTS:
+                    want = float(mp.fsum(_reference_terms(sample, e)))
+                    assert float(lifted.power_sum(e)).hex() == want.hex(), (e, sample.values)
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_half_integer_pairs_round_to_the_reference(self, digits):
+        config = OracleConfig(precision_digits=digits)
+        rng = np.random.default_rng(12)
+        for sample in _term_samples(12):
+            for _ in range(20):
+                p, q = rng.choice(HALF_INTEGER_EXPONENTS, size=2)
+                pair = ExponentPair(float(p), float(q))
+                want = _per_pair_gini(sample, pair, digits)
+                assert oracle_gini(sample, pair, config).hex() == want.hex(), pair
+
+    @pytest.mark.parametrize("exponent", [0.3, 1e-5, -7.1, 29.99, 0.0, -0.0])
+    def test_other_exponents_keep_the_reference_terms(self, exponent):
+        for sample in _term_samples(13):
+            with mp.workdps(50):
+                got = oracle._LiftedSample(sample).terms(exponent)
+                assert got == _reference_terms(sample, exponent)
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    @pytest.mark.parametrize("exponent", [0.3, 1e-5, 0.0, -0.0, 1.0, -1.5, 2.5, -30.0])
+    def test_equal_pairs_match_the_reference(self, digits, exponent):
+        config = OracleConfig(precision_digits=digits)
+        pair = ExponentPair(exponent, exponent)
+        for sample in _term_samples(14):
+            want = _per_pair_gini(sample, pair, digits)
+            assert oracle_gini(sample, pair, config).hex() == want.hex()
+
+    def _count_calls(self, monkeypatch, name: str) -> list[object]:
+        calls: list[object] = []
+        real = getattr(mp, name)
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(mp, name, counting)
+        return calls
+
+    def test_default_grid_takes_no_logs(self, monkeypatch):
+        logs = self._count_calls(monkeypatch, "log")
+        roots = self._count_calls(monkeypatch, "sqrt")
+        samples = _random_samples(3, 20)
+        pairs = (ExponentPair(p, q) for chain in DEFAULT_GRID_CHAINS for p, q in chain)
+        grid = list(dict.fromkeys(pairs))
+        summary = equivalence_report(samples, [grid] * len(samples))
+        assert summary.passed and summary.cases == len(grid) * len(samples)
+        assert logs == []
+        # G(1.5, -1.5) needs one square root per value; nothing else does
+        assert len(roots) == sum(sample.n for sample in samples)
+
+    def test_roots_and_logs_are_taken_once_and_only_when_needed(self, monkeypatch):
+        logs = self._count_calls(monkeypatch, "log")
+        roots = self._count_calls(monkeypatch, "sqrt")
+        sample = random_sample(np.random.default_rng(15))
+        integral = [ExponentPair(1.0, -1.0), ExponentPair(3.0, -30.0)]
+        equivalence_report([sample], [integral])
+        assert (logs, roots) == ([], [])
+        rest = integral + [ExponentPair(0.5, 2.0), ExponentPair(-1.5, 2.0)]
+        rest += [ExponentPair(0.3, 1.0), ExponentPair(2.0, 2.0), ExponentPair(1e-5, 0.3)]
+        equivalence_report([sample], [rest])
+        assert (len(logs), len(roots)) == (sample.n, sample.n)
+
+
+#: The sample [1, 2, 5, 1000] has geometric mean 10, the limit of G(gap, 0).
+GEOMETRIC_TEN = PositiveSample([1.0, 2.0, 5.0, 1000.0])
+TINY_GAPS = [1e-40, 1e-45, 1e-60, 5e-324]
+
+
+class TestTinyGaps:
+    """A gap below 1e-20 raises the working precision by the digits it cancels."""
+
+    @pytest.mark.parametrize("gap", TINY_GAPS)
+    def test_limit_is_the_geometric_mean(self, gap):
+        assert_within_ulps(oracle_gini(GEOMETRIC_TEN, ExponentPair(gap, 0.0)), 10.0, 2)
+        assert_within_ulps(oracle_gini(GEOMETRIC_TEN, ExponentPair(0.0, -gap)), 10.0, 2)
+        assert_within_ulps(oracle_gini(GEOMETRIC_TEN, ExponentPair(-gap, 0.0)), 10.0, 2)
+
+    def test_report_evaluates_tiny_gaps_like_oracle_gini(self, monkeypatch):
+        monkeypatch.setattr(oracle, "gini_mean", lambda sample, pair: oracle_gini(sample, pair))
+        grid = [ExponentPair(1.0, 0.0)] + [ExponentPair(gap, 0.0) for gap in TINY_GAPS]
+        grid += [ExponentPair(0.0, 0.0), ExponentPair(1e-20, 0.0)]
+        summary = equivalence_report([GEOMETRIC_TEN], [grid])
+        assert summary.cases == len(grid)
+        assert summary.max_rel_error == 0.0
+
+    def test_report_is_within_tolerance_at_tiny_gaps(self):
+        grid = [ExponentPair(gap, 0.0) for gap in TINY_GAPS]
+        assert equivalence_report([GEOMETRIC_TEN], [grid]).passed
+
+    @pytest.mark.parametrize("gap", [1e-20, 3e-15, 1e-10, 0.25])
+    def test_ordinary_gaps_keep_the_configured_digits(self, gap):
+        for sample in _term_samples(16)[::2]:
+            pair = ExponentPair(0.7 + gap, 0.7) if gap > 1e-15 else ExponentPair(gap, 0.0)
+            want = _per_pair_gini(sample, pair, 50)
+            assert oracle_gini(sample, pair).hex() == want.hex()
+
+    def test_self_consistency_over_log_spaced_gaps(self):
+        lo = OracleConfig(precision_digits=50)
+        hi = OracleConfig(precision_digits=200)
+        rng = np.random.default_rng(17)
+        samples = [random_sample(rng), random_sample(rng, value_lo=1e-25, value_hi=1e25)]
+        samples.append(PositiveSample([1e-25, 3.0, 1e25], [2.0, 0.5, 1.0]))
+        gaps = [5e-324] + [10.0**-k for k in range(320, -1, -10)]
+        for sample in samples:
+            for gap in gaps:
+                for pair in (ExponentPair(gap, 0.0), ExponentPair(-2.5, -2.5 - gap)):
+                    if pair.p == pair.q:
+                        continue  # the gap is below the spacing of doubles at 2.5
+                    want = oracle_gini(sample, pair, hi)
+                    assert oracle_gini(sample, pair, lo) == want, (gap, pair)

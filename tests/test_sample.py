@@ -130,6 +130,17 @@ HUGE_INT_CALLS = {
         lambda: audit.check_power_mean_bound(SAMPLE, 1.0, BIG, 2.0), HypothesisError
     ),
     "OracleConfig.max_n": (lambda: OracleConfig(max_n=BIG), ParameterDomainError),
+    "OracleConfig.max_n=inf": (lambda: OracleConfig(max_n=float("inf")), ParameterDomainError),
+    "OracleConfig.max_n=nan": (lambda: OracleConfig(max_n=float("nan")), ParameterDomainError),
+    "OracleConfig.precision_digits": (
+        lambda: OracleConfig(precision_digits=BIG), ParameterDomainError
+    ),
+    "OracleConfig.precision_digits=inf": (
+        lambda: OracleConfig(precision_digits=float("inf")), ParameterDomainError
+    ),
+    "OracleConfig.precision_digits=nan": (
+        lambda: OracleConfig(precision_digits=float("nan")), ParameterDomainError
+    ),
     "viscosity_average": (lambda: mwd.viscosity_average(DATASET, BIG), ParameterDomainError),
     "hydrodynamic_mean": (lambda: mwd.hydrodynamic_mean(DATASET, BIG), ParameterDomainError),
     "sedimentation_mean": (lambda: mwd.sedimentation_mean(DATASET, BIG), ParameterDomainError),
@@ -172,6 +183,11 @@ def test_numbers_past_the_double_range_are_package_errors(call, error):
     assert str(BIG) not in str(info.value)
 
 
+@pytest.mark.parametrize("number", [np.int64(1), np.float32(1.0)], ids=["int64", "float32"])
+def test_numpy_scalars_pass_the_number_checks(number):
+    assert mwd.viscosity_average(DATASET, number) == mwd.viscosity_average(DATASET, 1.0)
+
+
 HUGE = 10**5000  # past Python's 4,300-digit limit: str() and repr() raise on it
 
 #: Entry points that put a number into their error message, called with HUGE.
@@ -180,6 +196,9 @@ HUGE_DIGIT_CALLS = {
         lambda: audit.check_power_mean_bound(SAMPLE, 1.0, HUGE, 2.0), HypothesisError
     ),
     "OracleConfig.max_n": (lambda: OracleConfig(max_n=HUGE), ParameterDomainError),
+    "OracleConfig.precision_digits": (
+        lambda: OracleConfig(precision_digits=HUGE), ParameterDomainError
+    ),
 }
 
 
