@@ -5,10 +5,10 @@ Run from the repository root after an editable install:
     python benchmarks/bench_kernels.py
 
 Both backends are imported directly (ignoring GINIKIT_PURE) and timed on
-identical presorted inputs across a range of sample sizes.  The sizes span
-the pure kernel's switch from its loop to its numpy path
-(``VECTOR_MIN_N``) and reach n = 27,618, the species count of the
-end-to-end ``mwd_report`` workload.  When both backends are present the
+identical inputs, in the pipeline's (ln a, ln w) order, across a range of
+sample sizes.  The sizes span the pure kernel's switch from its loop to its
+numpy path (``VECTOR_MIN_N``) and reach n = 27,618, the species count of
+the end-to-end ``mwd_report`` workload.  When both backends are present the
 script also asserts bit-identical outputs while it goes, so a drifting
 backend fails loudly rather than reporting a meaningless speedup.  Without
 the compiled extension it times the pure kernel alone.
@@ -27,17 +27,18 @@ SIZES = ((4, 4000), (16, 2000), (64, 1000), (256, 400), (4096, 50), (27_618, 8))
 
 
 def make_case(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """One (exponents, logs, shift) triple like the mean pipeline builds.
+
+    ``PositiveSample`` sorts its logs by (ln a, ln w) once, and
+    ``log_power_sum`` forms t = p * ln a + ln w in that order.
+    """
     log_values = rng.uniform(-14.0, 14.0, n)
     p = rng.uniform(-50.0, 50.0)
     log_weights = rng.uniform(-2.0, 2.0, n)
+    order = np.lexsort((log_weights, log_values))
+    log_values, log_weights = log_values[order], log_weights[order]
     t = p * log_values + log_weights
-    shift = float(t.max())
-    order = np.lexsort((log_values, t))
-    return (
-        np.ascontiguousarray(t[order]),
-        np.ascontiguousarray(log_values[order]),
-        shift,
-    )
+    return t, log_values, float(t.max())
 
 
 def bench(fn, cases, repeats: int) -> tuple[float, list[tuple[float, float, float]]]:

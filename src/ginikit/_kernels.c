@@ -101,7 +101,7 @@ static PyMethodDef methods[] = {
      "Compensated moment sums of the weights u_i = exp(exponents[i] - shift).\n\n"
      "Returns ``(total, mean, variance)``; see the pure-Python twin for the\n"
      "exact contract.  Inputs must be 1-D C-contiguous float64 buffers of\n"
-     "equal length, pre-sorted."},
+     "equal length, summed in array order."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -45,8 +45,9 @@ def exp_moments(
     Returns ``(total, mean, variance)`` where ``total = sum(u)``, ``mean`` is
     the u-weighted average of ``logs`` and ``variance`` the u-weighted average
     of ``(logs - mean)**2`` (one centered second pass, so it is nonnegative by
-    construction).  Inputs must already be sorted; summation runs strictly in
-    array order.
+    construction).  Summation runs strictly in array order, so the caller
+    fixes the order; the mean pipeline passes each sample's (ln a, ln w)
+    order.
     """
     if len(exponents) >= VECTOR_MIN_N:
         return _exp_moments_vector(exponents, logs, shift)

@@ -332,6 +332,8 @@ def _random_samples(seed: int, count: int) -> list[PositiveSample]:
     The ranges sit inside the certified oracle domain so --oracle works on
     the same samples.
     """
+    if seed < 0:
+        raise ParameterDomainError(f"seed must be >= 0, got {seed}")
     if count < 1:
         raise ParameterDomainError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)

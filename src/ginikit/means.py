@@ -12,18 +12,17 @@ evaluation path.
 
 That path never materializes a_i**p.  It works with t_i = p*ln(a_i) +
 ln(w_i), shifts by m = max(t_i) so every exponential argument is <= 0, and
-accumulates exp(t_i - m) with compensated summation in a fixed sorted order.
-Results stay finite and inside [min(a), max(a)] for values anywhere in the
-double range and |p| in the hundreds, where the textbook formula overflows
-almost immediately.
+accumulates exp(t_i - m) with compensated summation in one order per sample,
+ascending (ln a_i, ln w_i), fixed when the sample is built.  Results stay
+finite and inside [min(a), max(a)] for values anywhere in the double range
+and any exponent whose t_i are finite doubles, where the textbook formula
+overflows at |p| in the hundreds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _backend
 from .errors import ParameterDomainError
@@ -97,19 +96,25 @@ def branch_threshold(p: float, q: float) -> float:
 def log_power_sum(sample: PositiveSample, p: float) -> LogPowerSum:
     """Evaluate ln S_p and the tilted log-moments, stably.
 
-    The shifted weights u_i = exp(t_i - max t) are accumulated in ascending
-    (t_i, ln a_i) order with Neumaier compensation, so the result is
+    The shifted weights u_i = exp(t_i - max t) are accumulated with Neumaier
+    compensation in the sample's own order, ascending (ln a_i, ln w_i), which
+    :class:`PositiveSample` fixes once for every exponent.  So the result is
     invariant under permutation of the sample and reproducible to the bit
     across backends.
+
+    Raises ParameterDomainError when |p| * max|ln a_i| overflows a double:
+    there t_i is not finite and no moment of it can be formed.
     """
     p = _finite_exponent(p)
-    la = sample.log_values
-    t = p * la + sample.log_weights
+    la = sample._sorted_log_values
+    if not math.isfinite(abs(p) * max(-float(la[0]), float(la[-1]))):
+        raise ParameterDomainError(
+            f"exponent {p!r} is too large for this sample: "
+            "|p| * max|ln a| overflows a double"
+        )
+    t = p * la + sample._sorted_log_weights
     shift = float(t.max())
-    order = np.lexsort((la, t))
-    total, mean, variance = _backend.exp_moments(
-        np.ascontiguousarray(t[order]), np.ascontiguousarray(la[order]), shift
-    )
+    total, mean, variance = _backend.exp_moments(t, la, shift)
     log_sum = shift + math.log(total)
     if sample.is_uniform:
         # All values equal c: the tilted distribution of ln a is a point mass
@@ -134,22 +139,27 @@ def secant_slope(sample: PositiveSample, p: float, q: float) -> float:
     slope degenerates to the tangent d/dp ln S_p, served by the tilted mean
     at the midpoint.  Uniform samples short-circuit to ln of the common
     value.
+
+    Both differences and the midpoint are formed from halves, so they stay
+    finite when p - q, p + q or ln S_p - ln S_q would overflow.  Halving a
+    normal double is exact, so this changes no bit anywhere else.
     """
     p = _finite_exponent(p, "p")
     q = _finite_exponent(q, "q")
     if sample.is_uniform:
         return math.log(float(sample.values[0]))
     if abs(p - q) <= branch_threshold(p, q):
-        return log_power_sum(sample, 0.5 * (p + q)).moment1
-    return (log_power_sum(sample, p).log_sum - log_power_sum(sample, q).log_sum) / (
-        p - q
-    )
+        return log_power_sum(sample, 0.5 * p + 0.5 * q).moment1
+    return (
+        0.5 * log_power_sum(sample, p).log_sum - 0.5 * log_power_sum(sample, q).log_sum
+    ) / (0.5 * p - 0.5 * q)
 
 
 def _clamp_to_range(sample: PositiveSample, value: float) -> float:
     # The exact mean lies in [min, max]; the computed one can escape by a few
     # ulps through the final exp.  Clamping restores the bound without moving
-    # the value more than that rounding error.
+    # the value more than that rounding error.  On a uniform sample the
+    # range is [c, c], so the mean is exactly c.
     return min(max(value, sample.min_value), sample.max_value)
 
 
@@ -158,21 +168,20 @@ def gini_mean(sample: PositiveSample, params: ExponentPair) -> float:
 
     Symmetric in (p, q) by construction (the pair is stored in canonical
     order).  The result always lies in [min(sample), max(sample)] and is
-    finite for any finite exponents.
+    finite for any finite exponents that :func:`log_power_sum` accepts on
+    this sample; beyond them it raises ParameterDomainError.  A uniform
+    sample returns its common value at any finite exponents.
     """
-    if sample.is_uniform:
-        return float(sample.values[0])
     return _clamp_to_range(sample, math.exp(secant_slope(sample, params.p, params.q)))
 
 
 def identical_parameter_gini(sample: PositiveSample, p: float) -> float:
     """G(p, p): exp of the a**p-tilted mean of ln a.
 
-    At p = 0 this is the weighted geometric mean.
+    At p = 0 this is the weighted geometric mean.  Raises
+    ParameterDomainError where :func:`log_power_sum` does.
     """
     p = _finite_exponent(p)
-    if sample.is_uniform:
-        return float(sample.values[0])
     return _clamp_to_range(sample, math.exp(log_power_sum(sample, p).moment1))
 
 

@@ -45,6 +45,12 @@ class PositiveSample:
     Logarithms of the values and weights are precomputed once at
     construction; every mean in this package works on those logs.  Arrays
     are frozen (non-writable) so a sample can be shared freely.
+
+    The order in which the terms of a power sum are added is fixed here too:
+    a private copy of the logs sorted by (ln a, ln w) is what every
+    evaluation sums over, whatever the exponent.  So a permuted sample gives
+    the same bits, and no evaluation sorts again.  The public arrays keep
+    the caller's order.
     """
 
     __slots__ = (
@@ -55,6 +61,8 @@ class PositiveSample:
         "is_uniform",
         "min_value",
         "max_value",
+        "_sorted_log_values",
+        "_sorted_log_weights",
     )
 
     values: np.ndarray
@@ -77,12 +85,13 @@ class PositiveSample:
                 raise DataError(
                     f"weights length {wts.size} does not match values length {vals.size}"
                 )
-        for arr in (vals, wts):
-            arr.flags.writeable = False
         log_vals = np.log(vals)
         log_wts = np.log(wts)
-        log_vals.flags.writeable = False
-        log_wts.flags.writeable = False
+        order = np.lexsort((log_wts, log_vals))
+        sorted_log_vals = log_vals[order]
+        sorted_log_wts = log_wts[order]
+        for arr in (vals, wts, log_vals, log_wts, sorted_log_vals, sorted_log_wts):
+            arr.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "weights", wts)
         object.__setattr__(self, "log_values", log_vals)
@@ -90,6 +99,8 @@ class PositiveSample:
         object.__setattr__(self, "is_uniform", bool(np.all(vals == vals[0])))
         object.__setattr__(self, "min_value", float(vals.min()))
         object.__setattr__(self, "max_value", float(vals.max()))
+        object.__setattr__(self, "_sorted_log_values", sorted_log_vals)
+        object.__setattr__(self, "_sorted_log_weights", sorted_log_wts)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PositiveSample is immutable")

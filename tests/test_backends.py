@@ -34,26 +34,30 @@ VECTOR_N = _kernels_py.VECTOR_MIN_N
 SIZES_ACROSS_SWITCH = (1, VECTOR_N - 1, VECTOR_N, 4096, 27_618)
 
 
+def pipeline_triple(la, lw, p):
+    """The (exponents, logs, shift) triple the mean pipeline builds.
+
+    ``PositiveSample`` sorts its logs by (ln a, ln w) once, and
+    ``log_power_sum`` forms t = p * ln a + ln w in that order.
+    """
+    order = np.lexsort((lw, la))
+    la, lw = la[order], lw[order]
+    t = p * la + lw
+    return t, la, float(t.max())
+
+
 def kernel_case(rng, n, p_max=60.0):
-    """One presorted (exponents, logs, shift) triple like the mean pipeline builds."""
+    """One (exponents, logs, shift) triple like the mean pipeline builds."""
     la = np.log(rng.uniform(1e-3, 1e3, size=n))
     lw = np.log(rng.uniform(0.5, 2.0, size=n))
-    p = rng.uniform(-p_max, p_max)
-    t = p * la + lw
-    order = np.lexsort((la, t))
-    t, la = t[order], la[order]
-    return t, la, float(t.max())
+    return pipeline_triple(la, lw, rng.uniform(-p_max, p_max))
 
 
 def extreme_case(rng, n):
-    """A presorted triple with logs in [-700, 700] and |p| up to 100."""
+    """A pipeline triple with logs in [-700, 700] and |p| up to 100."""
     la = rng.uniform(-700.0, 700.0, size=n)
     lw = rng.uniform(-5.0, 5.0, size=n)
-    p = rng.uniform(-100.0, 100.0)
-    t = p * la + lw
-    order = np.lexsort((la, t))
-    t, la = t[order], la[order]
-    return t, la, float(t.max())
+    return pipeline_triple(la, lw, rng.uniform(-100.0, 100.0))
 
 
 def bits(result):

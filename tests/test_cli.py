@@ -8,6 +8,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,29 @@ class TestMean:
     def test_non_finite_exponent(self, capsys):
         assert run_cli("mean", "1", "2", "--r", "inf") == 2
         capsys.readouterr()
+
+    def test_overflowing_exponent_is_one_error_line(self, capsys):
+        # p * ln 1000 overflows a double: no nan, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("mean", "1", "1000", "--r", "1e308") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (("1", "2", "--p=1e308", "--q=-1e308"), "1.414213562373095\n"),
+            (
+                ("2.718281828459045", "7.38905609893065", "--p=8e307", "--q=-8e307"),
+                "4.4816890703380645\n",
+            ),
+        ],
+    )
+    def test_overflowing_differences(self, argv, want, capsys):
+        assert run_cli("mean", *argv) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestMwdReport:
@@ -339,6 +363,7 @@ class TestVerify:
             ("verify",),  # neither source
             ("verify", "--random", "1", "2", "--input", "x.csv"),  # both
             ("verify", "--random", "1", "0"),  # bad count
+            ("verify", "--random", "-1", "5"),  # negative seed
             ("verify", "--random", "1", "2", "--grid", "2:0"),  # one pair only
             ("verify", "--random", "1", "2", "--grid", "1:0,abc"),
             ("verify", "--random", "1", "2", "--grid", "2:0,1:0"),  # not increasing

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginikit import _backend
 from ginikit.errors import ParameterDomainError
 from ginikit.means import (
     extreme_value,
@@ -17,6 +19,7 @@ from ginikit.means import (
     lehmer_mean,
     log_power_sum,
     power_mean,
+    secant_slope,
 )
 from ginikit.sample import ExponentPair, PositiveSample
 
@@ -69,6 +72,32 @@ class TestLogPowerSum:
         assert lps.moment2 >= lps.moment1 * lps.moment1
         if s.is_uniform:
             assert lps.moment2 == lps.moment1 * lps.moment1
+
+    def test_summation_order_is_fixed_per_sample(self, monkeypatch):
+        # every exponent sums the sample's own (ln a, ln w)-sorted logs: the
+        # same array each time, handed over as built, with ties in ln a
+        # broken by ln w
+        calls = []
+        kernel = _backend.exp_moments
+
+        def recording(exponents, logs, shift):
+            calls.append((exponents, logs))
+            return kernel(exponents, logs, shift)
+
+        monkeypatch.setattr(_backend, "exp_moments", recording)
+        s = PositiveSample(
+            [8.0, 2.0, 8.0, 0.5, 2.0, 8.0], [1.0, 3.0, 0.25, 2.0, 3.0, 4.0]
+        )
+        for p in (-3.0, 0.0, 3.0):
+            log_power_sum(s, p)
+        assert len(calls) == 3
+        logs = calls[0][1]
+        assert all(call[1] is logs for call in calls)
+        assert np.all(np.diff(logs) >= 0.0)
+        ties = np.diff(logs) == 0.0
+        assert ties.any()
+        lw = calls[1][0]  # at p = 0 the exponents are ln w
+        assert np.all(np.diff(lw)[ties] >= 0.0)
 
     def test_moment_inequality_strict_when_spread(self):
         rng = np.random.default_rng(8)
@@ -132,6 +161,10 @@ class TestGiniMean:
         rng = np.random.default_rng(23)
         for _ in range(25):
             s = random_sample(rng, n_max=32)
+            # ties: a repeated mass with other weights, and repeated rows
+            values = np.concatenate([s.values, s.values[:3], s.values[:2]])
+            weights = np.concatenate([s.weights, 3.0 * s.weights[:3], s.weights[:2]])
+            s = PositiveSample(values, weights)
             perm = rng.permutation(s.n)
             shuffled = PositiveSample(s.values[perm], s.weights[perm])
             for p, q in ((2.0, 1.0), (10.0, -4.0), (0.3, 0.3)):
@@ -263,3 +296,42 @@ class TestStability:
             g = gini_mean(s, ExponentPair(p, q))
             assert math.isfinite(g)
             assert s.min_value <= g <= s.max_value
+
+    @pytest.mark.parametrize("p", [1e308, -1e308, 3e307])
+    def test_overflowing_exponent_is_a_domain_error(self, p):
+        # |p| * max|ln a| is not a double: refused, with no numpy warning
+        s = PositiveSample([1.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomainError, match="too large"):
+                log_power_sum(s, p)
+            with pytest.raises(ParameterDomainError):
+                identical_parameter_gini(s, p)
+            with pytest.raises(ParameterDomainError):
+                gini_mean(s, ExponentPair(p, 0.0))
+
+    def test_largest_exponents_inside_the_domain(self):
+        # ln 2 * 1e308 is still finite, so these evaluate
+        s = PositiveSample([1.0, 2.0])
+        assert log_power_sum(s, 1e308).moment1 == math.log(2.0)
+        assert gini_mean(s, ExponentPair(1e308, 1e308)) == 2.0
+        assert gini_mean(s, ExponentPair(-1e308, -1e308)) == 1.0
+
+    def test_overflowing_differences_stay_exact(self):
+        # p - q overflows: G(1e308, -1e308) of {1, 2} is sqrt(2)
+        g = gini_mean(PositiveSample([1.0, 2.0]), ExponentPair(1e308, -1e308))
+        assert_within_ulps(g, math.sqrt(2.0), 1)
+        # ln S_p - ln S_q overflows: G of {e, e^2} is e^1.5
+        s = PositiveSample([math.e, 7.38905609893065])
+        assert gini_mean(s, ExponentPair(8e307, -8e307)) == 4.4816890703380645
+
+    def test_halved_secant_keeps_the_plain_secant_bits(self):
+        rng = np.random.default_rng(91)
+        for _ in range(40):
+            s = random_sample(rng, value_lo=1e-250, value_hi=1e250)
+            for _ in range(5):
+                p, q = (float(x) for x in rng.uniform(-60.0, 60.0, 2))
+                plain = (log_power_sum(s, p).log_sum - log_power_sum(s, q).log_sum) / (
+                    p - q
+                )
+                assert secant_slope(s, p, q) == plain

@@ -28,6 +28,22 @@ class TestPositiveSample:
         assert list(s.log_values) == [math.log(2.0), math.log(8.0)]
         assert list(s.log_weights) == [0.0, math.log(3.0)]
 
+    def test_summation_order_is_private_and_frozen(self):
+        values = [8.0, 2.0, 8.0, 0.5]
+        weights = [1.0, 3.0, 0.25, 2.0]
+        s = PositiveSample(values, weights)
+        # the public arrays keep the caller's order
+        assert list(s.values) == values
+        assert list(s.log_values) == [math.log(v) for v in values]
+        assert list(s.log_weights) == [math.log(w) for w in weights]
+        # the private copy is sorted by (ln a, ln w), C-contiguous, read-only
+        assert list(s._sorted_log_values) == [math.log(v) for v in (0.5, 2.0, 8.0, 8.0)]
+        assert list(s._sorted_log_weights) == [math.log(w) for w in (2.0, 3.0, 0.25, 1.0)]
+        for arr in (s._sorted_log_values, s._sorted_log_weights):
+            assert arr.flags.c_contiguous
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_uniform_detection(self):
         assert PositiveSample([5.0, 5.0, 5.0]).is_uniform
         assert PositiveSample([5.0]).is_uniform
