@@ -6,9 +6,12 @@ Run from the repository root after an editable install:
 
 Both backends are imported directly (ignoring GINIKIT_PURE) and timed on
 identical inputs, in the pipeline's (ln a, ln w) order, across a range of
-sample sizes.  The sizes span the pure kernel's switch from its loop to its
-numpy path (``VECTOR_MIN_N``) and reach n = 27,618, the species count of
-the end-to-end ``mwd_report`` workload.  When both backends are present the
+sample sizes.  Each call is one ``exp_moments(logs, log_weights, p)``, as
+``log_power_sum`` makes it, so the time includes forming the tilt
+t = p * ln a + ln w and its shift, which the kernel does itself.  The sizes
+span the pure kernel's switch from its loop to its numpy path
+(``VECTOR_MIN_N``) and reach n = 27,618, the species count of the
+end-to-end ``mwd_report`` workload.  When both backends are present the
 script also asserts bit-identical outputs while it goes, so a drifting
 backend fails loudly rather than reporting a meaningless speedup.  Without
 the compiled extension it times the pure kernel alone.
@@ -27,26 +30,24 @@ SIZES = ((4, 4000), (16, 2000), (64, 1000), (256, 400), (4096, 50), (27_618, 8))
 
 
 def make_case(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """One (exponents, logs, shift) triple like the mean pipeline builds.
+    """One (logs, log_weights, p) triple like the mean pipeline builds.
 
     ``PositiveSample`` sorts its logs by (ln a, ln w) once, and
-    ``log_power_sum`` forms t = p * ln a + ln w in that order.
+    ``log_power_sum`` hands them to the kernel in that order.
     """
     log_values = rng.uniform(-14.0, 14.0, n)
     p = rng.uniform(-50.0, 50.0)
     log_weights = rng.uniform(-2.0, 2.0, n)
     order = np.lexsort((log_weights, log_values))
-    log_values, log_weights = log_values[order], log_weights[order]
-    t = p * log_values + log_weights
-    return t, log_values, float(t.max())
+    return log_values[order], log_weights[order], p
 
 
-def bench(fn, cases, repeats: int) -> tuple[float, list[tuple[float, float, float]]]:
+def bench(fn, cases, repeats: int) -> tuple[float, list[tuple[float, float, float, float]]]:
     best = float("inf")
-    results: list[tuple[float, float, float]] = []
+    results: list[tuple[float, float, float, float]] = []
     for _ in range(repeats):
         start = time.perf_counter()
-        results = [fn(t, la, m) for (t, la, m) in cases]
+        results = [fn(la, lw, p) for (la, lw, p) in cases]
         best = min(best, time.perf_counter() - start)
     return best, results
 

@@ -1,9 +1,12 @@
 /* Compiled accumulation kernel.
 
-   Bit-identical twin of ginikit._kernels_py: same Neumaier compensation
-   branches, same association order in every product ((u * d) * d), libm exp.
-   Built with -ffp-contract=off so no FMA contraction can change a rounding.
-   Any edit here must be replayed in _kernels_py.py and vice versa. */
+   Bit-identical twin of ginikit._kernels_py: same tilt t_i = p * la_i + lw_i
+   and shift (the first largest t_i), same Neumaier compensation branches,
+   same association order in every product ((u * d) * d), libm exp.  After
+   the tilt it runs two passes: the weight total and the first moment side
+   by side, then the centered variance.  Built with -ffp-contract=off so no
+   FMA contraction can change a rounding.  Any edit here must be replayed in
+   _kernels_py.py and vice versa. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -41,65 +44,78 @@ get_doubles(PyObject *obj, Py_buffer *view)
 static PyObject *
 exp_moments(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer ev, lv;
+    Py_buffer av, wv;
     PyObject *result = NULL;
     double *u = NULL;
 
     if (nargs != 3)
         return PyErr_Format(PyExc_TypeError, "exp_moments() takes 3 arguments (%zd given)", nargs);
-    if (get_doubles(args[0], &ev) < 0)
+    if (get_doubles(args[0], &av) < 0)
         return NULL;
-    if (get_doubles(args[1], &lv) < 0) {
-        PyBuffer_Release(&ev);
+    if (get_doubles(args[1], &wv) < 0) {
+        PyBuffer_Release(&av);
         return NULL;
     }
-    const double *e = ev.buf, *lg = lv.buf;
-    Py_ssize_t n = ev.shape[0], i;
-    double shift = PyFloat_AsDouble(args[2]);
-    if (shift == -1.0 && PyErr_Occurred())
+    const double *la = av.buf, *lw = wv.buf;
+    Py_ssize_t n = av.shape[0], i;
+    double p = PyFloat_AsDouble(args[2]);
+    if (p == -1.0 && PyErr_Occurred())
         goto done;
-    if (lv.shape[0] != n) {
-        PyErr_SetString(PyExc_ValueError, "exponents and logs must have equal length");
+    if (wv.shape[0] != n) {
+        PyErr_SetString(PyExc_ValueError, "logs and log_weights must have equal length");
         goto done;
     }
-    /* PyMem_Malloc(0) returns a valid pointer, so n = 0 gives (0.0, nan, nan) */
+    if (n == 0) {
+        result = Py_BuildValue("(dddd)", -INFINITY, 0.0, (double)NAN, (double)NAN);
+        goto done;
+    }
+    /* u holds the tilt t_i until pass 1 overwrites it with exp(t_i - shift) */
     if ((u = PyMem_Malloc(n * sizeof(double))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
 
-    double s = 0.0, c = 0.0;
-    for (i = 0; i < n; i++) {
-        u[i] = exp(e[i] - shift);
-        neumaier_add(&s, &c, u[i]);
+    /* the first largest, as Python's max() picks it */
+    double shift = u[0] = p * la[0] + lw[0];
+    for (i = 1; i < n; i++) {
+        double t = p * la[i] + lw[i];
+        u[i] = t;
+        if (t > shift)
+            shift = t;
     }
-    double total = s + c;
 
-    s = c = 0.0;
-    for (i = 0; i < n; i++)
-        neumaier_add(&s, &c, u[i] * lg[i]);
-    double mean = (s + c) / total;
-
-    s = c = 0.0;
+    double s0 = 0.0, c0 = 0.0, s1 = 0.0, c1 = 0.0;
     for (i = 0; i < n; i++) {
-        double d = lg[i] - mean;
-        neumaier_add(&s, &c, (u[i] * d) * d);
+        double x = exp(u[i] - shift);
+        u[i] = x;
+        neumaier_add(&s0, &c0, x);
+        neumaier_add(&s1, &c1, x * la[i]);
     }
-    double variance = (s + c) / total;
+    double total = s0 + c0;
+    double mean = (s1 + c1) / total;
 
-    result = Py_BuildValue("(ddd)", total, mean, variance);
+    s0 = c0 = 0.0;
+    for (i = 0; i < n; i++) {
+        double d = la[i] - mean;
+        neumaier_add(&s0, &c0, (u[i] * d) * d);
+    }
+    double variance = (s0 + c0) / total;
+
+    result = Py_BuildValue("(dddd)", shift, total, mean, variance);
 done:
     PyMem_Free(u);
-    PyBuffer_Release(&lv);
-    PyBuffer_Release(&ev);
+    PyBuffer_Release(&wv);
+    PyBuffer_Release(&av);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"exp_moments", (PyCFunction)(void (*)(void))exp_moments, METH_FASTCALL,
-     "exp_moments(exponents, logs, shift, /)\n--\n\n"
-     "Compensated moment sums of the weights u_i = exp(exponents[i] - shift).\n\n"
-     "Returns ``(total, mean, variance)``; see the pure-Python twin for the\n"
+     "exp_moments(logs, log_weights, p, /)\n--\n\n"
+     "Compensated moments of logs under the tilt t_i = p * logs[i] + log_weights[i].\n\n"
+     "Forms t and shift = max t, then sums u_i = exp(t_i - shift) and u_i * logs[i]\n"
+     "in one pass and the centered variance in a second.  Returns\n"
+     "``(shift, total, mean, variance)``; see the pure-Python twin for the\n"
      "exact contract.  Inputs must be 1-D C-contiguous float64 buffers of\n"
      "equal length, summed in array order."},
     {NULL, NULL, 0, NULL},

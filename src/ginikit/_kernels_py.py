@@ -1,16 +1,25 @@
 """Pure-Python accumulation kernel.
 
 This mirrors the compiled extension ``ginikit._kernels`` operation for
-operation: same Neumaier compensation branches, same association order in
+operation: same tilt t_i = p * ln a_i + ln w_i, same shift (the first
+largest t_i), same Neumaier compensation branches, same association order in
 every product, same libm ``exp``.  Keeping the two implementations
 bit-identical is a hard requirement (golden CLI output must not depend on
 which backend got selected), so any edit here must be replayed in
 ``_kernels.c`` and vice versa.
 
+The kernel forms the tilt itself and then runs two passes: one that sums
+the shifted weights u_i = exp(t_i - shift) and the products u_i * ln a_i
+side by side, and the centered variance pass, which needs the mean.
+
 Inputs of ``VECTOR_MIN_N`` or more elements take a numpy path that still
 mirrors the extension operation for operation, because it performs the same
 IEEE-754 double operations in the same order as the loop:
 
+* ``p * logs + log_weights`` rounds each product and each sum once, as the
+  loop does, and the largest t_i is the same double in any search order
+  (a tie of -0.0 with +0.0 may give either zero, and both give the same
+  weights u_i and the same ``shift + log(total)``);
 * ``np.cumsum`` (``np.add.accumulate``) is a strict left-to-right
   recurrence, unlike ``np.sum``'s pairwise reduction, so the running sums it
   yields are exactly the loop's successive ``t = s + x``;
@@ -23,7 +32,7 @@ IEEE-754 double operations in the same order as the loop:
   done on Python floats.
 
 Below ``VECTOR_MIN_N`` numpy's fixed per-call cost outweighs the loop, so
-small inputs stay on the loop.
+small inputs stay on the loop, which makes no numpy call at all.
 """
 
 from __future__ import annotations
@@ -36,55 +45,64 @@ import numpy as np
 #: Both paths give bit-identical results, so this only affects speed.
 VECTOR_MIN_N = 128
 
+# The result for empty input: the largest of no terms is -inf, their sum
+# 0.0, and their mean and variance are undefined.
+_EMPTY_RESULT = (-math.inf, 0.0, math.nan, math.nan)
+
 
 def exp_moments(
-    exponents: "list[float] | object", logs: "list[float] | object", shift: float
-) -> tuple[float, float, float]:
-    """Compensated moment sums of the weights u_i = exp(exponents[i] - shift).
+    logs: "list[float] | object", log_weights: "list[float] | object", p: float
+) -> tuple[float, float, float, float]:
+    """Compensated moments of ln a under the tilt t_i = p * logs[i] + log_weights[i].
 
-    Returns ``(total, mean, variance)`` where ``total = sum(u)``, ``mean`` is
-    the u-weighted average of ``logs`` and ``variance`` the u-weighted average
-    of ``(logs - mean)**2`` (one centered second pass, so it is nonnegative by
+    Returns ``(shift, total, mean, variance)``: ``shift = max t_i``,
+    ``total = sum(u)`` with u_i = exp(t_i - shift), ``mean`` the u-weighted
+    average of ``logs`` and ``variance`` the u-weighted average of
+    ``(logs - mean)**2`` (a centered second pass, so it is nonnegative by
     construction).  Summation runs strictly in array order, so the caller
     fixes the order; the mean pipeline passes each sample's (ln a, ln w)
-    order.
+    order.  Empty input gives ``(-inf, 0.0, nan, nan)``; inputs of unequal
+    length raise ValueError.
     """
-    if len(exponents) >= VECTOR_MIN_N:
-        return _exp_moments_vector(exponents, logs, shift)
-    return _exp_moments_loop(exponents, logs, shift)
+    n = len(logs)
+    if len(log_weights) != n:
+        raise ValueError("logs and log_weights must have equal length")
+    if n >= VECTOR_MIN_N:
+        return _exp_moments_vector(logs, log_weights, p)
+    return _exp_moments_loop(logs, log_weights, p)
 
 
 def _exp_moments_loop(
-    exponents: "list[float] | object", logs: "list[float] | object", shift: float
-) -> tuple[float, float, float]:
-    exps = exponents.tolist() if hasattr(exponents, "tolist") else list(exponents)
+    logs: "list[float] | object", log_weights: "list[float] | object", p: float
+) -> tuple[float, float, float, float]:
     lgs = logs.tolist() if hasattr(logs, "tolist") else list(logs)
+    lws = log_weights.tolist() if hasattr(log_weights, "tolist") else list(log_weights)
+    if not lgs:
+        return _EMPTY_RESULT
+    ts = [p * lg + lw for lg, lw in zip(lgs, lws)]
+    shift = max(ts)
+    exp = math.exp
 
     u: list[float] = []
-    s = 0.0
-    c = 0.0
-    for e in exps:
-        x = math.exp(e - shift)
+    s0 = c0 = s1 = c1 = 0.0
+    for ti, lg in zip(ts, lgs):
+        x = exp(ti - shift)
         u.append(x)
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
+        t = s0 + x
+        if abs(s0) >= abs(x):
+            c0 += (s0 - t) + x
         else:
-            c += (x - t) + s
-        s = t
-    total = s + c
-
-    s = 0.0
-    c = 0.0
-    for x, lg in zip(u, lgs):
+            c0 += (x - t) + s0
+        s0 = t
         y = x * lg
-        t = s + y
-        if abs(s) >= abs(y):
-            c += (s - t) + y
+        t = s1 + y
+        if abs(s1) >= abs(y):
+            c1 += (s1 - t) + y
         else:
-            c += (y - t) + s
-        s = t
-    mean = (s + c) / total
+            c1 += (y - t) + s1
+        s1 = t
+    total = s0 + c0
+    mean = (s1 + c1) / total
 
     s = 0.0
     c = 0.0
@@ -99,17 +117,16 @@ def _exp_moments_loop(
         s = t
     variance = (s + c) / total
 
-    return total, mean, variance
+    return shift, total, mean, variance
 
 
 def _exp_moments_vector(
-    exponents: "list[float] | object", logs: "list[float] | object", shift: float
-) -> tuple[float, float, float]:
-    exps = np.asarray(exponents, dtype=np.float64)
+    logs: "list[float] | object", log_weights: "list[float] | object", p: float
+) -> tuple[float, float, float, float]:
     lgs = np.asarray(logs, dtype=np.float64)
-    u = np.fromiter(
-        map(math.exp, (exps - shift).tolist()), dtype=np.float64, count=exps.size
-    )
+    t = p * lgs + np.asarray(log_weights, dtype=np.float64)
+    shift = float(t.max())
+    u = np.fromiter(map(math.exp, (t - shift).tolist()), dtype=np.float64, count=t.size)
     # np.where below evaluates both Neumaier branches; on non-finite input
     # the unused one can raise floating-point warnings the loop never does
     with np.errstate(all="ignore"):
@@ -117,7 +134,7 @@ def _exp_moments_vector(
         mean = _neumaier_sum(u * lgs) / total
         d = lgs - mean
         variance = _neumaier_sum((u * d) * d) / total
-    return total, mean, variance
+    return shift, total, mean, variance
 
 
 def _neumaier_sum(y: np.ndarray) -> float:

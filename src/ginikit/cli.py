@@ -44,6 +44,11 @@ DEFAULT_GRID_CHAINS: tuple[tuple[tuple[float, float], ...], ...] = (
     (mwdmod._pair("effective"), (2.0, 0.0)),
 )
 
+#: Most samples ``verify --random SEED N`` builds.  Every sample and verdict
+#: is held until the report is printed, about 4.5 KB and 0.4 ms each, so a
+#: larger N is refused before any sample is built.
+MAX_RANDOM_SAMPLES = 100_000
+
 #: Exit code of each error kind, first match wins (see the module docstring
 #: and :mod:`ginikit.errors`).  Data errors, including ingestion and oracle
 #: domain errors, and I/O errors exit 1.
@@ -118,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=2,
         type=int,
         metavar=("SEED", "N"),
-        help="audit N seeded random samples instead of a file",
+        help="audit N seeded random samples instead of a file "
+        f"(N at most {MAX_RANDOM_SAMPLES})",
     )
     p_verify.add_argument(
         "--grid",
@@ -336,6 +342,10 @@ def _random_samples(seed: int, count: int) -> list[PositiveSample]:
         raise ParameterDomainError(f"seed must be >= 0, got {seed}")
     if count < 1:
         raise ParameterDomainError(f"sample count must be >= 1, got {count}")
+    if count > MAX_RANDOM_SAMPLES:
+        raise ParameterDomainError(
+            f"sample count must be <= {MAX_RANDOM_SAMPLES}, got {count}"
+        )
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(count):

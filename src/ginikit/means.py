@@ -10,13 +10,15 @@ with G(0, 0) the weighted geometric mean.  Lehmer means are G(p, p-1) and
 power means are M_r = G(r, 0), so everything here funnels through one
 evaluation path.
 
-That path never materializes a_i**p.  It works with t_i = p*ln(a_i) +
-ln(w_i), shifts by m = max(t_i) so every exponential argument is <= 0, and
-accumulates exp(t_i - m) with compensated summation in one order per sample,
-ascending (ln a_i, ln w_i), fixed when the sample is built.  Results stay
-finite and inside [min(a), max(a)] for values anywhere in the double range
-and any exponent whose t_i are finite doubles, where the textbook formula
-overflows at |p| in the hundreds.
+That path never materializes a_i**p.  One kernel call per exponent forms
+the tilt t_i = p*ln(a_i) + ln(w_i), shifts by m = max(t_i) so every
+exponential argument is <= 0, and accumulates exp(t_i - m) with compensated
+summation in one order per sample, ascending (ln a_i, ln w_i), fixed when
+the sample is built: the weight total and the first moment in one pass, the
+centered variance in a second.  Results stay finite and inside
+[min(a), max(a)] for values anywhere in the double range and any exponent
+whose t_i are finite doubles, where the textbook formula overflows at |p|
+in the hundreds.
 """
 
 from __future__ import annotations
@@ -96,30 +98,31 @@ def branch_threshold(p: float, q: float) -> float:
 def log_power_sum(sample: PositiveSample, p: float) -> LogPowerSum:
     """Evaluate ln S_p and the tilted log-moments, stably.
 
-    The shifted weights u_i = exp(t_i - max t) are accumulated with Neumaier
-    compensation in the sample's own order, ascending (ln a_i, ln w_i), which
-    :class:`PositiveSample` fixes once for every exponent.  So the result is
-    invariant under permutation of the sample and reproducible to the bit
-    across backends.
+    One kernel call forms t_i = p * ln a_i + ln w_i and the shift m = max t_i,
+    then accumulates the shifted weights u_i = exp(t_i - m) and the first
+    moment in one pass and the centered variance in a second, all with
+    Neumaier compensation in the sample's own order, ascending
+    (ln a_i, ln w_i), which :class:`PositiveSample` fixes once for every
+    exponent.  So the result is invariant under permutation of the sample
+    and reproducible to the bit across backends.
 
     Raises ParameterDomainError when |p| * max|ln a_i| overflows a double:
     there t_i is not finite and no moment of it can be formed.
     """
     p = _finite_exponent(p)
-    la = sample._sorted_log_values
-    if not math.isfinite(abs(p) * max(-float(la[0]), float(la[-1]))):
+    if not math.isfinite(abs(p) * sample._max_abs_log_value):
         raise ParameterDomainError(
             f"exponent {p!r} is too large for this sample: "
             "|p| * max|ln a| overflows a double"
         )
-    t = p * la + sample._sorted_log_weights
-    shift = float(t.max())
-    total, mean, variance = _backend.exp_moments(t, la, shift)
+    shift, total, mean, variance = _backend.exp_moments(
+        sample._sorted_log_values, sample._sorted_log_weights, p
+    )
     log_sum = shift + math.log(total)
     if sample.is_uniform:
         # All values equal c: the tilted distribution of ln a is a point mass
         # at ln c whatever the weights, so short-circuit to the exact moments.
-        mean = float(la[0])
+        mean = float(sample._sorted_log_values[0])
         variance = 0.0
     return LogPowerSum(
         p=p,

@@ -50,7 +50,8 @@ class PositiveSample:
     a private copy of the logs sorted by (ln a, ln w) is what every
     evaluation sums over, whatever the exponent.  So a permuted sample gives
     the same bits, and no evaluation sorts again.  The public arrays keep
-    the caller's order.
+    the caller's order.  The largest |ln a| is read once from the two ends of
+    that sorted copy, for the exponent domain check of every evaluation.
     """
 
     __slots__ = (
@@ -63,6 +64,7 @@ class PositiveSample:
         "max_value",
         "_sorted_log_values",
         "_sorted_log_weights",
+        "_max_abs_log_value",
     )
 
     values: np.ndarray
@@ -101,6 +103,11 @@ class PositiveSample:
         object.__setattr__(self, "max_value", float(vals.max()))
         object.__setattr__(self, "_sorted_log_values", sorted_log_vals)
         object.__setattr__(self, "_sorted_log_weights", sorted_log_wts)
+        object.__setattr__(
+            self,
+            "_max_abs_log_value",
+            max(-float(sorted_log_vals[0]), float(sorted_log_vals[-1])),
+        )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PositiveSample is immutable")

@@ -64,6 +64,60 @@ def env_importing_from(src: Path, **overrides: str) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
+def reference_exp_moments(
+    exponents: "list[float] | object", logs: "list[float] | object", shift: float
+) -> tuple[float, float, float]:
+    """``(total, mean, variance)`` of the weights u_i = exp(exponents[i] - shift).
+
+    This is the pure kernel's loop as it was before the kernel formed the
+    tilt itself and fused its first two passes: three passes, each with the
+    ``abs`` branch test of the Neumaier step.  It is kept as the reference
+    both kernels must match bit for bit.
+    """
+    exps = np.asarray(exponents, dtype=np.float64).tolist()
+    lgs = np.asarray(logs, dtype=np.float64).tolist()
+    u: list[float] = []
+    s = 0.0
+    c = 0.0
+    for e in exps:
+        x = math.exp(e - shift)
+        u.append(x)
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+    total = s + c
+
+    s = 0.0
+    c = 0.0
+    for x, lg in zip(u, lgs):
+        y = x * lg
+        t = s + y
+        if abs(s) >= abs(y):
+            c += (s - t) + y
+        else:
+            c += (y - t) + s
+        s = t
+    mean = (s + c) / total
+
+    s = 0.0
+    c = 0.0
+    for x, lg in zip(u, lgs):
+        d = lg - mean
+        y = x * d * d
+        t = s + y
+        if abs(s) >= abs(y):
+            c += (s - t) + y
+        else:
+            c += (y - t) + s
+        s = t
+    variance = (s + c) / total
+
+    return total, mean, variance
+
+
 def reference_mwd_text(dataset: MWDataset, format: str) -> str:
     """The text ``save_mwd`` writes, formatted one row at a time.
 

@@ -15,7 +15,12 @@ import pytest
 from ginikit import _backend, _kernels_py, backend_name, gini_mean
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import compiled_kernel_file, env_importing_from, random_sample
+from helpers import (
+    compiled_kernel_file,
+    env_importing_from,
+    random_sample,
+    reference_exp_moments,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,19 +40,17 @@ SIZES_ACROSS_SWITCH = (1, VECTOR_N - 1, VECTOR_N, 4096, 27_618)
 
 
 def pipeline_triple(la, lw, p):
-    """The (exponents, logs, shift) triple the mean pipeline builds.
+    """The (logs, log_weights, p) triple the mean pipeline hands the kernel.
 
     ``PositiveSample`` sorts its logs by (ln a, ln w) once, and
-    ``log_power_sum`` forms t = p * ln a + ln w in that order.
+    ``log_power_sum`` passes them in that order.
     """
     order = np.lexsort((lw, la))
-    la, lw = la[order], lw[order]
-    t = p * la + lw
-    return t, la, float(t.max())
+    return la[order], lw[order], p
 
 
 def kernel_case(rng, n, p_max=60.0):
-    """One (exponents, logs, shift) triple like the mean pipeline builds."""
+    """One (logs, log_weights, p) triple like the mean pipeline builds."""
     la = np.log(rng.uniform(1e-3, 1e3, size=n))
     lw = np.log(rng.uniform(0.5, 2.0, size=n))
     return pipeline_triple(la, lw, rng.uniform(-p_max, p_max))
@@ -60,9 +63,86 @@ def extreme_case(rng, n):
     return pipeline_triple(la, lw, rng.uniform(-100.0, 100.0))
 
 
+def reference(la, lw, p):
+    """The kernel result the three-pass reference gives on a tilt formed as
+    ``log_power_sum`` formed it before the kernel did: ``(shift, total,
+    mean, variance)``."""
+    t = p * np.asarray(la, dtype=np.float64) + np.asarray(lw, dtype=np.float64)
+    shift = float(t.max())
+    return (shift, *reference_exp_moments(t, la, shift))
+
+
 def bits(result):
     """The exact bit patterns of a kernel result; tells -0.0 from +0.0."""
-    return struct.pack("<3d", *result)
+    return struct.pack(f"<{len(result)}d", *result)
+
+
+# Each corpus maps a size to a few (logs, log_weights, p) triples.  The pure
+# kernel's paths are held to the reference on each, and the compiled kernel
+# to the pure one.
+
+
+def random_corpus(n):
+    rng = np.random.default_rng(n)
+    return [kernel_case(rng, n) for _ in range(3)]
+
+
+def spread_weights_corpus(n):
+    # |p| <= 3, as for the molar-mass averages: many weights of similar
+    # size, so the rounding of each product u * d * d reaches the variance
+    rng = np.random.default_rng(97 + n)
+    return [kernel_case(rng, n, p_max=3.0) for _ in range(3)]
+
+
+def extreme_magnitudes_corpus(n):
+    rng = np.random.default_rng(31 + n)
+    return [extreme_case(rng, n) for _ in range(3)]
+
+
+def all_equal_logs_corpus(n):
+    return [(np.full(n, 2.5), np.zeros(n), 1.5)]
+
+
+#: Equal terms in the libm corpus: a power of two past the switch.
+LIBM_N = 1 << VECTOR_N.bit_length()
+
+
+def libm_exp_corpus(n):
+    # one term at the shift (weight 1, log 0), then n - 1 equal terms of log 1
+    # whose weights are exp(x) for x in [-700, 0)
+    la = np.concatenate(([0.0], np.ones(n - 1)))
+    xs = np.random.default_rng(3).uniform(-700.0, 0.0, 200).tolist()
+    return [(la, np.concatenate(([0.0], np.full(n - 1, x))), 0.0) for x in xs]
+
+
+def cancelling_sum_corpus(n):
+    # logs 1, then terms too small to move it, then -1, all of weight 1: the
+    # first-moment sum ends at exactly 0, so the mean is the compensation
+    # total alone and the order in which it was accumulated shows in its
+    # last bits
+    rng = np.random.default_rng(n)
+    tiny = rng.uniform(0.0, 1e-16, n - 2) * rng.choice([1.0, 1e-8], n - 2)
+    return [(np.concatenate(([1.0], tiny, [-1.0])), np.zeros(n), 0.0)]
+
+
+def signed_zero_terms_corpus(n):
+    # every log is -0.0, so every product u * log is -0.0 (and half the
+    # weights underflow to +0.0); the tilt is -800 or +0.0, never -0.0
+    lw = np.zeros(n)
+    lw[: n // 2] = -800.0
+    return [(np.full(n, -0.0), lw, 0.0)]
+
+
+CORPORA = {
+    "random": (random_corpus, SIZES_ACROSS_SWITCH),
+    "spread_weights": (spread_weights_corpus, SIZES_ACROSS_SWITCH),
+    "extreme_magnitudes": (extreme_magnitudes_corpus, SIZES_ACROSS_SWITCH),
+    "all_equal_logs": (all_equal_logs_corpus, SIZES_ACROSS_SWITCH),
+    "libm_exp": (libm_exp_corpus, (LIBM_N + 1,)),
+    "cancelling_sum": (cancelling_sum_corpus, SIZES_ACROSS_SWITCH[2:]),
+    "signed_zero_terms": (signed_zero_terms_corpus, (VECTOR_N, 4096)),
+}
+CORPUS_SIZES = [(name, n) for name, (_, sizes) in CORPORA.items() for n in sizes]
 
 
 class TestSelection:
@@ -109,26 +189,29 @@ class TestSelection:
 
 
 class TestBitIdentity:
+    def assert_backends_agree(self, compiled, la, lw, p):
+        want = bits(reference(la, lw, p))
+        assert bits(_kernels_py.exp_moments(la, lw, p)) == want
+        assert bits(compiled(la, lw, p)) == want
+
     def test_kernel_outputs_identical(self, compiled_kernels):
-        compiled = compiled_kernels.exp_moments
-        pure = _kernels_py.exp_moments
         rng = np.random.default_rng(7)
         for _ in range(400):
             n = int(rng.integers(1, 4 * VECTOR_N))
-            t, la, shift = kernel_case(rng, n)
-            assert bits(compiled(t, la, shift)) == bits(pure(t, la, shift))
+            self.assert_backends_agree(compiled_kernels.exp_moments, *kernel_case(rng, n))
         for n in SIZES_ACROSS_SWITCH:
-            t, la, shift = kernel_case(rng, n)
-            assert bits(compiled(t, la, shift)) == bits(pure(t, la, shift))
+            self.assert_backends_agree(compiled_kernels.exp_moments, *kernel_case(rng, n))
 
     def test_kernel_outputs_identical_extreme_magnitudes(self, compiled_kernels):
-        compiled = compiled_kernels.exp_moments
-        pure = _kernels_py.exp_moments
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(2, 4 * VECTOR_N))
-            t, la, shift = extreme_case(rng, n)
-            assert bits(compiled(t, la, shift)) == bits(pure(t, la, shift))
+            self.assert_backends_agree(compiled_kernels.exp_moments, *extreme_case(rng, n))
+
+    @pytest.mark.parametrize("corpus,n", CORPUS_SIZES)
+    def test_corpus_identical(self, compiled_kernels, corpus, n):
+        for case in CORPORA[corpus][0](n):
+            self.assert_backends_agree(compiled_kernels.exp_moments, *case)
 
     def test_full_pipeline_identical(self, compiled_kernels, monkeypatch):
         # the mean evaluator looks the kernel up through the backend module,
@@ -141,14 +224,15 @@ class TestBitIdentity:
             pair = ExponentPair(rng.uniform(-20, 20), rng.uniform(-20, 20))
             cases.append((s, pair, gini_mean(s, pair)))
         monkeypatch.setattr(_backend, "exp_moments", _kernels_py.exp_moments)
-        for s, pair, reference in cases:
-            assert gini_mean(s, pair) == reference
+        for s, pair, reference_value in cases:
+            assert gini_mean(s, pair) == reference_value
 
     def test_single_element_sample(self, compiled_kernels):
-        compiled = compiled_kernels.exp_moments
-        t = np.array([0.25])
         la = np.array([1.5])
-        assert compiled(t, la, 0.25) == _kernels_py.exp_moments(t, la, 0.25)
+        lw = np.array([0.25])
+        want = (0.25, 1.0, 1.5, 0.0)
+        assert compiled_kernels.exp_moments(la, lw, 0.0) == want
+        assert _kernels_py.exp_moments(la, lw, 0.0) == want
 
     def test_buffer_contract(self, compiled_kernels):
         compiled = compiled_kernels.exp_moments
@@ -165,101 +249,100 @@ class TestBitIdentity:
                 compiled(bad, ok, 0.0)
             with pytest.raises(ValueError):
                 compiled(ok, bad, 0.0)
+        for short, long in ((ok[:1], ok), (ok, ok[:1]), (np.empty(0), ok)):
+            for kernel in (compiled, _kernels_py.exp_moments):
+                with pytest.raises(ValueError, match="equal length"):
+                    kernel(short, long, 1.0)
+        with pytest.raises(TypeError):
+            compiled(ok, ok, "1.0")
+        with pytest.raises(TypeError):
+            compiled(ok, ok)
         readonly = ok.copy()
         readonly.flags.writeable = False
-        assert bits(compiled(readonly, readonly, 0.0)) == bits(compiled(ok, ok, 0.0))
+        assert bits(compiled(readonly, readonly, 2.0)) == bits(compiled(ok, ok, 2.0))
 
     def test_empty_input(self, compiled_kernels):
-        total, mean, variance = compiled_kernels.exp_moments(np.empty(0), np.empty(0), 0.0)
-        assert struct.pack("<d", total) == struct.pack("<d", 0.0)
-        assert math.isnan(mean) and math.isnan(variance)
+        # the largest of no terms is -inf and their sum 0.0; the mean and
+        # variance are NaN, with the same bits from both backends
+        empty = np.empty(0)
+        want = bits((-math.inf, 0.0, math.nan, math.nan))
+        assert bits(compiled_kernels.exp_moments(empty, empty, 1.0)) == want
+        assert bits(_kernels_py.exp_moments(empty, empty, 1.0)) == want
+        assert bits(_kernels_py.exp_moments([], [], 1.0)) == want
 
 
 class TestPureKernel:
     """The pure kernel, and the bit identity of its loop and numpy paths.
 
-    None of this needs the compiled backend, so it runs everywhere; the
-    path tests hold the numpy path to the loop that the extension mirrors.
+    None of this needs the compiled backend, so it runs everywhere.  Each
+    path is held to the three-pass reference in ``helpers``, which the
+    extension mirrors too.
     """
 
     loop = staticmethod(_kernels_py._exp_moments_loop)
     vector = staticmethod(_kernels_py._exp_moments_vector)
 
-    def assert_paths_agree(self, t, la, shift):
-        want = bits(self.loop(t, la, shift))
-        assert bits(self.vector(t, la, shift)) == want
-        assert bits(_kernels_py.exp_moments(t, la, shift)) == want
+    def assert_paths_agree(self, la, lw, p):
+        want = bits(reference(la, lw, p))
+        assert bits(self.loop(la, lw, p)) == want
+        assert bits(self.vector(la, lw, p)) == want
+        assert bits(_kernels_py.exp_moments(la, lw, p)) == want
+
+    def assert_corpus(self, corpus, n):
+        for case in CORPORA[corpus][0](n):
+            self.assert_paths_agree(*case)
 
     def test_accepts_plain_lists(self):
-        total, mean, var = _kernels_py.exp_moments([0.0, 0.0], [1.0, 3.0], 0.0)
+        shift, total, mean, var = _kernels_py.exp_moments([1.0, 3.0], [0.0, 0.0], 0.0)
+        assert shift == 0.0
         assert total == 2.0
         assert mean == 2.0
         assert var == 1.0
 
     def test_variance_nonnegative_even_when_tiny(self):
-        t = [0.0, -1e-9]
         la = [5.0, 5.0 + 1e-12]
-        _, _, var = _kernels_py.exp_moments(t, la, 0.0)
+        lw = [0.0, -1e-9]
+        *_, var = _kernels_py.exp_moments(la, lw, 0.0)
         assert var >= 0.0
 
     @pytest.mark.parametrize("n", SIZES_ACROSS_SWITCH)
     def test_sizes_across_switch(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(3):
-            self.assert_paths_agree(*kernel_case(rng, n))
+        self.assert_corpus("random", n)
 
     @pytest.mark.parametrize("n", SIZES_ACROSS_SWITCH)
     def test_spread_weights(self, n):
-        # |p| <= 3, as for the molar-mass averages: many weights of similar
-        # size, so the rounding of each product u * d * d reaches the variance
-        rng = np.random.default_rng(97 + n)
-        for _ in range(3):
-            self.assert_paths_agree(*kernel_case(rng, n, p_max=3.0))
+        self.assert_corpus("spread_weights", n)
 
     @pytest.mark.parametrize("n", SIZES_ACROSS_SWITCH)
     def test_extreme_magnitudes(self, n):
-        rng = np.random.default_rng(31 + n)
-        for _ in range(3):
-            self.assert_paths_agree(*extreme_case(rng, n))
+        self.assert_corpus("extreme_magnitudes", n)
 
     @pytest.mark.parametrize("n", SIZES_ACROSS_SWITCH)
     def test_all_equal_logs(self, n):
-        la = np.full(n, 2.5)
-        self.assert_paths_agree(1.5 * la, la, 1.5 * 2.5)
+        self.assert_corpus("all_equal_logs", n)
 
     def test_weights_come_from_libm_exp(self):
-        # n equal terms with n a power of two sum exactly to n * u, so a
-        # weight one ulp off math.exp (numpy's SIMD exp is, for some
-        # arguments) would show in the total
-        n = 1 << VECTOR_N.bit_length()
-        for x in np.random.default_rng(3).uniform(-700.0, 0.0, 200).tolist():
-            t = np.full(n, x)
-            la = np.zeros(n)
-            self.assert_paths_agree(t, la, 0.0)
-            assert self.vector(t, la, 0.0)[0] == n * math.exp(x)
+        # the LIBM_N equal terms, a power of two, sum exactly to LIBM_N * u
+        # in the first moment, so a weight one ulp off math.exp (numpy's
+        # SIMD exp is, for some arguments) would show in the mean
+        self.assert_corpus("libm_exp", LIBM_N + 1)
+        for la, lw, p in libm_exp_corpus(LIBM_N + 1):
+            _, total, mean, _ = self.vector(la, lw, p)
+            assert mean == LIBM_N * math.exp(lw[-1]) / total
 
     @pytest.mark.parametrize("n", SIZES_ACROSS_SWITCH[2:])
     def test_cancelling_sum_is_all_compensation(self, n):
-        # 1, then terms too small to move it, then -1: the running sum ends
-        # at exactly 0, so the result is the compensation total alone and
-        # the order in which it was accumulated shows in its last bits
-        rng = np.random.default_rng(n)
-        tiny = rng.uniform(0.0, 1e-16, n - 2) * rng.choice([1.0, 1e-8], n - 2)
-        la = np.concatenate(([1.0], tiny, [-1.0]))
-        self.assert_paths_agree(np.zeros(n), la, 0.0)
+        self.assert_corpus("cancelling_sum", n)
 
     @pytest.mark.parametrize("n", (VECTOR_N, 4096))
     def test_signed_zero_terms(self, n):
-        # every product u * log is -0.0 (and some weights underflow to +0.0):
         # the loop's sums start at +0.0, so the mean must come out +0.0
-        t = np.zeros(n)
-        t[: n // 2] = -800.0
-        la = np.full(n, -0.0)
-        self.assert_paths_agree(t, la, 0.0)
-        _, mean, _ = self.vector(t, la, 0.0)
-        assert math.copysign(1.0, mean) == 1.0
+        self.assert_corpus("signed_zero_terms", n)
+        for case in signed_zero_terms_corpus(n):
+            _, _, mean, _ = self.vector(*case)
+            assert math.copysign(1.0, mean) == 1.0
 
     def test_plain_list_inputs(self):
         rng = np.random.default_rng(5)
-        t, la, shift = kernel_case(rng, 3 * VECTOR_N)
-        self.assert_paths_agree(t.tolist(), la.tolist(), shift)
+        la, lw, p = kernel_case(rng, 3 * VECTOR_N)
+        self.assert_paths_agree(la.tolist(), lw.tolist(), p)

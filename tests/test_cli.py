@@ -364,6 +364,7 @@ class TestVerify:
             ("verify", "--random", "1", "2", "--input", "x.csv"),  # both
             ("verify", "--random", "1", "0"),  # bad count
             ("verify", "--random", "-1", "5"),  # negative seed
+            ("verify", "--random", "1", "100001"),  # count past the cap
             ("verify", "--random", "1", "2", "--grid", "2:0"),  # one pair only
             ("verify", "--random", "1", "2", "--grid", "1:0,abc"),
             ("verify", "--random", "1", "2", "--grid", "2:0,1:0"),  # not increasing
@@ -373,6 +374,18 @@ class TestVerify:
     def test_usage_errors(self, argv, capsys):
         assert run_cli(*argv) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("count", [cli.MAX_RANDOM_SAMPLES + 1, 10**30])
+    def test_random_count_past_the_cap_is_one_error_line(self, count, capsys, monkeypatch):
+        # refused before any sample is built
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a sample was built")
+
+        monkeypatch.setattr(cli, "PositiveSample", no_sample)
+        assert run_cli("verify", "--random", "1", str(count)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: sample count must be <= 100000, got {count}\n"
 
     def test_failed_check_exits_three(self, data_dir, capsys, monkeypatch):
         def always_fails(sample, chain):

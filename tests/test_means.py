@@ -75,14 +75,14 @@ class TestLogPowerSum:
 
     def test_summation_order_is_fixed_per_sample(self, monkeypatch):
         # every exponent sums the sample's own (ln a, ln w)-sorted logs: the
-        # same array each time, handed over as built, with ties in ln a
+        # same two arrays each time, handed over as built, with ties in ln a
         # broken by ln w
         calls = []
         kernel = _backend.exp_moments
 
-        def recording(exponents, logs, shift):
-            calls.append((exponents, logs))
-            return kernel(exponents, logs, shift)
+        def recording(logs, log_weights, p):
+            calls.append((logs, log_weights))
+            return kernel(logs, log_weights, p)
 
         monkeypatch.setattr(_backend, "exp_moments", recording)
         s = PositiveSample(
@@ -91,12 +91,12 @@ class TestLogPowerSum:
         for p in (-3.0, 0.0, 3.0):
             log_power_sum(s, p)
         assert len(calls) == 3
-        logs = calls[0][1]
-        assert all(call[1] is logs for call in calls)
+        assert all(logs is s._sorted_log_values for logs, _ in calls)
+        assert all(lw is s._sorted_log_weights for _, lw in calls)
+        logs, lw = calls[0]
         assert np.all(np.diff(logs) >= 0.0)
         ties = np.diff(logs) == 0.0
         assert ties.any()
-        lw = calls[1][0]  # at p = 0 the exponents are ln w
         assert np.all(np.diff(lw)[ties] >= 0.0)
 
     def test_moment_inequality_strict_when_spread(self):

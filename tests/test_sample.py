@@ -44,6 +44,14 @@ class TestPositiveSample:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    @pytest.mark.parametrize(
+        "values", [[8.0, 2.0, 0.5], [1e-300, 3.0], [2.0, 3.0], [0.25, 0.5], [1.0]]
+    )
+    def test_largest_abs_log_is_stored_as_a_float(self, values):
+        s = PositiveSample(values)
+        assert type(s._max_abs_log_value) is float
+        assert s._max_abs_log_value == max(abs(float(x)) for x in s.log_values)
+
     def test_uniform_detection(self):
         assert PositiveSample([5.0, 5.0, 5.0]).is_uniform
         assert PositiveSample([5.0]).is_uniform
