@@ -12,6 +12,18 @@ The kernel forms the tilt itself and then runs two passes: one that sums
 the shifted weights u_i = exp(t_i - shift) and the products u_i * ln a_i
 side by side, and the centered variance pass, which needs the mean.
 
+In the loop, the Neumaier steps of the weight total and of the variance
+test ``s >= y`` where the C kernel's one step tests ``fabs(s) >= fabs(y)``.
+Both take the same branch there, because neither operand can be negative:
+each weight exp(t_i - shift) is +0.0 or more (or NaN), each variance term
+(u * d) * d carries the sign of u, and a running sum of such terms starts
+at +0.0 and stays +0.0 or more, +inf or NaN.  For two such operands the
+signed test and the ``abs`` test agree, and NaN fails both.  The first
+moment's addends u_i * ln a_i can be negative, so its step keeps ``abs``,
+and so does the numpy path, where each test is one array operation either
+way.  The loop saves two ``abs`` calls per element; the C kernel, where
+``fabs`` costs next to nothing, keeps one step for all three sums.
+
 Inputs of ``VECTOR_MIN_N`` or more elements take a numpy path that still
 mirrors the extension operation for operation, because it performs the same
 IEEE-754 double operations in the same order as the loop:
@@ -82,14 +94,14 @@ def _exp_moments_loop(
     ts = [p * lg + lw for lg, lw in zip(lgs, lws)]
     shift = max(ts)
     exp = math.exp
+    u = [exp(t - shift) for t in ts]
 
-    u: list[float] = []
+    # s0 and x, like s and y in the variance pass, are never negative, so
+    # ``s0 >= x`` takes the branch of ``abs(s0) >= abs(x)`` (module docstring)
     s0 = c0 = s1 = c1 = 0.0
-    for ti, lg in zip(ts, lgs):
-        x = exp(ti - shift)
-        u.append(x)
+    for x, lg in zip(u, lgs):
         t = s0 + x
-        if abs(s0) >= abs(x):
+        if s0 >= x:
             c0 += (s0 - t) + x
         else:
             c0 += (x - t) + s0
@@ -110,7 +122,7 @@ def _exp_moments_loop(
         d = lg - mean
         y = x * d * d
         t = s + y
-        if abs(s) >= abs(y):
+        if s >= y:
             c += (s - t) + y
         else:
             c += (y - t) + s

@@ -79,21 +79,37 @@ def atomic_writer(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     raises, or the write or rename fails, the destination is left untouched
     and the temp file is removed; no partial output is ever visible.  So a
     large file can be written a chunk at a time without holding its text.
+
+    When the temp file cannot be created (its directory does not exist) or
+    cannot be renamed over ``path`` (a directory is there), the ``OSError``
+    names ``path`` alone, not the temp file's random name.
     """
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent or Path("."), prefix=f".{target.name}.", suffix=".tmp"
-    )
+    try:
+        fd, tmp_name = tempfile.mkstemp(
+            dir=target.parent or Path("."), prefix=f".{target.name}.", suffix=".tmp"
+        )
+    except OSError as exc:
+        raise _naming(exc, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             yield handle
-        os.replace(tmp_name, target)
+        try:
+            os.replace(tmp_name, target)
+        except OSError as exc:
+            raise _naming(exc, path) from None
     except BaseException:
         try:
             os.unlink(tmp_name)
         except OSError:
             pass
         raise
+
+
+def _naming(exc: OSError, path: str | os.PathLike[str]) -> OSError:
+    """``exc`` with ``path`` as its only file name; ``OSError(errno, ...)``
+    builds the same subclass, ``FileNotFoundError`` say."""
+    return OSError(exc.errno, exc.strerror, os.fspath(path))
 
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:

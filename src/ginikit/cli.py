@@ -403,24 +403,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "passed": summary.passed,
             "worst": worst,
         }
+    # each link's "G(p,q) -> G(p,q)" label, formatted once per chain
+    labels = [
+        [
+            f"G({format_double(lower.p)},{format_double(lower.q)})"
+            f" -> G({format_double(upper.p)},{format_double(upper.q)})"
+            for lower, upper in zip(chain, chain[1:])
+        ]
+        for chain in chain_pairs
+    ]
     checks: list[dict[str, object]] = []
     counts = {"holds": 0, "weak": 0, "degenerate": 0, "failed": 0}
     for index, sample in enumerate(samples):
-        for chain in chain_pairs:
+        for chain, chain_labels in zip(chain_pairs, labels):
             verdicts = scan_monotonicity(sample, chain)
             for link, verdict in enumerate(verdicts):
-                lower, upper = chain[link], chain[link + 1]
                 status = _verdict_status(verdict)
                 counts["holds"] += verdict.holds
                 counts["weak"] += verdict.weak
                 counts["degenerate"] += verdict.degenerate
                 counts["failed"] += verdict.failed
                 print(
-                    f"sample {index:04d}  "
-                    f"G({format_double(lower.p)},{format_double(lower.q)})"
-                    f" -> G({format_double(upper.p)},{format_double(upper.q)})"
+                    f"sample {index:04d}  {chain_labels[link]}"
                     f"  {status:<10s} margin={verdict.margin:.6e}"
                 )
+                if args.report is None:
+                    continue
+                lower, upper = chain[link], chain[link + 1]
                 checks.append(
                     {
                         "sample": index,

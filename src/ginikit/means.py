@@ -24,7 +24,7 @@ in the hundreds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _backend
 from .errors import ParameterDomainError
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LogPowerSum:
+class LogPowerSum(NamedTuple):
     """The log-domain summary of one power sum S_p.
 
     Attributes:
@@ -60,6 +59,10 @@ class LogPowerSum:
     ``moment2`` is recomposed as ``moment1**2 + moment2_centered``, which
     guarantees ``moment2 >= moment1**2`` in floating point, with equality
     exactly for uniform samples.
+
+    It is a named tuple, so it is immutable and cheap to build: it unpacks
+    as ``p, log_sum, moment1, moment2, moment2_centered`` and compares equal
+    to a plain tuple of those five floats.
     """
 
     p: float
@@ -124,13 +127,7 @@ def log_power_sum(sample: PositiveSample, p: float) -> LogPowerSum:
         # at ln c whatever the weights, so short-circuit to the exact moments.
         mean = float(sample._sorted_log_values[0])
         variance = 0.0
-    return LogPowerSum(
-        p=p,
-        log_sum=log_sum,
-        moment1=mean,
-        moment2=mean * mean + variance,
-        moment2_centered=variance,
-    )
+    return LogPowerSum(p, log_sum, mean, mean * mean + variance, variance)
 
 
 def secant_slope(sample: PositiveSample, p: float, q: float) -> float:

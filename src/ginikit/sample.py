@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -12,31 +13,44 @@ from .errors import DataError, ParameterDomainError
 __all__ = ["PositiveSample", "ExponentPair"]
 
 
-def _as_positive_array(data: Iterable[float], what: str) -> np.ndarray:
+def _positive_array_and_range(
+    data: Iterable[float], what: str
+) -> tuple[np.ndarray, float, float]:
+    """``data`` as a 1-D float64 array, with its smallest and largest entries.
+
+    Raises DataError unless ``data`` is a nonempty 1-D sequence of finite,
+    strictly positive reals.
+    """
     try:
-        arr = np.asarray(data, dtype=np.float64)
+        if isinstance(data, np.ndarray) and data.flags.writeable:
+            # never freeze (or alias) a buffer the caller still owns
+            arr = np.array(data, dtype=np.float64)
+        else:
+            arr = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{what} must be a sequence of real numbers") from exc
     except OverflowError:
         raise DataError(
             f"{what} must be finite, got an integer too large for a double"
         ) from None
-    if (
-        isinstance(data, np.ndarray)
-        and arr.flags.writeable
-        and np.may_share_memory(arr, data)
-    ):
-        # never freeze (or alias) a buffer the caller still owns
-        arr = arr.copy()
     if arr.ndim != 1:
         raise DataError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise DataError(f"{what} must contain at least one entry")
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN, and an infinity of either sign is one of
+    # them, so these two reductions decide both checks
+    lo = float(arr.min())
+    hi = float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DataError(f"{what} must be finite (no NaN or infinity)")
-    if not np.all(arr > 0.0):
+    if not lo > 0.0:
         raise DataError(f"{what} must be strictly positive")
-    return arr
+    return arr, lo, hi
+
+
+def _as_positive_array(data: Iterable[float], what: str) -> np.ndarray:
+    """``data`` as a 1-D float64 array (see :func:`_positive_array_and_range`)."""
+    return _positive_array_and_range(data, what)[0]
 
 
 class PositiveSample:
@@ -78,7 +92,7 @@ class PositiveSample:
     def __init__(
         self, values: Iterable[float], weights: Iterable[float] | None = None
     ) -> None:
-        vals = _as_positive_array(values, "values")
+        vals, min_value, max_value = _positive_array_and_range(values, "values")
         if weights is None:
             wts = np.ones_like(vals)
         else:
@@ -93,20 +107,20 @@ class PositiveSample:
         sorted_log_vals = log_vals[order]
         sorted_log_wts = log_wts[order]
         for arr in (vals, wts, log_vals, log_wts, sorted_log_vals, sorted_log_wts):
-            arr.flags.writeable = False
+            arr.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "weights", wts)
         object.__setattr__(self, "log_values", log_vals)
         object.__setattr__(self, "log_weights", log_wts)
-        object.__setattr__(self, "is_uniform", bool(np.all(vals == vals[0])))
-        object.__setattr__(self, "min_value", float(vals.min()))
-        object.__setattr__(self, "max_value", float(vals.max()))
+        object.__setattr__(self, "is_uniform", min_value == max_value)
+        object.__setattr__(self, "min_value", min_value)
+        object.__setattr__(self, "max_value", max_value)
         object.__setattr__(self, "_sorted_log_values", sorted_log_vals)
         object.__setattr__(self, "_sorted_log_weights", sorted_log_wts)
         object.__setattr__(
             self,
             "_max_abs_log_value",
-            max(-float(sorted_log_vals[0]), float(sorted_log_vals[-1])),
+            max(-sorted_log_vals.item(0), sorted_log_vals.item(-1)),
         )
 
     def __setattr__(self, name: str, value: object) -> None:

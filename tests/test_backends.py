@@ -77,6 +77,21 @@ def bits(result):
     return struct.pack(f"<{len(result)}d", *result)
 
 
+def bits_nan_as_nan(result):
+    """``bits`` of each field, with every NaN compared as NaN whatever its
+    sign and payload."""
+    return ["nan" if math.isnan(x) else bits((x,)) for x in result]
+
+
+def reference_first_largest(la, lw, p):
+    """``reference`` with the shift the kernels take, the first largest tilt
+    as Python's ``max`` picks it: numpy's ``max`` would return a NaN tilt
+    wherever it stands, where the kernels skip one after the first term."""
+    t = [p * a + w for a, w in zip(la, lw)]
+    shift = max(t)
+    return (shift, *reference_exp_moments(t, la, shift))
+
+
 # Each corpus maps a size to a few (logs, log_weights, p) triples.  The pure
 # kernel's paths are held to the reference on each, and the compiled kernel
 # to the pure one.
@@ -133,6 +148,53 @@ def signed_zero_terms_corpus(n):
     return [(np.full(n, -0.0), lw, 0.0)]
 
 
+def underflowing_weights_corpus(n):
+    # terms 800 below the shift get weight exp(-800) = +0.0, so the weight
+    # and variance sums add zeros, to a zero running sum before the first
+    # term at the shift and to a positive one after it
+    rng = np.random.default_rng(53 + n)
+    la = np.sort(rng.uniform(-3.0, 3.0, n))
+    all_but_one = np.full(n, -800.0)
+    all_but_one[n // 2] = 0.0
+    alternate = np.where(np.arange(n) % 2 == 0, -800.0, 0.0)
+    return [(la, all_but_one, 0.0), (la, alternate, 0.0), (la, alternate, 1e-3)]
+
+
+def growing_weights_corpus(n):
+    # each weight is about 3 times the one before, so more than all before
+    # it together: every step of the weight sum adds a term larger than its
+    # running sum, which takes the second Neumaier branch, and the errors of
+    # those steps add up to the last bit of the total
+    rng = np.random.default_rng(83 + n)
+    return [
+        (
+            np.sort(rng.uniform(-1.0, 1.0, n)),
+            np.cumsum(rng.uniform(0.9, 1.1, n) * math.log(3.0)),
+            0.0,
+        )
+        for _ in range(20)
+    ]
+
+
+def tied_addends_corpus(n):
+    # every term lies at the shift, so every weight is exp(0) = 1.0 exactly:
+    # the weight sum's second step adds 1.0 to 1.0.  With logs -1 then +1,
+    # the mean of an even count is exactly 0, so every variance term is 1.0
+    # and the variance sum's second step is a tie too; with one log for all
+    # terms, every variance term and every running sum is +0.0
+    signs = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+    return [(signs, np.zeros(n), 0.0), (np.full(n, 0.75), np.zeros(n), 0.0)]
+
+
+def negative_zero_log_corpus(n):
+    # one log of -0.0 among others: its first-moment addend is u * -0.0,
+    # a -0.0, and its tilt p * -0.0 + 0.0 is +0.0
+    rng = np.random.default_rng(71 + n)
+    la = np.sort(rng.uniform(-2.0, 2.0, n))
+    la[n // 2] = -0.0
+    return [(la, np.zeros(n), p) for p in (0.0, 1.0, -2.5)]
+
+
 CORPORA = {
     "random": (random_corpus, SIZES_ACROSS_SWITCH),
     "spread_weights": (spread_weights_corpus, SIZES_ACROSS_SWITCH),
@@ -141,8 +203,42 @@ CORPORA = {
     "libm_exp": (libm_exp_corpus, (LIBM_N + 1,)),
     "cancelling_sum": (cancelling_sum_corpus, SIZES_ACROSS_SWITCH[2:]),
     "signed_zero_terms": (signed_zero_terms_corpus, (VECTOR_N, 4096)),
+    "underflowing_weights": (underflowing_weights_corpus, (2, 9, *SIZES_ACROSS_SWITCH[1:])),
+    "growing_weights": (growing_weights_corpus, (2, 9, 30, *SIZES_ACROSS_SWITCH[1:4])),
+    "tied_addends": (tied_addends_corpus, (1, 2, 16, *SIZES_ACROSS_SWITCH[1:])),
+    "negative_zero_log": (negative_zero_log_corpus, (1, 5, *SIZES_ACROSS_SWITCH[1:])),
 }
 CORPUS_SIZES = [(name, n) for name, (_, sizes) in CORPORA.items() for n in sizes]
+
+INF = math.inf
+NAN = math.nan
+#: Direct kernel calls on logs no sample holds: infinities and NaNs in the
+#: logs or log weights, first, inside or last, with exponents that make
+#: them infinite or NaN tilts, weights and products, and logs of 1e308,
+#: whose first-moment or variance addends overflow to +inf.  All are
+#: loop-sized.
+NON_FINITE_CASES = [
+    ([0.5, 1.0, INF], [0.0, 0.0, 0.0], 1.0),
+    ([0.5, 1.0, INF], [0.0, 0.0, 0.0], 0.0),
+    ([0.5, 1.0, INF], [0.0, 0.0, 0.0], -1.0),
+    ([-INF, 0.5, 1.0], [0.0, 0.0, 0.0], 1.0),
+    ([-INF, 0.5, 1.0], [0.0, 0.0, 0.0], 0.0),
+    ([-INF, 0.5, 1.0], [0.0, 0.0, 0.0], -1.0),
+    ([-INF, INF], [0.0, 0.0], 2.0),
+    ([INF, INF], [0.0, 0.0], 1.0),
+    ([-INF, -INF], [0.0, 0.0], 1.0),
+    ([NAN, 0.5, 1.0], [0.0, 0.0, 0.0], 1.0),
+    ([0.5, NAN, 1.0], [0.0, 0.0, 0.0], 1.0),
+    ([0.5, 1.0, NAN], [0.0, 0.0, 0.0], 0.0),
+    ([0.5, 1.0, 2.0], [0.0, NAN, 0.0], 1.0),
+    ([0.5, 1.0, 2.0], [-INF, 0.0, 0.0], 1.0),
+    ([0.5, 1.0, 2.0], [0.0, INF, 0.0], 1.0),
+    ([-0.0, INF, NAN], [0.0, 0.0, 0.0], 0.0),
+    ([-1e308, 1e308], [0.0, 0.0], 0.0),
+    ([1e308, 1e308, 1e308], [0.0, 0.0, 0.0], 0.0),
+    ([-0.0], [0.0], 3.0),
+    ([-0.0, -0.0], [-800.0, 0.0], 0.0),
+]
 
 
 class TestSelection:
@@ -212,6 +308,13 @@ class TestBitIdentity:
     def test_corpus_identical(self, compiled_kernels, corpus, n):
         for case in CORPORA[corpus][0](n):
             self.assert_backends_agree(compiled_kernels.exp_moments, *case)
+
+    @pytest.mark.parametrize("la,lw,p", NON_FINITE_CASES)
+    def test_non_finite_logs(self, compiled_kernels, la, lw, p):
+        want = bits_nan_as_nan(reference_first_largest(la, lw, p))
+        got = compiled_kernels.exp_moments(np.array(la), np.array(lw), p)
+        assert bits_nan_as_nan(got) == want
+        assert bits_nan_as_nan(_kernels_py.exp_moments(la, lw, p)) == want
 
     def test_full_pipeline_identical(self, compiled_kernels, monkeypatch):
         # the mean evaluator looks the kernel up through the backend module,
@@ -341,6 +444,28 @@ class TestPureKernel:
         for case in signed_zero_terms_corpus(n):
             _, _, mean, _ = self.vector(*case)
             assert math.copysign(1.0, mean) == 1.0
+
+    @pytest.mark.parametrize("n", (2, 9, *SIZES_ACROSS_SWITCH[1:]))
+    def test_underflowing_weights(self, n):
+        self.assert_corpus("underflowing_weights", n)
+
+    @pytest.mark.parametrize("n", (2, 9, 30, *SIZES_ACROSS_SWITCH[1:4]))
+    def test_growing_weights(self, n):
+        self.assert_corpus("growing_weights", n)
+
+    @pytest.mark.parametrize("n", (1, 2, 16, *SIZES_ACROSS_SWITCH[1:]))
+    def test_tied_addends(self, n):
+        self.assert_corpus("tied_addends", n)
+
+    @pytest.mark.parametrize("n", (1, 5, *SIZES_ACROSS_SWITCH[1:]))
+    def test_negative_zero_log(self, n):
+        self.assert_corpus("negative_zero_log", n)
+
+    @pytest.mark.parametrize("la,lw,p", NON_FINITE_CASES)
+    def test_non_finite_logs(self, la, lw, p):
+        want = bits_nan_as_nan(reference_first_largest(la, lw, p))
+        assert bits_nan_as_nan(self.loop(la, lw, p)) == want
+        assert bits_nan_as_nan(_kernels_py.exp_moments(la, lw, p)) == want
 
     def test_plain_list_inputs(self):
         rng = np.random.default_rng(5)

@@ -9,13 +9,14 @@ import shutil
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ginikit.cli as cli
-from ginikit import mwd
+from ginikit import _backend, means, mwd
 from ginikit._util import read_text
 from ginikit.audit import AuditVerdict
 from ginikit.cli import main
@@ -290,6 +291,52 @@ class TestVerify:
         assert "checks=15" in out
         assert "failed=0" in out
 
+    def test_check_lines_name_each_link(self, capsys):
+        # one line per link of each chain, labelled by its two pairs, for
+        # both chains of the default grid and for a --grid chain
+        assert run_cli("verify", "--random", "7", "1") == 0
+        assert capsys.readouterr().out == (
+            "sample 0000  G(1,-1) -> G(1,0)  HOLDS      margin=4.260846e+00\n"
+            "sample 0000  G(1,0) -> G(2,0)  HOLDS      margin=1.042599e+00\n"
+            "sample 0000  G(2,0) -> G(2,1)  HOLDS      margin=1.042599e+00\n"
+            "sample 0000  G(2,1) -> G(3,2)  HOLDS      margin=4.443934e-01\n"
+            "sample 0000  G(1.5,-1.5) -> G(2,0)  HOLDS      margin=5.352015e+00\n"
+            "checks=5 holds=5 weak=0 degenerate=0 failed=0\n"
+        )
+        assert run_cli("verify", "--random", "7", "2", "--grid", "1e-3:-2,0.5:-1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:37] for line in lines[:2]] == [
+            "sample 0000  G(0.001,-2) -> G(0.5,-1)",
+            "sample 0001  G(0.001,-2) -> G(0.5,-1)",
+        ]
+
+    def test_random_audit_call_counts(self, monkeypatch, capsys):
+        # the default grid's 10 secant slopes per sample take two power sums
+        # each, one kernel call per power sum.  The end-to-end benchmark's
+        # tracer self-test pins the same counts on the same op, so a change
+        # to them is made together with that pin.
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(
+            means, "log_power_sum", counting("log_power_sum", means.log_power_sum)
+        )
+        monkeypatch.setattr(
+            _backend, "exp_moments", counting("exp_moments", _backend.exp_moments)
+        )
+        monkeypatch.setattr(
+            PositiveSample, "__init__", counting("PositiveSample", PositiveSample.__init__)
+        )
+        assert run_cli("verify", "--random", "3", "200") == 0
+        capsys.readouterr()
+        assert counts == {"log_power_sum": 4000, "exp_moments": 4000, "PositiveSample": 200}
+
     def test_random_is_deterministic(self, capsys):
         run_cli("verify", "--random", "42", "2")
         first = capsys.readouterr().out
@@ -478,6 +525,40 @@ class TestGenerate:
         )
         assert code == 1
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (("verify", "--random", "1", "3", "--report"), "r.json"),
+        (("generate", "flory", "--m0", "28", "--x", "0.5", "--out"), "f.csv"),
+        (("plot", "--input", "INPUT", "--out"), "p.svg"),
+    ],
+    ids=["verify", "generate", "plot"],
+)
+def test_write_into_a_missing_directory_names_the_path(
+    argv, name, data_dir, tmp_path, capsys
+):
+    # the error names the path given, not the random name of the temp file
+    # that the write could not create beside it
+    target = tmp_path / "missing" / name
+    argv = [str(data_dir / "two_species.csv") if a == "INPUT" else a for a in argv]
+    assert run_cli(*argv, str(target)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+
+def test_write_over_a_directory_names_the_path(tmp_path, capsys):
+    # the rename over the directory fails; the error names the path given
+    # and the temp file is gone
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert run_cli("verify", "--random", "1", "3", "--report", str(target)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 class TestPlot:

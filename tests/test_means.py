@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ginikit import _backend
 from ginikit.errors import ParameterDomainError
 from ginikit.means import (
+    LogPowerSum,
     extreme_value,
     gini_mean,
     identical_parameter_gini,
@@ -57,6 +58,17 @@ class TestLogPowerSum:
         assert lps.moment1 == math.log(3.0)
         assert lps.moment2 == lps.moment1 * lps.moment1
         assert lps.moment2_centered == 0.0
+
+    def test_is_an_immutable_named_tuple(self):
+        lps = log_power_sum(PositiveSample([1.0, 2.0], [1.0, 3.0]), 1.0)
+        fields = ("p", "log_sum", "moment1", "moment2", "moment2_centered")
+        assert LogPowerSum._fields == fields
+        assert lps == tuple(getattr(lps, name) for name in fields)
+        p, log_sum, *_ = lps
+        assert (p, log_sum) == (1.0, lps.log_sum)
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(lps, name, 0.0)
 
     def test_non_finite_exponent_rejected(self):
         s = PositiveSample([1.0, 2.0])

@@ -88,6 +88,45 @@ class TestPositiveSample:
         with pytest.raises(DataError):
             PositiveSample(["a", "b"])
 
+    @pytest.mark.parametrize(
+        "values,weights,message",
+        [
+            # a non-finite entry is named before a non-positive one, and
+            # the values before the weights, before the lengths
+            ([-1.0, float("nan")], None, "values must be finite"),
+            ([float("-inf"), 2.0], None, "values must be finite"),
+            ([-1.0, float("inf")], None, "values must be finite"),
+            ([0.0, 2.0], None, "values must be strictly positive"),
+            ([-0.0, 2.0], None, "values must be strictly positive"),
+            ([1.0, 2.0], [-1.0, float("nan")], "weights must be finite"),
+            ([1.0, 2.0], [-0.0, 1.0], "weights must be strictly positive"),
+            ([0.0, 2.0], [float("nan"), 1.0], "values must be strictly positive"),
+            ([1.0, 2.0], [float("nan")], "weights must be finite"),
+            ([1.0, 2.0], [1.0], "weights length 1 does not match values length 2"),
+        ],
+    )
+    def test_first_failing_check_is_the_one_reported(self, values, weights, message):
+        with pytest.raises(DataError) as info:
+            PositiveSample(values, weights)
+        assert str(info.value).startswith(message)
+
+    def test_range_and_frozen_arrays(self):
+        s = PositiveSample(np.array([4.0, 0.5, 4.0, 2.0]), [1.0, 2.0, 3.0, 4.0])
+        assert (s.min_value, s.max_value) == (0.5, 4.0)
+        assert type(s.min_value) is float and type(s.max_value) is float
+        assert not s.is_uniform
+        for arr in (s.values, s.weights, s.log_values, s.log_weights):
+            assert arr.dtype == np.float64
+            assert not arr.flags.writeable
+        # a read-only float64 array is used as it is; an int array is converted
+        frozen = np.array([1.0, 3.0])
+        frozen.flags.writeable = False
+        assert PositiveSample(frozen).values is frozen
+        ints = np.array([1, 3])
+        converted = PositiveSample(ints).values
+        assert converted.dtype == np.float64 and list(converted) == [1.0, 3.0]
+        assert ints.flags.writeable
+
     def test_immutable(self):
         s = PositiveSample([1.0, 2.0])
         with pytest.raises(AttributeError):
