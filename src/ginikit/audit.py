@@ -31,7 +31,6 @@ __all__ = [
     "check_power_mean_bound",
     "convexity_gap",
     "scan_monotonicity",
-    "secant_slope",
     "strict_tolerance",
 ]
 
@@ -114,11 +113,15 @@ def check_monotonicity(sample: PositiveSample, order: ParameterOrder) -> AuditVe
 
     The margin is the secant-slope difference ln G(upper) - ln G(lower).
     Uniform samples give equality; they come back ``degenerate`` with margin
-    exactly zero, never an error.
+    exactly zero, never an error.  Every verdict of this module is built
+    here.
     """
     lo = secant_slope(sample, order.lower.p, order.lower.q)
     up = secant_slope(sample, order.upper.p, order.upper.q)
-    return _verdict(sample, lo, up)
+    margin = up - lo
+    tolerance = strict_tolerance(max(abs(lo), abs(up)))
+    degenerate = sample.is_uniform
+    return AuditVerdict(not degenerate and margin > 0.0, margin, degenerate, tolerance)
 
 
 def check_power_mean_bound(
@@ -131,10 +134,10 @@ def check_power_mean_bound(
     * r >= p > q with r > 0 > q: then G(p, q) < M_r, margin = ln M_r - ln G.
     * p >= r > 0 with p > q > 0: then M_r < G(p, q), margin = ln G - ln M_r.
 
-    Any other (p, q, r) raises :class:`HypothesisError`.  Margins are the
-    same secant-slope differences as :func:`check_monotonicity` applied to
-    the orders ((p,q), (r,0)) resp. ((r,0), (p,q)), so the two entry points
-    can never disagree.
+    Any other (p, q, r) raises :class:`HypothesisError`.  The verdict is
+    :func:`check_monotonicity`'s on the order ((p,q), (r,0)) resp.
+    ((r,0), (p,q)), so the two can never disagree; a non-finite exponent
+    that passes the bracket test gets :class:`ExponentPair`'s error.
     """
     side_low = (r >= p > q) and (r > 0.0 > q)
     side_high = (p >= r > 0.0) and (p > q > 0.0)
@@ -144,18 +147,9 @@ def check_power_mean_bound(
             "of the power-mean comparison (need r >= p > q, r > 0 > q, or p >= r > 0, "
             "p > q > 0)"
         )
-    gini_log = secant_slope(sample, p, q)
-    power_log = secant_slope(sample, r, 0.0)
-    lower, upper = (gini_log, power_log) if side_low else (power_log, gini_log)
-    return _verdict(sample, lower, upper)
-
-
-def _verdict(sample: PositiveSample, lower_log: float, upper_log: float) -> AuditVerdict:
-    """The verdict on ln G(lower) < ln G(upper); every check here ends in it."""
-    margin = upper_log - lower_log
-    tolerance = strict_tolerance(max(abs(lower_log), abs(upper_log)))
-    degenerate = sample.is_uniform
-    return AuditVerdict(not degenerate and margin > 0.0, margin, degenerate, tolerance)
+    gini, power = ExponentPair(p, q), ExponentPair(r, 0.0)
+    order = ParameterOrder(gini, power) if side_low else ParameterOrder(power, gini)
+    return check_monotonicity(sample, order)
 
 
 def convexity_gap(sample: PositiveSample, p: float) -> float:

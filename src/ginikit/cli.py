@@ -27,7 +27,7 @@ import numpy as np
 
 from . import mwd as mwdmod
 from ._util import atomic_write_text, format_double, read_text
-from .audit import AuditVerdict, scan_monotonicity
+from .audit import AuditVerdict, ParameterOrder, scan_monotonicity
 from .errors import GinikitError, HypothesisError, IngestionError, ParameterDomainError
 from .means import gini_mean, lehmer_mean, power_mean
 from .oracle import OracleConfig, equivalence_report
@@ -319,17 +319,23 @@ def _cmd_mwd_report(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(spec: str) -> tuple[tuple[tuple[float, float], ...], ...]:
-    if spec == "default":
-        return DEFAULT_GRID_CHAINS
-    pairs: list[tuple[float, float]] = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            raise ParameterDomainError("empty entry in --grid")
-        pairs.append(_parse_custom_pair(token))
-    if len(pairs) < 2:
-        raise ParameterDomainError("--grid needs at least two pairs to form a chain")
-    return (tuple(pairs),)
+    """The --grid chains, each link checked as a :class:`ParameterOrder`, so a
+    broken chain ends the command before any sample or oracle call."""
+    chains = DEFAULT_GRID_CHAINS
+    if spec != "default":
+        pairs: list[tuple[float, float]] = []
+        for token in spec.split(","):
+            token = token.strip()
+            if not token:
+                raise ParameterDomainError("empty entry in --grid")
+            pairs.append(_parse_custom_pair(token))
+        if len(pairs) < 2:
+            raise ParameterDomainError("--grid needs at least two pairs to form a chain")
+        chains = (tuple(pairs),)
+    for chain in chains:
+        for lower, upper in zip(chain, chain[1:]):
+            ParameterOrder(ExponentPair(*lower), ExponentPair(*upper))
+    return chains
 
 
 def _random_samples(seed: int, count: int) -> list[PositiveSample]:

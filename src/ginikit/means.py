@@ -7,8 +7,10 @@ parameter Gini mean is
     G(p, p) = exp( sum_i w_i a_i**p ln a_i / S_p )  at equal parameters,
 
 with G(0, 0) the weighted geometric mean.  Lehmer means are G(p, p-1) and
-power means are M_r = G(r, 0), so everything here funnels through one
-evaluation path.
+power means are M_r = G(r, 0).  Each, G(p, p) included, is exp of one
+slope of the convex function ln S_p, and :func:`secant_slope` is the only
+code that forms it: every mean here and every verdict in
+:mod:`ginikit.audit` goes through it.
 
 That path never materializes a_i**p.  One kernel call per exponent forms
 the tilt t_i = p*ln(a_i) + ln(w_i), shifts by m = max(t_i) so every
@@ -39,7 +41,6 @@ __all__ = [
     "lehmer_mean",
     "extreme_value",
     "secant_slope",
-    "branch_threshold",
 ]
 
 
@@ -88,16 +89,6 @@ def _finite_exponent(p: float, name: str = "p") -> float:
     return value
 
 
-def branch_threshold(p: float, q: float) -> float:
-    """Width of the equal-parameter branch around p == q.
-
-    Below this separation the secant (ln S_p - ln S_q)/(p - q) loses too many
-    digits to cancellation, while the tilted mean at the midpoint is within
-    O(gap^2) of the true value, far below double rounding error.
-    """
-    return 1e-8 * (1.0 + max(abs(p), abs(q)))
-
-
 def log_power_sum(sample: PositiveSample, p: float) -> LogPowerSum:
     """Evaluate ln S_p and the tilted log-moments, stably.
 
@@ -133,12 +124,12 @@ def log_power_sum(sample: PositiveSample, p: float) -> LogPowerSum:
 def secant_slope(sample: PositiveSample, p: float, q: float) -> float:
     """Secant slope (ln S_p - ln S_q) / (p - q); equals ln G(p, q).
 
-    Since ln S_p is convex in p, this slope is nondecreasing in both
-    endpoints, which is the engine behind every inequality check in
-    :mod:`ginikit.audit`.  For p == q (within :func:`branch_threshold`) the
-    slope degenerates to the tangent d/dp ln S_p, served by the tilted mean
-    at the midpoint.  Uniform samples short-circuit to ln of the common
-    value.
+    The one place where power sums become a Gini slope.  Since ln S_p is
+    convex in p, this slope is nondecreasing in both endpoints, which is the
+    engine behind every inequality check in :mod:`ginikit.audit`.  For p == q
+    (within the gap tested below) it is the tangent d/dp ln S_p, served by
+    the tilted mean of ln a at the midpoint.  Uniform samples short-circuit
+    to ln of the common value.
 
     Both differences and the midpoint are formed from halves, so they stay
     finite when p - q, p + q or ln S_p - ln S_q would overflow.  Halving a
@@ -148,19 +139,14 @@ def secant_slope(sample: PositiveSample, p: float, q: float) -> float:
     q = _finite_exponent(q, "q")
     if sample.is_uniform:
         return math.log(float(sample.values[0]))
-    if abs(p - q) <= branch_threshold(p, q):
+    # Below this gap the secant loses too many digits to cancellation, while
+    # the tilted mean at the midpoint is within O(gap^2) of the true slope,
+    # far below double rounding error.
+    if abs(p - q) <= 1e-8 * (1.0 + max(abs(p), abs(q))):
         return log_power_sum(sample, 0.5 * p + 0.5 * q).moment1
     return (
         0.5 * log_power_sum(sample, p).log_sum - 0.5 * log_power_sum(sample, q).log_sum
     ) / (0.5 * p - 0.5 * q)
-
-
-def _clamp_to_range(sample: PositiveSample, value: float) -> float:
-    # The exact mean lies in [min, max]; the computed one can escape by a few
-    # ulps through the final exp.  Clamping restores the bound without moving
-    # the value more than that rounding error.  On a uniform sample the
-    # range is [c, c], so the mean is exactly c.
-    return min(max(value, sample.min_value), sample.max_value)
 
 
 def gini_mean(sample: PositiveSample, params: ExponentPair) -> float:
@@ -172,26 +158,35 @@ def gini_mean(sample: PositiveSample, params: ExponentPair) -> float:
     this sample; beyond them it raises ParameterDomainError.  A uniform
     sample returns its common value at any finite exponents.
     """
-    return _clamp_to_range(sample, math.exp(secant_slope(sample, params.p, params.q)))
+    value = math.exp(secant_slope(sample, params.p, params.q))
+    # The exact mean lies in [min, max]; the computed one can escape by a few
+    # ulps through the final exp.  Clamping restores the bound without moving
+    # the value more than that rounding error.  On a uniform sample the
+    # range is [c, c], so the mean is exactly c.
+    return min(max(value, sample.min_value), sample.max_value)
 
 
 def identical_parameter_gini(sample: PositiveSample, p: float) -> float:
     """G(p, p): exp of the a**p-tilted mean of ln a.
 
-    At p = 0 this is the weighted geometric mean.  Raises
-    ParameterDomainError where :func:`log_power_sum` does.
+    It is ``gini_mean(sample, ExponentPair(p, p))`` to the bit: exp of the
+    tangent slope of :func:`secant_slope`.  At p = 0 this is the weighted
+    geometric mean.  Raises ParameterDomainError where :func:`log_power_sum`
+    does, except on a uniform sample, which returns its common value at any
+    finite p, as :func:`gini_mean` does.
     """
     p = _finite_exponent(p)
-    return _clamp_to_range(sample, math.exp(log_power_sum(sample, p).moment1))
+    return gini_mean(sample, ExponentPair(p, p))
 
 
 def power_mean(sample: PositiveSample, r: float) -> float:
     """The weighted power mean M_r = (sum w a**r / sum w) ** (1/r).
 
     Implemented as G(r, 0), which is the same function: with q = 0 the
-    denominator power sum is the total weight.  For |r| at or below the
-    branch threshold the evaluation degenerates to the weighted geometric
-    mean, which is M_0's limiting value.
+    denominator power sum is the total weight.  For |r| up to about 1e-8,
+    where :func:`secant_slope` takes the tangent, the result is exp of the
+    tilted mean of ln a at r / 2: within O(r^2) of M_r, and at r = 0 the
+    weighted geometric mean, M_0's limiting value.
     """
     r = _finite_exponent(r, "r")
     return gini_mean(sample, ExponentPair(r, 0.0))

@@ -173,6 +173,3 @@ class ExponentPair:
     def gap(self) -> float:
         """Nonnegative difference p - q in canonical order."""
         return self.p - self.q
-
-    def __repr__(self) -> str:
-        return f"ExponentPair(p={self.p!r}, q={self.q!r})"

@@ -11,8 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from ginikit._util import format_double
+from ginikit.audit import ParameterOrder, check_monotonicity, check_power_mean_bound
+from ginikit.errors import GinikitError
+from ginikit.means import gini_mean, identical_parameter_gini
 from ginikit.mwd import CSV_HEADER, MWDataset
-from ginikit.sample import PositiveSample
+from ginikit.sample import ExponentPair, PositiveSample
 
 
 def ulps_apart(got: float, want: float) -> float:
@@ -47,6 +50,86 @@ def random_sample(
         values = log_uniform(rng, value_lo, value_hi, n)
     weights = rng.uniform(0.5, 2.0, n) if weighted else None
     return PositiveSample(values, weights)
+
+
+#: p of the G(p, p) route cases: zeros of both signs, subnormals, the
+#: smallest normal, and magnitudes up to and past the exponent domain.
+EQUAL_PAIR_EXPONENTS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-9, 0.5,
+    -2.0, 30.0, 1e10, -1e300, 1e307, -1e308,
+)
+
+#: (p, q, r) of the power-mean-bound route cases: low side when q < 0,
+#: high side otherwise; one inside the tangent gap, one past the domain.
+POWER_MEAN_BRACKETINGS = (
+    (1.0, -1.0, 1.0),
+    (1.0, -1.0, 2.0),
+    (1e-9, -1e-9, 1e-9),
+    (30.0, -30.0, 30.0),
+    (3.0, 1.0, 2.0),
+    (1.0, 0.5, 1.0),
+    (2.0, 5e-324, 1.0),
+    (1e307, 1.0, 2.0),
+)
+
+
+def route_samples() -> list[PositiveSample]:
+    """Uniform, CLI-like and 1e-25...1e25 samples, weighted and unweighted."""
+    rng = np.random.default_rng(29)
+    samples = [
+        PositiveSample([7.0, 7.0]),
+        PositiveSample([3.0, 3.0, 3.0], [1.0, 2.0, 0.5]),
+        PositiveSample([1e-25]),
+        PositiveSample([2.0, 2.0, 5.0, 5.0], [1.0, 3.0, 1.0, 3.0]),
+    ]
+    for weighted in (True, False):
+        for _ in range(6):
+            samples.append(random_sample(rng, weighted=weighted))
+            samples.append(
+                random_sample(rng, weighted=weighted, value_lo=1e-25, value_hi=1e25)
+            )
+    return samples
+
+
+def _route_outcome(call) -> object:
+    """A float as hex, a verdict's fields with hex floats, or the error raised."""
+    try:
+        result = call()
+    except GinikitError as exc:
+        return ["error", type(exc).__name__, str(exc)]
+    if isinstance(result, float):
+        return result.hex()
+    return [
+        result.margin.hex(), result.tolerance.hex(),
+        result.holds, result.degenerate, result.weak,
+    ]
+
+
+def merged_route_outcomes() -> list[list[object]]:
+    """``[route, sample, params, merged, direct]`` for every route case.
+
+    ``identical_parameter_gini`` is held to ``gini_mean`` on the equal pair,
+    and ``check_power_mean_bound`` to ``check_monotonicity`` on the
+    bracketing :class:`ParameterOrder`.  Outcomes are JSON-ready, so a
+    subprocess under another backend can report them.
+    """
+    rows: list[list[object]] = []
+    for index, sample in enumerate(route_samples()):
+        for p in EQUAL_PAIR_EXPONENTS:
+            rows.append([
+                "G(p,p)", index, [p],
+                _route_outcome(lambda: identical_parameter_gini(sample, p)),
+                _route_outcome(lambda: gini_mean(sample, ExponentPair(p, p))),
+            ])
+        for p, q, r in POWER_MEAN_BRACKETINGS:
+            gini, power = ExponentPair(p, q), ExponentPair(r, 0.0)
+            order = ParameterOrder(gini, power) if q < 0.0 else ParameterOrder(power, gini)
+            rows.append([
+                "power_mean_bound", index, [p, q, r],
+                _route_outcome(lambda: check_power_mean_bound(sample, p, q, r)),
+                _route_outcome(lambda: check_monotonicity(sample, order)),
+            ])
+    return rows
 
 
 def compiled_kernel_file(src: Path) -> Path | None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,14 +17,18 @@ from ginikit.audit import (
     check_power_mean_bound,
     convexity_gap,
     scan_monotonicity,
-    secant_slope,
     strict_tolerance,
 )
-from ginikit.errors import HypothesisError
-from ginikit.means import gini_mean, log_power_sum
+from ginikit.errors import HypothesisError, ParameterDomainError
+from ginikit.means import gini_mean, log_power_sum, secant_slope
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import random_sample
+from helpers import (
+    POWER_MEAN_BRACKETINGS,
+    merged_route_outcomes,
+    random_sample,
+    route_samples,
+)
 
 # mpmath at 60 digits: ln(sqrt(2.5)) and the p=1 tilted variance of {1,2,3}
 LN_SQRT_2_5 = 0.45814536593707755
@@ -155,6 +160,18 @@ class TestCheckPowerMeanBound:
         with pytest.raises(HypothesisError):
             check_power_mean_bound(PositiveSample([1.0, 2.0]), p, q, r)
 
+    @pytest.mark.parametrize(
+        "p,q,r,message",
+        [
+            (math.inf, 1.0, 2.0, "exponents must be finite, got p=inf, q=1.0"),
+            (1.0, -1.0, math.inf, "exponents must be finite, got p=inf, q=0.0"),
+        ],
+    )
+    def test_non_finite_exponent_is_a_pair_error(self, p, q, r, message):
+        # it passes the bracket test, then ExponentPair refuses it
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            check_power_mean_bound(PositiveSample([1.0, 2.0]), p, q, r)
+
     def test_uniform_degenerate(self):
         v = check_power_mean_bound(PositiveSample([2.0, 2.0]), 1.0, -1.0, 1.0)
         assert v.degenerate and not v.holds and v.margin == 0.0
@@ -177,6 +194,11 @@ class TestCheckPowerMeanBound:
             )
             assert high.margin == mono2.margin
             assert high == mono2
+        # margin, tolerance and flags bit for bit, errors included, over more
+        # bracketings; test_backends holds this under both backends
+        rows = [row for row in merged_route_outcomes() if row[0] == "power_mean_bound"]
+        assert len(rows) == len(route_samples()) * len(POWER_MEAN_BRACKETINGS)
+        assert [row for row in rows if row[3] != row[4]] == []
 
     def test_agrees_with_monotonicity_on_uniform_samples(self):
         s = PositiveSample([3.0, 3.0, 3.0], [1.0, 2.0, 0.5])

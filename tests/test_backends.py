@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +331,29 @@ class TestBitIdentity:
         monkeypatch.setattr(_backend, "exp_moments", _kernels_py.exp_moments)
         for s, pair, reference_value in cases:
             assert gini_mean(s, pair) == reference_value
+
+    def test_merged_routes_identical(self, compiled_src):
+        # identical_parameter_gini is gini_mean on the equal pair and
+        # check_power_mean_bound is check_monotonicity on the bracketing
+        # order, to the bit and error for error, whichever backend runs
+        script = (
+            "import json, ginikit, helpers; print(ginikit.backend_name()); "
+            "print(json.dumps(helpers.merged_route_outcomes()))"
+        )
+        tests_dir = str(Path(__file__).resolve().parent)
+        runs = {}
+        for pure, backend in (("0", "compiled"), ("1", "python")):
+            env = env_importing_from(compiled_src, GINIKIT_PURE=pure)
+            env["PYTHONPATH"] = os.pathsep.join((tests_dir, env["PYTHONPATH"]))
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert done.returncode == 0, done.stderr
+            name, rows = done.stdout.splitlines()
+            assert name == backend
+            runs[backend] = json.loads(rows)
+            assert [row for row in runs[backend] if row[3] != row[4]] == []
+        assert runs["compiled"] == runs["python"]
 
     def test_single_element_sample(self, compiled_kernels):
         la = np.array([1.5])

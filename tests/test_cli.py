@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import ginikit.cli as cli
 from ginikit import _backend, means, mwd
 from ginikit._util import read_text
-from ginikit.audit import AuditVerdict
+from ginikit.audit import AuditVerdict, ParameterOrder
 from ginikit.cli import main
 from ginikit.means import gini_mean
 from ginikit.mwd import load_mwd, polydispersity
@@ -395,6 +395,45 @@ class TestVerify:
         pairs = [pair for chain in cli.DEFAULT_GRID_CHAINS for pair in chain]
         assert all(type(pair) is tuple for pair in pairs)
         assert all(type(x) is float for pair in pairs for x in pair)
+
+    def test_default_chains_pass_the_order_hypothesis(self):
+        assert cli._parse_grid("default") is cli.DEFAULT_GRID_CHAINS
+        for chain in cli.DEFAULT_GRID_CHAINS:
+            for lower, upper in zip(chain, chain[1:]):
+                order = ParameterOrder(ExponentPair(*lower), ExponentPair(*upper))
+                assert (order.lower.p, order.lower.q) == lower
+                assert (order.upper.p, order.upper.q) == upper
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (
+                "1:-1,1:0,2:0,2:1,3:2,2.5:2",
+                "upper pair must dominate componentwise: (2.5, 2.0) does not dominate (3.0, 2.0)",
+            ),
+            ("1:0,1:0", "at least one component must increase strictly"),
+            ("1:1,2:0", "each pair must have p > q strictly (got lower=(1.0, 1.0), upper=(2.0, 0.0))"),
+            ("inf:0,2:0", "exponents must be finite, got p=inf, q=0.0"),
+        ],
+    )
+    def test_broken_grid_is_refused_before_any_sample(self, grid, message, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work was done before the grid was checked")
+
+        monkeypatch.setattr(cli, "_random_samples", never)
+        monkeypatch.setattr(cli, "equivalence_report", never)
+        monkeypatch.setattr(cli, "PositiveSample", never)
+        code = run_cli("verify", "--random", "1", "3000", "--grid", grid, "--oracle")
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+
+    def test_broken_grid_wins_over_a_bad_source(self, tmp_path, capsys):
+        # the grid is checked before the seed and before the input file
+        grid = ("--grid", "2:0,1:0")
+        want = "error: upper pair must dominate componentwise: (1.0, 0.0) does not dominate (2.0, 0.0)\n"
+        for source in (("--random", "-1", "5"), ("--input", str(tmp_path / "missing.csv"))):
+            assert run_cli("verify", *source, *grid) == 2
+            assert capsys.readouterr().err == want
 
     def test_custom_grid(self, data_dir, capsys):
         code = run_cli(

@@ -24,7 +24,14 @@ from ginikit.means import (
 )
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import assert_within_ulps, log_uniform, random_sample
+from helpers import (
+    EQUAL_PAIR_EXPONENTS,
+    assert_within_ulps,
+    log_uniform,
+    merged_route_outcomes,
+    random_sample,
+    route_samples,
+)
 
 # Reference doubles, mpmath at 50+ digits unless exactly representable.
 SQRT_2_5 = 1.5811388300841898
@@ -266,10 +273,21 @@ class TestIdenticalParameterGini:
 
     def test_uniform(self):
         assert identical_parameter_gini(PositiveSample([7.0, 7.0]), 5.0) == 7.0
+        # the common value at any finite p, as gini_mean gives it, even where
+        # |p| * max|ln a| overflows and a non-uniform sample would raise
+        for s in (PositiveSample([7.0, 7.0]), PositiveSample([1e-25])):
+            for p in (1e307, -1e308):
+                assert identical_parameter_gini(s, p) == s.values[0]
+                assert gini_mean(s, ExponentPair(p, p)) == s.values[0]
 
     def test_matches_equal_pair_gini(self):
         s = PositiveSample([1.0, 3.0, 4.0])
         assert identical_parameter_gini(s, 2.0) == gini_mean(s, ExponentPair(2.0, 2.0))
+        # bit for bit, errors included, at signed-zero, subnormal and huge p,
+        # on uniform samples too; test_backends holds this under both backends
+        rows = [row for row in merged_route_outcomes() if row[0] == "G(p,p)"]
+        assert len(rows) == len(route_samples()) * len(EQUAL_PAIR_EXPONENTS)
+        assert [row for row in rows if row[3] != row[4]] == []
 
     def test_monotone_in_p(self):
         s = PositiveSample([1.0, 2.0, 8.0])

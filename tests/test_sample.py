@@ -165,6 +165,11 @@ class TestExponentPair:
         assert isinstance(pair.p, float)
         assert pair.p == 2.0
 
+    def test_repr(self):
+        # the dataclass repr, in canonical order, with the coerced floats
+        assert repr(ExponentPair(0, 2)) == "ExponentPair(p=2.0, q=0.0)"
+        assert repr(ExponentPair(-0.0, 5e-324)) == "ExponentPair(p=5e-324, q=-0.0)"
+
 
 BIG = 10**400  # an int past the double range
 SAMPLE = PositiveSample([1.0, 2.0])
