@@ -21,7 +21,7 @@ from typing import Sequence
 
 from ._util import _shown
 from .errors import HypothesisError
-from .means import log_power_sum, secant_slope
+from .means import _finite_exponent, log_power_sum, secant_slope
 from .sample import ExponentPair, PositiveSample
 
 __all__ = [
@@ -158,8 +158,13 @@ def convexity_gap(sample: PositiveSample, p: float) -> float:
     Computed by a centered second pass, so the result is nonnegative by
     construction and zero exactly for uniform samples.  Strict positivity of
     this gap for non-uniform samples is what makes every strict inequality
-    in this module strict.
+    in this module strict.  A uniform sample gets 0.0 at every finite p,
+    also where |p| * max|ln a| overflows and :func:`log_power_sum` refuses
+    the exponent, as :func:`secant_slope` and every mean do.
     """
+    p = _finite_exponent(p)
+    if sample.is_uniform:
+        return 0.0
     return log_power_sum(sample, p).moment2_centered
 
 

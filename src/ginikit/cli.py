@@ -29,7 +29,7 @@ from . import mwd as mwdmod
 from ._util import atomic_write_text, format_double, read_text
 from .audit import AuditVerdict, ParameterOrder, scan_monotonicity
 from .errors import GinikitError, HypothesisError, IngestionError, ParameterDomainError
-from .means import gini_mean, lehmer_mean, power_mean
+from .means import _PowerSums, gini_mean, lehmer_mean, power_mean
 from .oracle import OracleConfig, equivalence_report
 from .plotting import render_csv, render_svg
 from .sample import ExponentPair, PositiveSample
@@ -509,7 +509,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
                 f"unknown mark {name!r}; choose from {', '.join(mwdmod._CHAIN)}"
             )
     dataset = mwdmod.load_mwd(args.input)
-    marks = dict(zip(names, mwdmod._evaluate(dataset.to_sample(), names, args.s)))
+    # the sample and its memo are dropped before the plot is rendered
+    marks = dict(zip(names, mwdmod._evaluate(_PowerSums(dataset.to_sample()), names, args.s)))
     text = (
         render_svg(dataset, marks) if suffix == ".svg" else render_csv(dataset, marks)
     )

@@ -10,7 +10,9 @@ with G(0, 0) the weighted geometric mean.  Lehmer means are G(p, p-1) and
 power means are M_r = G(r, 0).  Each, G(p, p) included, is exp of one
 slope of the convex function ln S_p, and :func:`secant_slope` is the only
 code that forms it: every mean here and every verdict in
-:mod:`ginikit.audit` goes through it.
+:mod:`ginikit.audit` goes through it.  Its body runs on a per-sample memo of
+power sums, so a caller that evaluates several pairs of one sample can
+form each S_p once (see :class:`_PowerSums`).
 
 That path never materializes a_i**p.  One kernel call per exponent forms
 the tilt t_i = p*ln(a_i) + ln(w_i), shifts by m = max(t_i) so every
@@ -121,49 +123,96 @@ def log_power_sum(sample: PositiveSample, p: float) -> LogPowerSum:
     return LogPowerSum(p, log_sum, mean, mean * mean + variance, variance)
 
 
+class _PowerSums:
+    """The power sums of one sample, each formed once and kept by exponent.
+
+    One object serves one sample.  :meth:`power_sum` calls
+    :func:`log_power_sum` on the first request for an exponent and returns
+    the kept result on every later one.  It looks the function up by this
+    module's global name at each call, so a wrapper put there (a counter in
+    a test, a tracer) sees every kernel call the memo makes.
+    The key is the float itself, so ``0.0`` and ``-0.0`` share an entry:
+    both tilt every term to ``ln w_i``, so their power sums are the same
+    bits; only the recorded ``p`` differs.  An exponent whose evaluation
+    raises is not kept.
+
+    :meth:`slope` is the only code that turns power sums into a Gini slope;
+    :func:`secant_slope` and :func:`gini_mean` run it on a fresh object, and
+    callers that evaluate several pairs of one sample (the averages of
+    :mod:`ginikit.mwd`, the fast side of
+    :func:`ginikit.oracle.equivalence_report`) hold one object per sample,
+    so an exponent shared by two pairs costs one kernel call.
+    """
+
+    __slots__ = ("sample", "_sums")
+
+    def __init__(self, sample: PositiveSample) -> None:
+        self.sample = sample
+        self._sums: dict[float, LogPowerSum] = {}
+
+    def power_sum(self, p: float) -> LogPowerSum:
+        """:func:`log_power_sum` of the sample at the finite exponent ``p``."""
+        found = self._sums.get(p)
+        if found is None:
+            found = self._sums[p] = log_power_sum(self.sample, p)
+        return found
+
+    def slope(self, p: float, q: float) -> float:
+        """ln G(p, q); see :func:`secant_slope`."""
+        p = _finite_exponent(p, "p")
+        q = _finite_exponent(q, "q")
+        sample = self.sample
+        if sample.is_uniform:
+            return math.log(float(sample.values[0]))
+        # Below this gap the secant loses too many digits to cancellation, while
+        # the tilted mean at the midpoint is within O(gap^2) of the true slope,
+        # far below double rounding error.
+        if abs(p - q) <= 1e-8 * (1.0 + max(abs(p), abs(q))):
+            return self.power_sum(0.5 * p + 0.5 * q).moment1
+        return (
+            0.5 * self.power_sum(p).log_sum - 0.5 * self.power_sum(q).log_sum
+        ) / (0.5 * p - 0.5 * q)
+
+    def gini(self, params: ExponentPair) -> float:
+        """G(p, q) of the sample; see :func:`gini_mean`."""
+        value = math.exp(self.slope(params.p, params.q))
+        # The exact mean lies in [min, max]; the computed one can escape by a few
+        # ulps through the final exp.  Clamping restores the bound without moving
+        # the value more than that rounding error.  On a uniform sample the
+        # range is [c, c], so the mean is exactly c.
+        return min(max(value, self.sample.min_value), self.sample.max_value)
+
+
 def secant_slope(sample: PositiveSample, p: float, q: float) -> float:
     """Secant slope (ln S_p - ln S_q) / (p - q); equals ln G(p, q).
 
-    The one place where power sums become a Gini slope.  Since ln S_p is
-    convex in p, this slope is nondecreasing in both endpoints, which is the
-    engine behind every inequality check in :mod:`ginikit.audit`.  For p == q
-    (within the gap tested below) it is the tangent d/dp ln S_p, served by
-    the tilted mean of ln a at the midpoint.  Uniform samples short-circuit
-    to ln of the common value.
+    The one place where power sums become a Gini slope: this runs the body
+    of :meth:`_PowerSums.slope` on a fresh memo, and the callers that keep a
+    memo per sample run the same body.  Since ln S_p is convex in p, this
+    slope is nondecreasing in both endpoints, which is the engine behind
+    every inequality check in :mod:`ginikit.audit`.  For p == q (within a
+    gap of 1e-8 * (1 + max(|p|, |q|))) it is the tangent d/dp ln S_p,
+    served by the tilted mean of ln a at the midpoint.  Uniform samples
+    short-circuit to ln of the common value.
 
     Both differences and the midpoint are formed from halves, so they stay
     finite when p - q, p + q or ln S_p - ln S_q would overflow.  Halving a
     normal double is exact, so this changes no bit anywhere else.
     """
-    p = _finite_exponent(p, "p")
-    q = _finite_exponent(q, "q")
-    if sample.is_uniform:
-        return math.log(float(sample.values[0]))
-    # Below this gap the secant loses too many digits to cancellation, while
-    # the tilted mean at the midpoint is within O(gap^2) of the true slope,
-    # far below double rounding error.
-    if abs(p - q) <= 1e-8 * (1.0 + max(abs(p), abs(q))):
-        return log_power_sum(sample, 0.5 * p + 0.5 * q).moment1
-    return (
-        0.5 * log_power_sum(sample, p).log_sum - 0.5 * log_power_sum(sample, q).log_sum
-    ) / (0.5 * p - 0.5 * q)
+    return _PowerSums(sample).slope(p, q)
 
 
 def gini_mean(sample: PositiveSample, params: ExponentPair) -> float:
     """The two-parameter Gini mean G(p, q) of a positive weighted sample.
 
-    Symmetric in (p, q) by construction (the pair is stored in canonical
-    order).  The result always lies in [min(sample), max(sample)] and is
-    finite for any finite exponents that :func:`log_power_sum` accepts on
-    this sample; beyond them it raises ParameterDomainError.  A uniform
-    sample returns its common value at any finite exponents.
+    exp of :func:`secant_slope`, clamped to the sample's range.  Symmetric
+    in (p, q) by construction (the pair is stored in canonical order).  The
+    result always lies in [min(sample), max(sample)] and is finite for any
+    finite exponents that :func:`log_power_sum` accepts on this sample;
+    beyond them it raises ParameterDomainError.  A uniform sample returns
+    its common value at any finite exponents.
     """
-    value = math.exp(secant_slope(sample, params.p, params.q))
-    # The exact mean lies in [min, max]; the computed one can escape by a few
-    # ulps through the final exp.  Clamping restores the bound without moving
-    # the value more than that rounding error.  On a uniform sample the
-    # range is [c, c], so the mean is exactly c.
-    return min(max(value, sample.min_value), sample.max_value)
+    return _PowerSums(sample).gini(params)
 
 
 def identical_parameter_gini(sample: PositiveSample, p: float) -> float:

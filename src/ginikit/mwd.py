@@ -32,7 +32,7 @@ from ._util import (
     _is_finite_real, _shown, atomic_write_text, atomic_writer, format_double, read_text
 )
 from .errors import DataError, IngestionError, ParameterDomainError
-from .means import gini_mean
+from .means import _PowerSums
 from .sample import ExponentPair, PositiveSample, _as_positive_array
 
 __all__ = [
@@ -194,30 +194,39 @@ def _pair(name: str, parameter: float | None = None) -> tuple[float, float]:
 
 
 def _evaluate(
-    sample: PositiveSample, names: Iterable[str], parameter: float | None = None
+    sums: _PowerSums, names: Iterable[str], parameter: float | None = None
 ) -> list[float]:
     """The named averages of one sample, in the order of ``names``.
 
+    ``sums`` is the sample's power-sum memo, so an exponent shared by two
+    averages (S_1 of Mn, Mv and Mw, say) is formed once; a caller that
+    evaluates more pairs of the sample passes the same memo on.
     ``parameter`` goes to each name that takes one; every pair is checked
-    before any is evaluated.
+    before any is evaluated, then they are evaluated in order, each value
+    bit for bit :func:`ginikit.means.gini_mean` of its pair.
     """
     pairs = [ExponentPair(*_pair(name, parameter)) for name in names]
-    return [gini_mean(sample, pair) for pair in pairs]
+    return [sums.gini(pair) for pair in pairs]
+
+
+def _average(dataset: MWDataset, name: str, parameter: float | None = None) -> float:
+    """One named average of a dataset."""
+    return _evaluate(_PowerSums(dataset.to_sample()), [name], parameter)[0]
 
 
 def number_average(dataset: MWDataset) -> float:
     """Mn: abundance-weighted mean mass, G(1, 0)."""
-    return _evaluate(dataset.to_sample(), ["Mn"])[0]
+    return _average(dataset, "Mn")
 
 
 def weight_average(dataset: MWDataset) -> float:
     """Mw: mass-fraction-weighted mean mass, G(2, 1)."""
-    return _evaluate(dataset.to_sample(), ["Mw"])[0]
+    return _average(dataset, "Mw")
 
 
 def z_average(dataset: MWDataset) -> float:
     """Mz: z-fraction-weighted mean mass, G(3, 2)."""
-    return _evaluate(dataset.to_sample(), ["Mz"])[0]
+    return _average(dataset, "Mz")
 
 
 def viscosity_average(dataset: MWDataset, s: float = 0.7) -> float:
@@ -226,22 +235,22 @@ def viscosity_average(dataset: MWDataset, s: float = 0.7) -> float:
     At s = 1 this is Mw by the same evaluation, and for s in (0, 1) it sits
     strictly between Mn and Mw on polydisperse samples.
     """
-    return _evaluate(dataset.to_sample(), ["Mv"], s)[0]
+    return _average(dataset, "Mv", s)
 
 
 def hydrodynamic_mean(dataset: MWDataset, b: float) -> float:
     """G(1, 1-b) for a calibration exponent b in (0, 1)."""
-    return _evaluate(dataset.to_sample(), ["hydrodynamic"], b)[0]
+    return _average(dataset, "hydrodynamic", b)
 
 
 def sedimentation_mean(dataset: MWDataset, b: float) -> float:
     """G(2-b, 1-b) for b in (0, 1); a Lehmer mean of order 2-b."""
-    return _evaluate(dataset.to_sample(), ["sedimentation"], b)[0]
+    return _average(dataset, "sedimentation", b)
 
 
 def effective_parameter_mean(dataset: MWDataset) -> float:
     """G(3/2, -3/2), the symmetric mean used in effective-parameter fits."""
-    return _evaluate(dataset.to_sample(), ["effective"])[0]
+    return _average(dataset, "effective")
 
 
 class CustomMean(NamedTuple):
@@ -291,19 +300,27 @@ def polydispersity(
     below Mw).  Such an inversion is clamped: Mw is raised to Mn, Mz to
     Mw, and Mv is moved into [Mn, Mw].  A chain already in order is
     reported exactly as computed.
+
+    The chain and the custom pairs share one power-sum memo of the sample,
+    so each distinct exponent costs one kernel call: 5 for the chain at
+    any s (S_0, S_1, S_{1+s}, S_2, S_3), 8 for the CLI's ``--b 0.5
+    --custom 1.5:-1.5`` report, where per-pair evaluation made 14.  The
+    pairs are still evaluated lazily and in order, the chain first, then
+    each custom pair as it is read, so values, errors and their order are
+    those of :func:`ginikit.means.gini_mean` called pair by pair.
     """
     if not (_is_finite_real(s) and 0.0 < s <= 1.0):
         raise ParameterDomainError(
             f"report viscosity exponent s must be in (0, 1], got {_shown(s)}"
         )
-    sample = dataset.to_sample()
-    mn, mv, mw, mz = _evaluate(sample, _CHAIN, s)
+    sums = _PowerSums(dataset.to_sample())
+    mn, mv, mw, mz = _evaluate(sums, _CHAIN, s)
     mw = max(mw, mn)
     mz = max(mz, mw)
     mv = min(max(mv, mn), mw)
     pdi = mw / mn
     extras = tuple(
-        CustomMean(pair.p, pair.q, gini_mean(sample, pair))
+        CustomMean(pair.p, pair.q, sums.gini(pair))
         for pair in (ExponentPair(p, q) for p, q in custom)
     )
     return MeansReport(

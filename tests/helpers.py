@@ -10,11 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ginikit import cli
 from ginikit._util import format_double
 from ginikit.audit import ParameterOrder, check_monotonicity, check_power_mean_bound
 from ginikit.errors import GinikitError
 from ginikit.means import gini_mean, identical_parameter_gini
-from ginikit.mwd import CSV_HEADER, MWDataset
+from ginikit.mwd import (
+    CSV_HEADER, MWDataset, generate_flory, load_mwd, polydispersity, save_mwd
+)
 from ginikit.sample import ExponentPair, PositiveSample
 
 
@@ -129,6 +132,61 @@ def merged_route_outcomes() -> list[list[object]]:
                 _route_outcome(lambda: check_power_mean_bound(sample, p, q, r)),
                 _route_outcome(lambda: check_monotonicity(sample, order)),
             ])
+    return rows
+
+
+#: (p, q) of the custom pairs in :func:`memo_user_outcomes`: the CLI's
+#: ``--b 0.5`` pairs and ``--custom 1.5:-1.5``, a signed-zero pair, and pairs
+#: whose exponents the chain has formed already.
+MEMO_CUSTOM_PAIRS = ((1.0, 0.5), (1.5, 0.5), (1.5, -1.5), (2.0, -0.0), (3.0, 1.0))
+
+
+def memo_user_outcomes(two_species: Path, workdir: Path) -> list[list[object]]:
+    """``[user, dataset, name, via memo, per pair]`` for each memo user.
+
+    The users are ``polydispersity`` with :data:`MEMO_CUSTOM_PAIRS` at
+    s = 0.7 and 1, and the marks of ``plot`` to CSV, read back from the
+    file; each value is set beside ``gini_mean`` of its pair, evaluated on
+    its own.  The datasets are ``two_species`` and a Flory distribution
+    (m0 = 28, x = 0.99).  Floats are hex, so a subprocess under another
+    backend can report them as JSON.  The plot writes each mark in
+    shortest round-trip form, so the value read back is the mark's double.
+    """
+    flory = workdir / "flory.csv"
+    save_mwd(generate_flory(28.0, 0.99), flory)
+    rows: list[list[object]] = []
+    for path in (two_species, flory):
+        dataset = load_mwd(path)
+        sample = dataset.to_sample()
+
+        def per_pair(p: float, q: float) -> str:
+            return gini_mean(sample, ExponentPair(p, q)).hex()
+
+        for s in (0.7, 1.0):
+            chain = {
+                "Mn": (1.0, 0.0), "Mv": (1.0 + s, 1.0), "Mw": (2.0, 1.0), "Mz": (3.0, 2.0)
+            }
+            report = polydispersity(dataset, s=s, custom=MEMO_CUSTOM_PAIRS)
+            for name, pair in chain.items():
+                rows.append(
+                    ["polydispersity", path.name, f"{name}(s={s})",
+                     getattr(report, name).hex(), per_pair(*pair)]
+                )
+            for entry in report.custom:
+                rows.append(
+                    ["polydispersity", path.name, f"G({entry.p},{entry.q})",
+                     entry.value.hex(), per_pair(entry.p, entry.q)]
+                )
+            out = workdir / "plot.csv"
+            if cli.main(["plot", "--input", str(path), "--out", str(out), "--s", str(s)]):
+                raise AssertionError("plot failed")
+            lines = out.read_text(encoding="utf-8").splitlines()
+            for line in lines[lines.index("mark,value") + 1 :]:
+                name, value = line.split(",")
+                rows.append(
+                    ["plot", path.name, f"{name}(s={s})",
+                     float(value).hex(), per_pair(*chain[name])]
+                )
     return rows
 
 

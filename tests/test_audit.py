@@ -24,6 +24,7 @@ from ginikit.means import gini_mean, log_power_sum, secant_slope
 from ginikit.sample import ExponentPair, PositiveSample
 
 from helpers import (
+    EQUAL_PAIR_EXPONENTS,
     POWER_MEAN_BRACKETINGS,
     merged_route_outcomes,
     random_sample,
@@ -249,6 +250,18 @@ class TestConvexityGap:
 
     def test_uniform_gap_zero(self):
         assert convexity_gap(PositiveSample([3.0, 3.0]), 1.0) == 0.0
+
+    def test_uniform_gap_zero_at_every_finite_exponent(self):
+        # also where |p| * max|ln a| overflows, as G(p, p) of the route
+        # corpus's uniform samples is their common value there
+        uniform = [s for s in route_samples() if s.is_uniform]
+        uniform.append(PositiveSample([1e300, 1e300]))
+        for s in uniform:
+            for p in EQUAL_PAIR_EXPONENTS:
+                assert convexity_gap(s, p) == 0.0
+        for p in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterDomainError, match="finite"):
+                convexity_gap(PositiveSample([1e300, 1e300]), p)
 
     def test_reference_value(self):
         s = PositiveSample([1.0, 2.0, 3.0])

@@ -355,6 +355,51 @@ class TestBitIdentity:
             assert [row for row in runs[backend] if row[3] != row[4]] == []
         assert runs["compiled"] == runs["python"]
 
+    def test_memo_users_match_per_pair_gini(self, compiled_src, data_dir, tmp_path):
+        # polydispersity with custom pairs and the plot marks share one memo
+        # of power sums per sample; each value must be gini_mean of its pair
+        # evaluated on its own, to the bit, and the golden report and plot
+        # bytes must hold, whichever backend runs
+        fixture = data_dir / "two_species.csv"
+        script = (
+            "import json, sys, pathlib, ginikit, helpers; print(ginikit.backend_name()); "
+            "print(json.dumps(helpers.memo_user_outcomes("
+            "pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2]))))"
+        )
+        tests_dir = str(Path(__file__).resolve().parent)
+        goldens = [
+            (["mwd-report", "--input", str(fixture)], "golden_report.txt"),
+            (["mwd-report", "--input", str(fixture), "--format", "json"], "golden_report.json"),
+        ]
+        runs = {}
+        for pure, backend in (("0", "compiled"), ("1", "python")):
+            env = env_importing_from(compiled_src, GINIKIT_PURE=pure)
+            for argv, golden in goldens:
+                done = subprocess.run(
+                    [sys.executable, "-m", "ginikit", *argv], capture_output=True, env=env
+                )
+                assert done.returncode == 0, done.stderr
+                assert done.stdout == (data_dir / golden).read_bytes()
+            for suffix in (".svg", ".csv"):
+                out = tmp_path / f"plot{suffix}"
+                argv = ["plot", "--input", str(fixture), "--out", str(out)]
+                done = subprocess.run([sys.executable, "-m", "ginikit", *argv], env=env)
+                assert done.returncode == 0
+                assert out.read_bytes() == (data_dir / f"golden_plot{suffix}").read_bytes()
+            env["PYTHONPATH"] = os.pathsep.join((tests_dir, env["PYTHONPATH"]))
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(fixture), str(tmp_path)],
+                capture_output=True, text=True, env=env,
+            )
+            assert done.returncode == 0, done.stderr
+            name, rows = done.stdout.splitlines()
+            assert name == backend
+            runs[backend] = json.loads(rows)
+            # 2 datasets x 2 values of s x (4 averages + 5 custom pairs + 4 marks)
+            assert len(runs[backend]) == 52
+            assert [row for row in runs[backend] if row[3] != row[4]] == []
+        assert runs["compiled"] == runs["python"]
+
     def test_single_element_sample(self, compiled_kernels):
         la = np.array([1.5])
         lw = np.array([0.25])

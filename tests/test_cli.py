@@ -32,6 +32,21 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def kernel_calls(monkeypatch, *argv) -> int:
+    """The number of kernel calls one CLI call makes; the call must exit 0."""
+    calls = Counter()
+    kernel = _backend.exp_moments
+
+    def counted(*args):
+        calls["exp_moments"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(_backend, "exp_moments", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(*argv) == 0
+    return calls["exp_moments"]
+
+
 class TestMean:
     def test_gini_positional(self, capsys):
         assert run_cli("mean", "1", "7", "--p", "2", "--q", "0") == 0
@@ -226,6 +241,30 @@ class TestMwdReport:
         assert run_cli("mwd-report", "--input", str(tmp_path / "nope.csv")) == 1
         capsys.readouterr()
 
+    def test_one_kernel_call_per_distinct_exponent(self, tmp_path, monkeypatch):
+        # the end-to-end benchmark's mwd_report op: the report's 7 pairs need
+        # S_p at 0, 1, 1.7, 2, 3, 0.5, 1.5 and -1.5, the plot's 4 marks at
+        # 0, 1, 1.7, 2 and 3
+        path = tmp_path / "flory.csv"
+        mwd.save_mwd(mwd.generate_flory(28.0, 0.99), path)
+        report = ["mwd-report", "--input", str(path), "--b", "0.5"]
+        report += ["--custom", "1.5:-1.5", "--format", "json"]
+        assert kernel_calls(monkeypatch, *report) == 8
+        plot = ["plot", "--input", str(path), "--out", str(tmp_path / "flory.svg")]
+        assert kernel_calls(monkeypatch, *plot) == 5
+
+    def test_too_large_custom_exponent(self, data_dir, capsys):
+        code = run_cli(
+            "mwd-report", "--input", str(data_dir / "two_species.csv"), "--custom", "1e308:0"
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: exponent 1e+308 is too large for this sample: "
+            "|p| * max|ln a| overflows a double\n"
+        )
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("molar_mass,abundance\n-1,1\n", encoding="utf-8")
@@ -336,6 +375,11 @@ class TestVerify:
         assert run_cli("verify", "--random", "3", "200") == 0
         capsys.readouterr()
         assert counts == {"log_power_sum": 4000, "exp_moments": 4000, "PositiveSample": 200}
+
+    def test_random_oracle_call_counts(self, monkeypatch):
+        # the oracle's fast side first, one power sum per distinct exponent
+        # of the default grid (7 per sample), then the audit's 20 per sample
+        assert kernel_calls(monkeypatch, "verify", "--random", "7", "100", "--oracle") == 2700
 
     def test_random_is_deterministic(self, capsys):
         run_cli("verify", "--random", "42", "2")

@@ -14,6 +14,7 @@ from ginikit import _backend
 from ginikit.errors import ParameterDomainError
 from ginikit.means import (
     LogPowerSum,
+    _PowerSums,
     extreme_value,
     gini_mean,
     identical_parameter_gini,
@@ -293,6 +294,62 @@ class TestIdenticalParameterGini:
         s = PositiveSample([1.0, 2.0, 8.0])
         values = [identical_parameter_gini(s, p) for p in (-5.0, -1.0, 0.0, 1.0, 5.0)]
         assert values == sorted(values)
+
+
+class TestPowerSumMemo:
+    """The per-sample memo of power sums behind secant_slope and gini_mean."""
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch) -> list[float]:
+        exponents: list[float] = []
+        kernel = _backend.exp_moments
+
+        def counted(logs, log_weights, p):
+            exponents.append(p)
+            return kernel(logs, log_weights, p)
+
+        monkeypatch.setattr(_backend, "exp_moments", counted)
+        return exponents
+
+    def test_signed_zeros_share_one_entry(self, monkeypatch):
+        s = PositiveSample([1.0, 3.0, 4.0], [0.5, 1.0, 2.0])
+        exponents = self.count_kernel_calls(monkeypatch)
+        sums = _PowerSums(s)
+        first = sums.power_sum(0.0)
+        assert sums.power_sum(-0.0) is first
+        assert sums.gini(ExponentPair(1.0, -0.0)) == gini_mean(s, ExponentPair(1.0, 0.0))
+        assert exponents == [0.0, 1.0, 1.0, 0.0]
+        assert math.copysign(1.0, exponents[0]) == 1.0
+
+    def test_signed_zeros_give_the_same_power_sum_bits(self):
+        # why one entry may serve both: p = -0.0 and p = 0.0 tilt every term
+        # to ln w_i, so only the recorded exponent differs
+        for s in route_samples():
+            plus, minus = log_power_sum(s, 0.0), log_power_sum(s, -0.0)
+            assert [x.hex() for x in plus[1:]] == [x.hex() for x in minus[1:]]
+
+    def test_each_exponent_is_formed_once(self, monkeypatch):
+        s = PositiveSample([1.0, 2.0, 8.0])
+        pairs = [ExponentPair(*pair) for pair in ((1, 0), (1.7, 1), (2, 1), (3, 2), (2, 0))]
+        fresh = [gini_mean(s, pair) for pair in pairs]
+        exponents = self.count_kernel_calls(monkeypatch)
+        sums = _PowerSums(s)
+        assert [sums.gini(pair) for pair in pairs] == fresh
+        assert [sums.slope(pair.p, pair.q) for pair in pairs] == [
+            secant_slope(s, pair.p, pair.q) for pair in pairs
+        ]
+        assert exponents[:5] == [1.0, 0.0, 1.7, 2.0, 3.0]
+        assert len(exponents) == 5 + 2 * len(pairs)
+
+    def test_refused_exponent_is_not_kept(self, monkeypatch):
+        s = PositiveSample([1.0, 1000.0])
+        exponents = self.count_kernel_calls(monkeypatch)
+        sums = _PowerSums(s)
+        for _ in range(2):
+            with pytest.raises(ParameterDomainError, match="too large"):
+                sums.gini(ExponentPair(1e308, 0.0))
+        assert exponents == []
+        assert sums.gini(ExponentPair(1.0, 0.0)) == gini_mean(s, ExponentPair(1.0, 0.0))
 
 
 class TestExtremeValue:

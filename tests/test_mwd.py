@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ginikit import mwd
+from ginikit import means, mwd
 from ginikit.cli import main
 from ginikit.errors import DataError, IngestionError, ParameterDomainError
 from ginikit.mwd import (
@@ -242,7 +242,8 @@ class TestPolydispersityReport:
     def test_inverted_chain_is_clamped(self, two_species, monkeypatch, computed, reported):
         mn, mw, mz, mv = computed
         by_pair = {(1.0, 0.0): mn, (2.0, 1.0): mw, (3.0, 2.0): mz, (1.7, 1.0): mv}
-        monkeypatch.setattr(mwd, "gini_mean", lambda sample, pair: by_pair[(pair.p, pair.q)])
+        # every average of the report is evaluated through the sample's memo
+        monkeypatch.setattr(means._PowerSums, "gini", lambda sums, pair: by_pair[(pair.p, pair.q)])
         rep = polydispersity(two_species, s=0.7)
         assert (rep.Mn, rep.Mw, rep.Mz, rep.Mv) == reported
         assert rep.pdi == reported[1] / reported[0]

@@ -9,7 +9,7 @@ import pytest
 import ginikit.oracle as oracle
 from ginikit.cli import DEFAULT_GRID_CHAINS, _random_samples
 from ginikit.errors import OracleDomainError, ParameterDomainError
-from ginikit.means import gini_mean
+from ginikit.means import _PowerSums, gini_mean
 from ginikit.oracle import EquivalenceSummary, OracleConfig, equivalence_report, oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
@@ -191,7 +191,7 @@ class TestMemoisedOracle:
         # report then measures memoised against fresh, and any bit of
         # difference in any case makes max_rel_error nonzero.
         monkeypatch.setattr(
-            oracle, "gini_mean", lambda sample, pair: oracle_gini(sample, pair, config)
+            _PowerSums, "gini", lambda sums, pair: oracle_gini(sums.sample, pair, config)
         )
         summary = equivalence_report(samples, grids, config)
         assert summary.cases == sum(len(grid) for grid in grids)
@@ -363,7 +363,7 @@ class TestTinyGaps:
         assert_within_ulps(oracle_gini(GEOMETRIC_TEN, ExponentPair(-gap, 0.0)), 10.0, 2)
 
     def test_report_evaluates_tiny_gaps_like_oracle_gini(self, monkeypatch):
-        monkeypatch.setattr(oracle, "gini_mean", lambda sample, pair: oracle_gini(sample, pair))
+        monkeypatch.setattr(_PowerSums, "gini", lambda sums, pair: oracle_gini(sums.sample, pair))
         grid = [ExponentPair(1.0, 0.0)] + [ExponentPair(gap, 0.0) for gap in TINY_GAPS]
         grid += [ExponentPair(0.0, 0.0), ExponentPair(1e-20, 0.0)]
         summary = equivalence_report([GEOMETRIC_TEN], [grid])
