@@ -1,8 +1,18 @@
 """Benchmark the accumulation kernel: compiled extension and pure-Python twin.
 
-Run from the repository root after an editable install:
+Build the compiled kernel into a copy of the package, outside the checkout
+(an editable install would write it into ``src/ginikit``; see the README),
+then run the script against that copy.  From the repository root, with
+SCRATCH any empty directory:
 
-    python benchmarks/bench_kernels.py
+    mkdir -p "$SCRATCH/src" && cp -r src/ginikit "$SCRATCH/src/"
+    (cd "$SCRATCH" && python "$OLDPWD/setup.py" build_ext \
+        --build-lib "$SCRATCH/src" --build-temp "$SCRATCH/build")
+    PYTHONPATH="$SCRATCH/src" python benchmarks/bench_kernels.py
+
+``setup.py`` names its C source relative to the working directory, so the
+build reads the copy.  This is the build the tier-1 ``compiled_src`` fixture
+makes.
 
 Both backends are imported directly (ignoring GINIKIT_PURE) and timed on
 identical inputs, in the pipeline's (ln a, ln w) order, across a range of

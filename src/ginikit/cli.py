@@ -210,7 +210,8 @@ def _read_sample_file(path: str) -> PositiveSample:
     if p.suffix.lower() == ".json":
         return mwdmod.load_mwd(p).to_sample()
     text = read_text(p)
-    if _first_nonblank_line(text) != mwdmod.CSV_HEADER:
+    stripped = (line.strip() for line in text.splitlines())
+    if next((line for line in stripped if line), "") != mwdmod.CSV_HEADER:
         return _parse_values(text)
     return mwdmod._parse_csv(text, p.stem).to_sample()
 
@@ -247,20 +248,6 @@ def _parse_values(text: str) -> PositiveSample:
     if not values:
         raise IngestionError("no values found", line=len(lines) or 1)
     return PositiveSample(values, weights)
-
-
-def _first_nonblank_line(text: str) -> str:
-    """The first line of ``text`` that is not blank, stripped ("" if none).
-
-    The same line as the first non-empty ``line.strip()`` over
-    ``text.splitlines()``, found without splitting the rest of the text.
-    """
-    rest = text.lstrip()
-    end = rest.find("\n")
-    # every break that splitlines() knows is whitespace, so lstrip() took the
-    # blank lines; a rarer break (\v, \f, \x1c, ...) may remain before the "\n"
-    head = rest if end < 0 else rest[:end]
-    return next(iter(head.splitlines()), "").strip()
 
 
 def _cmd_mean(args: argparse.Namespace) -> int:

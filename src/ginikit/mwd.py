@@ -346,7 +346,8 @@ def generate_flory(m0: float, x: float, tail_tol: float = 1e-12) -> MWDataset:
 
     Chain length k has probability (1-x) x**(k-1) for conversion x in (0, 1);
     species k gets molar mass k*m0.  The series is truncated at the smallest
-    K with residual tail mass x**K < tail_tol and renormalized to sum to one.
+    K with residual tail mass x**K < tail_tol and renormalized to sum to one;
+    trailing species whose abundance underflows to zero are dropped.
     Closed forms for the untruncated distribution: Mn = m0/(1-x),
     pdi -> 1 + x.
     """
@@ -361,9 +362,13 @@ def generate_flory(m0: float, x: float, tail_tol: float = 1e-12) -> MWDataset:
     while x**kmax >= tail_tol:
         kmax += 1
     _check_species_count(kmax, "flory")
+    _check_mass_range(
+        m0, kmax * float(m0), f"flory parameters (m0 = {_shown(m0)}, chains up to {kmax} units)"
+    )
     k = np.arange(1, kmax + 1, dtype=np.float64)
     weights = np.exp((k - 1.0) * math.log(x)) * (1.0 - x)
     weights /= weights.sum()
+    k, weights = _without_underflowed_tail(k, weights)
     return _dataset_of_fresh_arrays(
         k * m0, weights, f"flory(m0={format_double(m0)}, x={format_double(x)})"
     )
@@ -375,7 +380,8 @@ def generate_poisson(m0: float, mean_degree: float) -> MWDataset:
     Chain length is k = 1 + X with X Poisson(mean_degree): every chain has
     at least the initiator unit.  Species masses are k*m0.  The support is
     truncated where the Poisson tail is far below double precision (10
-    standard deviations plus a constant) and renormalized.  For this family
+    standard deviations plus a constant) and renormalized, and trailing
+    species whose abundance underflows to zero are dropped.  For this family
     pdi - 1 = lam/(1+lam)**2 with lam = mean_degree, so pdi -> 1 for both
     tiny and huge mean degrees.
     """
@@ -386,6 +392,11 @@ def generate_poisson(m0: float, mean_degree: float) -> MWDataset:
     k_low = max(1, math.floor(1.0 + lam - half_width))
     k_high = math.ceil(1.0 + lam + half_width)
     _check_species_count(k_high - k_low + 1, "poisson")
+    _check_mass_range(
+        k_low * float(m0),
+        k_high * float(m0),
+        f"poisson parameters (m0 = {_shown(m0)}, chains up to {k_high} units)",
+    )
     k = np.arange(k_low, k_high + 1, dtype=np.float64)
     log_weights = (k - 1.0) * math.log(lam) - np.array(
         [math.lgamma(float(ki)) for ki in k]
@@ -393,6 +404,7 @@ def generate_poisson(m0: float, mean_degree: float) -> MWDataset:
     log_weights -= log_weights.max()
     weights = np.exp(log_weights)
     weights /= weights.sum()
+    k, weights = _without_underflowed_tail(k, weights)
     return _dataset_of_fresh_arrays(
         k * m0,
         weights,
@@ -418,6 +430,14 @@ def generate_lognormal(median_mass: float, sigma: float, n_points: int) -> MWDat
     if not integral or n_points < 2:
         raise ParameterDomainError(f"n_points must be an integer >= 2, got {_shown(n_points)}")
     _check_species_count(int(n_points), "lognormal")
+    # the grid's ends are z = -4 and 4 exactly: its extreme masses, formed as below
+    with np.errstate(over="ignore", under="ignore"):
+        lowest, highest = median_mass * np.exp(sigma * np.array([-4.0, 4.0]))
+    _check_mass_range(
+        lowest,
+        highest,
+        f"lognormal parameters (median = {_shown(median_mass)}, sigma = {_shown(sigma)})",
+    )
     z = np.linspace(-4.0, 4.0, int(n_points))
     weights = np.exp(-0.5 * z * z)
     weights /= weights.sum()
@@ -448,6 +468,33 @@ def _check_species_count(count: int, model: str) -> None:
         raise ParameterDomainError(
             f"{model} parameters need {need} species, more than the cap of {MAX_SPECIES}"
         )
+
+
+def _check_mass_range(lowest: float, highest: float, parameters: str) -> None:
+    """Refuse parameters whose extreme molar masses, formed as the generator
+    forms them, leave the positive doubles; called before the support is built."""
+    if not math.isfinite(highest):
+        raise ParameterDomainError(
+            f"{parameters} put the largest molar mass above the largest double"
+        )
+    if lowest == 0.0:
+        raise ParameterDomainError(
+            f"{parameters} put the smallest molar mass below the smallest positive double"
+        )
+
+
+def _without_underflowed_tail(
+    k: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the trailing species whose abundance underflowed to zero.
+
+    They hold no representable mass, so the weights still sum to one.  The
+    mode keeps a positive weight, and both supports start where the weights
+    are far above underflow (Flory at its mode, Poisson at most 10 standard
+    deviations plus 30 below it), so the zeros are a suffix.
+    """
+    keep = int(np.flatnonzero(weights)[-1]) + 1
+    return k[:keep], weights[:keep]
 
 
 def _check_positive_finite(value: float, name: str) -> None:

@@ -24,13 +24,15 @@ raising it to the power 1/h magnifies its rounding error by 1/h, so a fixed
 precision loses about ceil(-log10 h) digits.  Such a pair gets its own lift
 at the configured digits plus those, plus 10 of margin.  Every other pair
 runs at the configured digits, so its double does not depend on this rule.
+One body checks the domain, lifts and applies this rule for both
+:func:`oracle_gini` and :func:`equivalence_report`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import mpmath as mp
 
@@ -84,32 +86,13 @@ class OracleConfig:
         object.__setattr__(self, "max_n", int(self.max_n))
 
 
-def _check_domain(
-    sample: PositiveSample, params: ExponentPair, config: OracleConfig
-) -> None:
-    if sample.n > config.max_n:
-        raise OracleDomainError(
-            f"sample size {sample.n} exceeds the oracle cap of {config.max_n}"
-        )
-    if max(abs(params.p), abs(params.q)) > MAX_ABS_EXPONENT:
-        raise OracleDomainError(
-            f"|exponents| must be <= {MAX_ABS_EXPONENT} for the oracle, "
-            f"got ({params.p}, {params.q})"
-        )
-    if sample.min_value < MIN_VALUE or sample.max_value > MAX_VALUE:
-        raise OracleDomainError(
-            f"oracle accepts values in [{MIN_VALUE}, {MAX_VALUE}], "
-            f"got range [{sample.min_value}, {sample.max_value}]"
-        )
-
-
 class _LiftedSample:
-    """One sample lifted to mpf, with its terms memoised by exponent.
+    """One sample lifted to mpf, with its power sums memoised by exponent.
 
     Build it inside the ``mp.workdps`` block it is evaluated in: the cached
     mpf numbers carry that working precision.  The values and weights are
-    converted once.  The terms of an exponent e and their power sum are
-    formed once per distinct exponent:
+    converted once.  The terms of an exponent e are formed on each call, and
+    their power sum once per distinct exponent:
 
     - for an integer e, ``w * a**e``;
     - for an odd multiple e of 1/2, ``w * r**(2e)`` with ``r = sqrt(a)``;
@@ -131,7 +114,6 @@ class _LiftedSample:
         self.weights = [mp.mpf(float(w)) for w in sample.weights]
         self._roots: list[mp.mpf] | None = None
         self._logs: list[mp.mpf] | None = None
-        self._terms: dict[float, list[mp.mpf]] = {}
         self._sums: dict[float, mp.mpf] = {}
 
     @property
@@ -147,12 +129,6 @@ class _LiftedSample:
         return self._logs
 
     def terms(self, exponent: float) -> list[mp.mpf]:
-        key = float(exponent)
-        if key not in self._terms:
-            self._terms[key] = self._form_terms(key)
-        return self._terms[key]
-
-    def _form_terms(self, exponent: float) -> list[mp.mpf]:
         # 2e is exact in binary, so this finds every multiple of 1/2
         twice = 2.0 * exponent
         if twice.is_integer():
@@ -172,8 +148,7 @@ class _LiftedSample:
         if params.p == params.q:
             tilted = self.terms(params.p)
             result = mp.exp(
-                mp.fsum(t * lg for t, lg in zip(tilted, self.logs))
-                / self.power_sum(params.p)
+                mp.fsum(t * lg for t, lg in zip(tilted, self.logs)) / mp.fsum(tilted)
             )
         else:
             ratio = self.power_sum(params.p) / self.power_sum(params.q)
@@ -181,13 +156,42 @@ class _LiftedSample:
         return float(result)
 
 
-def _working_digits(params: ExponentPair, config: OracleConfig) -> int:
-    """Digits to evaluate ``params`` at: the configured ones, raised by the
-    digits a gap below :data:`TINY_GAP` cancels, plus a margin."""
-    gap = abs(params.p - params.q)
-    if gap == 0.0 or gap >= TINY_GAP:
-        return config.precision_digits
-    return config.precision_digits + math.ceil(-math.log10(gap)) + TINY_GAP_MARGIN_DIGITS
+def _references(
+    sample: PositiveSample, grid: Iterable[ExponentPair], config: OracleConfig
+) -> Iterator[float]:
+    """Reference G(p, q) of each pair of ``grid`` on ``sample``, in order.
+
+    Run it inside ``mp.workdps(config.precision_digits)``.  Each pair is
+    checked against the certified domain before anything is lifted.  The
+    first ordinary pair lifts the sample at the configured digits, for every
+    ordinary pair after it; a tiny-gap pair gets a raised lift of its own.
+    """
+    lifted: _LiftedSample | None = None
+    for params in grid:
+        if sample.n > config.max_n:
+            raise OracleDomainError(
+                f"sample size {sample.n} exceeds the oracle cap of {config.max_n}"
+            )
+        if max(abs(params.p), abs(params.q)) > MAX_ABS_EXPONENT:
+            raise OracleDomainError(
+                f"|exponents| must be <= {MAX_ABS_EXPONENT} for the oracle, "
+                f"got ({params.p}, {params.q})"
+            )
+        if sample.min_value < MIN_VALUE or sample.max_value > MAX_VALUE:
+            raise OracleDomainError(
+                f"oracle accepts values in [{MIN_VALUE}, {MAX_VALUE}], "
+                f"got range [{sample.min_value}, {sample.max_value}]"
+            )
+        gap = abs(params.p - params.q)
+        if 0.0 < gap < TINY_GAP:
+            cancelled = math.ceil(-math.log10(gap))
+            with mp.workdps(config.precision_digits + cancelled + TINY_GAP_MARGIN_DIGITS):
+                reference = _LiftedSample(sample).gini(params)
+        else:
+            if lifted is None:
+                lifted = _LiftedSample(sample)
+            reference = lifted.gini(params)
+        yield reference
 
 
 def oracle_gini(
@@ -201,11 +205,11 @@ def oracle_gini(
     (n <= config.max_n, |p|, |q| <= 30, values in [1e-30, 1e30]).  Inside
     it, the returned double is correct to <= 2 ulp (in practice: correctly
     rounded), at every exponent gap: a gap below :data:`TINY_GAP` raises the
-    working precision (see the module docstring).
+    working precision (see the module docstring).  The caller's mpmath
+    precision does not matter, and it is restored on return.
     """
-    _check_domain(sample, params, config)
-    with mp.workdps(_working_digits(params, config)):
-        return _LiftedSample(sample).gini(params)
+    with mp.workdps(config.precision_digits):
+        return next(_references(sample, [params], config))
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,10 @@ def equivalence_report(
     The fast side holds one power-sum memo per sample, so each distinct
     exponent of a grid costs one kernel call (7 for the CLI's default grid,
     where its 6 pairs took 12), and every fast value is bit for bit
-    ``gini_mean`` of its pair.
+    ``gini_mean`` of its pair.  The reference side runs the body of
+    :func:`oracle_gini` on each sample's grid, lifting the sample once, so
+    every reference value is bit for bit ``oracle_gini`` of its pair.  The
+    configured precision is set once per call, as there.
     """
     if len(grids) != len(samples):
         raise ParameterDomainError(
@@ -253,24 +260,15 @@ def equivalence_report(
     worst_params: ExponentPair | None = None
     worst_index: int | None = None
     cases = 0
-    for index, (sample, grid) in enumerate(zip(samples, grids)):
-        # Each sample is lifted once, after its first pair passes the domain
-        # check, and serves every pair of its grid at the configured digits;
-        # a pair with a tiny gap gets its own lift at raised precision.  The
-        # fast side's power sums are kept per sample too.  Nothing is kept
-        # across samples.
-        sums = _PowerSums(sample)
-        lifted: _LiftedSample | None = None
-        with mp.workdps(config.precision_digits):
+    with mp.workdps(config.precision_digits):
+        for index, (sample, grid) in enumerate(zip(samples, grids)):
+            # both sides keep their work per sample, and nothing across samples
+            sums = _PowerSums(sample)
+            references = _references(sample, grid, config)
             for params in grid:
                 fast = sums.gini(params)
-                _check_domain(sample, params, config)
-                if _working_digits(params, config) != config.precision_digits:
-                    reference = oracle_gini(sample, params, config)
-                else:
-                    if lifted is None:
-                        lifted = _LiftedSample(sample)
-                    reference = lifted.gini(params)
+                # after the fast value: a pair both sides refuse gets the fast side's error
+                reference = next(references)
                 rel = abs(fast - reference) / reference
                 cases += 1
                 if rel > worst:

@@ -595,11 +595,41 @@ class TestGenerate:
             ("generate", "lognormal", "--median", "1", "--sigma", "1", "--n", "1000000000000", "--out", "l.csv"),
             ("generate", "lognormal", "--median", "1", "--sigma", "-1", "--n", "5", "--out", "l.csv"),
             ("generate", "lognormal", "--median", "1", "--sigma", "1", "--n", "1", "--out", "l.csv"),
+            # a molar mass beyond the largest double, or below the smallest
+            ("generate", "lognormal", "--median", "1", "--sigma", "178", "--n", "5", "--out", "l.csv"),
+            ("generate", "flory", "--m0", "1e306", "--x", "0.9", "--out", "f.csv"),
+            ("generate", "lognormal", "--median", "5e-324", "--sigma", "1", "--n", "5", "--out", "l.csv"),
         ],
     )
     def test_domain_errors(self, argv, capsys):
-        assert run_cli(*argv) == 2
-        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poisson", "--m0", "28", "--mean-degree", "1e-10"),
+            ("flory", "--m0", "28", "--x", "0.9", "--tail", "5e-324"),
+        ],
+        ids=["poisson", "flory"],
+    )
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_underflowing_tail_is_trimmed(self, argv, suffix, tmp_path, capsys):
+        out = tmp_path / f"d{suffix}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("generate", *argv, "--out", str(out)) == 0
+        assert capsys.readouterr() == ("", "")
+        model = mwd.generate_poisson if argv[0] == "poisson" else mwd.generate_flory
+        want = model(*(float(a) for a in argv[2::2]))
+        got = load_mwd(out)
+        assert got.masses.tobytes() == want.masses.tobytes()
+        assert got.abundances.tobytes() == want.abundances.tobytes()
+        assert (got.abundances > 0.0).all()
 
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "f.csv"
@@ -931,18 +961,3 @@ class TestIngestFuzz:
     @settings(max_examples=25, deadline=None)
     def test_arbitrary_json(self, workdir, command, data):
         self.assert_exit_contract(workdir / "input.json", data, command)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    text=st.lists(
-        st.sampled_from(
-            ["", " ", "\t", "\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", "\u3000",
-             "molar_mass,abundance", "1.5", "1,2", "x"]
-        ),
-        max_size=10,
-    ).map("".join)
-)
-def test_first_nonblank_line_is_the_split_lines_one(text):
-    stripped = [line.strip() for line in text.splitlines()]
-    assert cli._first_nonblank_line(text) == next((line for line in stripped if line), "")

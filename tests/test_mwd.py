@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,53 @@ class TestGeneratorSpeciesCap:
         monkeypatch.setattr(mwd, "MAX_SPECIES", count - 1)
         with pytest.raises(ParameterDomainError):
             generate(*args)
+
+
+class TestGeneratorMassRange:
+    @pytest.mark.parametrize(
+        "generate,args,match",
+        [
+            (generate_flory, (1e306, 0.9), "largest"),
+            (generate_flory, (10**308, 0.9), "largest"),
+            (generate_poisson, (1e306, 1e4), "largest"),
+            (generate_poisson, (10**308, 5.0), "largest"),
+            (generate_lognormal, (1.0, 178.0, 5), "largest"),
+            (generate_lognormal, (1e305, 2.0, 5), "largest"),
+            (generate_lognormal, (5e-324, 1.0, 5), "smallest"),
+            (generate_lognormal, (1e-300, 20.0, 5), "smallest"),
+        ],
+    )
+    def test_mass_outside_the_doubles_rejected_before_allocation(
+        self, no_allocation, generate, args, match
+    ):
+        with pytest.raises(ParameterDomainError, match=f"{match} molar mass"):
+            generate(*args)
+
+    @pytest.mark.parametrize(
+        "generate,args",
+        [(generate_poisson, (28.0, 1e-10)), (generate_flory, (28.0, 0.9, 5e-324))],
+    )
+    def test_underflowing_tail_is_trimmed(self, generate, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = generate(*args)
+        assert (ds.abundances > 0.0).all()
+        assert ds.abundances.sum() == pytest.approx(1.0, rel=1e-14)
+        # the species kept are a prefix of the untrimmed support
+        assert list(ds.masses / args[0]) == list(range(1, ds.n + 1))
+
+    @pytest.mark.parametrize(
+        "generate,args",
+        [
+            (generate_flory, (1e300, 0.5)),
+            (generate_poisson, (1e306, 5.0)),
+            (generate_lognormal, (1e300, 2.0, 5)),
+            (generate_lognormal, (1e-300, 2.0, 5)),
+        ],
+    )
+    def test_representable_extremes_are_kept(self, generate, args):
+        ds = generate(*args)
+        assert np.isfinite(ds.masses).all() and (ds.masses > 0.0).all()
 
 
 class TestGeneratePoisson:

@@ -252,6 +252,84 @@ class TestMemoisedOracle:
             oracle_gini(big, ExponentPair(1.0, 0.0), OracleConfig(max_n=4))
 
 
+class TestOneReferencePath:
+    """oracle_gini and equivalence_report form reference values through one body."""
+
+    def _count_lifts(self, monkeypatch) -> list[int]:
+        lifts: list[int] = []
+        real = oracle._LiftedSample
+
+        def counting(sample):
+            lifts.append(mp.mp.dps)
+            return real(sample)
+
+        monkeypatch.setattr(oracle, "_LiftedSample", counting)
+        return lifts
+
+    def _count_precision_blocks(self, monkeypatch) -> list[int]:
+        blocks: list[int] = []
+        real = mp.workdps
+
+        def counting(digits):
+            blocks.append(digits)
+            return real(digits)
+
+        monkeypatch.setattr(mp, "workdps", counting)
+        return blocks
+
+    def test_one_lift_per_sample_and_one_per_tiny_gap(self, monkeypatch):
+        samples = _random_samples(5, 12)
+        pairs = (ExponentPair(p, q) for chain in DEFAULT_GRID_CHAINS for p, q in chain)
+        grid = list(dict.fromkeys(pairs))
+        lifts = self._count_lifts(monkeypatch)
+        blocks = self._count_precision_blocks(monkeypatch)
+        assert equivalence_report(samples, [grid] * len(samples)).passed
+        assert lifts == [50] * len(samples)
+        # one precision block for the whole call, none per pair
+        assert blocks == [50]
+        lifts.clear()
+        blocks.clear()
+        tiny = [ExponentPair(1e-40, 0.0), ExponentPair(0.0, -1e-60)]
+        mixed = grid[:2] + tiny[:1] + grid[2:] + tiny[1:]
+        assert equivalence_report(samples[:3], [mixed] * 3).passed
+        # the ordinary pairs share a lift at 50 digits; each tiny-gap pair
+        # gets its own at 50 + 40 + 10 and 50 + 60 + 10, never kept
+        assert lifts == [50, 100, 120] * 3
+        assert blocks == [50] + [100, 120] * 3
+
+    def test_oracle_gini_lifts_once_per_call(self, monkeypatch):
+        lifts = self._count_lifts(monkeypatch)
+        blocks = self._count_precision_blocks(monkeypatch)
+        oracle_gini(GEOMETRIC_TEN, ExponentPair(2.0, 1.0))
+        oracle_gini(GEOMETRIC_TEN, ExponentPair(1e-45, 0.0))
+        assert lifts == [50, 105]
+        assert blocks == [50, 50, 105]
+
+    @pytest.mark.parametrize("caller_digits", [None, 30])
+    def test_caller_precision_restored_and_ignored(self, caller_digits):
+        sample = random_sample(np.random.default_rng(18))
+        grid = [ExponentPair(2.0, 1.0), ExponentPair(0.3, 0.3), ExponentPair(1e-40, 0.0)]
+        want = [_per_pair_gini(sample, pair, 50) for pair in grid[:2]]
+        want.append(oracle_gini(sample, grid[2]))
+        before = mp.mp.dps
+        with mp.workdps(caller_digits or before):
+            inside = mp.mp.dps
+            got = [oracle_gini(sample, pair) for pair in grid]
+            assert mp.mp.dps == inside
+            summary = equivalence_report([sample], [grid])
+            assert mp.mp.dps == inside
+        assert mp.mp.dps == before
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+        assert summary.passed and summary.cases == len(grid)
+
+    def test_report_restores_the_precision_after_a_domain_error(self):
+        before = mp.mp.dps
+        grid = [ExponentPair(1.0, 0.0), ExponentPair(31.0, 0.0)]
+        with pytest.raises(OracleDomainError):
+            equivalence_report([PositiveSample([1.0, 2.0])], [grid])
+        assert mp.mp.dps == before
+
+
 def _reference_terms(sample: PositiveSample, exponent: float) -> list[mp.mpf]:
     """The terms ``w * exp(e * ln a)`` of the general formula, at any
     exponent: the reference the integer-power terms must round to."""
