@@ -16,8 +16,10 @@ that a group pays for the square roots or logs it needs:
 - odd multiples of 1/2 from it (1.5, -1.5);
 - general exponents (0.3, -1.7, 1e-5).
 
-Every report must pass, so an oracle that got faster by getting wrong
-fails loudly.  Each row gives the median and the minimum of ``REPEATS``
+A lifted sample holds raw ``_mpf_`` values and forms its terms through
+the ``mpmath.libmp`` calls the mpf operators make, so a term's time is
+those calls' own, with no mpf object built per operation.  Every report
+must pass, so an oracle that got faster by getting wrong fails loudly.  Each row gives the median and the minimum of ``REPEATS``
 rounds.  The last line of output is one JSON object with the medians.
 """
 

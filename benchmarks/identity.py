@@ -24,9 +24,15 @@ It prints the kernel backend, then one sha256 for each of
   tolerance and flags of ``check_power_mean_bound`` on 6 bracketings, over
   800 seeded samples (uniform, weighted and unweighted), each exception
   raised recorded by type and message.
+- ``oracle``: ``oracle_gini`` at 7 pairs (integer, odd-half and general
+  exponents, p == q and a 1e-22 gap) and the worst case of
+  ``equivalence_report`` on those pairs, with (31, 0) added for every
+  tenth sample, at 50 and 64 digits, over 300 seeded samples (n in 1-16 or
+  100-300, values 1e-30...1e30, 70% weighted): 4,200 reference doubles
+  and 600 summaries, each error raised recorded by type and message.
 
 Set ``GINIKIT_PURE=1`` to force the pure backend where the compiled one is
-built.  The run takes a few seconds.
+built.  The run takes about half a minute.
 """
 
 from __future__ import annotations
@@ -44,7 +50,8 @@ from ginikit import backend_name, cli
 from ginikit.audit import check_power_mean_bound
 from ginikit.errors import GinikitError
 from ginikit.means import identical_parameter_gini, log_power_sum
-from ginikit.sample import PositiveSample
+from ginikit.oracle import OracleConfig, equivalence_report, oracle_gini
+from ginikit.sample import ExponentPair, PositiveSample
 
 FLORY = "flory.csv"
 
@@ -85,6 +92,18 @@ BRACKETINGS = (
     (2.0, 5e-324, 1.0),
     (1e307, 1.0, 2.0),
 )
+
+#: Pairs of the oracle corpus: integer, odd-half and general exponents,
+#: p == q and a gap below the oracle's tiny-gap threshold.
+ORACLE_PAIRS = tuple(
+    ExponentPair(p, q)
+    for p, q in (
+        (2.0, 1.0), (30.0, -29.0), (1.5, -1.5), (-0.5, 2.5), (0.3, -1.7), (0.7, 0.7),
+        (1e-22, 0.0),
+    )
+)
+#: Digits of the oracle corpus: the default and one that is no multiple of 10.
+ORACLE_DIGITS = (50, 64)
 
 
 def _sha256(data: bytes) -> str:
@@ -164,12 +183,45 @@ def route_corpus() -> bytes:
     return b"".join(chunks)
 
 
+def _summary(call) -> bytes:
+    """The worst case of an equivalence report, or the exception raised."""
+    try:
+        summary = call()
+    except GinikitError as exc:
+        return f"E {type(exc).__name__}: {exc}\n".encode("utf-8")
+    pair = summary.worst_params
+    worst = "-" if pair is None else f"{summary.worst_index} {pair.p.hex()} {pair.q.hex()}"
+    return (
+        f"{summary.cases} {summary.max_rel_error.hex()} {worst} {summary.passed}\n"
+    ).encode("utf-8")
+
+
+def oracle_corpus() -> bytes:
+    rng = np.random.default_rng(13)
+    chunks = []
+    for index in range(300):
+        n = int(rng.integers(1, 17)) if index % 4 else int(rng.integers(100, 301))
+        values = _log_uniform(rng, 1e-30, 1e30, n)
+        weights = _log_uniform(rng, 1e-2, 1e2, n) if rng.random() < 0.7 else None
+        sample = PositiveSample(values, weights)
+        grid = list(ORACLE_PAIRS)
+        if index % 10 == 0:
+            grid.append(ExponentPair(31.0, 0.0))
+        for digits in ORACLE_DIGITS:
+            config = OracleConfig(precision_digits=digits)
+            for pair in ORACLE_PAIRS:
+                chunks.append(_outcome(lambda: oracle_gini(sample, pair, config)))
+            chunks.append(_summary(lambda: equivalence_report([sample], [grid], config)))
+    return b"".join(chunks)
+
+
 def main() -> None:
     print(f"backend {backend_name()}")
     for name, build in (
         ("transcript", transcript),
         ("log_power_sum", log_power_sum_corpus),
         ("routes", route_corpus),
+        ("oracle", oracle_corpus),
     ):
         print(f"{name} {_sha256(build())}")
 

@@ -49,6 +49,19 @@ DEFAULT_GRID_CHAINS: tuple[tuple[tuple[float, float], ...], ...] = (
 #: larger N is refused before any sample is built.
 MAX_RANDOM_SAMPLES = 100_000
 
+#: One check of a ``verify --report`` file, laid out as
+#: ``json.dumps(..., indent=2)`` lays it out inside the ``checks`` list.
+#: Every float in a row is finite (the margin and tolerance of two finite
+#: slopes, the exponents of two ``ExponentPair``), and ``%r`` of a finite
+#: float is the shortest round-trip form that ``json`` writes too.
+_CHECK_ROW = (
+    '    {\n      "sample": %d,\n'
+    '      "lower": [\n        %r,\n        %r\n      ],\n'
+    '      "upper": [\n        %r,\n        %r\n      ],\n'
+    '      "holds": %s,\n      "degenerate": %s,\n      "weak": %s,\n'
+    '      "margin": %r,\n      "tolerance": %r\n    }'
+)
+
 #: Exit code of each error kind, first match wins (see the module docstring
 #: and :mod:`ginikit.errors`).  Data errors, including ingestion and oracle
 #: domain errors, and I/O errors exit 1.
@@ -405,7 +418,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ]
         for chain in chain_pairs
     ]
-    checks: list[dict[str, object]] = []
+    checks: list[str] = []
     counts = {"holds": 0, "weak": 0, "degenerate": 0, "failed": 0}
     for index, sample in enumerate(samples):
         for chain, chain_labels in zip(chain_pairs, labels):
@@ -424,16 +437,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     continue
                 lower, upper = chain[link], chain[link + 1]
                 checks.append(
-                    {
-                        "sample": index,
-                        "lower": [lower.p, lower.q],
-                        "upper": [upper.p, upper.q],
-                        "holds": verdict.holds,
-                        "degenerate": verdict.degenerate,
-                        "weak": verdict.weak,
-                        "margin": verdict.margin,
-                        "tolerance": verdict.tolerance,
-                    }
+                    _CHECK_ROW % (
+                        index, lower.p, lower.q, upper.p, upper.q,
+                        _json_bool(verdict.holds), _json_bool(verdict.degenerate),
+                        _json_bool(verdict.weak), verdict.margin, verdict.tolerance,
+                    )
                 )
 
     if args.oracle:
@@ -452,17 +460,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
 
     if args.report is not None:
-        payload = {
+        head = {
             "source": source,
             "grid": [[list(pair) for pair in chain] for chain in chains],
             "summary": {"checks": total, **counts},
-            "checks": checks,
-            "oracle": oracle_payload,
-            "all_passed": not failed,
         }
-        atomic_write_text(args.report, json.dumps(payload, indent=2) + "\n")
+        tail = {"oracle": oracle_payload, "all_passed": not failed}
+        atomic_write_text(args.report, _report_text(head, checks, tail))
 
     return 3 if failed else 0
+
+
+def _json_bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _report_text(head: dict[str, object], checks: list[str], tail: dict[str, object]) -> str:
+    """The bytes of ``json.dumps({**head, "checks": ..., **tail}, indent=2)``.
+
+    ``checks`` holds the rows of :data:`_CHECK_ROW`, at least one: every
+    sample gets a check per link of each chain.  ``head`` and ``tail`` go
+    through ``json.dumps``, each as a top-level object whose braces are cut
+    off, so their nested values keep the indentation of the whole.
+    """
+    head_text = json.dumps(head, indent=2)[:-2]
+    tail_text = json.dumps(tail, indent=2)[2:]
+    rows = ",\n".join(checks)
+    return f'{head_text},\n  "checks": [\n{rows}\n  ],\n{tail_text}\n'
 
 
 def _cmd_generate_flory(args: argparse.Namespace) -> int:

@@ -11,7 +11,12 @@ applied directly.  The term of value a and weight w at exponent e is
 
 The first two take no logarithm, and every exponent of the CLI's default
 grid is of those kinds; the logs are taken only for other exponents and for
-the p == q formula, which needs them.  None of this shares a method with
+the p == q formula, which needs them.  The arithmetic runs on raw mpmath
+values (``_mpf_`` tuples) through the ``mpmath.libmp`` functions that the
+mpf operators, ``mp.fsum`` and ``mp.exp`` call, with the same operands,
+precision and rounding, so every reference value is the one the operator
+form gives, bit for bit, without building an mpf object per operation.
+None of this shares a method with
 the log-domain kernel: there is no shift by the largest log, no log-sum-exp
 and no tangent at small gaps, so agreement between the two is evidence that
 both are right, not that they make the same mistake.  The price is a
@@ -35,6 +40,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import mpmath as mp
+from mpmath.libmp import (
+    from_float, mpf_div, mpf_exp, mpf_mul, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sub,
+    mpf_sum, to_float,
+)
 
 from ._util import _is_finite_real, _shown
 from .errors import OracleDomainError, ParameterDomainError
@@ -87,73 +96,99 @@ class OracleConfig:
 
 
 class _LiftedSample:
-    """One sample lifted to mpf, with its power sums memoised by exponent.
+    """One sample lifted to raw mpmath values, its power sums memoised by exponent.
 
-    Build it inside the ``mp.workdps`` block it is evaluated in: the cached
-    mpf numbers carry that working precision.  The values and weights are
-    converted once.  The terms of an exponent e are formed on each call, and
-    their power sum once per distinct exponent:
+    Build it inside the ``mp.workdps`` block it is evaluated in: it reads
+    the working precision and rounding once, and every value it keeps and
+    every operation it makes is at that precision.  The values and weights
+    are converted once, exactly, from their doubles.  The terms of an
+    exponent e are formed on each call, and their power sum once per
+    distinct exponent:
 
     - for an integer e, ``w * a**e``;
     - for an odd multiple e of 1/2, ``w * r**(2e)`` with ``r = sqrt(a)``;
     - for any other e, ``w * exp(e * ln a)``.
+
+    The values are raw ``_mpf_`` tuples, and the arithmetic is the
+    ``mpmath.libmp`` calls that the mpf operators, ``mp.fsum`` and
+    ``mp.exp`` make, on the same operands at the same precision and
+    rounding: ``mpf_pow_int`` and ``mpf_mul`` for a term, ``mpf_sum`` for a
+    sum, ``mpf_div``, ``mpf_sub``, ``mpf_rdiv_int`` and ``mpf_pow`` for the
+    ratio of two sums raised to 1/(p - q), ``mpf_exp`` and ``to_float``.
+    So every value is bit for bit the one the operator form gives, without
+    an mpf object per operation, and shares no method with the kernel.
 
     mpmath forms an integer power with guard bits and rounds it once, so a
     term of the first form is within about one unit in the last place of
     the working precision, and one of the second within about |2e| units
     (the square root's rounding, raised to the power 2e).  ``exp(e * ln a)``
     carries the rounding of ``ln a`` times e, up to |e * ln a| units.
-    The square roots and the logs are each taken once, when a term first
-    needs them: a grid of integer and half-integer exponents without a p == q
-    pair takes no log at all.  ``0.0`` and ``-0.0`` share an entry: both give
-    the terms ``w * a**0 == w``.
+    The square roots and the logs are each taken once, by ``mp.sqrt`` and
+    ``mp.log``, when a term first needs them: a grid of integer and
+    half-integer exponents without a p == q pair takes no log at all.
+    ``0.0`` and ``-0.0`` share an entry: both give the terms
+    ``w * a**0 == w``.
     """
 
     def __init__(self, sample: PositiveSample) -> None:
-        self.values = [mp.mpf(float(v)) for v in sample.values]
-        self.weights = [mp.mpf(float(w)) for w in sample.weights]
-        self._roots: list[mp.mpf] | None = None
-        self._logs: list[mp.mpf] | None = None
-        self._sums: dict[float, mp.mpf] = {}
+        self._prec, self._rounding = mp.mp._prec_rounding
+        self._floats = sample.values.tolist()
+        self.values = [from_float(v) for v in self._floats]
+        self.weights = [from_float(w) for w in sample.weights.tolist()]
+        self._roots: list[tuple] | None = None
+        self._logs: list[tuple] | None = None
+        self._sums: dict[float, tuple] = {}
 
     @property
-    def roots(self) -> list[mp.mpf]:
+    def roots(self) -> list[tuple]:
         if self._roots is None:
-            self._roots = [mp.sqrt(v) for v in self.values]
+            self._roots = [mp.sqrt(v)._mpf_ for v in self._floats]
         return self._roots
 
     @property
-    def logs(self) -> list[mp.mpf]:
+    def logs(self) -> list[tuple]:
         if self._logs is None:
-            self._logs = [mp.log(v) for v in self.values]
+            self._logs = [mp.log(v)._mpf_ for v in self._floats]
         return self._logs
 
-    def terms(self, exponent: float) -> list[mp.mpf]:
+    def terms(self, exponent: float) -> list[tuple]:
+        prec, rounding = self._prec, self._rounding
         # 2e is exact in binary, so this finds every multiple of 1/2
         twice = 2.0 * exponent
         if twice.is_integer():
             k = int(twice)
             bases, power = (self.values, k // 2) if k % 2 == 0 else (self.roots, k)
-            return [w * b**power for w, b in zip(self.weights, bases)]
-        e = mp.mpf(exponent)
-        return [w * mp.exp(e * lg) for w, lg in zip(self.weights, self.logs)]
+            return [
+                mpf_mul(w, mpf_pow_int(b, power, prec, rounding), prec, rounding)
+                for w, b in zip(self.weights, bases)
+            ]
+        e = from_float(exponent)
+        return [
+            mpf_mul(w, mpf_exp(mpf_mul(e, lg, prec, rounding), prec, rounding), prec, rounding)
+            for w, lg in zip(self.weights, self.logs)
+        ]
 
-    def power_sum(self, exponent: float) -> mp.mpf:
+    def power_sum(self, exponent: float) -> tuple:
         key = float(exponent)
         if key not in self._sums:
-            self._sums[key] = mp.fsum(self.terms(key))
+            self._sums[key] = mpf_sum(self.terms(key), self._prec, self._rounding)
         return self._sums[key]
 
     def gini(self, params: ExponentPair) -> float:
+        prec, rounding = self._prec, self._rounding
         if params.p == params.q:
             tilted = self.terms(params.p)
-            result = mp.exp(
-                mp.fsum(t * lg for t, lg in zip(tilted, self.logs)) / mp.fsum(tilted)
+            moment = mpf_sum(
+                [mpf_mul(t, lg, prec, rounding) for t, lg in zip(tilted, self.logs)],
+                prec, rounding,
             )
+            mean_log = mpf_div(moment, mpf_sum(tilted, prec, rounding), prec, rounding)
+            result = mpf_exp(mean_log, prec, rounding)
         else:
-            ratio = self.power_sum(params.p) / self.power_sum(params.q)
-            result = ratio ** (1 / (mp.mpf(float(params.p)) - mp.mpf(float(params.q))))
-        return float(result)
+            ratio = mpf_div(self.power_sum(params.p), self.power_sum(params.q), prec, rounding)
+            gap = mpf_sub(from_float(params.p), from_float(params.q), prec, rounding)
+            result = mpf_pow(ratio, mpf_rdiv_int(1, gap, prec, rounding), prec, rounding)
+        return to_float(result, rnd=rounding)
 
 
 def _references(

@@ -8,6 +8,7 @@ import math
 import os
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 
 from ginikit import cli
@@ -281,3 +282,42 @@ def reference_mwd_text(dataset: MWDataset, format: str) -> str:
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+class OperatorFormLift:
+    """The oracle's lifted sample as it was written with mpf operators.
+
+    It forms the same terms, power sums and Gini means as
+    :class:`ginikit.oracle._LiftedSample`, each through the mpf object
+    operators, ``mp.fsum`` and ``mp.exp``; ``gini`` returns the mpf before
+    its rounding to a double.  It is kept as the reference whose ``_mpf_``
+    values the raw-tuple lift must equal bit for bit.  Build it inside the
+    ``mp.workdps`` block it is evaluated in.
+    """
+
+    def __init__(self, sample: PositiveSample) -> None:
+        self.values = [mp.mpf(float(v)) for v in sample.values]
+        self.weights = [mp.mpf(float(w)) for w in sample.weights]
+        self.roots = [mp.sqrt(v) for v in self.values]
+        self.logs = [mp.log(v) for v in self.values]
+
+    def terms(self, exponent: float) -> list[mp.mpf]:
+        twice = 2.0 * exponent
+        if twice.is_integer():
+            k = int(twice)
+            bases, power = (self.values, k // 2) if k % 2 == 0 else (self.roots, k)
+            return [w * b**power for w, b in zip(self.weights, bases)]
+        e = mp.mpf(exponent)
+        return [w * mp.exp(e * lg) for w, lg in zip(self.weights, self.logs)]
+
+    def power_sum(self, exponent: float) -> mp.mpf:
+        return mp.fsum(self.terms(float(exponent)))
+
+    def gini(self, params: ExponentPair) -> mp.mpf:
+        if params.p == params.q:
+            tilted = self.terms(params.p)
+            return mp.exp(
+                mp.fsum(t * lg for t, lg in zip(tilted, self.logs)) / mp.fsum(tilted)
+            )
+        ratio = self.power_sum(params.p) / self.power_sum(params.q)
+        return ratio ** (1 / (mp.mpf(float(params.p)) - mp.mpf(float(params.q))))

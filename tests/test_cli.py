@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import ginikit.cli as cli
 from ginikit import _backend, means, mwd
 from ginikit._util import read_text
-from ginikit.audit import AuditVerdict, ParameterOrder
+from ginikit.audit import AuditVerdict, ParameterOrder, scan_monotonicity
 from ginikit.cli import main
 from ginikit.means import gini_mean
 from ginikit.mwd import load_mwd, polydispersity
@@ -551,6 +551,47 @@ class TestVerify:
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert payload["all_passed"] is False
         assert payload["summary"]["failed"] == 5
+
+    @pytest.mark.parametrize(
+        "rows, source, exit_codes",
+        [
+            (None, ("--random", "7", "3", "--oracle"), {0}),
+            (None, ("--random", "7", "2", "--grid", "1e-3:-2,0.5:-1,1:0"), {0}),
+            # uniform: every check is degenerate
+            ("500,1\n500,2\n", (), {0}),
+            # exit 3 with a FAIL row of negative margin until the slope fix
+            # of ROADMAP item 1 settles that verdict
+            ("1e-308,1\n1e308,1\n", (), {0, 3}),
+        ],
+    )
+    def test_report_is_laid_out_as_json_dumps(self, tmp_path, capsys, rows, source, exit_codes):
+        if rows is None:
+            samples = cli._random_samples(int(source[1]), int(source[2]))
+        else:
+            path = tmp_path / "input.csv"
+            path.write_text("molar_mass,abundance\n" + rows, encoding="utf-8")
+            source = ("--input", str(path))
+            samples = [load_mwd(path).to_sample()]
+        out_path = tmp_path / "report.json"
+        assert run_cli("verify", *source, "--report", str(out_path)) in exit_codes
+        capsys.readouterr()
+        text = out_path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        # each row holds its verdict's values, and writes every float as one
+        grid = source[source.index("--grid") + 1] if "--grid" in source else "default"
+        want = []
+        for index, sample in enumerate(samples):
+            for chain in cli._parse_grid(grid):
+                pairs = [ExponentPair(*pair) for pair in chain]
+                for link, verdict in enumerate(scan_monotonicity(sample, pairs)):
+                    lower, upper = pairs[link], pairs[link + 1]
+                    want.append({
+                        "sample": index, "lower": [lower.p, lower.q],
+                        "upper": [upper.p, upper.q], "holds": verdict.holds,
+                        "degenerate": verdict.degenerate, "weak": verdict.weak,
+                        "margin": verdict.margin, "tolerance": verdict.tolerance,
+                    })
+        assert json.dumps(json.loads(text)["checks"]) == json.dumps(want)
 
 
 class TestGenerate:

@@ -13,7 +13,7 @@ from ginikit.means import _PowerSums, gini_mean
 from ginikit.oracle import EquivalenceSummary, OracleConfig, equivalence_report, oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import assert_within_ulps, random_sample
+from helpers import OperatorFormLift, assert_within_ulps, random_sample
 
 
 class TestOracleConfig:
@@ -361,7 +361,8 @@ class TestTermFormulas:
                 lifted = oracle._LiftedSample(sample)
                 for e in HALF_INTEGER_EXPONENTS:
                     want = float(mp.fsum(_reference_terms(sample, e)))
-                    assert float(lifted.power_sum(e)).hex() == want.hex(), (e, sample.values)
+                    got = float(mp.mpf(lifted.power_sum(e)))
+                    assert got.hex() == want.hex(), (e, sample.values)
 
     @pytest.mark.parametrize("digits", [50, 100])
     def test_half_integer_pairs_round_to_the_reference(self, digits):
@@ -379,7 +380,7 @@ class TestTermFormulas:
         for sample in _term_samples(13):
             with mp.workdps(50):
                 got = oracle._LiftedSample(sample).terms(exponent)
-                assert got == _reference_terms(sample, exponent)
+                assert got == [t._mpf_ for t in _reference_terms(sample, exponent)]
 
     @pytest.mark.parametrize("digits", [50, 100])
     @pytest.mark.parametrize("exponent", [0.3, 1e-5, 0.0, -0.0, 1.0, -1.5, 2.5, -30.0])
@@ -424,6 +425,80 @@ class TestTermFormulas:
         rest += [ExponentPair(0.3, 1.0), ExponentPair(2.0, 2.0), ExponentPair(1e-5, 0.3)]
         equivalence_report([sample], [rest])
         assert (len(logs), len(roots)) == (sample.n, sample.n)
+
+
+#: Exponents of the bit-for-bit lift check: integers, odd multiples of 1/2,
+#: general exponents and both zeros, up to the oracle's bound.
+LIFT_EXPONENTS = (
+    -30.0, -2.0, -1.0, 0.0, -0.0, 1.0, 3.0, 30.0,
+    -29.5, -1.5, 0.5, 2.5, 0.3, 1e-5, -7.1, 29.99,
+)
+#: Pairs of the bit-for-bit lift check: each kind of exponent, p == q, and
+#: gaps below the tiny-gap threshold, here at the lift's own precision.
+LIFT_PAIRS = [
+    ExponentPair(p, q)
+    for p, q in (
+        (2.0, 1.0), (1.0, -1.0), (30.0, -30.0), (1.5, -1.5), (2.5, 0.5), (3.0, 0.3),
+        (0.3, -7.1), (1e-5, 0.0), (0.0, 0.0), (2.0, 2.0), (-1.5, -1.5), (0.3, 0.3),
+        (1e-22, 0.0), (0.0, -1e-40),
+    )
+]
+
+
+class TestLiftIsTheOperatorForm:
+    """The raw-tuple lift makes the mpf operators' libmp calls, bit for bit."""
+
+    @pytest.mark.parametrize("digits", [50, 64, 100])
+    def test_terms_and_power_sums(self, digits):
+        for sample in _term_samples(19):
+            with mp.workdps(digits):
+                lifted = oracle._LiftedSample(sample)
+                want = OperatorFormLift(sample)
+                for e in LIFT_EXPONENTS:
+                    assert lifted.terms(e) == [t._mpf_ for t in want.terms(e)], e
+                    assert lifted.power_sum(e) == want.power_sum(e)._mpf_, e
+
+    @pytest.mark.parametrize("digits", [50, 64, 100])
+    def test_gini_before_and_after_rounding(self, monkeypatch, digits):
+        unrounded = self._record_unrounded(monkeypatch)
+        for sample in _term_samples(20):
+            with mp.workdps(digits):
+                lifted = oracle._LiftedSample(sample)
+                want = OperatorFormLift(sample)
+                for pair in LIFT_PAIRS:
+                    unrounded.clear()
+                    got = lifted.gini(pair)
+                    reference = want.gini(pair)
+                    assert unrounded == [reference._mpf_], pair
+                    assert got.hex() == float(reference).hex(), pair
+
+    @pytest.mark.parametrize("digits", [50, 64, 100])
+    def test_tiny_gap_lift_at_raised_precision(self, monkeypatch, digits):
+        unrounded = self._record_unrounded(monkeypatch)
+        config = OracleConfig(precision_digits=digits)
+        # digits the gap cancels: ceil(-log10 gap)
+        tiny = ((ExponentPair(1e-22, 0.0), 22), (ExponentPair(0.0, -3e-41), 41))
+        for sample in _term_samples(21):
+            for pair, cancelled in tiny:
+                unrounded.clear()
+                got = oracle_gini(sample, pair, config)
+                with mp.workdps(digits + cancelled + oracle.TINY_GAP_MARGIN_DIGITS):
+                    reference = OperatorFormLift(sample).gini(pair)
+                assert unrounded == [reference._mpf_], pair
+                assert got.hex() == float(reference).hex(), pair
+
+    @staticmethod
+    def _record_unrounded(monkeypatch) -> list[tuple]:
+        """Record each value the lift rounds to a double."""
+        seen: list[tuple] = []
+        real = oracle.to_float
+
+        def recording(value, **kwargs):
+            seen.append(value)
+            return real(value, **kwargs)
+
+        monkeypatch.setattr(oracle, "to_float", recording)
+        return seen
 
 
 #: The sample [1, 2, 5, 1000] has geometric mean 10, the limit of G(gap, 0).
