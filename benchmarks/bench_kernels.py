@@ -25,6 +25,13 @@ end-to-end ``mwd_report`` workload.  When both backends are present the
 script also asserts bit-identical outputs while it goes, so a drifting
 backend fails loudly rather than reporting a meaningless speedup.  Without
 the compiled extension it times the pure kernel alone.
+
+A second table times the total-only pass, ``exp_moments(..., False)``,
+which is what a secant slope asks for, beside the full call at n = 9 (the
+loop, at a size like the ``verify`` samples) and n = 27,618 (the numpy
+path), on each backend present.  It asserts that the total-only pass gives
+the full call's ``(shift, total)`` bits, and that both backends give the
+same bits.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from ginikit._backend import available_backends
 
 #: (n, cases) pairs; the case counts keep each row's work comparable.
 SIZES = ((4, 4000), (16, 2000), (64, 1000), (256, 400), (4096, 50), (27_618, 8))
+#: (n, cases) pairs of the total-only table.
+TOTAL_ONLY_SIZES = ((9, 4000), (27_618, 8))
 
 
 def make_case(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -52,14 +61,43 @@ def make_case(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray,
     return log_values[order], log_weights[order], p
 
 
-def bench(fn, cases, repeats: int) -> tuple[float, list[tuple[float, float, float, float]]]:
+def bench(
+    fn, cases, repeats: int, *extra: object
+) -> tuple[float, list[tuple[float, float, float, float]]]:
     best = float("inf")
     results: list[tuple[float, float, float, float]] = []
     for _ in range(repeats):
         start = time.perf_counter()
-        results = [fn(la, lw, p) for (la, lw, p) in cases]
+        results = [fn(la, lw, p, *extra) for (la, lw, p) in cases]
         best = min(best, time.perf_counter() - start)
     return best, results
+
+
+def shift_and_total_bits(results: list[tuple[float, float, float, float]]) -> list[str]:
+    """The exact bits of each result's shift and total; tells -0.0 from +0.0."""
+    return [f"{shift.hex()} {total.hex()}" for shift, total, _, _ in results]
+
+
+def total_only(impls: dict) -> None:
+    """Time the total-only pass beside the full call, and check its bits."""
+    print(f"\n{'n':>8} {'cases':>7} {'backend':>9} {'full':>12} {'total-only':>12} {'ratio':>7}")
+    rng = np.random.default_rng(2025)
+    for n, cases_count in TOTAL_ONLY_SIZES:
+        cases = [make_case(rng, n) for _ in range(cases_count)]
+        seen: dict[str, list[str]] = {}
+        for name, module in impls.items():
+            t_full, r_full = bench(module.exp_moments, cases, 3)
+            t_total, r_total = bench(module.exp_moments, cases, 3, False)
+            seen[name] = shift_and_total_bits(r_total)
+            if seen[name] != shift_and_total_bits(r_full):
+                raise AssertionError(f"{name}: total-only pass differs from the full call at n={n}")
+            print(
+                f"{n:>8} {cases_count:>7} {name:>9} {t_full * 1e3:>10.2f}ms "
+                f"{t_total * 1e3:>10.2f}ms {t_full / t_total:>6.2f}x"
+            )
+        if len({tuple(bits) for bits in seen.values()}) != 1:
+            raise AssertionError(f"backends disagree on the total-only pass at n={n}")
+    print("total-only (shift, total) bit-identical to the full call's and across backends")
 
 
 def main() -> None:
@@ -88,6 +126,7 @@ def main() -> None:
         )
     if compiled is not None:
         print("outputs bit-identical across backends for every case")
+    total_only(impls)
 
 
 if __name__ == "__main__":

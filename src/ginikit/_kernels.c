@@ -3,10 +3,13 @@
    Bit-identical twin of ginikit._kernels_py: same tilt t_i = p * la_i + lw_i
    and shift (the first largest t_i), same Neumaier compensation branches,
    same association order in every product ((u * d) * d), libm exp.  After
-   the tilt it runs two passes: the weight total and the first moment side
-   by side, then the centered variance.  Built with -ffp-contract=off so no
-   FMA contraction can change a rounding.  Any edit here must be replayed in
-   _kernels_py.py and vice versa. */
+   the tilt a full call (moments true, the default) runs two passes: the
+   weight total and the first moment side by side, then the centered
+   variance.  A total-only call (moments false) runs the weight total's
+   pass alone, with the same recurrence in the same order, so its shift and
+   total are the full call's bits; its mean and variance are NaN.  Built
+   with -ffp-contract=off so no FMA contraction can change a rounding.  Any
+   edit here must be replayed in _kernels_py.py and vice versa. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -42,14 +45,24 @@ get_doubles(PyObject *obj, Py_buffer *view)
 }
 
 static PyObject *
-exp_moments(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+exp_moments(PyObject *module, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
 {
     Py_buffer av, wv;
     PyObject *result = NULL;
     double *u = NULL;
+    Py_ssize_t nkw = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
+    int moments = 1;
 
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "exp_moments() takes 3 arguments (%zd given)", nargs);
+    if (nargs < 3 || nargs + nkw > 4)
+        return PyErr_Format(PyExc_TypeError, "exp_moments() takes 3 or 4 arguments (%zd given)",
+                            nargs + nkw);
+    if (nkw == 1 && PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(kwnames, 0), "moments") != 0)
+        return PyErr_Format(PyExc_TypeError,
+                            "exp_moments() got an unexpected keyword argument '%U'",
+                            PyTuple_GET_ITEM(kwnames, 0));
+    /* a keyword value follows the positional ones, so moments is args[3] either way */
+    if (nargs + nkw == 4 && (moments = PyObject_IsTrue(args[3])) < 0)
+        return NULL;
     if (get_doubles(args[0], &av) < 0)
         return NULL;
     if (get_doubles(args[1], &wv) < 0) {
@@ -85,6 +98,12 @@ exp_moments(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
 
     double s0 = 0.0, c0 = 0.0, s1 = 0.0, c1 = 0.0;
+    if (!moments) {
+        for (i = 0; i < n; i++)
+            neumaier_add(&s0, &c0, exp(u[i] - shift));
+        result = Py_BuildValue("(dddd)", shift, s0 + c0, (double)NAN, (double)NAN);
+        goto done;
+    }
     for (i = 0; i < n; i++) {
         double x = exp(u[i] - shift);
         u[i] = x;
@@ -110,13 +129,14 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"exp_moments", (PyCFunction)(void (*)(void))exp_moments, METH_FASTCALL,
-     "exp_moments(logs, log_weights, p, /)\n--\n\n"
+    {"exp_moments", (PyCFunction)(void (*)(void))exp_moments, METH_FASTCALL | METH_KEYWORDS,
+     "exp_moments(logs, log_weights, p, /, moments=True)\n--\n\n"
      "Compensated moments of logs under the tilt t_i = p * logs[i] + log_weights[i].\n\n"
      "Forms t and shift = max t, then sums u_i = exp(t_i - shift) and u_i * logs[i]\n"
      "in one pass and the centered variance in a second.  Returns\n"
-     "``(shift, total, mean, variance)``; see the pure-Python twin for the\n"
-     "exact contract.  Inputs must be 1-D C-contiguous float64 buffers of\n"
+     "``(shift, total, mean, variance)``; with moments false only the total is\n"
+     "summed and the mean and variance are NaN.  See the pure-Python twin for\n"
+     "the exact contract.  Inputs must be 1-D C-contiguous float64 buffers of\n"
      "equal length, summed in array order."},
     {NULL, NULL, 0, NULL},
 };

@@ -8,9 +8,15 @@ bit-identical is a hard requirement (golden CLI output must not depend on
 which backend got selected), so any edit here must be replayed in
 ``_kernels.c`` and vice versa.
 
-The kernel forms the tilt itself and then runs two passes: one that sums
-the shifted weights u_i = exp(t_i - shift) and the products u_i * ln a_i
-side by side, and the centered variance pass, which needs the mean.
+The kernel forms the tilt itself.  Which passes follow depends on the
+request.  A full call (``moments=True``) runs two: one that sums the
+shifted weights u_i = exp(t_i - shift) and the products u_i * ln a_i side
+by side, and the centered variance pass, which needs the mean.  A
+total-only call (``moments=False``), which is all a secant slope reads,
+runs the weight total's pass alone and returns NaN for the mean and the
+variance.  Its running sum and compensation follow the same recurrence, in
+the same order, as the full call's, so its shift and total are the same
+bits.
 
 In the loop, the Neumaier steps of the weight total and of the variance
 test ``s >= y`` where the C kernel's one step tests ``fabs(s) >= fabs(y)``.
@@ -63,7 +69,10 @@ _EMPTY_RESULT = (-math.inf, 0.0, math.nan, math.nan)
 
 
 def exp_moments(
-    logs: "list[float] | object", log_weights: "list[float] | object", p: float
+    logs: "list[float] | object",
+    log_weights: "list[float] | object",
+    p: float,
+    moments: bool = True,
 ) -> tuple[float, float, float, float]:
     """Compensated moments of ln a under the tilt t_i = p * logs[i] + log_weights[i].
 
@@ -71,21 +80,26 @@ def exp_moments(
     ``total = sum(u)`` with u_i = exp(t_i - shift), ``mean`` the u-weighted
     average of ``logs`` and ``variance`` the u-weighted average of
     ``(logs - mean)**2`` (a centered second pass, so it is nonnegative by
-    construction).  Summation runs strictly in array order, so the caller
-    fixes the order; the mean pipeline passes each sample's (ln a, ln w)
-    order.  Empty input gives ``(-inf, 0.0, nan, nan)``; inputs of unequal
-    length raise ValueError.
+    construction).  With ``moments`` false only the weight total is summed,
+    and the result is ``(shift, total, nan, nan)``, with ``shift`` and
+    ``total`` the same bits as the full call's.  Summation runs strictly in
+    array order, so the caller fixes the order; the mean pipeline passes
+    each sample's (ln a, ln w) order.  Empty input gives
+    ``(-inf, 0.0, nan, nan)``; inputs of unequal length raise ValueError.
     """
     n = len(logs)
     if len(log_weights) != n:
         raise ValueError("logs and log_weights must have equal length")
     if n >= VECTOR_MIN_N:
-        return _exp_moments_vector(logs, log_weights, p)
-    return _exp_moments_loop(logs, log_weights, p)
+        return _exp_moments_vector(logs, log_weights, p, moments)
+    return _exp_moments_loop(logs, log_weights, p, moments)
 
 
 def _exp_moments_loop(
-    logs: "list[float] | object", log_weights: "list[float] | object", p: float
+    logs: "list[float] | object",
+    log_weights: "list[float] | object",
+    p: float,
+    moments: bool = True,
 ) -> tuple[float, float, float, float]:
     lgs = logs.tolist() if hasattr(logs, "tolist") else list(logs)
     lws = log_weights.tolist() if hasattr(log_weights, "tolist") else list(log_weights)
@@ -94,6 +108,18 @@ def _exp_moments_loop(
     ts = [p * lg + lw for lg, lw in zip(lgs, lws)]
     shift = max(ts)
     exp = math.exp
+    if not moments:
+        # the full pass's s0/c0 steps alone, each weight formed as it is added
+        s0 = c0 = 0.0
+        for tilt in ts:
+            x = exp(tilt - shift)
+            t = s0 + x
+            if s0 >= x:
+                c0 += (s0 - t) + x
+            else:
+                c0 += (x - t) + s0
+            s0 = t
+        return shift, s0 + c0, math.nan, math.nan
     u = [exp(t - shift) for t in ts]
 
     # s0 and x, like s and y in the variance pass, are never negative, so
@@ -133,7 +159,10 @@ def _exp_moments_loop(
 
 
 def _exp_moments_vector(
-    logs: "list[float] | object", log_weights: "list[float] | object", p: float
+    logs: "list[float] | object",
+    log_weights: "list[float] | object",
+    p: float,
+    moments: bool = True,
 ) -> tuple[float, float, float, float]:
     lgs = np.asarray(logs, dtype=np.float64)
     t = p * lgs + np.asarray(log_weights, dtype=np.float64)
@@ -143,6 +172,8 @@ def _exp_moments_vector(
     # the unused one can raise floating-point warnings the loop never does
     with np.errstate(all="ignore"):
         total = _neumaier_sum(u)
+        if not moments:
+            return shift, total, math.nan, math.nan
         mean = _neumaier_sum(u * lgs) / total
         d = lgs - mean
         variance = _neumaier_sum((u * d) * d) / total

@@ -18,11 +18,13 @@ That path never materializes a_i**p.  One kernel call per exponent forms
 the tilt t_i = p*ln(a_i) + ln(w_i), shifts by m = max(t_i) so every
 exponential argument is <= 0, and accumulates exp(t_i - m) with compensated
 summation in one order per sample, ascending (ln a_i, ln w_i), fixed when
-the sample is built: the weight total and the first moment in one pass, the
-centered variance in a second.  Results stay finite and inside
-[min(a), max(a)] for values anywhere in the double range and any exponent
-whose t_i are finite doubles, where the textbook formula overflows at |p|
-in the hundreds.
+the sample is built.  A full call sums the weight total and the first
+moment in one pass and the centered variance in a second.  A secant reads
+ln S_p alone, so the memo asks the kernel for the weight total only, one
+pass, with the same bits; the tangent asks for the full moments.  Results
+stay finite and inside [min(a), max(a)] for values anywhere in the double
+range and any exponent whose t_i are finite doubles, where the textbook
+formula overflows at |p| in the hundreds.
 """
 
 from __future__ import annotations
@@ -61,7 +63,9 @@ class LogPowerSum(NamedTuple):
 
     ``moment2`` is recomposed as ``moment1**2 + moment2_centered``, which
     guarantees ``moment2 >= moment1**2`` in floating point, with equality
-    exactly for uniform samples.
+    exactly for uniform samples.  A log sum formed with ``moments=False``
+    (see :func:`log_power_sum`) has the same ``log_sum`` bits and NaN in
+    all three moment fields.
 
     It is a named tuple, so it is immutable and cheap to build: it unpacks
     as ``p, log_sum, moment1, moment2, moment2_centered`` and compares equal
@@ -91,7 +95,9 @@ def _finite_exponent(p: float, name: str = "p") -> float:
     return value
 
 
-def log_power_sum(sample: PositiveSample, p: float) -> LogPowerSum:
+def log_power_sum(
+    sample: PositiveSample, p: float, *, moments: bool = True
+) -> LogPowerSum:
     """Evaluate ln S_p and the tilted log-moments, stably.
 
     One kernel call forms t_i = p * ln a_i + ln w_i and the shift m = max t_i,
@@ -102,8 +108,14 @@ def log_power_sum(sample: PositiveSample, p: float) -> LogPowerSum:
     exponent.  So the result is invariant under permutation of the sample
     and reproducible to the bit across backends.
 
+    With ``moments=False`` the kernel sums the shifted weights alone, in one
+    pass.  ``log_sum`` is then the same bits as the full call's, and
+    ``moment1``, ``moment2`` and ``moment2_centered`` are NaN, uniform
+    samples included.  This is what a secant slope reads.
+
     Raises ParameterDomainError when |p| * max|ln a_i| overflows a double:
-    there t_i is not finite and no moment of it can be formed.
+    there t_i is not finite and no moment of it can be formed.  The check is
+    the same with or without moments.
     """
     p = _finite_exponent(p)
     if not math.isfinite(abs(p) * sample._max_abs_log_value):
@@ -111,11 +123,12 @@ def log_power_sum(sample: PositiveSample, p: float) -> LogPowerSum:
             f"exponent {p!r} is too large for this sample: "
             "|p| * max|ln a| overflows a double"
         )
+    # mean and variance are NaN from a total-only call, and stay NaN below
     shift, total, mean, variance = _backend.exp_moments(
-        sample._sorted_log_values, sample._sorted_log_weights, p
+        sample._sorted_log_values, sample._sorted_log_weights, p, moments
     )
     log_sum = shift + math.log(total)
-    if sample.is_uniform:
+    if moments and sample.is_uniform:
         # All values equal c: the tilted distribution of ln a is a point mass
         # at ln c whatever the weights, so short-circuit to the exact moments.
         mean = float(sample._sorted_log_values[0])
@@ -126,11 +139,21 @@ def log_power_sum(sample: PositiveSample, p: float) -> LogPowerSum:
 class _PowerSums:
     """The power sums of one sample, each formed once and kept by exponent.
 
-    One object serves one sample.  :meth:`power_sum` calls
-    :func:`log_power_sum` on the first request for an exponent and returns
-    the kept result on every later one.  It looks the function up by this
-    module's global name at each call, so a wrapper put there (a counter in
-    a test, a tracer) sees every kernel call the memo makes.
+    One object serves one sample, and keeps one entry per exponent.
+    :meth:`log_sum` serves the secant, which reads ln S_p alone: on the
+    first request for an exponent it calls :func:`log_power_sum` with
+    ``moments=False``, one kernel pass, and keeps that result.
+    :meth:`power_sum` serves readers of the moments, such as the tangent:
+    on an exponent with no entry, or with a log sum only, it makes the full
+    call, and the full result replaces the log sum.  A full entry serves
+    every later request of either kind without a kernel call, and both kinds
+    give the same ``log_sum`` bits.  An entry is a log sum only when its
+    moments are NaN, as a total-only call leaves them; a full call's moments
+    are finite, because every weight it sums is at most 1 and the one at the
+    shift is exactly 1.
+    Both methods look the function up by this module's global name at each
+    call, so a wrapper put there (a counter in a test, a tracer) sees every
+    kernel call the memo makes.
     The key is the float itself, so ``0.0`` and ``-0.0`` share an entry:
     both tilt every term to ``ln w_i``, so their power sums are the same
     bits; only the recorded ``p`` differs.  An exponent whose evaluation
@@ -150,10 +173,17 @@ class _PowerSums:
         self.sample = sample
         self._sums: dict[float, LogPowerSum] = {}
 
+    def log_sum(self, p: float) -> float:
+        """ln S_p of the sample at the finite exponent ``p``."""
+        found = self._sums.get(p)
+        if found is None:
+            found = self._sums[p] = log_power_sum(self.sample, p, moments=False)
+        return found.log_sum
+
     def power_sum(self, p: float) -> LogPowerSum:
         """:func:`log_power_sum` of the sample at the finite exponent ``p``."""
         found = self._sums.get(p)
-        if found is None:
+        if found is None or math.isnan(found.moment1):
             found = self._sums[p] = log_power_sum(self.sample, p)
         return found
 
@@ -169,9 +199,7 @@ class _PowerSums:
         # far below double rounding error.
         if abs(p - q) <= 1e-8 * (1.0 + max(abs(p), abs(q))):
             return self.power_sum(0.5 * p + 0.5 * q).moment1
-        return (
-            0.5 * self.power_sum(p).log_sum - 0.5 * self.power_sum(q).log_sum
-        ) / (0.5 * p - 0.5 * q)
+        return (0.5 * self.log_sum(p) - 0.5 * self.log_sum(q)) / (0.5 * p - 0.5 * q)
 
     def gini(self, params: ExponentPair) -> float:
         """G(p, q) of the sample; see :func:`gini_mean`."""
@@ -190,10 +218,12 @@ def secant_slope(sample: PositiveSample, p: float, q: float) -> float:
     of :meth:`_PowerSums.slope` on a fresh memo, and the callers that keep a
     memo per sample run the same body.  Since ln S_p is convex in p, this
     slope is nondecreasing in both endpoints, which is the engine behind
-    every inequality check in :mod:`ginikit.audit`.  For p == q (within a
-    gap of 1e-8 * (1 + max(|p|, |q|))) it is the tangent d/dp ln S_p,
-    served by the tilted mean of ln a at the midpoint.  Uniform samples
-    short-circuit to ln of the common value.
+    every inequality check in :mod:`ginikit.audit`.  The secant reads the
+    two log sums alone, so each costs one total-only kernel pass
+    (``log_power_sum(..., moments=False)``).  For p == q (within a gap of
+    1e-8 * (1 + max(|p|, |q|))) it is the tangent d/dp ln S_p, served by
+    the tilted mean of ln a at the midpoint, from one full kernel call.
+    Uniform samples short-circuit to ln of the common value.
 
     Both differences and the midpoint are formed from halves, so they stay
     finite when p - q, p + q or ln S_p - ln S_q would overflow.  Halving a

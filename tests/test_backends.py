@@ -541,3 +541,113 @@ class TestPureKernel:
         rng = np.random.default_rng(5)
         la, lw, p = kernel_case(rng, 3 * VECTOR_N)
         self.assert_paths_agree(la.tolist(), lw.tolist(), p)
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kernel_module(request):
+    """Each kernel backend in turn; the compiled one is built from a copy of the package."""
+    if request.param == "python":
+        return _kernels_py
+    return request.getfixturevalue("compiled_kernels")
+
+
+def total_only_kernels(module):
+    """``(name, kernel)`` for each kernel entry point of a backend module:
+    ``exp_moments``, and for the pure one also its loop and numpy paths."""
+    kernels = [("exp_moments", module.exp_moments)]
+    if module is _kernels_py:
+        kernels += [("loop", module._exp_moments_loop), ("vector", module._exp_moments_vector)]
+    return kernels
+
+
+class TestTotalOnly:
+    """``exp_moments(..., moments=False)``: the weight total's pass alone.
+
+    Its shift and total must be the full call's bits, and the reference's,
+    under both backends and on both of the pure kernel's paths; its mean and
+    variance are NaN.
+    """
+
+    @staticmethod
+    def assert_total_only(kernel, la, lw, p, want):
+        full = kernel(la, lw, p)
+        shift, total, mean, variance = kernel(la, lw, p, False)
+        assert bits_nan_as_nan((shift, total)) == bits_nan_as_nan(full[:2])
+        assert bits_nan_as_nan((shift, total)) == bits_nan_as_nan(want[:2])
+        assert math.isnan(mean) and math.isnan(variance)
+
+    @pytest.mark.parametrize("corpus,n", CORPUS_SIZES)
+    def test_corpus(self, kernel_module, corpus, n):
+        for la, lw, p in CORPORA[corpus][0](n):
+            want = reference(la, lw, p)
+            for _, kernel in total_only_kernels(kernel_module):
+                self.assert_total_only(kernel, la, lw, p, want)
+
+    def test_random_sizes(self, kernel_module):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 4 * VECTOR_N))
+            case = kernel_case(rng, n) if n % 2 else extreme_case(rng, n)
+            self.assert_total_only(kernel_module.exp_moments, *case, reference(*case))
+
+    @pytest.mark.parametrize("la,lw,p", NON_FINITE_CASES)
+    def test_non_finite_logs(self, kernel_module, la, lw, p):
+        want = reference_first_largest(la, lw, p)
+        args = (la, lw, p) if kernel_module is _kernels_py else (np.array(la), np.array(lw), p)
+        self.assert_total_only(kernel_module.exp_moments, *args, want)
+        if kernel_module is _kernels_py:
+            self.assert_total_only(kernel_module._exp_moments_loop, *args, want)
+
+    def test_empty_and_single_element(self, kernel_module):
+        empty = np.empty(0)
+        want = bits((-math.inf, 0.0, math.nan, math.nan))
+        assert bits(kernel_module.exp_moments(empty, empty, 1.0, False)) == want
+        one = (np.array([1.5]), np.array([0.25]), 0.0)
+        assert bits(kernel_module.exp_moments(*one, False)) == bits(
+            (0.25, 1.0, math.nan, math.nan)
+        )
+        self.assert_total_only(kernel_module.exp_moments, *one, reference(*one))
+
+    @pytest.mark.parametrize("n", (2, 5, VECTOR_N - 1, VECTOR_N, 4096))
+    def test_signed_zero_shift_tie(self, kernel_module, n):
+        # the two largest tilts are p * -0.0 + -0.0 = -0.0 and
+        # p * 0.0 + -0.0 = +0.0: a tie of zeros for the shift.  Python's max
+        # and the loops take the first; numpy's max may take either zero
+        la = np.concatenate((np.linspace(-3.0, -0.5, n - 2), [-0.0, 0.0]))
+        lw = np.full(n, -0.0)
+        totals = set()
+        for name, kernel in total_only_kernels(kernel_module):
+            shift, total, _, _ = kernel(la, lw, 1.0, False)
+            assert bits((shift, total)) == bits(kernel(la, lw, 1.0)[:2])
+            assert shift == 0.0
+            if name != "vector" and n < VECTOR_N:
+                assert bits((shift,)) == bits((-0.0,))
+            totals.add(total.hex())
+        want = reference_first_largest(la.tolist(), lw.tolist(), 1.0)
+        assert totals == {want[1].hex()}
+
+    def test_backends_agree(self, compiled_kernels):
+        rng = np.random.default_rng(43)
+        for n in (1, 9, VECTOR_N - 1, VECTOR_N, 27_618):
+            la, lw, p = kernel_case(rng, n)
+            assert bits(compiled_kernels.exp_moments(la, lw, p, False)) == bits(
+                _kernels_py.exp_moments(la, lw, p, False)
+            )
+
+    def test_moments_argument(self, kernel_module):
+        # positional or by keyword, read for its truth value; the compiled
+        # kernel refuses any other keyword and a fifth argument
+        kernel = kernel_module.exp_moments
+        la, lw = np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.3, -0.2])
+        full = bits(kernel(la, lw, 1.5))
+        total_only = bits(kernel(la, lw, 1.5, False))
+        assert bits(kernel(la, lw, 1.5, moments=False)) == total_only
+        assert bits(kernel(la, lw, 1.5, 0)) == total_only
+        assert bits(kernel(la, lw, 1.5, True)) == full
+        assert bits(kernel(la, lw, 1.5, moments=1)) == full
+        with pytest.raises(TypeError):
+            kernel(la, lw, 1.5, False, True)
+        with pytest.raises(TypeError):
+            kernel(la, lw, 1.5, total=False)
+        with pytest.raises(TypeError):
+            kernel(la, lw, 1.5, True, moments=False)

@@ -100,9 +100,9 @@ class TestLogPowerSum:
         calls = []
         kernel = _backend.exp_moments
 
-        def recording(logs, log_weights, p):
+        def recording(logs, log_weights, p, moments=True):
             calls.append((logs, log_weights))
-            return kernel(logs, log_weights, p)
+            return kernel(logs, log_weights, p, moments)
 
         monkeypatch.setattr(_backend, "exp_moments", recording)
         s = PositiveSample(
@@ -118,6 +118,23 @@ class TestLogPowerSum:
         ties = np.diff(logs) == 0.0
         assert ties.any()
         assert np.all(np.diff(lw)[ties] >= 0.0)
+
+    def test_log_sum_alone_keeps_the_bits(self):
+        # moments=False forms ln S_p alone, the same bits as the full call,
+        # on uniform samples too, and refuses the same exponents
+        exponents = (*EQUAL_PAIR_EXPONENTS, -30.0, 1.7, 3.0)
+        for s in route_samples():
+            for p in exponents:
+                try:
+                    full = log_power_sum(s, p)
+                except ParameterDomainError as exc:
+                    with pytest.raises(ParameterDomainError, match=str(exc)):
+                        log_power_sum(s, p, moments=False)
+                    continue
+                alone = log_power_sum(s, p, moments=False)
+                assert isinstance(alone, LogPowerSum)
+                assert (alone.p.hex(), alone.log_sum.hex()) == (full.p.hex(), full.log_sum.hex())
+                assert all(math.isnan(x) for x in alone[2:])
 
     def test_moment_inequality_strict_when_spread(self):
         rng = np.random.default_rng(8)
@@ -304,12 +321,87 @@ class TestPowerSumMemo:
         exponents: list[float] = []
         kernel = _backend.exp_moments
 
-        def counted(logs, log_weights, p):
+        def counted(logs, log_weights, p, moments=True):
             exponents.append(p)
-            return kernel(logs, log_weights, p)
+            return kernel(logs, log_weights, p, moments)
 
         monkeypatch.setattr(_backend, "exp_moments", counted)
         return exponents
+
+    @staticmethod
+    def record_kernel_requests(monkeypatch) -> list[tuple[float, bool]]:
+        """Record ``(p, moments)`` of each kernel call."""
+        requests: list[tuple[float, bool]] = []
+        kernel = _backend.exp_moments
+
+        def recorded(logs, log_weights, p, moments=True):
+            requests.append((p, moments))
+            return kernel(logs, log_weights, p, moments)
+
+        monkeypatch.setattr(_backend, "exp_moments", recorded)
+        return requests
+
+    def test_secant_forms_log_sums_alone(self, monkeypatch):
+        s = PositiveSample([1.0, 2.0, 8.0], [1.0, 0.5, 2.0])
+        want = (log_power_sum(s, 2.0).log_sum - log_power_sum(s, 1.0).log_sum) / 1.0
+        requests = self.record_kernel_requests(monkeypatch)
+        assert secant_slope(s, 2.0, 1.0) == want
+        assert requests == [(2.0, False), (1.0, False)]
+        identical_parameter_gini(s, 2.0)
+        assert requests[2:] == [(2.0, True)]
+
+    def test_log_sum_then_tangent_costs_one_full_call(self, monkeypatch):
+        s = PositiveSample([1.0, 2.0, 8.0], [1.0, 0.5, 2.0])
+        full = log_power_sum(s, 1.0)
+        requests = self.record_kernel_requests(monkeypatch)
+        sums = _PowerSums(s)
+        secant = sums.slope(1.0, 0.0)
+        assert requests == [(1.0, False), (0.0, False)]
+        assert sums.log_sum(1.0) == full.log_sum
+        tangent = sums.slope(1.0, 1.0)
+        assert requests[2:] == [(1.0, True)]
+        # the full result replaced the log sum, and serves both kinds
+        kept = sums.power_sum(1.0)
+        assert [x.hex() for x in kept] == [x.hex() for x in full]
+        assert tangent == kept.moment1
+        assert sums.log_sum(1.0) == full.log_sum
+        assert sums.slope(1.0, 0.0) == secant
+        assert len(requests) == 3
+        assert secant == secant_slope(s, 1.0, 0.0)
+
+    def test_full_entry_serves_later_log_sums(self, monkeypatch):
+        s = PositiveSample([1.0, 3.0, 4.0], [0.5, 1.0, 2.0])
+        requests = self.record_kernel_requests(monkeypatch)
+        sums = _PowerSums(s)
+        two, zero = sums.power_sum(2.0), sums.power_sum(0.0)
+        assert requests == [(2.0, True), (0.0, True)]
+        assert (sums.log_sum(2.0), sums.log_sum(-0.0)) == (two.log_sum, zero.log_sum)
+        assert sums.gini(ExponentPair(2.0, -0.0)) == gini_mean(s, ExponentPair(2.0, 0.0))
+        assert requests[2:] == [(2.0, False), (0.0, False)]
+
+    def test_signed_zeros_share_one_log_sum_entry(self, monkeypatch):
+        s = PositiveSample([1.0, 3.0, 4.0], [0.5, 1.0, 2.0])
+        requests = self.record_kernel_requests(monkeypatch)
+        sums = _PowerSums(s)
+        alone = sums.log_sum(-0.0)
+        assert sums.log_sum(0.0) == alone
+        full = sums.power_sum(0.0)
+        assert sums.power_sum(-0.0) is full
+        assert full.log_sum == alone
+        assert requests == [(-0.0, False), (0.0, True)]
+
+    def test_refused_exponent_is_not_kept_as_a_log_sum(self, monkeypatch):
+        s = PositiveSample([1.0, 1000.0])
+        requests = self.record_kernel_requests(monkeypatch)
+        sums = _PowerSums(s)
+        for _ in range(2):
+            with pytest.raises(ParameterDomainError, match="too large"):
+                sums.log_sum(1e308)
+            with pytest.raises(ParameterDomainError, match="too large"):
+                sums.slope(1e308, 0.0)
+        assert requests == []
+        assert sums.slope(1.0, 0.0) == secant_slope(s, 1.0, 0.0)
+        assert requests == [(1.0, False), (0.0, False)] * 2
 
     def test_signed_zeros_share_one_entry(self, monkeypatch):
         s = PositiveSample([1.0, 3.0, 4.0], [0.5, 1.0, 2.0])
