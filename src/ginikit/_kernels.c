@@ -1,15 +1,17 @@
 /* Compiled accumulation kernel.
 
    Bit-identical twin of ginikit._kernels_py: same tilt t_i = p * la_i + lw_i
-   and shift (the first largest t_i), same Neumaier compensation branches,
-   same association order in every product ((u * d) * d), libm exp.  After
-   the tilt a full call (moments true, the default) runs two passes: the
-   weight total and the first moment side by side, then the centered
-   variance.  A total-only call (moments false) runs the weight total's
-   pass alone, with the same recurrence in the same order, so its shift and
-   total are the full call's bits; its mean and variance are NaN.  Built
-   with -ffp-contract=off so no FMA contraction can change a rounding.  Any
-   edit here must be replayed in _kernels_py.py and vice versa. */
+   and shift (the first largest t_i, as Python's max() picks it, which both
+   paths of the pure twin take too), same Neumaier compensation branches,
+   same association order in every product ((u * d) * d), libm exp.  The
+   moments flag is the fourth argument, by position only.  After the tilt a
+   full call (moments true, the default) runs two passes: the weight total
+   and the first moment side by side, then the centered variance.  A
+   total-only call (moments false) runs the weight total's pass alone, with
+   the same recurrence in the same order, so its shift and total are the
+   full call's bits; its mean and variance are NaN.  Built with
+   -ffp-contract=off so no FMA contraction can change a rounding.  Any edit
+   here must be replayed in _kernels_py.py and vice versa. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -45,23 +47,17 @@ get_doubles(PyObject *obj, Py_buffer *view)
 }
 
 static PyObject *
-exp_moments(PyObject *module, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
+exp_moments(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer av, wv;
     PyObject *result = NULL;
     double *u = NULL;
-    Py_ssize_t nkw = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
     int moments = 1;
 
-    if (nargs < 3 || nargs + nkw > 4)
+    if (nargs < 3 || nargs > 4)
         return PyErr_Format(PyExc_TypeError, "exp_moments() takes 3 or 4 arguments (%zd given)",
-                            nargs + nkw);
-    if (nkw == 1 && PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(kwnames, 0), "moments") != 0)
-        return PyErr_Format(PyExc_TypeError,
-                            "exp_moments() got an unexpected keyword argument '%U'",
-                            PyTuple_GET_ITEM(kwnames, 0));
-    /* a keyword value follows the positional ones, so moments is args[3] either way */
-    if (nargs + nkw == 4 && (moments = PyObject_IsTrue(args[3])) < 0)
+                            nargs);
+    if (nargs == 4 && (moments = PyObject_IsTrue(args[3])) < 0)
         return NULL;
     if (get_doubles(args[0], &av) < 0)
         return NULL;
@@ -129,8 +125,8 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"exp_moments", (PyCFunction)(void (*)(void))exp_moments, METH_FASTCALL | METH_KEYWORDS,
-     "exp_moments(logs, log_weights, p, /, moments=True)\n--\n\n"
+    {"exp_moments", (PyCFunction)(void (*)(void))exp_moments, METH_FASTCALL,
+     "exp_moments(logs, log_weights, p, moments=True, /)\n--\n\n"
      "Compensated moments of logs under the tilt t_i = p * logs[i] + log_weights[i].\n\n"
      "Forms t and shift = max t, then sums u_i = exp(t_i - shift) and u_i * logs[i]\n"
      "in one pass and the centered variance in a second.  Returns\n"

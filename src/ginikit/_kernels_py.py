@@ -9,14 +9,14 @@ which backend got selected), so any edit here must be replayed in
 ``_kernels.c`` and vice versa.
 
 The kernel forms the tilt itself.  Which passes follow depends on the
-request.  A full call (``moments=True``) runs two: one that sums the
-shifted weights u_i = exp(t_i - shift) and the products u_i * ln a_i side
-by side, and the centered variance pass, which needs the mean.  A
-total-only call (``moments=False``), which is all a secant slope reads,
-runs the weight total's pass alone and returns NaN for the mean and the
-variance.  Its running sum and compensation follow the same recurrence, in
-the same order, as the full call's, so its shift and total are the same
-bits.
+request, the fourth argument ``moments``, taken by position only.  A full
+call (``moments`` true, the default) runs two: one that sums the shifted
+weights u_i = exp(t_i - shift) and the products u_i * ln a_i side by side,
+and the centered variance pass, which needs the mean.  A total-only call
+(``moments`` false), which is all a secant slope reads, runs the weight
+total's pass alone and returns NaN for the mean and the variance.  Its
+running sum and compensation follow the same recurrence, in the same
+order, as the full call's, so its shift and total are the same bits.
 
 In the loop, the Neumaier steps of the weight total and of the variance
 test ``s >= y`` where the C kernel's one step tests ``fabs(s) >= fabs(y)``.
@@ -35,9 +35,13 @@ mirrors the extension operation for operation, because it performs the same
 IEEE-754 double operations in the same order as the loop:
 
 * ``p * logs + log_weights`` rounds each product and each sum once, as the
-  loop does, and the largest t_i is the same double in any search order
-  (a tie of -0.0 with +0.0 may give either zero, and both give the same
-  weights u_i and the same ``shift + log(total)``);
+  loop does;
+* the shift is the tilt ``max`` picks in the loop, the first largest: it
+  starts at t_0 and moves only to a strictly larger value, so a tie of -0.0
+  with +0.0 gives the zero that comes first, a NaN after t_0 is passed
+  over, and a NaN t_0 stays.  The numpy path takes the largest of the
+  non-NaN tilts (``np.fmax.reduce``), then the first tilt equal to it,
+  unless t_0 is NaN;
 * ``np.cumsum`` (``np.add.accumulate``) is a strict left-to-right
   recurrence, unlike ``np.sum``'s pairwise reduction, so the running sums it
   yields are exactly the loop's successive ``t = s + x``;
@@ -73,6 +77,7 @@ def exp_moments(
     log_weights: "list[float] | object",
     p: float,
     moments: bool = True,
+    /,
 ) -> tuple[float, float, float, float]:
     """Compensated moments of ln a under the tilt t_i = p * logs[i] + log_weights[i].
 
@@ -166,7 +171,10 @@ def _exp_moments_vector(
 ) -> tuple[float, float, float, float]:
     lgs = np.asarray(logs, dtype=np.float64)
     t = p * lgs + np.asarray(log_weights, dtype=np.float64)
-    shift = float(t.max())
+    # the loop's max(): the first largest tilt, NaN only when t[0] is NaN
+    shift = float(t[0])
+    if not math.isnan(shift):
+        shift = float(t[np.argmax(t == np.fmax.reduce(t))])
     u = np.fromiter(map(math.exp, (t - shift).tolist()), dtype=np.float64, count=t.size)
     # np.where below evaluates both Neumaier branches; on non-finite input
     # the unused one can raise floating-point warnings the loop never does

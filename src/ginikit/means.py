@@ -11,8 +11,8 @@ power means are M_r = G(r, 0).  Each, G(p, p) included, is exp of one
 slope of the convex function ln S_p, and :func:`secant_slope` is the only
 code that forms it: every mean here and every verdict in
 :mod:`ginikit.audit` goes through it.  Its body runs on a per-sample memo of
-power sums, so a caller that evaluates several pairs of one sample can
-form each S_p once (see :class:`_PowerSums`).
+log sums, so a caller that evaluates several pairs of one sample can form
+each ln S_p once (see :class:`_PowerSums`).
 
 That path never materializes a_i**p.  One kernel call per exponent forms
 the tilt t_i = p*ln(a_i) + ln(w_i), shifts by m = max(t_i) so every
@@ -21,10 +21,11 @@ summation in one order per sample, ascending (ln a_i, ln w_i), fixed when
 the sample is built.  A full call sums the weight total and the first
 moment in one pass and the centered variance in a second.  A secant reads
 ln S_p alone, so the memo asks the kernel for the weight total only, one
-pass, with the same bits; the tangent asks for the full moments.  Results
-stay finite and inside [min(a), max(a)] for values anywhere in the double
-range and any exponent whose t_i are finite doubles, where the textbook
-formula overflows at |p| in the hundreds.
+pass, with the same bits, and keeps that log sum; the tangent makes one
+full call and keeps nothing.  Results stay finite and inside
+[min(a), max(a)] for values anywhere in the double range and any exponent
+whose t_i are finite doubles, where the textbook formula overflows at |p|
+in the hundreds.
 """
 
 from __future__ import annotations
@@ -137,27 +138,19 @@ def log_power_sum(
 
 
 class _PowerSums:
-    """The power sums of one sample, each formed once and kept by exponent.
+    """The log sums of one sample, each formed once and kept by exponent.
 
-    One object serves one sample, and keeps one entry per exponent.
-    :meth:`log_sum` serves the secant, which reads ln S_p alone: on the
-    first request for an exponent it calls :func:`log_power_sum` with
-    ``moments=False``, one kernel pass, and keeps that result.
-    :meth:`power_sum` serves readers of the moments, such as the tangent:
-    on an exponent with no entry, or with a log sum only, it makes the full
-    call, and the full result replaces the log sum.  A full entry serves
-    every later request of either kind without a kernel call, and both kinds
-    give the same ``log_sum`` bits.  An entry is a log sum only when its
-    moments are NaN, as a total-only call leaves them; a full call's moments
-    are finite, because every weight it sums is at most 1 and the one at the
-    shift is exactly 1.
-    Both methods look the function up by this module's global name at each
-    call, so a wrapper put there (a counter in a test, a tracer) sees every
-    kernel call the memo makes.
+    One object serves one sample, and keeps ln S_p alone, one float per
+    exponent: that is all a secant reads.  :meth:`log_sum` calls
+    :func:`log_power_sum` with ``moments=False``, one kernel pass, on the
+    first request for an exponent.  The tangent of :meth:`slope` reads the
+    tilted mean at the midpoint from one full call and keeps nothing.  Both
+    calls look :func:`log_power_sum` up by this module's global name, so a
+    wrapper put there (a counter in a test, a tracer) sees every kernel call
+    the memo makes.
     The key is the float itself, so ``0.0`` and ``-0.0`` share an entry:
-    both tilt every term to ``ln w_i``, so their power sums are the same
-    bits; only the recorded ``p`` differs.  An exponent whose evaluation
-    raises is not kept.
+    both tilt every term to ``ln w_i``, so their log sums are the same bits.
+    An exponent whose evaluation raises is not kept.
 
     :meth:`slope` is the only code that turns power sums into a Gini slope;
     :func:`secant_slope` and :func:`gini_mean` run it on a fresh object, and
@@ -167,24 +160,18 @@ class _PowerSums:
     so an exponent shared by two pairs costs one kernel call.
     """
 
-    __slots__ = ("sample", "_sums")
+    __slots__ = ("sample", "_log_sums")
 
     def __init__(self, sample: PositiveSample) -> None:
         self.sample = sample
-        self._sums: dict[float, LogPowerSum] = {}
+        self._log_sums: dict[float, float] = {}
 
     def log_sum(self, p: float) -> float:
         """ln S_p of the sample at the finite exponent ``p``."""
-        found = self._sums.get(p)
+        found = self._log_sums.get(p)
         if found is None:
-            found = self._sums[p] = log_power_sum(self.sample, p, moments=False)
-        return found.log_sum
-
-    def power_sum(self, p: float) -> LogPowerSum:
-        """:func:`log_power_sum` of the sample at the finite exponent ``p``."""
-        found = self._sums.get(p)
-        if found is None or math.isnan(found.moment1):
-            found = self._sums[p] = log_power_sum(self.sample, p)
+            found = log_power_sum(self.sample, p, moments=False).log_sum
+            self._log_sums[p] = found
         return found
 
     def slope(self, p: float, q: float) -> float:
@@ -198,7 +185,7 @@ class _PowerSums:
         # the tilted mean at the midpoint is within O(gap^2) of the true slope,
         # far below double rounding error.
         if abs(p - q) <= 1e-8 * (1.0 + max(abs(p), abs(q))):
-            return self.power_sum(0.5 * p + 0.5 * q).moment1
+            return log_power_sum(sample, 0.5 * p + 0.5 * q).moment1
         return (0.5 * self.log_sum(p) - 0.5 * self.log_sum(q)) / (0.5 * p - 0.5 * q)
 
     def gini(self, params: ExponentPair) -> float:
@@ -222,8 +209,9 @@ def secant_slope(sample: PositiveSample, p: float, q: float) -> float:
     two log sums alone, so each costs one total-only kernel pass
     (``log_power_sum(..., moments=False)``).  For p == q (within a gap of
     1e-8 * (1 + max(|p|, |q|))) it is the tangent d/dp ln S_p, served by
-    the tilted mean of ln a at the midpoint, from one full kernel call.
-    Uniform samples short-circuit to ln of the common value.
+    the tilted mean of ln a at the midpoint, from one full kernel call that
+    the memo does not keep.  Uniform samples short-circuit to ln of the
+    common value.
 
     Both differences and the midpoint are formed from halves, so they stay
     finite when p - q, p + q or ln S_p - ln S_q would overflow.  Halving a

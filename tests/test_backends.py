@@ -611,20 +611,33 @@ class TestTotalOnly:
     @pytest.mark.parametrize("n", (2, 5, VECTOR_N - 1, VECTOR_N, 4096))
     def test_signed_zero_shift_tie(self, kernel_module, n):
         # the two largest tilts are p * -0.0 + -0.0 = -0.0 and
-        # p * 0.0 + -0.0 = +0.0: a tie of zeros for the shift.  Python's max
-        # and the loops take the first; numpy's max may take either zero
+        # p * 0.0 + -0.0 = +0.0: a tie of zeros for the shift.  Every kernel
+        # takes the first, as Python's max does, on both pure paths at any n
         la = np.concatenate((np.linspace(-3.0, -0.5, n - 2), [-0.0, 0.0]))
         lw = np.full(n, -0.0)
-        totals = set()
-        for name, kernel in total_only_kernels(kernel_module):
+        want = reference_first_largest(la.tolist(), lw.tolist(), 1.0)
+        for _, kernel in total_only_kernels(kernel_module):
             shift, total, _, _ = kernel(la, lw, 1.0, False)
             assert bits((shift, total)) == bits(kernel(la, lw, 1.0)[:2])
-            assert shift == 0.0
-            if name != "vector" and n < VECTOR_N:
-                assert bits((shift,)) == bits((-0.0,))
-            totals.add(total.hex())
-        want = reference_first_largest(la.tolist(), lw.tolist(), 1.0)
-        assert totals == {want[1].hex()}
+            assert bits((shift, total)) == bits((-0.0, want[1]))
+
+    @pytest.mark.parametrize("n", (VECTOR_N - 1, VECTOR_N, 4096))
+    @pytest.mark.parametrize("at", (0, 5))
+    def test_nan_tilt_shift(self, compiled_kernels, n, at):
+        # a NaN log makes a NaN tilt.  As Python's max does, every kernel
+        # keeps a NaN t_0 as the shift and passes over a later NaN, and the
+        # loop, the numpy path and C give the same (shift, total) bits
+        la = np.linspace(-3.0, -0.5, n)
+        la[at] = math.nan
+        lw = np.zeros(n)
+        shift = max((1.0 * la + lw).tolist())
+        assert math.isnan(shift) == (at == 0)
+        kernels = [kernel for _, kernel in total_only_kernels(_kernels_py)]
+        kernels.append(compiled_kernels.exp_moments)
+        for kernel in kernels:
+            for moments in (False, True):
+                got = kernel(la, lw, 1.0, moments)
+                assert bits(got[:2]) == bits((shift, math.nan))
 
     def test_backends_agree(self, compiled_kernels):
         rng = np.random.default_rng(43)
@@ -635,19 +648,18 @@ class TestTotalOnly:
             )
 
     def test_moments_argument(self, kernel_module):
-        # positional or by keyword, read for its truth value; the compiled
-        # kernel refuses any other keyword and a fifth argument
+        # the fourth argument, by position only, read for its truth value;
+        # both kernels refuse any keyword and a fifth argument
         kernel = kernel_module.exp_moments
         la, lw = np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.3, -0.2])
         full = bits(kernel(la, lw, 1.5))
         total_only = bits(kernel(la, lw, 1.5, False))
-        assert bits(kernel(la, lw, 1.5, moments=False)) == total_only
         assert bits(kernel(la, lw, 1.5, 0)) == total_only
         assert bits(kernel(la, lw, 1.5, True)) == full
-        assert bits(kernel(la, lw, 1.5, moments=1)) == full
         with pytest.raises(TypeError):
             kernel(la, lw, 1.5, False, True)
-        with pytest.raises(TypeError):
-            kernel(la, lw, 1.5, total=False)
+        for keyword in ({"moments": False}, {"moments": 1}, {"total": False}):
+            with pytest.raises(TypeError):
+                kernel(la, lw, 1.5, **keyword)
         with pytest.raises(TypeError):
             kernel(la, lw, 1.5, True, moments=False)

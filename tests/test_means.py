@@ -360,33 +360,31 @@ class TestPowerSumMemo:
         assert sums.log_sum(1.0) == full.log_sum
         tangent = sums.slope(1.0, 1.0)
         assert requests[2:] == [(1.0, True)]
-        # the full result replaced the log sum, and serves both kinds
-        kept = sums.power_sum(1.0)
-        assert [x.hex() for x in kept] == [x.hex() for x in full]
-        assert tangent == kept.moment1
+        # the tangent is log_power_sum's full moment1, and the log sum kept
+        # before it still serves the secant
+        assert tangent.hex() == full.moment1.hex()
         assert sums.log_sum(1.0) == full.log_sum
         assert sums.slope(1.0, 0.0) == secant
         assert len(requests) == 3
         assert secant == secant_slope(s, 1.0, 0.0)
 
-    def test_full_entry_serves_later_log_sums(self, monkeypatch):
+    def test_tangent_keeps_no_entry(self, monkeypatch):
         s = PositiveSample([1.0, 3.0, 4.0], [0.5, 1.0, 2.0])
+        full = log_power_sum(s, 2.0)
         requests = self.record_kernel_requests(monkeypatch)
         sums = _PowerSums(s)
-        two, zero = sums.power_sum(2.0), sums.power_sum(0.0)
-        assert requests == [(2.0, True), (0.0, True)]
-        assert (sums.log_sum(2.0), sums.log_sum(-0.0)) == (two.log_sum, zero.log_sum)
-        assert sums.gini(ExponentPair(2.0, -0.0)) == gini_mean(s, ExponentPair(2.0, 0.0))
-        assert requests[2:] == [(2.0, False), (0.0, False)]
+        assert sums.slope(2.0, 2.0) == sums.slope(2.0, 2.0) == full.moment1
+        assert sums.log_sum(2.0) == full.log_sum
+        assert requests == [(2.0, True), (2.0, True), (2.0, False)]
 
     def test_signed_zeros_share_one_log_sum_entry(self, monkeypatch):
         s = PositiveSample([1.0, 3.0, 4.0], [0.5, 1.0, 2.0])
+        full = log_power_sum(s, 0.0)
         requests = self.record_kernel_requests(monkeypatch)
         sums = _PowerSums(s)
         alone = sums.log_sum(-0.0)
         assert sums.log_sum(0.0) == alone
-        full = sums.power_sum(0.0)
-        assert sums.power_sum(-0.0) is full
+        assert sums.slope(0.0, 0.0) == full.moment1
         assert full.log_sum == alone
         assert requests == [(-0.0, False), (0.0, True)]
 
@@ -407,8 +405,8 @@ class TestPowerSumMemo:
         s = PositiveSample([1.0, 3.0, 4.0], [0.5, 1.0, 2.0])
         exponents = self.count_kernel_calls(monkeypatch)
         sums = _PowerSums(s)
-        first = sums.power_sum(0.0)
-        assert sums.power_sum(-0.0) is first
+        first = sums.log_sum(0.0)
+        assert sums.log_sum(-0.0) is first
         assert sums.gini(ExponentPair(1.0, -0.0)) == gini_mean(s, ExponentPair(1.0, 0.0))
         assert exponents == [0.0, 1.0, 1.0, 0.0]
         assert math.copysign(1.0, exponents[0]) == 1.0
