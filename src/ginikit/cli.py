@@ -30,7 +30,7 @@ from ._util import atomic_write_text, format_double, read_text
 from .audit import AuditVerdict, ParameterOrder, scan_monotonicity
 from .errors import GinikitError, HypothesisError, IngestionError, ParameterDomainError
 from .means import _PowerSums, gini_mean, lehmer_mean, power_mean
-from .oracle import OracleConfig, equivalence_report
+from .oracle import equivalence_report
 from .plotting import render_csv, render_svg
 from .sample import ExponentPair, PositiveSample
 
@@ -318,9 +318,10 @@ def _cmd_mwd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> tuple[tuple[tuple[float, float], ...], ...]:
-    """The --grid chains, each link checked as a :class:`ParameterOrder`, so a
-    broken chain ends the command before any sample or oracle call."""
+def _parse_grid(spec: str) -> list[list[ExponentPair]]:
+    """The --grid chains as canonical :class:`ExponentPair` chains, each link
+    checked as a :class:`ParameterOrder`, so a broken chain ends the command
+    before any sample or oracle call."""
     chains = DEFAULT_GRID_CHAINS
     if spec != "default":
         pairs: list[tuple[float, float]] = []
@@ -332,10 +333,15 @@ def _parse_grid(spec: str) -> tuple[tuple[tuple[float, float], ...], ...]:
         if len(pairs) < 2:
             raise ParameterDomainError("--grid needs at least two pairs to form a chain")
         chains = (tuple(pairs),)
+    checked = []
     for chain in chains:
-        for lower, upper in zip(chain, chain[1:]):
-            ParameterOrder(ExponentPair(*lower), ExponentPair(*upper))
-    return chains
+        # each pair is checked before the link that ends at it
+        pairs = [ExponentPair(*chain[0])]
+        for p, q in chain[1:]:
+            pairs.append(ExponentPair(p, q))
+            ParameterOrder(pairs[-2], pairs[-1])
+        checked.append(pairs)
+    return checked
 
 
 def _random_samples(seed: int, count: int) -> list[PositiveSample]:
@@ -383,17 +389,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         samples = _random_samples(seed, count)
         source = f"random(seed={seed}, n={count})"
 
-    chain_pairs = [
-        [ExponentPair(p, q) for (p, q) in chain] for chain in chains
-    ]
     oracle_payload: dict[str, object] | None = None
     if args.oracle:
         # the oracle runs before the audit, so a sample or pair outside its
         # domain ends the command before any audit line is printed
-        unique_pairs = list(dict.fromkeys(pair for chain in chain_pairs for pair in chain))
-        summary = equivalence_report(
-            samples, [unique_pairs] * len(samples), OracleConfig(), rel_tol=1e-12
-        )
+        unique_pairs = list(dict.fromkeys(pair for chain in chains for pair in chain))
+        summary = equivalence_report(samples, [unique_pairs] * len(samples))
         worst = None
         if summary.worst_params is not None:
             worst = {
@@ -416,12 +417,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f" -> G({format_double(upper.p)},{format_double(upper.q)})"
             for lower, upper in zip(chain, chain[1:])
         ]
-        for chain in chain_pairs
+        for chain in chains
     ]
     checks: list[str] = []
     counts = {"holds": 0, "weak": 0, "degenerate": 0, "failed": 0}
     for index, sample in enumerate(samples):
-        for chain, chain_labels in zip(chain_pairs, labels):
+        for chain, chain_labels in zip(chains, labels):
             verdicts = scan_monotonicity(sample, chain)
             for link, verdict in enumerate(verdicts):
                 status = _verdict_status(verdict)
@@ -462,7 +463,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.report is not None:
         head = {
             "source": source,
-            "grid": [[list(pair) for pair in chain] for chain in chains],
+            "grid": [[[pair.p, pair.q] for pair in chain] for chain in chains],
             "summary": {"checks": total, **counts},
         }
         tail = {"oracle": oracle_payload, "all_passed": not failed}

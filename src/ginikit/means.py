@@ -175,9 +175,7 @@ class _PowerSums:
         return found
 
     def slope(self, p: float, q: float) -> float:
-        """ln G(p, q); see :func:`secant_slope`."""
-        p = _finite_exponent(p, "p")
-        q = _finite_exponent(q, "q")
+        """ln G(p, q) at the finite exponents ``p`` and ``q``; see :func:`secant_slope`."""
         sample = self.sample
         if sample.is_uniform:
             return math.log(float(sample.values[0]))
@@ -216,7 +214,13 @@ def secant_slope(sample: PositiveSample, p: float, q: float) -> float:
     Both differences and the midpoint are formed from halves, so they stay
     finite when p - q, p + q or ln S_p - ln S_q would overflow.  Halving a
     normal double is exact, so this changes no bit anywhere else.
+
+    This is the entry that takes raw exponents: it checks p, then q, as
+    finite reals before the memo runs.  :func:`gini_mean` and the memo's
+    other callers pass an :class:`ExponentPair`, checked when it was built.
     """
+    p = _finite_exponent(p, "p")
+    q = _finite_exponent(q, "q")
     return _PowerSums(sample).slope(p, q)
 
 

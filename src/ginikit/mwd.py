@@ -507,22 +507,17 @@ def _check_positive_finite(value: float, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_mwd(path: str | Path, format: str | None = None) -> MWDataset:
-    """Load a distribution from CSV or JSON.
+def load_mwd(path: str | Path) -> MWDataset:
+    """Load a distribution from JSON if the suffix is ``.json``, else from CSV.
 
-    ``format`` may be ``"csv"``, ``"json"`` or None to infer from the file
-    suffix (``.json`` means JSON, anything else CSV).  Parse errors raise
+    The suffix is matched without regard to case.  Parse errors raise
     :class:`IngestionError` naming the offending line (CSV) or species index
     (JSON).
     """
     path = Path(path)
-    if format is None:
-        format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format == "csv":
-        return _parse_csv(read_text(path), path.stem)
-    if format == "json":
+    if path.suffix.lower() == ".json":
         return _parse_json(read_text(path))
-    raise ParameterDomainError(f"format must be 'csv' or 'json', got {format!r}")
+    return _parse_csv(read_text(path), path.stem)
 
 
 def _parse_csv(text: str, label: str) -> MWDataset:
@@ -651,24 +646,18 @@ def _json_number(value: object, what: str) -> float:
     return float(value)
 
 
-def save_mwd(dataset: MWDataset, path: str | Path, format: str | None = None) -> None:
-    """Write a distribution to CSV or JSON (atomically).
+def save_mwd(dataset: MWDataset, path: str | Path) -> None:
+    """Write a distribution as JSON if the suffix is ``.json``, else as CSV (atomically).
 
-    Numbers are written in shortest round-trip form, so save/load preserves
-    every species bit for bit.  CSV fields follow :func:`format_double`
+    The suffix is matched as :func:`load_mwd` matches it.  Numbers are
+    written in shortest round-trip form, so save/load preserves every
+    species bit for bit.  CSV fields follow :func:`format_double`
     (``28.0`` is written ``28``); JSON is laid out as
     ``json.dumps(payload, indent=2)`` lays it out.  Rows are formatted and
     written a block at a time.
     """
     path = Path(path)
-    if format is None:
-        format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format == "csv":
-        chunks = _csv_chunks(dataset)
-    elif format == "json":
-        chunks = _json_chunks(dataset)
-    else:
-        raise ParameterDomainError(f"format must be 'csv' or 'json', got {format!r}")
+    chunks = _json_chunks(dataset) if path.suffix.lower() == ".json" else _csv_chunks(dataset)
     with atomic_writer(path) as handle:
         handle.writelines(chunks)
 

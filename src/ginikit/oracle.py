@@ -21,7 +21,10 @@ the log-domain kernel: there is no shift by the largest log, no log-sum-exp
 and no tangent at small gaps, so agreement between the two is evidence that
 both are right, not that they make the same mistake.  The price is a
 restricted domain: inputs are capped where 50 digits of working precision
-comfortably absorb the naive formula's dynamic range.
+comfortably absorb the naive formula's dynamic range, and a sample holds at
+most :data:`MAX_N` values, which bounds the cost of a reference.  The fast
+path agrees with the oracle when its relative error is at most
+:data:`REL_TOL`.
 
 A pair whose exponents differ by less than 1e-20 is evaluated at raised
 precision.  At a gap h = |p - q| the ratio S_p / S_q is 1 + O(h), and
@@ -52,10 +55,14 @@ from .sample import ExponentPair, PositiveSample
 
 __all__ = ["OracleConfig", "oracle_gini", "equivalence_report", "EquivalenceSummary"]
 
-#: Certified input domain of the oracle.
+#: Certified input domain of the oracle.  ``MAX_N`` caps the cost, not the
+#: accuracy: a reference costs one extended-precision term per value.
+MAX_N = 1024
 MAX_ABS_EXPONENT = 30.0
 MIN_VALUE = 1e-30
 MAX_VALUE = 1e30
+#: Largest relative error from the oracle that :func:`equivalence_report` passes.
+REL_TOL = 1e-12
 #: Pairs whose exponents differ by less than this get raised precision.
 TINY_GAP = 1e-20
 #: Digits added beyond those the gap cancels, for such a pair.
@@ -64,16 +71,15 @@ TINY_GAP_MARGIN_DIGITS = 10
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Working precision and size cap for the reference evaluator.
+    """Working precision of the reference evaluator.
 
-    ``precision_digits`` must be at least 50; ``max_n`` at most 1024.  The
-    defaults give results correct to well under 1 ulp of a double over the
-    certified domain, verified by the self-consistency check (doubling the
-    digits changes nothing after rounding to double).
+    ``precision_digits`` must be at least 50.  The default gives results
+    correct to well under 1 ulp of a double over the certified domain,
+    verified by the self-consistency check (doubling the digits changes
+    nothing after rounding to double).
     """
 
     precision_digits: int = 50
-    max_n: int = 1024
 
     def __post_init__(self) -> None:
         # finiteness first: int() raises a bare ValueError on NaN and an
@@ -83,16 +89,7 @@ class OracleConfig:
             raise ParameterDomainError(
                 f"precision_digits must be an integer >= 50, got {_shown(digits)}"
             )
-        if (
-            not _is_finite_real(self.max_n)
-            or int(self.max_n) != self.max_n
-            or not 1 <= self.max_n <= 1024
-        ):
-            raise ParameterDomainError(
-                f"max_n must be an integer in [1, 1024], got {_shown(self.max_n)}"
-            )
-        object.__setattr__(self, "precision_digits", int(self.precision_digits))
-        object.__setattr__(self, "max_n", int(self.max_n))
+        object.__setattr__(self, "precision_digits", int(digits))
 
 
 class _LiftedSample:
@@ -203,10 +200,8 @@ def _references(
     """
     lifted: _LiftedSample | None = None
     for params in grid:
-        if sample.n > config.max_n:
-            raise OracleDomainError(
-                f"sample size {sample.n} exceeds the oracle cap of {config.max_n}"
-            )
+        if sample.n > MAX_N:
+            raise OracleDomainError(f"sample size {sample.n} exceeds the oracle cap of {MAX_N}")
         if max(abs(params.p), abs(params.q)) > MAX_ABS_EXPONENT:
             raise OracleDomainError(
                 f"|exponents| must be <= {MAX_ABS_EXPONENT} for the oracle, "
@@ -237,7 +232,7 @@ def oracle_gini(
     """Reference G(p, q) by the naive formula at extended precision.
 
     Raises :class:`OracleDomainError` outside the certified domain
-    (n <= config.max_n, |p|, |q| <= 30, values in [1e-30, 1e30]).  Inside
+    (n <= :data:`MAX_N`, |p|, |q| <= 30, values in [1e-30, 1e30]).  Inside
     it, the returned double is correct to <= 2 ulp (in practice: correctly
     rounded), at every exponent gap: a gap below :data:`TINY_GAP` raises the
     working precision (see the module docstring).  The caller's mpmath
@@ -269,14 +264,14 @@ def equivalence_report(
     samples: Sequence[PositiveSample],
     grids: Sequence[Sequence[ExponentPair]],
     config: OracleConfig = OracleConfig(),
-    rel_tol: float = 1e-12,
 ) -> EquivalenceSummary:
     """Compare :func:`ginikit.means.gini_mean` against the oracle pointwise.
 
     ``grids[i]`` lists the exponent pairs to evaluate on ``samples[i]`` (a
     single shared grid may be passed as ``[grid] * len(samples)``).
     Iteration order is deterministic; the summary records the worst relative
-    error and where it occurred.
+    error and where it occurred, and passes when that error is at most
+    :data:`REL_TOL`.
 
     The fast side holds one power-sum memo per sample, so each distinct
     exponent of a grid costs one kernel call (7 for the CLI's default grid,
@@ -316,7 +311,7 @@ def equivalence_report(
         max_rel_error=worst,
         worst_sample=worst_sample,
         worst_params=worst_params,
-        rel_tol=rel_tol,
-        passed=worst <= rel_tol,
+        rel_tol=REL_TOL,
+        passed=worst <= REL_TOL,
         worst_index=worst_index,
     )

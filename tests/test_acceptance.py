@@ -133,7 +133,7 @@ def test_04_extended_precision_oracle_agreement_over_10000_cases():
             if abs(p - q) >= 0.25:
                 pairs.append(ExponentPair(p, q))
         grids.append(pairs)
-    summary = equivalence_report(samples, grids, OracleConfig(), rel_tol=1e-12)
+    summary = equivalence_report(samples, grids, OracleConfig())
     assert summary.cases == 10000
     assert summary.passed
     assert summary.max_rel_error <= 1e-12

@@ -441,7 +441,9 @@ class TestVerify:
         assert all(type(x) is float for pair in pairs for x in pair)
 
     def test_default_chains_pass_the_order_hypothesis(self):
-        assert cli._parse_grid("default") is cli.DEFAULT_GRID_CHAINS
+        assert cli._parse_grid("default") == [
+            [ExponentPair(*pair) for pair in chain] for chain in cli.DEFAULT_GRID_CHAINS
+        ]
         for chain in cli.DEFAULT_GRID_CHAINS:
             for lower, upper in zip(chain, chain[1:]):
                 order = ParameterOrder(ExponentPair(*lower), ExponentPair(*upper))
@@ -458,6 +460,12 @@ class TestVerify:
             ("1:0,1:0", "at least one component must increase strictly"),
             ("1:1,2:0", "each pair must have p > q strictly (got lower=(1.0, 1.0), upper=(2.0, 0.0))"),
             ("inf:0,2:0", "exponents must be finite, got p=inf, q=0.0"),
+            # links are checked in order, each after the pair that ends it
+            (
+                "2:0,1:0,inf:0",
+                "upper pair must dominate componentwise: (1.0, 0.0) does not dominate (2.0, 0.0)",
+            ),
+            ("1:0,2:0,inf:0", "exponents must be finite, got p=inf, q=0.0"),
         ],
     )
     def test_broken_grid_is_refused_before_any_sample(self, grid, message, capsys, monkeypatch):
@@ -478,6 +486,18 @@ class TestVerify:
         for source in (("--random", "-1", "5"), ("--input", str(tmp_path / "missing.csv"))):
             assert run_cli("verify", *source, *grid) == 2
             assert capsys.readouterr().err == want
+
+    def test_grid_echo_is_canonical(self, tmp_path, capsys):
+        # a pair given as p < q is echoed as the pair it labels and checks
+        out_path = tmp_path / "r.json"
+        code = run_cli(
+            "verify", "--random", "7", "1", "--grid", "0:1,2:1", "--report", str(out_path)
+        )
+        assert code == 0
+        assert "G(1,0) -> G(2,1)" in capsys.readouterr().out
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert payload["grid"] == [[[1.0, 0.0], [2.0, 1.0]]]
+        assert payload["checks"][0]["lower"] == [1.0, 0.0]
 
     def test_custom_grid(self, data_dir, capsys):
         code = run_cli(
@@ -559,8 +579,8 @@ class TestVerify:
             (None, ("--random", "7", "2", "--grid", "1e-3:-2,0.5:-1,1:0"), {0}),
             # uniform: every check is degenerate
             ("500,1\n500,2\n", (), {0}),
-            # exit 3 with a FAIL row of negative margin until the slope fix
-            # of ROADMAP item 1 settles that verdict
+            # exit 3 with a FAIL row of negative margin until the certified
+            # verdicts of ROADMAP item 4 settle it (item 1 alone does not)
             ("1e-308,1\n1e308,1\n", (), {0, 3}),
         ],
     )
@@ -581,8 +601,7 @@ class TestVerify:
         grid = source[source.index("--grid") + 1] if "--grid" in source else "default"
         want = []
         for index, sample in enumerate(samples):
-            for chain in cli._parse_grid(grid):
-                pairs = [ExponentPair(*pair) for pair in chain]
+            for pairs in cli._parse_grid(grid):
                 for link, verdict in enumerate(scan_monotonicity(sample, pairs)):
                     lower, upper = pairs[link], pairs[link + 1]
                     want.append({

@@ -450,18 +450,17 @@ class TestFileRoundTrips:
         assert list(loaded.masses) == list(ds.masses)
         assert list(loaded.abundances) == list(ds.abundances)
 
-    def test_format_override(self, tmp_path, two_species):
-        path = tmp_path / "data.dat"
-        save_mwd(two_species, path, format="json")
-        loaded = load_mwd(path, format="json")
-        assert loaded.n == 2
-
-    def test_unknown_format_rejected(self, tmp_path, two_species):
-        with pytest.raises(ParameterDomainError):
-            save_mwd(two_species, tmp_path / "x.csv", format="xml")
-        save_mwd(two_species, tmp_path / "x.csv")
-        with pytest.raises(ParameterDomainError):
-            load_mwd(tmp_path / "x.csv", format="xml")
+    def test_any_suffix_but_json_is_csv(self, tmp_path):
+        ds = MWDataset(masses=[28.0, 1.0000000000000002], abundances=[0.1, 3.33e-7])
+        save_mwd(ds, tmp_path / "data.dat")
+        save_mwd(ds, tmp_path / "data.csv")
+        written = (tmp_path / "data.dat").read_bytes()
+        assert written == (tmp_path / "data.csv").read_bytes()
+        assert written.startswith(b"molar_mass,abundance\n")
+        loaded = load_mwd(tmp_path / "data.dat")
+        assert loaded.label == "data"
+        assert list(loaded.masses) == list(ds.masses)
+        assert list(loaded.abundances) == list(ds.abundances)
 
 
 class TestIngestionErrors:

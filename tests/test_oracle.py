@@ -20,22 +20,17 @@ class TestOracleConfig:
     def test_defaults(self):
         cfg = OracleConfig()
         assert cfg.precision_digits == 50
-        assert cfg.max_n == 1024
+        assert oracle.MAX_N == 1024
 
     @pytest.mark.parametrize("digits", [49, 10, 0, 50.5])
     def test_digits_floor(self, digits):
         with pytest.raises(ParameterDomainError):
             OracleConfig(precision_digits=digits)
 
-    @pytest.mark.parametrize("max_n", [0, 1025, 3.5])
-    def test_max_n_cap(self, max_n):
-        with pytest.raises(ParameterDomainError):
-            OracleConfig(max_n=max_n)
-
     def test_numpy_integers_accepted(self):
-        cfg = OracleConfig(precision_digits=np.int64(60), max_n=np.int32(5))
-        assert (cfg.precision_digits, cfg.max_n) == (60, 5)
-        assert type(cfg.precision_digits) is type(cfg.max_n) is int
+        cfg = OracleConfig(precision_digits=np.int64(60))
+        assert cfg.precision_digits == 60
+        assert type(cfg.precision_digits) is int
 
 
 class TestOracleGini:
@@ -61,10 +56,15 @@ class TestOracleGini:
         assert oracle_gini(PositiveSample([1.0, 4.0]), ExponentPair(0.0, 0.0)) == 2.0
 
     def test_domain_sample_size(self):
-        cfg = OracleConfig(max_n=4)
-        s = PositiveSample([1.0, 2.0, 3.0, 4.0, 5.0])
-        with pytest.raises(OracleDomainError):
-            oracle_gini(s, ExponentPair(1.0, 0.0), cfg)
+        s = PositiveSample(np.arange(1.0, 1026.0))
+        with pytest.raises(OracleDomainError, match="cap of 1024"):
+            oracle_gini(s, ExponentPair(1.0, 0.0))
+
+    def test_sample_at_the_cap_accepted(self):
+        # 1..1024: S_1 / S_0 is the mean 1025/2, exact in binary
+        s = PositiveSample(np.arange(1.0, 1025.0))
+        assert s.n == oracle.MAX_N
+        assert oracle_gini(s, ExponentPair(1.0, 0.0)) == 512.5
 
     def test_domain_exponents(self):
         with pytest.raises(OracleDomainError):
@@ -111,7 +111,7 @@ class TestEquivalenceReport:
                         break
                 grid.append(ExponentPair(p, q))
             grids.append(grid)
-        summary = equivalence_report(samples, grids, rel_tol=1e-12)
+        summary = equivalence_report(samples, grids)
         assert isinstance(summary, EquivalenceSummary)
         assert summary.cases == 200
         assert summary.passed, f"max rel error {summary.max_rel_error}"
@@ -245,11 +245,11 @@ class TestMemoisedOracle:
             raise AssertionError("sample lifted before its domain check")
 
         monkeypatch.setattr(oracle, "_LiftedSample", refuse)
-        big = PositiveSample(np.arange(1.0, 6.0))
+        big = PositiveSample(np.arange(1.0, 1026.0))
         with pytest.raises(OracleDomainError, match="cap"):
-            equivalence_report([big], [[ExponentPair(1.0, 0.0)]], OracleConfig(max_n=4))
+            equivalence_report([big], [[ExponentPair(1.0, 0.0)]])
         with pytest.raises(OracleDomainError, match="cap"):
-            oracle_gini(big, ExponentPair(1.0, 0.0), OracleConfig(max_n=4))
+            oracle_gini(big, ExponentPair(1.0, 0.0))
 
 
 class TestOneReferencePath:

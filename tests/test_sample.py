@@ -197,9 +197,6 @@ HUGE_INT_CALLS = {
     "check_power_mean_bound.q": (
         lambda: audit.check_power_mean_bound(SAMPLE, 1.0, BIG, 2.0), HypothesisError
     ),
-    "OracleConfig.max_n": (lambda: OracleConfig(max_n=BIG), ParameterDomainError),
-    "OracleConfig.max_n=inf": (lambda: OracleConfig(max_n=float("inf")), ParameterDomainError),
-    "OracleConfig.max_n=nan": (lambda: OracleConfig(max_n=float("nan")), ParameterDomainError),
     "OracleConfig.precision_digits": (
         lambda: OracleConfig(precision_digits=BIG), ParameterDomainError
     ),
@@ -263,7 +260,6 @@ HUGE_DIGIT_CALLS = {
     "check_power_mean_bound.q": (
         lambda: audit.check_power_mean_bound(SAMPLE, 1.0, HUGE, 2.0), HypothesisError
     ),
-    "OracleConfig.max_n": (lambda: OracleConfig(max_n=HUGE), ParameterDomainError),
     "OracleConfig.precision_digits": (
         lambda: OracleConfig(precision_digits=HUGE), ParameterDomainError
     ),
