@@ -78,8 +78,6 @@ def digest_samples(samples) -> list[tuple]:
         return (
             s.values,
             s.weights,
-            s.log_values,
-            s.log_weights,
             s._sorted_log_values,
             s._sorted_log_weights,
         )

@@ -49,7 +49,7 @@ def _case(sample: PositiveSample, pair: ExponentPair) -> dict[str, float]:
     error = abs(fast - reference) / reference
     h = pair.p - pair.q
     log_sums = max(abs(log_power_sum(sample, e).log_sum) for e in (pair.p, pair.q))
-    spread = float(sample.log_values.max() - sample.log_values.min())
+    spread = float(np.ptp(np.log(sample.values)))
     return {
         "error": error,
         "rounding_scale": EPS * log_sums / h,

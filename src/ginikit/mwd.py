@@ -304,10 +304,10 @@ def polydispersity(
     The chain and the custom pairs share one power-sum memo of the sample,
     so each distinct exponent costs one kernel call: 5 for the chain at
     any s (S_0, S_1, S_{1+s}, S_2, S_3), 8 for the CLI's ``--b 0.5
-    --custom 1.5:-1.5`` report, where per-pair evaluation made 14.  The
-    pairs are still evaluated lazily and in order, the chain first, then
-    each custom pair as it is read, so values, errors and their order are
-    those of :func:`ginikit.means.gini_mean` called pair by pair.
+    --custom 1.5:-1.5`` report.  The pairs are evaluated lazily and in
+    order, the chain first, then each custom pair as it is read, so values,
+    errors and their order are those of :func:`ginikit.means.gini_mean`
+    called pair by pair.
     """
     if not (_is_finite_real(s) and 0.0 < s <= 1.0):
         raise ParameterDomainError(
@@ -354,12 +354,13 @@ def generate_flory(m0: float, x: float, tail_tol: float = 1e-12) -> MWDataset:
     _check_positive_finite(m0, "m0")
     if not (_is_finite_real(x) and 0.0 < x < 1.0):
         raise ParameterDomainError(f"conversion x must be in (0, 1), got {_shown(x)}")
-    if not (isinstance(tail_tol, (int, float)) and 0.0 < tail_tol <= 1e-6):
+    if not (_is_finite_real(tail_tol) and 0.0 < float(tail_tol) <= 1e-6):
         raise ParameterDomainError(
             f"tail_tol must be in (0, 1e-6], got {_shown(tail_tol)}"
         )
-    kmax = max(1, math.ceil(math.log(tail_tol) / math.log(x)))
-    while x**kmax >= tail_tol:
+    tol = float(tail_tol)
+    kmax = max(1, math.ceil(math.log(tol) / math.log(x)))
+    while x**kmax >= tol:
         kmax += 1
     _check_species_count(kmax, "flory")
     _check_mass_range(
@@ -507,6 +508,11 @@ def _check_positive_finite(value: float, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _is_json(path: Path) -> bool:
+    """True when ``path`` names a JSON file: its suffix is ``.json`` in any case."""
+    return path.suffix.lower() == ".json"
+
+
 def load_mwd(path: str | Path) -> MWDataset:
     """Load a distribution from JSON if the suffix is ``.json``, else from CSV.
 
@@ -515,7 +521,7 @@ def load_mwd(path: str | Path) -> MWDataset:
     (JSON).
     """
     path = Path(path)
-    if path.suffix.lower() == ".json":
+    if _is_json(path):
         return _parse_json(read_text(path))
     return _parse_csv(read_text(path), path.stem)
 
@@ -657,7 +663,7 @@ def save_mwd(dataset: MWDataset, path: str | Path) -> None:
     written a block at a time.
     """
     path = Path(path)
-    chunks = _json_chunks(dataset) if path.suffix.lower() == ".json" else _csv_chunks(dataset)
+    chunks = _json_chunks(dataset) if _is_json(path) else _csv_chunks(dataset)
     with atomic_writer(path) as handle:
         handle.writelines(chunks)
 
@@ -717,11 +723,11 @@ def report_to_text(report: MeansReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_report(report: MeansReport, path: str | Path, format: str = "json") -> None:
-    """Write a report to disk as JSON or text (atomically)."""
-    if format == "json":
-        atomic_write_text(path, report_to_json(report))
-    elif format == "text":
-        atomic_write_text(path, report_to_text(report))
-    else:
-        raise ParameterDomainError(f"format must be 'json' or 'text', got {format!r}")
+def save_report(report: MeansReport, path: str | Path) -> None:
+    """Write a report (atomically): as :func:`report_to_json` if the suffix is
+    ``.json``, else as :func:`report_to_text`.
+
+    The suffix is matched as :func:`load_mwd` matches it.
+    """
+    path = Path(path)
+    atomic_write_text(path, report_to_json(report) if _is_json(path) else report_to_text(report))

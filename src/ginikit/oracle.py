@@ -246,18 +246,19 @@ def oracle_gini(
 class EquivalenceSummary:
     """Worst-case disagreement between the fast path and the oracle.
 
-    ``worst_index`` is the position of ``worst_sample`` in the samples
-    passed to :func:`equivalence_report`.  The three ``worst_*`` fields are
-    None when no case disagreed at all.
+    ``cases`` counts the pairs compared and ``max_rel_error`` is the largest
+    relative error among them.  ``worst_index`` is the position, in the
+    samples passed to :func:`equivalence_report`, of the sample where it
+    occurred, and ``worst_params`` the pair; both are None when no case
+    disagreed at all.  ``passed`` is true when ``max_rel_error`` is at most
+    :data:`REL_TOL`.
     """
 
     cases: int
     max_rel_error: float
-    worst_sample: PositiveSample | None
+    worst_index: int | None
     worst_params: ExponentPair | None
-    rel_tol: float
     passed: bool
-    worst_index: int | None = None
 
 
 def equivalence_report(
@@ -269,13 +270,14 @@ def equivalence_report(
 
     ``grids[i]`` lists the exponent pairs to evaluate on ``samples[i]`` (a
     single shared grid may be passed as ``[grid] * len(samples)``).
-    Iteration order is deterministic; the summary records the worst relative
-    error and where it occurred, and passes when that error is at most
+    Iteration order is deterministic.  The summary holds five fields:
+    ``cases``, ``max_rel_error``, ``worst_index``, ``worst_params`` and
+    ``passed``, which is true when the worst relative error is at most
     :data:`REL_TOL`.
 
     The fast side holds one power-sum memo per sample, so each distinct
-    exponent of a grid costs one kernel call (7 for the CLI's default grid,
-    where its 6 pairs took 12), and every fast value is bit for bit
+    exponent of a grid costs one kernel call (7 for the CLI's default grid
+    of 6 pairs), and every fast value is bit for bit
     ``gini_mean`` of its pair.  The reference side runs the body of
     :func:`oracle_gini` on each sample's grid, lifting the sample once, so
     every reference value is bit for bit ``oracle_gini`` of its pair.  The
@@ -286,7 +288,6 @@ def equivalence_report(
             f"need one grid per sample, got {len(grids)} grids for {len(samples)} samples"
         )
     worst = 0.0
-    worst_sample: PositiveSample | None = None
     worst_params: ExponentPair | None = None
     worst_index: int | None = None
     cases = 0
@@ -303,15 +304,12 @@ def equivalence_report(
                 cases += 1
                 if rel > worst:
                     worst = rel
-                    worst_sample = sample
                     worst_params = params
                     worst_index = index
     return EquivalenceSummary(
         cases=cases,
         max_rel_error=worst,
-        worst_sample=worst_sample,
-        worst_params=worst_params,
-        rel_tol=REL_TOL,
-        passed=worst <= REL_TOL,
         worst_index=worst_index,
+        worst_params=worst_params,
+        passed=worst <= REL_TOL,
     )

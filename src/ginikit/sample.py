@@ -56,23 +56,19 @@ def _as_positive_array(data: Iterable[float], what: str) -> np.ndarray:
 class PositiveSample:
     """A sample of strictly positive values with strictly positive weights.
 
-    Logarithms of the values and weights are precomputed once at
-    construction; every mean in this package works on those logs.  Arrays
-    are frozen (non-writable) so a sample can be shared freely.
-
-    The order in which the terms of a power sum are added is fixed here too:
-    a private copy of the logs sorted by (ln a, ln w) is what every
-    evaluation sums over, whatever the exponent.  So a permuted sample gives
-    the same bits, and no evaluation sorts again.  The public arrays keep
-    the caller's order.  The largest |ln a| is read once from the two ends of
-    that sorted copy, for the exponent domain check of every evaluation.
+    The public arrays ``values`` and ``weights`` keep the caller's order.
+    The logarithms of both are taken once at construction and kept only
+    in private copies sorted by (ln a, ln w): every mean in this package
+    sums over those copies, in that order, whatever the exponent.  So a
+    permuted sample gives the same bits, and no evaluation sorts again.  The
+    largest |ln a| is read once from the two ends of the sorted ln a, for
+    the exponent domain check of every evaluation.  All four arrays are
+    frozen (non-writable), so a sample can be shared freely.
     """
 
     __slots__ = (
         "values",
         "weights",
-        "log_values",
-        "log_weights",
         "is_uniform",
         "min_value",
         "max_value",
@@ -83,8 +79,6 @@ class PositiveSample:
 
     values: np.ndarray
     weights: np.ndarray
-    log_values: np.ndarray
-    log_weights: np.ndarray
     is_uniform: bool
     min_value: float
     max_value: float
@@ -106,12 +100,10 @@ class PositiveSample:
         order = np.lexsort((log_wts, log_vals))
         sorted_log_vals = log_vals[order]
         sorted_log_wts = log_wts[order]
-        for arr in (vals, wts, log_vals, log_wts, sorted_log_vals, sorted_log_wts):
+        for arr in (vals, wts, sorted_log_vals, sorted_log_wts):
             arr.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "log_values", log_vals)
-        object.__setattr__(self, "log_weights", log_wts)
         object.__setattr__(self, "is_uniform", min_value == max_value)
         object.__setattr__(self, "min_value", min_value)
         object.__setattr__(self, "max_value", max_value)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from ginikit.mwd import (
     load_mwd,
     number_average,
     polydispersity,
+    report_to_json,
+    report_to_text,
     save_mwd,
     save_report,
     sedimentation_mean,
@@ -272,6 +275,15 @@ class TestGenerateFlory:
         assert shorter.n < longer.n
 
     @pytest.mark.parametrize(
+        "tail", [np.float32(1e-7), Fraction(1, 10**7)], ids=["float32", "Fraction"]
+    )
+    def test_any_real_tail_tolerance_acts_as_its_float(self, tail):
+        got = generate_flory(28, 0.5, tail)
+        want = generate_flory(28, 0.5, float(tail))
+        for a, b in ((got.masses, want.masses), (got.abundances, want.abundances)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
         "m0,x,tail",
         [
             (0.0, 0.5, 1e-12),
@@ -281,6 +293,8 @@ class TestGenerateFlory:
             (100.0, 1.5, 1e-12),
             (100.0, 0.5, 0.0),
             (100.0, 0.5, 1e-3),
+            # positive, but 0.0 as the double the truncation works with
+            (100.0, 0.5, Fraction(1, 10**400)),
         ],
     )
     def test_domain(self, m0, x, tail):
@@ -605,7 +619,7 @@ class TestReportSerialization:
     def test_json_report_full_precision(self, tmp_path, two_species):
         rep = polydispersity(two_species, custom=[(1.5, -1.5)])
         path = tmp_path / "report.json"
-        save_report(rep, path, format="json")
+        save_report(rep, path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["Mn"] == rep.Mn
         assert payload["pdi"] == rep.pdi
@@ -614,12 +628,23 @@ class TestReportSerialization:
     def test_text_report_round_trips_values(self, tmp_path, two_species):
         rep = polydispersity(two_species)
         path = tmp_path / "report.txt"
-        save_report(rep, path, format="text")
+        save_report(rep, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         table = dict(line.split(None, 1) for line in lines)
         assert float(table["Mn"]) == rep.Mn
         assert float(table["pdi"]) == rep.pdi
 
-    def test_bad_format(self, tmp_path, two_species):
-        with pytest.raises(ParameterDomainError):
-            save_report(polydispersity(two_species), tmp_path / "r.x", format="yaml")
+    @pytest.mark.parametrize(
+        "name, writer",
+        [
+            ("r.json", report_to_json),
+            ("r.JSON", report_to_json),
+            ("r.txt", report_to_text),
+            ("r.dat", report_to_text),
+        ],
+    )
+    def test_suffix_picks_the_format(self, tmp_path, two_species, name, writer):
+        rep = polydispersity(two_species, custom=[(1.5, -1.5)])
+        path = tmp_path / name
+        save_report(rep, path)
+        assert path.read_bytes() == writer(rep).encode("utf-8")

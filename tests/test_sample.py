@@ -23,19 +23,12 @@ class TestPositiveSample:
         assert s.max_value == 3.0
         assert not s.is_uniform
 
-    def test_logs_precomputed(self):
-        s = PositiveSample([2.0, 8.0], [1.0, 3.0])
-        assert list(s.log_values) == [math.log(2.0), math.log(8.0)]
-        assert list(s.log_weights) == [0.0, math.log(3.0)]
-
     def test_summation_order_is_private_and_frozen(self):
         values = [8.0, 2.0, 8.0, 0.5]
         weights = [1.0, 3.0, 0.25, 2.0]
         s = PositiveSample(values, weights)
         # the public arrays keep the caller's order
         assert list(s.values) == values
-        assert list(s.log_values) == [math.log(v) for v in values]
-        assert list(s.log_weights) == [math.log(w) for w in weights]
         # the private copy is sorted by (ln a, ln w), C-contiguous, read-only
         assert list(s._sorted_log_values) == [math.log(v) for v in (0.5, 2.0, 8.0, 8.0)]
         assert list(s._sorted_log_weights) == [math.log(w) for w in (2.0, 3.0, 0.25, 1.0)]
@@ -50,7 +43,7 @@ class TestPositiveSample:
     def test_largest_abs_log_is_stored_as_a_float(self, values):
         s = PositiveSample(values)
         assert type(s._max_abs_log_value) is float
-        assert s._max_abs_log_value == max(abs(float(x)) for x in s.log_values)
+        assert s._max_abs_log_value == max(abs(float(x)) for x in np.log(s.values))
 
     def test_uniform_detection(self):
         assert PositiveSample([5.0, 5.0, 5.0]).is_uniform
@@ -62,7 +55,7 @@ class TestPositiveSample:
     def test_subnormal_and_huge_values_accepted(self):
         s = PositiveSample([5e-324, 1e300])
         assert s.min_value == 5e-324
-        assert math.isfinite(s.log_values[0])
+        assert math.isfinite(s._sorted_log_values[0])
 
     @pytest.mark.parametrize(
         "values",
@@ -115,7 +108,7 @@ class TestPositiveSample:
         assert (s.min_value, s.max_value) == (0.5, 4.0)
         assert type(s.min_value) is float and type(s.max_value) is float
         assert not s.is_uniform
-        for arr in (s.values, s.weights, s.log_values, s.log_weights):
+        for arr in (s.values, s.weights, s._sorted_log_values, s._sorted_log_weights):
             assert arr.dtype == np.float64
             assert not arr.flags.writeable
         # a read-only float64 array is used as it is; an int array is converted
