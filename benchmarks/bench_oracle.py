@@ -8,7 +8,10 @@ Times ``equivalence_report`` on the CLI's default audit grid (its six
 distinct pairs, as ``verify --oracle`` passes them) over the seeded samples
 of ``verify --random SEED 200`` for seeds 0-4, and the fast side alone
 (``gini_mean`` over the same pairs), so the oracle's own share is the
-difference.  Then it times the forming of a lifted sample's terms at 50
+difference.  The ``finish`` row times the last step of a reference alone:
+the ratio of two power sums, raised to 1/(p - q) and rounded to a double,
+for every pair on lifts at 50 digits whose power sums were formed before the
+timing.  Then it times the forming of a lifted sample's terms at 50
 digits, per term, for three groups of exponents, each on a fresh lift so
 that a group pays for the square roots or logs it needs:
 
@@ -19,8 +22,10 @@ that a group pays for the square roots or logs it needs:
 A lifted sample holds raw ``_mpf_`` values and forms its terms through
 the ``mpmath.libmp`` calls the mpf operators make, so a term's time is
 those calls' own, with no mpf object built per operation.  Every report
-must pass, so an oracle that got faster by getting wrong fails loudly.  Each row gives the median and the minimum of ``REPEATS``
-rounds.  The last line of output is one JSON object with the medians.
+must pass, so an oracle that got faster by getting wrong fails loudly.
+Each row gives the median and the minimum of ``REPEATS`` rounds, and the
+``finish`` and term rows the median per (sample, pair) or per term.  The
+last line of output is one JSON object with the medians.
 """
 
 from __future__ import annotations
@@ -69,6 +74,24 @@ def fast_side(samples) -> None:
             gini_mean(sample, pair)
 
 
+def summed_lifts(samples) -> list:
+    """Each sample lifted at 50 digits, with the power sums of every pair formed."""
+    with mp.workdps(50):
+        lifts = [oracle._LiftedSample(sample) for sample in samples]
+        for lifted in lifts:
+            for pair in GRID:
+                lifted.power_sum(pair.p)
+                lifted.power_sum(pair.q)
+    return lifts
+
+
+def finish(lifts) -> None:
+    # no pair of the default grid has p == q, so each call takes the ratio
+    for lifted in lifts:
+        for pair in GRID:
+            lifted.gini(pair)
+
+
 def form_terms(samples, exponents) -> None:
     with mp.workdps(50):
         for sample in samples:
@@ -84,23 +107,30 @@ def main() -> None:
         f"backend {backend_name()}, mpmath {mp.__version__} ({mp.libmp.BACKEND}), "
         f"{len(GRID)} pairs on {len(batches)}x{SAMPLES_PER_SEED} samples, {REPEATS} rounds"
     )
-    rows = {"equivalence_report": report, "fast_side": fast_side}
+    lifts = [summed_lifts(batch) for batch in batches]
+    # name: (call, its input per batch, items per batch for the last column)
+    rows = {
+        "equivalence_report": (report, batches, None),
+        "fast_side": (fast_side, batches, None),
+        "finish": (finish, lifts, SAMPLES_PER_SEED * len(GRID)),
+    }
     for name, exponents in TERM_GROUPS.items():
-        rows[f"terms_{name}"] = lambda batch, es=exponents: form_terms(batch, es)
+        rows[f"terms_{name}"] = (
+            lambda batch, es=exponents: form_terms(batch, es),
+            batches,
+            values / len(batches) * len(exponents),
+        )
     medians: dict[str, float] = {}
-    print(f"{'layer':>20} {'median':>10} {'min':>10} {'per term':>10}")
-    for name, call in rows.items():
+    print(f"{'layer':>20} {'median':>10} {'min':>10} {'per item':>10}")
+    for name, (call, inputs, items) in rows.items():
         times = [
-            statistics.median(timed(lambda: call(batch)) for batch in batches)
+            statistics.median(timed(lambda: call(batch)) for batch in inputs)
             for _ in range(REPEATS)
         ]
         median = statistics.median(times)
         medians[f"{name}_s"] = median
-        per_term = ""
-        if name.startswith("terms_"):
-            terms = values / len(batches) * len(TERM_GROUPS[name[len("terms_"):]])
-            per_term = f"{median / terms * 1e9:>8.0f}ns"
-        print(f"{name:>20} {median * 1e3:>8.1f}ms {min(times) * 1e3:>8.1f}ms {per_term:>10}")
+        per_item = "" if items is None else f"{median / items * 1e9:>8.0f}ns"
+        print(f"{name:>20} {median * 1e3:>8.1f}ms {min(times) * 1e3:>8.1f}ms {per_item:>10}")
     medians["oracle_share_s"] = medians["equivalence_report_s"] - medians["fast_side_s"]
     print(f"{'oracle share':>20} {medians['oracle_share_s'] * 1e3:>8.1f}ms")
     print(json.dumps({"backend": backend_name(), "repeats": REPEATS, "median_s": medians}))

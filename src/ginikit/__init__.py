@@ -56,10 +56,21 @@ from .mwd import (
     weight_average,
     z_average,
 )
-from .oracle import EquivalenceSummary, OracleConfig, equivalence_report, oracle_gini
 from .sample import ExponentPair, PositiveSample
 
 __version__ = "0.1.0"
+
+#: Names read from :mod:`ginikit.oracle` when they are asked for, so that
+#: importing the package does not import mpmath.
+_ORACLE_NAMES = ("EquivalenceSummary", "OracleConfig", "equivalence_report", "oracle_gini")
+
+
+def __getattr__(name: str) -> object:
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AuditVerdict",

@@ -30,7 +30,6 @@ from ._util import atomic_write_text, format_double, read_text
 from .audit import AuditVerdict, ParameterOrder, scan_monotonicity
 from .errors import GinikitError, HypothesisError, IngestionError, ParameterDomainError
 from .means import _PowerSums, gini_mean, lehmer_mean, power_mean
-from .oracle import REL_TOL, equivalence_report
 from .plotting import render_csv, render_svg
 from .sample import ExponentPair, PositiveSample
 
@@ -392,6 +391,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     oracle_payload: dict[str, object] | None = None
     if args.oracle:
+        # imported here, so no other command loads mpmath
+        from .oracle import REL_TOL, equivalence_report
+
         # the oracle runs before the audit, so a sample or pair outside its
         # domain ends the command before any audit line is printed
         unique_pairs = list(dict.fromkeys(pair for chain in chains for pair in chain))

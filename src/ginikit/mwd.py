@@ -351,9 +351,10 @@ def generate_flory(m0: float, x: float, tail_tol: float = 1e-12) -> MWDataset:
     Closed forms for the untruncated distribution: Mn = m0/(1-x),
     pdi -> 1 + x.
     """
-    _check_positive_finite(m0, "m0")
-    if not (_is_finite_real(x) and 0.0 < x < 1.0):
+    m0 = _positive_double(m0, "m0")
+    if not (_is_finite_real(x) and 0.0 < float(x) < 1.0):
         raise ParameterDomainError(f"conversion x must be in (0, 1), got {_shown(x)}")
+    x = float(x)
     if not (_is_finite_real(tail_tol) and 0.0 < float(tail_tol) <= 1e-6):
         raise ParameterDomainError(
             f"tail_tol must be in (0, 1e-6], got {_shown(tail_tol)}"
@@ -364,7 +365,7 @@ def generate_flory(m0: float, x: float, tail_tol: float = 1e-12) -> MWDataset:
         kmax += 1
     _check_species_count(kmax, "flory")
     _check_mass_range(
-        m0, kmax * float(m0), f"flory parameters (m0 = {_shown(m0)}, chains up to {kmax} units)"
+        m0, kmax * m0, f"flory parameters (m0 = {_shown(m0)}, chains up to {kmax} units)"
     )
     k = np.arange(1, kmax + 1, dtype=np.float64)
     weights = np.exp((k - 1.0) * math.log(x)) * (1.0 - x)
@@ -386,16 +387,15 @@ def generate_poisson(m0: float, mean_degree: float) -> MWDataset:
     pdi - 1 = lam/(1+lam)**2 with lam = mean_degree, so pdi -> 1 for both
     tiny and huge mean degrees.
     """
-    _check_positive_finite(m0, "m0")
-    _check_positive_finite(mean_degree, "mean_degree")
-    lam = float(mean_degree)
+    m0 = _positive_double(m0, "m0")
+    lam = _positive_double(mean_degree, "mean_degree")
     half_width = 10.0 * math.sqrt(lam) + 30.0
     k_low = max(1, math.floor(1.0 + lam - half_width))
     k_high = math.ceil(1.0 + lam + half_width)
     _check_species_count(k_high - k_low + 1, "poisson")
     _check_mass_range(
-        k_low * float(m0),
-        k_high * float(m0),
+        k_low * m0,
+        k_high * m0,
         f"poisson parameters (m0 = {_shown(m0)}, chains up to {k_high} units)",
     )
     k = np.arange(k_low, k_high + 1, dtype=np.float64)
@@ -409,7 +409,7 @@ def generate_poisson(m0: float, mean_degree: float) -> MWDataset:
     return _dataset_of_fresh_arrays(
         k * m0,
         weights,
-        f"poisson(m0={format_double(m0)}, mean_degree={format_double(mean_degree)})",
+        f"poisson(m0={format_double(m0)}, mean_degree={format_double(lam)})",
     )
 
 
@@ -421,9 +421,10 @@ def generate_lognormal(median_mass: float, sigma: float, n_points: int) -> MWDat
     density at z.  sigma = 0 degenerates to n_points identical species
     (a monodisperse dataset).
     """
-    _check_positive_finite(median_mass, "median_mass")
-    if not (_is_finite_real(sigma) and sigma >= 0.0):
+    median_mass = _positive_double(median_mass, "median_mass")
+    if not (_is_finite_real(sigma) and float(sigma) >= 0.0):
         raise ParameterDomainError(f"sigma must be a finite real >= 0, got {_shown(sigma)}")
+    sigma = float(sigma)
     try:
         integral = int(n_points) == n_points
     except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinity
@@ -498,9 +499,15 @@ def _without_underflowed_tail(
     return k[:keep], weights[:keep]
 
 
-def _check_positive_finite(value: float, name: str) -> None:
-    if not (_is_finite_real(value) and value > 0.0):
+def _positive_double(value: float, name: str) -> float:
+    """``value`` as the double a generator computes with, which must be > 0.
+
+    The range is checked on the double, so a positive value that rounds to
+    0.0 is refused here rather than failing later in the arithmetic.
+    """
+    if not (_is_finite_real(value) and float(value) > 0.0):
         raise ParameterDomainError(f"{name} must be a finite real > 0, got {_shown(value)}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ The first two take no logarithm, and every exponent of the CLI's default
 grid is of those kinds; the logs are taken only for other exponents and for
 the p == q formula, which needs them.  The arithmetic runs on raw mpmath
 values (``_mpf_`` tuples) through the ``mpmath.libmp`` functions that the
-mpf operators, ``mp.fsum`` and ``mp.exp`` call, with the same operands,
-precision and rounding, so every reference value is the one the operator
-form gives, bit for bit, without building an mpf object per operation.
+mpf operators, ``mp.fsum``, ``mp.exp``, ``mp.sqrt`` and ``mp.log`` call,
+with the same operands, precision and rounding, so every reference value is
+the one the operator form gives, bit for bit, without building an mpf
+object per operation.  The terms at e = 0 and e = 1 take no power call, and
+the power 1/(p - q) of a pair is formed once per precision and shared by
+every sample.
 None of this shares a method with
 the log-domain kernel: there is no shift by the largest log, no log-sum-exp
 and no tangent at small gaps, so agreement between the two is evidence that
@@ -38,14 +41,15 @@ One body checks the domain, lifts and applies this rule for both
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import mpmath as mp
 from mpmath.libmp import (
-    from_float, mpf_div, mpf_exp, mpf_mul, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sub,
-    mpf_sum, to_float,
+    from_float, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_pow, mpf_pow_int, mpf_rdiv_int,
+    mpf_sqrt, mpf_sub, mpf_sum, to_float,
 )
 
 from ._util import _is_finite_real, _shown
@@ -92,6 +96,18 @@ class OracleConfig:
         object.__setattr__(self, "precision_digits", int(digits))
 
 
+@functools.lru_cache(maxsize=64)
+def _inverse_gap(p: float, q: float, prec: int, rounding: str) -> tuple:
+    """``1 / (p - q)`` as a raw mpmath value at ``prec`` bits and ``rounding``.
+
+    It depends on the pair and the precision alone, so every sample shares
+    it; the cache is keyed by all four and holds at most 64 entries.  The
+    calls are those of ``1 / (mpf(p) - mpf(q))``.
+    """
+    gap = mpf_sub(from_float(p), from_float(q), prec, rounding)
+    return mpf_rdiv_int(1, gap, prec, rounding)
+
+
 class _LiftedSample:
     """One sample lifted to raw mpmath values, its power sums memoised by exponent.
 
@@ -107,30 +123,34 @@ class _LiftedSample:
     - for any other e, ``w * exp(e * ln a)``.
 
     The values are raw ``_mpf_`` tuples, and the arithmetic is the
-    ``mpmath.libmp`` calls that the mpf operators, ``mp.fsum`` and
-    ``mp.exp`` make, on the same operands at the same precision and
-    rounding: ``mpf_pow_int`` and ``mpf_mul`` for a term, ``mpf_sum`` for a
-    sum, ``mpf_div``, ``mpf_sub``, ``mpf_rdiv_int`` and ``mpf_pow`` for the
-    ratio of two sums raised to 1/(p - q), ``mpf_exp`` and ``to_float``.
-    So every value is bit for bit the one the operator form gives, without
-    an mpf object per operation, and shares no method with the kernel.
+    ``mpmath.libmp`` calls that the mpf operators, ``mp.fsum``, ``mp.exp``,
+    ``mp.sqrt`` and ``mp.log`` make, on the same operands at the same
+    precision and rounding: ``mpf_pow_int`` and ``mpf_mul`` for a term,
+    ``mpf_sum`` for a sum, ``mpf_div``, ``mpf_sub``, ``mpf_rdiv_int`` and
+    ``mpf_pow`` for the ratio of two sums raised to 1/(p - q),
+    ``mpf_sqrt``, ``mpf_log``, ``mpf_exp`` and ``to_float``.  So every value
+    is bit for bit the one the operator form gives, without an mpf object
+    per operation, and shares no method with the kernel.
 
     mpmath forms an integer power with guard bits and rounds it once, so a
     term of the first form is within about one unit in the last place of
     the working precision, and one of the second within about |2e| units
     (the square root's rounding, raised to the power 2e).  ``exp(e * ln a)``
     carries the rounding of ``ln a`` times e, up to |e * ln a| units.
-    The square roots and the logs are each taken once, by ``mp.sqrt`` and
-    ``mp.log``, when a term first needs them: a grid of integer and
-    half-integer exponents without a p == q pair takes no log at all.
-    ``0.0`` and ``-0.0`` share an entry: both give the terms
-    ``w * a**0 == w``.
+    The square roots and the logs are each taken once, by ``mpf_sqrt`` and
+    ``mpf_log`` on the lifted values, when a term first needs them: a grid
+    of integer and half-integer exponents without a p == q pair takes no
+    log at all.  The terms at e = 0 and e = 1 take no power call:
+    ``a**0`` is one, so those terms are the lifted weights, and ``a**1`` is
+    ``a``, so those are ``w * a``.  Both hold at any precision of at least
+    53 bits, as ``mpf_pow_int`` and ``mpf_mul`` then return a double's value
+    unchanged.  ``0.0`` and ``-0.0`` share an entry.  The power
+    1/(p - q) of a pair comes from :func:`_inverse_gap`.
     """
 
     def __init__(self, sample: PositiveSample) -> None:
         self._prec, self._rounding = mp.mp._prec_rounding
-        self._floats = sample.values.tolist()
-        self.values = [from_float(v) for v in self._floats]
+        self.values = [from_float(v) for v in sample.values.tolist()]
         self.weights = [from_float(w) for w in sample.weights.tolist()]
         self._roots: list[tuple] | None = None
         self._logs: list[tuple] | None = None
@@ -139,13 +159,13 @@ class _LiftedSample:
     @property
     def roots(self) -> list[tuple]:
         if self._roots is None:
-            self._roots = [mp.sqrt(v)._mpf_ for v in self._floats]
+            self._roots = [mpf_sqrt(v, self._prec, self._rounding) for v in self.values]
         return self._roots
 
     @property
     def logs(self) -> list[tuple]:
         if self._logs is None:
-            self._logs = [mp.log(v)._mpf_ for v in self._floats]
+            self._logs = [mpf_log(v, self._prec, self._rounding) for v in self.values]
         return self._logs
 
     def terms(self, exponent: float) -> list[tuple]:
@@ -154,6 +174,10 @@ class _LiftedSample:
         twice = 2.0 * exponent
         if twice.is_integer():
             k = int(twice)
+            if k == 0:
+                return self.weights
+            if k == 2:
+                return [mpf_mul(w, a, prec, rounding) for w, a in zip(self.weights, self.values)]
             bases, power = (self.values, k // 2) if k % 2 == 0 else (self.roots, k)
             return [
                 mpf_mul(w, mpf_pow_int(b, power, prec, rounding), prec, rounding)
@@ -183,8 +207,8 @@ class _LiftedSample:
             result = mpf_exp(mean_log, prec, rounding)
         else:
             ratio = mpf_div(self.power_sum(params.p), self.power_sum(params.q), prec, rounding)
-            gap = mpf_sub(from_float(params.p), from_float(params.q), prec, rounding)
-            result = mpf_pow(ratio, mpf_rdiv_int(1, gap, prec, rounding), prec, rounding)
+            inverse_gap = _inverse_gap(params.p, params.q, prec, rounding)
+            result = mpf_pow(ratio, inverse_gap, prec, rounding)
         return to_float(result, rnd=rounding)
 
 
@@ -280,8 +304,9 @@ def equivalence_report(
     of 6 pairs), and every fast value is bit for bit
     ``gini_mean`` of its pair.  The reference side runs the body of
     :func:`oracle_gini` on each sample's grid, lifting the sample once, so
-    every reference value is bit for bit ``oracle_gini`` of its pair.  The
-    configured precision is set once per call, as there.
+    every reference value is bit for bit ``oracle_gini`` of its pair; only
+    the power 1/(p - q) of a pair, which no sample changes, is shared across
+    samples.  The configured precision is set once per call, as there.
     """
     if len(grids) != len(samples):
         raise ParameterDomainError(
@@ -293,7 +318,7 @@ def equivalence_report(
     cases = 0
     with mp.workdps(config.precision_digits):
         for index, (sample, grid) in enumerate(zip(samples, grids)):
-            # both sides keep their work per sample, and nothing across samples
+            # both sides keep their sums per sample, and none across samples
             sums = _PowerSums(sample)
             references = _references(sample, grid, config)
             for params in grid:

@@ -10,12 +10,14 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ginikit.cli as cli
+import ginikit.oracle as oracle
 from ginikit import _backend, means, mwd
 from ginikit._util import read_text
 from ginikit.audit import AuditVerdict, ParameterOrder, scan_monotonicity
@@ -473,7 +475,7 @@ class TestVerify:
             raise AssertionError("work was done before the grid was checked")
 
         monkeypatch.setattr(cli, "_random_samples", never)
-        monkeypatch.setattr(cli, "equivalence_report", never)
+        monkeypatch.setattr(oracle, "equivalence_report", never)
         monkeypatch.setattr(cli, "PositiveSample", never)
         code = run_cli("verify", "--random", "1", "3000", "--grid", grid, "--oracle")
         out = capsys.readouterr()
@@ -915,6 +917,43 @@ class TestEntryPoints:
         )
         assert out.returncode == 0
         assert out.stdout == "4.999999999999999\n"
+
+    def test_only_the_oracle_imports_mpmath(self, data_dir):
+        # one fresh interpreter, in order: once loaded, mpmath stays loaded
+        script = f"""
+import contextlib, io, json, sys
+import ginikit
+from ginikit import cli
+steps = [["import ginikit", "mpmath" in sys.modules]]
+for argv in (
+    ["mean", "1", "7", "--p", "2", "--q", "0"],
+    ["mwd-report", "--input", {str(data_dir / "two_species.csv")!r}],
+    ["verify", "--random", "1", "2", "--oracle"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([argv[0], code, "mpmath" in sys.modules])
+from ginikit import EquivalenceSummary, OracleConfig, equivalence_report, oracle_gini
+from ginikit import oracle
+served = (EquivalenceSummary, OracleConfig, equivalence_report, oracle_gini)
+steps.append(["served", served == tuple(getattr(oracle, n.__name__) for n in served)])
+print(json.dumps(steps))
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env_importing_from(src),
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [
+            ["import ginikit", False],
+            ["mean", 0, False],
+            ["mwd-report", 0, False],
+            ["verify", 0, True],
+            ["served", True],
+        ]
 
     def test_golden_report_independent_of_backend(self, data_dir, compiled_src):
         golden = (data_dir / "golden_report.txt").read_bytes()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -434,6 +435,53 @@ class TestGenerateLognormal:
     def test_domain(self, median, sigma, n):
         with pytest.raises(ParameterDomainError):
             generate_lognormal(median, sigma, n)
+
+
+#: Positive, but 0.0 as a double.
+BELOW_THE_DOUBLES = Fraction(1, 10**400)
+
+
+class TestGeneratorParametersAreDoubles:
+    """Each parameter is range-checked as the double the generator computes with."""
+
+    @pytest.mark.parametrize(
+        "generate,args,message",
+        [
+            (generate_flory, (BELOW_THE_DOUBLES, 0.5), "m0 must be a finite real > 0"),
+            # below 1, but 1.0 as a double
+            (
+                generate_flory,
+                (28.0, Fraction(10**20 - 1, 10**20)),
+                "conversion x must be in (0, 1)",
+            ),
+            (generate_poisson, (BELOW_THE_DOUBLES, 3.0), "m0 must be a finite real > 0"),
+            (generate_poisson, (28.0, BELOW_THE_DOUBLES), "mean_degree must be a finite real > 0"),
+            (
+                generate_lognormal,
+                (BELOW_THE_DOUBLES, 0.5, 11),
+                "median_mass must be a finite real > 0",
+            ),
+        ],
+    )
+    def test_a_value_out_of_range_as_a_double_is_refused(self, generate, args, message):
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            generate(*args)
+
+    @pytest.mark.parametrize(
+        "generate,args",
+        [
+            (generate_flory, (Fraction(281, 10), Fraction(1, 3))),
+            (generate_poisson, (Fraction(281, 10), Fraction(7, 3))),
+            (generate_lognormal, (Fraction(1, 3), Fraction(1, 3), 11)),
+            (generate_lognormal, (1e5, np.float32(0.3), 11)),
+        ],
+    )
+    def test_an_in_range_real_acts_as_its_float(self, generate, args):
+        got = generate(*args)
+        want = generate(*(a if isinstance(a, int) else float(a) for a in args))
+        assert got.label == want.label
+        for a, b in ((got.masses, want.masses), (got.abundances, want.abundances)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestFileRoundTrips:

@@ -392,18 +392,18 @@ class TestTermFormulas:
 
     def _count_calls(self, monkeypatch, name: str) -> list[object]:
         calls: list[object] = []
-        real = getattr(mp, name)
+        real = getattr(oracle, name)
 
-        def counting(x):
+        def counting(x, prec, rounding):
             calls.append(x)
-            return real(x)
+            return real(x, prec, rounding)
 
-        monkeypatch.setattr(mp, name, counting)
+        monkeypatch.setattr(oracle, name, counting)
         return calls
 
     def test_default_grid_takes_no_logs(self, monkeypatch):
-        logs = self._count_calls(monkeypatch, "log")
-        roots = self._count_calls(monkeypatch, "sqrt")
+        logs = self._count_calls(monkeypatch, "mpf_log")
+        roots = self._count_calls(monkeypatch, "mpf_sqrt")
         samples = _random_samples(3, 20)
         pairs = (ExponentPair(p, q) for chain in DEFAULT_GRID_CHAINS for p, q in chain)
         grid = list(dict.fromkeys(pairs))
@@ -414,8 +414,8 @@ class TestTermFormulas:
         assert len(roots) == sum(sample.n for sample in samples)
 
     def test_roots_and_logs_are_taken_once_and_only_when_needed(self, monkeypatch):
-        logs = self._count_calls(monkeypatch, "log")
-        roots = self._count_calls(monkeypatch, "sqrt")
+        logs = self._count_calls(monkeypatch, "mpf_log")
+        roots = self._count_calls(monkeypatch, "mpf_sqrt")
         sample = random_sample(np.random.default_rng(15))
         integral = [ExponentPair(1.0, -1.0), ExponentPair(3.0, -30.0)]
         equivalence_report([sample], [integral])
@@ -485,6 +485,26 @@ class TestLiftIsTheOperatorForm:
                     reference = OperatorFormLift(sample).gini(pair)
                 assert unrounded == [reference._mpf_], pair
                 assert got.hex() == float(reference).hex(), pair
+
+    def test_shared_inverse_gap_follows_the_precision(self, monkeypatch):
+        # 1/(p - q) is inexact for both pairs, so a value kept from another
+        # precision would change the unrounded result
+        unrounded = self._record_unrounded(monkeypatch)
+        sample = _term_samples(22)[0]
+        ordinary, tiny = ExponentPair(0.3, -7.1), ExponentPair(3e-21, -7e-22)
+        margin = oracle.TINY_GAP_MARGIN_DIGITS
+        # (pair, configured digits, digits of its lift); the tiny gap cancels 21
+        steps = [
+            (ordinary, 50, 50), (ordinary, 100, 100), (ordinary, 50, 50),
+            (tiny, 50, 50 + 21 + margin), (tiny, 100, 100 + 21 + margin),
+        ]
+        for pair, digits, lift_digits in steps:
+            unrounded.clear()
+            got = oracle_gini(sample, pair, OracleConfig(precision_digits=digits))
+            with mp.workdps(lift_digits):
+                reference = OperatorFormLift(sample).gini(pair)
+            assert unrounded == [reference._mpf_], (pair, digits)
+            assert got.hex() == float(reference).hex(), (pair, digits)
 
     @staticmethod
     def _record_unrounded(monkeypatch) -> list[tuple]:
