@@ -63,7 +63,7 @@ def timed(call) -> float:
 
 
 def report(samples) -> None:
-    summary = oracle.equivalence_report(samples, [GRID] * len(samples))
+    summary = oracle.equivalence_report(samples, GRID)
     if not summary.passed or summary.cases != len(GRID) * len(samples):
         raise AssertionError(f"oracle report failed: {summary}")
 

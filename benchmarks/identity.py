@@ -50,7 +50,7 @@ from ginikit import backend_name, cli
 from ginikit.audit import check_power_mean_bound
 from ginikit.errors import GinikitError
 from ginikit.means import identical_parameter_gini, log_power_sum
-from ginikit.oracle import OracleConfig, equivalence_report, oracle_gini
+from ginikit.oracle import equivalence_report, oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
 FLORY = "flory.csv"
@@ -208,10 +208,13 @@ def oracle_corpus() -> bytes:
         if index % 10 == 0:
             grid.append(ExponentPair(31.0, 0.0))
         for digits in ORACLE_DIGITS:
-            config = OracleConfig(precision_digits=digits)
             for pair in ORACLE_PAIRS:
-                chunks.append(_outcome(lambda: oracle_gini(sample, pair, config)))
-            chunks.append(_summary(lambda: equivalence_report([sample], [grid], config)))
+                chunks.append(
+                    _outcome(lambda: oracle_gini(sample, pair, precision_digits=digits))
+                )
+            chunks.append(
+                _summary(lambda: equivalence_report([sample], grid, precision_digits=digits))
+            )
     return b"".join(chunks)
 
 

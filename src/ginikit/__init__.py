@@ -40,7 +40,6 @@ from .mwd import (
     CustomMean,
     MeansReport,
     MWDataset,
-    Species,
     effective_parameter_mean,
     generate_flory,
     generate_lognormal,
@@ -62,7 +61,7 @@ __version__ = "0.1.0"
 
 #: Names read from :mod:`ginikit.oracle` when they are asked for, so that
 #: importing the package does not import mpmath.
-_ORACLE_NAMES = ("EquivalenceSummary", "OracleConfig", "equivalence_report", "oracle_gini")
+_ORACLE_NAMES = ("EquivalenceSummary", "equivalence_report", "oracle_gini")
 
 
 def __getattr__(name: str) -> object:
@@ -84,12 +83,10 @@ __all__ = [
     "LogPowerSum",
     "MWDataset",
     "MeansReport",
-    "OracleConfig",
     "OracleDomainError",
     "ParameterDomainError",
     "ParameterOrder",
     "PositiveSample",
-    "Species",
     "backend_name",
     "check_monotonicity",
     "check_power_mean_bound",

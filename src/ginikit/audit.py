@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._util import _shown
-from .errors import HypothesisError
+from .errors import HypothesisError, ParameterDomainError
 from .means import _finite_exponent, log_power_sum, secant_slope
 from .sample import ExponentPair, PositiveSample
 
@@ -137,10 +137,15 @@ def check_power_mean_bound(
     Any other (p, q, r) raises :class:`HypothesisError`.  The verdict is
     :func:`check_monotonicity`'s on the order ((p,q), (r,0)) resp.
     ((r,0), (p,q)), so the two can never disagree; a non-finite exponent
-    that passes the bracket test gets :class:`ExponentPair`'s error.
+    that passes the bracket test gets :class:`ExponentPair`'s error, and an
+    exponent the bracket test cannot compare gets its message for a value
+    that is not a real number.
     """
-    side_low = (r >= p > q) and (r > 0.0 > q)
-    side_high = (p >= r > 0.0) and (p > q > 0.0)
+    try:
+        side_low = (r >= p > q) and (r > 0.0 > q)
+        side_high = (p >= r > 0.0) and (p > q > 0.0)
+    except (TypeError, ValueError) as exc:
+        raise ParameterDomainError("exponents must be real numbers") from exc
     if side_low == side_high:
         raise HypothesisError(
             f"(p={_shown(p)}, q={_shown(q)}, r={_shown(r)}) fits neither bracketing "

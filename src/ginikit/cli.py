@@ -397,7 +397,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # the oracle runs before the audit, so a sample or pair outside its
         # domain ends the command before any audit line is printed
         unique_pairs = list(dict.fromkeys(pair for chain in chains for pair in chain))
-        summary = equivalence_report(samples, [unique_pairs] * len(samples))
+        summary = equivalence_report(samples, unique_pairs)
         worst = None
         if summary.worst_params is not None:
             worst = {

@@ -36,7 +36,6 @@ from .means import _PowerSums
 from .sample import ExponentPair, PositiveSample, _as_positive_array
 
 __all__ = [
-    "Species",
     "MWDataset",
     "CustomMean",
     "MeansReport",
@@ -85,17 +84,14 @@ _PLAIN_CSV_BODY = re.compile(rf"(?:{_FIELD},{_FIELD}(?:\n|\Z))+")
 _PARSE_BLOCK_CHARS = 1 << 16
 
 
-class Species(NamedTuple):
-    molar_mass: float
-    abundance: float
-
-
 class MWDataset:
     """A discrete molecular-weight distribution.
 
-    Backed by numpy arrays (``masses``, ``abundances``) so generated
-    distributions with many species stay cheap; the ``species`` property
-    materializes ``(molar_mass, abundance)`` pairs on demand.
+    Built from two arrays of one length, ``masses`` and ``abundances``, of
+    strictly positive finite reals, so generated distributions with many
+    species stay cheap.  A writeable array is copied, so the caller's buffer
+    is never frozen or aliased; a read-only float64 array is taken as it
+    is.  Both arrays are kept frozen.
     """
 
     __slots__ = ("masses", "abundances", "label")
@@ -105,21 +101,8 @@ class MWDataset:
     label: str
 
     def __init__(
-        self,
-        species: Iterable[tuple[float, float]] | None = None,
-        label: str = "",
-        *,
-        masses: Iterable[float] | None = None,
-        abundances: Iterable[float] | None = None,
+        self, *, masses: Iterable[float], abundances: Iterable[float], label: str = ""
     ) -> None:
-        if species is not None:
-            if masses is not None or abundances is not None:
-                raise DataError("pass either species pairs or mass/abundance arrays, not both")
-            pairs = list(species)
-            masses = [pair[0] for pair in pairs]
-            abundances = [pair[1] for pair in pairs]
-        if masses is None or abundances is None:
-            raise DataError("dataset needs both masses and abundances")
         mass_arr = _as_positive_array(masses, "molar masses")
         abundance_arr = _as_positive_array(abundances, "abundances")
         if mass_arr.shape != abundance_arr.shape:
@@ -138,12 +121,6 @@ class MWDataset:
     @property
     def n(self) -> int:
         return int(self.masses.size)
-
-    @property
-    def species(self) -> tuple[Species, ...]:
-        return tuple(
-            Species(float(m), float(a)) for m, a in zip(self.masses, self.abundances)
-        )
 
     def to_sample(self) -> PositiveSample:
         """The underlying positive weighted sample (masses weighted by abundance)."""
@@ -282,6 +259,17 @@ class MeansReport:
     custom: tuple[CustomMean, ...] = ()
 
 
+def _custom_pair(entry: object) -> ExponentPair:
+    """The exponent pair of one ``custom`` entry of :func:`polydispersity`."""
+    try:
+        p, q = entry
+    except (TypeError, ValueError):
+        raise ParameterDomainError(
+            f"custom entries must be exponent pairs (p, q), got {_shown(entry)}"
+        ) from None
+    return ExponentPair(p, q)
+
+
 def polydispersity(
     dataset: MWDataset,
     s: float = 0.7,
@@ -321,7 +309,7 @@ def polydispersity(
     pdi = mw / mn
     extras = tuple(
         CustomMean(pair.p, pair.q, sums.gini(pair))
-        for pair in (ExponentPair(p, q) for p, q in custom)
+        for pair in (_custom_pair(entry) for entry in custom)
     )
     return MeansReport(
         Mn=mn,

@@ -57,7 +57,7 @@ from .errors import OracleDomainError, ParameterDomainError
 from .means import _PowerSums
 from .sample import ExponentPair, PositiveSample
 
-__all__ = ["OracleConfig", "oracle_gini", "equivalence_report", "EquivalenceSummary"]
+__all__ = ["oracle_gini", "equivalence_report", "EquivalenceSummary"]
 
 #: Certified input domain of the oracle.  ``MAX_N`` caps the cost, not the
 #: accuracy: a reference costs one extended-precision term per value.
@@ -73,27 +73,15 @@ TINY_GAP = 1e-20
 TINY_GAP_MARGIN_DIGITS = 10
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Working precision of the reference evaluator.
-
-    ``precision_digits`` must be at least 50.  The default gives results
-    correct to well under 1 ulp of a double over the certified domain,
-    verified by the self-consistency check (doubling the digits changes
-    nothing after rounding to double).
-    """
-
-    precision_digits: int = 50
-
-    def __post_init__(self) -> None:
-        # finiteness first: int() raises a bare ValueError on NaN and an
-        # OverflowError on infinity, and a huge int is no usable precision
-        digits = self.precision_digits
-        if not _is_finite_real(digits) or int(digits) != digits or digits < 50:
-            raise ParameterDomainError(
-                f"precision_digits must be an integer >= 50, got {_shown(digits)}"
-            )
-        object.__setattr__(self, "precision_digits", int(digits))
+def _checked_digits(digits: int) -> int:
+    """The working precision ``digits`` as an int; an integer of at least 50."""
+    # finiteness first: int() raises a bare ValueError on NaN and an
+    # OverflowError on infinity, and a huge int is no usable precision
+    if not _is_finite_real(digits) or int(digits) != digits or digits < 50:
+        raise ParameterDomainError(
+            f"precision_digits must be an integer >= 50, got {_shown(digits)}"
+        )
+    return int(digits)
 
 
 @functools.lru_cache(maxsize=64)
@@ -213,14 +201,14 @@ class _LiftedSample:
 
 
 def _references(
-    sample: PositiveSample, grid: Iterable[ExponentPair], config: OracleConfig
+    sample: PositiveSample, grid: Iterable[ExponentPair], digits: int
 ) -> Iterator[float]:
     """Reference G(p, q) of each pair of ``grid`` on ``sample``, in order.
 
-    Run it inside ``mp.workdps(config.precision_digits)``.  Each pair is
-    checked against the certified domain before anything is lifted.  The
-    first ordinary pair lifts the sample at the configured digits, for every
-    ordinary pair after it; a tiny-gap pair gets a raised lift of its own.
+    Run it inside ``mp.workdps(digits)``.  Each pair is checked against
+    the certified domain before anything is lifted.  The first ordinary
+    pair lifts the sample at ``digits``, for every ordinary pair after it;
+    a tiny-gap pair gets a raised lift of its own.
     """
     lifted: _LiftedSample | None = None
     for params in grid:
@@ -239,7 +227,7 @@ def _references(
         gap = abs(params.p - params.q)
         if 0.0 < gap < TINY_GAP:
             cancelled = math.ceil(-math.log10(gap))
-            with mp.workdps(config.precision_digits + cancelled + TINY_GAP_MARGIN_DIGITS):
+            with mp.workdps(digits + cancelled + TINY_GAP_MARGIN_DIGITS):
                 reference = _LiftedSample(sample).gini(params)
         else:
             if lifted is None:
@@ -249,21 +237,25 @@ def _references(
 
 
 def oracle_gini(
-    sample: PositiveSample,
-    params: ExponentPair,
-    config: OracleConfig = OracleConfig(),
+    sample: PositiveSample, params: ExponentPair, precision_digits: int = 50
 ) -> float:
     """Reference G(p, q) by the naive formula at extended precision.
 
-    Raises :class:`OracleDomainError` outside the certified domain
+    ``precision_digits``, the working precision, must be an integer of at
+    least 50; anything else raises :class:`ParameterDomainError`.  Raises
+    :class:`OracleDomainError` outside the certified domain
     (n <= :data:`MAX_N`, |p|, |q| <= 30, values in [1e-30, 1e30]).  Inside
     it, the returned double is correct to <= 2 ulp (in practice: correctly
     rounded), at every exponent gap: a gap below :data:`TINY_GAP` raises the
-    working precision (see the module docstring).  The caller's mpmath
-    precision does not matter, and it is restored on return.
+    working precision (see the module docstring).  The default of 50 digits
+    gives results well under 1 ulp of a double there, verified by the
+    self-consistency check (doubling the digits changes nothing after
+    rounding to double).  The caller's mpmath precision does not matter,
+    and it is restored on return.
     """
-    with mp.workdps(config.precision_digits):
-        return next(_references(sample, [params], config))
+    digits = _checked_digits(precision_digits)
+    with mp.workdps(digits):
+        return next(_references(sample, [params], digits))
 
 
 @dataclass(frozen=True)
@@ -287,40 +279,39 @@ class EquivalenceSummary:
 
 def equivalence_report(
     samples: Sequence[PositiveSample],
-    grids: Sequence[Sequence[ExponentPair]],
-    config: OracleConfig = OracleConfig(),
+    grid: Iterable[ExponentPair],
+    precision_digits: int = 50,
 ) -> EquivalenceSummary:
     """Compare :func:`ginikit.means.gini_mean` against the oracle pointwise.
 
-    ``grids[i]`` lists the exponent pairs to evaluate on ``samples[i]`` (a
-    single shared grid may be passed as ``[grid] * len(samples)``).
-    Iteration order is deterministic.  The summary holds five fields:
-    ``cases``, ``max_rel_error``, ``worst_index``, ``worst_params`` and
-    ``passed``, which is true when the worst relative error is at most
+    Every pair of ``grid``, read once, is evaluated on every sample, sample
+    by sample and pair by pair in the order given, at the working precision
+    ``precision_digits`` of :func:`oracle_gini`.  The summary holds five
+    fields: ``cases``, ``max_rel_error``, ``worst_index``, ``worst_params``
+    and ``passed``, which is true when the worst relative error is at most
     :data:`REL_TOL`.
 
     The fast side holds one power-sum memo per sample, so each distinct
     exponent of a grid costs one kernel call (7 for the CLI's default grid
     of 6 pairs), and every fast value is bit for bit
     ``gini_mean`` of its pair.  The reference side runs the body of
-    :func:`oracle_gini` on each sample's grid, lifting the sample once, so
+    :func:`oracle_gini` on the grid, lifting each sample once, so
     every reference value is bit for bit ``oracle_gini`` of its pair; only
     the power 1/(p - q) of a pair, which no sample changes, is shared across
-    samples.  The configured precision is set once per call, as there.
+    samples.  The precision is checked and set once per call, as there.
     """
-    if len(grids) != len(samples):
-        raise ParameterDomainError(
-            f"need one grid per sample, got {len(grids)} grids for {len(samples)} samples"
-        )
+    digits = _checked_digits(precision_digits)
+    # both sides walk the grid once per sample, so an iterator is read once here
+    grid = tuple(grid)
     worst = 0.0
     worst_params: ExponentPair | None = None
     worst_index: int | None = None
     cases = 0
-    with mp.workdps(config.precision_digits):
-        for index, (sample, grid) in enumerate(zip(samples, grids)):
+    with mp.workdps(digits):
+        for index, sample in enumerate(samples):
             # both sides keep their sums per sample, and none across samples
             sums = _PowerSums(sample)
-            references = _references(sample, grid, config)
+            references = _references(sample, grid, digits)
             for params in grid:
                 fast = sums.gini(params)
                 # after the fast value: a pair both sides refuse gets the fast side's error

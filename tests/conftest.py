@@ -25,7 +25,7 @@ def data_dir() -> Path:
 @pytest.fixture
 def two_species() -> MWDataset:
     """The reference two-species distribution: masses 100 and 300, equal parts."""
-    return MWDataset([(100.0, 1.0), (300.0, 1.0)], label="two_species")
+    return MWDataset(masses=[100.0, 300.0], abundances=[1.0, 1.0], label="two_species")
 
 
 @pytest.fixture(scope="session")

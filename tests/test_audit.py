@@ -173,6 +173,21 @@ class TestCheckPowerMeanBound:
         with pytest.raises(ParameterDomainError, match=re.escape(message)):
             check_power_mean_bound(PositiveSample([1.0, 2.0]), p, q, r)
 
+    @pytest.mark.parametrize(
+        "p,q,r",
+        [
+            ("1", -1.0, 2.0),
+            (1.0, None, 2.0),
+            (3.0, 1.0, 2j),
+            (1.0, -1.0, np.array([2.0, 3.0])),
+        ],
+        ids=["str", "None", "complex", "array"],
+    )
+    def test_non_real_exponent_is_a_pair_error(self, p, q, r):
+        # the bracket test cannot compare it; ExponentPair's message names why
+        with pytest.raises(ParameterDomainError, match="^exponents must be real numbers$"):
+            check_power_mean_bound(PositiveSample([1.0, 2.0, 3.0]), p, q, r)
+
     def test_uniform_degenerate(self):
         v = check_power_mean_bound(PositiveSample([2.0, 2.0]), 1.0, -1.0, 1.0)
         assert v.degenerate and not v.holds and v.margin == 0.0

@@ -933,9 +933,9 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     steps.append([argv[0], code, "mpmath" in sys.modules])
-from ginikit import EquivalenceSummary, OracleConfig, equivalence_report, oracle_gini
+from ginikit import EquivalenceSummary, equivalence_report, oracle_gini
 from ginikit import oracle
-served = (EquivalenceSummary, OracleConfig, equivalence_report, oracle_gini)
+served = (EquivalenceSummary, equivalence_report, oracle_gini)
 steps.append(["served", served == tuple(getattr(oracle, n.__name__) for n in served)])
 print(json.dumps(steps))
 """

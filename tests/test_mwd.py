@@ -17,7 +17,6 @@ from ginikit.errors import DataError, IngestionError, ParameterDomainError
 from ginikit.mwd import (
     MWDataset,
     MeansReport,
-    Species,
     effective_parameter_mean,
     generate_flory,
     generate_lognormal,
@@ -45,7 +44,8 @@ from helpers import assert_within_ulps
 class TestMWDataset:
     def test_construction_from_pairs(self, two_species):
         assert two_species.n == 2
-        assert two_species.species == (Species(100.0, 1.0), Species(300.0, 1.0))
+        assert two_species.masses.tolist() == [100.0, 300.0]
+        assert two_species.abundances.tolist() == [1.0, 1.0]
         assert two_species.label == "two_species"
 
     def test_to_sample(self, two_species):
@@ -66,8 +66,10 @@ class TestMWDataset:
         ],
     )
     def test_bad_species_rejected(self, pairs):
+        masses = [mass for mass, _ in pairs]
+        abundances = [abundance for _, abundance in pairs]
         with pytest.raises(DataError):
-            MWDataset(pairs)
+            MWDataset(masses=masses, abundances=abundances)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -135,7 +137,7 @@ class TestAverages:
 
     def test_hydrodynamic(self, two_species):
         # {1,4} at b = 0.5: (S_1/S_0.5)^2 = (5/1.5)^... = 25/9
-        quartet = MWDataset([(1.0, 1.0), (4.0, 1.0)])
+        quartet = MWDataset(masses=[1.0, 4.0], abundances=[1.0, 1.0])
         assert_within_ulps(hydrodynamic_mean(quartet, 0.5), 25.0 / 9.0, 2)
         value = hydrodynamic_mean(two_species, 0.3)
         reference = oracle_gini(two_species.to_sample(), ExponentPair(1.0, 0.7))
@@ -158,7 +160,7 @@ class TestAverages:
             sedimentation_mean(two_species, b)
 
     def test_effective_parameter(self):
-        quartet = MWDataset([(1.0, 1.0), (4.0, 1.0)])
+        quartet = MWDataset(masses=[1.0, 4.0], abundances=[1.0, 1.0])
         assert effective_parameter_mean(quartet) == 2.0
 
     def test_hydrodynamic_above_number_average_over_b_grid(self, two_species):
@@ -205,7 +207,7 @@ class TestPolydispersityReport:
         assert viscosity_average(dataset, 1.0) == mw
 
     def test_uniform_dataset_degenerates_to_equalities(self):
-        mono = MWDataset([(500.0, 1.0), (500.0, 3.0)])
+        mono = MWDataset(masses=[500.0, 500.0], abundances=[1.0, 3.0])
         rep = polydispersity(mono)
         assert rep.Mn == rep.Mv == rep.Mw == rep.Mz == 500.0
         assert rep.pdi == 1.0
@@ -220,6 +222,31 @@ class TestPolydispersityReport:
             assert entry.value == pytest.approx(
                 oracle_gini(sample, ExponentPair(entry.p, entry.q)), rel=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "entry",
+        [(1.0,), 1.0, (1.0, 0.0, 2.0), None, 10**5000],
+        ids=["one", "float", "three", "None", "huge-int"],
+    )
+    def test_malformed_custom_entry_is_a_package_error(self, two_species, entry):
+        with pytest.raises(ParameterDomainError, match="custom entries must be exponent pairs"):
+            polydispersity(two_species, custom=[(1.5, -1.5), entry])
+
+    def test_custom_entries_are_read_and_fail_in_order(self, two_species, monkeypatch):
+        # the first bad entry, malformed or out of domain, decides the error
+        with pytest.raises(ParameterDomainError, match="too large for this sample"):
+            polydispersity(two_species, custom=[(1e308, 0.0), (1.0,)])
+        with pytest.raises(ParameterDomainError, match="custom entries"):
+            polydispersity(two_species, custom=[(1.0,), (1e308, 0.0)])
+        # an entry is read after the pair before it is evaluated
+        seen = []
+        real = means._PowerSums.gini
+        monkeypatch.setattr(
+            means._PowerSums, "gini", lambda sums, pair: seen.append(pair) or real(sums, pair)
+        )
+        with pytest.raises(ParameterDomainError, match="custom entries"):
+            polydispersity(two_species, custom=[(1.5, -1.5), 1.0])
+        assert seen[-1] == ExponentPair(1.5, -1.5)
 
     @pytest.mark.parametrize("s", [0.0, 1.5, -1.0])
     def test_report_s_domain(self, two_species, s):
@@ -504,7 +531,7 @@ class TestFileRoundTrips:
         assert list(loaded.abundances) == list(ds.abundances)
 
     def test_json_round_trip_with_label(self, tmp_path):
-        ds = MWDataset([(100.0, 1.0), (300.0, 2.0)], label="sample A")
+        ds = MWDataset(masses=[100.0, 300.0], abundances=[1.0, 2.0], label="sample A")
         path = tmp_path / "ds.json"
         save_mwd(ds, path)
         loaded = load_mwd(path)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -10,27 +13,36 @@ import ginikit.oracle as oracle
 from ginikit.cli import DEFAULT_GRID_CHAINS, _random_samples
 from ginikit.errors import OracleDomainError, ParameterDomainError
 from ginikit.means import _PowerSums, gini_mean
-from ginikit.oracle import EquivalenceSummary, OracleConfig, equivalence_report, oracle_gini
+from ginikit.oracle import EquivalenceSummary, equivalence_report, oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
 from helpers import OperatorFormLift, assert_within_ulps, random_sample
 
 
 class TestOracleConfig:
+    """The oracle's one setting: its working precision, ``precision_digits``."""
+
     def test_defaults(self):
-        cfg = OracleConfig()
-        assert cfg.precision_digits == 50
+        for entry in (oracle_gini, equivalence_report):
+            assert inspect.signature(entry).parameters["precision_digits"].default == 50
         assert oracle.MAX_N == 1024
 
     @pytest.mark.parametrize("digits", [49, 10, 0, 50.5])
     def test_digits_floor(self, digits):
-        with pytest.raises(ParameterDomainError):
-            OracleConfig(precision_digits=digits)
+        s, pair = PositiveSample([1.0, 2.0]), ExponentPair(1.0, 0.0)
+        message = f"precision_digits must be an integer >= 50, got {digits!r}"
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            oracle_gini(s, pair, precision_digits=digits)
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            equivalence_report([s], [pair], precision_digits=digits)
 
     def test_numpy_integers_accepted(self):
-        cfg = OracleConfig(precision_digits=np.int64(60))
-        assert cfg.precision_digits == 60
-        assert type(cfg.precision_digits) is int
+        assert oracle._checked_digits(np.int64(60)) == 60
+        assert type(oracle._checked_digits(np.int64(60))) is int
+        s, pair = PositiveSample([1.0, 2.0]), ExponentPair(0.3, -1.7)
+        want = oracle_gini(s, pair, precision_digits=60)
+        assert oracle_gini(s, pair, precision_digits=np.int64(60)) == want
+        assert equivalence_report([s], [pair], precision_digits=np.int64(60)).passed
 
 
 class TestOracleGini:
@@ -78,8 +90,7 @@ class TestOracleGini:
 
     def test_self_consistency_doubling_digits(self):
         rng = np.random.default_rng(44)
-        lo = OracleConfig(precision_digits=50)
-        hi = OracleConfig(precision_digits=100)
+        lo, hi = 50, 100
         for _ in range(25):
             s = random_sample(rng)
             p = float(rng.uniform(-30, 30))
@@ -92,7 +103,7 @@ class TestEquivalenceReport:
     def test_uniform_sample_agrees_exactly(self):
         s = PositiveSample([3.0, 3.0])
         grid = [ExponentPair(2.0, 0.0), ExponentPair(1.0, 1.0)]
-        summary = equivalence_report([s], [grid])
+        summary = equivalence_report([s], grid)
         assert summary.cases == 2
         assert summary.max_rel_error == 0.0
         assert summary.passed
@@ -111,18 +122,23 @@ class TestEquivalenceReport:
                         break
                 grid.append(ExponentPair(p, q))
             grids.append(grid)
-        summary = equivalence_report(samples, grids)
-        assert isinstance(summary, EquivalenceSummary)
-        assert summary.cases == 200
-        assert summary.passed, f"max rel error {summary.max_rel_error}"
-        if summary.max_rel_error > 0.0:
-            assert summary.worst_index is not None
-            assert summary.worst_params is not None
+        # each sample has a grid of its own, so one report per sample
+        summaries = [equivalence_report([s], grid) for s, grid in zip(samples, grids)]
+        assert sum(summary.cases for summary in summaries) == 200
+        for summary in summaries:
+            assert isinstance(summary, EquivalenceSummary)
+            assert summary.passed, f"max rel error {summary.max_rel_error}"
+            if summary.max_rel_error > 0.0:
+                assert summary.worst_index is not None
+                assert summary.worst_params is not None
 
-    def test_grid_sample_mismatch_rejected(self):
-        s = PositiveSample([1.0, 2.0])
-        with pytest.raises(ParameterDomainError):
-            equivalence_report([s], [[ExponentPair(1.0, 0.0)], [ExponentPair(2.0, 0.0)]])
+    def test_grid_may_be_any_iterable(self):
+        samples = _random_samples(1, 3)
+        grid = [ExponentPair(2.0, 1.0), ExponentPair(1.0, 0.0), ExponentPair(3.0, -1.0)]
+        want = equivalence_report(samples, grid)
+        assert want.cases == 9
+        assert equivalence_report(samples, iter(grid)) == want
+        assert equivalence_report(samples, (pair for pair in grid)) == want
 
 
 #: Grids whose pairs share exponents, with p == q pairs and both signs of
@@ -174,10 +190,11 @@ def _per_pair_gini(sample: PositiveSample, params: ExponentPair, digits: int) ->
 
 
 def _shared_exponent_cases(seed: int):
+    """Each grid of ``SHARED_EXPONENT_GRIDS`` with its samples: six random
+    samples and a uniform one, dealt to the two grids in turn."""
     rng = np.random.default_rng(seed)
     samples = [random_sample(rng) for _ in range(6)] + [PositiveSample([3.0, 3.0, 3.0])]
-    grids = [SHARED_EXPONENT_GRIDS[i % 2] for i in range(len(samples))]
-    return samples, grids
+    return [(grid, samples[i::2]) for i, grid in enumerate(SHARED_EXPONENT_GRIDS)]
 
 
 class TestMemoisedOracle:
@@ -185,43 +202,40 @@ class TestMemoisedOracle:
 
     @pytest.mark.parametrize("digits", [50, 100])
     def test_each_case_matches_a_fresh_oracle_call(self, monkeypatch, digits):
-        config = OracleConfig(precision_digits=digits)
-        samples, grids = _shared_exponent_cases(7)
         # Serve the "fast" side from a fresh oracle_gini call per case: the
         # report then measures memoised against fresh, and any bit of
         # difference in any case makes max_rel_error nonzero.
         monkeypatch.setattr(
-            _PowerSums, "gini", lambda sums, pair: oracle_gini(sums.sample, pair, config)
+            _PowerSums, "gini", lambda sums, pair: oracle_gini(sums.sample, pair, digits)
         )
-        summary = equivalence_report(samples, grids, config)
-        assert summary.cases == sum(len(grid) for grid in grids)
-        assert summary.max_rel_error == 0.0
-        assert summary.worst_params is summary.worst_index is None
+        for grid, samples in _shared_exponent_cases(7):
+            summary = equivalence_report(samples, grid, digits)
+            assert summary.cases == len(grid) * len(samples)
+            assert summary.max_rel_error == 0.0
+            assert summary.worst_params is summary.worst_index is None
 
     @pytest.mark.parametrize("digits", [50, 100])
     def test_summary_matches_case_by_case_replay(self, digits):
-        config = OracleConfig(precision_digits=digits)
-        samples, grids = _shared_exponent_cases(8)
-        worst, where = 0.0, None
-        for index, (sample, grid) in enumerate(zip(samples, grids)):
-            for pair in grid:
-                reference = oracle_gini(sample, pair, config)
-                rel = abs(gini_mean(sample, pair) - reference) / reference
-                if rel > worst:
-                    worst, where = rel, (index, pair)
-        summary = equivalence_report(samples, grids, config)
-        assert summary.max_rel_error.hex() == worst.hex()
-        assert worst > 0.0
-        assert (summary.worst_index, summary.worst_params) == where
+        for grid, samples in _shared_exponent_cases(8):
+            worst, where = 0.0, None
+            for index, sample in enumerate(samples):
+                for pair in grid:
+                    reference = oracle_gini(sample, pair, digits)
+                    rel = abs(gini_mean(sample, pair) - reference) / reference
+                    if rel > worst:
+                        worst, where = rel, (index, pair)
+            summary = equivalence_report(samples, grid, digits)
+            assert summary.max_rel_error.hex() == worst.hex()
+            assert worst > 0.0
+            assert (summary.worst_index, summary.worst_params) == where
 
     @pytest.mark.parametrize("digits", [50, 100])
     def test_matches_the_per_pair_formula(self, digits):
-        config = OracleConfig(precision_digits=digits)
-        samples, grids = _shared_exponent_cases(9)
-        for sample, grid in zip(samples, grids):
-            for pair in grid:
-                want = _per_pair_gini(sample, pair, digits)
-                assert oracle_gini(sample, pair, config).hex() == want.hex()
+        for grid, samples in _shared_exponent_cases(9):
+            for sample in samples:
+                for pair in grid:
+                    want = _per_pair_gini(sample, pair, digits)
+                    assert oracle_gini(sample, pair, digits).hex() == want.hex()
 
     def test_signed_zero_exponents_give_identical_bits(self):
         sample = random_sample(np.random.default_rng(9))
@@ -235,9 +249,9 @@ class TestMemoisedOracle:
         # the first pair lifts the sample; the second is still checked
         grid = [ExponentPair(1.0, 0.0), ExponentPair(31.0, 0.0)]
         with pytest.raises(OracleDomainError, match="exponents"):
-            equivalence_report([s], [grid])
+            equivalence_report([s], grid)
         with pytest.raises(OracleDomainError, match="exponents"):
-            equivalence_report([s, s], [[ExponentPair(1.0, 0.0)], grid])
+            equivalence_report([s, s], grid)
 
     def test_oversized_sample_rejected_before_lifting(self, monkeypatch):
         def refuse(sample):
@@ -246,7 +260,7 @@ class TestMemoisedOracle:
         monkeypatch.setattr(oracle, "_LiftedSample", refuse)
         big = PositiveSample(np.arange(1.0, 1026.0))
         with pytest.raises(OracleDomainError, match="cap"):
-            equivalence_report([big], [[ExponentPair(1.0, 0.0)]])
+            equivalence_report([big], [ExponentPair(1.0, 0.0)])
         with pytest.raises(OracleDomainError, match="cap"):
             oracle_gini(big, ExponentPair(1.0, 0.0))
 
@@ -282,7 +296,7 @@ class TestOneReferencePath:
         grid = list(dict.fromkeys(pairs))
         lifts = self._count_lifts(monkeypatch)
         blocks = self._count_precision_blocks(monkeypatch)
-        assert equivalence_report(samples, [grid] * len(samples)).passed
+        assert equivalence_report(samples, grid).passed
         assert lifts == [50] * len(samples)
         # one precision block for the whole call, none per pair
         assert blocks == [50]
@@ -290,7 +304,7 @@ class TestOneReferencePath:
         blocks.clear()
         tiny = [ExponentPair(1e-40, 0.0), ExponentPair(0.0, -1e-60)]
         mixed = grid[:2] + tiny[:1] + grid[2:] + tiny[1:]
-        assert equivalence_report(samples[:3], [mixed] * 3).passed
+        assert equivalence_report(samples[:3], mixed).passed
         # the ordinary pairs share a lift at 50 digits; each tiny-gap pair
         # gets its own at 50 + 40 + 10 and 50 + 60 + 10, never kept
         assert lifts == [50, 100, 120] * 3
@@ -315,7 +329,7 @@ class TestOneReferencePath:
             inside = mp.mp.dps
             got = [oracle_gini(sample, pair) for pair in grid]
             assert mp.mp.dps == inside
-            summary = equivalence_report([sample], [grid])
+            summary = equivalence_report([sample], grid)
             assert mp.mp.dps == inside
         assert mp.mp.dps == before
         assert [g.hex() for g in got] == [w.hex() for w in want]
@@ -325,7 +339,7 @@ class TestOneReferencePath:
         before = mp.mp.dps
         grid = [ExponentPair(1.0, 0.0), ExponentPair(31.0, 0.0)]
         with pytest.raises(OracleDomainError):
-            equivalence_report([PositiveSample([1.0, 2.0])], [grid])
+            equivalence_report([PositiveSample([1.0, 2.0])], grid)
         assert mp.mp.dps == before
 
 
@@ -365,14 +379,13 @@ class TestTermFormulas:
 
     @pytest.mark.parametrize("digits", [50, 100])
     def test_half_integer_pairs_round_to_the_reference(self, digits):
-        config = OracleConfig(precision_digits=digits)
         rng = np.random.default_rng(12)
         for sample in _term_samples(12):
             for _ in range(20):
                 p, q = rng.choice(HALF_INTEGER_EXPONENTS, size=2)
                 pair = ExponentPair(float(p), float(q))
                 want = _per_pair_gini(sample, pair, digits)
-                assert oracle_gini(sample, pair, config).hex() == want.hex(), pair
+                assert oracle_gini(sample, pair, digits).hex() == want.hex(), pair
 
     @pytest.mark.parametrize("exponent", [0.3, 1e-5, -7.1, 29.99, 0.0, -0.0])
     def test_other_exponents_keep_the_reference_terms(self, exponent):
@@ -384,11 +397,10 @@ class TestTermFormulas:
     @pytest.mark.parametrize("digits", [50, 100])
     @pytest.mark.parametrize("exponent", [0.3, 1e-5, 0.0, -0.0, 1.0, -1.5, 2.5, -30.0])
     def test_equal_pairs_match_the_reference(self, digits, exponent):
-        config = OracleConfig(precision_digits=digits)
         pair = ExponentPair(exponent, exponent)
         for sample in _term_samples(14):
             want = _per_pair_gini(sample, pair, digits)
-            assert oracle_gini(sample, pair, config).hex() == want.hex()
+            assert oracle_gini(sample, pair, digits).hex() == want.hex()
 
     def _count_calls(self, monkeypatch, name: str) -> list[object]:
         calls: list[object] = []
@@ -407,7 +419,7 @@ class TestTermFormulas:
         samples = _random_samples(3, 20)
         pairs = (ExponentPair(p, q) for chain in DEFAULT_GRID_CHAINS for p, q in chain)
         grid = list(dict.fromkeys(pairs))
-        summary = equivalence_report(samples, [grid] * len(samples))
+        summary = equivalence_report(samples, grid)
         assert summary.passed and summary.cases == len(grid) * len(samples)
         assert logs == []
         # G(1.5, -1.5) needs one square root per value; nothing else does
@@ -418,11 +430,11 @@ class TestTermFormulas:
         roots = self._count_calls(monkeypatch, "mpf_sqrt")
         sample = random_sample(np.random.default_rng(15))
         integral = [ExponentPair(1.0, -1.0), ExponentPair(3.0, -30.0)]
-        equivalence_report([sample], [integral])
+        equivalence_report([sample], integral)
         assert (logs, roots) == ([], [])
         rest = integral + [ExponentPair(0.5, 2.0), ExponentPair(-1.5, 2.0)]
         rest += [ExponentPair(0.3, 1.0), ExponentPair(2.0, 2.0), ExponentPair(1e-5, 0.3)]
-        equivalence_report([sample], [rest])
+        equivalence_report([sample], rest)
         assert (len(logs), len(roots)) == (sample.n, sample.n)
 
 
@@ -474,13 +486,12 @@ class TestLiftIsTheOperatorForm:
     @pytest.mark.parametrize("digits", [50, 64, 100])
     def test_tiny_gap_lift_at_raised_precision(self, monkeypatch, digits):
         unrounded = self._record_unrounded(monkeypatch)
-        config = OracleConfig(precision_digits=digits)
         # digits the gap cancels: ceil(-log10 gap)
         tiny = ((ExponentPair(1e-22, 0.0), 22), (ExponentPair(0.0, -3e-41), 41))
         for sample in _term_samples(21):
             for pair, cancelled in tiny:
                 unrounded.clear()
-                got = oracle_gini(sample, pair, config)
+                got = oracle_gini(sample, pair, digits)
                 with mp.workdps(digits + cancelled + oracle.TINY_GAP_MARGIN_DIGITS):
                     reference = OperatorFormLift(sample).gini(pair)
                 assert unrounded == [reference._mpf_], pair
@@ -500,7 +511,7 @@ class TestLiftIsTheOperatorForm:
         ]
         for pair, digits, lift_digits in steps:
             unrounded.clear()
-            got = oracle_gini(sample, pair, OracleConfig(precision_digits=digits))
+            got = oracle_gini(sample, pair, digits)
             with mp.workdps(lift_digits):
                 reference = OperatorFormLift(sample).gini(pair)
             assert unrounded == [reference._mpf_], (pair, digits)
@@ -538,13 +549,13 @@ class TestTinyGaps:
         monkeypatch.setattr(_PowerSums, "gini", lambda sums, pair: oracle_gini(sums.sample, pair))
         grid = [ExponentPair(1.0, 0.0)] + [ExponentPair(gap, 0.0) for gap in TINY_GAPS]
         grid += [ExponentPair(0.0, 0.0), ExponentPair(1e-20, 0.0)]
-        summary = equivalence_report([GEOMETRIC_TEN], [grid])
+        summary = equivalence_report([GEOMETRIC_TEN], grid)
         assert summary.cases == len(grid)
         assert summary.max_rel_error == 0.0
 
     def test_report_is_within_tolerance_at_tiny_gaps(self):
         grid = [ExponentPair(gap, 0.0) for gap in TINY_GAPS]
-        assert equivalence_report([GEOMETRIC_TEN], [grid]).passed
+        assert equivalence_report([GEOMETRIC_TEN], grid).passed
 
     @pytest.mark.parametrize("gap", [1e-20, 3e-15, 1e-10, 0.25])
     def test_ordinary_gaps_keep_the_configured_digits(self, gap):
@@ -554,8 +565,7 @@ class TestTinyGaps:
             assert oracle_gini(sample, pair).hex() == want.hex()
 
     def test_self_consistency_over_log_spaced_gaps(self):
-        lo = OracleConfig(precision_digits=50)
-        hi = OracleConfig(precision_digits=200)
+        lo, hi = 50, 200
         rng = np.random.default_rng(17)
         samples = [random_sample(rng), random_sample(rng, value_lo=1e-25, value_hi=1e25)]
         samples.append(PositiveSample([1e-25, 3.0, 1e25], [2.0, 0.5, 1.0]))

@@ -25,7 +25,7 @@ class TestHistogramBins:
         assert np.all(np.diff(edges) > 0)
 
     def test_monodisperse_single_bin(self):
-        ds = MWDataset([(500.0, 2.0), (500.0, 3.0)])
+        ds = MWDataset(masses=[500.0, 500.0], abundances=[2.0, 3.0])
         edges, fractions = histogram_bins(ds)
         assert len(fractions) == 1
         assert fractions[0] == 1.0
@@ -90,23 +90,23 @@ class TestRenderSvg:
         assert "Mw = 250.5<" in svg
 
     def test_title_from_label_with_escaping(self):
-        ds = MWDataset([(100.0, 1.0), (300.0, 1.0)], label="a<b & c>d")
+        ds = MWDataset(masses=[100.0, 300.0], abundances=[1.0, 1.0], label="a<b & c>d")
         svg = render_svg(ds, {})
         assert "a&lt;b &amp; c&gt;d" in svg
         assert "a<b" not in svg
 
     def test_default_title(self):
-        ds = MWDataset([(100.0, 1.0), (300.0, 1.0)])
+        ds = MWDataset(masses=[100.0, 300.0], abundances=[1.0, 1.0])
         assert "molecular weight distribution" in render_svg(ds, {})
 
     def test_axis_ticks_cover_decades(self):
-        ds = MWDataset([(10.0, 1.0), (1e6, 1.0)])
+        ds = MWDataset(masses=[10.0, 1e6], abundances=[1.0, 1.0])
         svg = render_svg(ds, {})
         for decade in range(1, 7):
             assert f">1e{decade}</text>" in svg
 
     def test_monodisperse_renders(self):
-        ds = MWDataset([(500.0, 1.0)])
+        ds = MWDataset(masses=[500.0], abundances=[1.0])
         svg = render_svg(ds, {"Mn": 500.0})
         assert svg.count("<rect") == 2  # background + the one bar
 

@@ -9,7 +9,7 @@ import pytest
 
 from ginikit import audit, means, mwd
 from ginikit.errors import DataError, HypothesisError, ParameterDomainError
-from ginikit.oracle import OracleConfig
+from ginikit.oracle import oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
 
@@ -166,7 +166,8 @@ class TestExponentPair:
 
 BIG = 10**400  # an int past the double range
 SAMPLE = PositiveSample([1.0, 2.0])
-DATASET = mwd.MWDataset([(1.0, 1.0), (2.0, 1.0)])
+DATASET = mwd.MWDataset(masses=[1.0, 2.0], abundances=[1.0, 1.0])
+PAIR = ExponentPair(1.0, 0.0)
 
 #: Every public entry point that takes a number, called with BIG in one slot.
 HUGE_INT_CALLS = {
@@ -175,7 +176,6 @@ HUGE_INT_CALLS = {
     "PositiveSample.values": (lambda: PositiveSample([1.0, BIG]), DataError),
     "PositiveSample.weights": (lambda: PositiveSample([1.0], [BIG]), DataError),
     "MWDataset.masses": (lambda: mwd.MWDataset(masses=[BIG], abundances=[1.0]), DataError),
-    "MWDataset.species": (lambda: mwd.MWDataset([(1.0, BIG)]), DataError),
     "power_mean": (lambda: means.power_mean(SAMPLE, BIG), ParameterDomainError),
     "lehmer_mean": (lambda: means.lehmer_mean(SAMPLE, -BIG), ParameterDomainError),
     "identical_parameter_gini": (
@@ -190,14 +190,15 @@ HUGE_INT_CALLS = {
     "check_power_mean_bound.q": (
         lambda: audit.check_power_mean_bound(SAMPLE, 1.0, BIG, 2.0), HypothesisError
     ),
+    # the oracle's one setting, its working precision
     "OracleConfig.precision_digits": (
-        lambda: OracleConfig(precision_digits=BIG), ParameterDomainError
+        lambda: oracle_gini(SAMPLE, PAIR, precision_digits=BIG), ParameterDomainError
     ),
     "OracleConfig.precision_digits=inf": (
-        lambda: OracleConfig(precision_digits=float("inf")), ParameterDomainError
+        lambda: oracle_gini(SAMPLE, PAIR, precision_digits=float("inf")), ParameterDomainError
     ),
     "OracleConfig.precision_digits=nan": (
-        lambda: OracleConfig(precision_digits=float("nan")), ParameterDomainError
+        lambda: oracle_gini(SAMPLE, PAIR, precision_digits=float("nan")), ParameterDomainError
     ),
     "viscosity_average": (lambda: mwd.viscosity_average(DATASET, BIG), ParameterDomainError),
     "hydrodynamic_mean": (lambda: mwd.hydrodynamic_mean(DATASET, BIG), ParameterDomainError),
@@ -254,7 +255,7 @@ HUGE_DIGIT_CALLS = {
         lambda: audit.check_power_mean_bound(SAMPLE, 1.0, HUGE, 2.0), HypothesisError
     ),
     "OracleConfig.precision_digits": (
-        lambda: OracleConfig(precision_digits=HUGE), ParameterDomainError
+        lambda: oracle_gini(SAMPLE, PAIR, precision_digits=HUGE), ParameterDomainError
     ),
 }
 
