@@ -21,7 +21,7 @@ from typing import Sequence
 
 from ._util import _shown
 from .errors import HypothesisError, ParameterDomainError
-from .means import _finite_exponent, log_power_sum, secant_slope
+from .means import _finite_exponent, _PowerSums, log_power_sum, secant_slope
 from .sample import ExponentPair, PositiveSample
 
 __all__ = [
@@ -114,10 +114,15 @@ def check_monotonicity(sample: PositiveSample, order: ParameterOrder) -> AuditVe
     The margin is the secant-slope difference ln G(upper) - ln G(lower).
     Uniform samples give equality; they come back ``degenerate`` with margin
     exactly zero, never an error.  Every verdict of this module is built
-    here.
+    from its two slopes as here.
     """
     lo = secant_slope(sample, order.lower.p, order.lower.q)
     up = secant_slope(sample, order.upper.p, order.upper.q)
+    return _verdict(sample, lo, up)
+
+
+def _verdict(sample: PositiveSample, lo: float, up: float) -> AuditVerdict:
+    """The verdict on the slopes ``lo`` of the lower pair and ``up`` of the upper."""
     margin = up - lo
     tolerance = strict_tolerance(max(abs(lo), abs(up)))
     degenerate = sample.is_uniform
@@ -174,17 +179,43 @@ def convexity_gap(sample: PositiveSample, p: float) -> float:
 
 
 def scan_monotonicity(
-    sample: PositiveSample, grid: Sequence[ExponentPair]
+    sample: PositiveSample,
+    grid: Sequence[ExponentPair],
+    *,
+    _sums: _PowerSums | None = None,
 ) -> list[AuditVerdict]:
     """Check every consecutive pair of a parameter grid, in order.
 
     The grid must be a chain: each consecutive pair of pairs has to satisfy
     the :class:`ParameterOrder` hypothesis, otherwise :class:`HypothesisError`
     is raised before any evaluation.  Verdicts come back in grid order.
-    Evaluation is pure (no shared state), so callers may parallelize over
-    samples; results are identical either way.
+    Without ``_sums``, evaluation is pure (no shared state), so callers may
+    parallelize over samples; results are identical either way.
+
+    ``_sums`` is private: a power-sum memo of ``sample``
+    (:class:`ginikit.means._PowerSums`) that the caller holds, such as the
+    one ``verify --oracle`` has filled through
+    :func:`ginikit.oracle.equivalence_report`.  Every slope then reads it,
+    so a log sum it already keeps costs no kernel call.  Each slope runs the
+    same body on the same floats with or without it, so every verdict is
+    :func:`check_monotonicity`'s to the bit.
     """
     orders = [
         ParameterOrder(lower=grid[i], upper=grid[i + 1]) for i in range(len(grid) - 1)
     ]
-    return [check_monotonicity(sample, order) for order in orders]
+    if _sums is None:
+        # One fresh memo per slope, as check_monotonicity takes it.  The
+        # benchmark's tracer self-test pins the kernel calls this makes on
+        # ``verify`` without ``--oracle`` (ROADMAP item 2); once that pin is
+        # released, a memo per sample can serve every caller and this
+        # branch can go (ROADMAP item 3).
+        return [check_monotonicity(sample, order) for order in orders]
+    slope = _sums.slope
+    return [
+        _verdict(
+            sample,
+            slope(order.lower.p, order.lower.q),
+            slope(order.upper.p, order.upper.q),
+        )
+        for order in orders
+    ]

@@ -44,9 +44,11 @@ DEFAULT_GRID_CHAINS: tuple[tuple[tuple[float, float], ...], ...] = (
 )
 
 #: Most samples ``verify --random SEED N`` builds.  Every sample is held
-#: until the command ends: about 1 KB each, 5.5 KB with its ``--report`` rows
-#: (``tracemalloc`` peak), and 0.25 ms with the pure kernel.  So a larger N is
-#: refused before any sample is built.
+#: until the command ends: about 1 KB each, 1.5 KB under ``--oracle``, which
+#: also holds each sample's memo of log sums from the oracle until its audit,
+#: and 5.5 KB with its ``--report`` rows (``tracemalloc`` peak, per sample
+#: added from 2,000 to 4,000), and 0.25 ms with the pure kernel.  So a larger
+#: N is refused before any sample is built.
 MAX_RANDOM_SAMPLES = 100_000
 
 #: One check of a ``verify --report`` file, laid out as
@@ -390,6 +392,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         source = f"random(seed={seed}, n={count})"
 
     oracle_payload: dict[str, object] | None = None
+    # under --oracle, each sample's memo of log sums is filled by the oracle's
+    # fast side and read again by that sample's audit
+    memos: list[_PowerSums] | None = None
     if args.oracle:
         # imported here, so no other command loads mpmath
         from .oracle import REL_TOL, equivalence_report
@@ -397,7 +402,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # the oracle runs before the audit, so a sample or pair outside its
         # domain ends the command before any audit line is printed
         unique_pairs = list(dict.fromkeys(pair for chain in chains for pair in chain))
-        summary = equivalence_report(samples, unique_pairs)
+        memos = [_PowerSums(sample) for sample in samples]
+        summary = equivalence_report(samples, unique_pairs, _memos=memos)
         worst = None
         if summary.worst_params is not None:
             worst = {
@@ -425,8 +431,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks: list[str] = []
     counts = {"holds": 0, "weak": 0, "degenerate": 0, "failed": 0}
     for index, sample in enumerate(samples):
+        # without --oracle the audit takes each slope on a fresh memo, whose
+        # kernel calls the benchmark's tracer self-test pins (ROADMAP item 2)
+        memo = {} if memos is None else {"_sums": memos[index]}
         for chain, chain_labels in zip(chains, labels):
-            verdicts = scan_monotonicity(sample, chain)
+            verdicts = scan_monotonicity(sample, chain, **memo)
             for link, verdict in enumerate(verdicts):
                 status = _verdict_status(verdict)
                 counts["holds"] += verdict.holds

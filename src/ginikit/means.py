@@ -156,8 +156,10 @@ class _PowerSums:
     :func:`secant_slope` and :func:`gini_mean` run it on a fresh object, and
     callers that evaluate several pairs of one sample (the averages of
     :mod:`ginikit.mwd`, the fast side of
-    :func:`ginikit.oracle.equivalence_report`) hold one object per sample,
-    so an exponent shared by two pairs costs one kernel call.
+    :func:`ginikit.oracle.equivalence_report`, and under ``verify --oracle``
+    the audit of :func:`ginikit.audit.scan_monotonicity`, which reads the
+    object the oracle filled) hold one object per sample, so an exponent
+    shared by two pairs costs one kernel call.
     """
 
     __slots__ = ("sample", "_log_sums")

@@ -280,7 +280,9 @@ def polydispersity(
     ``s`` is the Mark-Houwink exponent for Mv, restricted to (0, 1] here so
     the reported chain Mn <= Mv <= Mw <= Mz is guaranteed; call
     :func:`viscosity_average` directly for s in (1, 2].  ``custom`` lists
-    extra exponent pairs to evaluate and append.
+    extra exponent pairs to evaluate and append; a ``custom`` that cannot be
+    iterated, or an entry that is no pair, raises
+    :class:`ParameterDomainError`.
 
     The chain is a theorem, but each average is rounded on its own, and at
     extreme spreads the log-domain rounding can invert two neighbours by a
@@ -301,6 +303,12 @@ def polydispersity(
         raise ParameterDomainError(
             f"report viscosity exponent s must be in (0, 1], got {_shown(s)}"
         )
+    try:
+        entries = iter(custom)
+    except TypeError:
+        raise ParameterDomainError(
+            f"custom must be an iterable of exponent pairs, got {_shown(custom)}"
+        ) from None
     sums = _PowerSums(dataset.to_sample())
     mn, mv, mw, mz = _evaluate(sums, _CHAIN, s)
     mw = max(mw, mn)
@@ -309,7 +317,7 @@ def polydispersity(
     pdi = mw / mn
     extras = tuple(
         CustomMean(pair.p, pair.q, sums.gini(pair))
-        for pair in (_custom_pair(entry) for entry in custom)
+        for pair in (_custom_pair(entry) for entry in entries)
     )
     return MeansReport(
         Mn=mn,

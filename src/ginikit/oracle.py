@@ -53,7 +53,7 @@ from mpmath.libmp import (
 )
 
 from ._util import _is_finite_real, _shown
-from .errors import OracleDomainError, ParameterDomainError
+from .errors import DataError, OracleDomainError, ParameterDomainError
 from .means import _PowerSums
 from .sample import ExponentPair, PositiveSample
 
@@ -281,6 +281,8 @@ def equivalence_report(
     samples: Sequence[PositiveSample],
     grid: Iterable[ExponentPair],
     precision_digits: int = 50,
+    *,
+    _memos: Sequence[_PowerSums] | None = None,
 ) -> EquivalenceSummary:
     """Compare :func:`ginikit.means.gini_mean` against the oracle pointwise.
 
@@ -289,12 +291,21 @@ def equivalence_report(
     ``precision_digits`` of :func:`oracle_gini`.  The summary holds five
     fields: ``cases``, ``max_rel_error``, ``worst_index``, ``worst_params``
     and ``passed``, which is true when the worst relative error is at most
-    :data:`REL_TOL`.
+    :data:`REL_TOL`.  A grid entry that is not an :class:`ExponentPair`
+    raises :class:`ParameterDomainError` when the grid is read, before any
+    evaluation; a sample that is not a :class:`PositiveSample` raises
+    :class:`DataError` when it is reached, before it is evaluated.
 
     The fast side holds one power-sum memo per sample, so each distinct
     exponent of a grid costs one kernel call (7 for the CLI's default grid
     of 6 pairs), and every fast value is bit for bit
-    ``gini_mean`` of its pair.  The reference side runs the body of
+    ``gini_mean`` of its pair.  ``_memos`` is private: the memo
+    (:class:`ginikit.means._PowerSums`) of each sample, in the order of
+    ``samples``, for a caller that reads them again after this call, as
+    ``verify --oracle`` hands each to its sample's audit.  Without it, one
+    memo is built per sample and dropped with it.
+
+    The reference side runs the body of
     :func:`oracle_gini` on the grid, lifting each sample once, so
     every reference value is bit for bit ``oracle_gini`` of its pair; only
     the power 1/(p - q) of a pair, which no sample changes, is shared across
@@ -303,14 +314,23 @@ def equivalence_report(
     digits = _checked_digits(precision_digits)
     # both sides walk the grid once per sample, so an iterator is read once here
     grid = tuple(grid)
+    for params in grid:
+        if not isinstance(params, ExponentPair):
+            raise ParameterDomainError(
+                f"grid entries must be ExponentPair objects, got {_shown(params)}"
+            )
     worst = 0.0
     worst_params: ExponentPair | None = None
     worst_index: int | None = None
     cases = 0
     with mp.workdps(digits):
         for index, sample in enumerate(samples):
+            if not isinstance(sample, PositiveSample):
+                raise DataError(
+                    f"sample {index} must be a PositiveSample, got {type(sample).__name__}"
+                )
             # both sides keep their sums per sample, and none across samples
-            sums = _PowerSums(sample)
+            sums = _PowerSums(sample) if _memos is None else _memos[index]
             references = _references(sample, grid, digits)
             for params in grid:
                 fast = sums.gini(params)

@@ -13,9 +13,11 @@ import numpy as np
 
 from ginikit import cli
 from ginikit._util import format_double
-from ginikit.audit import ParameterOrder, check_monotonicity, check_power_mean_bound
+from ginikit.audit import (
+    ParameterOrder, check_monotonicity, check_power_mean_bound, scan_monotonicity
+)
 from ginikit.errors import GinikitError
-from ginikit.means import gini_mean, identical_parameter_gini
+from ginikit.means import _PowerSums, gini_mean, identical_parameter_gini
 from ginikit.mwd import (
     CSV_HEADER, MWDataset, generate_flory, load_mwd, polydispersity, save_mwd
 )
@@ -103,9 +105,14 @@ def _route_outcome(call) -> object:
         return ["error", type(exc).__name__, str(exc)]
     if isinstance(result, float):
         return result.hex()
+    return _verdict_fields(result)
+
+
+def _verdict_fields(verdict) -> list[object]:
+    """A verdict's margin and tolerance as hex, then its three flags."""
     return [
-        result.margin.hex(), result.tolerance.hex(),
-        result.holds, result.degenerate, result.weak,
+        verdict.margin.hex(), verdict.tolerance.hex(),
+        verdict.holds, verdict.degenerate, verdict.weak,
     ]
 
 
@@ -188,6 +195,60 @@ def memo_user_outcomes(two_species: Path, workdir: Path) -> list[list[object]]:
                     ["plot", path.name, f"{name}(s={s})",
                      float(value).hex(), per_pair(*chain[name])]
                 )
+    return rows
+
+
+#: ``--grid`` of the audit-memo cases whose chain holds two pairs inside the
+#: tangent gap, one of them also below the oracle's tiny-gap threshold.
+TANGENT_GAP_GRID = "1e-22:0,1e-9:0,1:0,2:0,3:1"
+
+
+def audit_memo_cases() -> list[tuple[str, list[list[ExponentPair]], list[PositiveSample]]]:
+    """``(name, chains, samples)`` of the audit-memo cases: the default grid
+    and :data:`TANGENT_GAP_GRID` on ``verify --random 7 20``'s samples, and
+    the default grid on a weighted uniform sample."""
+    samples = cli._random_samples(7, 20)
+    default = cli._parse_grid("default")
+    return [
+        ("default", default, samples),
+        ("tangent-gap", cli._parse_grid(TANGENT_GAP_GRID), samples),
+        ("uniform", default, [PositiveSample([3.0, 3.0, 3.0], [1.0, 2.0, 0.5])]),
+    ]
+
+
+def filled_memos(
+    chains: list[list[ExponentPair]], samples: list[PositiveSample]
+) -> list[_PowerSums]:
+    """One memo per sample, filled by ``equivalence_report`` on the chains'
+    distinct pairs, as ``verify --oracle`` fills them."""
+    from ginikit.oracle import equivalence_report
+
+    memos = [_PowerSums(sample) for sample in samples]
+    pairs = list(dict.fromkeys(pair for chain in chains for pair in chain))
+    assert equivalence_report(samples, pairs, _memos=memos).passed
+    return memos
+
+
+def audit_memo_outcomes() -> list[list[object]]:
+    """``[case, sample, chain, link, via memo, fresh]`` for every audit link.
+
+    Each case of :func:`audit_memo_cases` is scanned twice per sample and
+    chain: with the sample's memo from :func:`filled_memos`, and without
+    one.  Verdicts are JSON-ready, so a subprocess under another backend
+    can report them.
+    """
+    rows: list[list[object]] = []
+    for name, chains, samples in audit_memo_cases():
+        memos = filled_memos(chains, samples)
+        for index, (sample, sums) in enumerate(zip(samples, memos)):
+            for chain_index, chain in enumerate(chains):
+                via_memo = scan_monotonicity(sample, chain, _sums=sums)
+                fresh = scan_monotonicity(sample, chain)
+                for link, (a, b) in enumerate(zip(via_memo, fresh)):
+                    rows.append([
+                        name, index, chain_index, link,
+                        _verdict_fields(a), _verdict_fields(b),
+                    ])
     return rows
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginikit import means
 from ginikit.audit import (
     AuditVerdict,
     ParameterOrder,
@@ -26,6 +27,8 @@ from ginikit.sample import ExponentPair, PositiveSample
 from helpers import (
     EQUAL_PAIR_EXPONENTS,
     POWER_MEAN_BRACKETINGS,
+    audit_memo_cases,
+    filled_memos,
     merged_route_outcomes,
     random_sample,
     route_samples,
@@ -342,6 +345,27 @@ class TestScanMonotonicity:
         bad = [ExponentPair(3.0, 2.0), ExponentPair(1.0, 0.0)]
         with pytest.raises(HypothesisError):
             scan_monotonicity(PositiveSample([1.0, 2.0]), bad)
+
+    def test_memo_filled_by_the_oracle_serves_every_secant(self, monkeypatch):
+        # the audit reads the log sums the oracle's fast side kept; only the
+        # tangent of a pair inside the tangent gap takes a kernel call, a full
+        # one that the memo does not keep, on each slope that reads it
+        real = means.log_power_sum
+        for name, chains, samples in audit_memo_cases():
+            memos = filled_memos(chains, samples)
+            calls = []
+            monkeypatch.setattr(
+                means,
+                "log_power_sum",
+                lambda s, p, *, moments=True: calls.append(moments) or real(s, p, moments=moments),
+            )
+            for sample, sums in zip(samples, memos):
+                for chain in chains:
+                    scan_monotonicity(sample, chain, _sums=sums)
+            monkeypatch.setattr(means, "log_power_sum", real)
+            # (1e-22, 0) and (1e-9, 0) are tangents: slopes of 2 + 1 links
+            want = {"default": [], "tangent-gap": [True] * 3 * 20, "uniform": []}[name]
+            assert calls == want, name
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)

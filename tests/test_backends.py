@@ -355,6 +355,32 @@ class TestBitIdentity:
             assert [row for row in runs[backend] if row[3] != row[4]] == []
         assert runs["compiled"] == runs["python"]
 
+    def test_audit_memo_matches_fresh_slopes(self, compiled_src):
+        # verify --oracle hands each sample's memo, filled by the oracle's
+        # fast side, to its audit; every verdict must be the one fresh slopes
+        # give, margin and tolerance to the bit, whichever backend runs
+        script = (
+            "import json, ginikit, helpers; print(ginikit.backend_name()); "
+            "print(json.dumps(helpers.audit_memo_outcomes()))"
+        )
+        tests_dir = str(Path(__file__).resolve().parent)
+        runs = {}
+        for pure, backend in (("0", "compiled"), ("1", "python")):
+            env = env_importing_from(compiled_src, GINIKIT_PURE=pure)
+            env["PYTHONPATH"] = os.pathsep.join((tests_dir, env["PYTHONPATH"]))
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert done.returncode == 0, done.stderr
+            name, rows = done.stdout.splitlines()
+            assert name == backend
+            runs[backend] = json.loads(rows)
+            # 20 samples x 5 default links, 20 x 4 tangent-gap links, 5 uniform
+            assert len(runs[backend]) == 185
+            assert [row for row in runs[backend] if row[4] != row[5]] == []
+            assert {row[4][3] for row in runs[backend] if row[0] == "uniform"} == {True}
+        assert runs["compiled"] == runs["python"]
+
     def test_memo_users_match_per_pair_gini(self, compiled_src, data_dir, tmp_path):
         # polydispersity with custom pairs and the plot marks share one memo
         # of power sums per sample; each value must be gini_mean of its pair

@@ -379,9 +379,10 @@ class TestVerify:
         assert counts == {"log_power_sum": 4000, "exp_moments": 4000, "PositiveSample": 200}
 
     def test_random_oracle_call_counts(self, monkeypatch):
-        # the oracle's fast side first, one power sum per distinct exponent
-        # of the default grid (7 per sample), then the audit's 20 per sample
-        assert kernel_calls(monkeypatch, "verify", "--random", "7", "100", "--oracle") == 2700
+        # the oracle's fast side forms one power sum per distinct exponent of
+        # the default grid (7 per sample) in the sample's memo, and the audit
+        # reads its 20 from that memo, so it makes no kernel call of its own
+        assert kernel_calls(monkeypatch, "verify", "--random", "7", "100", "--oracle") == 700
 
     def test_random_is_deterministic(self, capsys):
         run_cli("verify", "--random", "42", "2")

@@ -232,6 +232,12 @@ class TestPolydispersityReport:
         with pytest.raises(ParameterDomainError, match="custom entries must be exponent pairs"):
             polydispersity(two_species, custom=[(1.5, -1.5), entry])
 
+    @pytest.mark.parametrize("custom", [1.0, None, 3])
+    def test_custom_that_is_not_iterable_is_a_package_error(self, two_species, custom):
+        message = f"custom must be an iterable of exponent pairs, got {custom!r}"
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            polydispersity(two_species, custom=custom)
+
     def test_custom_entries_are_read_and_fail_in_order(self, two_species, monkeypatch):
         # the first bad entry, malformed or out of domain, decides the error
         with pytest.raises(ParameterDomainError, match="too large for this sample"):

@@ -11,7 +11,7 @@ import pytest
 
 import ginikit.oracle as oracle
 from ginikit.cli import DEFAULT_GRID_CHAINS, _random_samples
-from ginikit.errors import OracleDomainError, ParameterDomainError
+from ginikit.errors import DataError, OracleDomainError, ParameterDomainError
 from ginikit.means import _PowerSums, gini_mean
 from ginikit.oracle import EquivalenceSummary, equivalence_report, oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
@@ -139,6 +139,44 @@ class TestEquivalenceReport:
         assert want.cases == 9
         assert equivalence_report(samples, iter(grid)) == want
         assert equivalence_report(samples, (pair for pair in grid)) == want
+
+    def test_sample_that_is_no_sample_is_a_data_error(self, monkeypatch):
+        grid = [ExponentPair(1.0, 0.0)]
+        message = "sample 0 must be a PositiveSample, got float"
+        with pytest.raises(DataError, match=re.escape(message)):
+            equivalence_report([1.0, 2.0], grid)
+        # refused when it is reached: the sample before it is evaluated first
+        good = PositiveSample([1.0, 2.0])
+        seen = []
+        real = _PowerSums.gini
+        monkeypatch.setattr(
+            _PowerSums, "gini", lambda sums, pair: seen.append(sums.sample) or real(sums, pair)
+        )
+        with pytest.raises(DataError, match="sample 1 must be a PositiveSample, got list"):
+            equivalence_report([good, [1.0, 2.0]], grid)
+        assert seen == [good]
+
+    @pytest.mark.parametrize("entry", [(1.0, 0.0), None, 1.0])
+    def test_grid_entry_that_is_no_pair_is_a_parameter_error(self, monkeypatch, entry):
+        # refused when the grid is read, before any sample is evaluated
+        monkeypatch.setattr(_PowerSums, "gini", lambda sums, pair: pytest.fail("evaluated"))
+        grid = (pair for pair in [ExponentPair(1.0, 0.0), entry])
+        message = f"grid entries must be ExponentPair objects, got {entry!r}"
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            equivalence_report([PositiveSample([1.0, 2.0])], grid)
+
+    def test_given_memos_are_filled_and_read(self, monkeypatch):
+        samples = _random_samples(5, 4)
+        grid = [ExponentPair(*pair) for chain in DEFAULT_GRID_CHAINS for pair in chain]
+        want = equivalence_report(samples, grid)
+        memos = [_PowerSums(sample) for sample in samples]
+        assert equivalence_report(samples, grid, _memos=memos) == want
+        # the 7 distinct exponents of the default grid, kept per sample
+        exponents = {-1.5, -1.0, 0.0, 1.0, 1.5, 2.0, 3.0}
+        assert [set(memo._log_sums) for memo in memos] == [exponents] * 4
+        # a second report reads the kept log sums and makes no kernel call
+        monkeypatch.setattr(_PowerSums, "log_sum", lambda sums, p: sums._log_sums[p])
+        assert equivalence_report(samples, grid, _memos=memos) == want
 
 
 #: Grids whose pairs share exponents, with p == q pairs and both signs of
