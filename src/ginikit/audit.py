@@ -3,11 +3,12 @@
 All checks ride on one fact: f(p) = ln S_p is strictly convex for non-uniform
 samples (its second derivative is the a**p-tilted variance of ln a, positive
 unless all values coincide).  Hence the secant slope ln G(p, q) =
-(f(p) - f(q)) / (p - q) is strictly increasing in both endpoints, which gives
+(f(p) - f(q)) / (p - q), the tangent f'(p) at p = q, is strictly
+increasing in both endpoints, which gives
 
-* monotonicity: raising (p, q) componentwise raises G(p, q);
-* the power-mean comparison: G(p, q) vs M_r = G(r, 0) with the bracketing
-  parameter orders;
+* monotonicity: raising a canonical (p, q) componentwise raises G(p, q),
+  the one comparison rule here (:class:`ParameterOrder`);
+* the power-mean comparison: G(p, q) against M_r = G(r, 0), by that rule;
 * positivity of the convexity gap itself.
 
 Margins are reported in the log domain (ln RHS - ln LHS) where the claims
@@ -17,12 +18,11 @@ are exact secant-slope differences, immune to the final exp rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
-from ._util import _shown
-from .errors import HypothesisError, ParameterDomainError
-from .means import _finite_exponent, _PowerSums, log_power_sum, secant_slope
-from .sample import ExponentPair, PositiveSample
+from .errors import HypothesisError
+from .means import _finite_exponent, _PowerSums, log_power_sum
+from .sample import ExponentPair, PositiveSample, _checked_pairs
 
 __all__ = [
     "AuditVerdict",
@@ -81,85 +81,60 @@ class AuditVerdict:
 
 @dataclass(frozen=True)
 class ParameterOrder:
-    """A pair of exponent pairs satisfying the comparison hypothesis.
+    """Two canonical :class:`ExponentPair` objects satisfying the comparison hypothesis.
 
-    Requires p > q within each pair, componentwise dominance
-    (upper.p >= lower.p and upper.q >= lower.q) and strict increase in at
-    least one component.  Anything else raises :class:`HypothesisError`:
-    outside these conditions the monotonicity claim is simply not asserted.
+    Requires componentwise dominance (upper.p >= lower.p and upper.q >= lower.q;
+    p == q is allowed in either pair) and strict increase in at least one
+    component.  Anything else raises :class:`HypothesisError`, and an entry
+    that is no :class:`ExponentPair` :class:`ParameterDomainError`: outside
+    these conditions the monotonicity claim is simply not asserted.
     """
 
     lower: ExponentPair
     upper: ExponentPair
 
     def __post_init__(self) -> None:
-        lo, up = self.lower, self.upper
-        if not (lo.p > lo.q and up.p > up.q):
-            raise HypothesisError(
-                "each pair must have p > q strictly "
-                f"(got lower=({lo.p}, {lo.q}), upper=({up.p}, {up.q}))"
-            )
-        if not (up.p >= lo.p and up.q >= lo.q):
-            raise HypothesisError(
-                "upper pair must dominate componentwise: "
-                f"({up.p}, {up.q}) does not dominate ({lo.p}, {lo.q})"
-            )
-        if not (up.p > lo.p or up.q > lo.q):
-            raise HypothesisError("at least one component must increase strictly")
+        _check_order(*_checked_pairs((self.lower, self.upper)))
+
+
+def _check_order(lo: ExponentPair, up: ExponentPair) -> None:
+    """The one comparison rule of this module; see :class:`ParameterOrder`."""
+    if not (up.p >= lo.p and up.q >= lo.q):
+        raise HypothesisError(
+            "upper pair must dominate componentwise: "
+            f"({up.p}, {up.q}) does not dominate ({lo.p}, {lo.q})"
+        )
+    if not (up.p > lo.p or up.q > lo.q):
+        raise HypothesisError("at least one component must increase strictly")
 
 
 def check_monotonicity(sample: PositiveSample, order: ParameterOrder) -> AuditVerdict:
     """Verify G(lower) < G(upper) for a componentwise-increased exponent pair.
 
-    The margin is the secant-slope difference ln G(upper) - ln G(lower).
-    Uniform samples give equality; they come back ``degenerate`` with margin
-    exactly zero, never an error.  Every verdict of this module is built
-    from its two slopes as here.
+    The margin is the slope difference ln G(upper) - ln G(lower).  Uniform
+    samples give equality; they come back ``degenerate`` with margin
+    exactly zero, never an error.  This is :func:`scan_monotonicity` on
+    the one link of ``order``.
     """
-    lo = secant_slope(sample, order.lower.p, order.lower.q)
-    up = secant_slope(sample, order.upper.p, order.upper.q)
-    return _verdict(sample, lo, up)
-
-
-def _verdict(sample: PositiveSample, lo: float, up: float) -> AuditVerdict:
-    """The verdict on the slopes ``lo`` of the lower pair and ``up`` of the upper."""
-    margin = up - lo
-    tolerance = strict_tolerance(max(abs(lo), abs(up)))
-    degenerate = sample.is_uniform
-    return AuditVerdict(not degenerate and margin > 0.0, margin, degenerate, tolerance)
+    return scan_monotonicity(sample, (order.lower, order.upper))[0]
 
 
 def check_power_mean_bound(
     sample: PositiveSample, p: float, q: float, r: float
 ) -> AuditVerdict:
-    """Compare G(p, q) against the power mean M_r on its two valid sides.
+    """Compare G(p, q) against the power mean M_r = G(r, 0) by the one rule.
 
-    Exactly one bracketing applies:
-
-    * r >= p > q with r > 0 > q: then G(p, q) < M_r, margin = ln M_r - ln G.
-    * p >= r > 0 with p > q > 0: then M_r < G(p, q), margin = ln G - ln M_r.
-
-    Any other (p, q, r) raises :class:`HypothesisError`.  The verdict is
-    :func:`check_monotonicity`'s on the order ((p,q), (r,0)) resp.
-    ((r,0), (p,q)), so the two can never disagree; a non-finite exponent
-    that passes the bracket test gets :class:`ExponentPair`'s error, and an
-    exponent the bracket test cannot compare gets its message for a value
-    that is not a real number.
+    Of the canonical pairs (p, q) and (r, 0), the one the other dominates
+    is the lower, and the verdict is :func:`check_monotonicity`'s on that
+    :class:`ParameterOrder`: G(p, q) < M_r when (r, 0) dominates, with
+    margin ln M_r - ln G, and M_r < G(p, q) when (p, q) does.  Equal or
+    incomparable pairs get :class:`ParameterOrder`'s error, and exponents
+    that are not finite reals :class:`ExponentPair`'s.
     """
-    try:
-        side_low = (r >= p > q) and (r > 0.0 > q)
-        side_high = (p >= r > 0.0) and (p > q > 0.0)
-    except (TypeError, ValueError) as exc:
-        raise ParameterDomainError("exponents must be real numbers") from exc
-    if side_low == side_high:
-        raise HypothesisError(
-            f"(p={_shown(p)}, q={_shown(q)}, r={_shown(r)}) fits neither bracketing "
-            "of the power-mean comparison (need r >= p > q, r > 0 > q, or p >= r > 0, "
-            "p > q > 0)"
-        )
-    gini, power = ExponentPair(p, q), ExponentPair(r, 0.0)
-    order = ParameterOrder(gini, power) if side_low else ParameterOrder(power, gini)
-    return check_monotonicity(sample, order)
+    pairs = (ExponentPair(p, q), ExponentPair(r, 0.0))
+    # of two pairs one of which dominates the other, the lower sorts first
+    lower, upper = sorted(pairs, key=lambda pair: (pair.p, pair.q))
+    return check_monotonicity(sample, ParameterOrder(lower, upper))
 
 
 def convexity_gap(sample: PositiveSample, p: float) -> float:
@@ -180,42 +155,40 @@ def convexity_gap(sample: PositiveSample, p: float) -> float:
 
 def scan_monotonicity(
     sample: PositiveSample,
-    grid: Sequence[ExponentPair],
+    grid: Iterable[ExponentPair],
     *,
     _sums: _PowerSums | None = None,
 ) -> list[AuditVerdict]:
     """Check every consecutive pair of a parameter grid, in order.
 
-    The grid must be a chain: each consecutive pair of pairs has to satisfy
-    the :class:`ParameterOrder` hypothesis, otherwise :class:`HypothesisError`
-    is raised before any evaluation.  Verdicts come back in grid order.
-    Without ``_sums``, evaluation is pure (no shared state), so callers may
-    parallelize over samples; results are identical either way.
+    The grid is read once and must be a chain: each consecutive pair of
+    pairs has to satisfy the :class:`ParameterOrder` hypothesis, checked
+    for every link before any evaluation.  Verdicts come back in grid
+    order.  Without ``_sums``, evaluation is pure (no shared state), so
+    callers may parallelize over samples; results are identical either way.
 
     ``_sums`` is private: a power-sum memo of ``sample``
     (:class:`ginikit.means._PowerSums`) that the caller holds, such as the
     one ``verify --oracle`` has filled through
     :func:`ginikit.oracle.equivalence_report`.  Every slope then reads it,
     so a log sum it already keeps costs no kernel call.  Each slope runs the
-    same body on the same floats with or without it, so every verdict is
-    :func:`check_monotonicity`'s to the bit.
+    same body on the same floats with or without it.
     """
-    orders = [
-        ParameterOrder(lower=grid[i], upper=grid[i + 1]) for i in range(len(grid) - 1)
-    ]
-    if _sums is None:
-        # One fresh memo per slope, as check_monotonicity takes it.  The
-        # benchmark's tracer self-test pins the kernel calls this makes on
-        # ``verify`` without ``--oracle`` (ROADMAP item 2); once that pin is
-        # released, a memo per sample can serve every caller and this
-        # branch can go (ROADMAP item 3).
-        return [check_monotonicity(sample, order) for order in orders]
-    slope = _sums.slope
-    return [
-        _verdict(
-            sample,
-            slope(order.lower.p, order.lower.q),
-            slope(order.upper.p, order.upper.q),
-        )
-        for order in orders
-    ]
+    pairs = _checked_pairs(grid)
+    links = list(zip(pairs, pairs[1:]))
+    for lower, upper in links:
+        _check_order(lower, upper)
+    # Without _sums, one fresh memo per slope, as secant_slope takes it.
+    # The benchmark's tracer self-test pins the kernel calls this makes on
+    # ``verify`` without ``--oracle`` (ROADMAP item 2); once that pin is
+    # released, a memo per sample can serve every caller and this branch
+    # can go (ROADMAP item 3).
+    slope = _sums.slope if _sums is not None else lambda p, q: _PowerSums(sample).slope(p, q)
+    degenerate = sample.is_uniform
+    verdicts = []
+    for lower, upper in links:
+        lo, up = slope(lower.p, lower.q), slope(upper.p, upper.q)
+        margin, tolerance = up - lo, strict_tolerance(max(abs(lo), abs(up)))
+        holds = not degenerate and margin > 0.0
+        verdicts.append(AuditVerdict(holds, margin, degenerate, tolerance))
+    return verdicts

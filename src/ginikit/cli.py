@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--grid",
         default="default",
-        help="comma-separated chain of exponent pairs 'p:q,p:q,...' or 'default'",
+        help="chain of pairs 'p:q,p:q,...' (each taken as p >= q, p:p allowed), each "
+        "dominating the one before componentwise, larger in at least one; or 'default'",
     )
     p_verify.add_argument(
         "--oracle",

@@ -273,8 +273,6 @@ def lehmer_mean(sample: PositiveSample, p: float) -> float:
 
 def extreme_value(sample: PositiveSample, which: str) -> float:
     """Exact max or min of the sample: the p -> +inf / q -> -inf mean limits."""
-    if which == "max":
-        return sample.max_value
-    if which == "min":
-        return sample.min_value
-    raise ParameterDomainError(f"which must be 'max' or 'min', got {which!r}")
+    if not isinstance(which, str) or which not in ("max", "min"):
+        raise ParameterDomainError(f"which must be 'max' or 'min', got {which!r}")
+    return sample.max_value if which == "max" else sample.min_value

@@ -24,8 +24,8 @@ the log-domain kernel: there is no shift by the largest log, no log-sum-exp
 and no tangent at small gaps, so agreement between the two is evidence that
 both are right, not that they make the same mistake.  The price is a
 restricted domain: inputs are capped where 50 digits of working precision
-comfortably absorb the naive formula's dynamic range, and a sample holds at
-most :data:`MAX_N` values, which bounds the cost of a reference.  The fast
+comfortably absorb the naive formula's dynamic range, and :data:`MAX_N`
+values and :data:`MAX_DIGITS` digits cap the cost of a reference.  The fast
 path agrees with the oracle when its relative error is at most
 :data:`REL_TOL`.
 
@@ -53,9 +53,9 @@ from mpmath.libmp import (
 )
 
 from ._util import _is_finite_real, _shown
-from .errors import DataError, OracleDomainError, ParameterDomainError
+from .errors import OracleDomainError, ParameterDomainError
 from .means import _PowerSums
-from .sample import ExponentPair, PositiveSample
+from .sample import ExponentPair, PositiveSample, _checked_pairs, _checked_sample
 
 __all__ = ["oracle_gini", "equivalence_report", "EquivalenceSummary"]
 
@@ -71,16 +71,20 @@ REL_TOL = 1e-12
 TINY_GAP = 1e-20
 #: Digits added beyond those the gap cancels, for such a pair.
 TINY_GAP_MARGIN_DIGITS = 10
+#: Most working digits: a cost cap, as ``MAX_N`` is (100,000 took 10 s per mean).
+MAX_DIGITS = 1000
 
 
 def _checked_digits(digits: int) -> int:
-    """The working precision ``digits`` as an int; an integer of at least 50."""
+    """The working precision ``digits`` as an int; an integer in [50, MAX_DIGITS]."""
     # finiteness first: int() raises a bare ValueError on NaN and an
     # OverflowError on infinity, and a huge int is no usable precision
     if not _is_finite_real(digits) or int(digits) != digits or digits < 50:
         raise ParameterDomainError(
             f"precision_digits must be an integer >= 50, got {_shown(digits)}"
         )
+    if digits > MAX_DIGITS:
+        raise ParameterDomainError(f"precision_digits must be <= {MAX_DIGITS}, got {digits}")
     return int(digits)
 
 
@@ -241,8 +245,11 @@ def oracle_gini(
 ) -> float:
     """Reference G(p, q) by the naive formula at extended precision.
 
-    ``precision_digits``, the working precision, must be an integer of at
-    least 50; anything else raises :class:`ParameterDomainError`.  Raises
+    ``precision_digits``, the working precision, must be an integer from 50
+    to :data:`MAX_DIGITS`; anything else, or a ``params`` that is not an
+    :class:`ExponentPair`, raises :class:`ParameterDomainError`, and a
+    ``sample`` that is no :class:`PositiveSample` :class:`DataError`, as in
+    :func:`equivalence_report`.  Raises
     :class:`OracleDomainError` outside the certified domain
     (n <= :data:`MAX_N`, |p|, |q| <= 30, values in [1e-30, 1e30]).  Inside
     it, the returned double is correct to <= 2 ulp (in practice: correctly
@@ -254,8 +261,9 @@ def oracle_gini(
     and it is restored on return.
     """
     digits = _checked_digits(precision_digits)
+    grid = _checked_pairs([params])
     with mp.workdps(digits):
-        return next(_references(sample, [params], digits))
+        return next(_references(_checked_sample(sample, 0), grid, digits))
 
 
 @dataclass(frozen=True)
@@ -313,22 +321,14 @@ def equivalence_report(
     """
     digits = _checked_digits(precision_digits)
     # both sides walk the grid once per sample, so an iterator is read once here
-    grid = tuple(grid)
-    for params in grid:
-        if not isinstance(params, ExponentPair):
-            raise ParameterDomainError(
-                f"grid entries must be ExponentPair objects, got {_shown(params)}"
-            )
+    grid = _checked_pairs(grid)
     worst = 0.0
     worst_params: ExponentPair | None = None
     worst_index: int | None = None
     cases = 0
     with mp.workdps(digits):
         for index, sample in enumerate(samples):
-            if not isinstance(sample, PositiveSample):
-                raise DataError(
-                    f"sample {index} must be a PositiveSample, got {type(sample).__name__}"
-                )
+            sample = _checked_sample(sample, index)
             # both sides keep their sums per sample, and none across samples
             sums = _PowerSums(sample) if _memos is None else _memos[index]
             references = _references(sample, grid, digits)

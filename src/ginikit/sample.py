@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from ._util import _shown
 from .errors import DataError, ParameterDomainError
 
 __all__ = ["PositiveSample", "ExponentPair"]
@@ -135,19 +137,19 @@ class ExponentPair:
 
     The Gini mean is symmetric in its two exponents, so the constructor
     swaps them into canonical order; ``ExponentPair(0, 2) == ExponentPair(2, 0)``.
-    Non-finite exponents are rejected: the p -> +/-inf limits are served
-    exactly by ``extreme_value`` instead of approximated here.
+    Exponents must be finite real numbers (``numbers.Real``): the p -> +/-inf
+    limits are served exactly by ``extreme_value`` instead of approximated here.
     """
 
     p: float
     q: float
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.p, numbers.Real) and isinstance(self.q, numbers.Real)):
+            raise ParameterDomainError("exponents must be real numbers")
         try:
             p = float(self.p)
             q = float(self.q)
-        except (TypeError, ValueError) as exc:
-            raise ParameterDomainError("exponents must be real numbers") from exc
         except OverflowError:
             raise ParameterDomainError(
                 "exponents must be finite, got an integer too large for a double"
@@ -165,3 +167,27 @@ class ExponentPair:
     def gap(self) -> float:
         """Nonnegative difference p - q in canonical order."""
         return self.p - self.q
+
+
+def _checked_sample(sample: object, index: int) -> PositiveSample:
+    """``sample``, a call's ``index``-th, unless it is no :class:`PositiveSample`."""
+    if isinstance(sample, PositiveSample):
+        return sample
+    raise DataError(f"sample {index} must be a PositiveSample, got {type(sample).__name__}")
+
+
+def _checked_pairs(grid: Iterable[object]) -> tuple[ExponentPair, ...]:
+    """``grid``, read once, as a tuple; each entry must be an :class:`ExponentPair`."""
+    try:
+        entries = iter(grid)
+    except TypeError:
+        raise ParameterDomainError(
+            f"a grid must be an iterable of ExponentPair objects, got {_shown(grid)}"
+        ) from None
+    pairs = tuple(entries)
+    for pair in pairs:
+        if not isinstance(pair, ExponentPair):
+            raise ParameterDomainError(
+                f"grid entries must be ExponentPair objects, got {_shown(pair)}"
+            )
+    return pairs

@@ -45,9 +45,17 @@ class TestParameterOrder:
         ParameterOrder(ExponentPair(1.0, -1.0), ExponentPair(1.0, 0.0))
         ParameterOrder(ExponentPair(1.0, 0.0), ExponentPair(2.0, 1.0))
 
-    def test_pair_must_be_strictly_ordered_inside(self):
-        with pytest.raises(HypothesisError):
-            ParameterOrder(ExponentPair(1.0, 1.0), ExponentPair(2.0, 1.5))
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [((1.0, 1.0), (2.0, 1.5)), ((1.0, 1.0), (2.0, 1.0)), ((1.0, 0.0), (1.0, 1.0))],
+        ids=["1:1-2:1.5", "1:1-2:1", "1:0-1:1"],
+    )
+    def test_tie_pairs_are_admitted(self, lower, upper):
+        # G(p, p) is the tangent of ln S_p, which the secants dominate as it does
+        order = ParameterOrder(ExponentPair(*lower), ExponentPair(*upper))
+        v = check_monotonicity(PositiveSample([1.0, 2.0, 3.0]), order)
+        assert v.holds and not v.weak
+        assert check_monotonicity(PositiveSample([2.0, 2.0]), order).degenerate
 
     def test_dominance_required(self):
         with pytest.raises(HypothesisError):
@@ -55,6 +63,16 @@ class TestParameterOrder:
         with pytest.raises(HypothesisError):
             # p rises but q falls: incomparable
             ParameterOrder(ExponentPair(1.0, 0.0), ExponentPair(2.0, -1.0))
+        message = "upper pair must dominate componentwise: (2.0, 1.0) does not dominate (3.0, 0.0)"
+        with pytest.raises(HypothesisError, match=re.escape(message)):
+            ParameterOrder(ExponentPair(3.0, 0.0), ExponentPair(2.0, 1.0))
+
+    @pytest.mark.parametrize("entry", [(1.0, 0.0), None, 2.0])
+    def test_entry_that_is_no_pair_is_a_parameter_error(self, entry):
+        message = f"grid entries must be ExponentPair objects, got {entry!r}"
+        for lower, upper in ((entry, ExponentPair(2.0, 0.0)), (ExponentPair(1.0, 0.0), entry)):
+            with pytest.raises(ParameterDomainError, match=re.escape(message)):
+                ParameterOrder(lower, upper)
 
     def test_strict_increase_required(self):
         with pytest.raises(HypothesisError):
@@ -115,12 +133,14 @@ class TestCheckMonotonicity:
     @given(
         shift_p=st.floats(min_value=0.0, max_value=3.0),
         shift_q=st.floats(min_value=0.0, max_value=3.0),
+        tie=st.sampled_from(["none", "lower", "upper", "both"]),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=60, deadline=None)
-    def test_margin_never_meaningfully_negative(self, shift_p, shift_q, seed):
+    def test_margin_never_meaningfully_negative(self, shift_p, shift_q, tie, seed):
         # slopes of a convex function: raising endpoints cannot lower the
-        # secant, so margins are >= -noise even for tiny parameter shifts
+        # secant, so margins are >= -noise even for tiny parameter shifts;
+        # a tie pair (p, p) takes the tangent f'(p), the secants' limit
         rng = np.random.default_rng(seed)
         s = random_sample(rng)
         p1, q1 = 2.0, -1.5
@@ -128,10 +148,36 @@ class TestCheckMonotonicity:
         if p2 == p1 and q2 == q1:
             # shifts so small they round away entirely; use a tiny real one
             p2 = p1 + 1e-9
+        if tie in ("lower", "both"):
+            p1 = q1
+        if tie in ("upper", "both"):
+            q2 = p2
         v = check_monotonicity(
             s, ParameterOrder(ExponentPair(p1, q1), ExponentPair(p2, q2))
         )
         assert v.margin >= -1e-12
+
+    def test_every_verdict_holds_at_steps_of_a_tenth(self):
+        # canonical pairs with |p|, |q| <= 2, ties included, whose rising
+        # components rise by at least 0.1: each true margin is far above the
+        # rounding of its two slopes, so each verdict must hold
+        rng = np.random.default_rng(22)
+        failed, checked = [], 0
+        for _ in range(3000):
+            s = random_sample(rng)
+            p, q = sorted(rng.uniform(-2.0, 2.0, 2), reverse=True)
+            dp, dq = rng.choice([0.0, 1.0], 2) * rng.uniform(0.1, 1.0, 2)
+            lower = ExponentPair(p, p if rng.random() < 0.25 else q)
+            upper = ExponentPair(p + dp, p + dp if rng.random() < 0.25 else q + dq)
+            rises = [d for d in (upper.p - lower.p, upper.q - lower.q) if d != 0.0]
+            if not rises or min(rises) < 0.1 or max(abs(upper.p), abs(upper.q)) > 2.0:
+                continue
+            checked += 1
+            v = check_monotonicity(s, ParameterOrder(lower, upper))
+            if not v.holds:
+                failed.append((lower, upper, v.margin))
+        assert checked > 1000
+        assert failed == []
 
 
 class TestCheckPowerMeanBound:
@@ -154,15 +200,34 @@ class TestCheckPowerMeanBound:
     @pytest.mark.parametrize(
         "p,q,r",
         [
-            (1.0, 0.0, 1.0),   # q = 0 fits neither side
-            (3.0, -1.0, 2.0),  # r < p with q < 0
-            (2.0, -1.0, -1.0), # r <= 0
-            (1.0, 1.0, 2.0),   # p = q
+            (1.0, 0.0, 1.0),   # the same pair twice
+            (3.0, -1.0, 2.0),  # r < p with q < 0: incomparable
+            (1.0, 1.0, 2.0),   # r > p with q > 0: incomparable
+            (2.0, 1.0, 3.0),   # (3, 0) against (2, 1): incomparable
         ],
     )
     def test_neither_side_rejected(self, p, q, r):
         with pytest.raises(HypothesisError):
             check_power_mean_bound(PositiveSample([1.0, 2.0]), p, q, r)
+
+    @pytest.mark.parametrize(
+        "p, q, r, lower, upper",
+        [
+            # M_2 < M_3, the power-mean inequality
+            (2.0, 0.0, 3.0, (2.0, 0.0), (3.0, 0.0)),
+            # M_-1 = G(0, -1) < G(2, -1)
+            (2.0, -1.0, -1.0, (0.0, -1.0), (2.0, -1.0)),
+            # G(-1, -1) < M_1, and M_1 < G(1, 1)
+            (-1.0, -1.0, 1.0, (-1.0, -1.0), (1.0, 0.0)),
+            (1.0, 1.0, 1.0, (1.0, 0.0), (1.0, 1.0)),
+        ],
+        ids=["M2<M3", "M-1<G(2,-1)", "G(-1,-1)<M1", "M1<G(1,1)"],
+    )
+    def test_any_dominated_pair_is_compared(self, p, q, r, lower, upper):
+        s = PositiveSample([1.0, 2.0, 3.0], [1.0, 0.5, 2.0])
+        v = check_power_mean_bound(s, p, q, r)
+        assert v.holds
+        assert v == check_monotonicity(s, ParameterOrder(ExponentPair(*lower), ExponentPair(*upper)))
 
     @pytest.mark.parametrize(
         "p,q,r,message",
@@ -172,7 +237,7 @@ class TestCheckPowerMeanBound:
         ],
     )
     def test_non_finite_exponent_is_a_pair_error(self, p, q, r, message):
-        # it passes the bracket test, then ExponentPair refuses it
+        # ExponentPair refuses it before the pairs are ordered
         with pytest.raises(ParameterDomainError, match=re.escape(message)):
             check_power_mean_bound(PositiveSample([1.0, 2.0]), p, q, r)
 
@@ -187,7 +252,7 @@ class TestCheckPowerMeanBound:
         ids=["str", "None", "complex", "array"],
     )
     def test_non_real_exponent_is_a_pair_error(self, p, q, r):
-        # the bracket test cannot compare it; ExponentPair's message names why
+        # not a numbers.Real, so ExponentPair refuses it, "1" included
         with pytest.raises(ParameterDomainError, match="^exponents must be real numbers$"):
             check_power_mean_bound(PositiveSample([1.0, 2.0, 3.0]), p, q, r)
 
@@ -345,6 +410,31 @@ class TestScanMonotonicity:
         bad = [ExponentPair(3.0, 2.0), ExponentPair(1.0, 0.0)]
         with pytest.raises(HypothesisError):
             scan_monotonicity(PositiveSample([1.0, 2.0]), bad)
+
+    def test_tie_pairs_in_a_chain(self):
+        chain = [ExponentPair(1.0, 0.0), ExponentPair(1.0, 1.0), ExponentPair(2.0, 1.0)]
+        verdicts = scan_monotonicity(PositiveSample([1.0, 2.0]), chain)
+        assert len(verdicts) == 2 and all(v.holds for v in verdicts)
+
+    def test_grid_is_read_once(self):
+        s = PositiveSample([1.0, 2.0])
+        want = scan_monotonicity(s, self.CHAIN)
+        assert scan_monotonicity(s, iter(self.CHAIN)) == want
+        assert scan_monotonicity(s, (pair for pair in self.CHAIN)) == want
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (None, "a grid must be an iterable of ExponentPair objects, got None"),
+            (1.0, "a grid must be an iterable of ExponentPair objects, got 1.0"),
+            ([(1.0, 0.0), (2.0, 0.0)], "grid entries must be ExponentPair objects, got (1.0, 0.0)"),
+            ([ExponentPair(1.0, 0.0), "2:0"], "grid entries must be ExponentPair objects, got '2:0'"),
+        ],
+    )
+    def test_wrong_typed_grid_is_a_parameter_error(self, grid, message, monkeypatch):
+        monkeypatch.setattr(means, "log_power_sum", lambda *args, **kwargs: pytest.fail("evaluated"))
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            scan_monotonicity(PositiveSample([1.0, 2.0]), grid)
 
     def test_memo_filled_by_the_oracle_serves_every_secant(self, monkeypatch):
         # the audit reads the log sums the oracle's fast side kept; only the

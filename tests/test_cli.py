@@ -461,7 +461,7 @@ class TestVerify:
                 "upper pair must dominate componentwise: (2.5, 2.0) does not dominate (3.0, 2.0)",
             ),
             ("1:0,1:0", "at least one component must increase strictly"),
-            ("1:1,2:0", "each pair must have p > q strictly (got lower=(1.0, 1.0), upper=(2.0, 0.0))"),
+            ("1:1,2:0", "upper pair must dominate componentwise: (2.0, 0.0) does not dominate (1.0, 1.0)"),
             ("inf:0,2:0", "exponents must be finite, got p=inf, q=0.0"),
             # links are checked in order, each after the pair that ends it
             (
@@ -501,6 +501,16 @@ class TestVerify:
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert payload["grid"] == [[[1.0, 0.0], [2.0, 1.0]]]
         assert payload["checks"][0]["lower"] == [1.0, 0.0]
+
+    def test_tie_pairs_in_the_grid(self, capsys):
+        code = run_cli("verify", "--random", "1", "1", "--grid", "1:0,1:1,2:1")
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("sample ")]
+        assert [line.split()[2:6] for line in lines] == [
+            ["G(1,0)", "->", "G(1,1)", "HOLDS"],
+            ["G(1,1)", "->", "G(2,1)", "HOLDS"],
+        ]
 
     def test_custom_grid(self, data_dir, capsys):
         code = run_cli(

@@ -452,6 +452,14 @@ class TestExtremeValue:
         with pytest.raises(ParameterDomainError):
             extreme_value(PositiveSample([1.0]), "median")
 
+    @pytest.mark.parametrize(
+        "which", [np.array([]), np.array(["max"]), None], ids=["empty", "array", "None"]
+    )
+    def test_selector_that_is_no_str(self, which):
+        # an array compares elementwise, so its truth value is no answer
+        with pytest.raises(ParameterDomainError, match="^which must be 'max' or 'min', got "):
+            extreme_value(PositiveSample([1.0, 2.0]), which)
+
     def test_means_bounded_by_extremes(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -36,6 +36,20 @@ class TestOracleConfig:
         with pytest.raises(ParameterDomainError, match=re.escape(message)):
             equivalence_report([s], [pair], precision_digits=digits)
 
+    @pytest.mark.parametrize("digits", [1001, 1001.0, 10**6])
+    def test_digits_cap(self, digits, monkeypatch):
+        # the cost of a reference grows with its digits, so a precision past
+        # the cap is refused before any sample is lifted
+        assert oracle.MAX_DIGITS == 1000
+        s, pair = PositiveSample([1.0, 2.0]), ExponentPair(1.0, 0.0)
+        assert oracle_gini(s, pair, precision_digits=1000) == 1.5
+        monkeypatch.setattr(oracle, "_LiftedSample", lambda sample: pytest.fail("lifted"))
+        message = f"precision_digits must be <= 1000, got {digits!r}"
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            oracle_gini(s, pair, precision_digits=digits)
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            equivalence_report([s], [pair], precision_digits=digits)
+
     def test_numpy_integers_accepted(self):
         assert oracle._checked_digits(np.int64(60)) == 60
         assert type(oracle._checked_digits(np.int64(60))) is int
@@ -155,6 +169,18 @@ class TestEquivalenceReport:
         with pytest.raises(DataError, match="sample 1 must be a PositiveSample, got list"):
             equivalence_report([good, [1.0, 2.0]], grid)
         assert seen == [good]
+
+    def test_oracle_gini_refuses_what_the_report_refuses(self):
+        s, pair = PositiveSample([1.0, 2.0]), ExponentPair(1.0, 0.0)
+        message = "sample 0 must be a PositiveSample, got float"
+        with pytest.raises(DataError, match=re.escape(message)):
+            oracle_gini(1.0, pair)
+        message = "grid entries must be ExponentPair objects, got (1.0, 0.0)"
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            oracle_gini(s, (1.0, 0.0))
+        message = "a grid must be an iterable of ExponentPair objects, got None"
+        with pytest.raises(ParameterDomainError, match=re.escape(message)):
+            equivalence_report([s], None)
 
     @pytest.mark.parametrize("entry", [(1.0, 0.0), None, 1.0])
     def test_grid_entry_that_is_no_pair_is_a_parameter_error(self, monkeypatch, entry):

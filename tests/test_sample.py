@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ginikit import audit, means, mwd
-from ginikit.errors import DataError, HypothesisError, ParameterDomainError
+from ginikit.errors import DataError, ParameterDomainError
 from ginikit.oracle import oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
@@ -153,6 +153,16 @@ class TestExponentPair:
         with pytest.raises(ParameterDomainError):
             ExponentPair("a", 1.0)
 
+    @pytest.mark.parametrize(
+        "p", ["1", b"1", np.array(1.0), np.array([1.0])], ids=["str", "bytes", "0-d", "1-d"]
+    )
+    def test_only_real_numbers_are_exponents(self, p):
+        # float() would take each of these; an exponent must be a numbers.Real
+        with pytest.raises(ParameterDomainError, match="^exponents must be real numbers$"):
+            ExponentPair(p, 0.0)
+        with pytest.raises(ParameterDomainError, match="^exponents must be real numbers$"):
+            ExponentPair(0.0, p)
+
     def test_integer_coercion(self):
         pair = ExponentPair(2, 1)
         assert isinstance(pair.p, float)
@@ -188,7 +198,7 @@ HUGE_INT_CALLS = {
         lambda: audit.check_power_mean_bound(SAMPLE, BIG, 1.0, 2.0), ParameterDomainError
     ),
     "check_power_mean_bound.q": (
-        lambda: audit.check_power_mean_bound(SAMPLE, 1.0, BIG, 2.0), HypothesisError
+        lambda: audit.check_power_mean_bound(SAMPLE, 1.0, BIG, 2.0), ParameterDomainError
     ),
     # the oracle's one setting, its working precision
     "OracleConfig.precision_digits": (
@@ -252,7 +262,7 @@ HUGE = 10**5000  # past Python's 4,300-digit limit: str() and repr() raise on it
 #: Entry points that put a number into their error message, called with HUGE.
 HUGE_DIGIT_CALLS = {
     "check_power_mean_bound.q": (
-        lambda: audit.check_power_mean_bound(SAMPLE, 1.0, HUGE, 2.0), HypothesisError
+        lambda: audit.check_power_mean_bound(SAMPLE, 1.0, HUGE, 2.0), ParameterDomainError
     ),
     "OracleConfig.precision_digits": (
         lambda: oracle_gini(SAMPLE, PAIR, precision_digits=HUGE), ParameterDomainError
