@@ -8,7 +8,10 @@ Times writing and reading Flory distributions of 27,618 species (as many as
 the file the end-to-end ``mwd_report`` workload reads) and 102,324 species
 (the Flory file ``mwd_generate`` writes), in CSV and in JSON, in a
 temporary directory.  The monomer mass is not integral, so masses print
-with all their digits, as in the workloads.  Each row gives the median and
+with all their digits, as in the workloads.  A ``repr`` row for each size
+times ``repr`` of every mass and abundance (from ``tolist``), the
+formatting floor that any writer of these shortest round-trip fields pays,
+so ``save`` shows how far it sits above it.  Each row gives the median and
 the minimum of ``REPEATS`` calls, and nanoseconds per species at the
 median.  Every file is loaded back and compared with the dataset written,
 bit for bit, so a writer or reader that got faster by getting wrong fails
@@ -41,6 +44,21 @@ def timed(call, repeats: int) -> list[float]:
     return times
 
 
+def repr_columns(dataset) -> None:
+    """``repr`` of every mass and abundance: the formatting floor of ``save_mwd``."""
+    list(map(repr, dataset.masses.tolist()))
+    list(map(repr, dataset.abundances.tolist()))
+
+
+def report(op: str, fmt: str, species: int, times: list[float], medians: dict) -> None:
+    median = statistics.median(times)
+    medians[f"{op}_{species}_s" if fmt == "-" else f"{op}_{fmt}_{species}_s"] = median
+    print(
+        f"{op:>6} {fmt:>6} {species:>8} {median * 1e3:>8.1f}ms "
+        f"{min(times) * 1e3:>8.1f}ms {median / species * 1e9:>10.0f}ns"
+    )
+
+
 def main() -> None:
     print(f"backend {backend_name()}, {REPEATS} calls per row")
     print(f"{'op':>6} {'format':>6} {'species':>8} {'median':>10} {'min':>10} {'per species':>12}")
@@ -50,6 +68,7 @@ def main() -> None:
             dataset = generate_flory(MONOMER_MASS, x)
             if dataset.n != species:
                 raise AssertionError(f"flory x={x} gave {dataset.n} species, not {species}")
+            report("repr", "-", species, timed(lambda: repr_columns(dataset), REPEATS), medians)
             for fmt in ("csv", "json"):
                 path = Path(tmp) / f"flory.{fmt}"
                 rows = {
@@ -63,12 +82,7 @@ def main() -> None:
                 ):
                     raise AssertionError(f"{path.name} does not load back bit for bit")
                 for op, times in rows.items():
-                    median = statistics.median(times)
-                    medians[f"{op}_{fmt}_{species}_s"] = median
-                    print(
-                        f"{op:>6} {fmt:>6} {species:>8} {median * 1e3:>8.1f}ms "
-                        f"{min(times) * 1e3:>8.1f}ms {median / species * 1e9:>10.0f}ns"
-                    )
+                    report(op, fmt, species, times, medians)
     print(json.dumps({"backend": backend_name(), "repeats": REPEATS, "median_s": medians}))
 
 

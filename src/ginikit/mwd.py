@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -67,11 +67,6 @@ MAX_SPECIES = 10_000_000
 #: Rows formatted per chunk by :func:`save_mwd`: enough that the per-chunk
 #: cost vanishes, few enough that no copy of the whole file's text is held.
 _WRITE_BLOCK_ROWS = 8192
-
-#: One species row of a JSON file, laid out as ``json.dumps(..., indent=2)``
-#: lays it out; ``%r`` of a float is the shortest round-trip form that
-#: ``json`` writes too.
-_JSON_ROW = '    {\n      "molar_mass": %r,\n      "abundance": %r\n    }'
 
 #: The body of a plain CSV file, which :func:`_parse_csv` parses in bulk:
 #: rows of exactly two non-empty fields of number characters, one comma
@@ -128,6 +123,16 @@ class MWDataset:
 
     def __repr__(self) -> str:
         return f"MWDataset(n={self.n}, label={self.label!r})"
+
+
+_T = TypeVar("_T")
+
+
+def _checked(value: object, kind: type[_T]) -> _T:
+    """``value``, unless it is no ``kind``: the one check of a dataset or report argument."""
+    if isinstance(value, kind):
+        return value
+    raise DataError(f"expected {kind.__name__}, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,7 @@ def _evaluate(
 
 def _average(dataset: MWDataset, name: str, parameter: float | None = None) -> float:
     """One named average of a dataset."""
-    return _evaluate(_PowerSums(dataset.to_sample()), [name], parameter)[0]
+    return _evaluate(_PowerSums(_checked(dataset, MWDataset).to_sample()), [name], parameter)[0]
 
 
 def number_average(dataset: MWDataset) -> float:
@@ -309,7 +314,7 @@ def polydispersity(
         raise ParameterDomainError(
             f"custom must be an iterable of exponent pairs, got {_shown(custom)}"
         ) from None
-    sums = _PowerSums(dataset.to_sample())
+    sums = _PowerSums(_checked(dataset, MWDataset).to_sample())
     mn, mv, mw, mz = _evaluate(sums, _CHAIN, s)
     mw = max(mw, mn)
     mz = max(mz, mw)
@@ -566,7 +571,12 @@ def _parse_plain_csv(text: str) -> tuple[np.ndarray, np.ndarray] | None:
             # number characters in an order float() refuses, e.g. "1e" or "1-2"
             return None
         start = stop
-    columns = np.concatenate(blocks).reshape(-1, 2).T.copy()
+    return _positive_columns(np.concatenate(blocks).reshape(-1, 2).T.copy())
+
+
+def _positive_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rows 0 and 1 of a fresh (2, n) array, frozen, when every entry is
+    finite and positive; else None."""
     if not (np.isfinite(columns).all() and (columns > 0.0).all()):
         return None
     columns.flags.writeable = False
@@ -627,6 +637,37 @@ def _parse_json(text: str) -> MWDataset:
     rows = payload["species"]
     if not isinstance(rows, list) or not rows:
         raise IngestionError("'species' must be a non-empty array")
+    columns = _bulk_json_columns(rows)
+    masses, abundances = _scan_json_rows(rows) if columns is None else columns
+    label = payload.get("label", "")
+    if not isinstance(label, str):
+        raise IngestionError("'label' must be a string when present")
+    return MWDataset(masses=masses, abundances=abundances, label=label)
+
+
+def _bulk_json_columns(rows: list[object]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two columns of ``species`` rows in bulk, or None unless every row is
+    an object whose two fields are finite positive floats.
+
+    Rows that are not plain, valid or not, get None and go to
+    :func:`_scan_json_rows`, which alone raises errors; so each message and
+    ``species[i]`` index is the scanner's.  An int, a bool, a missing key or
+    a row that is not an object all go there, as does ``NaN`` or
+    ``Infinity``.  The columns are the scanner's bit for bit, since a Python
+    float is a double.
+    """
+    try:
+        masses = [row["molar_mass"] for row in rows]
+        abundances = [row["abundance"] for row in rows]
+    except (TypeError, KeyError):  # a row that is no object, or lacks a key
+        return None
+    if set(map(type, masses)) != {float} or set(map(type, abundances)) != {float}:
+        return None
+    return _positive_columns(np.array([masses, abundances], dtype=np.float64))
+
+
+def _scan_json_rows(rows: list[object]) -> tuple[list[float], list[float]]:
+    """Check ``species`` rows one at a time, naming the index of the first bad one."""
     masses: list[float] = []
     abundances: list[float] = []
     for index, row in enumerate(rows):
@@ -640,10 +681,7 @@ def _parse_json(text: str) -> MWDataset:
             )
         masses.append(_json_number(row["molar_mass"], f"species[{index}].molar_mass"))
         abundances.append(_json_number(row["abundance"], f"species[{index}].abundance"))
-    label = payload.get("label", "")
-    if not isinstance(label, str):
-        raise IngestionError("'label' must be a string when present")
-    return MWDataset(masses=masses, abundances=abundances, label=label)
+    return masses, abundances
 
 
 def _json_number(value: object, what: str) -> float:
@@ -665,42 +703,57 @@ def save_mwd(dataset: MWDataset, path: str | Path) -> None:
     ``json.dumps(payload, indent=2)`` lays it out.  Rows are formatted and
     written a block at a time.
     """
+    dataset = _checked(dataset, MWDataset)
     path = Path(path)
     chunks = _json_chunks(dataset) if _is_json(path) else _csv_chunks(dataset)
     with atomic_writer(path) as handle:
         handle.writelines(chunks)
 
 
-def _row_blocks(dataset: MWDataset) -> Iterator[tuple[list[float], list[float]]]:
-    """Masses and abundances as Python floats, :data:`_WRITE_BLOCK_ROWS` rows at a time."""
+def _row_blocks(dataset: MWDataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Views of the masses and abundances, :data:`_WRITE_BLOCK_ROWS` rows at a time."""
     for start in range(0, dataset.n, _WRITE_BLOCK_ROWS):
         stop = start + _WRITE_BLOCK_ROWS
-        yield dataset.masses[start:stop].tolist(), dataset.abundances[start:stop].tolist()
+        yield dataset.masses[start:stop], dataset.abundances[start:stop]
+
+
+def _holds_integral(values: np.ndarray) -> bool:
+    """True when some entry of ``values`` is an integral double."""
+    return bool((np.trunc(values) == values).any())
 
 
 def _csv_chunks(dataset: MWDataset) -> Iterator[str]:
     yield CSV_HEADER + "\n"
     for masses, abundances in _row_blocks(dataset):
-        rows = "".join(map("%r,%r\n".__mod__, zip(masses, abundances)))
+        rows = "".join([f"{m!r},{a!r}\n" for m, a in zip(masses.tolist(), abundances.tolist())])
         # format_double's rule for a whole block: a repr ends in ".0" exactly
         # when its double is integral (and below 1e16), and only then is the
-        # ".0" dropped
-        yield rows.replace(".0,", ",").replace(".0\n", "\n")
+        # ".0" dropped; a block with no integral double has none to drop
+        if _holds_integral(masses) or _holds_integral(abundances):
+            rows = rows.replace(".0,", ",").replace(".0\n", "\n")
+        yield rows
 
 
 def _json_chunks(dataset: MWDataset) -> Iterator[str]:
     # the bytes of json.dumps(payload, indent=2), whose encoder leaves C for
-    # pure Python once indent is set
+    # pure Python once indent is set; repr of a float is the shortest
+    # round-trip form that json writes too
     yield '{\n  "label": %s,\n  "species": [\n' % json.dumps(dataset.label)
     separator = ""
     for masses, abundances in _row_blocks(dataset):
-        yield separator + ",\n".join(map(_JSON_ROW.__mod__, zip(masses, abundances)))
+        yield separator + ",\n".join(
+            [
+                f'    {{\n      "molar_mass": {m!r},\n      "abundance": {a!r}\n    }}'
+                for m, a in zip(masses.tolist(), abundances.tolist())
+            ]
+        )
         separator = ",\n"
     yield "\n  ]\n}\n"
 
 
 def report_to_json(report: MeansReport) -> str:
     """Serialize a report as JSON at full double precision, keyed by field."""
+    report = _checked(report, MeansReport)
     payload = {field.name: getattr(report, field.name) for field in fields(report)}
     payload["custom"] = [entry._asdict() for entry in report.custom]
     return json.dumps(payload, indent=2) + "\n"
@@ -708,6 +761,7 @@ def report_to_json(report: MeansReport) -> str:
 
 def report_to_text(report: MeansReport) -> str:
     """Serialize a report as an aligned key-value table."""
+    report = _checked(report, MeansReport)
     rows: list[tuple[str, float]] = [
         ("Mn", report.Mn),
         ("Mw", report.Mw),

@@ -1,14 +1,18 @@
-"""Distribution files: the block writer and the bulk CSV reader.
+"""Distribution files: the block writer and the bulk readers.
 
 ``save_mwd`` formats rows a block at a time and must write the same bytes
 as the per-row reference writer in ``helpers``.  ``load_mwd`` parses a plain
-CSV file in bulk and hands every other text to the row scanner; the two
-must agree bit for bit, and every error must be the scanner's.
+CSV file, and the rows of a plain JSON file, in bulk and hands every other
+text to the row scanner; the two must agree bit for bit, and every error
+must be the scanner's.  Every function that takes a dataset or a report
+refuses an argument of any other type with a package error.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -19,8 +23,10 @@ from hypothesis import strategies as st
 
 from ginikit import _util, mwd
 from ginikit._util import atomic_writer, format_double, read_text
-from ginikit.errors import IngestionError
-from ginikit.mwd import CSV_HEADER, MWDataset, generate_flory, generate_poisson, save_mwd
+from ginikit.errors import DataError, GinikitError, IngestionError
+from ginikit.mwd import (
+    CSV_HEADER, MWDataset, generate_flory, generate_lognormal, generate_poisson, save_mwd
+)
 
 from helpers import reference_mwd_text
 
@@ -87,6 +93,20 @@ class TestBlockWriter:
         assert path.read_bytes() == reference_mwd_text(dataset, fmt).encode("utf-8")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_strip_follows_each_blocks_own_integral_doubles(self, tmp_path, fmt):
+        # blocks of 3 rows: no integral double in the first, an integral
+        # mass only in the second, an integral abundance only in the third;
+        # 1e16 is integral but has no ".0", 10.05 holds ".0" mid-field
+        dataset = MWDataset(
+            masses=[10.05, 104.37, 5e-324, 28.0, 1e16, 2.5, 7.25, 10.05, 0.5],
+            abundances=[0.25, 10.05, 1.5, 0.125, 5e-324, 3.75, 0.1, 1e16, 2.0],
+        )
+        path = tmp_path / f"ds.{fmt}"
+        with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", 3):
+            save_mwd(dataset, path)
+        assert path.read_bytes() == reference_mwd_text(dataset, fmt).encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failure_mid_file_keeps_the_old_file(self, tmp_path, monkeypatch, fmt):
         path = tmp_path / f"ds.{fmt}"
         path.write_text("old contents\n", encoding="utf-8")
@@ -143,7 +163,7 @@ class TestAtomicWriter:
 
 
 def outcome(load) -> tuple:
-    """What a CSV load gives: the error text, or the exact bytes it read."""
+    """What a load gives: the error text, or the exact bytes it read."""
     try:
         dataset = load()
     except IngestionError as exc:
@@ -259,6 +279,134 @@ class TestBulkReader:
         loaded = mwd.load_mwd(path)
         assert loaded.masses.tobytes() == dataset.masses.tobytes()
         assert loaded.abundances.tobytes() == dataset.abundances.tobytes()
+
+
+def species_json(*rows: str, label: str = '"x"') -> str:
+    return '{"label": %s, "species": [%s]}' % (label, ", ".join(rows))
+
+
+GOOD_ROW = '{"molar_mass": 100.5, "abundance": 0.5}'
+
+
+class TestBulkJsonReader:
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            generate_flory(28.0, 0.999),
+            generate_flory(104.37, 0.999),
+            generate_poisson(72.5, 1e6),
+            generate_lognormal(1e4, 0.5, 50),
+        ],
+        ids=["flory-integral-m0", "flory", "poisson", "lognormal"],
+    )
+    def test_bulk_path_and_row_loop_agree_on_generated_files(self, tmp_path, dataset):
+        path = tmp_path / "ds.json"
+        save_mwd(dataset, path)
+        rows = json.loads(read_text(path))["species"]
+        columns = mwd._bulk_json_columns(rows)
+        assert columns is not None
+        scanned = mwd._scan_json_rows(rows)
+        assert columns[0].tobytes() == np.array(scanned[0]).tobytes()
+        assert columns[1].tobytes() == np.array(scanned[1]).tobytes()
+        loaded = mwd.load_mwd(path)
+        assert loaded.masses.tobytes() == dataset.masses.tobytes()
+        assert loaded.abundances.tobytes() == dataset.abundances.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (species_json(GOOD_ROW, '{"molar_mass": 28, "abundance": 1}'), None),
+            (species_json('{"molar_mass": 28, "abundance": 1}', GOOD_ROW), None),
+            (species_json(GOOD_ROW, '{"molar_mass": 2.5, "abundance": true}'),
+             "species[1].abundance must be a number"),
+            (species_json('{"molar_mass": false, "abundance": 0.5}'),
+             "species[0].molar_mass must be a number"),
+            (species_json(GOOD_ROW, '{"molar_mass": NaN, "abundance": 0.5}'),
+             "species[1].molar_mass must be finite and > 0, got nan"),
+            (species_json(GOOD_ROW, '{"molar_mass": 2.5, "abundance": Infinity}'),
+             "species[1].abundance must be finite and > 0, got inf"),
+            (species_json('{"molar_mass": 1e400, "abundance": 0.5}'),
+             "species[0].molar_mass must be finite and > 0, got inf"),
+            (species_json(GOOD_ROW, '{"molar_mass": 1%s, "abundance": 0.5}' % ("0" * 400)),
+             "species[1].molar_mass must be finite and > 0, "
+             "got an integer too large for a double"),
+            (species_json(GOOD_ROW, '{"molar_mass": -2.5, "abundance": 0.5}'),
+             "species[1].molar_mass must be finite and > 0, got -2.5"),
+            (species_json(GOOD_ROW, '{"molar_mass": 2.5, "abundance": 0.0}'),
+             "species[1].abundance must be finite and > 0, got 0.0"),
+            (species_json(GOOD_ROW, '{"molar_mass": 2.5, "abundance": -0.0}'),
+             "species[1].abundance must be finite and > 0, got -0.0"),
+            (species_json(GOOD_ROW, '{"molar_mass": "2.5", "abundance": 0.5}'),
+             "species[1].molar_mass must be a number"),
+            (species_json(GOOD_ROW, '{"molar_mass": null, "abundance": 0.5}'),
+             "species[1].molar_mass must be a number"),
+            (species_json(GOOD_ROW, '{"molar_mass": [2.5], "abundance": 0.5}'),
+             "species[1].molar_mass must be a number"),
+            (species_json(GOOD_ROW, '{"molar_mass": 2.5}'),
+             "species[1] must be an object with molar_mass and abundance"),
+            (species_json('{"abundance": 0.5}', GOOD_ROW),
+             "species[0] must be an object with molar_mass and abundance"),
+            (species_json(GOOD_ROW, "[2.5, 0.5]"),
+             "species[1] must be an object with molar_mass and abundance"),
+            (species_json('"molar_mass"', GOOD_ROW),
+             "species[0] must be an object with molar_mass and abundance"),
+            (species_json(GOOD_ROW, "null"),
+             "species[1] must be an object with molar_mass and abundance"),
+            (species_json(GOOD_ROW, label="5"), "'label' must be a string when present"),
+            (species_json('{"molar_mass": true, "abundance": 0.5}', label="5"),
+             "species[0].molar_mass must be a number"),
+        ],
+    )
+    def test_every_other_document_gets_the_row_loops_outcome(self, text, error):
+        got = outcome(lambda: mwd._parse_json(text))
+        with mock.patch.object(mwd, "_bulk_json_columns", lambda rows: None):
+            assert got == outcome(lambda: mwd._parse_json(text))
+        if error is None:
+            assert got[0] == "ok"
+        else:
+            assert got == ("error", error)
+
+
+#: The hostile arguments of the public API sweep: wrong types, and numbers
+#: where a dataset or report goes.
+HOSTILE = [
+    None, "x", 1j, Fraction(1, 10**400), 10**400, -10**400, math.nan, math.inf, -1, 0, [],
+    [1.0], np.array([]), np.float32(1.0), object(), (1.0,), True,
+]
+
+#: Every public function that takes a dataset or a report, called with
+#: ``value`` in its place and valid arguments everywhere else.
+TYPED_ARGUMENT_CALLS = {
+    "save_mwd-csv": lambda value, tmp: mwd.save_mwd(value, tmp / "ds.csv"),
+    "save_mwd-json": lambda value, tmp: mwd.save_mwd(value, tmp / "ds.json"),
+    "polydispersity": lambda value, tmp: mwd.polydispersity(value),
+    "number_average": lambda value, tmp: mwd.number_average(value),
+    "weight_average": lambda value, tmp: mwd.weight_average(value),
+    "z_average": lambda value, tmp: mwd.z_average(value),
+    "viscosity_average": lambda value, tmp: mwd.viscosity_average(value, 0.7),
+    "hydrodynamic_mean": lambda value, tmp: mwd.hydrodynamic_mean(value, 0.5),
+    "sedimentation_mean": lambda value, tmp: mwd.sedimentation_mean(value, 0.5),
+    "effective_parameter_mean": lambda value, tmp: mwd.effective_parameter_mean(value),
+    "save_report-json": lambda value, tmp: mwd.save_report(value, tmp / "report.json"),
+    "save_report-txt": lambda value, tmp: mwd.save_report(value, tmp / "report.txt"),
+    "report_to_json": lambda value, tmp: mwd.report_to_json(value),
+    "report_to_text": lambda value, tmp: mwd.report_to_text(value),
+}
+
+
+class TestWrongTypedArguments:
+    @pytest.mark.parametrize("call", TYPED_ARGUMENT_CALLS.values(), ids=TYPED_ARGUMENT_CALLS)
+    def test_every_hostile_value_gets_a_package_error(self, tmp_path, call):
+        for value in HOSTILE:
+            with pytest.raises(GinikitError):
+                call(value, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_error_names_the_type(self, tmp_path):
+        with pytest.raises(DataError, match="^expected MWDataset, got NoneType$"):
+            save_mwd(None, tmp_path / "ds.csv")
+        with pytest.raises(DataError, match="^expected MeansReport, got MWDataset$"):
+            mwd.save_report(generate_lognormal(1e4, 0.5, 4), tmp_path / "report.json")
 
 
 class TestGeneratorArrays:
