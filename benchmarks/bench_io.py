@@ -11,7 +11,11 @@ temporary directory.  The monomer mass is not integral, so masses print
 with all their digits, as in the workloads.  A ``repr`` row for each size
 times ``repr`` of every mass and abundance (from ``tolist``), the
 formatting floor that any writer of these shortest round-trip fields pays,
-so ``save`` shows how far it sits above it.  Each row gives the median and
+so ``save`` shows how far it sits above it.  A ``float`` row for each size
+times ``float`` of every field of the CSV file, split beforehand: the
+conversion the row scanner pays per field, which numpy's reader does in C
+without making Python floats, so each run shows how far ``load`` of the CSV
+file sits from it.  Each row gives the median and
 the minimum of ``REPEATS`` calls, and nanoseconds per species at the
 median.  Every file is loaded back and compared with the dataset written,
 bit for bit, so a writer or reader that got faster by getting wrong fails
@@ -28,6 +32,7 @@ from pathlib import Path
 
 from ginikit import generate_flory, load_mwd, save_mwd
 from ginikit._backend import backend_name
+from ginikit._util import read_text
 
 #: (conversion, species) of the two Flory distributions.
 SIZES = ((0.999, 27_618), (0.99973, 102_324))
@@ -48,6 +53,16 @@ def repr_columns(dataset) -> None:
     """``repr`` of every mass and abundance: the formatting floor of ``save_mwd``."""
     list(map(repr, dataset.masses.tolist()))
     list(map(repr, dataset.abundances.tolist()))
+
+
+def csv_fields(path: Path) -> list[str]:
+    """Every field of the CSV file at ``path`` below its header line, as text."""
+    return read_text(path).split("\n", 1)[1].replace(",", "\n").split()
+
+
+def float_fields(fields: list[str]) -> None:
+    """``float`` of every field: the conversion of the row scanner."""
+    list(map(float, fields))
 
 
 def report(op: str, fmt: str, species: int, times: list[float], medians: dict) -> None:
@@ -83,6 +98,10 @@ def main() -> None:
                     raise AssertionError(f"{path.name} does not load back bit for bit")
                 for op, times in rows.items():
                     report(op, fmt, species, times, medians)
+                if fmt == "csv":
+                    fields = csv_fields(path)
+                    times = timed(lambda: float_fields(fields), REPEATS)
+                    report("float", "-", species, times, medians)
     print(json.dumps({"backend": backend_name(), "repeats": REPEATS, "median_s": medians}))
 
 

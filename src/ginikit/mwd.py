@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -68,12 +67,8 @@ MAX_SPECIES = 10_000_000
 #: cost vanishes, few enough that no copy of the whole file's text is held.
 _WRITE_BLOCK_ROWS = 8192
 
-#: The body of a plain CSV file, which :func:`_parse_csv` parses in bulk:
-#: rows of exactly two non-empty fields of number characters, one comma
-#: between them, one newline after each (optional after the last).  No
-#: spaces, no blank lines, no letters other than an exponent's ``e``.
-_FIELD = "[0-9.eE+-]+"
-_PLAIN_CSV_BODY = re.compile(rf"(?:{_FIELD},{_FIELD}(?:\n|\Z))+")
+#: Every character that a plain CSV body, read in bulk, may hold.
+_PLAIN_CSV_CHARS = b"0123456789.eE+-,\n"
 
 #: Characters of CSV body parsed per block (rounded up to a whole row).
 _PARSE_BLOCK_CHARS = 1 << 16
@@ -545,13 +540,14 @@ def _parse_csv(text: str, label: str) -> MWDataset:
 def _parse_plain_csv(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     """The two columns of a plain CSV file in bulk, or None for any other text.
 
-    Plain means the exact header line, then a body that
-    :data:`_PLAIN_CSV_BODY` matches whole, with every number finite and
-    positive.  Each field is parsed by ``float`` as in :func:`_scan_csv`, so
-    the columns are the scanner's bit for bit.  Text that is not plain,
-    valid or not, gets None and goes to the scanner, which alone raises
-    errors; so each message and line number is the scanner's.  The body is
-    taken in blocks of whole rows, so only one block's strings are alive.
+    Plain means the exact header line, then rows of two non-empty fields of
+    :data:`_PLAIN_CSV_CHARS` with a comma between them, a newline after each
+    (optional after the last), and every number finite and positive.  numpy's
+    reader converts a field as ``float`` does (``PyOS_string_to_double``), so
+    the columns are :func:`_scan_csv`'s bit for bit.  Other text, valid or
+    not, gets None and goes to the scanner, so every error message and line
+    number is the scanner's.  The body is read in blocks of whole rows, so
+    only one block's strings are alive.
     """
     header = CSV_HEADER + "\n"
     if not text.startswith(header) or len(text) == len(header):
@@ -561,17 +557,21 @@ def _parse_plain_csv(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     while start < len(text):
         cut = text.find("\n", start + _PARSE_BLOCK_CHARS)
         stop = len(text) if cut < 0 else cut + 1
-        if not _PLAIN_CSV_BODY.fullmatch(text, start, stop):
+        block = text[start:stop]
+        plain = block.isascii() and not block.encode().translate(None, _PLAIN_CSV_CHARS)
+        if not plain or block.startswith("\n"):  # blank lines alone make loadtxt warn
             return None
-        # mass, abundance, mass, abundance, ... of the block's rows
-        fields = text[start:stop].replace(",", "\n").split()
+        lines = block.split("\n")
         try:
-            blocks.append(np.array(list(map(float, fields)), dtype=np.float64))
-        except ValueError:
-            # number characters in an order float() refuses, e.g. "1e" or "1-2"
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # an empty field, unequal rows, "1e" or "1-2"
             return None
+        # loadtxt skips a blank line, so a block that held one comes out a row short
+        if rows.shape != (len(lines) - (not lines[-1]), 2):
+            return None
+        blocks.append(rows)
         start = stop
-    return _positive_columns(np.concatenate(blocks).reshape(-1, 2).T.copy())
+    return _positive_columns(np.concatenate(blocks).T.copy())
 
 
 def _positive_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

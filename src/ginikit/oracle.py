@@ -55,7 +55,9 @@ from mpmath.libmp import (
 from ._util import _is_finite_real, _shown
 from .errors import OracleDomainError, ParameterDomainError
 from .means import _PowerSums
-from .sample import ExponentPair, PositiveSample, _checked_pairs, _checked_sample
+from .sample import (
+    ExponentPair, PositiveSample, _checked_pairs, _checked_sample, _checked_samples
+)
 
 __all__ = ["oracle_gini", "equivalence_report", "EquivalenceSummary"]
 
@@ -301,8 +303,9 @@ def equivalence_report(
     and ``passed``, which is true when the worst relative error is at most
     :data:`REL_TOL`.  A grid entry that is not an :class:`ExponentPair`
     raises :class:`ParameterDomainError` when the grid is read, before any
-    evaluation; a sample that is not a :class:`PositiveSample` raises
-    :class:`DataError` when it is reached, before it is evaluated.
+    evaluation; ``samples`` that cannot be iterated raise :class:`DataError`
+    at once, and a sample that is not a :class:`PositiveSample` raises it
+    when it is reached, before it is evaluated.
 
     The fast side holds one power-sum memo per sample, so each distinct
     exponent of a grid costs one kernel call (7 for the CLI's default grid
@@ -322,13 +325,13 @@ def equivalence_report(
     digits = _checked_digits(precision_digits)
     # both sides walk the grid once per sample, so an iterator is read once here
     grid = _checked_pairs(grid)
+    samples = _checked_samples(samples)
     worst = 0.0
     worst_params: ExponentPair | None = None
     worst_index: int | None = None
     cases = 0
     with mp.workdps(digits):
         for index, sample in enumerate(samples):
-            sample = _checked_sample(sample, index)
             # both sides keep their sums per sample, and none across samples
             sums = _PowerSums(sample) if _memos is None else _memos[index]
             references = _references(sample, grid, digits)

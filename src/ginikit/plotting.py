@@ -12,7 +12,7 @@ from typing import Mapping
 import numpy as np
 
 from ._util import format_double
-from .mwd import MWDataset
+from .mwd import MWDataset, _checked
 
 __all__ = ["render_svg", "render_csv", "histogram_bins"]
 
@@ -42,7 +42,11 @@ def histogram_bins(dataset: MWDataset) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(edges, fractions)`` with ``len(edges) == len(fractions) + 1``.
     Monodisperse datasets get a single symmetric bin around the common mass.
+    A ``dataset`` that is no :class:`MWDataset` raises
+    :class:`ginikit.errors.DataError`; both renderers start here, so they
+    refuse one the same way.
     """
+    dataset = _checked(dataset, MWDataset)
     masses = dataset.masses
     fractions = dataset.abundances / dataset.abundances.sum()
     lo = math.log10(float(masses.min()))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -174,6 +174,18 @@ def _checked_sample(sample: object, index: int) -> PositiveSample:
     if isinstance(sample, PositiveSample):
         return sample
     raise DataError(f"sample {index} must be a PositiveSample, got {type(sample).__name__}")
+
+
+def _checked_samples(samples: Iterable[object]) -> Iterator[PositiveSample]:
+    """``samples``, read lazily, each checked by :func:`_checked_sample` when it
+    is reached; a ``samples`` that cannot be iterated is refused at once."""
+    try:
+        entries = iter(samples)
+    except TypeError:
+        raise DataError(
+            f"samples must be an iterable of PositiveSample objects, got {_shown(samples)}"
+        ) from None
+    return (_checked_sample(sample, index) for index, sample in enumerate(entries))
 
 
 def _checked_pairs(grid: Iterable[object]) -> tuple[ExponentPair, ...]:

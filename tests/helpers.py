@@ -6,6 +6,7 @@ import importlib.machinery
 import json
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -22,6 +23,14 @@ from ginikit.mwd import (
     CSV_HEADER, MWDataset, generate_flory, load_mwd, polydispersity, save_mwd
 )
 from ginikit.sample import ExponentPair, PositiveSample
+
+
+#: The hostile arguments of the public API sweep: wrong types, and numbers
+#: where a dataset, report or container of samples goes.
+HOSTILE = [
+    None, "x", 1j, Fraction(1, 10**400), 10**400, -10**400, math.nan, math.inf, -1, 0, [],
+    [1.0], np.array([]), np.float32(1.0), object(), (1.0,), True,
+]
 
 
 def ulps_apart(got: float, want: float) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -21,14 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginikit import _util, mwd
+from ginikit import _util, mwd, plotting
 from ginikit._util import atomic_writer, format_double, read_text
 from ginikit.errors import DataError, GinikitError, IngestionError
 from ginikit.mwd import (
     CSV_HEADER, MWDataset, generate_flory, generate_lognormal, generate_poisson, save_mwd
 )
 
-from helpers import reference_mwd_text
+from helpers import HOSTILE, reference_mwd_text
 
 DOUBLE_MAX = 1.7976931348623157e308
 SUBNORMAL_MAX = 2.225073858507201e-308
@@ -212,6 +211,48 @@ def csv_texts(draw: st.DrawFn) -> str:
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
 
+#: Texts the bulk CSV reader must hand to the row scanner, each named by
+#: what makes it not plain; the scanner takes some and refuses the others.
+NOT_PLAIN_TEXTS = {
+    # at 40 characters a block, 11 rows fill the first block exactly, so the
+    # second holds newlines alone (numpy warns on such a block)
+    "a-block-of-newlines": f"{CSV_HEADER}\n" + "1,2\n" * 11 + "\n" * 60,
+    "blank-first-line": f"{CSV_HEADER}\n\n1,2\n",
+    "blank-line-inside": f"{CSV_HEADER}\n1,2\n\n3,4\n",
+    "blank-line-at-the-end": f"{CSV_HEADER}\n1,2\n\n",
+    "arabic-indic-digits": f"{CSV_HEADER}\n١٢,3\n",
+    "underscore": f"{CSV_HEADER}\n1_0,2\n",
+    "space": f"{CSV_HEADER}\n1 ,2\n",
+    "tab": f"{CSV_HEADER}\n1,\t2\n",
+    "form-feed": f"{CSV_HEADER}\n1,2\x0c\n",
+    "carriage-return": f"{CSV_HEADER}\n1,2\r\n",
+    "comment-line": f"{CSV_HEADER}\n#1,2\n3,4\n",
+    "quoted-field": f'{CSV_HEADER}\n"1",2\n',
+    "empty-second-field": f"{CSV_HEADER}\n1,\n",
+    "empty-first-field": f"{CSV_HEADER}\n,2\n",
+    "rows-of-one-field": f"{CSV_HEADER}\n1\n2\n",
+    "rows-of-three-fields": f"{CSV_HEADER}\n1,2,3\n4,5,6\n",
+    "a-row-of-three-fields": f"{CSV_HEADER}\n1,2\n3,4,5\n",
+    "bare-exponent": f"{CSV_HEADER}\n1e,2\n",
+    "inner-minus": f"{CSV_HEADER}\n1-2,3\n",
+    "inf": f"{CSV_HEADER}\ninf,2\n",
+    "nan": f"{CSV_HEADER}\n1,nan\n",
+    "zero": f"{CSV_HEADER}\n0,2\n",
+    "minus-zero": f"{CSV_HEADER}\n1,-0\n",
+}
+
+#: Positive finite doubles as bit patterns, shuffled: a quarter subnormal,
+#: the rest below 2**1023, so that no short spelling rounds up to inf.
+_rng = np.random.default_rng(2016)
+BIT_PATTERNS = _rng.permutation(np.concatenate([
+    _rng.integers(1, 1 << 52, 500, dtype=np.uint64),
+    _rng.integers(1, 0x7FE0 << 48, 1500, dtype=np.uint64),
+]))
+
+
+# numpy's reader warns with UserWarning (an input of blank lines alone); other
+# categories stay warnings, so a failing hypothesis test can still report
+@pytest.mark.filterwarnings("error::UserWarning")
 class TestBulkReader:
     @pytest.mark.parametrize("block_chars", [40, mwd._PARSE_BLOCK_CHARS])
     @settings(max_examples=120, deadline=None)
@@ -263,6 +304,31 @@ class TestBulkReader:
             assert got[0] == "ok"
         else:
             assert got == ("error", error)
+
+    @pytest.mark.parametrize("block_chars", [40, mwd._PARSE_BLOCK_CHARS])
+    @pytest.mark.parametrize("spelling", ["%r", "%.17g", "%.25e", "%.3g", "%.1e", "%g"])
+    def test_bulk_columns_are_float_of_each_field(self, block_chars, spelling):
+        fields = [spelling % x for x in BIT_PATTERNS.view(np.float64).tolist()]
+        rows = map(",".join, zip(fields[0::2], fields[1::2]))
+        text = "\n".join([CSV_HEADER, *rows]) + "\n"
+        with mock.patch.object(mwd, "_PARSE_BLOCK_CHARS", block_chars):
+            masses, abundances = mwd._parse_plain_csv(text)
+        assert masses.tobytes() == np.array(list(map(float, fields[0::2]))).tobytes()
+        assert abundances.tobytes() == np.array(list(map(float, fields[1::2]))).tobytes()
+
+    @pytest.mark.parametrize("block_chars", [40, mwd._PARSE_BLOCK_CHARS])
+    @pytest.mark.parametrize("text", NOT_PLAIN_TEXTS.values(), ids=NOT_PLAIN_TEXTS)
+    def test_other_texts_get_the_scanners_outcome(self, tmp_path, block_chars, text):
+        path = tmp_path / "mwd.csv"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(mwd, "_PARSE_BLOCK_CHARS", block_chars):
+            assert mwd._parse_plain_csv(text) is None
+            got = outcome(lambda: mwd.load_mwd(path))
+        assert got == outcome(lambda: mwd._scan_csv(read_text(path), "mwd"))
+
+    def test_a_lone_surrogate_is_not_plain(self):
+        # no UTF-8 file holds one, but the reader takes any str without raising
+        assert mwd._parse_plain_csv(f"{CSV_HEADER}\n\ud800,2\n") is None
 
     def test_bulk_columns_are_taken_without_a_copy(self):
         text = f"{CSV_HEADER}\n2,0.5\n3,0.5\n"
@@ -367,13 +433,6 @@ class TestBulkJsonReader:
             assert got == ("error", error)
 
 
-#: The hostile arguments of the public API sweep: wrong types, and numbers
-#: where a dataset or report goes.
-HOSTILE = [
-    None, "x", 1j, Fraction(1, 10**400), 10**400, -10**400, math.nan, math.inf, -1, 0, [],
-    [1.0], np.array([]), np.float32(1.0), object(), (1.0,), True,
-]
-
 #: Every public function that takes a dataset or a report, called with
 #: ``value`` in its place and valid arguments everywhere else.
 TYPED_ARGUMENT_CALLS = {
@@ -391,6 +450,9 @@ TYPED_ARGUMENT_CALLS = {
     "save_report-txt": lambda value, tmp: mwd.save_report(value, tmp / "report.txt"),
     "report_to_json": lambda value, tmp: mwd.report_to_json(value),
     "report_to_text": lambda value, tmp: mwd.report_to_text(value),
+    "render_svg": lambda value, tmp: plotting.render_svg(value, {"Mn": 100.0}),
+    "render_csv": lambda value, tmp: plotting.render_csv(value, {"Mn": 100.0}),
+    "histogram_bins": lambda value, tmp: plotting.histogram_bins(value),
 }
 
 
@@ -407,6 +469,8 @@ class TestWrongTypedArguments:
             save_mwd(None, tmp_path / "ds.csv")
         with pytest.raises(DataError, match="^expected MeansReport, got MWDataset$"):
             mwd.save_report(generate_lognormal(1e4, 0.5, 4), tmp_path / "report.json")
+        with pytest.raises(DataError, match="^expected MWDataset, got NoneType$"):
+            plotting.render_svg(None, {})
 
 
 class TestGeneratorArrays:

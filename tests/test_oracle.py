@@ -16,7 +16,7 @@ from ginikit.means import _PowerSums, gini_mean
 from ginikit.oracle import EquivalenceSummary, equivalence_report, oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import OperatorFormLift, assert_within_ulps, random_sample
+from helpers import HOSTILE, OperatorFormLift, assert_within_ulps, random_sample
 
 
 class TestOracleConfig:
@@ -169,6 +169,28 @@ class TestEquivalenceReport:
         with pytest.raises(DataError, match="sample 1 must be a PositiveSample, got list"):
             equivalence_report([good, [1.0, 2.0]], grid)
         assert seen == [good]
+
+    @pytest.mark.parametrize(
+        "samples, shown",
+        [(None, "None"), (1.5, "1.5"), (10**400, "an integer too large for a double")],
+        ids=["None", "float", "huge-int"],
+    )
+    def test_samples_that_cannot_be_iterated_are_a_data_error(self, samples, shown):
+        message = f"samples must be an iterable of PositiveSample objects, got {shown}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            equivalence_report(samples, [ExponentPair(1.0, 0.0)])
+
+    def test_every_hostile_samples_value_gets_a_report_or_a_data_error(self):
+        refused = []
+        for value in HOSTILE:
+            try:
+                summary = equivalence_report(value, [ExponentPair(1.0, 0.0)])
+            except DataError:
+                refused.append(value)
+            else:
+                assert summary.cases == 0 and summary.passed
+        # only [] and the empty array hold no sample, and no sample is refused
+        assert len(refused) == len(HOSTILE) - 2
 
     def test_oracle_gini_refuses_what_the_report_refuses(self):
         s, pair = PositiveSample([1.0, 2.0]), ExponentPair(1.0, 0.0)
