@@ -9,9 +9,12 @@ the file the end-to-end ``mwd_report`` workload reads) and 102,324 species
 (the Flory file ``mwd_generate`` writes), in CSV and in JSON, in a
 temporary directory.  The monomer mass is not integral, so masses print
 with all their digits, as in the workloads.  A ``repr`` row for each size
-times ``repr`` of every mass and abundance (from ``tolist``), the
-formatting floor that any writer of these shortest round-trip fields pays,
-so ``save`` shows how far it sits above it.  A ``float`` row for each size
+times ``repr`` of every mass and abundance (from ``tolist``) in this one
+process: the formatting floor that one process pays for these shortest
+round-trip fields.  ``save`` of a file of more than one block (8,192
+rows) formats its second half in a forked child while this process
+formats the first, so with two usable CPUs it can sit below that floor;
+the header line gives the usable CPUs.  A ``float`` row for each size
 times ``float`` of every field of the CSV file, split beforehand: the
 conversion the row scanner pays per field, which numpy's reader does in C
 without making Python floats, so each run shows how far ``load`` of the CSV
@@ -33,6 +36,7 @@ from pathlib import Path
 from ginikit import generate_flory, load_mwd, save_mwd
 from ginikit._backend import backend_name
 from ginikit._util import read_text
+from ginikit.mwd import _usable_cpus
 
 #: (conversion, species) of the two Flory distributions.
 SIZES = ((0.999, 27_618), (0.99973, 102_324))
@@ -50,7 +54,8 @@ def timed(call, repeats: int) -> list[float]:
 
 
 def repr_columns(dataset) -> None:
-    """``repr`` of every mass and abundance: the formatting floor of ``save_mwd``."""
+    """``repr`` of every mass and abundance: the formatting floor of one process,
+    which ``save_mwd`` of a file of several blocks shares with a child."""
     list(map(repr, dataset.masses.tolist()))
     list(map(repr, dataset.abundances.tolist()))
 
@@ -75,7 +80,7 @@ def report(op: str, fmt: str, species: int, times: list[float], medians: dict) -
 
 
 def main() -> None:
-    print(f"backend {backend_name()}, {REPEATS} calls per row")
+    print(f"backend {backend_name()}, {_usable_cpus()} usable CPUs, {REPEATS} calls per row")
     print(f"{'op':>6} {'format':>6} {'species':>8} {'median':>10} {'min':>10} {'per species':>12}")
     medians: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -102,7 +107,10 @@ def main() -> None:
                     fields = csv_fields(path)
                     times = timed(lambda: float_fields(fields), REPEATS)
                     report("float", "-", species, times, medians)
-    print(json.dumps({"backend": backend_name(), "repeats": REPEATS, "median_s": medians}))
+    print(json.dumps({
+        "backend": backend_name(), "usable_cpus": _usable_cpus(), "repeats": REPEATS,
+        "median_s": medians,
+    }))
 
 
 if __name__ == "__main__":

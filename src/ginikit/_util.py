@@ -70,6 +70,20 @@ def read_text(path: str | os.PathLike[str]) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of ``text``, broken at ``"\n"`` alone, with no empty last
+    line for a final newline.
+
+    :func:`read_text` has normalised every newline to ``"\n"``; ``str.splitlines``
+    would also break at ``"\x0c"``, ``"\x85"``, ``"\u2028"`` and the like,
+    and so count lines that the file does not have.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 @contextlib.contextmanager
 def atomic_writer(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     """A UTF-8 text handle whose contents replace ``path`` atomically.
@@ -79,6 +93,10 @@ def atomic_writer(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     raises, or the write or rename fails, the destination is left untouched
     and the temp file is removed; no partial output is ever visible.  So a
     large file can be written a chunk at a time without holding its text.
+    :func:`ginikit.mwd.save_mwd` writes the first half of a large file
+    through the handle and then appends, through ``handle.buffer``, the
+    bytes of the second half that a forked child formatted; the child has
+    exited before the block ends, so the rename sees the whole file.
 
     When the temp file cannot be created (its directory does not exist) or
     cannot be renamed over ``path`` (a directory is there), the ``OSError``

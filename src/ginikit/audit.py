@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import HypothesisError
+from ._util import _shown
+from .errors import HypothesisError, ParameterDomainError
 from .means import _finite_exponent, _PowerSums, log_power_sum
-from .sample import ExponentPair, PositiveSample, _checked_pairs
+from .sample import ExponentPair, PositiveSample, _checked_pairs, _checked_sample
 
 __all__ = [
     "AuditVerdict",
@@ -116,6 +117,8 @@ def check_monotonicity(sample: PositiveSample, order: ParameterOrder) -> AuditVe
     exactly zero, never an error.  This is :func:`scan_monotonicity` on
     the one link of ``order``.
     """
+    if not isinstance(order, ParameterOrder):
+        raise ParameterDomainError(f"order must be a ParameterOrder, got {_shown(order)}")
     return scan_monotonicity(sample, (order.lower, order.upper))[0]
 
 
@@ -148,7 +151,7 @@ def convexity_gap(sample: PositiveSample, p: float) -> float:
     the exponent, as :func:`secant_slope` and every mean do.
     """
     p = _finite_exponent(p)
-    if sample.is_uniform:
+    if _checked_sample(sample, 0).is_uniform:
         return 0.0
     return log_power_sum(sample, p).moment2_centered
 
@@ -174,6 +177,7 @@ def scan_monotonicity(
     so a log sum it already keeps costs no kernel call.  Each slope runs the
     same body on the same floats with or without it.
     """
+    sample = _checked_sample(sample, 0)
     pairs = _checked_pairs(grid)
     links = list(zip(pairs, pairs[1:]))
     for lower, upper in links:

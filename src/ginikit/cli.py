@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mwd as mwdmod
-from ._util import atomic_write_text, format_double, read_text
+from ._util import _lines, atomic_write_text, format_double, read_text
 from .audit import AuditVerdict, ParameterOrder, scan_monotonicity
 from .errors import GinikitError, HypothesisError, IngestionError, ParameterDomainError
 from .means import _PowerSums, gini_mean, lehmer_mean, power_mean
@@ -226,7 +226,7 @@ def _read_sample_file(path: str) -> PositiveSample:
     if mwdmod._is_json(p):
         return mwdmod.load_mwd(p).to_sample()
     text = read_text(p)
-    stripped = (line.strip() for line in text.splitlines())
+    stripped = (line.strip() for line in _lines(text))
     if next((line for line in stripped if line), "") != mwdmod.CSV_HEADER:
         return _parse_values(text)
     return mwdmod._parse_csv(text, p.stem).to_sample()
@@ -234,7 +234,7 @@ def _read_sample_file(path: str) -> PositiveSample:
 
 def _parse_values(text: str) -> PositiveSample:
     """Sample from the text of a values file: 'value' or 'value,weight' lines."""
-    lines = text.splitlines()
+    lines = _lines(text)
     values: list[float] = []
     weights: list[float] = []
     for lineno, raw in enumerate(lines, start=1):

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from . import _backend
 from .errors import ParameterDomainError
-from .sample import ExponentPair, PositiveSample
+from .sample import ExponentPair, PositiveSample, _checked_pairs, _checked_sample
 
 __all__ = [
     "LogPowerSum",
@@ -118,6 +118,8 @@ def log_power_sum(
     there t_i is not finite and no moment of it can be formed.  The check is
     the same with or without moments.
     """
+    if not isinstance(sample, PositiveSample):  # inline: the memo calls this per exponent
+        _checked_sample(sample, 0)  # raises
     p = _finite_exponent(p)
     if not math.isfinite(abs(p) * sample._max_abs_log_value):
         raise ParameterDomainError(
@@ -223,7 +225,7 @@ def secant_slope(sample: PositiveSample, p: float, q: float) -> float:
     """
     p = _finite_exponent(p, "p")
     q = _finite_exponent(q, "q")
-    return _PowerSums(sample).slope(p, q)
+    return _PowerSums(_checked_sample(sample, 0)).slope(p, q)
 
 
 def gini_mean(sample: PositiveSample, params: ExponentPair) -> float:
@@ -236,7 +238,8 @@ def gini_mean(sample: PositiveSample, params: ExponentPair) -> float:
     beyond them it raises ParameterDomainError.  A uniform sample returns
     its common value at any finite exponents.
     """
-    return _PowerSums(sample).gini(params)
+    (params,) = _checked_pairs((params,))
+    return _PowerSums(_checked_sample(sample, 0)).gini(params)
 
 
 def identical_parameter_gini(sample: PositiveSample, p: float) -> float:
@@ -275,4 +278,5 @@ def extreme_value(sample: PositiveSample, which: str) -> float:
     """Exact max or min of the sample: the p -> +inf / q -> -inf mean limits."""
     if not isinstance(which, str) or which not in ("max", "min"):
         raise ParameterDomainError(f"which must be 'max' or 'min', got {which!r}")
+    sample = _checked_sample(sample, 0)
     return sample.max_value if which == "max" else sample.min_value

@@ -19,16 +19,22 @@ report, the CLI's plot marks and its default audit grid all take them from it.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
+import os
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
 import numpy as np
 
 from ._util import (
-    _is_finite_real, _shown, atomic_write_text, atomic_writer, format_double, read_text
+    _is_finite_real, _lines, _shown, atomic_write_text, atomic_writer, format_double, read_text
 )
 from .errors import DataError, IngestionError, ParameterDomainError
 from .means import _PowerSums
@@ -587,7 +593,7 @@ def _scan_csv(text: str, label: str) -> MWDataset:
     """Parse CSV text row by row, naming the line of the first bad row."""
     masses: list[float] = []
     abundances: list[float] = []
-    lines = text.splitlines()
+    lines = _lines(text)
     # the header is the first non-blank line; line numbers count from the
     # file's first line all the same
     first = next((index for index, raw in enumerate(lines) if raw.strip()), 0)
@@ -702,19 +708,108 @@ def save_mwd(dataset: MWDataset, path: str | Path) -> None:
     (``28.0`` is written ``28``); JSON is laid out as
     ``json.dumps(payload, indent=2)`` lays it out.  Rows are formatted and
     written a block at a time.
+
+    A file of more than one block (:data:`_WRITE_BLOCK_ROWS` rows) is
+    formatted by two processes: a child forked here formats rows n // 2 to
+    n into an unnamed temp file beside ``path``, while the caller writes
+    the header and rows 0 to n // 2 into :func:`atomic_writer`'s temp file;
+    then the caller reaps the child and appends its bytes.  The caller
+    writes the whole file alone when it has one block, when ``os.fork`` is
+    missing or raises ``OSError``, or when fewer than two CPUs are usable.
+    The bytes are the same either way.  The child has exited before this
+    returns or raises; if it fails, an ``OSError`` names ``path`` and the
+    old file is left as it was.  On Python 3.12 and later, forking a
+    process that runs threads (numpy's BLAS pool starts some) emits a
+    ``DeprecationWarning``; this is not checked on the Python this package
+    is tested with (3.11).
     """
     dataset = _checked(dataset, MWDataset)
     path = Path(path)
-    chunks = _json_chunks(dataset) if _is_json(path) else _csv_chunks(dataset)
+    chunks = _json_chunks if _is_json(path) else _csv_chunks
     with atomic_writer(path) as handle:
-        handle.writelines(chunks)
+        with _second_half_by_a_child(chunks, dataset, handle, path) as split:
+            handle.writelines(chunks(_Rows(dataset, 0, split)))
 
 
-def _row_blocks(dataset: MWDataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Views of the masses and abundances, :data:`_WRITE_BLOCK_ROWS` rows at a time."""
-    for start in range(0, dataset.n, _WRITE_BLOCK_ROWS):
-        stop = start + _WRITE_BLOCK_ROWS
-        yield dataset.masses[start:stop], dataset.abundances[start:stop]
+class _Rows(NamedTuple):
+    """Rows ``start`` to ``stop`` of ``dataset``: the part of its file that one
+    process formats."""
+
+    dataset: MWDataset
+    start: int
+    stop: int
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _second_half_by_a_child(
+    chunks: Callable[[_Rows], Iterator[str]], dataset: MWDataset, handle: TextIO, path: Path
+) -> Iterator[int]:
+    """Have a forked child format the rows from n // 2 on while the caller
+    formats the rows before them; yield the row at which the caller stops.
+
+    The yield is n, and no child runs, for a one-block dataset, without
+    ``os.fork``, with fewer than two usable CPUs or when the fork fails.
+    Otherwise, when the block ends cleanly, the child is reaped and its
+    bytes are appended to ``handle`` in bounded chunks; when it raises, the
+    child is killed and reaped.  The child formats into an unnamed temp
+    file in ``path``'s directory and leaves only through ``os._exit``, so it
+    never returns into the caller's code, flushes the caller's buffers or
+    runs its exit hooks.
+    """
+    n = dataset.n
+    if n <= _WRITE_BLOCK_ROWS or not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield n
+        return
+    split = n // 2
+    with tempfile.TemporaryFile(dir=path.parent) as second_half:
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = None
+        if pid == 0:
+            status = 1
+            try:
+                # a collection here could finalize the caller's garbage a second
+                # time, flushing a file's buffer twice, say
+                gc.disable()
+                with open(second_half.fileno(), "w", encoding="utf-8", closefd=False) as out:
+                    out.writelines(chunks(_Rows(dataset, split, n)))
+                status = 0
+            finally:
+                os._exit(status)
+        if pid is None:
+            yield n
+            return
+        try:
+            yield split
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise OSError(
+                f"could not write {os.fspath(path)!r}: the child process formatting "
+                f"rows {split} to {n} exited with status {status}"
+            )
+        handle.flush()
+        second_half.seek(0)
+        shutil.copyfileobj(second_half, handle.buffer)
+
+
+def _row_blocks(rows: _Rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Views of the masses and abundances of ``rows``, :data:`_WRITE_BLOCK_ROWS` at a time."""
+    for start in range(rows.start, rows.stop, _WRITE_BLOCK_ROWS):
+        stop = min(start + _WRITE_BLOCK_ROWS, rows.stop)
+        yield rows.dataset.masses[start:stop], rows.dataset.abundances[start:stop]
 
 
 def _holds_integral(values: np.ndarray) -> bool:
@@ -722,25 +817,30 @@ def _holds_integral(values: np.ndarray) -> bool:
     return bool((np.trunc(values) == values).any())
 
 
-def _csv_chunks(dataset: MWDataset) -> Iterator[str]:
-    yield CSV_HEADER + "\n"
-    for masses, abundances in _row_blocks(dataset):
-        rows = "".join([f"{m!r},{a!r}\n" for m, a in zip(masses.tolist(), abundances.tolist())])
+def _csv_chunks(rows: _Rows) -> Iterator[str]:
+    """The text of ``rows`` in a CSV file, with the header if they start the file."""
+    if rows.start == 0:
+        yield CSV_HEADER + "\n"
+    for masses, abundances in _row_blocks(rows):
+        text = "".join([f"{m!r},{a!r}\n" for m, a in zip(masses.tolist(), abundances.tolist())])
         # format_double's rule for a whole block: a repr ends in ".0" exactly
         # when its double is integral (and below 1e16), and only then is the
         # ".0" dropped; a block with no integral double has none to drop
         if _holds_integral(masses) or _holds_integral(abundances):
-            rows = rows.replace(".0,", ",").replace(".0\n", "\n")
-        yield rows
+            text = text.replace(".0,", ",").replace(".0\n", "\n")
+        yield text
 
 
-def _json_chunks(dataset: MWDataset) -> Iterator[str]:
+def _json_chunks(rows: _Rows) -> Iterator[str]:
+    """The text of ``rows`` in a JSON file, with the head if they start the
+    file and the tail if they end it."""
     # the bytes of json.dumps(payload, indent=2), whose encoder leaves C for
     # pure Python once indent is set; repr of a float is the shortest
     # round-trip form that json writes too
-    yield '{\n  "label": %s,\n  "species": [\n' % json.dumps(dataset.label)
-    separator = ""
-    for masses, abundances in _row_blocks(dataset):
+    if rows.start == 0:
+        yield '{\n  "label": %s,\n  "species": [\n' % json.dumps(rows.dataset.label)
+    separator = "" if rows.start == 0 else ",\n"
+    for masses, abundances in _row_blocks(rows):
         yield separator + ",\n".join(
             [
                 f'    {{\n      "molar_mass": {m!r},\n      "abundance": {a!r}\n    }}'
@@ -748,7 +848,8 @@ def _json_chunks(dataset: MWDataset) -> Iterator[str]:
             ]
         )
         separator = ",\n"
-    yield "\n  ]\n}\n"
+    if rows.stop == rows.dataset.n:
+        yield "\n  ]\n}\n"
 
 
 def report_to_json(report: MeansReport) -> str:

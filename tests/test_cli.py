@@ -153,6 +153,22 @@ class TestMean:
         assert run_cli("mean", "--input", str(path), "--r", "1") == 1
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("1\x0c\n2\n5,x\n", "line 3: could not parse numbers from '5,x'"),
+            ("1\x0b\x1c\x1d\x1e\x85\u2028\u2029\n0\n", "line 2: value must be finite and > 0, got 0"),
+            ("\x0c\n\x85\n", "line 2: no values found"),
+            ("\n\n", "line 2: no values found"),
+            ("", "line 1: no values found"),
+        ],
+    )
+    def test_only_newlines_end_a_values_line(self, tmp_path, capsys, text, error):
+        path = tmp_path / "vals.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("mean", "--input", str(path), "--r", "1") == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_non_finite_exponent(self, capsys):
         assert run_cli("mean", "1", "2", "--r", "inf") == 2
         capsys.readouterr()

@@ -1,17 +1,22 @@
 """Distribution files: the block writer and the bulk readers.
 
-``save_mwd`` formats rows a block at a time and must write the same bytes
-as the per-row reference writer in ``helpers``.  ``load_mwd`` parses a plain
+``save_mwd`` formats rows a block at a time, the second half of a file of
+several blocks in a forked child, and must write the same bytes as the
+per-row reference writer in ``helpers``.  ``load_mwd`` parses a plain
 CSV file, and the rows of a plain JSON file, in bulk and hands every other
 text to the row scanner; the two must agree bit for bit, and every error
-must be the scanner's.  Every function that takes a dataset or a report
-refuses an argument of any other type with a package error.
+must be the scanner's.  Every function that takes a dataset or a report,
+and every function of ``means`` and ``audit`` that takes a sample, a pair
+or an order, refuses an argument of any other type with a package error.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import re
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -20,12 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginikit import _util, mwd, plotting
+from ginikit import _util, audit, means, mwd, plotting
 from ginikit._util import atomic_writer, format_double, read_text
-from ginikit.errors import DataError, GinikitError, IngestionError
+from ginikit.errors import DataError, GinikitError, IngestionError, ParameterDomainError
 from ginikit.mwd import (
     CSV_HEADER, MWDataset, generate_flory, generate_lognormal, generate_poisson, save_mwd
 )
+from ginikit.sample import ExponentPair, PositiveSample
 
 from helpers import HOSTILE, reference_mwd_text
 
@@ -123,6 +129,133 @@ class TestBlockWriter:
             save_mwd(dataset, path)
         assert path.read_text(encoding="utf-8") == "old contents\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def split_dataset(n: int) -> MWDataset:
+    """``n`` rows with integral doubles among the masses and the abundances
+    on both sides of row n // 2, beside fields with no ".0" to strip."""
+    rng = np.random.default_rng(n)
+    masses = np.where(np.arange(n) % 3 == 0, 28.0, 104.37) * np.arange(1, n + 1)
+    abundances = rng.random(n)
+    abundances[::5] = np.floor(abundances[::5] * 1e6) + 1.0
+    abundances[n // 2] = 1e16
+    return MWDataset(masses=masses, abundances=abundances, label="Mw ≈ 1.2×10⁵ g/mol")
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """Two usable CPUs whatever the host has, and a record of every fork the
+    caller made, by the pid it got back."""
+    monkeypatch.setattr(mwd, "_usable_cpus", lambda: 2)
+    pids: list[int] = []
+    real_fork = os.fork
+
+    def recorded_fork() -> int:
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
+def assert_no_child_is_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitWriter:
+    """A file of more than one block is formatted in two processes: a forked
+    child formats rows n // 2 to n, the caller the rest."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "block_rows, n, forked",
+        [(3, 1, False), (3, 3, False), (3, 4, True), (3, 7, True), (3, 10, True),
+         (mwd._WRITE_BLOCK_ROWS, 1, False), (mwd._WRITE_BLOCK_ROWS, mwd._WRITE_BLOCK_ROWS, False),
+         (mwd._WRITE_BLOCK_ROWS, mwd._WRITE_BLOCK_ROWS + 1, True),
+         (mwd._WRITE_BLOCK_ROWS, 2 * mwd._WRITE_BLOCK_ROWS + 5, True)],
+    )
+    def test_same_bytes_as_the_row_writer(self, tmp_path, forks, fmt, block_rows, n, forked):
+        dataset = split_dataset(n)
+        path = tmp_path / f"ds.{fmt}"
+        with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", block_rows):
+            save_mwd(dataset, path)
+        assert path.read_bytes() == reference_mwd_text(dataset, fmt).encode("utf-8")
+        assert len(forks) == forked
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert_no_child_is_left()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_usable_cpu_writes_alone(self, tmp_path, forks, monkeypatch, fmt):
+        monkeypatch.setattr(mwd, "_usable_cpus", lambda: 1)
+        dataset = split_dataset(mwd._WRITE_BLOCK_ROWS + 1)
+        path = tmp_path / f"ds.{fmt}"
+        save_mwd(dataset, path)
+        assert path.read_bytes() == reference_mwd_text(dataset, fmt).encode("utf-8")
+        assert forks == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failing_fork_leaves_the_caller_to_write_alone(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(mwd, "_usable_cpus", lambda: 2)
+
+        def failing_fork() -> int:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        dataset = split_dataset(7)
+        path = tmp_path / f"ds.{fmt}"
+        path.write_text("old contents\n", encoding="utf-8")
+        with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", 3):
+            save_mwd(dataset, path)
+        assert path.read_bytes() == reference_mwd_text(dataset, fmt).encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert_no_child_is_left()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failing_child_keeps_the_old_file(self, tmp_path, forks, monkeypatch, fmt):
+        real_blocks = mwd._row_blocks
+
+        def blocks_failing_in_the_child(rows):
+            if rows.start > 0:
+                raise RuntimeError("formatting failed")
+            return real_blocks(rows)
+
+        monkeypatch.setattr(mwd, "_row_blocks", blocks_failing_in_the_child)
+        path = tmp_path / f"ds.{fmt}"
+        path.write_text("old contents\n", encoding="utf-8")
+        with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", 3):
+            with pytest.raises(OSError, match=re.escape(repr(str(path)))):
+                save_mwd(split_dataset(7), path)
+        assert len(forks) == 1
+        assert path.read_text(encoding="utf-8") == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert_no_child_is_left()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failing_caller_stops_the_child(self, tmp_path, forks, monkeypatch, fmt):
+        real_blocks = mwd._row_blocks
+
+        def blocks_failing_in_the_caller(rows):
+            if rows.start > 0:
+                time.sleep(60)  # the child would still run when the caller fails
+            else:
+                raise RuntimeError("formatting failed")
+            return real_blocks(rows)
+
+        monkeypatch.setattr(mwd, "_row_blocks", blocks_failing_in_the_caller)
+        path = tmp_path / f"ds.{fmt}"
+        path.write_text("old contents\n", encoding="utf-8")
+        started = time.monotonic()
+        with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", 3):
+            with pytest.raises(RuntimeError, match="formatting failed"):
+                save_mwd(split_dataset(7), path)
+        assert time.monotonic() - started < 30.0
+        assert len(forks) == 1
+        assert path.read_text(encoding="utf-8") == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert_no_child_is_left()
 
 
 class TestAtomicWriter:
@@ -292,6 +425,13 @@ class TestBulkReader:
             (f"{CSV_HEADER}\n1 2,3\n4,5\n", "line 2: could not parse numbers from '1 2,3'"),
             (f"{CSV_HEADER}\n4,5\n1\t2,3\n", "line 3: could not parse numbers from '1\\t2,3'"),
             (f"{CSV_HEADER}\n", "line 1: no species rows found"),
+            (f"{CSV_HEADER}\n\n\n", "line 3: no species rows found"),
+            # only "\n" ends a line: "\x0c", "\x1c" to "\x1e", "\x85", "\u2028" and
+            # "\u2029" are whitespace inside one
+            (f"{CSV_HEADER}\n1,2\x0c\n5,x\n", "line 3: could not parse numbers from '5,x'"),
+            (f"{CSV_HEADER}\n1,2\x0b\x1c\x1d\x1e\x85\u2028\u2029\n3,0\n",
+             "line 3: abundance must be finite and > 0, got 0"),
+            (f"{CSV_HEADER}\n\x0c\n\u2028", "line 3: no species rows found"),
             (f"{CSV_HEADER}\n5,0.25", None),
         ],
     )
@@ -471,6 +611,69 @@ class TestWrongTypedArguments:
             mwd.save_report(generate_lognormal(1e4, 0.5, 4), tmp_path / "report.json")
         with pytest.raises(DataError, match="^expected MWDataset, got NoneType$"):
             plotting.render_svg(None, {})
+
+
+_SAMPLE = PositiveSample([1.0, 2.0])
+_PAIR = ExponentPair(2.0, 1.0)
+
+#: Every public function of ``means`` and ``audit`` that takes a sample, a
+#: pair or an order, called with ``value`` in that place and valid arguments
+#: everywhere else, with the error it must raise.
+SAMPLE_ARGUMENT_CALLS = {
+    "log_power_sum": (lambda value: means.log_power_sum(value, 1.0), DataError),
+    "gini_mean": (lambda value: means.gini_mean(value, _PAIR), DataError),
+    "gini_mean-pair": (lambda value: means.gini_mean(_SAMPLE, value), ParameterDomainError),
+    "secant_slope": (lambda value: means.secant_slope(value, 2.0, 1.0), DataError),
+    "power_mean": (lambda value: means.power_mean(value, 2.0), DataError),
+    "lehmer_mean": (lambda value: means.lehmer_mean(value, 2.0), DataError),
+    "identical_parameter_gini": (
+        lambda value: means.identical_parameter_gini(value, 2.0), DataError
+    ),
+    "extreme_value": (lambda value: means.extreme_value(value, "max"), DataError),
+    "convexity_gap": (lambda value: audit.convexity_gap(value, 1.0), DataError),
+    "check_monotonicity": (
+        lambda value: audit.check_monotonicity(
+            value, audit.ParameterOrder(ExponentPair(1.0, 0.0), _PAIR)
+        ),
+        DataError,
+    ),
+    "check_monotonicity-order": (
+        lambda value: audit.check_monotonicity(_SAMPLE, value), ParameterDomainError
+    ),
+    "check_power_mean_bound": (
+        lambda value: audit.check_power_mean_bound(value, 1.0, 0.0, 2.0), DataError
+    ),
+    "scan_monotonicity": (lambda value: audit.scan_monotonicity(value, [_PAIR]), DataError),
+}
+
+
+class TestWrongTypedSamples:
+    @pytest.mark.parametrize(
+        "call, error", SAMPLE_ARGUMENT_CALLS.values(), ids=SAMPLE_ARGUMENT_CALLS
+    )
+    def test_every_hostile_value_gets_its_package_error(self, call, error):
+        for value in HOSTILE:
+            with pytest.raises(error):
+                call(value)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: means.gini_mean(None, _PAIR), "sample 0 must be a PositiveSample, got NoneType"),
+            (lambda: means.log_power_sum(1.0, 1.0), "sample 0 must be a PositiveSample, got float"),
+            (lambda: audit.scan_monotonicity(object(), [_PAIR]),
+             "sample 0 must be a PositiveSample, got object"),
+            (lambda: means.gini_mean(_SAMPLE, (2.0, 1.0)),
+             "grid entries must be ExponentPair objects, got (2.0, 1.0)"),
+            (lambda: audit.check_monotonicity(_SAMPLE, (ExponentPair(1.0, 0.0), _PAIR)),
+             "order must be a ParameterOrder, got (ExponentPair(p=1.0, q=0.0), "
+             "ExponentPair(p=2.0, q=1.0))"),
+        ],
+        ids=["sample-None", "sample-float", "sample-object", "pair-tuple", "order-tuple"],
+    )
+    def test_the_error_names_the_type(self, call, message):
+        with pytest.raises(GinikitError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestGeneratorArrays:
