@@ -35,8 +35,7 @@ from pathlib import Path
 
 from ginikit import generate_flory, load_mwd, save_mwd
 from ginikit._backend import backend_name
-from ginikit._util import read_text
-from ginikit.mwd import _usable_cpus
+from ginikit._util import _usable_cpus, read_text
 
 #: (conversion, species) of the two Flory distributions.
 SIZES = ((0.999, 27_618), (0.99973, 102_324))

@@ -6,9 +6,11 @@ Run from the repository root:
 
 Times ``equivalence_report`` on the CLI's default audit grid (its six
 distinct pairs, as ``verify --oracle`` passes them) over the seeded samples
-of ``verify --random SEED 200`` for seeds 0-4, and the fast side alone
-(``gini_mean`` over the same pairs), so the oracle's own share is the
-difference.  The ``finish`` row times the last step of a reference alone:
+of ``verify --random SEED 200`` for seeds 0-4: as the package runs it, which
+forks a child that computes references from the last sample back when two
+CPUs are usable (the header line gives their number), and in one process,
+with one usable CPU; then the fast side alone (``gini_mean`` over the same
+pairs), so the oracle's own share in one process is the difference.  The ``finish`` row times the last step of a reference alone:
 the ratio of two power sums, raised to 1/(p - q) and rounded to a double,
 for every pair on lifts at 50 digits whose power sums were formed before the
 timing.  Then it times the forming of a lifted sample's terms at 50
@@ -33,10 +35,11 @@ from __future__ import annotations
 import json
 import statistics
 import time
+from unittest import mock
 
 import mpmath as mp
 
-from ginikit import oracle
+from ginikit import _util, oracle
 from ginikit._backend import backend_name
 from ginikit.cli import DEFAULT_GRID_CHAINS, _random_samples
 from ginikit.means import gini_mean
@@ -66,6 +69,11 @@ def report(samples) -> None:
     summary = oracle.equivalence_report(samples, GRID)
     if not summary.passed or summary.cases != len(GRID) * len(samples):
         raise AssertionError(f"oracle report failed: {summary}")
+
+
+def one_process(samples) -> None:
+    with mock.patch.object(_util, "_usable_cpus", lambda: 1):
+        report(samples)
 
 
 def fast_side(samples) -> None:
@@ -105,12 +113,14 @@ def main() -> None:
     values = sum(sample.n for batch in batches for sample in batch)
     print(
         f"backend {backend_name()}, mpmath {mp.__version__} ({mp.libmp.BACKEND}), "
+        f"{_util._usable_cpus()} usable CPUs, "
         f"{len(GRID)} pairs on {len(batches)}x{SAMPLES_PER_SEED} samples, {REPEATS} rounds"
     )
     lifts = [summed_lifts(batch) for batch in batches]
     # name: (call, its input per batch, items per batch for the last column)
     rows = {
         "equivalence_report": (report, batches, None),
+        "one_process": (one_process, batches, None),
         "fast_side": (fast_side, batches, None),
         "finish": (finish, lifts, SAMPLES_PER_SEED * len(GRID)),
     }
@@ -131,9 +141,12 @@ def main() -> None:
         medians[f"{name}_s"] = median
         per_item = "" if items is None else f"{median / items * 1e9:>8.0f}ns"
         print(f"{name:>20} {median * 1e3:>8.1f}ms {min(times) * 1e3:>8.1f}ms {per_item:>10}")
-    medians["oracle_share_s"] = medians["equivalence_report_s"] - medians["fast_side_s"]
+    medians["oracle_share_s"] = medians["one_process_s"] - medians["fast_side_s"]
     print(f"{'oracle share':>20} {medians['oracle_share_s'] * 1e3:>8.1f}ms")
-    print(json.dumps({"backend": backend_name(), "repeats": REPEATS, "median_s": medians}))
+    print(json.dumps({
+        "backend": backend_name(), "usable_cpus": _util._usable_cpus(), "repeats": REPEATS,
+        "median_s": medians,
+    }))
 
 
 if __name__ == "__main__":

@@ -1,16 +1,21 @@
-"""Small shared helpers: number checks, float formatting, text reads and atomic writes."""
+"""Small shared helpers: number and path checks, float formatting, text reads,
+atomic writes and the one way the package forks a child process."""
 
 from __future__ import annotations
 
 import contextlib
+import errno
+import gc
 import math
 import numbers
 import os
+import signal
+import stat
 import tempfile
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
-from .errors import IngestionError
+from .errors import IngestionError, ParameterDomainError
 
 
 def _is_finite_real(value: object) -> bool:
@@ -34,6 +39,17 @@ def _shown(value: object) -> str:
     if isinstance(value, int) and not _is_finite_real(value):
         return "an integer too large for a double"
     return repr(value)
+
+
+def _checked_path(path: object) -> Path:
+    """``path`` as a :class:`~pathlib.Path`; anything but a ``str`` or an
+    ``os.PathLike`` of one raises :class:`ParameterDomainError`."""
+    if isinstance(path, (str, os.PathLike)):
+        try:
+            return Path(path)
+        except TypeError:  # an os.PathLike that gives bytes
+            pass
+    raise ParameterDomainError(f"a path must be a str or os.PathLike, got {type(path).__name__}")
 
 
 def format_double(x: float) -> str:
@@ -98,21 +114,25 @@ def atomic_writer(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     bytes of the second half that a forked child formatted; the child has
     exited before the block ends, so the rename sees the whole file.
 
+    The file gets the mode that ``open`` would give it: a new one 0666
+    less the umask, and one that replaces an existing file that file's
+    permission bits, which are copied onto the temp file before the rename.
+
     When the temp file cannot be created (its directory does not exist) or
     cannot be renamed over ``path`` (a directory is there), the ``OSError``
     names ``path`` alone, not the temp file's random name.
     """
     target = Path(path)
     try:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=target.parent or Path("."), prefix=f".{target.name}.", suffix=".tmp"
-        )
+        fd, tmp_name = _new_temp_file(target)
     except OSError as exc:
         raise _naming(exc, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             yield handle
         try:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(tmp_name, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(tmp_name, target)
         except OSError as exc:
             raise _naming(exc, path) from None
@@ -122,6 +142,24 @@ def atomic_writer(path: str | os.PathLike[str]) -> Iterator[TextIO]:
         except OSError:
             pass
         raise
+
+
+def _new_temp_file(target: Path) -> tuple[int, str]:
+    """A new file beside ``target``, open for writing, and its name.
+
+    The name is ``target``'s behind a dot, then eight random hex digits and
+    ``.tmp``; a name that is taken is drawn again, as ``tempfile.mkstemp``
+    does.  The file is created with mode 0666, which the kernel reduces by
+    the umask.
+    """
+    directory = target.parent
+    for _ in range(tempfile.TMP_MAX):
+        name = os.path.join(directory, f".{target.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            return os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666), name
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "No usable temporary file name found")
 
 
 def _naming(exc: OSError, path: str | os.PathLike[str]) -> OSError:
@@ -134,3 +172,111 @@ def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
     """Write ``text`` to ``path`` atomically (see :func:`atomic_writer`)."""
     with atomic_writer(path) as handle:
         handle.write(text)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _current_cpu() -> int | None:
+    """The CPU that this thread last ran on, or None where ``/proc`` does not tell."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as record:
+            # field 39; the fields are counted after the command name, which
+            # may hold spaces and ends at the last ")"
+            return int(record.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_cpu(cpu: int | None) -> None:
+    """Keep this process off ``cpu`` when it may run on another one.
+
+    A forked child starts on its parent's CPU.  On a 2-vCPU Linux VM it
+    stayed there for 50-100 ms while the other CPU idled, so parent and
+    child took turns rather than running side by side; moved off, each ran
+    at full speed from the start (``BENCH_oracle_fork.json``).
+    """
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except OSError:
+        pass
+
+
+class _Child:
+    """A child process that :func:`_forked` started, until it is reaped."""
+
+    def __init__(self, pid: int) -> None:
+        self._pid = pid
+        self._status: int | None = None
+
+    def join(self) -> int:
+        """Wait for the child to exit, and reap it; its exit status, which is
+        0 when its work returned, 1 when the work raised, and minus the
+        signal number when a signal ended it."""
+        if self._status is None:
+            self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        return self._status
+
+    def kill(self) -> None:
+        """End the child by ``SIGKILL`` unless it has been reaped; a later
+        :meth:`join` reaps it."""
+        if self._status is None:
+            os.kill(self._pid, signal.SIGKILL)
+
+
+@contextlib.contextmanager
+def _forked(work: Callable[[], object]) -> Iterator[_Child | None]:
+    """Run ``work()`` in a forked child while the ``with`` block runs here.
+
+    The block gets the :class:`_Child`, or None when no child runs: with
+    fewer than two usable CPUs, without ``os.fork``, or when it raises
+    ``OSError``.  A caller that gets None does all the work itself.
+
+    The child turns the garbage collector off, since a collection there
+    could finalize the caller's garbage a second time (flushing a file's
+    buffer twice, say).  It leaves only through ``os._exit``, with status
+    0 when ``work`` returns and 1 when it raises, so it never returns into
+    the caller's code, flushes the caller's buffers or runs its exit
+    hooks.  The block may wait for the child (:meth:`_Child.join`) or end
+    it early (:meth:`_Child.kill`); a child that the block leaves running,
+    by returning or by raising, is killed, and every child is reaped, as
+    the block ends.  So no child outlives the block.
+
+    On Python 3.12 and later, forking a process that runs threads (numpy's
+    BLAS pool starts some) emits a ``DeprecationWarning``; this is not
+    checked on the Python the package is tested with (3.11).
+    """
+    pid: int | None = None
+    if hasattr(os, "fork") and _usable_cpus() >= 2:
+        here = _current_cpu()
+        try:
+            pid = os.fork()
+        except OSError:
+            pass
+    if pid is None:
+        yield None
+        return
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()
+            _leave_cpu(here)
+            work()
+            status = 0
+        finally:
+            os._exit(status)
+    child = _Child(pid)
+    try:
+        yield child
+    finally:
+        child.kill()
+        child.join()

@@ -19,13 +19,10 @@ report, the CLI's plot marks and its default audit grid all take them from it.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import json
 import math
 import os
 import shutil
-import signal
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -34,7 +31,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, T
 import numpy as np
 
 from ._util import (
-    _is_finite_real, _lines, _shown, atomic_write_text, atomic_writer, format_double, read_text
+    _checked_path, _forked, _is_finite_real, _lines, _shown, atomic_write_text, atomic_writer,
+    format_double, read_text,
 )
 from .errors import DataError, IngestionError, ParameterDomainError
 from .means import _PowerSums
@@ -527,9 +525,10 @@ def load_mwd(path: str | Path) -> MWDataset:
 
     The suffix is matched without regard to case.  Parse errors raise
     :class:`IngestionError` naming the offending line (CSV) or species index
-    (JSON).
+    (JSON).  A ``path`` that is neither a ``str`` nor an ``os.PathLike``
+    raises :class:`ParameterDomainError`.
     """
-    path = Path(path)
+    path = _checked_path(path)
     if _is_json(path):
         return _parse_json(read_text(path))
     return _parse_csv(read_text(path), path.stem)
@@ -713,22 +712,23 @@ def save_mwd(dataset: MWDataset, path: str | Path) -> None:
     formatted by two processes: a child forked here formats rows n // 2 to
     n into an unnamed temp file beside ``path``, while the caller writes
     the header and rows 0 to n // 2 into :func:`atomic_writer`'s temp file;
-    then the caller reaps the child and appends its bytes.  The caller
-    writes the whole file alone when it has one block, when ``os.fork`` is
-    missing or raises ``OSError``, or when fewer than two CPUs are usable.
-    The bytes are the same either way.  The child has exited before this
-    returns or raises; if it fails, an ``OSError`` names ``path`` and the
-    old file is left as it was.  On Python 3.12 and later, forking a
-    process that runs threads (numpy's BLAS pool starts some) emits a
-    ``DeprecationWarning``; this is not checked on the Python this package
-    is tested with (3.11).
+    then the caller reaps the child and appends its bytes.  The fork goes
+    through :func:`ginikit._util._forked`, so the caller writes the whole
+    file alone when it has one block, when ``os.fork`` is missing or raises
+    ``OSError``, or when fewer than two CPUs are usable.  The bytes are
+    the same either way.  The child has exited before this returns or
+    raises; if it fails, an ``OSError`` names ``path`` and the old file is
+    left as it was.  A ``path`` that is neither a ``str`` nor an
+    ``os.PathLike`` raises :class:`ParameterDomainError`.
     """
     dataset = _checked(dataset, MWDataset)
-    path = Path(path)
+    path = _checked_path(path)
     chunks = _json_chunks if _is_json(path) else _csv_chunks
     with atomic_writer(path) as handle:
-        with _second_half_by_a_child(chunks, dataset, handle, path) as split:
-            handle.writelines(chunks(_Rows(dataset, 0, split)))
+        if dataset.n <= _WRITE_BLOCK_ROWS:
+            handle.writelines(chunks(_Rows(dataset, 0, dataset.n)))
+        else:
+            _write_in_two_processes(chunks, dataset, handle, path)
 
 
 class _Rows(NamedTuple):
@@ -740,61 +740,31 @@ class _Rows(NamedTuple):
     stop: int
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _second_half_by_a_child(
+def _write_in_two_processes(
     chunks: Callable[[_Rows], Iterator[str]], dataset: MWDataset, handle: TextIO, path: Path
-) -> Iterator[int]:
-    """Have a forked child format the rows from n // 2 on while the caller
-    formats the rows before them; yield the row at which the caller stops.
+) -> None:
+    """Write the chunks of ``dataset`` to ``handle``, the rows from n // 2 on
+    formatted by a forked child (see :func:`save_mwd`).
 
-    The yield is n, and no child runs, for a one-block dataset, without
-    ``os.fork``, with fewer than two usable CPUs or when the fork fails.
-    Otherwise, when the block ends cleanly, the child is reaped and its
-    bytes are appended to ``handle`` in bounded chunks; when it raises, the
-    child is killed and reaped.  The child formats into an unnamed temp
-    file in ``path``'s directory and leaves only through ``os._exit``, so it
-    never returns into the caller's code, flushes the caller's buffers or
-    runs its exit hooks.
+    The child formats into an unnamed temp file in ``path``'s directory.
+    When the caller has written its half, it reaps the child and appends the
+    child's bytes to ``handle`` in bounded chunks; when the caller raises,
+    :func:`_forked` kills and reaps the child.
     """
     n = dataset.n
-    if n <= _WRITE_BLOCK_ROWS or not hasattr(os, "fork") or _usable_cpus() < 2:
-        yield n
-        return
     split = n // 2
     with tempfile.TemporaryFile(dir=path.parent) as second_half:
-        try:
-            pid = os.fork()
-        except OSError:
-            pid = None
-        if pid == 0:
-            status = 1
-            try:
-                # a collection here could finalize the caller's garbage a second
-                # time, flushing a file's buffer twice, say
-                gc.disable()
-                with open(second_half.fileno(), "w", encoding="utf-8", closefd=False) as out:
-                    out.writelines(chunks(_Rows(dataset, split, n)))
-                status = 0
-            finally:
-                os._exit(status)
-        if pid is None:
-            yield n
-            return
-        try:
-            yield split
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+        def format_second_half() -> None:
+            with open(second_half.fileno(), "w", encoding="utf-8", closefd=False) as out:
+                out.writelines(chunks(_Rows(dataset, split, n)))
+
+        with _forked(format_second_half) as child:
+            if child is None:
+                handle.writelines(chunks(_Rows(dataset, 0, n)))
+                return
+            handle.writelines(chunks(_Rows(dataset, 0, split)))
+            status = child.join()
         if status != 0:
             raise OSError(
                 f"could not write {os.fspath(path)!r}: the child process formatting "
@@ -885,7 +855,8 @@ def save_report(report: MeansReport, path: str | Path) -> None:
     """Write a report (atomically): as :func:`report_to_json` if the suffix is
     ``.json``, else as :func:`report_to_text`.
 
-    The suffix is matched as :func:`load_mwd` matches it.
+    The suffix is matched as :func:`load_mwd` matches it, and ``path`` is
+    checked as there.
     """
-    path = Path(path)
+    path = _checked_path(path)
     atomic_write_text(path, report_to_json(report) if _is_json(path) else report_to_text(report))

@@ -41,10 +41,13 @@ One body checks the domain, lifts and applies this rule for both
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import mpmath as mp
 from mpmath.libmp import (
@@ -52,7 +55,7 @@ from mpmath.libmp import (
     mpf_sqrt, mpf_sub, mpf_sum, to_float,
 )
 
-from ._util import _is_finite_real, _shown
+from ._util import _forked, _is_finite_real, _shown
 from .errors import OracleDomainError, ParameterDomainError
 from .means import _PowerSums
 from .sample import (
@@ -75,6 +78,12 @@ TINY_GAP = 1e-20
 TINY_GAP_MARGIN_DIGITS = 10
 #: Most working digits: a cost cap, as ``MAX_N`` is (100,000 took 10 s per mean).
 MAX_DIGITS = 1000
+
+#: Least sum of n x (pairs of the grid) over the samples of an
+#: :func:`equivalence_report` for which a forked child computes references
+#: from the back.  A fork and its reap cost about as much as this many
+#: reference terms (see ``_FORK_MIN_TERMS`` in ``BENCH_oracle_fork.json``).
+_FORK_MIN_TERMS = 1000
 
 
 def _checked_digits(digits: int) -> int:
@@ -321,20 +330,32 @@ def equivalence_report(
     every reference value is bit for bit ``oracle_gini`` of its pair; only
     the power 1/(p - q) of a pair, which no sample changes, is shared across
     samples.  The precision is checked and set once per call, as there.
+
+    When ``samples`` is a ``Sequence`` whose sizes times the grid's pairs
+    sum to at least ``_FORK_MIN_TERMS``, and two CPUs are usable, the
+    references are computed from both ends (see
+    :func:`_references_from_the_back`): a forked child streams them from
+    the last sample back, while this process runs the loop above from the
+    first sample on and takes a sample's references from the stream once
+    they have arrived.  Where the two meet, the child is killed.  The
+    child makes no kernel call and raises nothing here: every error, its
+    message and its order are those of the loop in one process, and so is
+    every byte of the summary.  Any other ``samples`` is read lazily, in
+    one process.
     """
     digits = _checked_digits(precision_digits)
     # both sides walk the grid once per sample, so an iterator is read once here
     grid = _checked_pairs(grid)
-    samples = _checked_samples(samples)
+    checked = _checked_samples(samples)
     worst = 0.0
     worst_params: ExponentPair | None = None
     worst_index: int | None = None
     cases = 0
-    with mp.workdps(digits):
-        for index, sample in enumerate(samples):
+    with mp.workdps(digits), _references_from_the_back(samples, grid, digits) as received:
+        for index, sample in enumerate(checked):
             # both sides keep their sums per sample, and none across samples
             sums = _PowerSums(sample) if _memos is None else _memos[index]
-            references = _references(sample, grid, digits)
+            references = received(index) or _references(sample, grid, digits)
             for params in grid:
                 fast = sums.gini(params)
                 # after the fast value: a pair both sides refuse gets the fast side's error
@@ -352,3 +373,82 @@ def equivalence_report(
         worst_params=worst_params,
         passed=worst <= REL_TOL,
     )
+
+
+@contextlib.contextmanager
+def _references_from_the_back(
+    samples: object, grid: tuple[ExponentPair, ...], digits: int
+) -> Iterator[Callable[[int], Iterator[float] | None]]:
+    """References of the last samples, computed by a forked child.
+
+    Run it inside ``mp.workdps(digits)``.  The block gets ``received``:
+    ``received(index)`` is an iterator over the references of sample
+    ``index``, pair by pair, once the child has sent them, and None before
+    (the caller then computes them itself).  Indices must be asked for in
+    increasing order.
+
+    The child (see :func:`_send_from_the_back`) computes each sample's
+    references with :func:`_references`, from the last sample back, and
+    writes them to a pipe as native doubles, so they arrive bit for bit.
+    Each call of ``received`` first drains the pipe without blocking.  The
+    child sends the samples in reverse, so once it has sent ``index`` it has
+    sent every later sample too: the first such call kills the child, and
+    every later call is served from what was read.  A child that fails or
+    lags only sends less; the caller never waits for it.  No child runs
+    (``received`` is always None) when ``samples`` is no ``Sequence``, when
+    its PositiveSamples' sizes times the grid's pairs sum to less than
+    :data:`_FORK_MIN_TERMS`, or when :func:`ginikit._util._forked` starts
+    none.  The child is reaped and the pipe closed when the block ends.
+    """
+    if not isinstance(samples, Sequence) or _FORK_MIN_TERMS > len(grid) * sum(
+        sample.n for sample in samples if isinstance(sample, PositiveSample)
+    ):
+        yield lambda index: None
+        return
+    record = struct.Struct(f"={len(grid)}d")
+    last = len(samples) - 1
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb", buffering=0) as stream, open(write_end, "wb", buffering=0) as sink:
+        with _forked(lambda: _send_from_the_back(samples, grid, digits, sink, record)) as child:
+            # the child holds its own copy of the write end
+            sink.close()
+            if child is None:
+                yield lambda index: None
+                return
+            os.set_blocking(read_end, False)
+            received = bytearray()
+            met = False
+
+            def from_the_child(index: int) -> Iterator[float] | None:
+                nonlocal met
+                if not met:
+                    # None when nothing is waiting, b"" when the child has gone
+                    received.extend(stream.read() or b"")
+                    if last - index >= len(received) // record.size:
+                        return None
+                    met = True
+                    child.kill()
+                return iter(record.unpack_from(received, (last - index) * record.size))
+
+            yield from_the_child
+
+
+def _send_from_the_back(
+    samples: Sequence[object],
+    grid: tuple[ExponentPair, ...],
+    digits: int,
+    sink: BinaryIO,
+    record: struct.Struct,
+) -> None:
+    """Write the references of each of ``samples``, from the last one back,
+    to ``sink`` as one ``record`` per sample; a forked child's work.
+
+    It stops at the first sample that is no :class:`PositiveSample` or
+    that :func:`_references` refuses: the caller reaches that sample
+    itself and raises there.
+    """
+    for index in range(len(samples) - 1, -1, -1):
+        sample = _checked_sample(samples[index], index)
+        data = memoryview(record.pack(*_references(sample, grid, digits)))
+        while data:
+            data = data[sink.write(data):]

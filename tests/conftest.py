@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ginikit import _util
 from ginikit.mwd import MWDataset
 
 from helpers import compiled_kernel_file
@@ -26,6 +27,24 @@ def data_dir() -> Path:
 def two_species() -> MWDataset:
     """The reference two-species distribution: masses 100 and 300, equal parts."""
     return MWDataset(masses=[100.0, 300.0], abundances=[1.0, 1.0], label="two_species")
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """Two usable CPUs whatever the host has, and a record of every fork the
+    caller made, by the pid it got back."""
+    monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+    pids: list[int] = []
+    real_fork = os.fork
+
+    def recorded_fork() -> int:
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
 
 
 @pytest.fixture(scope="session")

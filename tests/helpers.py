@@ -2,22 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import json
 import math
 import os
+import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 
-from ginikit import cli
+from ginikit import _util, cli, oracle
 from ginikit._util import format_double
 from ginikit.audit import (
     ParameterOrder, check_monotonicity, check_power_mean_bound, scan_monotonicity
 )
-from ginikit.errors import GinikitError
+from ginikit.errors import GinikitError, ParameterDomainError
 from ginikit.means import _PowerSums, gini_mean, identical_parameter_gini
 from ginikit.mwd import (
     CSV_HEADER, MWDataset, generate_flory, load_mwd, polydispersity, save_mwd
@@ -259,6 +262,143 @@ def audit_memo_outcomes() -> list[list[object]]:
                         _verdict_fields(a), _verdict_fields(b),
                     ])
     return rows
+
+
+#: The distinct pairs of the CLI's default grid, as ``verify --oracle`` passes them.
+ORACLE_GRID = list(
+    dict.fromkeys(ExponentPair(p, q) for chain in cli.DEFAULT_GRID_CHAINS for p, q in chain)
+)
+#: Samples of each split case: their sizes times the grid's pairs sum to
+#: about 2,000, past ``oracle._FORK_MIN_TERMS``.
+SPLIT_SAMPLES = 40
+#: Where a split case puts its fault: in the half that the child computes.
+SPLIT_FAULT_INDEX = 35
+#: Samples that the child of ``child-fails-after-some`` sends before it fails.
+SPLIT_SENT = 5
+#: Cases of :func:`oracle_split_outcome`.  Each but ``child-lags`` may run
+#: with the child joined before the report starts.
+SPLIT_CASES = (
+    "seed-1", "seed-2", "seed-3", "not-a-sample", "value-out-of-range", "too-many-values",
+    "fast-side-raises", "child-fails-at-once", "child-fails-after-some", "child-lags",
+)
+
+
+def _split_case(name: str) -> tuple[list[object], list[object]]:
+    """The samples of split case ``name``, and the patches it runs under."""
+    seed = int(name.rsplit("-", 1)[1]) if name.startswith("seed-") else 1
+    samples: list[object] = list(cli._random_samples(seed, SPLIT_SAMPLES))
+    patches: list[object] = []
+    if name == "not-a-sample":
+        samples[SPLIT_FAULT_INDEX] = [1.0, 2.0]
+    elif name == "value-out-of-range":
+        samples[SPLIT_FAULT_INDEX] = PositiveSample([1.0, 1e31])
+    elif name == "too-many-values":
+        samples[SPLIT_FAULT_INDEX] = PositiveSample(np.linspace(1.0, 2.0, oracle.MAX_N + 1))
+    elif name == "fast-side-raises":
+        faulty, real_gini = samples[SPLIT_FAULT_INDEX], _PowerSums.gini
+
+        def gini(sums: _PowerSums, params: ExponentPair) -> float:
+            if sums.sample is faulty and params == ORACLE_GRID[2]:
+                raise ParameterDomainError("the fast side refused")
+            return real_gini(sums, params)
+
+        patches.append(mock.patch.object(_PowerSums, "gini", gini))
+    elif name.startswith("child-"):
+        real_send = oracle._send_from_the_back
+
+        def send(samples, grid, digits, sink, record) -> None:
+            if name == "child-lags":
+                time.sleep(60)
+            if name == "child-fails-after-some":
+                # the last SPLIT_SENT samples, in the order the child sends them
+                real_send(samples[-SPLIT_SENT:], grid, digits, sink, record)
+            raise RuntimeError("the child failed")
+
+        patches.append(mock.patch.object(oracle, "_send_from_the_back", send))
+    return samples, patches
+
+
+def _split_summary(samples: list[object]) -> list[object]:
+    """The summary of ``samples`` on :data:`ORACLE_GRID`, doubles as hex, or
+    the class and message of its error."""
+    try:
+        summary = oracle.equivalence_report(samples, ORACLE_GRID)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    params = summary.worst_params
+    return [
+        summary.cases, summary.max_rel_error.hex(), summary.worst_index,
+        None if params is None else [params.p.hex(), params.q.hex()], summary.passed,
+    ]
+
+
+def oracle_split_outcome(name: str, joined: bool) -> dict[str, object]:
+    """Split case ``name`` run in one process and with a forked child.
+
+    The one-process run has one usable CPU; the forked one two, whatever the
+    host has.  With ``joined``, the forked run waits for its child to exit
+    before the report's first sample, so the child has sent all it ever
+    will: the result then also holds the child's exit status and the number
+    of samples whose references this process computed.  JSON-ready, so a
+    subprocess under another backend can report it.
+    """
+    open_fds = len(os.listdir("/proc/self/fd"))
+    samples, patches = _split_case(name)
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        stack.enter_context(mock.patch.object(_util, "_usable_cpus", lambda: 1))
+        one_process = _split_summary(samples)
+    statuses: list[int] = []
+    computed_here: list[object] = []
+    real_forked, real_references = oracle._forked, oracle._references
+
+    @contextlib.contextmanager
+    def forked(work):
+        with real_forked(work) as child:
+            if child is not None and joined:
+                statuses.append(child.join())
+            yield child
+
+    def references(sample, grid, digits):
+        computed_here.append(sample)  # the child's calls count in the child
+        return real_references(sample, grid, digits)
+
+    samples, patches = _split_case(name)
+    started = time.monotonic()
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        stack.enter_context(mock.patch.object(_util, "_usable_cpus", lambda: 2))
+        stack.enter_context(mock.patch.object(oracle, "_forked", forked))
+        stack.enter_context(mock.patch.object(oracle, "_references", references))
+        two_processes = _split_summary(samples)
+    outcome: dict[str, object] = {
+        "one_process": one_process,
+        "forked": two_processes,
+        "seconds": time.monotonic() - started,
+        "open_fds_added": len(os.listdir("/proc/self/fd")) - open_fds,
+    }
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        outcome["children_left"] = False
+    else:
+        outcome["children_left"] = True
+    if joined:
+        outcome["child_statuses"] = statuses
+        outcome["computed_here"] = len(computed_here)
+    return outcome
+
+
+def oracle_split_outcomes() -> list[list[object]]:
+    """``[case, joined, outcome]`` for every split case, joined and not."""
+    return [
+        [name, joined, oracle_split_outcome(name, joined)]
+        for name in SPLIT_CASES
+        for joined in (True, False)
+        if not (joined and name == "child-lags")
+    ]
 
 
 def compiled_kernel_file(src: Path) -> Path | None:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import re
+import stat
 import time
 from pathlib import Path
 from unittest import mock
@@ -125,9 +126,11 @@ class TestBlockWriter:
             raise RuntimeError("formatting failed")
 
         monkeypatch.setattr(mwd, "_row_blocks", failing_blocks)
+        path.chmod(0o640)
         with pytest.raises(RuntimeError, match="formatting failed"):
             save_mwd(dataset, path)
         assert path.read_text(encoding="utf-8") == "old contents\n"
+        assert mode_of(path) == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
@@ -140,24 +143,6 @@ def split_dataset(n: int) -> MWDataset:
     abundances[::5] = np.floor(abundances[::5] * 1e6) + 1.0
     abundances[n // 2] = 1e16
     return MWDataset(masses=masses, abundances=abundances, label="Mw ≈ 1.2×10⁵ g/mol")
-
-
-@pytest.fixture
-def forks(monkeypatch) -> list[int]:
-    """Two usable CPUs whatever the host has, and a record of every fork the
-    caller made, by the pid it got back."""
-    monkeypatch.setattr(mwd, "_usable_cpus", lambda: 2)
-    pids: list[int] = []
-    real_fork = os.fork
-
-    def recorded_fork() -> int:
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded_fork)
-    return pids
 
 
 def assert_no_child_is_left() -> None:
@@ -189,7 +174,7 @@ class TestSplitWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_usable_cpu_writes_alone(self, tmp_path, forks, monkeypatch, fmt):
-        monkeypatch.setattr(mwd, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
         dataset = split_dataset(mwd._WRITE_BLOCK_ROWS + 1)
         path = tmp_path / f"ds.{fmt}"
         save_mwd(dataset, path)
@@ -198,7 +183,7 @@ class TestSplitWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_failing_fork_leaves_the_caller_to_write_alone(self, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(mwd, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
 
         def failing_fork() -> int:
             raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -225,11 +210,13 @@ class TestSplitWriter:
         monkeypatch.setattr(mwd, "_row_blocks", blocks_failing_in_the_child)
         path = tmp_path / f"ds.{fmt}"
         path.write_text("old contents\n", encoding="utf-8")
+        path.chmod(0o640)
         with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", 3):
             with pytest.raises(OSError, match=re.escape(repr(str(path)))):
                 save_mwd(split_dataset(7), path)
         assert len(forks) == 1
         assert path.read_text(encoding="utf-8") == "old contents\n"
+        assert mode_of(path) == 0o640
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert_no_child_is_left()
 
@@ -247,6 +234,7 @@ class TestSplitWriter:
         monkeypatch.setattr(mwd, "_row_blocks", blocks_failing_in_the_caller)
         path = tmp_path / f"ds.{fmt}"
         path.write_text("old contents\n", encoding="utf-8")
+        path.chmod(0o640)
         started = time.monotonic()
         with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", 3):
             with pytest.raises(RuntimeError, match="formatting failed"):
@@ -254,8 +242,82 @@ class TestSplitWriter:
         assert time.monotonic() - started < 30.0
         assert len(forks) == 1
         assert path.read_text(encoding="utf-8") == "old contents\n"
+        assert mode_of(path) == 0o640
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert_no_child_is_left()
+
+
+def mode_of(path: Path) -> int:
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+@pytest.fixture
+def umask():
+    """Set the process's umask for one test; the old one comes back after it."""
+    old = os.umask(0o022)
+    try:
+        yield os.umask
+    finally:
+        os.umask(old)
+
+
+#: Every writer of the package that goes through ``atomic_writer``, by what it writes.
+WRITERS = {
+    "save_mwd-csv": lambda path: save_mwd(split_dataset(5), path.with_suffix(".csv")),
+    "save_mwd-json": lambda path: save_mwd(split_dataset(5), path.with_suffix(".json")),
+    "save_mwd-split": lambda path: save_mwd(
+        split_dataset(mwd._WRITE_BLOCK_ROWS + 1), path.with_suffix(".csv")
+    ),
+    "save_report": lambda path: mwd.save_report(
+        mwd.polydispersity(split_dataset(5)), path.with_suffix(".json")
+    ),
+    "atomic_write_text": lambda path: _util.atomic_write_text(path.with_suffix(".txt"), "x\n"),
+}
+
+
+class TestWrittenFileModes:
+    """A written file gets the mode ``open`` would give it: 0666 less the
+    umask when it is new, the old file's permission bits when it replaces
+    one."""
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+    def test_new_file_follows_the_umask(self, tmp_path, umask, writer, mask, mode):
+        umask(mask)
+        writer(tmp_path / "out")
+        (written,) = tmp_path.iterdir()
+        assert mode_of(written) == mode
+
+    @pytest.mark.parametrize("old_mode", [0o640, 0o604, 0o600, 0o755])
+    @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+    def test_replaced_file_keeps_its_mode(self, tmp_path, umask, writer, old_mode):
+        umask(0o022)
+        writer(tmp_path / "out")
+        (written,) = tmp_path.iterdir()
+        old_bytes = written.read_bytes()
+        written.chmod(old_mode)
+        writer(tmp_path / "out")
+        assert [p.name for p in tmp_path.iterdir()] == [written.name]
+        assert mode_of(written) == old_mode
+        assert written.read_bytes() == old_bytes
+
+    def test_a_taken_temp_name_is_drawn_again(self, tmp_path, monkeypatch):
+        taken = tmp_path / ".out.txt.00000000.tmp"
+        taken.write_text("not ours\n", encoding="utf-8")
+        draws = iter([b"\0\0\0\0", b"\0\0\0\0", b"\1\1\1\1"])
+        monkeypatch.setattr(os, "urandom", lambda size: next(draws))
+        _util.atomic_write_text(tmp_path / "out.txt", "x\n")
+        assert (tmp_path / "out.txt").read_bytes() == b"x\n"
+        assert taken.read_text(encoding="utf-8") == "not ours\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.txt"]
+
+    def test_a_failed_rename_keeps_the_old_mode_and_leaves_no_temp_file(self, tmp_path, umask):
+        umask(0o022)
+        (tmp_path / "out.txt").mkdir()
+        with pytest.raises(IsADirectoryError, match=re.escape(repr(str(tmp_path / "out.txt")))):
+            _util.atomic_write_text(tmp_path / "out.txt", "x\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert (tmp_path / "out.txt").is_dir()
 
 
 class TestAtomicWriter:
@@ -611,6 +673,43 @@ class TestWrongTypedArguments:
             mwd.save_report(generate_lognormal(1e4, 0.5, 4), tmp_path / "report.json")
         with pytest.raises(DataError, match="^expected MWDataset, got NoneType$"):
             plotting.render_svg(None, {})
+
+
+#: The functions that take a file path, called with ``value`` as the path.
+PATH_ARGUMENT_CALLS = {
+    "load_mwd": lambda value: mwd.load_mwd(value),
+    "save_mwd": lambda value: save_mwd(split_dataset(3), value),
+    "save_report": lambda value: mwd.save_report(mwd.polydispersity(split_dataset(3)), value),
+}
+
+
+class _BytesPath:
+    """An ``os.PathLike`` that gives bytes, which no path check of the package takes."""
+
+    def __fspath__(self) -> bytes:
+        return b"ds.csv"
+
+
+class TestPathArguments:
+    @pytest.mark.parametrize("call", PATH_ARGUMENT_CALLS.values(), ids=PATH_ARGUMENT_CALLS)
+    def test_every_hostile_value_but_a_str_gets_a_parameter_error(
+        self, tmp_path, monkeypatch, call
+    ):
+        monkeypatch.chdir(tmp_path)
+        refused = 0
+        for value in [*HOSTILE, b"ds.csv", _BytesPath()]:
+            if isinstance(value, str):
+                continue  # a path, of a file that does not exist
+            message = f"a path must be a str or os.PathLike, got {type(value).__name__}"
+            with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
+                call(value)
+            refused += 1
+        assert refused == len(HOSTILE) + 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_missing_file_is_still_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match=re.escape(repr(str(tmp_path / "no.csv")))):
+            mwd.load_mwd(tmp_path / "no.csv")
 
 
 _SAMPLE = PositiveSample([1.0, 2.0])

@@ -3,20 +3,30 @@
 from __future__ import annotations
 
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import ginikit.oracle as oracle
+from ginikit import _util
 from ginikit.cli import DEFAULT_GRID_CHAINS, _random_samples
 from ginikit.errors import DataError, OracleDomainError, ParameterDomainError
 from ginikit.means import _PowerSums, gini_mean
 from ginikit.oracle import EquivalenceSummary, equivalence_report, oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import HOSTILE, OperatorFormLift, assert_within_ulps, random_sample
+from helpers import (
+    HOSTILE, ORACLE_GRID, SPLIT_CASES, SPLIT_FAULT_INDEX, SPLIT_SAMPLES, SPLIT_SENT,
+    OperatorFormLift, assert_within_ulps, env_importing_from, oracle_split_outcome,
+    random_sample,
+)
 
 
 class TestOracleConfig:
@@ -489,6 +499,8 @@ class TestTermFormulas:
             assert oracle_gini(sample, pair, digits).hex() == want.hex()
 
     def _count_calls(self, monkeypatch, name: str) -> list[object]:
+        # the calls are counted in this process, so every reference is made here
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
         calls: list[object] = []
         real = getattr(oracle, name)
 
@@ -663,3 +675,123 @@ class TestTinyGaps:
                         continue  # the gap is below the spacing of doubles at 2.5
                     want = oracle_gini(sample, pair, hi)
                     assert oracle_gini(sample, pair, lo) == want, (gap, pair)
+
+
+#: Per split case with the child joined before the report starts: the
+#: child's exit status, and the samples whose references this process
+#: computed.  A child that met a fault stops there and exits 1, and this
+#: process computes up to the fault and raises its error.
+JOINED_SPLITS = {
+    "seed-1": ([0], 0),
+    "seed-2": ([0], 0),
+    "seed-3": ([0], 0),
+    "not-a-sample": ([1], SPLIT_FAULT_INDEX),
+    "value-out-of-range": ([1], SPLIT_FAULT_INDEX + 1),
+    "too-many-values": ([1], SPLIT_FAULT_INDEX + 1),
+    "fast-side-raises": ([0], 0),
+    "child-fails-at-once": ([1], SPLIT_SAMPLES),
+    "child-fails-after-some": ([1], SPLIT_SAMPLES - SPLIT_SENT),
+}
+
+#: The error each faulty case raises, in one process and forked alike.
+SPLIT_ERRORS = {
+    "not-a-sample": ["DataError", f"sample {SPLIT_FAULT_INDEX} must be a PositiveSample, got list"],
+    "value-out-of-range": [
+        "OracleDomainError",
+        "oracle accepts values in [1e-30, 1e+30], got range [1.0, 1e+31]",
+    ],
+    "too-many-values": [
+        "OracleDomainError", f"sample size {oracle.MAX_N + 1} exceeds the oracle cap of 1024"
+    ],
+    "fast-side-raises": ["ParameterDomainError", "the fast side refused"],
+}
+
+
+def assert_split_outcome(name: str, joined: bool, outcome: dict) -> None:
+    assert outcome["forked"] == outcome["one_process"]
+    if name in SPLIT_ERRORS:
+        assert outcome["one_process"] == SPLIT_ERRORS[name]
+    else:
+        assert outcome["one_process"][0] == len(ORACLE_GRID) * SPLIT_SAMPLES
+    assert outcome["children_left"] is False
+    assert outcome["open_fds_added"] == 0
+    # a lagging child is killed when this process is done, not waited for
+    assert outcome["seconds"] < 30.0
+    if joined:
+        assert (outcome["child_statuses"], outcome["computed_here"]) == JOINED_SPLITS[name]
+
+
+class TestReferencesFromBothEnds:
+    """A report of at least ``_FORK_MIN_TERMS`` terms on two usable CPUs has a
+    forked child compute references from the last sample back, while this
+    process runs the loop from the first.  Its summary, or its error, is the
+    one-process loop's, and it leaves no child and no open file behind."""
+
+    @pytest.mark.parametrize("name", JOINED_SPLITS)
+    def test_child_that_ran_first(self, name):
+        assert_split_outcome(name, True, oracle_split_outcome(name, True))
+
+    @pytest.mark.parametrize("name", SPLIT_CASES)
+    def test_child_running_alongside(self, name):
+        assert_split_outcome(name, False, oracle_split_outcome(name, False))
+
+    def test_both_backends(self, compiled_src):
+        script = (
+            "import json, ginikit, helpers; print(ginikit.backend_name()); "
+            "print(json.dumps(helpers.oracle_split_outcomes()))"
+        )
+        tests_dir = str(Path(__file__).resolve().parent)
+        runs = {}
+        for pure, backend in (("0", "compiled"), ("1", "python")):
+            env = env_importing_from(compiled_src, GINIKIT_PURE=pure)
+            env["PYTHONPATH"] = os.pathsep.join((tests_dir, env["PYTHONPATH"]))
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert done.returncode == 0, done.stderr
+            name, rows = done.stdout.splitlines()
+            assert name == backend
+            runs[backend] = json.loads(rows)
+            assert len(runs[backend]) == len(JOINED_SPLITS) + len(SPLIT_CASES)
+            for case, joined, outcome in runs[backend]:
+                assert_split_outcome(case, joined, outcome)
+        # the summaries agree across backends too; only the times differ
+        assert [[row[0], row[1], row[2]["forked"]] for row in runs["compiled"]] == [
+            [row[0], row[1], row[2]["forked"]] for row in runs["python"]
+        ]
+
+    def test_forks_only_at_the_threshold(self, forks):
+        samples = _random_samples(3, 60)
+        terms = [len(ORACLE_GRID) * sample.n for sample in samples]
+        # the fewest leading samples whose terms reach the threshold
+        count = next(k for k in range(len(terms)) if sum(terms[:k]) >= oracle._FORK_MIN_TERMS)
+        equivalence_report(samples[: count - 1], ORACLE_GRID)
+        assert forks == []
+        equivalence_report(samples[:count], ORACLE_GRID)
+        assert len(forks) == 1
+
+    def test_one_sample_and_lazy_samples_stay_in_one_process(self, forks):
+        samples = _random_samples(3, 60)
+        want = equivalence_report(samples, ORACLE_GRID)
+        assert len(forks) == 1
+        # a samples that is no Sequence is read lazily, one sample at a time
+        assert equivalence_report(iter(samples), ORACLE_GRID) == want
+        assert equivalence_report((s for s in samples), ORACLE_GRID) == want
+        big = PositiveSample(np.linspace(1.0, 2.0, oracle.MAX_N))
+        for pair in ORACLE_GRID:
+            oracle_gini(big, pair)
+        assert len(forks) == 1
+
+    def test_a_failing_fork_leaves_the_report_to_this_process(self, monkeypatch):
+        samples = _random_samples(3, 60)
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
+        want = equivalence_report(samples, ORACLE_GRID)
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+
+        def failing_fork() -> int:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        assert equivalence_report(samples, ORACLE_GRID) == want
+        assert len(os.listdir("/proc/self/fd")) == open_fds
