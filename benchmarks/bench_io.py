@@ -14,7 +14,11 @@ process: the formatting floor that one process pays for these shortest
 round-trip fields.  ``save`` of a file of more than one block (8,192
 rows) formats its second half in a forked child while this process
 formats the first, so with two usable CPUs it can sit below that floor;
-the header line gives the usable CPUs.  A ``float`` row for each size
+the header line gives the usable CPUs.  A CSV file of at least ten
+parse blocks is also read by two processes, a forked child parsing blocks
+from the last one back, so ``load`` of a CSV file is timed as the package
+runs it and, in the ``load1`` row, in one process, with one usable CPU.
+A ``float`` row for each size
 times ``float`` of every field of the CSV file, split beforehand: the
 conversion the row scanner pays per field, which numpy's reader does in C
 without making Python floats, so each run shows how far ``load`` of the CSV
@@ -32,8 +36,9 @@ import statistics
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
-from ginikit import generate_flory, load_mwd, save_mwd
+from ginikit import _util, generate_flory, load_mwd, save_mwd
 from ginikit._backend import backend_name
 from ginikit._util import _usable_cpus, read_text
 
@@ -57,6 +62,12 @@ def repr_columns(dataset) -> None:
     which ``save_mwd`` of a file of several blocks shares with a child."""
     list(map(repr, dataset.masses.tolist()))
     list(map(repr, dataset.abundances.tolist()))
+
+
+def load_in_one_process(path: Path) -> None:
+    """``load_mwd`` with one usable CPU, so no child parses from the back."""
+    with mock.patch.object(_util, "_usable_cpus", lambda: 1):
+        load_mwd(path)
 
 
 def csv_fields(path: Path) -> list[str]:
@@ -94,6 +105,8 @@ def main() -> None:
                     "save": timed(lambda: save_mwd(dataset, path), REPEATS),
                     "load": timed(lambda: load_mwd(path), REPEATS),
                 }
+                if fmt == "csv":
+                    rows["load1"] = timed(lambda: load_in_one_process(path), REPEATS)
                 loaded = load_mwd(path)
                 if (
                     loaded.masses.tobytes() != dataset.masses.tobytes()

@@ -49,7 +49,10 @@ IEEE-754 double operations in the same order as the loop:
   ``x`` and ``t``, so it can be formed elementwise with the same branch
   test, and the correction total ``c`` is again a left-to-right ``cumsum``;
 * the weights still come from ``math.exp`` (libm), never ``np.exp``, whose
-  SIMD implementation rounds differently on some arguments;
+  SIMD implementation rounds differently on some arguments.  The shifted
+  tilts reach it through a ``memoryview`` of their array, which yields each
+  double as a Python float without building a list of them; no arithmetic
+  moves, so ``_kernels.c`` needs no matching change;
 * products keep the association ``(u * d) * d`` and the final divisions are
   done on Python floats.
 
@@ -175,7 +178,9 @@ def _exp_moments_vector(
     shift = float(t[0])
     if not math.isnan(shift):
         shift = float(t[np.argmax(t == np.fmax.reduce(t))])
-    u = np.fromiter(map(math.exp, (t - shift).tolist()), dtype=np.float64, count=t.size)
+    # iterating a memoryview hands math.exp the same doubles as tolist() would,
+    # without building a list of them
+    u = np.fromiter(map(math.exp, memoryview(t - shift)), dtype=np.float64, count=t.size)
     # np.where below evaluates both Neumaier branches; on non-finite input
     # the unused one can raise floating-point warnings the loop never does
     with np.errstate(all="ignore"):

@@ -1,5 +1,6 @@
 """Small shared helpers: number and path checks, float formatting, text reads,
-atomic writes and the one way the package forks a child process."""
+atomic writes, the one way the package forks a child process, and the one
+way a forked child shares a loop with its parent from the loop's other end."""
 
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ import numbers
 import os
 import signal
 import stat
+import struct
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterator, TextIO
 
 from .errors import IngestionError, ParameterDomainError
 
@@ -193,20 +195,25 @@ def _current_cpu() -> int | None:
         return None
 
 
-def _leave_cpu(cpu: int | None) -> None:
-    """Keep this process off ``cpu`` when it may run on another one.
+def _keep_off_cpu(pid: int, cpu: int | None) -> None:
+    """Keep process ``pid``, a child just forked, off ``cpu``, its parent's,
+    when it may run on another one.
 
     A forked child starts on its parent's CPU.  On a 2-vCPU Linux VM it
     stayed there for 50-100 ms while the other CPU idled, so parent and
     child took turns rather than running side by side; moved off, each ran
-    at full speed from the start (``BENCH_oracle_fork.json``).
+    at full speed from the start (``BENCH_oracle_fork.json``).  The parent
+    moves the child as soon as ``os.fork`` returns: a child that moved
+    itself first had to get a turn on its parent's CPU, which delayed its
+    start by 2-4 ms and slowed the parent by as much
+    (``BENCH_both_ends.json``).
     """
     if cpu is None or not hasattr(os, "sched_setaffinity"):
         return
     try:
         others = os.sched_getaffinity(0) - {cpu}
         if others:
-            os.sched_setaffinity(0, others)
+            os.sched_setaffinity(pid, others)
     except OSError:
         pass
 
@@ -241,9 +248,10 @@ def _forked(work: Callable[[], object]) -> Iterator[_Child | None]:
     fewer than two usable CPUs, without ``os.fork``, or when it raises
     ``OSError``.  A caller that gets None does all the work itself.
 
-    The child turns the garbage collector off, since a collection there
-    could finalize the caller's garbage a second time (flushing a file's
-    buffer twice, say).  It leaves only through ``os._exit``, with status
+    The child is moved off this process's CPU at once (see
+    :func:`_keep_off_cpu`).  It turns the garbage collector off, since a
+    collection there could finalize the caller's garbage a second time
+    (flushing a file's buffer twice, say).  It leaves only through ``os._exit``, with status
     0 when ``work`` returns and 1 when it raises, so it never returns into
     the caller's code, flushes the caller's buffers or runs its exit
     hooks.  The block may wait for the child (:meth:`_Child.join`) or end
@@ -269,14 +277,107 @@ def _forked(work: Callable[[], object]) -> Iterator[_Child | None]:
         status = 1
         try:
             gc.disable()
-            _leave_cpu(here)
             work()
             status = 0
         finally:
             os._exit(status)
+    _keep_off_cpu(pid, here)
     child = _Child(pid)
     try:
         yield child
     finally:
         child.kill()
         child.join()
+
+
+#: The length of a frame that :func:`_from_both_ends` streams, before its bytes.
+_FRAME_LENGTH = struct.Struct("=Q")
+
+
+def _nothing_sent(index: int) -> None:
+    """What :func:`_from_both_ends` gives when no child runs: nothing, ever."""
+    return None
+
+
+@contextlib.contextmanager
+def _from_both_ends(
+    count: int, payload: Callable[[int], bytes | None]
+) -> Iterator[Callable[[int], bytes | None]]:
+    """A loop over ``count`` items that a forked child runs from the last item back.
+
+    The block gets ``received``: ``received(index)`` is the ``payload(index)``
+    that the child sent, once it has arrived, and None before; the caller
+    then does that item's work itself.  Indices must be asked for in
+    increasing order.  The child (:func:`_send_from_the_back`) writes
+    ``payload(i)`` for ``i = count - 1`` down to 0 to a pipe, each as one
+    length-prefixed frame, and stops at the first payload that is None or
+    raises.  Each call of ``received`` first drains the pipe without
+    blocking.  Since the child sends from the back, once it has sent
+    ``index`` it has sent every later item too: the first call that finds
+    its item sent kills the child, and every later call is served from what
+    was read.  A child that fails or lags only sends less; the caller never
+    waits for it, and a payload that refuses an item leaves the caller to
+    reach that item and raise there.  So every result and every error is
+    that of the caller's loop in one process, and a payload's bytes arrive
+    as they were sent.
+
+    No child runs, and ``received`` is always None, when ``count`` is 0
+    (callers pass 0 below their break-even) or when :func:`_forked` starts
+    none.  The child is reaped and the pipe closed when the block ends.
+    """
+    if count <= 0:
+        yield _nothing_sent
+        return
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb", buffering=0) as stream, open(write_end, "wb", buffering=0) as sink:
+        with _forked(lambda: _send_from_the_back(count, payload, sink)) as child:
+            # the child holds its own copy of the write end
+            sink.close()
+            if child is None:
+                yield _nothing_sent
+                return
+            os.set_blocking(read_end, False)
+            pending = bytearray()
+            frames: list[bytes] = []  # frames[k] is the payload of item count - 1 - k
+            met = False
+
+            def received(index: int) -> bytes | None:
+                nonlocal met
+                if not met:
+                    # None when nothing is waiting, b"" when the child has gone
+                    pending.extend(stream.read() or b"")
+                    _take_frames(pending, frames)
+                    if count - 1 - index >= len(frames):
+                        return None
+                    met = True
+                    child.kill()
+                return frames[count - 1 - index]
+
+            yield received
+
+
+def _take_frames(pending: bytearray, frames: list[bytes]) -> None:
+    """Move each whole frame at the start of ``pending`` to ``frames``."""
+    start = 0
+    while len(pending) - start >= _FRAME_LENGTH.size:
+        (size,) = _FRAME_LENGTH.unpack_from(pending, start)
+        stop = start + _FRAME_LENGTH.size + size
+        if stop > len(pending):
+            break
+        frames.append(bytes(pending[start + _FRAME_LENGTH.size : stop]))
+        start = stop
+    del pending[:start]
+
+
+def _send_from_the_back(
+    count: int, payload: Callable[[int], bytes | None], sink: BinaryIO
+) -> None:
+    """Write ``payload(i)`` for ``i = count - 1`` down to 0 to ``sink``, each as
+    one frame, up to the first that is None; a forked child's work."""
+    for index in range(count - 1, -1, -1):
+        data = payload(index)
+        if data is None:
+            return
+        frame = memoryview(_FRAME_LENGTH.pack(len(data)) + data)
+        while frame:
+            frame = frame[sink.write(frame) :]

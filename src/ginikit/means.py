@@ -114,12 +114,19 @@ def log_power_sum(
     ``moment1``, ``moment2`` and ``moment2_centered`` are NaN, uniform
     samples included.  This is what a secant slope reads.
 
-    Raises ParameterDomainError when |p| * max|ln a_i| overflows a double:
-    there t_i is not finite and no moment of it can be formed.  The check is
-    the same with or without moments.
+    ``moments`` is taken by its truth value; one that has none raises
+    ParameterDomainError.  So does a p where |p| * max|ln a_i| overflows a
+    double: there t_i is not finite and no moment of it can be formed.  The
+    check is the same with or without moments.
     """
     if not isinstance(sample, PositiveSample):  # inline: the memo calls this per exponent
         _checked_sample(sample, 0)  # raises
+    try:
+        moments = bool(moments)
+    except (TypeError, ValueError):  # no truth value, as for an empty numpy array
+        raise ParameterDomainError(
+            f"moments must be true or false, got {type(moments).__name__}"
+        ) from None
     p = _finite_exponent(p)
     if not math.isfinite(abs(p) * sample._max_abs_log_value):
         raise ParameterDomainError(
@@ -177,6 +184,24 @@ class _PowerSums:
             found = log_power_sum(self.sample, p, moments=False).log_sum
             self._log_sums[p] = found
         return found
+
+    def __contains__(self, p: float) -> bool:
+        """True when ln S_p is kept."""
+        return p in self._log_sums
+
+    def keep(self, p: float, log_sum: float) -> None:
+        """Keep ``log_sum`` as ln S_p: the bits :meth:`log_sum` would form,
+        formed by a forked child (see :func:`ginikit.mwd._ginis`)."""
+        self._log_sums[p] = log_sum
+
+    def reads(self, params: ExponentPair) -> tuple[float, ...]:
+        """The exponents whose log sums :meth:`gini` of ``params`` reads, in
+        the order it reads them: none on a uniform sample or at a tangent,
+        which :meth:`slope` serves without the memo."""
+        p, q = params.p, params.q
+        if self.sample.is_uniform or abs(p - q) <= 1e-8 * (1.0 + max(abs(p), abs(q))):
+            return ()
+        return (p, q)
 
     def slope(self, p: float, q: float) -> float:
         """ln G(p, q) at the finite exponents ``p`` and ``q``; see :func:`secant_slope`."""

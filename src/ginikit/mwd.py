@@ -23,6 +23,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -30,9 +31,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, T
 
 import numpy as np
 
+from . import _backend
 from ._util import (
-    _checked_path, _forked, _is_finite_real, _lines, _shown, atomic_write_text, atomic_writer,
-    format_double, read_text,
+    _checked_path, _forked, _from_both_ends, _is_finite_real, _lines, _shown, atomic_write_text,
+    atomic_writer, format_double, read_text,
 )
 from .errors import DataError, IngestionError, ParameterDomainError
 from .means import _PowerSums
@@ -76,6 +78,20 @@ _PLAIN_CSV_CHARS = b"0123456789.eE+-,\n"
 
 #: Characters of CSV body parsed per block (rounded up to a whole row).
 _PARSE_BLOCK_CHARS = 1 << 16
+
+#: Least length of a plain CSV text whose blocks a forked child parses from
+#: the back: below it a fork and its reap cost more than they save
+#: (``BENCH_both_ends.json``).
+_FORK_MIN_CHARS = 10 * _PARSE_BLOCK_CHARS
+
+#: Least sample size times distinct exponents for which a forked child forms
+#: the log sums of averages from the last exponent back, per kernel backend:
+#: the compiled kernel is about five times faster, so its fork pays only on
+#: larger samples (``BENCH_both_ends.json``).
+_FORK_MIN_TERMS = {"python": 150_000, "compiled": 1_500_000}
+
+#: A log sum as a forked child sends it: one native double.
+_LOG_SUM = struct.Struct("=d")
 
 
 class MWDataset:
@@ -183,11 +199,52 @@ def _evaluate(
     averages (S_1 of Mn, Mv and Mw, say) is formed once; a caller that
     evaluates more pairs of the sample passes the same memo on.
     ``parameter`` goes to each name that takes one; every pair is checked
-    before any is evaluated, then they are evaluated in order, each value
-    bit for bit :func:`ginikit.means.gini_mean` of its pair.
+    before any is evaluated, then they are evaluated in order by
+    :func:`_ginis`, each value bit for bit :func:`ginikit.means.gini_mean`
+    of its pair.  A distinct exponent costs one kernel call, in this
+    process or, for a large sample, in a forked child.
     """
     pairs = [ExponentPair(*_pair(name, parameter)) for name in names]
-    return [sums.gini(pair) for pair in pairs]
+    return _ginis(sums, pairs)
+
+
+def _ginis(sums: _PowerSums, pairs: Sequence[ExponentPair]) -> list[float]:
+    """G of each of ``pairs`` on the sample of ``sums``, in order.
+
+    Each value is ``sums.gini(pair)``, bit for bit :func:`gini_mean` of its
+    pair, and the pairs are evaluated one by one in order, so errors and
+    their order are those of ``gini_mean`` pair by pair.  The exponents
+    whose log sums the pairs read (:meth:`_PowerSums.reads`) and the memo
+    does not hold are numbered in the order they are first read.  When the
+    sample's size times their count is at least the kernel backend's
+    :data:`_FORK_MIN_TERMS`, their log sums are formed from both ends
+    (:func:`ginikit._util._from_both_ends`): a forked child forms them from
+    the last exponent back and sends each as a native double, and this
+    process takes a log sum from the child, into the memo, when the walk
+    first reads it and the child has sent it.  Otherwise, and for every
+    log sum the child has not sent, the memo forms it here.  So each
+    distinct exponent costs one kernel call, in one process or the other.
+    The child raises nothing here: at an exponent the kernel refuses, it
+    stops, and this process raises when it gets there.
+    """
+    exponents = list(
+        dict.fromkeys(p for pair in pairs for p in sums.reads(pair) if p not in sums)
+    )
+    numbers = {p: index for index, p in enumerate(exponents)}
+    terms = sums.sample.n * len(exponents)
+    count = len(exponents) if terms >= _FORK_MIN_TERMS[_backend.BACKEND] else 0
+    values = []
+    with _from_both_ends(
+        count, lambda index: _LOG_SUM.pack(sums.log_sum(exponents[index]))
+    ) as received:
+        for pair in pairs:
+            for p in sums.reads(pair):
+                if p not in sums:
+                    sent = received(numbers[p])
+                    if sent is not None:
+                        sums.keep(p, _LOG_SUM.unpack(sent)[0])
+            values.append(sums.gini(pair))
+    return values
 
 
 def _average(dataset: MWDataset, name: str, parameter: float | None = None) -> float:
@@ -274,6 +331,25 @@ def _custom_pair(entry: object) -> ExponentPair:
     return ExponentPair(p, q)
 
 
+def _read_pairs(
+    entries: Iterator[object],
+) -> tuple[list[ExponentPair], ParameterDomainError | None]:
+    """The pairs of ``entries`` up to the first that forms none, and the error
+    that one raised (None when every entry forms a pair).
+
+    :func:`polydispersity` raises that error itself, after it has evaluated
+    the pairs before it, as it would have reading the entries lazily.  Each
+    entry is read once, so an entry that is an iterator is not read again.
+    """
+    pairs: list[ExponentPair] = []
+    try:
+        for entry in entries:
+            pairs.append(_custom_pair(entry))
+    except ParameterDomainError as exc:
+        return pairs, exc
+    return pairs, None
+
+
 def polydispersity(
     dataset: MWDataset,
     s: float = 0.7,
@@ -296,12 +372,15 @@ def polydispersity(
     reported exactly as computed.
 
     The chain and the custom pairs share one power-sum memo of the sample,
-    so each distinct exponent costs one kernel call: 5 for the chain at
-    any s (S_0, S_1, S_{1+s}, S_2, S_3), 8 for the CLI's ``--b 0.5
-    --custom 1.5:-1.5`` report.  The pairs are evaluated lazily and in
-    order, the chain first, then each custom pair as it is read, so values,
-    errors and their order are those of :func:`ginikit.means.gini_mean`
-    called pair by pair.
+    so each distinct exponent costs one kernel call, in this process or in
+    a forked child: 5 for the chain at any s (S_0, S_1, S_{1+s}, S_2,
+    S_3), 8 for the CLI's ``--b 0.5 --custom 1.5:-1.5`` report.  The chain
+    comes first, then each custom pair; values, errors and their order are
+    those of :func:`ginikit.means.gini_mean` called pair by pair.  When
+    ``custom`` is a ``Sequence`` whose entries all form pairs, the pairs
+    are evaluated by :func:`_ginis`, which forms the log sums of a large
+    sample from both ends.  Any other ``custom`` is read lazily, in one
+    process: each entry is read after the pair before it is evaluated.
     """
     if not (_is_finite_real(s) and 0.0 < s <= 1.0):
         raise ParameterDomainError(
@@ -314,15 +393,29 @@ def polydispersity(
             f"custom must be an iterable of exponent pairs, got {_shown(custom)}"
         ) from None
     sums = _PowerSums(_checked(dataset, MWDataset).to_sample())
-    mn, mv, mw, mz = _evaluate(sums, _CHAIN, s)
+    chain = [ExponentPair(*_pair(name, s)) for name in _CHAIN]
+    listed, refused = _read_pairs(entries) if isinstance(custom, Sequence) else ([], None)
+    if isinstance(custom, Sequence) and refused is None:
+        values = _ginis(sums, chain + listed)
+        extras = tuple(
+            CustomMean(pair.p, pair.q, value) for pair, value in zip(listed, values[len(chain) :])
+        )
+    else:
+        values = [sums.gini(pair) for pair in chain]
+        if refused is not None:
+            # the pairs before the refused entry are evaluated, and may raise, first
+            for pair in listed:
+                sums.gini(pair)
+            raise refused
+        extras = tuple(
+            CustomMean(pair.p, pair.q, sums.gini(pair))
+            for pair in (_custom_pair(entry) for entry in entries)
+        )
+    mn, mv, mw, mz = values[: len(chain)]
     mw = max(mw, mn)
     mz = max(mz, mw)
     mv = min(max(mv, mn), mw)
     pdi = mw / mn
-    extras = tuple(
-        CustomMean(pair.p, pair.q, sums.gini(pair))
-        for pair in (_custom_pair(entry) for entry in entries)
-    )
     return MeansReport(
         Mn=mn,
         Mw=mw,
@@ -527,6 +620,13 @@ def load_mwd(path: str | Path) -> MWDataset:
     :class:`IngestionError` naming the offending line (CSV) or species index
     (JSON).  A ``path`` that is neither a ``str`` nor an ``os.PathLike``
     raises :class:`ParameterDomainError`.
+
+    A plain CSV text of at least :data:`_FORK_MIN_CHARS` characters is
+    parsed by two processes when two CPUs are usable: a forked child parses
+    its blocks from the last one back while this process parses from the
+    first, and takes the child's rows once they have arrived (see
+    :func:`_parse_plain_csv`).  Only this process raises, so the dataset, or
+    the error, its message and its line, is that of one process.
     """
     path = _checked_path(path)
     if _is_json(path):
@@ -551,32 +651,69 @@ def _parse_plain_csv(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     reader converts a field as ``float`` does (``PyOS_string_to_double``), so
     the columns are :func:`_scan_csv`'s bit for bit.  Other text, valid or
     not, gets None and goes to the scanner, so every error message and line
-    number is the scanner's.  The body is read in blocks of whole rows, so
-    only one block's strings are alive.
+    number is the scanner's.  The body is read in blocks of whole rows
+    (:func:`_plain_rows`), so only one block's strings are alive.
+
+    A text of at least :data:`_FORK_MIN_CHARS` characters is parsed from
+    both ends (:func:`ginikit._util._from_both_ends`): a forked child
+    parses its blocks from the last one back, with the same checks, and
+    sends each block's rows as native doubles; this process parses from the
+    first block on and takes a block's rows from the child once they have
+    arrived.  The child stops at a block that is not plain, and this
+    process returns None when it gets there, so the columns, and every
+    error, are those of one process.
     """
     header = CSV_HEADER + "\n"
     if not text.startswith(header) or len(text) == len(header):
         return None
+    cuts = _block_cuts(text, len(header))
+
+    def sent_rows(index: int) -> bytes | None:  # the child's work
+        rows = _plain_rows(text[cuts[index] : cuts[index + 1]])
+        return None if rows is None else rows.tobytes()
+
     blocks: list[np.ndarray] = []
-    start = len(header)
+    count = len(cuts) - 1 if len(text) >= _FORK_MIN_CHARS else 0
+    with _from_both_ends(count, sent_rows) as received:
+        for index in range(len(cuts) - 1):
+            sent = received(index)
+            if sent is None:
+                rows = _plain_rows(text[cuts[index] : cuts[index + 1]])
+                if rows is None:
+                    return None
+            else:
+                rows = np.frombuffer(sent).reshape(-1, 2)
+            blocks.append(rows)
+    return _positive_columns(np.concatenate(blocks).T.copy())
+
+
+def _block_cuts(text: str, start: int) -> list[int]:
+    """Where each block of the CSV body from ``start`` on begins, then the
+    end of ``text``: a block runs :data:`_PARSE_BLOCK_CHARS` characters, then
+    to the end of its row."""
+    cuts = [start]
     while start < len(text):
         cut = text.find("\n", start + _PARSE_BLOCK_CHARS)
-        stop = len(text) if cut < 0 else cut + 1
-        block = text[start:stop]
-        plain = block.isascii() and not block.encode().translate(None, _PLAIN_CSV_CHARS)
-        if not plain or block.startswith("\n"):  # blank lines alone make loadtxt warn
-            return None
-        lines = block.split("\n")
-        try:
-            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:  # an empty field, unequal rows, "1e" or "1-2"
-            return None
-        # loadtxt skips a blank line, so a block that held one comes out a row short
-        if rows.shape != (len(lines) - (not lines[-1]), 2):
-            return None
-        blocks.append(rows)
-        start = stop
-    return _positive_columns(np.concatenate(blocks).T.copy())
+        start = len(text) if cut < 0 else cut + 1
+        cuts.append(start)
+    return cuts
+
+
+def _plain_rows(block: str) -> np.ndarray | None:
+    """The rows of one block of a CSV body as a (rows, 2) array, or None when
+    the block is not plain (see :func:`_parse_plain_csv`)."""
+    plain = block.isascii() and not block.encode().translate(None, _PLAIN_CSV_CHARS)
+    if not plain or block.startswith("\n"):  # blank lines alone make loadtxt warn
+        return None
+    lines = block.split("\n")
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # an empty field, unequal rows, "1e" or "1-2"
+        return None
+    # loadtxt skips a blank line, so a block that held one comes out a row short
+    if rows.shape != (len(lines) - (not lines[-1]), 2):
+        return None
+    return rows
 
 
 def _positive_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

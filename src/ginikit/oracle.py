@@ -41,13 +41,11 @@ One body checks the domain, lifts and applies this rule for both
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import mpmath as mp
 from mpmath.libmp import (
@@ -55,7 +53,7 @@ from mpmath.libmp import (
     mpf_sqrt, mpf_sub, mpf_sum, to_float,
 )
 
-from ._util import _forked, _is_finite_real, _shown
+from ._util import _from_both_ends, _is_finite_real, _shown
 from .errors import OracleDomainError, ParameterDomainError
 from .means import _PowerSums
 from .sample import (
@@ -334,10 +332,11 @@ def equivalence_report(
     When ``samples`` is a ``Sequence`` whose sizes times the grid's pairs
     sum to at least ``_FORK_MIN_TERMS``, and two CPUs are usable, the
     references are computed from both ends (see
-    :func:`_references_from_the_back`): a forked child streams them from
-    the last sample back, while this process runs the loop above from the
-    first sample on and takes a sample's references from the stream once
-    they have arrived.  Where the two meet, the child is killed.  The
+    :func:`ginikit._util._from_both_ends`): a forked child streams each
+    sample's references, as native doubles, from the last sample back,
+    while this process runs the loop above from the first sample on and
+    takes a sample's references from the stream once they have arrived.
+    Where the two meet, the child is killed.  The
     child makes no kernel call and raises nothing here: every error, its
     message and its order are those of the loop in one process, and so is
     every byte of the summary.  Any other ``samples`` is read lazily, in
@@ -351,11 +350,26 @@ def equivalence_report(
     worst_params: ExponentPair | None = None
     worst_index: int | None = None
     cases = 0
-    with mp.workdps(digits), _references_from_the_back(samples, grid, digits) as received:
+    record = struct.Struct(f"={len(grid)}d")
+
+    def sent_references(index: int) -> bytes:  # the child's work
+        # it raises, and so stops, where the loop below would raise
+        sample = _checked_sample(samples[index], index)
+        return record.pack(*_references(sample, grid, digits))
+
+    # only a Sequence is read from the back, and only where a fork pays
+    terms = 0
+    if isinstance(samples, Sequence):
+        terms = len(grid) * sum(s.n for s in samples if isinstance(s, PositiveSample))
+    count = len(samples) if terms >= _FORK_MIN_TERMS else 0
+    with mp.workdps(digits), _from_both_ends(count, sent_references) as received:
         for index, sample in enumerate(checked):
             # both sides keep their sums per sample, and none across samples
             sums = _PowerSums(sample) if _memos is None else _memos[index]
-            references = received(index) or _references(sample, grid, digits)
+            sent = received(index)
+            references = (
+                _references(sample, grid, digits) if sent is None else iter(record.unpack(sent))
+            )
             for params in grid:
                 fast = sums.gini(params)
                 # after the fast value: a pair both sides refuse gets the fast side's error
@@ -374,81 +388,3 @@ def equivalence_report(
         passed=worst <= REL_TOL,
     )
 
-
-@contextlib.contextmanager
-def _references_from_the_back(
-    samples: object, grid: tuple[ExponentPair, ...], digits: int
-) -> Iterator[Callable[[int], Iterator[float] | None]]:
-    """References of the last samples, computed by a forked child.
-
-    Run it inside ``mp.workdps(digits)``.  The block gets ``received``:
-    ``received(index)`` is an iterator over the references of sample
-    ``index``, pair by pair, once the child has sent them, and None before
-    (the caller then computes them itself).  Indices must be asked for in
-    increasing order.
-
-    The child (see :func:`_send_from_the_back`) computes each sample's
-    references with :func:`_references`, from the last sample back, and
-    writes them to a pipe as native doubles, so they arrive bit for bit.
-    Each call of ``received`` first drains the pipe without blocking.  The
-    child sends the samples in reverse, so once it has sent ``index`` it has
-    sent every later sample too: the first such call kills the child, and
-    every later call is served from what was read.  A child that fails or
-    lags only sends less; the caller never waits for it.  No child runs
-    (``received`` is always None) when ``samples`` is no ``Sequence``, when
-    its PositiveSamples' sizes times the grid's pairs sum to less than
-    :data:`_FORK_MIN_TERMS`, or when :func:`ginikit._util._forked` starts
-    none.  The child is reaped and the pipe closed when the block ends.
-    """
-    if not isinstance(samples, Sequence) or _FORK_MIN_TERMS > len(grid) * sum(
-        sample.n for sample in samples if isinstance(sample, PositiveSample)
-    ):
-        yield lambda index: None
-        return
-    record = struct.Struct(f"={len(grid)}d")
-    last = len(samples) - 1
-    read_end, write_end = os.pipe()
-    with open(read_end, "rb", buffering=0) as stream, open(write_end, "wb", buffering=0) as sink:
-        with _forked(lambda: _send_from_the_back(samples, grid, digits, sink, record)) as child:
-            # the child holds its own copy of the write end
-            sink.close()
-            if child is None:
-                yield lambda index: None
-                return
-            os.set_blocking(read_end, False)
-            received = bytearray()
-            met = False
-
-            def from_the_child(index: int) -> Iterator[float] | None:
-                nonlocal met
-                if not met:
-                    # None when nothing is waiting, b"" when the child has gone
-                    received.extend(stream.read() or b"")
-                    if last - index >= len(received) // record.size:
-                        return None
-                    met = True
-                    child.kill()
-                return iter(record.unpack_from(received, (last - index) * record.size))
-
-            yield from_the_child
-
-
-def _send_from_the_back(
-    samples: Sequence[object],
-    grid: tuple[ExponentPair, ...],
-    digits: int,
-    sink: BinaryIO,
-    record: struct.Struct,
-) -> None:
-    """Write the references of each of ``samples``, from the last one back,
-    to ``sink`` as one ``record`` per sample; a forked child's work.
-
-    It stops at the first sample that is no :class:`PositiveSample` or
-    that :func:`_references` refuses: the caller reaches that sample
-    itself and raises there.
-    """
-    for index in range(len(samples) - 1, -1, -1):
-        sample = _checked_sample(samples[index], index)
-        data = memoryview(record.pack(*_references(sample, grid, digits)))
-        while data:
-            data = data[sink.write(data):]

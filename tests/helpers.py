@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import contextlib
 import importlib.machinery
+import io
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterator
 from unittest import mock
 
 import mpmath as mp
 import numpy as np
 
-from ginikit import _util, cli, oracle
+from ginikit import _backend, _util, cli, mwd, oracle
 from ginikit._util import format_double
 from ginikit.audit import (
     ParameterOrder, check_monotonicity, check_power_mean_bound, scan_monotonicity
@@ -304,18 +308,59 @@ def _split_case(name: str) -> tuple[list[object], list[object]]:
 
         patches.append(mock.patch.object(_PowerSums, "gini", gini))
     elif name.startswith("child-"):
-        real_send = oracle._send_from_the_back
-
-        def send(samples, grid, digits, sink, record) -> None:
-            if name == "child-lags":
-                time.sleep(60)
-            if name == "child-fails-after-some":
-                # the last SPLIT_SENT samples, in the order the child sends them
-                real_send(samples[-SPLIT_SENT:], grid, digits, sink, record)
-            raise RuntimeError("the child failed")
-
-        patches.append(mock.patch.object(oracle, "_send_from_the_back", send))
+        patches.append(child_fault(name))
     return samples, patches
+
+
+def child_fault(name: str) -> contextlib.AbstractContextManager:
+    """A patch of the child of ``_util._from_both_ends``: ``child-lags``
+    sleeps before it sends anything, ``child-fails-at-once`` raises at once,
+    and ``child-fails-after-some`` raises after it has sent the last
+    :data:`SPLIT_SENT` items."""
+    real_send = _util._send_from_the_back
+
+    def send(count, payload, sink) -> None:
+        if name == "child-lags":
+            time.sleep(60)
+        if name == "child-fails-after-some":
+            last = count - SPLIT_SENT
+            real_send(count, lambda index: payload(index) if index >= last else None, sink)
+        raise RuntimeError("the child failed")
+
+    return mock.patch.object(_util, "_send_from_the_back", send)
+
+
+@contextlib.contextmanager
+def two_cpus(joined: bool) -> Iterator[list[int]]:
+    """Two usable CPUs whatever the host has.  With ``joined``, every child
+    that ``_util._forked`` starts has exited before the caller's block runs,
+    so it has sent all it ever will; the list gets each one's exit status."""
+    statuses: list[int] = []
+    real_forked = _util._forked
+
+    @contextlib.contextmanager
+    def forked(work):
+        with real_forked(work) as child:
+            if child is not None and joined:
+                statuses.append(child.join())
+            yield child
+
+    with mock.patch.object(_util, "_usable_cpus", lambda: 2):
+        with mock.patch.object(_util, "_forked", forked):
+            yield statuses
+
+
+def children_left() -> bool:
+    """True when this process has a child that has not been reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def open_fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
 
 
 def _split_summary(samples: list[object]) -> list[object]:
@@ -332,63 +377,67 @@ def _split_summary(samples: list[object]) -> list[object]:
     ]
 
 
-def oracle_split_outcome(name: str, joined: bool) -> dict[str, object]:
-    """Split case ``name`` run in one process and with a forked child.
+def split_outcome(
+    case: Callable[[], tuple[Callable[[], object], list[object]]],
+    joined: bool,
+    counted: tuple[object, str],
+) -> dict[str, object]:
+    """A split case run in one process and with a forked child.
 
-    The one-process run has one usable CPU; the forked one two, whatever the
-    host has.  With ``joined``, the forked run waits for its child to exit
-    before the report's first sample, so the child has sent all it ever
-    will: the result then also holds the child's exit status and the number
-    of samples whose references this process computed.  JSON-ready, so a
+    ``case()`` gives the case's call and the patches it runs under, fresh
+    for each run.  The one-process run has one usable CPU; the forked one
+    two, whatever the host has.  With ``joined``, each child has exited
+    before the caller's block runs, so it has sent all it ever will: the
+    result then also holds the children's exit statuses and the number of
+    calls of ``counted`` (a module and the name of a function in it) made in
+    this process; the child's calls count in the child.  JSON-ready, so a
     subprocess under another backend can report it.
     """
-    open_fds = len(os.listdir("/proc/self/fd"))
-    samples, patches = _split_case(name)
+    open_fds = open_fd_count()
+    call, patches = case()
     with contextlib.ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
         stack.enter_context(mock.patch.object(_util, "_usable_cpus", lambda: 1))
-        one_process = _split_summary(samples)
-    statuses: list[int] = []
-    computed_here: list[object] = []
-    real_forked, real_references = oracle._forked, oracle._references
+        one_process = call()
+    module, name = counted
+    real = getattr(module, name)
+    calls_here: list[None] = []
 
-    @contextlib.contextmanager
-    def forked(work):
-        with real_forked(work) as child:
-            if child is not None and joined:
-                statuses.append(child.join())
-            yield child
+    def counting(*args, **kwargs):
+        calls_here.append(None)
+        return real(*args, **kwargs)
 
-    def references(sample, grid, digits):
-        computed_here.append(sample)  # the child's calls count in the child
-        return real_references(sample, grid, digits)
-
-    samples, patches = _split_case(name)
+    call, patches = case()
     started = time.monotonic()
     with contextlib.ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
-        stack.enter_context(mock.patch.object(_util, "_usable_cpus", lambda: 2))
-        stack.enter_context(mock.patch.object(oracle, "_forked", forked))
-        stack.enter_context(mock.patch.object(oracle, "_references", references))
-        two_processes = _split_summary(samples)
+        statuses = stack.enter_context(two_cpus(joined))
+        stack.enter_context(mock.patch.object(module, name, counting))
+        two_processes = call()
     outcome: dict[str, object] = {
         "one_process": one_process,
         "forked": two_processes,
         "seconds": time.monotonic() - started,
-        "open_fds_added": len(os.listdir("/proc/self/fd")) - open_fds,
+        "open_fds_added": open_fd_count() - open_fds,
+        "children_left": children_left(),
     }
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        outcome["children_left"] = False
-    else:
-        outcome["children_left"] = True
     if joined:
         outcome["child_statuses"] = statuses
-        outcome["computed_here"] = len(computed_here)
+        outcome["computed_here"] = len(calls_here)
     return outcome
+
+
+def oracle_split_outcome(name: str, joined: bool) -> dict[str, object]:
+    """Oracle split case ``name`` (see :func:`split_outcome`); its count is
+    of the samples whose references this process computed."""
+
+    def case():
+        samples, patches = _split_case(name)
+        return (lambda: _split_summary(samples)), patches
+
+    return split_outcome(case, joined, (oracle, "_references"))
 
 
 def oracle_split_outcomes() -> list[list[object]]:
@@ -399,6 +448,166 @@ def oracle_split_outcomes() -> list[list[object]]:
         for joined in (True, False)
         if not (joined and name == "child-lags")
     ]
+
+
+#: The CSV file of the load split cases: its data rows, the characters per
+#: block they are parsed in (20 blocks), and the line, counted from 1,
+#: where a faulty case puts its row: in block 16, which the child parses.
+LOAD_SPLIT_ROWS = 120
+LOAD_SPLIT_BLOCK_CHARS = 200
+LOAD_FAULT_LINE = 101
+#: The row each faulty load split case puts at :data:`LOAD_FAULT_LINE`.
+LOAD_FAULTS = {
+    "empty-field": "1,",
+    "bare-exponent": "1e,2",
+    "third-column": "1,2,3",
+    "zero": "0,2",
+    "negative": "-1,2",
+    "blank-line": "",
+}
+LOAD_SPLIT_CASES = (
+    "plain", *LOAD_FAULTS, "child-fails-at-once", "child-fails-after-some", "child-lags"
+)
+
+
+def _outcome_of(call: Callable[[], object]) -> object:
+    """``call()``, or the class and message of the package error it raised."""
+    try:
+        return call()
+    except GinikitError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _loaded_bytes(path: Path) -> list[str]:
+    dataset = load_mwd(path)
+    return [dataset.masses.tobytes().hex(), dataset.abundances.tobytes().hex()]
+
+
+def load_split_outcome(name: str, joined: bool, workdir: Path) -> dict[str, object]:
+    """Load split case ``name`` (see :func:`split_outcome`); its count is of
+    the blocks this process parsed.  The outcome also holds the file's
+    blocks and the block of its fault line."""
+    rng = np.random.default_rng(27)
+    rows = zip(rng.uniform(1e2, 1e6, LOAD_SPLIT_ROWS).tolist(),
+               rng.uniform(1e-6, 1.0, LOAD_SPLIT_ROWS).tolist())
+    lines = [CSV_HEADER, *(f"{m!r},{a!r}" for m, a in rows)]
+    if name in LOAD_FAULTS:
+        lines[LOAD_FAULT_LINE - 1] = LOAD_FAULTS[name]
+    text = "\n".join(lines) + "\n"
+    path = workdir / f"{name}.csv"
+    path.write_text(text, encoding="utf-8")
+
+    def case():
+        patches = [
+            mock.patch.object(mwd, "_PARSE_BLOCK_CHARS", LOAD_SPLIT_BLOCK_CHARS),
+            mock.patch.object(mwd, "_FORK_MIN_CHARS", 0),
+        ]
+        if name.startswith("child-"):
+            patches.append(child_fault(name))
+        return (lambda: _outcome_of(lambda: _loaded_bytes(path))), patches
+
+    outcome = split_outcome(case, joined, (mwd, "_plain_rows"))
+    with mock.patch.object(mwd, "_PARSE_BLOCK_CHARS", LOAD_SPLIT_BLOCK_CHARS):
+        cuts = mwd._block_cuts(text, len(CSV_HEADER) + 1)
+    fault = len("".join(line + "\n" for line in lines[: LOAD_FAULT_LINE - 1]))
+    outcome["blocks"] = len(cuts) - 1
+    outcome["fault_block"] = sum(cut <= fault for cut in cuts) - 1
+    return outcome
+
+
+#: The averages split cases: the CLI's report (``--b 0.5 --custom
+#: 1.5:-1.5``, 8 distinct exponents) and plot (5) of a 2,749-species Flory
+#: file, a report with an exponent too large for the sample in the child's
+#: half, and the report under each fault of the child.
+AVERAGE_SPLIT_CASES = (
+    "report-json", "report-text", "plot-svg", "plot-csv", "too-large-exponent",
+    "child-fails-at-once", "child-fails-after-some", "child-lags",
+)
+#: Custom pairs whose distinct exponents, after the chain's 1, 0, 1.7, 2
+#: and 3, are 0.5, 0.25, 1e308, 2.5 and 1.5: the child, which starts from
+#: the last, reaches 1e308 third, and this process eighth.
+TOO_LARGE_CUSTOM = [(0.5, 0.25), (1e308, 0.0), (2.5, 1.5)]
+
+
+def _cli_output(argv: list[str], out: Path | None) -> list[object]:
+    """Exit code and stdout of one CLI call, then the text it wrote to ``out``."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    return [code, stdout.getvalue(), None if out is None else out.read_text(encoding="utf-8")]
+
+
+def average_split_outcome(name: str, joined: bool, workdir: Path) -> dict[str, object]:
+    """Averages split case ``name`` (see :func:`split_outcome`); its count
+    is of the kernel calls this process made.  Both splits of the file's
+    reader and of the averages run at any size."""
+    path = workdir / "flory.csv"
+    if not path.exists():
+        save_mwd(generate_flory(28.0, 0.99), path)
+    report = ["mwd-report", "--input", str(path), "--b", "0.5", "--custom", "1.5:-1.5"]
+    kind, _, fmt = name.partition("-")
+    if name == "too-large-exponent":
+        dataset = load_mwd(path)
+        call = lambda: _outcome_of(lambda: repr(polydispersity(dataset, 0.7, TOO_LARGE_CUSTOM)))
+    elif kind == "plot":
+        out = workdir / f"plot.{fmt}"
+        call = lambda: _cli_output(["plot", "--input", str(path), "--out", str(out)], out)
+    else:
+        fmt = fmt if kind == "report" else "json"
+        call = lambda: _cli_output([*report, "--format", fmt], None)
+
+    def case():
+        patches = [
+            mock.patch.object(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, 0)),
+            mock.patch.object(mwd, "_FORK_MIN_CHARS", 0),
+        ]
+        if name.startswith("child-"):
+            patches.append(child_fault(name))
+        return call, patches
+
+    return split_outcome(case, joined, (_backend, "exp_moments"))
+
+
+def mwd_split_outcomes(kind: str, workdir: Path) -> list[list[object]]:
+    """``[case, joined, outcome]`` for every ``"load"`` or ``"averages"``
+    split case, joined and not."""
+    names, run = {
+        "load": (LOAD_SPLIT_CASES, load_split_outcome),
+        "averages": (AVERAGE_SPLIT_CASES, average_split_outcome),
+    }[kind]
+    return [
+        [name, joined, run(name, joined, workdir)]
+        for name in names
+        for joined in (True, False)
+        if not (joined and name == "child-lags")
+    ]
+
+
+def split_outcomes_under_both_backends(
+    compiled_src: Path, kind: str, workdir: Path
+) -> dict[str, list[list[object]]]:
+    """``mwd_split_outcomes(kind, workdir)``, or ``oracle_split_outcomes()``
+    for ``"oracle"``, run in a subprocess under each kernel backend."""
+    call = "oracle_split_outcomes()" if kind == "oracle" else (
+        f"mwd_split_outcomes({kind!r}, pathlib.Path({str(workdir)!r}))"
+    )
+    script = (
+        "import json, pathlib, ginikit, helpers; print(ginikit.backend_name()); "
+        f"print(json.dumps(helpers.{call}))"
+    )
+    tests_dir = str(Path(__file__).resolve().parent)
+    runs = {}
+    for pure, backend in (("0", "compiled"), ("1", "python")):
+        env = env_importing_from(compiled_src, GINIKIT_PURE=pure)
+        env["PYTHONPATH"] = os.pathsep.join((tests_dir, env["PYTHONPATH"]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        name, rows = done.stdout.splitlines()
+        assert name == backend
+        runs[backend] = json.loads(rows)
+    return runs
 
 
 def compiled_kernel_file(src: Path) -> Path | None:

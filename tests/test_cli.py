@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import ginikit.cli as cli
 import ginikit.oracle as oracle
-from ginikit import _backend, means, mwd
+from ginikit import _backend, _util, means, mwd
 from ginikit._util import read_text
 from ginikit.audit import AuditVerdict, ParameterOrder, scan_monotonicity
 from ginikit.cli import main
@@ -27,7 +27,7 @@ from ginikit.mwd import load_mwd, polydispersity
 from ginikit.oracle import oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import env_importing_from
+from helpers import env_importing_from, two_cpus
 
 
 def run_cli(*argv):
@@ -259,17 +259,49 @@ class TestMwdReport:
         assert run_cli("mwd-report", "--input", str(tmp_path / "nope.csv")) == 1
         capsys.readouterr()
 
-    def test_one_kernel_call_per_distinct_exponent(self, tmp_path, monkeypatch):
-        # the end-to-end benchmark's mwd_report op: the report's 7 pairs need
-        # S_p at 0, 1, 1.7, 2, 3, 0.5, 1.5 and -1.5, the plot's 4 marks at
-        # 0, 1, 1.7, 2 and 3
+    @staticmethod
+    def report_and_plot(tmp_path: Path) -> list[tuple[list[str], list[float]]]:
+        """The end-to-end benchmark's mwd_report op, each call with the
+        exponents whose S_p it needs: the report's 7 pairs at 0, 1, 1.7, 2,
+        3, 0.5, 1.5 and -1.5, the plot's 4 marks at 0, 1, 1.7, 2 and 3."""
         path = tmp_path / "flory.csv"
         mwd.save_mwd(mwd.generate_flory(28.0, 0.99), path)
         report = ["mwd-report", "--input", str(path), "--b", "0.5"]
         report += ["--custom", "1.5:-1.5", "--format", "json"]
-        assert kernel_calls(monkeypatch, *report) == 8
         plot = ["plot", "--input", str(path), "--out", str(tmp_path / "flory.svg")]
-        assert kernel_calls(monkeypatch, *plot) == 5
+        return [
+            (report, [1.0, 0.0, 1.7, 2.0, 3.0, 0.5, 1.5, -1.5]),
+            (plot, [1.0, 0.0, 1.7, 2.0, 3.0]),
+        ]
+
+    def test_one_kernel_call_per_distinct_exponent(self, tmp_path, monkeypatch):
+        # the calls are counted in this process, so every log sum is formed here
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
+        for argv, exponents in self.report_and_plot(tmp_path):
+            assert kernel_calls(monkeypatch, *argv) == len(exponents)
+
+    @pytest.mark.parametrize("joined", [True, False], ids=["child-ran-first", "alongside"])
+    def test_forked_twin_forms_each_log_sum_once(self, tmp_path, monkeypatch, joined):
+        # with a child forming log sums from the last exponent back, the
+        # kernel calls made here and the log sums taken from the child cover
+        # each exponent once
+        monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, 0))
+        kernel, keep = _backend.exp_moments, means._PowerSums.keep
+        for argv, exponents in self.report_and_plot(tmp_path):
+            here: list[float] = []
+            taken: list[float] = []
+            monkeypatch.setattr(
+                _backend, "exp_moments", lambda *args: here.append(args[2]) or kernel(*args)
+            )
+            monkeypatch.setattr(
+                means._PowerSums, "keep", lambda sums, p, s: taken.append(p) or keep(sums, p, s)
+            )
+            with two_cpus(joined) as statuses, contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(*argv) == 0
+            assert sorted(here + taken) == sorted(exponents)
+            assert statuses == ([0] if joined else [])
+            if joined:
+                assert here == []
 
     def test_too_large_custom_exponent(self, data_dir, capsys):
         code = run_cli(

@@ -38,7 +38,10 @@ from ginikit.means import gini_mean
 from ginikit.oracle import oracle_gini
 from ginikit.sample import ExponentPair
 
-from helpers import assert_within_ulps
+from helpers import (
+    AVERAGE_SPLIT_CASES, SPLIT_SENT, assert_within_ulps, average_split_outcome,
+    split_outcomes_under_both_backends,
+)
 
 
 class TestMWDataset:
@@ -729,3 +732,88 @@ class TestReportSerialization:
         path = tmp_path / name
         save_report(rep, path)
         assert path.read_bytes() == writer(rep).encode("utf-8")
+
+
+def assert_average_split_outcome(name: str, joined: bool, outcome: dict) -> None:
+    assert outcome["forked"] == outcome["one_process"]
+    if name == "too-large-exponent":
+        assert outcome["one_process"] == [
+            "ParameterDomainError",
+            "exponent 1e+308 is too large for this sample: |p| * max|ln a| overflows a double",
+        ]
+    else:
+        code, stdout, written = outcome["one_process"]
+        assert code == 0 and (stdout or written)
+    assert outcome["children_left"] is False
+    assert outcome["open_fds_added"] == 0
+    # a lagging child is killed when this process is done, not waited for
+    assert outcome["seconds"] < 30.0
+    if joined:
+        # the CLI forks for the file's blocks, then for the averages; a child
+        # that has sent every log sum leaves this process no kernel call
+        want = {
+            "too-large-exponent": ([1], 7),
+            "child-fails-at-once": ([1, 1], 8),
+            "child-fails-after-some": ([1, 1], 8 - SPLIT_SENT),
+        }.get(name, ([0, 0], 0))
+        assert (outcome["child_statuses"], outcome["computed_here"]) == want
+
+
+class TestAveragesFromBothEnds:
+    """Averages whose sample size times distinct exponents reach the
+    backend's ``_FORK_MIN_TERMS`` on two usable CPUs have a forked child
+    form their log sums from the last exponent back, while this process
+    walks the pairs from the first.  The report and plot bytes, or the
+    error, are those of one process, and no child or open file is left."""
+
+    @pytest.mark.parametrize(
+        "name", [name for name in AVERAGE_SPLIT_CASES if name != "child-lags"]
+    )
+    def test_child_that_ran_first(self, tmp_path, name):
+        outcome = average_split_outcome(name, True, tmp_path)
+        assert_average_split_outcome(name, True, outcome)
+
+    @pytest.mark.parametrize("name", AVERAGE_SPLIT_CASES)
+    def test_child_running_alongside(self, tmp_path, name):
+        outcome = average_split_outcome(name, False, tmp_path)
+        assert_average_split_outcome(name, False, outcome)
+
+    def test_both_backends(self, compiled_src, tmp_path):
+        runs = split_outcomes_under_both_backends(compiled_src, "averages", tmp_path)
+        for rows in runs.values():
+            assert len(rows) == 2 * len(AVERAGE_SPLIT_CASES) - 1
+            for name, joined, outcome in rows:
+                assert_average_split_outcome(name, joined, outcome)
+        # the bytes agree across backends too; only the times differ
+        assert [row[2]["forked"] for row in runs["compiled"]] == [
+            row[2]["forked"] for row in runs["python"]
+        ]
+
+    def test_forks_only_at_the_threshold(self, forks, monkeypatch):
+        dataset = generate_flory(28.0, 0.9)
+        terms = dataset.n * 5  # the chain's exponents 0, 1, 1.7, 2 and 3
+        monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, terms + 1))
+        want = polydispersity(dataset)
+        assert forks == []
+        monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, terms))
+        assert polydispersity(dataset) == want
+        assert len(forks) == 1
+
+    def test_lazy_or_refused_custom_stays_in_one_process(self, forks, monkeypatch):
+        monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, 0))
+        dataset = generate_flory(28.0, 0.9)
+        want = polydispersity(dataset, custom=[(1.5, -1.5)])
+        assert len(forks) == 1
+        assert polydispersity(dataset, custom=iter([(1.5, -1.5)])) == want
+        with pytest.raises(ParameterDomainError, match=re.escape("got (1.0,)")):
+            polydispersity(dataset, custom=[(1.5, -1.5), (1.0,)])
+        # an entry is read once: the pair an iterator formed is not read again
+        with pytest.raises(ParameterDomainError, match=re.escape("got (1.0,)")):
+            polydispersity(dataset, custom=[iter((1.5, -1.5)), (1.0,)])
+        assert len(forks) == 1
+
+    def test_small_samples_stay_in_one_process(self, forks, data_dir, capsys):
+        assert main(["mwd-report", "--input", str(data_dir / "two_species.csv")]) == 0
+        assert capsys.readouterr().out == (data_dir / "golden_report.txt").read_text("utf-8")
+        polydispersity(generate_flory(28.0, 0.99), custom=[(1.5, -1.5)])
+        assert forks == []

@@ -34,7 +34,10 @@ from ginikit.mwd import (
 )
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import HOSTILE, reference_mwd_text
+from helpers import (
+    HOSTILE, LOAD_FAULT_LINE, LOAD_SPLIT_CASES, LOAD_SPLIT_ROWS, SPLIT_SENT, load_split_outcome,
+    reference_mwd_text, split_outcomes_under_both_backends,
+)
 
 DOUBLE_MAX = 1.7976931348623157e308
 SUBNORMAL_MAX = 2.225073858507201e-308
@@ -549,6 +552,81 @@ class TestBulkReader:
         assert loaded.abundances.tobytes() == dataset.abundances.tobytes()
 
 
+#: The scanner's error for each faulty load split case; a blank line is none.
+LOAD_SPLIT_ERRORS = {
+    "empty-field": f"line {LOAD_FAULT_LINE}: could not parse numbers from '1,'",
+    "bare-exponent": f"line {LOAD_FAULT_LINE}: could not parse numbers from '1e,2'",
+    "third-column": f"line {LOAD_FAULT_LINE}: expected 2 comma-separated fields, got 3",
+    "zero": f"line {LOAD_FAULT_LINE}: molar_mass must be finite and > 0, got 0",
+    "negative": f"line {LOAD_FAULT_LINE}: molar_mass must be finite and > 0, got -1",
+}
+
+
+def assert_load_split_outcome(name: str, joined: bool, outcome: dict) -> None:
+    assert outcome["forked"] == outcome["one_process"]
+    if name in LOAD_SPLIT_ERRORS:
+        assert outcome["one_process"] == ["IngestionError", LOAD_SPLIT_ERRORS[name]]
+    else:
+        rows = LOAD_SPLIT_ROWS - (name == "blank-line")
+        assert [len(column) for column in outcome["one_process"]] == [16 * rows] * 2
+    assert outcome["children_left"] is False
+    assert outcome["open_fds_added"] == 0
+    # a lagging child is killed when this process is done, not waited for
+    assert outcome["seconds"] < 30.0
+    blocks, fault = outcome["blocks"], outcome["fault_block"]
+    assert fault > blocks // 2  # in the child's half
+    if joined:
+        # the child sends every block it parses from the back, up to one that
+        # is not plain; this process parses the rest, and raises in the scanner
+        here = {
+            "plain": 0, "zero": 0, "negative": 0,
+            "child-fails-at-once": blocks, "child-fails-after-some": blocks - SPLIT_SENT,
+        }.get(name, fault + 1)
+        status = 1 if name.startswith("child-") else 0
+        assert (outcome["child_statuses"], outcome["computed_here"]) == ([status], here)
+
+
+class TestLoadFromBothEnds:
+    """A plain CSV text of at least ``_FORK_MIN_CHARS`` on two usable CPUs is
+    parsed from both ends: a forked child parses blocks from the last one
+    back, this process from the first.  The columns, or the scanner's
+    error, are those of one process, and no child or open file is left."""
+
+    @pytest.mark.parametrize("name", [name for name in LOAD_SPLIT_CASES if name != "child-lags"])
+    def test_child_that_ran_first(self, tmp_path, name):
+        assert_load_split_outcome(name, True, load_split_outcome(name, True, tmp_path))
+
+    @pytest.mark.parametrize("name", LOAD_SPLIT_CASES)
+    def test_child_running_alongside(self, tmp_path, name):
+        assert_load_split_outcome(name, False, load_split_outcome(name, False, tmp_path))
+
+    def test_both_backends(self, compiled_src, tmp_path):
+        runs = split_outcomes_under_both_backends(compiled_src, "load", tmp_path)
+        for rows in runs.values():
+            assert len(rows) == 2 * len(LOAD_SPLIT_CASES) - 1
+            for name, joined, outcome in rows:
+                assert_load_split_outcome(name, joined, outcome)
+
+    def test_forks_only_at_the_threshold(self, forks):
+        text = CSV_HEADER + "\n" + "1,2\n" * 40
+        with mock.patch.object(mwd, "_PARSE_BLOCK_CHARS", 40):
+            with mock.patch.object(mwd, "_FORK_MIN_CHARS", len(text) + 1):
+                assert mwd._parse_plain_csv(text) is not None
+            assert forks == []
+            with mock.patch.object(mwd, "_FORK_MIN_CHARS", len(text)):
+                masses, abundances = mwd._parse_plain_csv(text)
+            assert len(forks) == 1
+        assert masses.tolist() == [1.0] * 40 and abundances.tolist() == [2.0] * 40
+        assert_no_child_is_left()
+
+    def test_golden_and_small_files_stay_in_one_process(self, forks, data_dir, tmp_path):
+        path = tmp_path / "flory.csv"
+        save_mwd(generate_flory(28.0, 0.99), path)  # 2,749 rows in about 100,000 characters
+        for path in (data_dir / "two_species.csv", path):
+            assert mwd._parse_plain_csv(read_text(path)) is not None
+        assert forks == []
+
+
 def species_json(*rows: str, label: str = '"x"') -> str:
     return '{"label": %s, "species": [%s]}' % (label, ", ".join(rows))
 
@@ -754,6 +832,19 @@ class TestWrongTypedSamples:
         for value in HOSTILE:
             with pytest.raises(error):
                 call(value)
+
+    def test_every_hostile_moments_value_gets_its_truth_or_a_parameter_error(self):
+        refused = []
+        for value in HOSTILE:
+            try:
+                got = means.log_power_sum(_SAMPLE, 1.0, moments=value)
+            except ParameterDomainError as exc:
+                refused.append(str(exc))
+                continue
+            # NaN moments compare unequal, their reprs equal
+            assert repr(got) == repr(means.log_power_sum(_SAMPLE, 1.0, moments=bool(value)))
+        # only the empty array has no truth value
+        assert refused == ["moments must be true or false, got ndarray"]
 
     @pytest.mark.parametrize(
         "call, message",

@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 import inspect
-import json
 import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -24,8 +20,8 @@ from ginikit.sample import ExponentPair, PositiveSample
 
 from helpers import (
     HOSTILE, ORACLE_GRID, SPLIT_CASES, SPLIT_FAULT_INDEX, SPLIT_SAMPLES, SPLIT_SENT,
-    OperatorFormLift, assert_within_ulps, env_importing_from, oracle_split_outcome,
-    random_sample,
+    OperatorFormLift, assert_within_ulps, oracle_split_outcome, random_sample,
+    split_outcomes_under_both_backends,
 )
 
 
@@ -735,25 +731,11 @@ class TestReferencesFromBothEnds:
     def test_child_running_alongside(self, name):
         assert_split_outcome(name, False, oracle_split_outcome(name, False))
 
-    def test_both_backends(self, compiled_src):
-        script = (
-            "import json, ginikit, helpers; print(ginikit.backend_name()); "
-            "print(json.dumps(helpers.oracle_split_outcomes()))"
-        )
-        tests_dir = str(Path(__file__).resolve().parent)
-        runs = {}
-        for pure, backend in (("0", "compiled"), ("1", "python")):
-            env = env_importing_from(compiled_src, GINIKIT_PURE=pure)
-            env["PYTHONPATH"] = os.pathsep.join((tests_dir, env["PYTHONPATH"]))
-            done = subprocess.run(
-                [sys.executable, "-c", script], capture_output=True, text=True, env=env
-            )
-            assert done.returncode == 0, done.stderr
-            name, rows = done.stdout.splitlines()
-            assert name == backend
-            runs[backend] = json.loads(rows)
-            assert len(runs[backend]) == len(JOINED_SPLITS) + len(SPLIT_CASES)
-            for case, joined, outcome in runs[backend]:
+    def test_both_backends(self, compiled_src, tmp_path):
+        runs = split_outcomes_under_both_backends(compiled_src, "oracle", tmp_path)
+        for rows in runs.values():
+            assert len(rows) == len(JOINED_SPLITS) + len(SPLIT_CASES)
+            for case, joined, outcome in rows:
                 assert_split_outcome(case, joined, outcome)
         # the summaries agree across backends too; only the times differ
         assert [[row[0], row[1], row[2]["forked"]] for row in runs["compiled"]] == [
