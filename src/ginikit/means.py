@@ -196,24 +196,26 @@ class _PowerSums:
 
     def reads(self, params: ExponentPair) -> tuple[float, ...]:
         """The exponents whose log sums :meth:`gini` of ``params`` reads, in
-        the order it reads them: none on a uniform sample or at a tangent,
-        which :meth:`slope` serves without the memo."""
+        the order it reads them (see :meth:`_is_secant`)."""
         p, q = params.p, params.q
-        if self.sample.is_uniform or abs(p - q) <= 1e-8 * (1.0 + max(abs(p), abs(q))):
-            return ()
-        return (p, q)
+        return (p, q) if self._is_secant(p, q) else ()
 
-    def slope(self, p: float, q: float) -> float:
-        """ln G(p, q) at the finite exponents ``p`` and ``q``; see :func:`secant_slope`."""
-        sample = self.sample
-        if sample.is_uniform:
-            return math.log(float(sample.values[0]))
+    def _is_secant(self, p: float, q: float) -> bool:
+        """True when :meth:`slope` reads ln S_p and ln S_q from the memo;
+        false on a uniform sample or at a tangent, which it serves without."""
         # Below this gap the secant loses too many digits to cancellation, while
         # the tilted mean at the midpoint is within O(gap^2) of the true slope,
         # far below double rounding error.
-        if abs(p - q) <= 1e-8 * (1.0 + max(abs(p), abs(q))):
-            return log_power_sum(sample, 0.5 * p + 0.5 * q).moment1
-        return (0.5 * self.log_sum(p) - 0.5 * self.log_sum(q)) / (0.5 * p - 0.5 * q)
+        return not self.sample.is_uniform and abs(p - q) > 1e-8 * (1.0 + max(abs(p), abs(q)))
+
+    def slope(self, p: float, q: float) -> float:
+        """ln G(p, q) at the finite exponents ``p`` and ``q``; see :func:`secant_slope`."""
+        if self._is_secant(p, q):
+            return (0.5 * self.log_sum(p) - 0.5 * self.log_sum(q)) / (0.5 * p - 0.5 * q)
+        sample = self.sample
+        if sample.is_uniform:
+            return math.log(float(sample.values[0]))
+        return log_power_sum(sample, 0.5 * p + 0.5 * q).moment1
 
     def gini(self, params: ExponentPair) -> float:
         """G(p, q) of the sample; see :func:`gini_mean`."""

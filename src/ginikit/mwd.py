@@ -84,11 +84,14 @@ _PARSE_BLOCK_CHARS = 1 << 16
 #: (``BENCH_both_ends.json``).
 _FORK_MIN_CHARS = 10 * _PARSE_BLOCK_CHARS
 
-#: Least sample size times distinct exponents for which a forked child forms
-#: the log sums of averages from the last exponent back, per kernel backend:
-#: the compiled kernel is about five times faster, so its fork pays only on
+#: Least sample size times the exponents a forked child can take for which
+#: it forms the log sums of averages from the last exponent back, per kernel
+#: backend.  A child starts after this process, so of ``k`` distinct
+#: exponents it can take at most those past the middle, ``(k - 1) // 2``:
+#: none of two, one of three or four, three of the report's eight.  The
+#: compiled kernel is about five times faster, so its fork pays only on
 #: larger samples (``BENCH_both_ends.json``).
-_FORK_MIN_TERMS = {"python": 150_000, "compiled": 1_500_000}
+_FORK_MIN_TERMS = {"python": 60_000, "compiled": 600_000}
 
 #: A log sum as a forked child sends it: one native double.
 _LOG_SUM = struct.Struct("=d")
@@ -216,12 +219,12 @@ def _ginis(sums: _PowerSums, pairs: Sequence[ExponentPair]) -> list[float]:
     their order are those of ``gini_mean`` pair by pair.  The exponents
     whose log sums the pairs read (:meth:`_PowerSums.reads`) and the memo
     does not hold are numbered in the order they are first read.  When the
-    sample's size times their count is at least the kernel backend's
-    :data:`_FORK_MIN_TERMS`, their log sums are formed from both ends
-    (:func:`ginikit._util._from_both_ends`): a forked child forms them from
-    the last exponent back and sends each as a native double, and this
-    process takes a log sum from the child, into the memo, when the walk
-    first reads it and the child has sent it.  Otherwise, and for every
+    sample's size times the count of them a child can take is at least the
+    kernel backend's :data:`_FORK_MIN_TERMS`, their log sums are formed from
+    both ends (:func:`ginikit._util._from_both_ends`): a forked child forms
+    them from the last exponent back and sends each as a native double, and
+    this process takes a log sum from the child, into the memo, when the
+    walk first reads it and the child has sent it.  Otherwise, and for every
     log sum the child has not sent, the memo forms it here.  So each
     distinct exponent costs one kernel call, in one process or the other.
     The child raises nothing here: at an exponent the kernel refuses, it
@@ -231,8 +234,9 @@ def _ginis(sums: _PowerSums, pairs: Sequence[ExponentPair]) -> list[float]:
         dict.fromkeys(p for pair in pairs for p in sums.reads(pair) if p not in sums)
     )
     numbers = {p: index for index, p in enumerate(exponents)}
-    terms = sums.sample.n * len(exponents)
-    count = len(exponents) if terms >= _FORK_MIN_TERMS[_backend.BACKEND] else 0
+    taken = (len(exponents) - 1) // 2
+    split = taken > 0 and sums.sample.n * taken >= _FORK_MIN_TERMS[_backend.BACKEND]
+    count = len(exponents) if split else 0
     values = []
     with _from_both_ends(
         count, lambda index: _LOG_SUM.pack(sums.log_sum(exponents[index]))
@@ -377,10 +381,12 @@ def polydispersity(
     S_3), 8 for the CLI's ``--b 0.5 --custom 1.5:-1.5`` report.  The chain
     comes first, then each custom pair; values, errors and their order are
     those of :func:`ginikit.means.gini_mean` called pair by pair.  When
-    ``custom`` is a ``Sequence`` whose entries all form pairs, the pairs
+    ``custom`` is a ``Sequence``, its entries are read first, up to one
+    that forms no pair (:func:`_read_pairs`); the chain and the pairs read
     are evaluated by :func:`_ginis`, which forms the log sums of a large
-    sample from both ends.  Any other ``custom`` is read lazily, in one
-    process: each entry is read after the pair before it is evaluated.
+    sample from both ends, and then that entry's error, if any, is raised.
+    Any other ``custom`` is read lazily, in one process: each entry is read
+    after the pair before it is evaluated.
     """
     if not (_is_finite_real(s) and 0.0 < s <= 1.0):
         raise ParameterDomainError(
@@ -394,19 +400,16 @@ def polydispersity(
         ) from None
     sums = _PowerSums(_checked(dataset, MWDataset).to_sample())
     chain = [ExponentPair(*_pair(name, s)) for name in _CHAIN]
-    listed, refused = _read_pairs(entries) if isinstance(custom, Sequence) else ([], None)
-    if isinstance(custom, Sequence) and refused is None:
+    if isinstance(custom, Sequence):
+        listed, refused = _read_pairs(entries)
         values = _ginis(sums, chain + listed)
+        if refused is not None:
+            raise refused
         extras = tuple(
             CustomMean(pair.p, pair.q, value) for pair, value in zip(listed, values[len(chain) :])
         )
     else:
         values = [sums.gini(pair) for pair in chain]
-        if refused is not None:
-            # the pairs before the refused entry are evaluated, and may raise, first
-            for pair in listed:
-                sums.gini(pair)
-            raise refused
         extras = tuple(
             CustomMean(pair.p, pair.q, sums.gini(pair))
             for pair in (_custom_pair(entry) for entry in entries)
@@ -661,12 +664,16 @@ def _parse_plain_csv(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     first block on and takes a block's rows from the child once they have
     arrived.  The child stops at a block that is not plain, and this
     process returns None when it gets there, so the columns, and every
-    error, are those of one process.
+    error, are those of one process.  A text whose first block holds a
+    character no plain text holds (a CR, a space, a quote) gets None before
+    any fork.
     """
     header = CSV_HEADER + "\n"
     if not text.startswith(header) or len(text) == len(header):
         return None
     cuts = _block_cuts(text, len(header))
+    if not _plain_chars(text[cuts[0] : cuts[1]]):
+        return None
 
     def sent_rows(index: int) -> bytes | None:  # the child's work
         rows = _plain_rows(text[cuts[index] : cuts[index + 1]])
@@ -702,8 +709,7 @@ def _block_cuts(text: str, start: int) -> list[int]:
 def _plain_rows(block: str) -> np.ndarray | None:
     """The rows of one block of a CSV body as a (rows, 2) array, or None when
     the block is not plain (see :func:`_parse_plain_csv`)."""
-    plain = block.isascii() and not block.encode().translate(None, _PLAIN_CSV_CHARS)
-    if not plain or block.startswith("\n"):  # blank lines alone make loadtxt warn
+    if not _plain_chars(block) or block.startswith("\n"):  # blank lines alone make loadtxt warn
         return None
     lines = block.split("\n")
     try:
@@ -714,6 +720,11 @@ def _plain_rows(block: str) -> np.ndarray | None:
     if rows.shape != (len(lines) - (not lines[-1]), 2):
         return None
     return rows
+
+
+def _plain_chars(block: str) -> bool:
+    """True when every character of ``block`` is one of :data:`_PLAIN_CSV_CHARS`."""
+    return block.isascii() and not block.encode().translate(None, _PLAIN_CSV_CHARS)
 
 
 def _positive_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

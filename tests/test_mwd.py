@@ -39,7 +39,7 @@ from ginikit.oracle import oracle_gini
 from ginikit.sample import ExponentPair
 
 from helpers import (
-    AVERAGE_SPLIT_CASES, SPLIT_SENT, assert_within_ulps, average_split_outcome,
+    AVERAGE_SPLIT_CASES, SPLIT_SENT, assert_within_ulps, average_split_outcome, children_left,
     split_outcomes_under_both_backends,
 )
 
@@ -760,11 +760,12 @@ def assert_average_split_outcome(name: str, joined: bool, outcome: dict) -> None
 
 
 class TestAveragesFromBothEnds:
-    """Averages whose sample size times distinct exponents reach the
-    backend's ``_FORK_MIN_TERMS`` on two usable CPUs have a forked child
-    form their log sums from the last exponent back, while this process
-    walks the pairs from the first.  The report and plot bytes, or the
-    error, are those of one process, and no child or open file is left."""
+    """Averages whose sample size times the exponents a child can take
+    reaches the backend's ``_FORK_MIN_TERMS`` on two usable CPUs have a
+    forked child form their log sums from the last exponent back, while
+    this process walks the pairs from the first.  The report and plot
+    bytes, or the error, are those of one process, and no child or open
+    file is left."""
 
     @pytest.mark.parametrize(
         "name", [name for name in AVERAGE_SPLIT_CASES if name != "child-lags"]
@@ -791,7 +792,8 @@ class TestAveragesFromBothEnds:
 
     def test_forks_only_at_the_threshold(self, forks, monkeypatch):
         dataset = generate_flory(28.0, 0.9)
-        terms = dataset.n * 5  # the chain's exponents 0, 1, 1.7, 2 and 3
+        # of the chain's exponents 1, 0, 1.7, 2 and 3 a child can take the last two
+        terms = dataset.n * 2
         monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, terms + 1))
         want = polydispersity(dataset)
         assert forks == []
@@ -799,18 +801,48 @@ class TestAveragesFromBothEnds:
         assert polydispersity(dataset) == want
         assert len(forks) == 1
 
-    def test_lazy_or_refused_custom_stays_in_one_process(self, forks, monkeypatch):
+    def test_lazy_custom_stays_in_one_process(self, forks, monkeypatch):
         monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, 0))
         dataset = generate_flory(28.0, 0.9)
         want = polydispersity(dataset, custom=[(1.5, -1.5)])
         assert len(forks) == 1
         assert polydispersity(dataset, custom=iter([(1.5, -1.5)])) == want
+        assert len(forks) == 1
+
+    def test_refused_custom_entry_raises_after_the_pairs_before_it(self, forks, monkeypatch):
+        monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, 0))
+        dataset = generate_flory(28.0, 0.9)
         with pytest.raises(ParameterDomainError, match=re.escape("got (1.0,)")):
             polydispersity(dataset, custom=[(1.5, -1.5), (1.0,)])
         # an entry is read once: the pair an iterator formed is not read again
         with pytest.raises(ParameterDomainError, match=re.escape("got (1.0,)")):
             polydispersity(dataset, custom=[iter((1.5, -1.5)), (1.0,)])
-        assert len(forks) == 1
+        # a pair before the refused entry raises first
+        with pytest.raises(ParameterDomainError, match="too large for this sample"):
+            polydispersity(dataset, custom=[(1e308, 0.0), (1.0,)])
+        assert len(forks) == 3 and not children_left()
+
+    def test_a_child_can_take_the_exponents_past_the_middle(self, forks, monkeypatch):
+        dataset = generate_flory(28.0, 0.9)
+        fresh = lambda: mwd._PowerSums(dataset.to_sample())
+        # of two exponents a child can take none, whatever the threshold
+        monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, 0))
+        sums = fresh()
+        assert mwd._evaluate(sums, ["Mw"]) == [weight_average(dataset)]
+        # S_1 and S_2 are kept, so only S_0 and S_3 are left
+        assert mwd._evaluate(sums, ["Mn", "Mz"]) == [number_average(dataset), z_average(dataset)]
+        assert forks == []
+        # of three (S_1, S_0, S_2) or four (and S_3) it can take one, of five two
+        thresholds = lambda terms: dict.fromkeys(mwd._FORK_MIN_TERMS, terms)
+        monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", thresholds(dataset.n))
+        mwd._evaluate(fresh(), ["Mn", "Mw"])
+        mwd._evaluate(fresh(), ["Mn", "Mw", "Mz"])
+        assert len(forks) == 2
+        monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", thresholds(dataset.n + 1))
+        mwd._evaluate(fresh(), ["Mn", "Mw", "Mz"])
+        assert len(forks) == 2
+        mwd._evaluate(fresh(), ["Mn", "Mv", "Mw", "Mz"], 0.5)
+        assert len(forks) == 3 and not children_left()
 
     def test_small_samples_stay_in_one_process(self, forks, data_dir, capsys):
         assert main(["mwd-report", "--input", str(data_dir / "two_species.csv")]) == 0

@@ -619,6 +619,16 @@ class TestLoadFromBothEnds:
         assert masses.tolist() == [1.0] * 40 and abundances.tolist() == [2.0] * 40
         assert_no_child_is_left()
 
+    @pytest.mark.parametrize("first_row", ["1,2\r", "1, 2", '"1",2', "1;2"])
+    def test_first_block_with_a_char_that_is_not_plain_goes_to_the_scanner_unforked(
+        self, forks, first_row
+    ):
+        text = CSV_HEADER + "\n" + "1,2\n" * 5 + first_row + "\n" + "1,2\n" * 40
+        with mock.patch.object(mwd, "_PARSE_BLOCK_CHARS", 40):
+            with mock.patch.object(mwd, "_FORK_MIN_CHARS", 0):
+                assert mwd._parse_plain_csv(text) is None
+        assert forks == []
+
     def test_golden_and_small_files_stay_in_one_process(self, forks, data_dir, tmp_path):
         path = tmp_path / "flory.csv"
         save_mwd(generate_flory(28.0, 0.99), path)  # 2,749 rows in about 100,000 characters
