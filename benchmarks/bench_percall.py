@@ -19,6 +19,10 @@ weights in [0.5, 2]):
 - ``log_power_sum``: one call at each exponent of the default grid;
 - ``secant_slope``: one call on each pair of the default grid;
 - ``scan_monotonicity``: one scan of the default grid's first chain;
+- ``verify_parse``: ``main``'s parse of that op's argv, with the command
+  itself swapped for one that keeps the parsed arguments;
+- ``verdict_lines``: the op's lines of one scan: the op with its samples
+  drawn and every scan's verdicts formed beforehand, per scan;
 - ``verify_op``: ``cli.main(["verify", "--random", "3", "200"])`` with its
   stdout captured, the op of the ``verify_audit`` workload.
 
@@ -42,6 +46,7 @@ import struct
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -53,6 +58,7 @@ SAMPLE_SIZES = (2, 4, 8, 16)
 #: Calls per timed batch of each layer; verify_op is one op.
 BATCH = 200
 SEED = 3
+VERIFY_ARGV = ["verify", "--random", str(SEED), str(BATCH)]
 
 
 def load_package(name: str, src: Path):
@@ -126,6 +132,13 @@ class Side:
         self.pairs = list(dict.fromkeys((p, q) for chain in chains for p, q in chain))
         self.exponents = sorted({e for pair in self.pairs for e in pair})
         self.chain = [pair_type(p, q) for p, q in chains[0]]
+        grid = [[pair_type(p, q) for p, q in chain] for chain in chains]
+        # every scan of the op, in the order the op makes them
+        self.scanned = [
+            self.audit.scan_monotonicity(sample, chain)
+            for sample in self.samples
+            for chain in grid
+        ]
 
     def layers(self) -> dict[str, tuple]:
         """Each layer's timed call, the digest that compares its output, and
@@ -139,6 +152,8 @@ class Side:
         )
         layers["secant_slope"] = (self.secant_slopes, digest_floats, BATCH * len(self.pairs))
         layers["scan_monotonicity"] = (self.scans, digest_scans, BATCH)
+        layers["verify_parse"] = (self.verify_parses, lambda result: result, BATCH)
+        layers["verdict_lines"] = (self.verdict_lines, lambda result: result, len(self.scanned))
         layers["verify_op"] = (self.verify_op, lambda result: result, 1)
         return layers
 
@@ -158,10 +173,28 @@ class Side:
         scan = self.audit.scan_monotonicity
         return [scan(s, self.chain) for s in self.samples]
 
+    def verify_parses(self):
+        parsed = []
+
+        def command(args) -> int:
+            parsed.append({k: v for k, v in vars(args).items() if k != "func"})
+            return 0
+
+        with mock.patch.object(self.cli, "_cmd_verify", command):
+            for _ in range(BATCH):
+                self.cli.main(VERIFY_ARGV)
+        return parsed
+
+    def verdict_lines(self):
+        scans = iter(self.scanned)
+        with mock.patch.object(self.cli, "_random_samples", lambda seed, count: self.samples), \
+                mock.patch.object(self.cli, "scan_monotonicity", lambda *args: next(scans)):
+            return self.verify_op()
+
     def verify_op(self):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            rc = self.cli.main(["verify", "--random", str(SEED), str(BATCH)])
+            rc = self.cli.main(VERIFY_ARGV)
         return rc, out.getvalue()
 
 

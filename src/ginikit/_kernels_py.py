@@ -109,8 +109,10 @@ def _exp_moments_loop(
     p: float,
     moments: bool = True,
 ) -> tuple[float, float, float, float]:
-    lgs = logs.tolist() if hasattr(logs, "tolist") else list(logs)
-    lws = log_weights.tolist() if hasattr(log_weights, "tolist") else list(log_weights)
+    # a list is read as it is, never written: a sample hands over the lists
+    # it keeps (``PositiveSample._loop_lists``), so no call copies its logs
+    lgs = logs if type(logs) is list else _as_list(logs)
+    lws = log_weights if type(log_weights) is list else _as_list(log_weights)
     if not lgs:
         return _EMPTY_RESULT
     ts = [p * lg + lw for lg, lw in zip(lgs, lws)]
@@ -164,6 +166,10 @@ def _exp_moments_loop(
     variance = (s + c) / total
 
     return shift, total, mean, variance
+
+
+def _as_list(values: object) -> list[float]:
+    return values.tolist() if hasattr(values, "tolist") else list(values)
 
 
 def _exp_moments_vector(

@@ -80,6 +80,9 @@ class AuditVerdict:
         return not self.holds and not self.degenerate
 
 
+_new_object = object.__new__
+
+
 @dataclass(frozen=True)
 class ParameterOrder:
     """Two canonical :class:`ExponentPair` objects satisfying the comparison hypothesis.
@@ -182,17 +185,25 @@ def scan_monotonicity(
     links = list(zip(pairs, pairs[1:]))
     for lower, upper in links:
         _check_order(lower, upper)
-    # Without _sums, one fresh memo per slope, as secant_slope takes it.
-    # The benchmark's tracer self-test pins the kernel calls this makes on
-    # ``verify`` without ``--oracle`` (ROADMAP item 2); once that pin is
-    # released, a memo per sample can serve every caller and this branch
-    # can go (ROADMAP item 3).
-    slope = _sums.slope if _sums is not None else lambda p, q: _PowerSums(sample).slope(p, q)
+    # each link's lower slope, then its upper one.  Without _sums each slope
+    # forms its log sums afresh, as secant_slope does: the benchmark's tracer
+    # self-test pins the kernel calls this makes on ``verify`` without
+    # ``--oracle`` (ROADMAP item 2); once that pin is released, a memo per
+    # sample can serve every caller (ROADMAP item 3).
+    ends = [(pair.p, pair.q) for pair in pairs]
+    sums = _PowerSums(sample) if _sums is None else _sums
+    slopes = sums.slopes([end for link in zip(ends, ends[1:]) for end in link], fresh=_sums is None)
     degenerate = sample.is_uniform
     verdicts = []
-    for lower, upper in links:
-        lo, up = slope(lower.p, lower.q), slope(upper.p, upper.q)
-        margin, tolerance = up - lo, strict_tolerance(max(abs(lo), abs(up)))
-        holds = not degenerate and margin > 0.0
-        verdicts.append(AuditVerdict(holds, margin, degenerate, tolerance))
+    for lo, up in zip(slopes[0::2], slopes[1::2]):
+        margin = up - lo
+        # AuditVerdict(...) without the frozen __init__'s object.__setattr__ per field
+        verdict = _new_object(AuditVerdict)
+        verdict.__dict__.update(
+            holds=not degenerate and margin > 0.0,
+            margin=margin,
+            degenerate=degenerate,
+            tolerance=strict_tolerance(max(abs(lo), abs(up))),
+        )
+        verdicts.append(verdict)
     return verdicts

@@ -21,13 +21,13 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import mwd as mwdmod
 from ._util import _lines, atomic_write_text, format_double, read_text
-from .audit import AuditVerdict, ParameterOrder, scan_monotonicity
+from .audit import ParameterOrder, scan_monotonicity
 from .errors import GinikitError, HypothesisError, IngestionError, ParameterDomainError
 from .means import _PowerSums, gini_mean, lehmer_mean, power_mean
 from .plotting import render_csv, render_svg
@@ -75,21 +75,120 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 )
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, whose arguments can wait until it parses.
+
+    Built with ``arguments``, it calls ``arguments(self)`` once, when it is
+    first asked to parse (which is also when it prints its help or an
+    error).  Its name, help and description are registered at once, so the
+    top-level usage, help and choice errors do not depend on it.
+    """
+
+    def __init__(
+        self,
+        *args: object,
+        arguments: Callable[[argparse.ArgumentParser], None] | None = None,
+        **kwargs: object,
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(
+        self,
+        args: Sequence[str] | None = None,
+        namespace: argparse.Namespace | None = None,
+    ) -> tuple[argparse.Namespace, list[str]]:
+        arguments, self._arguments = self._arguments, None
+        if arguments is not None:
+            arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, each with all its arguments."""
+    return _parser(lazy=False)
+
+
+def _parser(lazy: bool) -> argparse.ArgumentParser:
+    """The command-line parser.  With ``lazy``, a subcommand gets its
+    arguments only when it parses (see :class:`_Subcommand`), so ``main``
+    builds the arguments of the one subcommand that runs."""
     parser = argparse.ArgumentParser(
         prog="ginikit",
         description="Numerically stable Gini/Lehmer/power means, inequality audits "
         "and polymer molecular-weight analysis.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mean = sub.add_parser(
+    def add(
+        sub: argparse._SubParsersAction,
+        name: str,
+        arguments: Callable[[argparse.ArgumentParser], None],
+        **kwargs: str,
+    ) -> None:
+        if lazy:
+            sub.add_parser(name, arguments=arguments, **kwargs)
+        else:
+            arguments(sub.add_parser(name, **kwargs))
+
+    def generate_arguments(p_generate: argparse.ArgumentParser) -> None:
+        gen_sub = p_generate.add_subparsers(dest="model", required=True)
+        add(gen_sub, "flory", _flory_arguments, help="most-probable distribution")
+        add(
+            gen_sub,
+            "poisson",
+            _poisson_arguments,
+            help="living-polymerization distribution",
+        )
+        add(gen_sub, "lognormal", _lognormal_arguments, help="discretized lognormal")
+
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    add(
+        sub,
         "mean",
+        _mean_arguments,
         help="compute one mean of a sample",
         description="Compute a Gini mean G(p,q), power mean M_r or Lehmer mean "
         "of positive values given on the command line or in a file "
         "(one value per line, optionally 'value,weight').",
     )
+    add(
+        sub,
+        "mwd-report",
+        _mwd_report_arguments,
+        help="molecular-weight averages of a distribution",
+        description="Print Mn, Mw, Mz, Mv, pdi, z-ratio and Schulz u for a "
+        "distribution file (CSV or JSON).",
+    )
+    add(
+        sub,
+        "verify",
+        _verify_arguments,
+        help="audit the mean inequalities on data",
+        description="Check the monotonicity chain of Gini means over a parameter "
+        "grid, on a distribution file or on seeded random samples, optionally "
+        "cross-checking values against the extended-precision reference.",
+    )
+    add(
+        sub,
+        "generate",
+        generate_arguments,
+        help="synthesize a model distribution",
+        description="Generate a standard model molecular-weight distribution "
+        "and write it to CSV or JSON.",
+    )
+    add(
+        sub,
+        "plot",
+        _plot_arguments,
+        help="plot a distribution deterministically",
+        description="Render a distribution histogram with labeled mean markers. "
+        "The output format follows the --out suffix (.svg or .csv) and is "
+        "byte-deterministic.",
+    )
+    return parser
+
+
+def _mean_arguments(p_mean: argparse.ArgumentParser) -> None:
     p_mean.add_argument("values", nargs="*", type=float, help="sample values")
     p_mean.add_argument("--input", metavar="PATH", help="read the sample from a file")
     p_mean.add_argument("--p", type=float, help="first Gini exponent (needs --q)")
@@ -98,12 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("--lehmer", type=float, metavar="P", help="Lehmer order")
     p_mean.set_defaults(func=_cmd_mean)
 
-    p_report = sub.add_parser(
-        "mwd-report",
-        help="molecular-weight averages of a distribution",
-        description="Print Mn, Mw, Mz, Mv, pdi, z-ratio and Schulz u for a "
-        "distribution file (CSV or JSON).",
-    )
+
+def _mwd_report_arguments(p_report: argparse.ArgumentParser) -> None:
     p_report.add_argument("--input", metavar="PATH", required=True)
     p_report.add_argument(
         "--s", type=float, default=0.7, help="Mark-Houwink exponent for Mv (default 0.7)"
@@ -125,13 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--format", choices=("json", "text"), default="text")
     p_report.set_defaults(func=_cmd_mwd_report)
 
-    p_verify = sub.add_parser(
-        "verify",
-        help="audit the mean inequalities on data",
-        description="Check the monotonicity chain of Gini means over a parameter "
-        "grid, on a distribution file or on seeded random samples, optionally "
-        "cross-checking values against the extended-precision reference.",
-    )
+
+def _verify_arguments(p_verify: argparse.ArgumentParser) -> None:
     p_verify.add_argument("--input", metavar="PATH", help="distribution file to audit")
     p_verify.add_argument(
         "--random",
@@ -155,15 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--report", metavar="PATH", help="write a JSON report")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_generate = sub.add_parser(
-        "generate",
-        help="synthesize a model distribution",
-        description="Generate a standard model molecular-weight distribution "
-        "and write it to CSV or JSON.",
-    )
-    gen_sub = p_generate.add_subparsers(dest="model", required=True)
 
-    g_flory = gen_sub.add_parser("flory", help="most-probable distribution")
+def _flory_arguments(g_flory: argparse.ArgumentParser) -> None:
     g_flory.add_argument("--m0", type=float, required=True, help="monomer mass")
     g_flory.add_argument("--x", type=float, required=True, help="conversion in (0,1)")
     g_flory.add_argument(
@@ -172,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     g_flory.add_argument("--out", metavar="PATH", required=True)
     g_flory.set_defaults(func=_cmd_generate_flory)
 
-    g_poisson = gen_sub.add_parser("poisson", help="living-polymerization distribution")
+
+def _poisson_arguments(g_poisson: argparse.ArgumentParser) -> None:
     g_poisson.add_argument("--m0", type=float, required=True, help="monomer mass")
     g_poisson.add_argument(
         "--mean-degree", type=float, required=True, help="mean added degree"
@@ -180,20 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     g_poisson.add_argument("--out", metavar="PATH", required=True)
     g_poisson.set_defaults(func=_cmd_generate_poisson)
 
-    g_lognormal = gen_sub.add_parser("lognormal", help="discretized lognormal")
+
+def _lognormal_arguments(g_lognormal: argparse.ArgumentParser) -> None:
     g_lognormal.add_argument("--median", type=float, required=True)
     g_lognormal.add_argument("--sigma", type=float, required=True)
     g_lognormal.add_argument("--n", type=int, required=True, help="grid points (>= 2)")
     g_lognormal.add_argument("--out", metavar="PATH", required=True)
     g_lognormal.set_defaults(func=_cmd_generate_lognormal)
 
-    p_plot = sub.add_parser(
-        "plot",
-        help="plot a distribution deterministically",
-        description="Render a distribution histogram with labeled mean markers. "
-        "The output format follows the --out suffix (.svg or .csv) and is "
-        "byte-deterministic.",
-    )
+
+def _plot_arguments(p_plot: argparse.ArgumentParser) -> None:
     p_plot.add_argument("--input", metavar="PATH", required=True)
     p_plot.add_argument("--out", metavar="PATH", required=True)
     p_plot.add_argument(
@@ -205,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--s", type=float, default=0.7, help="Mark-Houwink exponent for the Mv mark"
     )
     p_plot.set_defaults(func=_cmd_plot)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +449,6 @@ def _random_samples(seed: int, count: int) -> list[PositiveSample]:
     return samples
 
 
-def _verdict_status(verdict: AuditVerdict) -> str:
-    if verdict.degenerate:
-        return "DEGENERATE"
-    if not verdict.holds:
-        return "FAIL"
-    return "WEAK" if verdict.weak else "HOLDS"
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.random is None):
         raise ParameterDomainError("choose exactly one of --input or --random SEED N")
@@ -430,22 +500,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for chain in chains
     ]
     checks: list[str] = []
-    counts = {"holds": 0, "weak": 0, "degenerate": 0, "failed": 0}
+    tally = {"HOLDS": 0, "WEAK": 0, "DEGENERATE": 0, "FAIL": 0}
+    write = sys.stdout.write
     for index, sample in enumerate(samples):
-        # without --oracle the audit takes each slope on a fresh memo, whose
+        head = f"sample {index:04d}  "
+        # without --oracle the audit forms each slope's log sums afresh, the
         # kernel calls the benchmark's tracer self-test pins (ROADMAP item 2)
         memo = {} if memos is None else {"_sums": memos[index]}
         for chain, chain_labels in zip(chains, labels):
             verdicts = scan_monotonicity(sample, chain, **memo)
+            lines = []
             for link, verdict in enumerate(verdicts):
-                status = _verdict_status(verdict)
-                counts["holds"] += verdict.holds
-                counts["weak"] += verdict.weak
-                counts["degenerate"] += verdict.degenerate
-                counts["failed"] += verdict.failed
-                print(
-                    f"sample {index:04d}  {chain_labels[link]}"
-                    f"  {status:<10s} margin={verdict.margin:.6e}"
+                if verdict.degenerate:
+                    status = "DEGENERATE"
+                elif not verdict.holds:
+                    status = "FAIL"
+                else:
+                    status = "WEAK" if verdict.weak else "HOLDS"
+                tally[status] += 1
+                lines.append(
+                    f"{head}{chain_labels[link]}  {status:<10s} margin={verdict.margin:.6e}\n"
                 )
                 if args.report is None:
                     continue
@@ -457,6 +531,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                         _json_bool(verdict.weak), verdict.margin, verdict.tolerance,
                     )
                 )
+            # one write per scan, before the next scan, which may raise
+            write("".join(lines))
+    counts = {
+        "holds": tally["HOLDS"] + tally["WEAK"],
+        "weak": tally["WEAK"],
+        "degenerate": tally["DEGENERATE"],
+        "failed": tally["FAIL"],
+    }
 
     if args.oracle:
         print(
@@ -549,7 +631,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser(lazy=True)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

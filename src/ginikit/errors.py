@@ -14,6 +14,20 @@ wrong*, which is also how the command line maps them to exit codes:
 * :class:`OracleDomainError` -- input is valid for the fast path but outside
   the certified domain of the extended-precision reference evaluator.  CLI
   exit code 1.
+
+The wrong-type rule: every public entry refuses an argument of the wrong
+class with one of these errors, never with a ``TypeError`` or
+``ValueError`` from deeper down.  A sample, pair, order, grid, dataset or
+report that is no instance of its class is refused by one ``isinstance``
+check, with an error that names the type it got.  A number that is no finite
+real, and a path that is neither ``str`` nor ``os.PathLike``, get
+:class:`ParameterDomainError`; a missing or unreadable file stays an
+``OSError``.  An entry on a hot path may first test the common case by exact
+type (``log_power_sum`` takes a ``float`` exponent and a ``bool``
+``moments`` that way) and send every other argument to the full checks, so
+which errors are raised, with which messages and in which order, does not
+depend on that test.  ``tests/test_arguments.py`` sweeps every callable of
+``ginikit.__all__`` with hostile values to hold the rule.
 """
 
 from __future__ import annotations

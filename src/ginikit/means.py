@@ -31,9 +31,9 @@ in the hundreds.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from . import _backend
+from . import _backend, _kernels_py
 from .errors import ParameterDomainError
 from .sample import ExponentPair, PositiveSample, _checked_pairs, _checked_sample
 
@@ -80,6 +80,9 @@ class LogPowerSum(NamedTuple):
     moment2_centered: float
 
 
+_new_tuple = tuple.__new__
+
+
 def _finite_exponent(p: float, name: str = "p") -> float:
     try:
         value = float(p)
@@ -107,7 +110,10 @@ def log_power_sum(
     Neumaier compensation in the sample's own order, ascending
     (ln a_i, ln w_i), which :class:`PositiveSample` fixes once for every
     exponent.  So the result is invariant under permutation of the sample
-    and reproducible to the bit across backends.
+    and reproducible to the bit across backends.  The pure kernel gets the
+    float lists a small sample keeps for its loop, and so does a wrapper of
+    it that names it as ``__wrapped__`` (as ``functools.wraps`` does, for a
+    tracer); any other kernel or wrapper gets the sorted arrays.
 
     With ``moments=False`` the kernel sums the shifted weights alone, in one
     pass.  ``log_sum`` is then the same bits as the full call's, and
@@ -119,8 +125,41 @@ def log_power_sum(
     double: there t_i is not finite and no moment of it can be formed.  The
     check is the same with or without moments.
     """
-    if not isinstance(sample, PositiveSample):  # inline: the memo calls this per exponent
-        _checked_sample(sample, 0)  # raises
+    # the common call, a float p and a bool moments, takes one test; every
+    # other call, and one this test refuses, gets the full checks below
+    if not (
+        type(p) is float
+        and type(moments) is bool
+        and isinstance(sample, PositiveSample)
+        and math.isfinite(abs(p) * sample._max_abs_log_value)
+    ):
+        p, moments = _checked_arguments(sample, p, moments)
+    kernel = _backend.exp_moments
+    lists = sample._loop_lists
+    loop = _kernels_py.exp_moments
+    # mean and variance are NaN from a total-only call, and stay NaN below
+    if lists is not None and (
+        kernel is loop or getattr(kernel, "__wrapped__", None) is loop
+    ):
+        shift, total, mean, variance = kernel(lists[0], lists[1], p, moments)
+    else:
+        shift, total, mean, variance = kernel(
+            sample._sorted_log_values, sample._sorted_log_weights, p, moments
+        )
+    log_sum = shift + math.log(total)
+    if moments and sample.is_uniform:
+        # All values equal c: the tilted distribution of ln a is a point mass
+        # at ln c whatever the weights, so short-circuit to the exact moments.
+        mean = float(sample._sorted_log_values[0])
+        variance = 0.0
+    # tuple.__new__ builds the named tuple without the frame of its __new__
+    return _new_tuple(LogPowerSum, (p, log_sum, mean, mean * mean + variance, variance))
+
+
+def _checked_arguments(sample: object, p: object, moments: object) -> tuple[float, bool]:
+    """``(p, moments)`` of a :func:`log_power_sum` call as a float and a bool,
+    checked in the order its errors promise: the sample, ``moments``, then p."""
+    _checked_sample(sample, 0)
     try:
         moments = bool(moments)
     except (TypeError, ValueError):  # no truth value, as for an empty numpy array
@@ -133,17 +172,7 @@ def log_power_sum(
             f"exponent {p!r} is too large for this sample: "
             "|p| * max|ln a| overflows a double"
         )
-    # mean and variance are NaN from a total-only call, and stay NaN below
-    shift, total, mean, variance = _backend.exp_moments(
-        sample._sorted_log_values, sample._sorted_log_weights, p, moments
-    )
-    log_sum = shift + math.log(total)
-    if moments and sample.is_uniform:
-        # All values equal c: the tilted distribution of ln a is a point mass
-        # at ln c whatever the weights, so short-circuit to the exact moments.
-        mean = float(sample._sorted_log_values[0])
-        variance = 0.0
-    return LogPowerSum(p, log_sum, mean, mean * mean + variance, variance)
+    return p, moments
 
 
 class _PowerSums:
@@ -152,17 +181,19 @@ class _PowerSums:
     One object serves one sample, and keeps ln S_p alone, one float per
     exponent: that is all a secant reads.  :meth:`log_sum` calls
     :func:`log_power_sum` with ``moments=False``, one kernel pass, on the
-    first request for an exponent.  The tangent of :meth:`slope` reads the
-    tilted mean at the midpoint from one full call and keeps nothing.  Both
-    calls look :func:`log_power_sum` up by this module's global name, so a
-    wrapper put there (a counter in a test, a tracer) sees every kernel call
-    the memo makes.
+    first request for an exponent, and :meth:`slopes` forms the same calls
+    in its own frame.  The tangent reads the tilted mean at the midpoint
+    from one full call and keeps nothing.  Every call looks
+    :func:`log_power_sum` up by this module's global name, so a wrapper put
+    there (a counter in a test, a tracer) sees every kernel call the memo
+    makes.
     The key is the float itself, so ``0.0`` and ``-0.0`` share an entry:
     both tilt every term to ``ln w_i``, so their log sums are the same bits.
     An exponent whose evaluation raises is not kept.
 
-    :meth:`slope` is the only code that turns power sums into a Gini slope;
-    :func:`secant_slope` and :func:`gini_mean` run it on a fresh object, and
+    :meth:`slopes` is the only code that turns power sums into Gini slopes,
+    and :meth:`slope` runs it on one pair.  :func:`secant_slope` and
+    :func:`gini_mean` run it on a fresh object, and
     callers that evaluate several pairs of one sample (the averages of
     :mod:`ginikit.mwd`, the fast side of
     :func:`ginikit.oracle.equivalence_report`, and under ``verify --oracle``
@@ -201,7 +232,7 @@ class _PowerSums:
         return (p, q) if self._is_secant(p, q) else ()
 
     def _is_secant(self, p: float, q: float) -> bool:
-        """True when :meth:`slope` reads ln S_p and ln S_q from the memo;
+        """True when :meth:`slopes` reads ln S_p and ln S_q from the memo;
         false on a uniform sample or at a tangent, which it serves without."""
         # Below this gap the secant loses too many digits to cancellation, while
         # the tilted mean at the midpoint is within O(gap^2) of the true slope,
@@ -210,12 +241,40 @@ class _PowerSums:
 
     def slope(self, p: float, q: float) -> float:
         """ln G(p, q) at the finite exponents ``p`` and ``q``; see :func:`secant_slope`."""
-        if self._is_secant(p, q):
-            return (0.5 * self.log_sum(p) - 0.5 * self.log_sum(q)) / (0.5 * p - 0.5 * q)
+        return self.slopes(((p, q),))[0]
+
+    def slopes(
+        self, pairs: Sequence[tuple[float, float]], *, fresh: bool = False
+    ) -> list[float]:
+        """ln G(p, q) at each ``(p, q)`` of ``pairs``, in order.
+
+        This is the body of every slope, run in one frame for all of them.
+        With ``fresh``, each secant forms both its log sums, and the memo
+        neither reads nor keeps them: the kernel calls of one fresh memo per
+        slope, as :func:`secant_slope` takes it.
+        """
         sample = self.sample
         if sample.is_uniform:
-            return math.log(float(sample.values[0]))
-        return log_power_sum(sample, 0.5 * p + 0.5 * q).moment1
+            return [math.log(float(sample.values[0]))] * len(pairs)
+        kept = self._log_sums
+        found = []
+        for p, q in pairs:
+            # the test of _is_secant on a non-uniform sample, inlined
+            if abs(p - q) <= 1e-8 * (1.0 + max(abs(p), abs(q))):
+                found.append(log_power_sum(sample, 0.5 * p + 0.5 * q).moment1)
+                continue
+            if fresh:
+                log_p = log_power_sum(sample, p, moments=False).log_sum
+                log_q = log_power_sum(sample, q, moments=False).log_sum
+            else:
+                log_p = kept.get(p)
+                if log_p is None:
+                    log_p = kept[p] = log_power_sum(sample, p, moments=False).log_sum
+                log_q = kept.get(q)
+                if log_q is None:
+                    log_q = kept[q] = log_power_sum(sample, q, moments=False).log_sum
+            found.append((0.5 * log_p - 0.5 * log_q) / (0.5 * p - 0.5 * q))
+        return found
 
     def gini(self, params: ExponentPair) -> float:
         """G(p, q) of the sample; see :func:`gini_mean`."""
@@ -231,7 +290,7 @@ def secant_slope(sample: PositiveSample, p: float, q: float) -> float:
     """Secant slope (ln S_p - ln S_q) / (p - q); equals ln G(p, q).
 
     The one place where power sums become a Gini slope: this runs the body
-    of :meth:`_PowerSums.slope` on a fresh memo, and the callers that keep a
+    of :meth:`_PowerSums.slopes` on a fresh memo, and the callers that keep a
     memo per sample run the same body.  Since ln S_p is convex in p, this
     slope is nondecreasing in both endpoints, which is the engine behind
     every inequality check in :mod:`ginikit.audit`.  The secant reads the

@@ -89,9 +89,12 @@ _FORK_MIN_CHARS = 10 * _PARSE_BLOCK_CHARS
 #: backend.  A child starts after this process, so of ``k`` distinct
 #: exponents it can take at most those past the middle, ``(k - 1) // 2``:
 #: none of two, one of three or four, three of the report's eight.  The
-#: compiled kernel is about five times faster, so its fork pays only on
-#: larger samples (``BENCH_both_ends.json``).
-_FORK_MIN_TERMS = {"python": 60_000, "compiled": 600_000}
+#: compiled kernel is about five times faster, and two processes running it
+#: at once each run at about half speed, so its fork pays only on larger
+#: samples: its value lies between the largest measured split that lost
+#: (three exponents at n = 1,105,228) and the smallest that won above it
+#: (eight at n = 394,716, 1,184,148 terms; ``BENCH_verify_overhead.json``).
+_FORK_MIN_TERMS = {"python": 60_000, "compiled": 1_150_000}
 
 #: A log sum as a forked child sends it: one native double.
 _LOG_SUM = struct.Struct("=d")

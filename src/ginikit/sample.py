@@ -9,6 +9,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import _backend
+from ._kernels_py import VECTOR_MIN_N
 from ._util import _shown
 from .errors import DataError, ParameterDomainError
 
@@ -66,6 +68,11 @@ class PositiveSample:
     largest |ln a| is read once from the two ends of the sorted ln a, for
     the exponent domain check of every evaluation.  All four arrays are
     frozen (non-writable), so a sample can be shared freely.
+
+    With the pure kernel, a sample of fewer than ``VECTOR_MIN_N`` values also
+    keeps the two sorted log arrays as Python float lists, made once, which
+    its loop reads (see :func:`ginikit.means.log_power_sum`).  Any other
+    sample keeps ``None`` there, and its kernel reads the arrays.
     """
 
     __slots__ = (
@@ -77,6 +84,7 @@ class PositiveSample:
         "_sorted_log_values",
         "_sorted_log_weights",
         "_max_abs_log_value",
+        "_loop_lists",
     )
 
     values: np.ndarray
@@ -115,6 +123,13 @@ class PositiveSample:
             self,
             "_max_abs_log_value",
             max(-sorted_log_vals.item(0), sorted_log_vals.item(-1)),
+        )
+        object.__setattr__(
+            self,
+            "_loop_lists",
+            (sorted_log_vals.tolist(), sorted_log_wts.tolist())
+            if _backend.BACKEND == "python" and vals.size < VECTOR_MIN_N
+            else None,
         )
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -21,6 +22,7 @@ import ginikit.oracle as oracle
 from ginikit import _backend, _util, means, mwd
 from ginikit._util import read_text
 from ginikit.audit import AuditVerdict, ParameterOrder, scan_monotonicity
+from ginikit.errors import ParameterDomainError
 from ginikit.cli import main
 from ginikit.means import gini_mean
 from ginikit.mwd import load_mwd, polydispersity
@@ -598,6 +600,51 @@ class TestVerify:
         assert out.out == ""
         assert out.err == f"error: sample count must be <= 100000, got {count}\n"
 
+    def test_error_on_a_later_sample_keeps_the_earlier_lines(self, capsys):
+        # the grid's second exponent overflows |p| * max|ln a| only on the
+        # first sample whose max |ln a| beats every earlier sample's (sample
+        # 3 of seed 2).  Each line before the error still goes out; the bytes
+        # are the ones the command printed when it wrote one line at a time.
+        samples = cli._random_samples(2, 8)
+        largest = [sample._max_abs_log_value for sample in samples]
+        late = next(i for i in range(1, 8) if largest[i] > max(largest[:i]))
+        exponent = sys.float_info.max / math.sqrt(largest[late] * max(largest[:late]))
+        assert (late, exponent) == (3, 2.834641996018895e+307)
+        assert math.isfinite(exponent * max(largest[:late]))
+        assert not math.isfinite(exponent * largest[late])
+        assert run_cli("verify", "--random", "2", "8", "--grid", f"1:0,{exponent!r}:0") == 2
+        out, err = capsys.readouterr()
+        link = "G(1,0) -> G(2.834641996018895e+307,0)"
+        assert out == (
+            f"sample 0000  {link}  HOLDS      margin=1.948012e+00\n"
+            f"sample 0001  {link}  HOLDS      margin=1.050826e+00\n"
+            f"sample 0002  {link}  HOLDS      margin=1.114111e+00\n"
+        )
+        assert err == (
+            "error: exponent 2.834641996018895e+307 is too large for this sample: "
+            "|p| * max|ln a| overflows a double\n"
+        )
+
+    def test_error_in_a_later_chain_keeps_the_sample_s_earlier_lines(self, capsys, monkeypatch):
+        # a scan's lines are written together; if a sample's second chain
+        # raises, the lines of its first chain still go out before the error
+        assert run_cli("verify", "--random", "4", "3") == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        real, scans = cli.scan_monotonicity, []
+
+        def faulty(sample, chain, **memo):
+            scans.append(sample)
+            if len(scans) == 4:
+                raise ParameterDomainError("no audit here")
+            return real(sample, chain, **memo)
+
+        monkeypatch.setattr(cli, "scan_monotonicity", faulty)
+        assert run_cli("verify", "--random", "4", "3") == 2
+        out, err = capsys.readouterr()
+        assert out == "".join(lines[:9])
+        assert out.endswith("G(2,1) -> G(3,2)  HOLDS      margin=" + lines[8].split("=")[1])
+        assert err == "error: no audit here\n"
+
     def test_failed_check_exits_three(self, data_dir, capsys, monkeypatch):
         def always_fails(sample, chain):
             return [
@@ -1088,6 +1135,81 @@ file_bytes = st.binary(max_size=120) | st.builds(
     st.sampled_from(["molar_mass,abundance", ""]),
     st.lists(st.lists(_csv_fields, min_size=1, max_size=3).map(",".join), max_size=8),
 )
+
+
+#: Argument lists that ``main`` answers from its parser alone: the help of
+#: every subcommand and model, and malformed calls of each kind.
+PARSER_ONLY_ARGVS = [
+    [], ["-h"], ["--help"], ["-h", "verify"], ["frobnicate"], ["--bogus"], ["-5", "verify"],
+    *([name, "-h"] for name in ("mean", "mwd-report", "verify", "generate", "plot")),
+    *(["generate", model, "--help"] for model in ("flory", "poisson", "lognormal")),
+    ["verify", "--random", "1", "2", "-h"],
+    ["mean", "--p", "x"],
+    ["mean", "1", "--lehmer"],
+    ["mwd-report"],
+    ["mwd-report", "--input", "a.csv", "--format", "xml"],
+    ["mwd-report", "--input", "a.csv", "extra"],
+    ["verify", "--random", "1"],
+    ["verify", "--random", "a", "b"],
+    ["verify", "--random", "1", "2", "3"],
+    ["verify", "--oracle=yes"],
+    ["generate"],
+    ["generate", "gaussian"],
+    ["generate", "flory", "--m0", "1"],
+    ["generate", "poisson", "--m0", "1", "--mean-degree", "x", "--out", "o.csv"],
+    ["generate", "lognormal", "--median", "1", "--sigma", "1", "--n", "2.5", "--out", "o.csv"],
+    ["plot", "--input", "a.csv"],
+    ["plot", "--out", "a.svg", "--input"],
+]
+
+#: The functions that add each subcommand's (or model's) arguments.
+ARGUMENT_BUILDERS = (
+    "_mean_arguments", "_mwd_report_arguments", "_verify_arguments", "_flory_arguments",
+    "_poisson_arguments", "_lognormal_arguments", "_plot_arguments",
+)
+
+
+class TestParser:
+    @staticmethod
+    def outcome(parse, argv, capsys) -> tuple[object, str, str]:
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("argv", PARSER_ONLY_ARGVS, ids=" ".join)
+    def test_main_prints_what_the_full_parser_prints(self, argv, capsys):
+        # main adds the arguments of the running subcommand alone; its usage,
+        # help, errors and exit code are those of the complete build_parser()
+        full = self.outcome(lambda args: cli.build_parser().parse_args(args), argv, capsys)
+        assert full[0] in (0, 2)
+        assert self.outcome(main, argv, capsys) == full
+
+    def test_choice_errors_list_every_subcommand(self, capsys):
+        assert main(["verfy"]) == 2
+        assert "{mean,mwd-report,verify,generate,plot}" in capsys.readouterr().err
+        assert main(["generate", "flroy"]) == 2
+        assert "{flory,poisson,lognormal}" in capsys.readouterr().err
+
+    def test_main_adds_the_arguments_of_the_running_subcommand_alone(self, monkeypatch, capsys):
+        built = []
+        for name in ARGUMENT_BUILDERS:
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda parser, real=real, name=name: built.append(name) or real(parser)
+            )
+        assert main(["verify", "-h"]) == 0
+        assert built == ["_verify_arguments"]
+        assert main(["generate", "poisson", "-h"]) == 0
+        assert built[1:] == ["_poisson_arguments"]
+        assert main(["mean", "1", "7", "--r", "1"]) == 0
+        assert built[2:] == ["_mean_arguments"]
+        capsys.readouterr()
+        del built[:]
+        cli.build_parser()
+        assert sorted(built) == sorted(ARGUMENT_BUILDERS)
 
 
 class TestIngestFuzz:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginikit import _backend
-from ginikit.errors import ParameterDomainError
+from ginikit import _backend, _kernels_py
+from ginikit.errors import DataError, ParameterDomainError
 from ginikit.means import (
     LogPowerSum,
     _PowerSums,
@@ -135,6 +137,104 @@ class TestLogPowerSum:
                 assert isinstance(alone, LogPowerSum)
                 assert (alone.p.hex(), alone.log_sum.hex()) == (full.p.hex(), full.log_sum.hex())
                 assert all(math.isnan(x) for x in alone[2:])
+
+    def test_pure_loop_reads_the_lists_kept_once_per_sample(self, monkeypatch):
+        # with the pure kernel, a sample below VECTOR_MIN_N hands the loop the
+        # two lists it made when it was built; a larger one keeps none
+        monkeypatch.setattr(_backend, "exp_moments", _kernels_py.exp_moments)
+        handed = []
+        loop = _kernels_py._exp_moments_loop
+
+        def recording(logs, log_weights, p, moments=True):
+            handed.append((logs, log_weights))
+            return loop(logs, log_weights, p, moments)
+
+        monkeypatch.setattr(_kernels_py, "_exp_moments_loop", recording)
+        monkeypatch.setattr(_backend, "BACKEND", "python")
+        small = PositiveSample([8.0, 2.0, 0.5], [1.0, 3.0, 2.0])
+        large = PositiveSample(np.arange(1.0, _kernels_py.VECTOR_MIN_N + 1.0))
+        assert large._loop_lists is None
+        logs, log_weights = small._loop_lists
+        assert logs == small._sorted_log_values.tolist()
+        assert log_weights == small._sorted_log_weights.tolist()
+        for p in (-3.0, 0.0, 3.0):
+            full = log_power_sum(small, p)
+            assert handed[-1][0] is logs and handed[-1][1] is log_weights
+            alone = log_power_sum(small, p, moments=False)
+            assert handed[-1][0] is logs and handed[-1][1] is log_weights
+            assert alone.log_sum.hex() == full.log_sum.hex()
+        assert logs == small._sorted_log_values.tolist()
+        assert len(handed) == 6
+        log_power_sum(large, 1.0)
+        assert len(handed) == 6
+        # a tracer's functools.wraps wrapper of the pure kernel gets the lists too
+        monkeypatch.setattr(
+            _backend, "exp_moments", functools.wraps(_kernels_py.exp_moments)(
+                lambda *args: _kernels_py.exp_moments(*args)
+            ),
+        )
+        log_power_sum(small, 1.0, moments=False)
+        assert handed[-1][0] is logs and len(handed) == 7
+
+    def test_lists_are_kept_for_the_pure_backend_alone(self, monkeypatch):
+        monkeypatch.setattr(_backend, "BACKEND", "compiled")
+        assert PositiveSample([1.0, 2.0])._loop_lists is None
+        monkeypatch.setattr(_backend, "BACKEND", "python")
+        assert PositiveSample([1.0, 2.0])._loop_lists is not None
+
+    @pytest.mark.parametrize(
+        "p, moments, want",
+        [
+            # a float subclass, a bool and a signed zero come back as plain floats
+            (np.float64(2.5), True, (2.5, 5.902270150224073, 2.063040848284771,
+                                     4.282544317703845, 0.026406776012298752)),
+            (True, True, (1.0, 2.8903717578961645, 1.8869006581909622,
+                          3.8703159454521776, 0.30992185157069163)),
+            (-0.0, True, (-0.0, 1.252762968495368, 1.2872733353256127,
+                          2.5395373592819217, 0.8824647194415942)),
+            # moments by its truth value
+            (2.0, 0, (2.0, 4.875197323201151, math.nan, math.nan, math.nan)),
+            (2.0, 1, (2.0, 4.875197323201151, 2.042403142718617,
+                      4.232387618790872, 0.06097702140398827)),
+            (2.0, np.bool_(True), (2.0, 4.875197323201151, 2.042403142718617,
+                                   4.232387618790872, 0.06097702140398827)),
+            (2.0, np.bool_(False), (2.0, 4.875197323201151, math.nan, math.nan, math.nan)),
+            (2.0, np.array([1]), (2.0, 4.875197323201151, 2.042403142718617,
+                                  4.232387618790872, 0.06097702140398827)),
+        ],
+        ids=["np.float64", "True", "-0.0", "moments-0", "moments-1", "np.bool_-true",
+             "np.bool_-false", "array-1"],
+    )
+    def test_arguments_off_the_common_path_keep_their_results(self, p, moments, want):
+        got = log_power_sum(PositiveSample([1.0, 2.0, 8.0], [1.0, 0.5, 2.0]), p, moments=moments)
+        assert type(got) is LogPowerSum
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize(
+        "sample, p, moments, message",
+        [
+            (None, math.nan, np.array([]), "sample 0 must be a PositiveSample, got NoneType"),
+            (None, 1.0, True, "sample 0 must be a PositiveSample, got NoneType"),
+            ("s", math.nan, np.array([]), "moments must be true or false, got ndarray"),
+            ("s", 2.0, np.array([]), "moments must be true or false, got ndarray"),
+            ("s", 10**400, True,
+             "exponent p must be finite, got an integer too large for a double"),
+            ("s", math.nan, True, "exponent p must be finite, got nan; use extreme_value for limits"),
+            ("s", math.inf, False, "exponent p must be finite, got inf; use extreme_value for limits"),
+            ("s", -math.inf, True,
+             "exponent p must be finite, got -inf; use extreme_value for limits"),
+            ("s", 1e308, False,
+             "exponent 1e+308 is too large for this sample: |p| * max|ln a| overflows a double"),
+        ],
+    )
+    def test_arguments_off_the_common_path_keep_their_messages(self, sample, p, moments, message):
+        # the checks run in the order they always did: sample, moments, then p
+        if sample == "s":
+            sample = PositiveSample([1.0, 2.0, 8.0], [1.0, 0.5, 2.0])
+        error = DataError if sample is None else ParameterDomainError
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            log_power_sum(sample, p, moments=moments)
 
     def test_moment_inequality_strict_when_spread(self):
         rng = np.random.default_rng(8)
@@ -430,6 +530,30 @@ class TestPowerSumMemo:
         ]
         assert exponents[:5] == [1.0, 0.0, 1.7, 2.0, 3.0]
         assert len(exponents) == 5 + 2 * len(pairs)
+
+    def test_slopes_in_one_frame_make_the_calls_of_one_slope_at_a_time(self, monkeypatch):
+        # fresh: the kernel calls of a fresh memo per slope, and nothing kept;
+        # kept: those of one memo; the same bits either way, and the secant
+        # test inlined there agrees with reads()
+        rng = np.random.default_rng(5)
+        pairs = [(1.0, -1.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (2.0, 2.0),
+                 (2.0 + 1e-9, 2.0), (3.0, 2.0), (0.0, -0.0), (1.0, 0.0)]
+        for s in (*route_samples()[:40], random_sample(rng)):
+            requests = self.record_kernel_requests(monkeypatch)
+            one_at_a_time = [_PowerSums(s).slope(p, q) for p, q in pairs]
+            want = list(requests)
+            requests.clear()
+            sums = _PowerSums(s)
+            assert [x.hex() for x in sums.slopes(pairs, fresh=True)] == [
+                x.hex() for x in one_at_a_time
+            ]
+            assert requests == want and 1.0 not in sums
+            requests.clear()
+            memo = _PowerSums(s)
+            assert memo.slopes(pairs) == [memo.slope(p, q) for p, q in pairs]
+            read = [e for p, q in pairs for e in memo.reads(ExponentPair(p, q))]
+            assert [p for p, moments in requests if not moments] == list(dict.fromkeys(read))
+            monkeypatch.undo()
 
     def test_refused_exponent_is_not_kept(self, monkeypatch):
         s = PositiveSample([1.0, 1000.0])
