@@ -23,6 +23,11 @@ weights in [0.5, 2]):
   itself swapped for one that keeps the parsed arguments;
 - ``verdict_lines``: the op's lines of one scan: the op with its samples
   drawn and every scan's verdicts formed beforehand, per scan;
+- ``exponent_checks``: the number-parameter checks the workloads' ops run,
+  once each: ``_parse_grid``'s ``ExponentPair`` objects for the default
+  ``verify`` grid, and the ``mwd._pair`` pairs, each made an
+  ``ExponentPair`` as ``mwd._evaluate`` does, of ``mwd-report --b 0.5``'s
+  chain at s = 0.7 and its two calibration means;
 - ``verify_op``: ``cli.main(["verify", "--random", "3", "200"])`` with its
   stdout captured, the op of the ``verify_audit`` workload.
 
@@ -117,6 +122,14 @@ def digest_scans(scans) -> list[tuple]:
     ]
 
 
+def digest_pairs(results) -> list[bytes]:
+    digests = []
+    for grid, named in results:
+        pairs = [pair for chain in grid for pair in chain] + named
+        digests.append(float_bits(*(e for pair in pairs for e in (pair.p, pair.q))))
+    return digests
+
+
 class Side:
     """One tree's package and the calls of each timed layer on it."""
 
@@ -125,6 +138,7 @@ class Side:
         self.cli = importlib.import_module(f"{package.__name__}.cli")
         self.means = importlib.import_module(f"{package.__name__}.means")
         self.audit = importlib.import_module(f"{package.__name__}.audit")
+        self.mwd = importlib.import_module(f"{package.__name__}.mwd")
         self.inputs = inputs
         self.samples = self.cli._random_samples(SEED, BATCH)
         pair_type = package.ExponentPair
@@ -154,6 +168,7 @@ class Side:
         layers["scan_monotonicity"] = (self.scans, digest_scans, BATCH)
         layers["verify_parse"] = (self.verify_parses, lambda result: result, BATCH)
         layers["verdict_lines"] = (self.verdict_lines, lambda result: result, len(self.scanned))
+        layers["exponent_checks"] = (self.exponent_checks, digest_pairs, BATCH)
         layers["verify_op"] = (self.verify_op, lambda result: result, 1)
         return layers
 
@@ -190,6 +205,18 @@ class Side:
         with mock.patch.object(self.cli, "_random_samples", lambda seed, count: self.samples), \
                 mock.patch.object(self.cli, "scan_monotonicity", lambda *args: next(scans)):
             return self.verify_op()
+
+    def exponent_checks(self):
+        pair_type, named_pair = self.package.ExponentPair, self.mwd._pair
+        report = [(name, 0.7) for name in self.mwd._CHAIN]
+        report += [("hydrodynamic", 0.5), ("sedimentation", 0.5)]
+        return [
+            (
+                self.cli._parse_grid("default"),
+                [pair_type(*named_pair(name, value)) for name, value in report],
+            )
+            for _ in range(BATCH)
+        ]
 
     def verify_op(self):
         out = io.StringIO()

@@ -20,27 +20,60 @@ from typing import BinaryIO, Callable, Iterator, TextIO
 from .errors import IngestionError, ParameterDomainError
 
 
-def _is_finite_real(value: object) -> bool:
-    """True for a real number, such as an int, a float or a numpy integer,
-    that is a finite double.
+def _number(
+    value: object, *, integral: bool = False, not_real: str | None = None
+) -> float | int | None:
+    """The number parameter ``value`` as the double an entry computes with,
+    or None when it is none: the package's one rule for number parameters.
 
-    An int past the double range (``10**400``) is not one; ``math.isfinite``
-    would raise ``OverflowError`` on it rather than answer.
+    A number parameter is a ``numbers.Real`` (an int, float, bool,
+    ``Fraction``, numpy integer or float) whose double is finite.  A ``str``,
+    ``bytes``, ``Decimal`` or numpy array is none, though ``float()`` takes
+    it.  Entries check their range on the double, so a positive ``Fraction``
+    that rounds to 0.0 is 0.0 there.  With ``integral`` the result is the
+    ``int`` of an integral value (``5``, ``5.0``, ``np.int64(5)``), else None.
+    With ``not_real``, a value that is no ``numbers.Real`` raises
+    :class:`ParameterDomainError` with that message, for an entry that words
+    it apart from a real whose double is not finite.
     """
-    if not isinstance(value, numbers.Real):
-        return False
+    # float and int first: the ABC's own check costs about ten times as much
+    if not isinstance(value, (float, int, numbers.Real)):
+        if not_real is not None:
+            raise ParameterDomainError(not_real)
+        return None
     try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        double = float(value)
+    except OverflowError:  # an int or a Fraction past the double range
+        return None
+    if not math.isfinite(double):
+        return None
+    if integral:
+        whole = int(value)
+        return whole if whole == value else None
+    return double
+
+
+def _parameter(
+    value: object, refusal: str, within: Callable[[float], bool], *, integral: bool = False
+) -> float | int:
+    """``value`` as :func:`_number` gives it, if ``within`` holds for that;
+    otherwise :class:`ParameterDomainError`, ``refusal`` followed by the
+    value it got."""
+    number = _number(value, integral=integral)
+    if number is None or not within(number):
+        raise ParameterDomainError(f"{refusal}, got {_shown(value)}")
+    return number
 
 
 def _shown(value: object) -> str:
-    """``value`` as an error message shows it; a huge int is not spelled out
-    (past 4,300 digits, ``repr`` would raise ``ValueError`` instead)."""
-    if isinstance(value, int) and not _is_finite_real(value):
+    """``value`` as an error message shows it; a huge int, or a ``Fraction`` of
+    one, is not spelled out (past 4,300 digits ``repr`` raises ``ValueError``)."""
+    if isinstance(value, int) and _number(value) is None:
         return "an integer too large for a double"
-    return repr(value)
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to show"
 
 
 def _checked_path(path: object) -> Path:

@@ -22,7 +22,7 @@ from typing import Iterable
 
 from ._util import _shown
 from .errors import HypothesisError, ParameterDomainError
-from .means import _finite_exponent, _PowerSums, log_power_sum
+from .means import _exponent, _PowerSums, log_power_sum
 from .sample import ExponentPair, PositiveSample, _checked_pairs, _checked_sample
 
 __all__ = [
@@ -153,7 +153,7 @@ def convexity_gap(sample: PositiveSample, p: float) -> float:
     also where |p| * max|ln a| overflows and :func:`log_power_sum` refuses
     the exponent, as :func:`secant_slope` and every mean do.
     """
-    p = _finite_exponent(p)
+    p = _exponent(p)
     if _checked_sample(sample, 0).is_uniform:
         return 0.0
     return log_power_sum(sample, p).moment2_centered
@@ -188,8 +188,8 @@ def scan_monotonicity(
     # each link's lower slope, then its upper one.  Without _sums each slope
     # forms its log sums afresh, as secant_slope does: the benchmark's tracer
     # self-test pins the kernel calls this makes on ``verify`` without
-    # ``--oracle`` (ROADMAP item 2); once that pin is released, a memo per
-    # sample can serve every caller (ROADMAP item 3).
+    # ``--oracle`` until ROADMAP item 11 releases that pin; then ROADMAP
+    # item 3 drops ``fresh``, and a memo per sample serves every caller.
     ends = [(pair.p, pair.q) for pair in pairs]
     sums = _PowerSums(sample) if _sums is None else _sums
     slopes = sums.slopes([end for link in zip(ends, ends[1:]) for end in link], fresh=_sums is None)

@@ -504,8 +504,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     write = sys.stdout.write
     for index, sample in enumerate(samples):
         head = f"sample {index:04d}  "
-        # without --oracle the audit forms each slope's log sums afresh, the
-        # kernel calls the benchmark's tracer self-test pins (ROADMAP item 2)
+        # without --oracle each slope forms its log sums afresh, the kernel calls
+        # the tracer self-test pins until ROADMAP item 11; item 3 then drops fresh
         memo = {} if memos is None else {"_sums": memos[index]}
         for chain, chain_labels in zip(chains, labels):
             verdicts = scan_monotonicity(sample, chain, **memo)

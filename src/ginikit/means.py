@@ -34,6 +34,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import _backend, _kernels_py
+from ._util import _number, _shown
 from .errors import ParameterDomainError
 from .sample import ExponentPair, PositiveSample, _checked_pairs, _checked_sample
 
@@ -83,18 +84,17 @@ class LogPowerSum(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-def _finite_exponent(p: float, name: str = "p") -> float:
-    try:
-        value = float(p)
-    except (TypeError, ValueError) as exc:
-        raise ParameterDomainError(f"exponent {name} must be a real number") from exc
-    except OverflowError:
+def _exponent(p: object, name: str = "p") -> float:
+    """``p`` as the double of a finite exponent (:func:`ginikit._util._number`),
+    refused in this module's words."""
+    value = _number(p)
+    if value is None:
+        # raises unless a real; a real that fails is an int too large for a
+        # double, or NaN, an infinity or a huge Fraction, which get the hint
+        _number(p, not_real=f"exponent {name} must be a real number")
         raise ParameterDomainError(
-            f"exponent {name} must be finite, got an integer too large for a double"
-        ) from None
-    if not math.isfinite(value):
-        raise ParameterDomainError(
-            f"exponent {name} must be finite, got {p!r}; use extreme_value for limits"
+            f"exponent {name} must be finite, got {_shown(p)}"
+            + ("" if isinstance(p, int) else "; use extreme_value for limits")
         )
     return value
 
@@ -166,7 +166,7 @@ def _checked_arguments(sample: object, p: object, moments: object) -> tuple[floa
         raise ParameterDomainError(
             f"moments must be true or false, got {type(moments).__name__}"
         ) from None
-    p = _finite_exponent(p)
+    p = _exponent(p)
     if not math.isfinite(abs(p) * sample._max_abs_log_value):
         raise ParameterDomainError(
             f"exponent {p!r} is too large for this sample: "
@@ -309,8 +309,8 @@ def secant_slope(sample: PositiveSample, p: float, q: float) -> float:
     finite reals before the memo runs.  :func:`gini_mean` and the memo's
     other callers pass an :class:`ExponentPair`, checked when it was built.
     """
-    p = _finite_exponent(p, "p")
-    q = _finite_exponent(q, "q")
+    p = _exponent(p, "p")
+    q = _exponent(q, "q")
     return _PowerSums(_checked_sample(sample, 0)).slope(p, q)
 
 
@@ -337,7 +337,7 @@ def identical_parameter_gini(sample: PositiveSample, p: float) -> float:
     does, except on a uniform sample, which returns its common value at any
     finite p, as :func:`gini_mean` does.
     """
-    p = _finite_exponent(p)
+    p = _exponent(p)
     return gini_mean(sample, ExponentPair(p, p))
 
 
@@ -350,13 +350,13 @@ def power_mean(sample: PositiveSample, r: float) -> float:
     tilted mean of ln a at r / 2: within O(r^2) of M_r, and at r = 0 the
     weighted geometric mean, M_0's limiting value.
     """
-    r = _finite_exponent(r, "r")
+    r = _exponent(r, "r")
     return gini_mean(sample, ExponentPair(r, 0.0))
 
 
 def lehmer_mean(sample: PositiveSample, p: float) -> float:
     """The Lehmer mean sum(w a**p) / sum(w a**(p-1)), i.e. G(p, p-1)."""
-    p = _finite_exponent(p)
+    p = _exponent(p)
     return gini_mean(sample, ExponentPair(p, p - 1.0))
 
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import _backend
 from ._util import (
-    _checked_path, _forked, _from_both_ends, _is_finite_real, _lines, _shown, atomic_write_text,
-    atomic_writer, format_double, read_text,
+    _checked_path, _forked, _from_both_ends, _lines, _number, _parameter, _shown,
+    atomic_write_text, atomic_writer, format_double, read_text,
 )
 from .errors import DataError, IngestionError, ParameterDomainError
 from .means import _PowerSums
@@ -161,26 +161,19 @@ def _checked(value: object, kind: type[_T]) -> _T:
 # ---------------------------------------------------------------------------
 
 
-def _check_viscosity_exponent(s: float) -> None:
-    if not (_is_finite_real(s) and 0.0 < s <= 2.0):
-        raise ParameterDomainError(f"viscosity exponent s must be in (0, 2], got {_shown(s)}")
+_VISCOSITY = ("viscosity exponent s must be in (0, 2]", lambda s: 0.0 < s <= 2.0)
+_CALIBRATION = ("calibration exponent b must be in (0, 1)", lambda b: 0.0 < b < 1.0)
 
-
-def _check_calibration_exponent(b: float) -> None:
-    if not (_is_finite_real(b) and 0.0 < b < 1.0):
-        raise ParameterDomainError(f"calibration exponent b must be in (0, 1), got {_shown(b)}")
-
-
-#: Each named average: the domain check of its parameter (None when it takes
-#: none) and its exponent pair (p, q) as a function of that parameter, which
-#: is s for Mv and b for the two calibration means.
+#: Each named average: its parameter's domain for :func:`ginikit._util._parameter`
+#: (None when it takes none) and its exponent pair (p, q) as a function of
+#: that parameter's double, which is s for Mv and b for the calibration means.
 _AVERAGES = {
     "Mn": (None, lambda _: (1.0, 0.0)),
     "Mw": (None, lambda _: (2.0, 1.0)),
     "Mz": (None, lambda _: (3.0, 2.0)),
-    "Mv": (_check_viscosity_exponent, lambda s: (1.0 + s, 1.0)),
-    "hydrodynamic": (_check_calibration_exponent, lambda b: (1.0, 1.0 - b)),
-    "sedimentation": (_check_calibration_exponent, lambda b: (2.0 - b, 1.0 - b)),
+    "Mv": (_VISCOSITY, lambda s: (1.0 + s, 1.0)),
+    "hydrodynamic": (_CALIBRATION, lambda b: (1.0, 1.0 - b)),
+    "sedimentation": (_CALIBRATION, lambda b: (2.0 - b, 1.0 - b)),
     "effective": (None, lambda _: (1.5, -1.5)),
 }
 
@@ -189,10 +182,11 @@ _CHAIN = ("Mn", "Mv", "Mw", "Mz")
 
 
 def _pair(name: str, parameter: float | None = None) -> tuple[float, float]:
-    """The exponent pair of a named average, after its parameter's domain check."""
-    check, pair = _AVERAGES[name]
-    if check is not None:
-        check(parameter)
+    """The exponent pair of a named average, formed from its parameter's double
+    after the domain check."""
+    domain, pair = _AVERAGES[name]
+    if domain is not None:
+        parameter = _parameter(parameter, *domain)
     return pair(parameter)
 
 
@@ -391,10 +385,7 @@ def polydispersity(
     Any other ``custom`` is read lazily, in one process: each entry is read
     after the pair before it is evaluated.
     """
-    if not (_is_finite_real(s) and 0.0 < s <= 1.0):
-        raise ParameterDomainError(
-            f"report viscosity exponent s must be in (0, 1], got {_shown(s)}"
-        )
+    s = _parameter(s, "report viscosity exponent s must be in (0, 1]", lambda v: 0.0 < v <= 1.0)
     try:
         entries = iter(custom)
     except TypeError:
@@ -430,7 +421,7 @@ def polydispersity(
         pdi=pdi,
         z_ratio=mz / mw,
         schulz_u=pdi - 1.0,
-        s=float(s),
+        s=s,
         custom=extras,
     )
 
@@ -450,15 +441,9 @@ def generate_flory(m0: float, x: float, tail_tol: float = 1e-12) -> MWDataset:
     Closed forms for the untruncated distribution: Mn = m0/(1-x),
     pdi -> 1 + x.
     """
-    m0 = _positive_double(m0, "m0")
-    if not (_is_finite_real(x) and 0.0 < float(x) < 1.0):
-        raise ParameterDomainError(f"conversion x must be in (0, 1), got {_shown(x)}")
-    x = float(x)
-    if not (_is_finite_real(tail_tol) and 0.0 < float(tail_tol) <= 1e-6):
-        raise ParameterDomainError(
-            f"tail_tol must be in (0, 1e-6], got {_shown(tail_tol)}"
-        )
-    tol = float(tail_tol)
+    m0 = _parameter(m0, "m0 must be a finite real > 0", lambda v: v > 0.0)
+    x = _parameter(x, "conversion x must be in (0, 1)", lambda v: 0.0 < v < 1.0)
+    tol = _parameter(tail_tol, "tail_tol must be in (0, 1e-6]", lambda v: 0.0 < v <= 1e-6)
     kmax = max(1, math.ceil(math.log(tol) / math.log(x)))
     while x**kmax >= tol:
         kmax += 1
@@ -486,8 +471,8 @@ def generate_poisson(m0: float, mean_degree: float) -> MWDataset:
     pdi - 1 = lam/(1+lam)**2 with lam = mean_degree, so pdi -> 1 for both
     tiny and huge mean degrees.
     """
-    m0 = _positive_double(m0, "m0")
-    lam = _positive_double(mean_degree, "mean_degree")
+    m0 = _parameter(m0, "m0 must be a finite real > 0", lambda v: v > 0.0)
+    lam = _parameter(mean_degree, "mean_degree must be a finite real > 0", lambda v: v > 0.0)
     half_width = 10.0 * math.sqrt(lam) + 30.0
     k_low = max(1, math.floor(1.0 + lam - half_width))
     k_high = math.ceil(1.0 + lam + half_width)
@@ -520,17 +505,14 @@ def generate_lognormal(median_mass: float, sigma: float, n_points: int) -> MWDat
     density at z.  sigma = 0 degenerates to n_points identical species
     (a monodisperse dataset).
     """
-    median_mass = _positive_double(median_mass, "median_mass")
-    if not (_is_finite_real(sigma) and float(sigma) >= 0.0):
-        raise ParameterDomainError(f"sigma must be a finite real >= 0, got {_shown(sigma)}")
-    sigma = float(sigma)
-    try:
-        integral = int(n_points) == n_points
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinity
-        integral = False
-    if not integral or n_points < 2:
-        raise ParameterDomainError(f"n_points must be an integer >= 2, got {_shown(n_points)}")
-    _check_species_count(int(n_points), "lognormal")
+    median_mass = _parameter(
+        median_mass, "median_mass must be a finite real > 0", lambda v: v > 0.0
+    )
+    sigma = _parameter(sigma, "sigma must be a finite real >= 0", lambda v: v >= 0.0)
+    n_points = _parameter(
+        n_points, "n_points must be an integer >= 2", lambda v: v >= 2, integral=True
+    )
+    _check_species_count(n_points, "lognormal")
     # the grid's ends are z = -4 and 4 exactly: its extreme masses, formed as below
     with np.errstate(over="ignore", under="ignore"):
         lowest, highest = median_mass * np.exp(sigma * np.array([-4.0, 4.0]))
@@ -539,14 +521,14 @@ def generate_lognormal(median_mass: float, sigma: float, n_points: int) -> MWDat
         highest,
         f"lognormal parameters (median = {_shown(median_mass)}, sigma = {_shown(sigma)})",
     )
-    z = np.linspace(-4.0, 4.0, int(n_points))
+    z = np.linspace(-4.0, 4.0, n_points)
     weights = np.exp(-0.5 * z * z)
     weights /= weights.sum()
     return _dataset_of_fresh_arrays(
         median_mass * np.exp(sigma * z),
         weights,
         f"lognormal(median={format_double(median_mass)}, "
-        f"sigma={format_double(sigma)}, n={int(n_points)})",
+        f"sigma={format_double(sigma)}, n={n_points})",
     )
 
 
@@ -565,9 +547,8 @@ def _dataset_of_fresh_arrays(
 
 def _check_species_count(count: int, model: str) -> None:
     if count > MAX_SPECIES:
-        need = count if _is_finite_real(count) else "more than 1e308"
         raise ParameterDomainError(
-            f"{model} parameters need {need} species, more than the cap of {MAX_SPECIES}"
+            f"{model} parameters need {count} species, more than the cap of {MAX_SPECIES}"
         )
 
 
@@ -596,17 +577,6 @@ def _without_underflowed_tail(
     """
     keep = int(np.flatnonzero(weights)[-1]) + 1
     return k[:keep], weights[:keep]
-
-
-def _positive_double(value: float, name: str) -> float:
-    """``value`` as the double a generator computes with, which must be > 0.
-
-    The range is checked on the double, so a positive value that rounds to
-    0.0 is refused here rather than failing later in the arithmetic.
-    """
-    if not (_is_finite_real(value) and float(value) > 0.0):
-        raise ParameterDomainError(f"{name} must be a finite real > 0, got {_shown(value)}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -844,9 +814,10 @@ def _json_number(value: object, what: str) -> float:
     """A JSON number as a finite positive double, or an error naming ``what``."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise IngestionError(f"{what} must be a number")
-    if not (_is_finite_real(value) and value > 0.0):
+    number = _number(value)
+    if number is None or not number > 0.0:
         raise IngestionError(f"{what} must be finite and > 0, got {_shown(value)}")
-    return float(value)
+    return number
 
 
 def save_mwd(dataset: MWDataset, path: str | Path) -> None:

@@ -53,7 +53,7 @@ from mpmath.libmp import (
     mpf_sqrt, mpf_sub, mpf_sum, to_float,
 )
 
-from ._util import _from_both_ends, _is_finite_real, _shown
+from ._util import _from_both_ends, _parameter
 from .errors import OracleDomainError, ParameterDomainError
 from .means import _PowerSums
 from .sample import (
@@ -86,15 +86,12 @@ _FORK_MIN_TERMS = 1000
 
 def _checked_digits(digits: int) -> int:
     """The working precision ``digits`` as an int; an integer in [50, MAX_DIGITS]."""
-    # finiteness first: int() raises a bare ValueError on NaN and an
-    # OverflowError on infinity, and a huge int is no usable precision
-    if not _is_finite_real(digits) or int(digits) != digits or digits < 50:
-        raise ParameterDomainError(
-            f"precision_digits must be an integer >= 50, got {_shown(digits)}"
-        )
-    if digits > MAX_DIGITS:
+    whole = _parameter(
+        digits, "precision_digits must be an integer >= 50", lambda d: d >= 50, integral=True
+    )
+    if whole > MAX_DIGITS:
         raise ParameterDomainError(f"precision_digits must be <= {MAX_DIGITS}, got {digits}")
-    return int(digits)
+    return whole
 
 
 @functools.lru_cache(maxsize=64)
@@ -191,10 +188,9 @@ class _LiftedSample:
         ]
 
     def power_sum(self, exponent: float) -> tuple:
-        key = float(exponent)
-        if key not in self._sums:
-            self._sums[key] = mpf_sum(self.terms(key), self._prec, self._rounding)
-        return self._sums[key]
+        if exponent not in self._sums:
+            self._sums[exponent] = mpf_sum(self.terms(exponent), self._prec, self._rounding)
+        return self._sums[exponent]
 
     def gini(self, params: ExponentPair) -> float:
         prec, rounding = self._prec, self._rounding

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from . import _backend
 from ._kernels_py import VECTOR_MIN_N
-from ._util import _shown
+from ._util import _number, _shown
 from .errors import DataError, ParameterDomainError
 
 __all__ = ["PositiveSample", "ExponentPair"]
@@ -152,26 +151,20 @@ class ExponentPair:
 
     The Gini mean is symmetric in its two exponents, so the constructor
     swaps them into canonical order; ``ExponentPair(0, 2) == ExponentPair(2, 0)``.
-    Exponents must be finite real numbers (``numbers.Real``): the p -> +/-inf
-    limits are served exactly by ``extreme_value`` instead of approximated here.
+    Exponents must be number parameters (:func:`ginikit._util._number`) and
+    are stored as their doubles: the p -> +/-inf limits are served exactly by
+    ``extreme_value`` instead of approximated here.
     """
 
     p: float
     q: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, numbers.Real) and isinstance(self.q, numbers.Real)):
-            raise ParameterDomainError("exponents must be real numbers")
-        try:
-            p = float(self.p)
-            q = float(self.q)
-        except OverflowError:
+        p = _number(self.p, not_real="exponents must be real numbers")
+        q = _number(self.q, not_real="exponents must be real numbers")
+        if p is None or q is None:
             raise ParameterDomainError(
-                "exponents must be finite, got an integer too large for a double"
-            ) from None
-        if not (np.isfinite(p) and np.isfinite(q)):
-            raise ParameterDomainError(
-                f"exponents must be finite, got p={self.p!r}, q={self.q!r}"
+                f"exponents must be finite, got p={_shown(self.p)}, q={_shown(self.q)}"
             )
         if p < q:
             p, q = q, p

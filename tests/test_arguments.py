@@ -6,17 +6,29 @@ argument in every other place.  Each call must return or raise a
 :class:`ginikit.GinikitError`, the rule :mod:`ginikit.errors` states.  The
 one exception is a ``str`` path of a file that does not exist, which stays an
 ``OSError``, as a missing file does everywhere.
+
+Two more sweeps hold the rule for number parameters: a value that is no
+``numbers.Real`` is refused, though ``float()`` would take it, and a real of
+another type acts as its double.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import time
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
 
 import ginikit
 from ginikit import (
     ExponentPair,
     GinikitError,
+    MWDataset,
+    ParameterDomainError,
     ParameterOrder,
     PositiveSample,
     generate_lognormal,
@@ -28,6 +40,24 @@ from helpers import HOSTILE
 
 #: Where the sweep may take an ``OSError``: a path parameter given a ``str``.
 PATH_PARAMETERS = {"path"}
+
+#: The parameters that take a number (see ``ginikit._util._number``).
+NUMBER_PARAMETERS = {
+    "p", "q", "r", "b", "s", "m0", "x", "tail_tol", "mean_degree", "median_mass", "sigma",
+    "n_points", "precision_digits",
+}
+
+#: Callables that keep any value they are given, checking none.
+PLAIN_RECORDS = {"AuditVerdict", "EquivalenceSummary", "LogPowerSum", "CustomMean", "MeansReport"}
+
+#: Kinds of value that ``float()`` takes but that are no ``numbers.Real``,
+#: each made from a number, and the number each is tried with first.
+NOT_REAL = {
+    "str": (str, 2),
+    "bytes": (lambda number: str(number).encode(), 2),
+    "Decimal": (lambda number: Decimal(str(number)), 0.5),
+    "0-d array": (np.array, 0.5),
+}
 
 
 def valid_arguments(tmp_path) -> dict[str, dict[str, object]]:
@@ -117,6 +147,43 @@ def public_calls(tmp_path) -> list[tuple[str, object, list[inspect.Parameter], d
     return calls
 
 
+def number_calls(tmp_path):
+    """Each number parameter of each callable that checks its arguments, as
+    ``(callable name, entry, parameters, arguments, parameter name)``."""
+    return [
+        (name, entry, parameters, arguments, parameter.name)
+        for name, entry, parameters, arguments in public_calls(tmp_path)
+        if name not in PLAIN_RECORDS
+        for parameter in parameters
+        if parameter.name in NUMBER_PARAMETERS
+    ]
+
+
+def bits(result: object) -> object:
+    """``result`` in a form that compares equal only for the same bits."""
+    if isinstance(result, float):
+        return type(result).__name__, result.hex()
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.tobytes()
+    if isinstance(result, (list, tuple)):
+        return type(result).__name__, [bits(item) for item in result]
+    if isinstance(result, MWDataset):
+        return bits((result.masses, result.abundances, result.label))
+    if dataclasses.is_dataclass(result):
+        return type(result).__name__, [
+            bits(getattr(result, field.name)) for field in dataclasses.fields(result)
+        ]
+    return type(result).__name__, result
+
+
+def outcome(entry, parameters, arguments) -> tuple[str, object]:
+    """The bits of a call's result, or the class of the package error it raised."""
+    try:
+        return "result", bits(call(entry, parameters, arguments))
+    except GinikitError as exc:
+        return "error", type(exc).__name__
+
+
 def call(entry, parameters: list[inspect.Parameter], arguments: dict) -> object:
     positional = [
         arguments[parameter.name]
@@ -163,3 +230,46 @@ class TestArgumentSweep:
         assert len(calls) == 37
         assert swept == len(HOSTILE) * sum(len(parameters) for _, _, parameters, _ in calls)
         assert elapsed < 2.0
+
+
+class TestNumberParameters:
+    """A number parameter is a ``numbers.Real`` whose double is finite."""
+
+    def test_every_number_parameter_is_swept(self, tmp_path):
+        swept = {parameter for *_, parameter in number_calls(tmp_path)}
+        assert swept == NUMBER_PARAMETERS
+
+    @pytest.mark.parametrize("kind, number", NOT_REAL.values(), ids=list(NOT_REAL))
+    def test_values_that_are_no_real_are_refused(self, tmp_path, monkeypatch, kind, number):
+        # the kind made from its own number ("2", say) and from the valid
+        # argument of each parameter, which the parameter's range takes
+        monkeypatch.chdir(tmp_path)
+        accepted = []
+        for name, entry, parameters, arguments, parameter in number_calls(tmp_path):
+            for value in (kind(number), kind(arguments[parameter])):
+                try:
+                    call(entry, parameters, {**arguments, parameter: value})
+                except ParameterDomainError:
+                    continue
+                accepted.append((name, parameter, repr(value)))
+        assert accepted == []
+
+    @pytest.mark.parametrize(
+        "kind",
+        [int, np.int64, np.float64, np.float32, Fraction, lambda value: True],
+        ids=["int", "np.int64", "np.float64", "np.float32", "Fraction", "True"],
+    )
+    def test_a_real_of_another_type_acts_as_its_double(self, tmp_path, monkeypatch, kind):
+        # the valid argument of each parameter, made the given type (an int
+        # type truncates it), against the call with that value's double;
+        # where the double is out of range, both are refused alike
+        monkeypatch.chdir(tmp_path)
+        differ = []
+        for name, entry, parameters, arguments, parameter in number_calls(tmp_path):
+            base = arguments[parameter]
+            value = kind(int(base)) if kind in (int, np.int64) else kind(base)
+            got = outcome(entry, parameters, {**arguments, parameter: value})
+            want = outcome(entry, parameters, {**arguments, parameter: float(value)})
+            if got != want:
+                differ.append((name, parameter, repr(value), got[0], want[0]))
+        assert differ == []

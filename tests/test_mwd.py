@@ -166,6 +166,22 @@ class TestAverages:
         quartet = MWDataset(masses=[1.0, 4.0], abundances=[1.0, 1.0])
         assert effective_parameter_mean(quartet) == 2.0
 
+    @pytest.mark.parametrize(
+        "average, value",
+        [
+            (viscosity_average, np.float32(0.7)),
+            (hydrodynamic_mean, np.float32(0.1)),
+            (sedimentation_mean, np.float32(0.1)),
+            (lambda dataset, s: polydispersity(dataset, s).Mv, np.float32(0.7)),
+        ],
+        ids=["Mv", "hydrodynamic", "sedimentation", "report-Mv"],
+    )
+    def test_a_float32_parameter_acts_as_its_double(self, average, value):
+        # 1.0 + s, 1.0 - b and 2.0 - b are float32 sums on a float32 (NEP 50),
+        # which would move the exponents off the double the parameter stands for
+        dataset = generate_flory(28.0, 0.9)
+        assert average(dataset, value).hex() == average(dataset, float(value)).hex()
+
     def test_hydrodynamic_above_number_average_over_b_grid(self, two_species):
         mn = number_average(two_species)
         for b in np.linspace(0.01, 0.99, 50):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,4 +275,18 @@ HUGE_DIGIT_CALLS = {
 def test_ints_past_the_digit_limit_are_package_errors(call, error):
     # formatting HUGE into the message would raise a bare ValueError instead
     with pytest.raises(error, match="an integer too large for a double"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: means.power_mean(SAMPLE, Fraction(HUGE)),
+        lambda: mwd.generate_flory(Fraction(1, HUGE), 0.5),
+    ],
+    ids=["power_mean.r", "generate_flory.m0"],
+)
+def test_fractions_past_the_digit_limit_are_package_errors(call):
+    # repr of a Fraction made of HUGE raises a bare ValueError, as HUGE's does
+    with pytest.raises(ParameterDomainError, match="got a Fraction too long to show"):
         call()
