@@ -16,6 +16,8 @@ weights in [0.5, 2]):
 
 - ``sample_n{2,4,8,16}``: one ``PositiveSample(values, weights)`` from fresh
   writeable arrays, which it copies;
+- ``random_samples``: ``cli._random_samples(SEED, BATCH)``, the draws and
+  samples of the op below, per sample;
 - ``log_power_sum``: one call at each exponent of the default grid;
 - ``secant_slope``: one call on each pair of the default grid;
 - ``scan_monotonicity``: one scan of the default grid's first chain;
@@ -98,6 +100,7 @@ def digest_samples(samples) -> list[tuple]:
             [(a.tobytes(), a.dtype.str, a.flags.writeable) for a in arrays(s)],
             float_bits(s.min_value, s.max_value, s._max_abs_log_value),
             s.is_uniform,
+            None if s._loop_lists is None else [float_bits(*xs) for xs in s._loop_lists],
         )
         for s in samples
     ]
@@ -161,6 +164,9 @@ class Side:
             f"sample_n{n}": (lambda cases=cases: self.build(cases), digest_samples, BATCH)
             for n, cases in self.inputs.items()
         }
+        layers["random_samples"] = (
+            lambda: self.cli._random_samples(SEED, BATCH), digest_samples, BATCH
+        )
         layers["log_power_sum"] = (
             self.log_power_sums, digest_power_sums, BATCH * len(self.exponents)
         )

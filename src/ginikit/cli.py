@@ -31,7 +31,7 @@ from .audit import ParameterOrder, scan_monotonicity
 from .errors import GinikitError, HypothesisError, IngestionError, ParameterDomainError
 from .means import _PowerSums, gini_mean, lehmer_mean, power_mean
 from .plotting import render_csv, render_svg
-from .sample import ExponentPair, PositiveSample
+from .sample import ExponentPair, PositiveSample, _sample_batch
 
 __all__ = ["main", "build_parser", "DEFAULT_GRID_CHAINS"]
 
@@ -44,11 +44,13 @@ DEFAULT_GRID_CHAINS: tuple[tuple[tuple[float, float], ...], ...] = (
 )
 
 #: Most samples ``verify --random SEED N`` builds.  Every sample is held
-#: until the command ends: about 1 KB each, 1.5 KB under ``--oracle``, which
-#: also holds each sample's memo of log sums from the oracle until its audit,
-#: and 5.5 KB with its ``--report`` rows (``tracemalloc`` peak, per sample
-#: added from 2,000 to 4,000), and 0.25 ms with the pure kernel.  So a larger
-#: N is refused before any sample is built.
+#: until the command ends.  Per sample added from 2,000 to 4,000
+#: (``tracemalloc``, pure kernel): the samples hold 1.66 KB each, and
+#: building them in one batch peaks at 2.23 KB each, which is also the whole
+#: command's peak; under ``--oracle``, which also holds each sample's memo
+#: of log sums from the oracle until its audit, the peak is 2.63 KB, and
+#: 6.6 KB with its ``--report`` rows.  A sample takes about 0.11 ms, 0.23 ms
+#: under ``--oracle``.  So a larger N is refused before any sample is built.
 MAX_RANDOM_SAMPLES = 100_000
 
 #: One check of a ``verify --report`` file, laid out as
@@ -440,13 +442,20 @@ def _random_samples(seed: int, count: int) -> list[PositiveSample]:
             f"sample count must be <= {MAX_RANDOM_SAMPLES}, got {count}"
         )
     rng = np.random.default_rng(seed)
-    samples = []
+    lengths, exponents, weights = [], [], []
     for _ in range(count):
         n = int(rng.integers(2, 17))
-        values = 10.0 ** rng.uniform(-3.0, 3.0, n)
-        weights = rng.uniform(0.5, 2.0, n)
-        samples.append(PositiveSample(values, weights))
-    return samples
+        lengths.append(n)
+        exponents.append(rng.uniform(-3.0, 3.0, n))
+        weights.append(rng.uniform(0.5, 2.0, n))
+    # one batch powers, logs, sorts and ranges every sample; each numpy call
+    # there is elementwise or per run, so a sample gets the bits it would
+    # get on its own.  The per-sample draws are let go first, which lowers
+    # the peak.
+    values = 10.0 ** np.concatenate(exponents)
+    weights = np.concatenate(weights)
+    del exponents
+    return _sample_batch(values, weights, lengths)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -16,17 +17,14 @@ from .errors import DataError, ParameterDomainError
 __all__ = ["PositiveSample", "ExponentPair"]
 
 
-def _positive_array_and_range(
-    data: Iterable[float], what: str
-) -> tuple[np.ndarray, float, float]:
-    """``data`` as a 1-D float64 array, with its smallest and largest entries.
+def _float_array(data: Iterable[float], what: str) -> np.ndarray:
+    """``data`` as a nonempty 1-D float64 array, not yet checked for range.
 
-    Raises DataError unless ``data`` is a nonempty 1-D sequence of finite,
-    strictly positive reals.
+    A writeable array is copied, never frozen or aliased, since the caller
+    still owns it; a read-only float64 array is used as it is.
     """
     try:
         if isinstance(data, np.ndarray) and data.flags.writeable:
-            # never freeze (or alias) a buffer the caller still owns
             arr = np.array(data, dtype=np.float64)
         else:
             arr = np.asarray(data, dtype=np.float64)
@@ -40,6 +38,11 @@ def _positive_array_and_range(
         raise DataError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise DataError(f"{what} must contain at least one entry")
+    return arr
+
+
+def _check_positive(arr: np.ndarray, what: str) -> None:
+    """Raise DataError unless every entry of ``arr`` is finite and positive."""
     # min and max propagate NaN, and an infinity of either sign is one of
     # them, so these two reductions decide both checks
     lo = float(arr.min())
@@ -48,12 +51,17 @@ def _positive_array_and_range(
         raise DataError(f"{what} must be finite (no NaN or infinity)")
     if not lo > 0.0:
         raise DataError(f"{what} must be strictly positive")
-    return arr, lo, hi
 
 
 def _as_positive_array(data: Iterable[float], what: str) -> np.ndarray:
-    """``data`` as a 1-D float64 array (see :func:`_positive_array_and_range`)."""
-    return _positive_array_and_range(data, what)[0]
+    """``data`` as a 1-D float64 array.
+
+    Raises DataError unless ``data`` is a nonempty 1-D sequence of finite,
+    strictly positive reals.
+    """
+    arr = _float_array(data, what)
+    _check_positive(arr, what)
+    return arr
 
 
 class PositiveSample:
@@ -66,7 +74,10 @@ class PositiveSample:
     permuted sample gives the same bits, and no evaluation sorts again.  The
     largest |ln a| is read once from the two ends of the sorted ln a, for
     the exponent domain check of every evaluation.  All four arrays are
-    frozen (non-writable), so a sample can be shared freely.
+    frozen (non-writable), so a sample can be shared freely.  The samples
+    of ``verify --random`` are built in one batch (:func:`_sample_batch`),
+    and each one's four arrays are frozen views of four buffers shared by
+    the batch, which stay alive while any of its samples does.
 
     With the pure kernel, a sample of fewer than ``VECTOR_MIN_N`` values also
     keeps the two sorted log arrays as Python float lists, made once, which
@@ -95,41 +106,23 @@ class PositiveSample:
     def __init__(
         self, values: Iterable[float], weights: Iterable[float] | None = None
     ) -> None:
-        vals, min_value, max_value = _positive_array_and_range(values, "values")
+        vals = _float_array(values, "values")
         if weights is None:
             wts = np.ones_like(vals)
         else:
-            wts = _as_positive_array(weights, "weights")
-            if wts.shape != vals.shape:
-                raise DataError(
-                    f"weights length {wts.size} does not match values length {vals.size}"
-                )
-        log_vals = np.log(vals)
-        log_wts = np.log(wts)
-        order = np.lexsort((log_wts, log_vals))
-        sorted_log_vals = log_vals[order]
-        sorted_log_wts = log_wts[order]
-        for arr in (vals, wts, sorted_log_vals, sorted_log_wts):
-            arr.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "is_uniform", min_value == max_value)
-        object.__setattr__(self, "min_value", min_value)
-        object.__setattr__(self, "max_value", max_value)
-        object.__setattr__(self, "_sorted_log_values", sorted_log_vals)
-        object.__setattr__(self, "_sorted_log_weights", sorted_log_wts)
-        object.__setattr__(
-            self,
-            "_max_abs_log_value",
-            max(-sorted_log_vals.item(0), sorted_log_vals.item(-1)),
-        )
-        object.__setattr__(
-            self,
-            "_loop_lists",
-            (sorted_log_vals.tolist(), sorted_log_wts.tolist())
-            if _backend.BACKEND == "python" and vals.size < VECTOR_MIN_N
-            else None,
-        )
+            try:
+                wts = _float_array(weights, "weights")
+                if wts.shape != vals.shape:
+                    _check_positive(wts, "weights")
+                    raise DataError(
+                        f"weights length {wts.size} does not match values length {vals.size}"
+                    )
+            except DataError:
+                # the values are checked before the weights, and both before
+                # the lengths
+                _check_positive(vals, "values")
+                raise
+        _sample_batch(vals, wts, (vals.size,), [self])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PositiveSample is immutable")
@@ -143,6 +136,94 @@ class PositiveSample:
 
     def __repr__(self) -> str:
         return f"PositiveSample(n={self.n}, uniform={self.is_uniform})"
+
+
+#: The run starts of a batch of one sample.  It is left writeable, since
+#: ``reduceat`` takes read-only indices on a slower path.
+_FIRST_ENTRY = np.zeros(1, dtype=np.intp)
+
+
+def _sample_batch(
+    values: np.ndarray,
+    weights: np.ndarray,
+    lengths: Sequence[int],
+    samples: list[PositiveSample] | None = None,
+) -> list[PositiveSample]:
+    """The samples of consecutive runs of ``values`` and ``weights``.
+
+    Run i holds the next ``lengths[i]`` (at least 1) entries of the two
+    float64 arrays, which must be 1-D, of length ``sum(lengths)``, and owned
+    by the caller's batch: they are frozen and each sample keeps views of
+    them (a batch of one keeps the arrays themselves).  A run that is not
+    finite and strictly positive raises the :class:`DataError` that
+    ``PositiveSample`` raises on it alone.  This is the one body that logs,
+    sorts and ranges samples: it fills ``samples`` (new ones by default, one
+    per run), and ``PositiveSample.__init__`` runs it on a batch of one.
+    Every numpy call here covers the whole batch; what each sample adds is
+    its views, slots and list slices.
+    """
+    count = len(lengths)
+    if count == 1:
+        bounds, starts = [0, lengths[0]], _FIRST_ENTRY
+    else:
+        bounds = list(accumulate(lengths, initial=0))
+        starts = np.array(bounds[:-1], dtype=np.intp)
+    lows = np.minimum.reduceat(values, starts).tolist()
+    highs = np.maximum.reduceat(values, starts).tolist()
+    runs = zip(
+        bounds, bounds[1:], lows, highs,
+        np.minimum.reduceat(weights, starts).tolist(),
+        np.maximum.reduceat(weights, starts).tolist(),
+    )
+    for start, end, lo, hi, wlo, whi in runs:
+        # min and max propagate NaN, and an infinity of either sign is one
+        # of them, so these four decide every check of the run
+        if not (lo > 0.0 and hi < math.inf and wlo > 0.0 and whi < math.inf):
+            _check_positive(values[start:end], "values")
+            _check_positive(weights[start:end], "weights")
+    log_values = np.log(values)
+    log_weights = np.log(weights)
+    # the run index is the primary key, so each run keeps its own
+    # (ln a, ln w) order; one run needs no such key
+    keys = (log_weights, log_values)
+    if count > 1:
+        keys += (np.repeat(np.arange(count), lengths),)
+    order = np.lexsort(keys)
+    sorted_log_values = log_values[order]
+    sorted_log_weights = log_weights[order]
+    buffers = (values, weights, sorted_log_values, sorted_log_weights)
+    for arr in buffers:
+        arr.setflags(write=False)
+    # the pure kernel's loop lists, made once for the batch if any run is
+    # short enough to take them
+    lists = None
+    if _backend.BACKEND == "python" and min(lengths) < VECTOR_MIN_N:
+        lists = (sorted_log_values.tolist(), sorted_log_weights.tolist())
+    if samples is None:
+        samples = [object.__new__(PositiveSample) for _ in range(count)]
+    setattr_ = object.__setattr__
+    for sample, start, end, lo, hi in zip(samples, bounds, bounds[1:], lows, highs):
+        # one run keeps the whole arrays, so a read-only array the caller
+        # passed is the sample's own, not a view of it
+        vals, wts, slv, slw = (
+            buffers if count == 1 else (arr[start:end] for arr in buffers)
+        )
+        setattr_(sample, "values", vals)
+        setattr_(sample, "weights", wts)
+        setattr_(sample, "is_uniform", lo == hi)
+        setattr_(sample, "min_value", lo)
+        setattr_(sample, "max_value", hi)
+        setattr_(sample, "_sorted_log_values", slv)
+        setattr_(sample, "_sorted_log_weights", slw)
+        setattr_(sample, "_max_abs_log_value", max(-slv.item(0), slv.item(-1)))
+        setattr_(
+            sample,
+            "_loop_lists",
+            (lists[0][start:end], lists[1][start:end])
+            if lists is not None and end - start < VECTOR_MIN_N
+            else None,
+        )
+    return samples
 
 
 @dataclass(frozen=True)

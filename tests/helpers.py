@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib.machinery
 import io
 import json
@@ -20,6 +21,7 @@ import mpmath as mp
 import numpy as np
 
 from ginikit import _backend, _util, cli, mwd, oracle
+from ginikit._kernels_py import VECTOR_MIN_N
 from ginikit._util import format_double
 from ginikit.audit import (
     ParameterOrder, check_monotonicity, check_power_mean_bound, scan_monotonicity
@@ -29,7 +31,7 @@ from ginikit.means import _PowerSums, gini_mean, identical_parameter_gini
 from ginikit.mwd import (
     CSV_HEADER, MWDataset, generate_flory, load_mwd, polydispersity, save_mwd
 )
-from ginikit.sample import ExponentPair, PositiveSample
+from ginikit.sample import ExponentPair, PositiveSample, _sample_batch
 
 
 #: The hostile arguments of the public API sweep: wrong types, and numbers
@@ -608,6 +610,93 @@ def split_outcomes_under_both_backends(
         assert name == backend
         runs[backend] = json.loads(rows)
     return runs
+
+
+def sample_bits(sample: PositiveSample) -> tuple:
+    """Every slot of ``sample``: arrays by dtype, bytes and flags, floats by
+    their bits (so -0.0 is not 0.0), and the loop lists entry by entry."""
+    arrays = (
+        sample.values, sample.weights, sample._sorted_log_values, sample._sorted_log_weights
+    )
+    lists = sample._loop_lists
+    return (
+        [(a.dtype.str, a.tobytes(), a.flags.writeable, a.flags.c_contiguous) for a in arrays],
+        np.array([sample.min_value, sample.max_value, sample._max_abs_log_value]).tobytes(),
+        [type(x) for x in (sample.min_value, sample.max_value, sample._max_abs_log_value)],
+        sample.is_uniform,
+        None if lists is None else [
+            ({type(x) for x in lst}, np.array(lst, dtype=np.float64).tobytes()) for lst in lists
+        ],
+    )
+
+
+#: Run lengths of :func:`batch_runs`: 1, small ones, both sides of
+#: ``VECTOR_MIN_N`` and one past it.
+BATCH_RUN_LENGTHS = (1, 1, 2, 3, 5, 16, VECTOR_MIN_N - 1, VECTOR_MIN_N, VECTOR_MIN_N + 1, 300)
+
+
+def batch_runs(rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """1 to 12 runs of (values, weights): log-uniform values over most of the
+    double range, uniform runs, and ln a ties that only ln w breaks (equal
+    values, and distinct values near 1e300 whose logs are one double)."""
+    runs = []
+    for _ in range(int(rng.integers(1, 13))):
+        n = int(rng.choice(BATCH_RUN_LENGTHS))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            values = log_uniform(rng, 1e-300, 1e300, n)
+        elif kind == 1:
+            values = np.full(n, log_uniform(rng, 1e-5, 1e5, 1)[0])
+        elif kind == 2:
+            values = rng.choice(log_uniform(rng, 1e-3, 1e3, 3), n)
+        else:
+            values = 1e300 + rng.integers(0, 4, n) * math.ulp(1e300)
+        weights = rng.choice([0.5, 1.0, 2.0, 3.0], n) if kind else rng.uniform(0.5, 2.0, n)
+        runs.append((values, weights))
+    return runs
+
+
+def batch_of(runs: list[tuple[np.ndarray, np.ndarray]]) -> list[PositiveSample]:
+    """The samples of ``runs`` of (values, weights), from one ``_sample_batch``."""
+    return _sample_batch(
+        np.concatenate([v for v, _ in runs]),
+        np.concatenate([w for _, w in runs]),
+        [v.size for v, _ in runs],
+    )
+
+
+def batch_mismatches(runs: list[tuple[np.ndarray, np.ndarray]]) -> list[int]:
+    """Indices of the runs whose sample from one batch differs in any slot
+    from ``PositiveSample`` on copies of the same two arrays."""
+    return [
+        index
+        for index, ((values, weights), sample) in enumerate(zip(runs, batch_of(runs)))
+        if sample_bits(sample) != sample_bits(PositiveSample(values.copy(), weights.copy()))
+    ]
+
+
+def batch_sample_outcomes() -> dict[str, object]:
+    """Batches of :func:`batch_runs` on 40 seeds against one-at-a-time
+    samples, under the backend this process imported: the mismatching runs,
+    the number of samples and of those with loop lists, and a digest of every
+    sample's arrays and floats, which no backend may move."""
+    mismatches, samples, with_lists = [], 0, 0
+    digest = hashlib.sha256()
+    for seed in range(40):
+        runs = batch_runs(np.random.default_rng(seed))
+        mismatches += [(seed, index) for index in batch_mismatches(runs)]
+        for values, weights in runs:
+            sample = PositiveSample(values, weights)
+            arrays, floats, _, uniform, lists = sample_bits(sample)
+            digest.update(repr((arrays, floats, uniform)).encode())
+            samples += 1
+            with_lists += lists is not None
+    return {
+        "mismatches": mismatches,
+        "samples": samples,
+        "with_lists": with_lists,
+        "digest": digest.hexdigest(),
+    }
 
 
 def compiled_kernel_file(src: Path) -> Path | None:

@@ -405,8 +405,17 @@ class TestVerify:
         # the default grid's 10 secant slopes per sample take two power sums
         # each, one kernel call per power sum.  The end-to-end benchmark's
         # tracer self-test pins the same counts on the same op, so a change
-        # to them is made together with that pin.
+        # to them is made together with that pin.  The 200 samples are built
+        # by one batch, which runs no PositiveSample.__init__.
         counts = Counter()
+        batches = []
+        real_batch = cli._sample_batch
+
+        def batch(values, weights, lengths, *rest):
+            batches.append(len(lengths))
+            return real_batch(values, weights, lengths, *rest)
+
+        monkeypatch.setattr(cli, "_sample_batch", batch)
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -426,7 +435,9 @@ class TestVerify:
         )
         assert run_cli("verify", "--random", "3", "200") == 0
         capsys.readouterr()
-        assert counts == {"log_power_sum": 4000, "exp_moments": 4000, "PositiveSample": 200}
+        # no "PositiveSample" key: 0 calls
+        assert dict(counts) == {"log_power_sum": 4000, "exp_moments": 4000}
+        assert batches == [200]
 
     def test_random_oracle_call_counts(self, monkeypatch):
         # the oracle's fast side forms one power sum per distinct exponent of
@@ -528,6 +539,7 @@ class TestVerify:
         monkeypatch.setattr(cli, "_random_samples", never)
         monkeypatch.setattr(oracle, "equivalence_report", never)
         monkeypatch.setattr(cli, "PositiveSample", never)
+        monkeypatch.setattr(cli, "_sample_batch", never)
         code = run_cli("verify", "--random", "1", "3000", "--grid", grid, "--oracle")
         out = capsys.readouterr()
         assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
@@ -595,6 +607,7 @@ class TestVerify:
             raise AssertionError("a sample was built")
 
         monkeypatch.setattr(cli, "PositiveSample", no_sample)
+        monkeypatch.setattr(cli, "_sample_batch", no_sample)
         assert run_cli("verify", "--random", "1", str(count)) == 2
         out = capsys.readouterr()
         assert out.out == ""

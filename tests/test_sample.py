@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ginikit import audit, means, mwd
+from ginikit import audit, cli, means, mwd
+from ginikit._kernels_py import VECTOR_MIN_N
 from ginikit.errors import DataError, ParameterDomainError
 from ginikit.oracle import oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
+
+from helpers import batch_mismatches, batch_of, batch_runs, env_importing_from, sample_bits
 
 
 class TestPositiveSample:
@@ -133,6 +142,127 @@ class TestPositiveSample:
         s = PositiveSample(source)
         source[0] = 99.0
         assert s.values[0] == 1.0 or s.values.base is not source
+
+
+class TestSampleBatch:
+    """``_sample_batch`` logs, sorts and ranges many samples at once; each
+    must be, slot for slot, the sample ``PositiveSample`` builds alone."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_batch_gives_the_bits_of_one_at_a_time(self, seed):
+        assert batch_mismatches(batch_runs(np.random.default_rng(seed))) == []
+
+    def test_runs_of_every_kind_are_drawn(self):
+        # the cases above cover runs of length 1, both sides of
+        # VECTOR_MIN_N, uniform runs and ln a ties that ln w breaks
+        runs = [run for seed in range(40) for run in batch_runs(np.random.default_rng(seed))]
+        lengths = {values.size for values, _ in runs}
+        assert {1, VECTOR_MIN_N - 1, VECTOR_MIN_N, VECTOR_MIN_N + 1} <= lengths
+        assert any(np.all(values == values[0]) and values.size > 1 for values, _ in runs)
+        assert any(
+            np.unique(values).size > np.unique(np.log(values)).size for values, _ in runs
+        )
+
+    def test_random_samples_keep_the_stream_and_the_bits(self):
+        # verify --random draws n, then the values, then the weights, sample
+        # by sample; its batch must give the samples built one at a time
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            alone = []
+            for _ in range(30):
+                n = int(rng.integers(2, 17))
+                values = 10.0 ** rng.uniform(-3.0, 3.0, n)
+                alone.append(PositiveSample(values, rng.uniform(0.5, 2.0, n)))
+            batch = cli._random_samples(seed, 30)
+            assert [sample_bits(s) for s in batch] == [sample_bits(s) for s in alone]
+
+    def test_samples_are_frozen_views_of_shared_buffers(self):
+        first, second = cli._random_samples(5, 2)
+        for name in ("values", "weights", "_sorted_log_values", "_sorted_log_weights"):
+            a, b = getattr(first, name), getattr(second, name)
+            assert a.base is not None and a.base is b.base
+            for view in (a, b, a.base):
+                assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
+        with pytest.raises(AttributeError):
+            first.values = np.array([1.0])
+
+    @pytest.mark.parametrize(
+        "values,weights",
+        [
+            ([1.0, float("nan")], [1.0, 1.0]),
+            ([float("inf"), 2.0], [1.0, 1.0]),
+            ([-1.0, float("inf")], [1.0, 1.0]),
+            ([0.0, 2.0], [1.0, 1.0]),
+            ([-0.0, 2.0], [1.0, 1.0]),
+            ([-1.0, 2.0], [float("nan"), 1.0]),
+            ([1.0, 2.0], [-1.0, float("nan")]),
+            ([1.0, 2.0], [float("-inf"), 1.0]),
+            ([1.0, 2.0], [0.0, 1.0]),
+            ([1.0], [-0.0]),
+        ],
+    )
+    def test_bad_run_in_the_middle_raises_the_single_sample_error(self, values, weights):
+        with pytest.raises(DataError) as alone:
+            PositiveSample(values, weights)
+        runs = [
+            (np.array([1.0, 2.0]), np.array([1.0, 1.0])),
+            (np.array(values), np.array(weights)),
+            (np.array([3.0]), np.array([-1.0])),  # bad too, but later
+        ]
+        with warnings.catch_warnings():
+            # the checks come before the logs, so no bad entry is logged
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as batched:
+                batch_of(runs)
+        assert str(batched.value) == str(alone.value)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_permuted_rows_give_the_same_bits(self, seed):
+        # one sort fixes each sample's summation order, so the order of its
+        # rows moves no bit of anything but the public arrays
+        rng = np.random.default_rng(seed)
+        runs = batch_runs(rng)
+        permuted = [(v[order], w[order]) for v, w in runs for order in [rng.permutation(v.size)]]
+
+        def unordered_bits(sample):
+            # every slot but the two public arrays, which keep the rows' order
+            arrays, *rest = sample_bits(sample)
+            return arrays[2:], rest
+
+        pairs = [ExponentPair(2.0, 1.0), ExponentPair(0.5, -3.0), ExponentPair(1.0, 1.0)]
+        for built in (batch_of, lambda runs: [PositiveSample(v, w) for v, w in runs]):
+            for s, t in zip(built(runs), built(permuted)):
+                assert unordered_bits(s) == unordered_bits(t)
+                assert [means.gini_mean(s, pair) for pair in pairs] == [
+                    means.gini_mean(t, pair) for pair in pairs
+                ]
+
+    def test_both_backends(self, compiled_src):
+        # building a sample calls no kernel, so its bits are the same under
+        # both; only the loop lists belong to the pure backend
+        tests_dir = str(Path(__file__).resolve().parent)
+        script = (
+            "import json, ginikit, helpers; print(ginikit.backend_name()); "
+            "print(json.dumps(helpers.batch_sample_outcomes()))"
+        )
+        runs = {}
+        for pure, backend in (("0", "compiled"), ("1", "python")):
+            env = env_importing_from(compiled_src, GINIKIT_PURE=pure)
+            env["PYTHONPATH"] = os.pathsep.join((tests_dir, env["PYTHONPATH"]))
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert done.returncode == 0, done.stderr
+            name, outcome = done.stdout.splitlines()
+            assert name == backend
+            runs[backend] = json.loads(outcome)
+            assert runs[backend]["mismatches"] == []
+        assert runs["compiled"]["with_lists"] == 0
+        assert 0 < runs["python"]["with_lists"] < runs["python"]["samples"]
+        for key in ("samples", "digest"):
+            assert runs["compiled"][key] == runs["python"][key]
 
 
 class TestExponentPair:
