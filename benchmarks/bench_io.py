@@ -11,13 +11,13 @@ temporary directory.  The monomer mass is not integral, so masses print
 with all their digits, as in the workloads.  A ``repr`` row for each size
 times ``repr`` of every mass and abundance (from ``tolist``) in this one
 process: the formatting floor that one process pays for these shortest
-round-trip fields.  ``save`` of a file of more than one block (8,192
-rows) formats its second half in a forked child while this process
-formats the first, so with two usable CPUs it can sit below that floor;
-the header line gives the usable CPUs.  A CSV file of at least ten
-parse blocks is also read by two processes, a forked child parsing blocks
-from the last one back, so ``load`` of a CSV file is timed as the package
-runs it and, in the ``load1`` row, in one process, with one usable CPU.
+round-trip fields.  A file of more than 8,192 rows is written from both
+ends, a forked child formatting blocks from the last one back while this
+process formats from the first, so with two usable CPUs ``save`` can sit
+below that floor; the header line gives the usable CPUs.  A CSV file of
+at least ten parse blocks is also read from both ends.  So ``save`` and
+``load`` are timed as the package runs them and, in the ``save1`` and
+``load1`` rows, in one process, with one usable CPU.
 A ``float`` row for each size
 times ``float`` of every field of the CSV file, split beforehand: the
 conversion the row scanner pays per field, which numpy's reader does in C
@@ -59,15 +59,15 @@ def timed(call, repeats: int) -> list[float]:
 
 def repr_columns(dataset) -> None:
     """``repr`` of every mass and abundance: the formatting floor of one process,
-    which ``save_mwd`` of a file of several blocks shares with a child."""
+    which ``save_mwd`` of a file of more than 8,192 rows shares with a child."""
     list(map(repr, dataset.masses.tolist()))
     list(map(repr, dataset.abundances.tolist()))
 
 
-def load_in_one_process(path: Path) -> None:
-    """``load_mwd`` with one usable CPU, so no child parses from the back."""
+def in_one_process(call, *args) -> None:
+    """``call(*args)`` with one usable CPU, so no child works from the back."""
     with mock.patch.object(_util, "_usable_cpus", lambda: 1):
-        load_mwd(path)
+        call(*args)
 
 
 def csv_fields(path: Path) -> list[str]:
@@ -103,10 +103,11 @@ def main() -> None:
                 path = Path(tmp) / f"flory.{fmt}"
                 rows = {
                     "save": timed(lambda: save_mwd(dataset, path), REPEATS),
+                    "save1": timed(lambda: in_one_process(save_mwd, dataset, path), REPEATS),
                     "load": timed(lambda: load_mwd(path), REPEATS),
                 }
                 if fmt == "csv":
-                    rows["load1"] = timed(lambda: load_in_one_process(path), REPEATS)
+                    rows["load1"] = timed(lambda: in_one_process(load_mwd, path), REPEATS)
                 loaded = load_mwd(path)
                 if (
                     loaded.masses.tobytes() != dataset.masses.tobytes()

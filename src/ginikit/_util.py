@@ -144,10 +144,11 @@ def atomic_writer(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     raises, or the write or rename fails, the destination is left untouched
     and the temp file is removed; no partial output is ever visible.  So a
     large file can be written a chunk at a time without holding its text.
-    :func:`ginikit.mwd.save_mwd` writes the first half of a large file
-    through the handle and then appends, through ``handle.buffer``, the
-    bytes of the second half that a forked child formatted; the child has
-    exited before the block ends, so the rename sees the whole file.
+    :func:`ginikit.mwd.save_mwd` writes the first blocks of a large file
+    through the handle, flushes it, and then writes through
+    ``handle.buffer`` the bytes of the later blocks, which a forked child
+    formatted into a file of its own; everything is in the handle before
+    the block ends, so the rename sees the whole file.
 
     The file gets the mode that ``open`` would give it: a new one 0666
     less the umask, and one that replaces an existing file that file's

@@ -22,18 +22,17 @@ from __future__ import annotations
 import json
 import math
 import os
-import shutil
 import struct
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from . import _backend
 from ._util import (
-    _checked_path, _forked, _from_both_ends, _lines, _number, _parameter, _shown,
+    _checked_path, _from_both_ends, _lines, _number, _parameter, _shown,
     atomic_write_text, atomic_writer, format_double, read_text,
 )
 from .errors import DataError, IngestionError, ParameterDomainError
@@ -69,9 +68,15 @@ CSV_HEADER = "molar_mass,abundance"
 #: sits about 100x above a 102k-species Flory distribution (x = 0.99973).
 MAX_SPECIES = 10_000_000
 
-#: Rows formatted per chunk by :func:`save_mwd`: enough that the per-chunk
-#: cost vanishes, few enough that no copy of the whole file's text is held.
-_WRITE_BLOCK_ROWS = 8192
+#: Rows formatted per block by :func:`save_mwd`: enough that the per-block
+#: cost vanishes, few enough that no copy of the whole file's text is held
+#: and that the caller, which formats a block before it looks for the
+#: child's again, passes the meeting point by little (``BENCH_one_writer.json``).
+_WRITE_BLOCK_ROWS = 2048
+
+#: Most rows of a file that :func:`save_mwd` writes in one process: below
+#: it a fork and its reap cost more than they save (``BENCH_split_writer.json``).
+_FORK_MIN_ROWS = 8192
 
 #: Every character that a plain CSV body, read in bulk, may hold.
 _PLAIN_CSV_CHARS = b"0123456789.eE+-,\n"
@@ -98,6 +103,10 @@ _FORK_MIN_TERMS = {"python": 60_000, "compiled": 1_150_000}
 
 #: A log sum as a forked child sends it: one native double.
 _LOG_SUM = struct.Struct("=d")
+
+#: Where a forked child of :func:`save_mwd` put a block's bytes in its temp
+#: file: their offset and their size, as native unsigned 64-bit integers.
+_BLOCK_EXTENT = struct.Struct("=QQ")
 
 
 class MWDataset:
@@ -828,80 +837,57 @@ def save_mwd(dataset: MWDataset, path: str | Path) -> None:
     species bit for bit.  CSV fields follow :func:`format_double`
     (``28.0`` is written ``28``); JSON is laid out as
     ``json.dumps(payload, indent=2)`` lays it out.  Rows are formatted and
-    written a block at a time.
+    written a block (:data:`_WRITE_BLOCK_ROWS` rows) at a time.
 
-    A file of more than one block (:data:`_WRITE_BLOCK_ROWS` rows) is
-    formatted by two processes: a child forked here formats rows n // 2 to
-    n into an unnamed temp file beside ``path``, while the caller writes
-    the header and rows 0 to n // 2 into :func:`atomic_writer`'s temp file;
-    then the caller reaps the child and appends its bytes.  The fork goes
-    through :func:`ginikit._util._forked`, so the caller writes the whole
-    file alone when it has one block, when ``os.fork`` is missing or raises
-    ``OSError``, or when fewer than two CPUs are usable.  The bytes are
-    the same either way.  The child has exited before this returns or
-    raises; if it fails, an ``OSError`` names ``path`` and the old file is
-    left as it was.  A ``path`` that is neither a ``str`` nor an
-    ``os.PathLike`` raises :class:`ParameterDomainError`.
+    A file of more than :data:`_FORK_MIN_ROWS` rows is written from both
+    ends (:func:`ginikit._util._from_both_ends`): a forked child formats
+    its blocks from the last one back into an unnamed temp file beside
+    ``path`` and sends where each one lies, while this process formats
+    blocks from the first one on into :func:`atomic_writer`'s temp file.
+    Once this process reaches a block that the child has sent, it copies
+    that block and every later one from the child's file.  A child that
+    fails or lags only sends less, and this process formats the rest; so
+    the bytes are the same whoever formats a block, and only this process
+    raises.  No child outlives the call.  A ``path`` that is neither a
+    ``str`` nor an ``os.PathLike`` raises :class:`ParameterDomainError`.
     """
     dataset = _checked(dataset, MWDataset)
     path = _checked_path(path)
-    chunks = _json_chunks if _is_json(path) else _csv_chunks
-    with atomic_writer(path) as handle:
-        if dataset.n <= _WRITE_BLOCK_ROWS:
-            handle.writelines(chunks(_Rows(dataset, 0, dataset.n)))
-        else:
-            _write_in_two_processes(chunks, dataset, handle, path)
+    block = _json_block if _is_json(path) else _csv_block
+    count = -(-dataset.n // _WRITE_BLOCK_ROWS)
+    # the child's file is made after the writer's own temp file, so a missing
+    # directory raises the writer's error, which names path
+    with atomic_writer(path) as handle, tempfile.TemporaryFile(dir=path.parent) as formatted:
+
+        def sent_extent(index: int) -> bytes:  # the child's work
+            data = block(dataset, index).encode("utf-8")
+            offset = formatted.tell()
+            formatted.write(data)
+            formatted.flush()
+            return _BLOCK_EXTENT.pack(offset, len(data))
+
+        copying = False
+        with _from_both_ends(count if dataset.n > _FORK_MIN_ROWS else 0, sent_extent) as received:
+            for index in range(count):
+                sent = received(index)
+                if sent is None:
+                    handle.write(block(dataset, index))
+                    continue
+                if not copying:
+                    # the text written so far goes before the copied bytes
+                    handle.flush()
+                    copying = True
+                # the child writes at the end of its file and this process
+                # reads with pread, so neither moves the other's offset
+                offset, size = _BLOCK_EXTENT.unpack(sent)
+                handle.buffer.write(os.pread(formatted.fileno(), size, offset))
 
 
-class _Rows(NamedTuple):
-    """Rows ``start`` to ``stop`` of ``dataset``: the part of its file that one
-    process formats."""
-
-    dataset: MWDataset
-    start: int
-    stop: int
-
-
-def _write_in_two_processes(
-    chunks: Callable[[_Rows], Iterator[str]], dataset: MWDataset, handle: TextIO, path: Path
-) -> None:
-    """Write the chunks of ``dataset`` to ``handle``, the rows from n // 2 on
-    formatted by a forked child (see :func:`save_mwd`).
-
-    The child formats into an unnamed temp file in ``path``'s directory.
-    When the caller has written its half, it reaps the child and appends the
-    child's bytes to ``handle`` in bounded chunks; when the caller raises,
-    :func:`_forked` kills and reaps the child.
-    """
-    n = dataset.n
-    split = n // 2
-    with tempfile.TemporaryFile(dir=path.parent) as second_half:
-
-        def format_second_half() -> None:
-            with open(second_half.fileno(), "w", encoding="utf-8", closefd=False) as out:
-                out.writelines(chunks(_Rows(dataset, split, n)))
-
-        with _forked(format_second_half) as child:
-            if child is None:
-                handle.writelines(chunks(_Rows(dataset, 0, n)))
-                return
-            handle.writelines(chunks(_Rows(dataset, 0, split)))
-            status = child.join()
-        if status != 0:
-            raise OSError(
-                f"could not write {os.fspath(path)!r}: the child process formatting "
-                f"rows {split} to {n} exited with status {status}"
-            )
-        handle.flush()
-        second_half.seek(0)
-        shutil.copyfileobj(second_half, handle.buffer)
-
-
-def _row_blocks(rows: _Rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Views of the masses and abundances of ``rows``, :data:`_WRITE_BLOCK_ROWS` at a time."""
-    for start in range(rows.start, rows.stop, _WRITE_BLOCK_ROWS):
-        stop = min(start + _WRITE_BLOCK_ROWS, rows.stop)
-        yield rows.dataset.masses[start:stop], rows.dataset.abundances[start:stop]
+def _block_rows(dataset: MWDataset, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the masses and abundances of block ``index`` of ``dataset``."""
+    start = index * _WRITE_BLOCK_ROWS
+    stop = start + _WRITE_BLOCK_ROWS
+    return dataset.masses[start:stop], dataset.abundances[start:stop]
 
 
 def _holds_integral(values: np.ndarray) -> bool:
@@ -909,39 +895,36 @@ def _holds_integral(values: np.ndarray) -> bool:
     return bool((np.trunc(values) == values).any())
 
 
-def _csv_chunks(rows: _Rows) -> Iterator[str]:
-    """The text of ``rows`` in a CSV file, with the header if they start the file."""
-    if rows.start == 0:
-        yield CSV_HEADER + "\n"
-    for masses, abundances in _row_blocks(rows):
-        text = "".join([f"{m!r},{a!r}\n" for m, a in zip(masses.tolist(), abundances.tolist())])
-        # format_double's rule for a whole block: a repr ends in ".0" exactly
-        # when its double is integral (and below 1e16), and only then is the
-        # ".0" dropped; a block with no integral double has none to drop
-        if _holds_integral(masses) or _holds_integral(abundances):
-            text = text.replace(".0,", ",").replace(".0\n", "\n")
-        yield text
+def _csv_block(dataset: MWDataset, index: int) -> str:
+    """The text of block ``index`` of ``dataset``'s CSV file: the header on
+    block 0, then the block's rows."""
+    masses, abundances = _block_rows(dataset, index)
+    text = "".join([f"{m!r},{a!r}\n" for m, a in zip(masses.tolist(), abundances.tolist())])
+    # format_double's rule for a whole block: a repr ends in ".0" exactly
+    # when its double is integral (and below 1e16), and only then is the
+    # ".0" dropped; a block with no integral double has none to drop
+    if _holds_integral(masses) or _holds_integral(abundances):
+        text = text.replace(".0,", ",").replace(".0\n", "\n")
+    return CSV_HEADER + "\n" + text if index == 0 else text
 
 
-def _json_chunks(rows: _Rows) -> Iterator[str]:
-    """The text of ``rows`` in a JSON file, with the head if they start the
-    file and the tail if they end it."""
+def _json_block(dataset: MWDataset, index: int) -> str:
+    """The text of block ``index`` of ``dataset``'s JSON file: the head on
+    block 0 and ``",\\n"`` before every later block, then the block's
+    species, then the tail on the last block."""
     # the bytes of json.dumps(payload, indent=2), whose encoder leaves C for
     # pure Python once indent is set; repr of a float is the shortest
     # round-trip form that json writes too
-    if rows.start == 0:
-        yield '{\n  "label": %s,\n  "species": [\n' % json.dumps(rows.dataset.label)
-    separator = "" if rows.start == 0 else ",\n"
-    for masses, abundances in _row_blocks(rows):
-        yield separator + ",\n".join(
-            [
-                f'    {{\n      "molar_mass": {m!r},\n      "abundance": {a!r}\n    }}'
-                for m, a in zip(masses.tolist(), abundances.tolist())
-            ]
-        )
-        separator = ",\n"
-    if rows.stop == rows.dataset.n:
-        yield "\n  ]\n}\n"
+    masses, abundances = _block_rows(dataset, index)
+    species = ",\n".join(
+        [
+            f'    {{\n      "molar_mass": {m!r},\n      "abundance": {a!r}\n    }}'
+            for m, a in zip(masses.tolist(), abundances.tolist())
+        ]
+    )
+    head = ",\n" if index else '{\n  "label": %s,\n  "species": [\n' % json.dumps(dataset.label)
+    tail = "\n  ]\n}\n" if (index + 1) * _WRITE_BLOCK_ROWS >= dataset.n else ""
+    return head + species + tail
 
 
 def report_to_json(report: MeansReport) -> str:

@@ -314,18 +314,18 @@ def _split_case(name: str) -> tuple[list[object], list[object]]:
     return samples, patches
 
 
-def child_fault(name: str) -> contextlib.AbstractContextManager:
+def child_fault(name: str, sent: int = SPLIT_SENT) -> contextlib.AbstractContextManager:
     """A patch of the child of ``_util._from_both_ends``: ``child-lags``
     sleeps before it sends anything, ``child-fails-at-once`` raises at once,
     and ``child-fails-after-some`` raises after it has sent the last
-    :data:`SPLIT_SENT` items."""
+    ``sent`` items."""
     real_send = _util._send_from_the_back
 
     def send(count, payload, sink) -> None:
         if name == "child-lags":
             time.sleep(60)
         if name == "child-fails-after-some":
-            last = count - SPLIT_SENT
+            last = count - sent
             real_send(count, lambda index: payload(index) if index >= last else None, sink)
         raise RuntimeError("the child failed")
 
@@ -570,18 +570,81 @@ def average_split_outcome(name: str, joined: bool, workdir: Path) -> dict[str, o
     return split_outcome(case, joined, (_backend, "exp_moments"))
 
 
+def split_dataset(n: int) -> MWDataset:
+    """``n`` rows with integral doubles among the masses and the abundances
+    all through the file, and 1e16 at row n // 2, beside fields with no
+    ".0" to strip."""
+    rng = np.random.default_rng(n)
+    masses = np.where(np.arange(n) % 3 == 0, 28.0, 104.37) * np.arange(1, n + 1)
+    abundances = rng.random(n)
+    abundances[::5] = np.floor(abundances[::5] * 1e6) + 1.0
+    abundances[n // 2] = 1e16
+    return MWDataset(masses=masses, abundances=abundances, label="Mw ≈ 1.2×10⁵ g/mol")
+
+
+#: Rows per block of the save split files, and their rows: three whole
+#: blocks, and four blocks with a partial last one.
+SAVE_SPLIT_BLOCK_ROWS = 3
+SAVE_SPLIT_ROWS = (9, 10)
+
+
+def _save_split_cases() -> dict[str, tuple[str, int, str, int]]:
+    """The save split cases by name: the format, the rows, the fault of the
+    child, and the blocks it sends before it fails.  ``child-sends-k`` cases
+    run for every k from none to all the file's blocks, so a joined child
+    puts the meeting point at every block."""
+    cases = {}
+    for fmt in ("csv", "json"):
+        for n in SAVE_SPLIT_ROWS:
+            for fault in ("plain", "child-fails-at-once", "child-lags"):
+                cases[f"{fmt}-{n}-{fault}"] = (fmt, n, fault, SPLIT_SENT)
+            for sent in range(-(-n // SAVE_SPLIT_BLOCK_ROWS) + 1):
+                cases[f"{fmt}-{n}-child-sends-{sent}"] = (fmt, n, "child-fails-after-some", sent)
+    return cases
+
+
+SAVE_SPLIT_CASES = _save_split_cases()
+
+
+def save_split_outcome(name: str, joined: bool, workdir: Path) -> dict[str, object]:
+    """Save split case ``name`` (see :func:`split_outcome`): each run gives the
+    text written and the names in the file's directory; its count is of the
+    blocks this process formatted."""
+    fmt, n, fault, sent = SAVE_SPLIT_CASES[name]
+    dataset = split_dataset(n)
+    directory = workdir / name
+    directory.mkdir(exist_ok=True)
+    path = directory / f"distribution.{fmt}"
+
+    def written() -> list[object]:
+        save_mwd(dataset, path)
+        return [path.read_text(encoding="utf-8"), sorted(os.listdir(directory))]
+
+    def case():
+        patches = [
+            mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", SAVE_SPLIT_BLOCK_ROWS),
+            mock.patch.object(mwd, "_FORK_MIN_ROWS", 0),
+        ]
+        if fault.startswith("child-"):
+            patches.append(child_fault(fault, sent))
+        return written, patches
+
+    return split_outcome(case, joined, (mwd, f"_{fmt}_block"))
+
+
 def mwd_split_outcomes(kind: str, workdir: Path) -> list[list[object]]:
-    """``[case, joined, outcome]`` for every ``"load"`` or ``"averages"``
-    split case, joined and not."""
+    """``[case, joined, outcome]`` for every ``"load"``, ``"save"`` or
+    ``"averages"`` split case, joined and not."""
     names, run = {
         "load": (LOAD_SPLIT_CASES, load_split_outcome),
+        "save": (SAVE_SPLIT_CASES, save_split_outcome),
         "averages": (AVERAGE_SPLIT_CASES, average_split_outcome),
     }[kind]
     return [
         [name, joined, run(name, joined, workdir)]
         for name in names
         for joined in (True, False)
-        if not (joined and name == "child-lags")
+        if not (joined and name.endswith("child-lags"))
     ]
 
 

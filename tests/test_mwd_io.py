@@ -1,8 +1,8 @@
 """Distribution files: the block writer and the bulk readers.
 
-``save_mwd`` formats rows a block at a time, the second half of a file of
-several blocks in a forked child, and must write the same bytes as the
-per-row reference writer in ``helpers``.  ``load_mwd`` parses a plain
+``save_mwd`` formats rows a block at a time, a large file's from both
+ends with a forked child, and must write the same bytes as the per-row
+reference writer in ``helpers``.  ``load_mwd`` parses a plain
 CSV file, and the rows of a plain JSON file, in bulk and hands every other
 text to the row scanner; the two must agree bit for bit, and every error
 must be the scanner's.  Every function that takes a dataset or a report,
@@ -35,8 +35,9 @@ from ginikit.mwd import (
 from ginikit.sample import ExponentPair, PositiveSample
 
 from helpers import (
-    HOSTILE, LOAD_FAULT_LINE, LOAD_SPLIT_CASES, LOAD_SPLIT_ROWS, SPLIT_SENT, load_split_outcome,
-    reference_mwd_text, split_outcomes_under_both_backends,
+    HOSTILE, LOAD_FAULT_LINE, LOAD_SPLIT_CASES, LOAD_SPLIT_ROWS, SAVE_SPLIT_BLOCK_ROWS,
+    SAVE_SPLIT_CASES, SPLIT_SENT, load_split_outcome, reference_mwd_text, save_split_outcome,
+    split_dataset, split_outcomes_under_both_backends,
 )
 
 DOUBLE_MAX = 1.7976931348623157e308
@@ -120,15 +121,14 @@ class TestBlockWriter:
         path = tmp_path / f"ds.{fmt}"
         path.write_text("old contents\n", encoding="utf-8")
         dataset = generate_flory(28.0, 0.999)
-        real_blocks = mwd._row_blocks
+        real_block = getattr(mwd, f"_{fmt}_block")
 
-        def failing_blocks(ds):
-            blocks = real_blocks(ds)
-            yield next(blocks)
-            yield next(blocks)
-            raise RuntimeError("formatting failed")
+        def failing_block(ds, index):
+            if index == 2:
+                raise RuntimeError("formatting failed")
+            return real_block(ds, index)
 
-        monkeypatch.setattr(mwd, "_row_blocks", failing_blocks)
+        monkeypatch.setattr(mwd, f"_{fmt}_block", failing_block)
         path.chmod(0o640)
         with pytest.raises(RuntimeError, match="formatting failed"):
             save_mwd(dataset, path)
@@ -137,39 +137,47 @@ class TestBlockWriter:
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
-def split_dataset(n: int) -> MWDataset:
-    """``n`` rows with integral doubles among the masses and the abundances
-    on both sides of row n // 2, beside fields with no ".0" to strip."""
-    rng = np.random.default_rng(n)
-    masses = np.where(np.arange(n) % 3 == 0, 28.0, 104.37) * np.arange(1, n + 1)
-    abundances = rng.random(n)
-    abundances[::5] = np.floor(abundances[::5] * 1e6) + 1.0
-    abundances[n // 2] = 1e16
-    return MWDataset(masses=masses, abundances=abundances, label="Mw ≈ 1.2×10⁵ g/mol")
-
-
 def assert_no_child_is_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+def caller_only(block, pid: int, child_work):
+    """``block`` in the process ``pid``; ``child_work()`` in any other, a
+    forked child."""
+
+    def patched(dataset, index):
+        if os.getpid() != pid:
+            child_work()
+        return block(dataset, index)
+
+    return patched
+
+
 class TestSplitWriter:
-    """A file of more than one block is formatted in two processes: a forked
-    child formats rows n // 2 to n, the caller the rest."""
+    """A file of more than ``_FORK_MIN_ROWS`` rows is written from both ends:
+    a forked child formats blocks from the last one back, the caller from
+    the first on, and the caller copies the child's blocks from where they
+    meet."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "block_rows, n, forked",
-        [(3, 1, False), (3, 3, False), (3, 4, True), (3, 7, True), (3, 10, True),
-         (mwd._WRITE_BLOCK_ROWS, 1, False), (mwd._WRITE_BLOCK_ROWS, mwd._WRITE_BLOCK_ROWS, False),
-         (mwd._WRITE_BLOCK_ROWS, mwd._WRITE_BLOCK_ROWS + 1, True),
-         (mwd._WRITE_BLOCK_ROWS, 2 * mwd._WRITE_BLOCK_ROWS + 5, True)],
+        "block_rows, fork_min_rows, n, forked",
+        [(3, 3, 1, False), (3, 3, 3, False), (3, 3, 4, True), (3, 3, 7, True), (3, 3, 10, True),
+         (3, 7, 7, False), (3, 7, 8, True),
+         (mwd._WRITE_BLOCK_ROWS, mwd._FORK_MIN_ROWS, 1, False),
+         (mwd._WRITE_BLOCK_ROWS, mwd._FORK_MIN_ROWS, mwd._FORK_MIN_ROWS, False),
+         (mwd._WRITE_BLOCK_ROWS, mwd._FORK_MIN_ROWS, mwd._FORK_MIN_ROWS + 1, True),
+         (mwd._WRITE_BLOCK_ROWS, mwd._FORK_MIN_ROWS, 2 * mwd._FORK_MIN_ROWS + 5, True)],
     )
-    def test_same_bytes_as_the_row_writer(self, tmp_path, forks, fmt, block_rows, n, forked):
+    def test_same_bytes_as_the_row_writer(
+        self, tmp_path, forks, fmt, block_rows, fork_min_rows, n, forked
+    ):
         dataset = split_dataset(n)
         path = tmp_path / f"ds.{fmt}"
         with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", block_rows):
-            save_mwd(dataset, path)
+            with mock.patch.object(mwd, "_FORK_MIN_ROWS", fork_min_rows):
+                save_mwd(dataset, path)
         assert path.read_bytes() == reference_mwd_text(dataset, fmt).encode("utf-8")
         assert len(forks) == forked
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
@@ -178,7 +186,7 @@ class TestSplitWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_usable_cpu_writes_alone(self, tmp_path, forks, monkeypatch, fmt):
         monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
-        dataset = split_dataset(mwd._WRITE_BLOCK_ROWS + 1)
+        dataset = split_dataset(mwd._FORK_MIN_ROWS + 1)
         path = tmp_path / f"ds.{fmt}"
         save_mwd(dataset, path)
         assert path.read_bytes() == reference_mwd_text(dataset, fmt).encode("utf-8")
@@ -196,58 +204,96 @@ class TestSplitWriter:
         path = tmp_path / f"ds.{fmt}"
         path.write_text("old contents\n", encoding="utf-8")
         with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", 3):
-            save_mwd(dataset, path)
+            with mock.patch.object(mwd, "_FORK_MIN_ROWS", 3):
+                save_mwd(dataset, path)
         assert path.read_bytes() == reference_mwd_text(dataset, fmt).encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert_no_child_is_left()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_a_failing_child_keeps_the_old_file(self, tmp_path, forks, monkeypatch, fmt):
-        real_blocks = mwd._row_blocks
+    def test_a_failing_child_leaves_the_caller_to_write_the_file(
+        self, tmp_path, forks, monkeypatch, fmt
+    ):
+        def fail() -> None:
+            raise RuntimeError("formatting failed")
 
-        def blocks_failing_in_the_child(rows):
-            if rows.start > 0:
-                raise RuntimeError("formatting failed")
-            return real_blocks(rows)
-
-        monkeypatch.setattr(mwd, "_row_blocks", blocks_failing_in_the_child)
+        name = f"_{fmt}_block"
+        monkeypatch.setattr(mwd, name, caller_only(getattr(mwd, name), os.getpid(), fail))
+        dataset = split_dataset(7)
         path = tmp_path / f"ds.{fmt}"
         path.write_text("old contents\n", encoding="utf-8")
         path.chmod(0o640)
         with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", 3):
-            with pytest.raises(OSError, match=re.escape(repr(str(path)))):
-                save_mwd(split_dataset(7), path)
+            with mock.patch.object(mwd, "_FORK_MIN_ROWS", 3):
+                save_mwd(dataset, path)
         assert len(forks) == 1
-        assert path.read_text(encoding="utf-8") == "old contents\n"
+        assert path.read_bytes() == reference_mwd_text(dataset, fmt).encode("utf-8")
         assert mode_of(path) == 0o640
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert_no_child_is_left()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_failing_caller_stops_the_child(self, tmp_path, forks, monkeypatch, fmt):
-        real_blocks = mwd._row_blocks
+        def fail(dataset, index):
+            raise RuntimeError("formatting failed")
 
-        def blocks_failing_in_the_caller(rows):
-            if rows.start > 0:
-                time.sleep(60)  # the child would still run when the caller fails
-            else:
-                raise RuntimeError("formatting failed")
-            return real_blocks(rows)
-
-        monkeypatch.setattr(mwd, "_row_blocks", blocks_failing_in_the_caller)
+        # the child would still run when the caller fails
+        name = f"_{fmt}_block"
+        monkeypatch.setattr(mwd, name, caller_only(fail, os.getpid(), lambda: time.sleep(60)))
         path = tmp_path / f"ds.{fmt}"
         path.write_text("old contents\n", encoding="utf-8")
         path.chmod(0o640)
         started = time.monotonic()
         with mock.patch.object(mwd, "_WRITE_BLOCK_ROWS", 3):
-            with pytest.raises(RuntimeError, match="formatting failed"):
-                save_mwd(split_dataset(7), path)
+            with mock.patch.object(mwd, "_FORK_MIN_ROWS", 3):
+                with pytest.raises(RuntimeError, match="formatting failed"):
+                    save_mwd(split_dataset(7), path)
         assert time.monotonic() - started < 30.0
         assert len(forks) == 1
         assert path.read_text(encoding="utf-8") == "old contents\n"
         assert mode_of(path) == 0o640
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert_no_child_is_left()
+
+
+def assert_save_split_outcome(name: str, joined: bool, outcome: dict) -> None:
+    fmt, n, fault, sent = SAVE_SPLIT_CASES[name]
+    want = [reference_mwd_text(split_dataset(n), fmt), [f"distribution.{fmt}"]]
+    assert outcome["one_process"] == want
+    assert outcome["forked"] == want
+    assert outcome["children_left"] is False
+    assert outcome["open_fds_added"] == 0
+    # a lagging child is killed when this process is done, not waited for
+    assert outcome["seconds"] < 30.0
+    if joined:
+        # the caller formats the blocks before the last one the child sent
+        blocks = -(-n // SAVE_SPLIT_BLOCK_ROWS)
+        here = {"plain": 0, "child-fails-at-once": blocks}.get(fault, blocks - sent)
+        status = 0 if fault == "plain" else 1
+        assert (outcome["child_statuses"], outcome["computed_here"]) == ([status], here)
+
+
+class TestSaveFromBothEnds:
+    """A file written from both ends has the reference bytes whatever the
+    child sent before the caller met it, and leaves no child, temp file or
+    open file behind."""
+
+    @pytest.mark.parametrize(
+        "name", [name for name in SAVE_SPLIT_CASES if not name.endswith("child-lags")]
+    )
+    def test_child_that_ran_first(self, tmp_path, name):
+        assert_save_split_outcome(name, True, save_split_outcome(name, True, tmp_path))
+
+    @pytest.mark.parametrize("name", SAVE_SPLIT_CASES)
+    def test_child_running_alongside(self, tmp_path, name):
+        assert_save_split_outcome(name, False, save_split_outcome(name, False, tmp_path))
+
+    def test_both_backends(self, compiled_src, tmp_path):
+        runs = split_outcomes_under_both_backends(compiled_src, "save", tmp_path)
+        for rows in runs.values():
+            assert len(rows) == 2 * len(SAVE_SPLIT_CASES) - 4
+            for name, joined, outcome in rows:
+                assert_save_split_outcome(name, joined, outcome)
 
 
 def mode_of(path: Path) -> int:
@@ -269,7 +315,7 @@ WRITERS = {
     "save_mwd-csv": lambda path: save_mwd(split_dataset(5), path.with_suffix(".csv")),
     "save_mwd-json": lambda path: save_mwd(split_dataset(5), path.with_suffix(".json")),
     "save_mwd-split": lambda path: save_mwd(
-        split_dataset(mwd._WRITE_BLOCK_ROWS + 1), path.with_suffix(".csv")
+        split_dataset(mwd._FORK_MIN_ROWS + 1), path.with_suffix(".csv")
     ),
     "save_report": lambda path: mwd.save_report(
         mwd.polydispersity(split_dataset(5)), path.with_suffix(".json")
