@@ -19,18 +19,23 @@ The wrong-type rule: every public entry refuses an argument of the wrong
 class with one of these errors, never with a ``TypeError`` or
 ``ValueError`` from deeper down.  A sample, pair, order, grid, dataset or
 report that is no instance of its class is refused by one ``isinstance``
-check, with an error that names the type it got.  A number parameter is a
-``numbers.Real`` whose double is finite, and ``_util._number`` alone decides
-it: a ``str``, ``bytes``, ``Decimal`` or numpy array is refused, though
-``float()`` would take it, and an accepted value acts as its double.  A
-value that is no number parameter, and a path that is neither ``str`` nor
-``os.PathLike``, get :class:`ParameterDomainError`; a missing or unreadable
-file stays an ``OSError``.  An entry on a hot path may first test the
-common case by exact type (``log_power_sum`` takes a ``float`` exponent and
-a ``bool`` ``moments`` that way) and send every other argument to the full
-checks, so which errors are raised, with which messages and in which order,
-does not depend on that test.  ``tests/test_arguments.py`` sweeps every
-callable of ``ginikit.__all__`` with hostile values to hold the rule.
+check, with an error that names the type it got (a sample, dataset or
+report) or shows the value (a pair, grid entry or order: ``got (1.0,
+0.0)``).  A number parameter is a ``numbers.Real`` whose double is finite,
+and ``_util._number`` alone decides it: a ``str``, ``bytes``, ``Decimal``
+or numpy array is refused, though ``float()`` would take it, and an
+accepted value acts as its double.  A value that is no number parameter,
+and a path that is neither ``str`` nor ``os.PathLike``, get
+:class:`ParameterDomainError`; a missing or unreadable file stays an
+``OSError``.  An entry on a hot path may first test the common case by
+exact type (``log_power_sum`` takes a ``float`` exponent and a ``bool``
+``moments`` that way) and send every other argument to the full checks,
+so which errors are raised, with which messages and in which order, does
+not depend on that test.  The order rule: every parameter, each entry of
+a ``grid`` or ``custom`` included, is checked before any evaluation, and
+samples are checked when they are reached.  ``tests/test_arguments.py``
+sweeps every callable of ``ginikit.__all__`` with hostile values to hold
+the rules.
 """
 
 from __future__ import annotations

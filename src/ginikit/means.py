@@ -225,20 +225,6 @@ class _PowerSums:
         formed by a forked child (see :func:`ginikit.mwd._ginis`)."""
         self._log_sums[p] = log_sum
 
-    def reads(self, params: ExponentPair) -> tuple[float, ...]:
-        """The exponents whose log sums :meth:`gini` of ``params`` reads, in
-        the order it reads them (see :meth:`_is_secant`)."""
-        p, q = params.p, params.q
-        return (p, q) if self._is_secant(p, q) else ()
-
-    def _is_secant(self, p: float, q: float) -> bool:
-        """True when :meth:`slopes` reads ln S_p and ln S_q from the memo;
-        false on a uniform sample or at a tangent, which it serves without."""
-        # Below this gap the secant loses too many digits to cancellation, while
-        # the tilted mean at the midpoint is within O(gap^2) of the true slope,
-        # far below double rounding error.
-        return not self.sample.is_uniform and abs(p - q) > 1e-8 * (1.0 + max(abs(p), abs(q)))
-
     def slope(self, p: float, q: float) -> float:
         """ln G(p, q) at the finite exponents ``p`` and ``q``; see :func:`secant_slope`."""
         return self.slopes(((p, q),))[0]
@@ -259,7 +245,7 @@ class _PowerSums:
         kept = self._log_sums
         found = []
         for p, q in pairs:
-            # the test of _is_secant on a non-uniform sample, inlined
+            # below this gap the tangent's O(gap^2) error beats the secant's cancellation
             if abs(p - q) <= 1e-8 * (1.0 + max(abs(p), abs(q))):
                 found.append(log_power_sum(sample, 0.5 * p + 0.5 * q).moment1)
                 continue

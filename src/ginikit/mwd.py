@@ -26,7 +26,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -222,22 +222,21 @@ def _ginis(sums: _PowerSums, pairs: Sequence[ExponentPair]) -> list[float]:
 
     Each value is ``sums.gini(pair)``, bit for bit :func:`gini_mean` of its
     pair, and the pairs are evaluated one by one in order, so errors and
-    their order are those of ``gini_mean`` pair by pair.  The exponents
-    whose log sums the pairs read (:meth:`_PowerSums.reads`) and the memo
-    does not hold are numbered in the order they are first read.  When the
-    sample's size times the count of them a child can take is at least the
-    kernel backend's :data:`_FORK_MIN_TERMS`, their log sums are formed from
-    both ends (:func:`ginikit._util._from_both_ends`): a forked child forms
-    them from the last exponent back and sends each as a native double, and
-    this process takes a log sum from the child, into the memo, when the
-    walk first reads it and the child has sent it.  Otherwise, and for every
-    log sum the child has not sent, the memo forms it here.  So each
-    distinct exponent costs one kernel call, in one process or the other.
-    The child raises nothing here: at an exponent the kernel refuses, it
-    stops, and this process raises when it gets there.
+    their order are those of ``gini_mean`` pair by pair.  The exponents of
+    the pairs that the memo does not hold are numbered in the order they
+    first appear; a uniform sample reads no log sum and numbers none.  When
+    the sample's size times the count of them a child can take is at least
+    the kernel backend's :data:`_FORK_MIN_TERMS`, a forked child forms their
+    log sums from the last exponent back and sends each as a native double
+    (:func:`ginikit._util._from_both_ends`).  This process takes one into
+    the memo when the walk first reaches its exponent and the child has sent
+    it, and otherwise forms it here if a secant reads it.  So each log sum
+    formed costs one kernel call, in one process or the other.  The child
+    raises nothing here: at an exponent the kernel refuses, it stops, and
+    this process raises when it gets there.
     """
-    exponents = list(
-        dict.fromkeys(p for pair in pairs for p in sums.reads(pair) if p not in sums)
+    exponents = [] if sums.sample.is_uniform else list(
+        dict.fromkeys(p for pair in pairs for p in (pair.p, pair.q) if p not in sums)
     )
     numbers = {p: index for index, p in enumerate(exponents)}
     taken = (len(exponents) - 1) // 2
@@ -248,9 +247,11 @@ def _ginis(sums: _PowerSums, pairs: Sequence[ExponentPair]) -> list[float]:
         count, lambda index: _LOG_SUM.pack(sums.log_sum(exponents[index]))
     ) as received:
         for pair in pairs:
-            for p in sums.reads(pair):
-                if p not in sums:
-                    sent = received(numbers[p])
+            for p in (pair.p, pair.q):
+                # each number once, in order: a tangent leaves its exponent unkept
+                index = numbers.pop(p, None)
+                if index is not None:
+                    sent = received(index)
                     if sent is not None:
                         sums.keep(p, _LOG_SUM.unpack(sent)[0])
             values.append(sums.gini(pair))
@@ -341,29 +342,10 @@ def _custom_pair(entry: object) -> ExponentPair:
     return ExponentPair(p, q)
 
 
-def _read_pairs(
-    entries: Iterator[object],
-) -> tuple[list[ExponentPair], ParameterDomainError | None]:
-    """The pairs of ``entries`` up to the first that forms none, and the error
-    that one raised (None when every entry forms a pair).
-
-    :func:`polydispersity` raises that error itself, after it has evaluated
-    the pairs before it, as it would have reading the entries lazily.  Each
-    entry is read once, so an entry that is an iterator is not read again.
-    """
-    pairs: list[ExponentPair] = []
-    try:
-        for entry in entries:
-            pairs.append(_custom_pair(entry))
-    except ParameterDomainError as exc:
-        return pairs, exc
-    return pairs, None
-
-
 def polydispersity(
     dataset: MWDataset,
     s: float = 0.7,
-    custom: Sequence[tuple[float, float]] = (),
+    custom: Iterable[tuple[float, float]] = (),
 ) -> MeansReport:
     """Compute the full :class:`MeansReport` of a distribution.
 
@@ -381,18 +363,14 @@ def polydispersity(
     Mw, and Mv is moved into [Mn, Mw].  A chain already in order is
     reported exactly as computed.
 
-    The chain and the custom pairs share one power-sum memo of the sample,
-    so each distinct exponent costs one kernel call, in this process or in
-    a forked child: 5 for the chain at any s (S_0, S_1, S_{1+s}, S_2,
-    S_3), 8 for the CLI's ``--b 0.5 --custom 1.5:-1.5`` report.  The chain
-    comes first, then each custom pair; values, errors and their order are
-    those of :func:`ginikit.means.gini_mean` called pair by pair.  When
-    ``custom`` is a ``Sequence``, its entries are read first, up to one
-    that forms no pair (:func:`_read_pairs`); the chain and the pairs read
-    are evaluated by :func:`_ginis`, which forms the log sums of a large
-    sample from both ends, and then that entry's error, if any, is raised.
-    Any other ``custom`` is read lazily, in one process: each entry is read
-    after the pair before it is evaluated.
+    Every argument is checked before any mean is formed: ``s``, that
+    ``custom`` is iterable, the dataset's type, then each ``custom`` entry,
+    read once into a list.  :func:`_ginis` then evaluates the chain and each
+    custom pair on one power-sum memo of the sample, so values, errors and
+    their order are those of :func:`ginikit.means.gini_mean` pair by pair,
+    and each distinct exponent costs one kernel call, here or in a forked
+    child: 5 for the chain (S_0, S_1, S_{1+s}, S_2, S_3), 4 at s = 1, where
+    Mv is Mw, and 8 for the CLI's ``--b 0.5 --custom 1.5:-1.5`` report.
     """
     s = _parameter(s, "report viscosity exponent s must be in (0, 1]", lambda v: 0.0 < v <= 1.0)
     try:
@@ -401,22 +379,13 @@ def polydispersity(
         raise ParameterDomainError(
             f"custom must be an iterable of exponent pairs, got {_shown(custom)}"
         ) from None
-    sums = _PowerSums(_checked(dataset, MWDataset).to_sample())
+    dataset = _checked(dataset, MWDataset)
+    listed = [_custom_pair(entry) for entry in entries]
     chain = [ExponentPair(*_pair(name, s)) for name in _CHAIN]
-    if isinstance(custom, Sequence):
-        listed, refused = _read_pairs(entries)
-        values = _ginis(sums, chain + listed)
-        if refused is not None:
-            raise refused
-        extras = tuple(
-            CustomMean(pair.p, pair.q, value) for pair, value in zip(listed, values[len(chain) :])
-        )
-    else:
-        values = [sums.gini(pair) for pair in chain]
-        extras = tuple(
-            CustomMean(pair.p, pair.q, sums.gini(pair))
-            for pair in (_custom_pair(entry) for entry in entries)
-        )
+    values = _ginis(_PowerSums(dataset.to_sample()), chain + listed)
+    extras = tuple(
+        CustomMean(pair.p, pair.q, value) for pair, value in zip(listed, values[len(chain) :])
+    )
     mn, mv, mw, mz = values[: len(chain)]
     mw = max(mw, mn)
     mz = max(mz, mw)

@@ -520,9 +520,13 @@ def load_split_outcome(name: str, joined: bool, workdir: Path) -> dict[str, obje
 #: The averages split cases: the CLI's report (``--b 0.5 --custom
 #: 1.5:-1.5``, 8 distinct exponents) and plot (5) of a 2,749-species Flory
 #: file, a report with an exponent too large for the sample in the child's
-#: half, and the report under each fault of the child.
+#: half, the report of an iterator ``custom`` and then of a list of the
+#: same pairs, the CLI's report with a tangent pair (``--custom 2:2``), the
+#: report of a uniform dataset of the file's size, and the report under
+#: each fault of the child.
 AVERAGE_SPLIT_CASES = (
     "report-json", "report-text", "plot-svg", "plot-csv", "too-large-exponent",
+    "custom-iterator", "custom-tangent", "uniform",
     "child-fails-at-once", "child-fails-after-some", "child-lags",
 )
 #: Custom pairs whose distinct exponents, after the chain's 1, 0, 1.7, 2
@@ -551,6 +555,16 @@ def average_split_outcome(name: str, joined: bool, workdir: Path) -> dict[str, o
     if name == "too-large-exponent":
         dataset = load_mwd(path)
         call = lambda: _outcome_of(lambda: repr(polydispersity(dataset, 0.7, TOO_LARGE_CUSTOM)))
+    elif name == "custom-iterator":
+        dataset = load_mwd(path)
+        pairs = [(0.5, 0.25), (1.5, -1.5)]
+        call = lambda: [repr(polydispersity(dataset, 0.7, c)) for c in (iter(pairs), pairs)]
+    elif name == "custom-tangent":
+        call = lambda: _cli_output([*report[:-2], "--custom", "2:2", "--format", "json"], None)
+    elif name == "uniform":
+        masses = np.full(load_mwd(path).n, 500.0)
+        dataset = MWDataset(masses=masses, abundances=np.linspace(1.0, 2.0, masses.size))
+        call = lambda: repr(polydispersity(dataset, 0.7, [(1.5, -1.5)]))
     elif kind == "plot":
         out = workdir / f"plot.{fmt}"
         call = lambda: _cli_output(["plot", "--input", str(path), "--out", str(out)], out)

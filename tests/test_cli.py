@@ -265,15 +265,18 @@ class TestMwdReport:
     def report_and_plot(tmp_path: Path) -> list[tuple[list[str], list[float]]]:
         """The end-to-end benchmark's mwd_report op, each call with the
         exponents whose S_p it needs: the report's 7 pairs at 0, 1, 1.7, 2,
-        3, 0.5, 1.5 and -1.5, the plot's 4 marks at 0, 1, 1.7, 2 and 3."""
+        3, 0.5, 1.5 and -1.5, the plot's 4 marks at 0, 1, 1.7, 2 and 3;
+        then the chain alone at s = 1, where Mv is Mw, at 0, 1, 2 and 3."""
         path = tmp_path / "flory.csv"
         mwd.save_mwd(mwd.generate_flory(28.0, 0.99), path)
         report = ["mwd-report", "--input", str(path), "--b", "0.5"]
         report += ["--custom", "1.5:-1.5", "--format", "json"]
         plot = ["plot", "--input", str(path), "--out", str(tmp_path / "flory.svg")]
+        chain = ["mwd-report", "--input", str(path), "--s", "1"]
         return [
             (report, [1.0, 0.0, 1.7, 2.0, 3.0, 0.5, 1.5, -1.5]),
             (plot, [1.0, 0.0, 1.7, 2.0, 3.0]),
+            (chain, [1.0, 0.0, 2.0, 3.0]),
         ]
 
     def test_one_kernel_call_per_distinct_exponent(self, tmp_path, monkeypatch):
@@ -305,17 +308,24 @@ class TestMwdReport:
             if joined:
                 assert here == []
 
-    def test_too_large_custom_exponent(self, data_dir, capsys):
-        code = run_cli(
-            "mwd-report", "--input", str(data_dir / "two_species.csv"), "--custom", "1e308:0"
-        )
-        assert code == 2
+    @pytest.mark.parametrize(
+        "custom,message",
+        [
+            (["1e308:0"], "exponent 1e+308 is too large for this sample: "
+                          "|p| * max|ln a| overflows a double"),
+            # every pair is checked before the kernel refuses one
+            (["1e308:0", "inf:0"], "exponents must be finite, got p=inf, q=0.0"),
+        ],
+        ids=["too-large", "then-infinite"],
+    )
+    def test_too_large_custom_exponent(self, data_dir, capsys, custom, message):
+        argv = ["mwd-report", "--input", str(data_dir / "two_species.csv")]
+        for spec in custom:
+            argv += ["--custom", spec]
+        assert run_cli(*argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (
-            "error: exponent 1e+308 is too large for this sample: "
-            "|p| * max|ln a| overflows a double\n"
-        )
+        assert err == f"error: {message}\n"
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ginikit import means, mwd
+from ginikit import _backend, means, mwd
+from ginikit import sample as sample_module
 from ginikit.cli import main
 from ginikit.errors import DataError, IngestionError, ParameterDomainError
 from ginikit.mwd import (
@@ -39,8 +40,8 @@ from ginikit.oracle import oracle_gini
 from ginikit.sample import ExponentPair
 
 from helpers import (
-    AVERAGE_SPLIT_CASES, SPLIT_SENT, assert_within_ulps, average_split_outcome, children_left,
-    split_outcomes_under_both_backends,
+    AVERAGE_SPLIT_CASES, SPLIT_SENT, assert_within_ulps, average_split_outcome, child_fault,
+    children_left, split_outcomes_under_both_backends, two_cpus,
 )
 
 
@@ -258,20 +259,30 @@ class TestPolydispersityReport:
             polydispersity(two_species, custom=custom)
 
     def test_custom_entries_are_read_and_fail_in_order(self, two_species, monkeypatch):
-        # the first bad entry, malformed or out of domain, decides the error
-        with pytest.raises(ParameterDomainError, match="too large for this sample"):
+        # every entry is read and checked before any mean is formed, so the
+        # first entry that forms no pair decides the error, even after a pair
+        # that the kernel would refuse on this sample
+        with pytest.raises(ParameterDomainError, match="custom entries"):
             polydispersity(two_species, custom=[(1e308, 0.0), (1.0,)])
         with pytest.raises(ParameterDomainError, match="custom entries"):
-            polydispersity(two_species, custom=[(1.0,), (1e308, 0.0)])
-        # an entry is read after the pair before it is evaluated
-        seen = []
-        real = means._PowerSums.gini
-        monkeypatch.setattr(
-            means._PowerSums, "gini", lambda sums, pair: seen.append(pair) or real(sums, pair)
-        )
-        with pytest.raises(ParameterDomainError, match="custom entries"):
-            polydispersity(two_species, custom=[(1.5, -1.5), 1.0])
-        assert seen[-1] == ExponentPair(1.5, -1.5)
+            polydispersity(two_species, custom=[(1.0,), (math.inf, 0.0)])
+        with pytest.raises(ParameterDomainError, match="exponents must be finite"):
+            polydispersity(two_species, custom=[(math.inf, 0.0), (1.0,)])
+        # a refused entry, from a list or an iterator, builds no sample and
+        # makes no kernel call
+        calls = []
+        for module, name in ((_backend, "exp_moments"), (sample_module, "_sample_batch")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+            )
+        entries = [(1.5, -1.5), (1e308, 0.0), 1.0]
+        for custom in (entries, iter(entries)):
+            with pytest.raises(ParameterDomainError, match=re.escape("got 1.0")):
+                polydispersity(two_species, custom=custom)
+        assert calls == []
+        polydispersity(two_species, custom=iter([(1.5, -1.5)]))
+        assert calls[0] == "_sample_batch" and "exp_moments" in calls
 
     @pytest.mark.parametrize("s", [0.0, 1.5, -1.0])
     def test_report_s_domain(self, two_species, s):
@@ -757,6 +768,11 @@ def assert_average_split_outcome(name: str, joined: bool, outcome: dict) -> None
             "ParameterDomainError",
             "exponent 1e+308 is too large for this sample: |p| * max|ln a| overflows a double",
         ]
+    elif name == "custom-iterator":
+        from_iterator, from_list = outcome["one_process"]
+        assert from_iterator == from_list
+    elif name == "uniform":
+        assert "Mn=500.0, Mw=500.0, Mz=500.0, Mv=500.0" in outcome["one_process"]
     else:
         code, stdout, written = outcome["one_process"]
         assert code == 0 and (stdout or written)
@@ -769,6 +785,10 @@ def assert_average_split_outcome(name: str, joined: bool, outcome: dict) -> None
         # that has sent every log sum leaves this process no kernel call
         want = {
             "too-large-exponent": ([1], 7),
+            # each report forks once; a tangent's full call is made here
+            "custom-iterator": ([0, 0], 0),
+            "custom-tangent": ([0, 0], 1),
+            "uniform": ([], 0),
             "child-fails-at-once": ([1, 1], 8),
             "child-fails-after-some": ([1, 1], 8 - SPLIT_SENT),
         }.get(name, ([0, 0], 0))
@@ -817,15 +837,15 @@ class TestAveragesFromBothEnds:
         assert polydispersity(dataset) == want
         assert len(forks) == 1
 
-    def test_lazy_custom_stays_in_one_process(self, forks, monkeypatch):
+    def test_iterator_custom_forks_as_a_list_does(self, forks, monkeypatch):
         monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, 0))
         dataset = generate_flory(28.0, 0.9)
         want = polydispersity(dataset, custom=[(1.5, -1.5)])
         assert len(forks) == 1
         assert polydispersity(dataset, custom=iter([(1.5, -1.5)])) == want
-        assert len(forks) == 1
+        assert len(forks) == 2
 
-    def test_refused_custom_entry_raises_after_the_pairs_before_it(self, forks, monkeypatch):
+    def test_refused_custom_entry_raises_before_any_fork(self, forks, monkeypatch):
         monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, 0))
         dataset = generate_flory(28.0, 0.9)
         with pytest.raises(ParameterDomainError, match=re.escape("got (1.0,)")):
@@ -833,10 +853,22 @@ class TestAveragesFromBothEnds:
         # an entry is read once: the pair an iterator formed is not read again
         with pytest.raises(ParameterDomainError, match=re.escape("got (1.0,)")):
             polydispersity(dataset, custom=[iter((1.5, -1.5)), (1.0,)])
-        # a pair before the refused entry raises first
-        with pytest.raises(ParameterDomainError, match="too large for this sample"):
+        # a pair that the kernel would refuse on this sample does not raise first
+        with pytest.raises(ParameterDomainError, match=re.escape("got (1.0,)")):
             polydispersity(dataset, custom=[(1e308, 0.0), (1.0,)])
-        assert len(forks) == 3 and not children_left()
+        assert forks == [] and not children_left()
+
+    def test_a_tangent_exponent_is_asked_of_the_child_once(self, monkeypatch):
+        # the tangent (2.5, 2.5) keeps no log sum, so S_2.5 is still missing
+        # when (2.5, 1) reads it, after the walk has taken S_4 from the
+        # child; the child sent S_4 alone, so this process forms S_2.5
+        dataset = generate_flory(28.0, 0.9)
+        custom = [(2.0, 2.0), (2.5, 2.5), (4.0, 0.0), (2.5, 1.0)]
+        want = polydispersity(dataset, custom=custom)
+        monkeypatch.setattr(mwd, "_FORK_MIN_TERMS", dict.fromkeys(mwd._FORK_MIN_TERMS, 0))
+        with child_fault("child-fails-after-some", 1), two_cpus(joined=True) as statuses:
+            assert polydispersity(dataset, custom=custom) == want
+        assert statuses == [1] and not children_left()
 
     def test_a_child_can_take_the_exponents_past_the_middle(self, forks, monkeypatch):
         dataset = generate_flory(28.0, 0.9)
