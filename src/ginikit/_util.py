@@ -1,6 +1,6 @@
 """Small shared helpers: number and path checks, float formatting, text reads,
-atomic writes, the one way the package forks a child process, and the one
-way a forked child shares a loop with its parent from the loop's other end."""
+atomic writes, and the package's one way to fork: a child that runs a loop
+from its other end while the parent runs it from the start."""
 
 from __future__ import annotations
 
@@ -252,78 +252,6 @@ def _keep_off_cpu(pid: int, cpu: int | None) -> None:
         pass
 
 
-class _Child:
-    """A child process that :func:`_forked` started, until it is reaped."""
-
-    def __init__(self, pid: int) -> None:
-        self._pid = pid
-        self._status: int | None = None
-
-    def join(self) -> int:
-        """Wait for the child to exit, and reap it; its exit status, which is
-        0 when its work returned, 1 when the work raised, and minus the
-        signal number when a signal ended it."""
-        if self._status is None:
-            self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        return self._status
-
-    def kill(self) -> None:
-        """End the child by ``SIGKILL`` unless it has been reaped; a later
-        :meth:`join` reaps it."""
-        if self._status is None:
-            os.kill(self._pid, signal.SIGKILL)
-
-
-@contextlib.contextmanager
-def _forked(work: Callable[[], object]) -> Iterator[_Child | None]:
-    """Run ``work()`` in a forked child while the ``with`` block runs here.
-
-    The block gets the :class:`_Child`, or None when no child runs: with
-    fewer than two usable CPUs, without ``os.fork``, or when it raises
-    ``OSError``.  A caller that gets None does all the work itself.
-
-    The child is moved off this process's CPU at once (see
-    :func:`_keep_off_cpu`).  It turns the garbage collector off, since a
-    collection there could finalize the caller's garbage a second time
-    (flushing a file's buffer twice, say).  It leaves only through ``os._exit``, with status
-    0 when ``work`` returns and 1 when it raises, so it never returns into
-    the caller's code, flushes the caller's buffers or runs its exit
-    hooks.  The block may wait for the child (:meth:`_Child.join`) or end
-    it early (:meth:`_Child.kill`); a child that the block leaves running,
-    by returning or by raising, is killed, and every child is reaped, as
-    the block ends.  So no child outlives the block.
-
-    On Python 3.12 and later, forking a process that runs threads (numpy's
-    BLAS pool starts some) emits a ``DeprecationWarning``; this is not
-    checked on the Python the package is tested with (3.11).
-    """
-    pid: int | None = None
-    if hasattr(os, "fork") and _usable_cpus() >= 2:
-        here = _current_cpu()
-        try:
-            pid = os.fork()
-        except OSError:
-            pass
-    if pid is None:
-        yield None
-        return
-    if pid == 0:
-        status = 1
-        try:
-            gc.disable()
-            work()
-            status = 0
-        finally:
-            os._exit(status)
-    _keep_off_cpu(pid, here)
-    child = _Child(pid)
-    try:
-        yield child
-    finally:
-        child.kill()
-        child.join()
-
-
 #: The length of a frame that :func:`_from_both_ends` streams, before its bytes.
 _FRAME_LENGTH = struct.Struct("=Q")
 
@@ -337,7 +265,8 @@ def _nothing_sent(index: int) -> None:
 def _from_both_ends(
     count: int, payload: Callable[[int], bytes | None]
 ) -> Iterator[Callable[[int], bytes | None]]:
-    """A loop over ``count`` items that a forked child runs from the last item back.
+    """A loop over ``count`` items that a forked child runs from the last item
+    back: the package's one way to fork.
 
     The block gets ``received``: ``received(index)`` is the ``payload(index)``
     that the child sent, once it has arrived, and None before; the caller
@@ -356,21 +285,52 @@ def _from_both_ends(
     as they were sent.
 
     No child runs, and ``received`` is always None, when ``count`` is 0
-    (callers pass 0 below their break-even) or when :func:`_forked` starts
-    none.  The child is reaped and the pipe closed when the block ends.
+    (callers pass 0 below their break-even), with fewer than two usable
+    CPUs, without ``os.fork``, or when the pipe or the fork raises
+    ``OSError``; the caller then does all the work itself.
+
+    The child is moved off this process's CPU at once (see
+    :func:`_keep_off_cpu`).  It turns the garbage collector off, since a
+    collection there could finalize the caller's garbage a second time
+    (flushing a file's buffer twice, say).  It leaves only through
+    ``os._exit``, with status 0 when its loop returns and 1 when it raises,
+    so it never returns into the caller's code, flushes the caller's
+    buffers or runs its exit hooks.  When the block ends, by returning or by
+    raising, the child is killed if it still runs and reaped, and the pipe
+    is closed.  So no child outlives the block.
+
+    On Python 3.12 and later, forking a process that runs threads (numpy's
+    BLAS pool starts some) emits a ``DeprecationWarning``; this is not
+    checked on the Python the package is tested with (3.11).
     """
-    if count <= 0:
+    ends = None
+    if count > 0 and hasattr(os, "fork") and _usable_cpus() >= 2:
+        with contextlib.suppress(OSError):  # out of file descriptors, say
+            ends = os.pipe()
+    if ends is None:
         yield _nothing_sent
         return
-    read_end, write_end = os.pipe()
-    with open(read_end, "rb", buffering=0) as stream, open(write_end, "wb", buffering=0) as sink:
-        with _forked(lambda: _send_from_the_back(count, payload, sink)) as child:
-            # the child holds its own copy of the write end
-            sink.close()
-            if child is None:
-                yield _nothing_sent
-                return
-            os.set_blocking(read_end, False)
+    with open(ends[0], "rb", buffering=0) as stream, open(ends[1], "wb", buffering=0) as sink:
+        here = _current_cpu()
+        pid = None
+        with contextlib.suppress(OSError):
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                gc.disable()
+                _send_from_the_back(count, payload, sink)
+                status = 0
+            finally:
+                os._exit(status)
+        # the child holds its own copy of the write end
+        sink.close()
+        if pid is None:
+            yield _nothing_sent
+            return
+        try:
+            _keep_off_cpu(pid, here)
+            os.set_blocking(stream.fileno(), False)
             pending = bytearray()
             frames: list[bytes] = []  # frames[k] is the payload of item count - 1 - k
             met = False
@@ -384,10 +344,13 @@ def _from_both_ends(
                     if count - 1 - index >= len(frames):
                         return None
                     met = True
-                    child.kill()
+                    os.kill(pid, signal.SIGKILL)
                 return frames[count - 1 - index]
 
             yield received
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _take_frames(pending: bytearray, frames: list[bytes]) -> None:

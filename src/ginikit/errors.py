@@ -34,7 +34,8 @@ so which errors are raised, with which messages and in which order, does
 not depend on that test.  The order rule: every parameter, each entry of
 a ``grid`` or ``custom`` included, is checked before any evaluation, and
 samples are checked when they are reached.  ``tests/test_arguments.py``
-sweeps every callable of ``ginikit.__all__`` with hostile values to hold
+sweeps every callable of ``ginikit.__all__``, the report writers of
+:mod:`ginikit.mwd` and :mod:`ginikit.plotting` with hostile values to hold
 the rules.
 """
 

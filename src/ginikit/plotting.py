@@ -7,11 +7,12 @@ on every platform, so the SVG is assembled from fixed-format strings only.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
-from ._util import format_double
+from ._util import _parameter, format_double
+from .errors import ParameterDomainError
 from .mwd import MWDataset, _checked
 
 __all__ = ["render_svg", "render_csv", "histogram_bins"]
@@ -63,8 +64,32 @@ def histogram_bins(dataset: MWDataset) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
+def _ordered_marks(marks: object) -> list[tuple[str, float]]:
+    """The ``(name, mass)`` items of ``marks`` by increasing mass, then name.
+
+    ``marks`` must map ``str`` names to masses, number parameters above 0;
+    anything else raises :class:`ginikit.errors.ParameterDomainError`.
+    """
+    if not isinstance(marks, Mapping):
+        raise ParameterDomainError(
+            f"marks must be a mapping of names to masses, got {type(marks).__name__}"
+        )
+    items = []
+    for name, value in marks.items():
+        if not isinstance(name, str):
+            raise ParameterDomainError(f"mark names must be str, got {name!r}")
+        items.append((name, _parameter(value, f"mark {name} must be a mass > 0", lambda m: m > 0)))
+    return sorted(items, key=lambda item: (item[1], item[0]))
+
+
 def render_csv(dataset: MWDataset, marks: Mapping[str, float]) -> str:
-    """Plot data as text: the binned table followed by a means block."""
+    """Plot data as text: the binned table followed by a means block.
+
+    Both renderers check the dataset, then the marks (see
+    :func:`_ordered_marks`), before any work.
+    """
+    _checked(dataset, MWDataset)
+    ordered = _ordered_marks(marks)
     edges, fractions = histogram_bins(dataset)
     lines = ["bin_low,bin_high,abundance_fraction"]
     lines.extend(
@@ -73,7 +98,7 @@ def render_csv(dataset: MWDataset, marks: Mapping[str, float]) -> str:
     )
     lines.append("")
     lines.append("mark,value")
-    for name, value in sorted(marks.items(), key=lambda item: (item[1], item[0])):
+    for name, value in ordered:
         lines.append(f"{name},{format_double(value)}")
     return "\n".join(lines) + "\n"
 
@@ -85,13 +110,15 @@ def render_svg(dataset: MWDataset, marks: Mapping[str, float]) -> str:
     output is pure deterministic text; rendering the same dataset twice
     yields identical bytes.
     """
+    _checked(dataset, MWDataset)
+    ordered = _ordered_marks(marks)
     edges, fractions = histogram_bins(dataset)
     log_edges = np.log10(edges)
     span_lo = float(log_edges[0])
     span_hi = float(log_edges[-1])
-    if marks:
-        span_lo = min(span_lo, min(math.log10(v) for v in marks.values()) - 0.02)
-        span_hi = max(span_hi, max(math.log10(v) for v in marks.values()) + 0.02)
+    if ordered:
+        span_lo = min(span_lo, math.log10(ordered[0][1]) - 0.02)
+        span_hi = max(span_hi, math.log10(ordered[-1][1]) + 0.02)
     if span_hi <= span_lo:
         span_hi = span_lo + 1.0
 
@@ -142,7 +169,6 @@ def render_svg(dataset: MWDataset, marks: Mapping[str, float]) -> str:
             f'font-size="12" text-anchor="middle">1e{decade}</text>'
         )
 
-    ordered = sorted(marks.items(), key=lambda item: (item[1], item[0]))
     for index, (name, value) in enumerate(ordered):
         x = x_of(math.log10(value))
         color = _MARK_COLORS.get(name, "#636363")

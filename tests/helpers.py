@@ -335,20 +335,25 @@ def child_fault(name: str, sent: int = SPLIT_SENT) -> contextlib.AbstractContext
 @contextlib.contextmanager
 def two_cpus(joined: bool) -> Iterator[list[int]]:
     """Two usable CPUs whatever the host has.  With ``joined``, every child
-    that ``_util._forked`` starts has exited before the caller's block runs,
-    so it has sent all it ever will; the list gets each one's exit status."""
-    statuses: list[int] = []
-    real_forked = _util._forked
+    that ``_util._from_both_ends`` starts has exited before the caller's
+    block runs, so it has sent all it ever will; the list gets each one's
+    exit status, which is minus the signal number when a signal ended it.
 
-    @contextlib.contextmanager
-    def forked(work):
-        with real_forked(work) as child:
-            if child is not None and joined:
-                statuses.append(child.join())
-            yield child
+    The wait is in ``_util._keep_off_cpu``, the parent's first call that
+    has the child's pid; it leaves the child for ``_from_both_ends`` to reap.
+    """
+    statuses: list[int] = []
+    real_keep_off_cpu = _util._keep_off_cpu
+
+    def keep_off_cpu(pid: int, cpu: int | None) -> None:
+        real_keep_off_cpu(pid, cpu)
+        if joined:
+            result = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            exited = result.si_code == os.CLD_EXITED
+            statuses.append(result.si_status if exited else -result.si_status)
 
     with mock.patch.object(_util, "_usable_cpus", lambda: 2):
-        with mock.patch.object(_util, "_forked", forked):
+        with mock.patch.object(_util, "_keep_off_cpu", keep_off_cpu):
             yield statuses
 
 

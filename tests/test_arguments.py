@@ -1,11 +1,14 @@
 """One sweep of the argument boundary of the whole public API.
 
-Every callable of ``ginikit.__all__`` that takes arguments gets each
-``HOSTILE`` value in each of its public parameters, in turn, with a valid
-argument in every other place.  Each call must return or raise a
-:class:`ginikit.GinikitError`, the rule :mod:`ginikit.errors` states.  The
-one exception is a ``str`` path of a file that does not exist, which stays an
-``OSError``, as a missing file does everywhere.
+Every callable of ``ginikit.__all__``, ``mwd.report_to_json``,
+``mwd.report_to_text`` and ``plotting.__all__`` that takes arguments gets
+each ``HOSTILE`` value in each of its public parameters, in turn, with a
+valid argument in every other place.  Each call must return or raise a
+:class:`ginikit.GinikitError`, the rule :mod:`ginikit.errors` states, and a
+sample, dataset, report, pair, order or grid is refused with its own class
+of error.  The one exception is a ``str`` path of a file that does not
+exist, which stays an ``OSError``, as a missing file does everywhere.  A
+refused call writes no file.
 
 Two more sweeps hold the rule for number parameters: a value that is no
 ``numbers.Real`` is refused, though ``float()`` would take it, and a real of
@@ -25,6 +28,7 @@ import pytest
 
 import ginikit
 from ginikit import (
+    DataError,
     ExponentPair,
     GinikitError,
     MWDataset,
@@ -32,6 +36,8 @@ from ginikit import (
     ParameterOrder,
     PositiveSample,
     generate_lognormal,
+    mwd,
+    plotting,
     polydispersity,
     save_mwd,
 )
@@ -47,6 +53,19 @@ NUMBER_PARAMETERS = {
     "n_points", "precision_digits",
 }
 
+#: The error class that refuses a hostile value in each typed parameter:
+#: a sample, dataset or report is data, a pair, order or grid a parameter.
+TYPED_PARAMETERS = {
+    **dict.fromkeys(("sample", "samples", "dataset", "report"), DataError),
+    **dict.fromkeys(("params", "lower", "upper", "order", "grid"), ParameterDomainError),
+}
+
+#: The typed parameters that take a hostile value: the empty ones, ``[]``
+#: and an empty array, which hold no sample or pair to refuse.
+TAKE_EMPTY = {
+    ("equivalence_report", "samples"), ("equivalence_report", "grid"), ("scan_monotonicity", "grid"),
+}
+
 #: Callables that keep any value they are given, checking none.
 PLAIN_RECORDS = {"AuditVerdict", "EquivalenceSummary", "LogPowerSum", "CustomMean", "MeansReport"}
 
@@ -60,14 +79,27 @@ NOT_REAL = {
 }
 
 
+def public_entries() -> dict[str, object]:
+    """Each public callable by name; the file writers once more, by their
+    name and their other format, to be swept with a path of that format."""
+    entries = {name: getattr(ginikit, name) for name in ginikit.__all__}
+    entries.update((name, getattr(mwd, name)) for name in ("report_to_json", "report_to_text"))
+    entries.update((name, getattr(plotting, name)) for name in plotting.__all__)
+    entries.update({"save_mwd-json": mwd.save_mwd, "save_report-txt": mwd.save_report})
+    return entries
+
+
 def valid_arguments(tmp_path) -> dict[str, dict[str, object]]:
     """A valid argument for each public parameter, by callable and name;
-    ``"*"`` holds the ones shared by several callables."""
+    ``"*"`` holds the ones shared by several callables.  The writers write
+    into ``tmp_path / "written"``."""
     sample = PositiveSample([1.0, 2.0, 8.0], [1.0, 0.5, 2.0])
     lower, upper = ExponentPair(1.0, 0.0), ExponentPair(2.0, 1.0)
     dataset = generate_lognormal(1e4, 0.5, 4)
     data_file = tmp_path / "in.csv"
     save_mwd(dataset, data_file)
+    written = tmp_path / "written"
+    written.mkdir(exist_ok=True)
     return {
         "*": {
             "sample": sample,
@@ -102,11 +134,14 @@ def valid_arguments(tmp_path) -> dict[str, dict[str, object]]:
             "n_points": 4,
             "message": "m",
             "line": 3,
+            "marks": {"Mn": 1e4, "Mw": 2e4},
         },
         "check_power_mean_bound": {"p": 1.0, "q": 0.0, "r": 2.0},
         "load_mwd": {"path": data_file},
-        "save_mwd": {"path": tmp_path / "out.csv"},
-        "save_report": {"path": tmp_path / "report.json"},
+        "save_mwd": {"path": written / "out.csv"},
+        "save_mwd-json": {"path": written / "out.json"},
+        "save_report": {"path": written / "report.json"},
+        "save_report-txt": {"path": written / "report.txt"},
         # plain records, which take any value
         "AuditVerdict": dict(holds=True, margin=1.0, degenerate=False, tolerance=1e-12),
         "EquivalenceSummary": dict(
@@ -121,12 +156,11 @@ def valid_arguments(tmp_path) -> dict[str, dict[str, object]]:
 
 
 def public_calls(tmp_path) -> list[tuple[str, object, list[inspect.Parameter], dict]]:
-    """Each callable of ``ginikit.__all__`` whose signature names public
-    parameters, with those parameters and its valid arguments."""
+    """Each public callable whose signature names public parameters, with
+    those parameters and its valid arguments."""
     valid = valid_arguments(tmp_path)
     calls = []
-    for name in ginikit.__all__:
-        entry = getattr(ginikit, name)
+    for name, entry in public_entries().items():
         if not callable(entry):
             continue
         try:
@@ -199,35 +233,56 @@ def call(entry, parameters: list[inspect.Parameter], arguments: dict) -> object:
 
 
 class TestArgumentSweep:
-    def test_every_hostile_argument_gets_a_result_or_a_package_error(
+    def test_every_hostile_argument_gets_a_result_or_its_package_error(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
         calls = public_calls(tmp_path)
+        written = tmp_path / "written"
         start = time.perf_counter()
         leaks = []
+        taken = []
         swept = 0
         for name, entry, parameters, arguments in calls:
             # every parameter has a valid argument, and together they give a
             # result, so each hostile value is what a call refuses
             assert None not in arguments.values(), name
             call(entry, parameters, arguments)
+            for path in written.iterdir():
+                path.unlink()
             for parameter in parameters:
+                refusal = TYPED_PARAMETERS.get(parameter.name, GinikitError)
                 for value in HOSTILE:
                     swept += 1
                     try:
-                        call(entry, parameters, {**arguments, parameter.name: value})
-                    except GinikitError:
-                        pass
+                        result = call(entry, parameters, {**arguments, parameter.name: value})
+                    except refusal:
+                        continue
                     except OSError:
                         if not (parameter.name in PATH_PARAMETERS and isinstance(value, str)):
                             leaks.append((name, parameter.name, repr(value), "OSError"))
+                        continue
                     except Exception as exc:  # noqa: BLE001 - any other kind is a leak
                         leaks.append((name, parameter.name, repr(value), type(exc).__name__))
+                        continue
+                    if parameter.name in TYPED_PARAMETERS:
+                        # a typed parameter takes a hostile value only as []
+                        empty = call(entry, parameters, {**arguments, parameter.name: []})
+                        assert bits(result) == bits(empty), (name, parameter.name, repr(value))
+                        taken.append((name, parameter.name, repr(value)))
+            # the refused calls wrote nothing, nor left a temp file
+            assert list(written.iterdir()) == [], name
         elapsed = time.perf_counter() - start
         assert leaks == []
+        assert sorted(taken) == sorted(
+            (name, parameter, repr(value))
+            for name, parameter in TAKE_EMPTY
+            for value in ([], np.array([]))
+        )
+        # HOSTILE's str is a path that a writer takes, in the working directory
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["in.csv", "written", "x"]
         # every public callable with arguments, every public parameter
-        assert len(calls) == 37
+        assert len(calls) == 44
         assert swept == len(HOSTILE) * sum(len(parameters) for _, _, parameters, _ in calls)
         assert elapsed < 2.0
 

@@ -769,37 +769,8 @@ class TestBulkJsonReader:
             assert got == ("error", error)
 
 
-#: Every public function that takes a dataset or a report, called with
-#: ``value`` in its place and valid arguments everywhere else.
-TYPED_ARGUMENT_CALLS = {
-    "save_mwd-csv": lambda value, tmp: mwd.save_mwd(value, tmp / "ds.csv"),
-    "save_mwd-json": lambda value, tmp: mwd.save_mwd(value, tmp / "ds.json"),
-    "polydispersity": lambda value, tmp: mwd.polydispersity(value),
-    "number_average": lambda value, tmp: mwd.number_average(value),
-    "weight_average": lambda value, tmp: mwd.weight_average(value),
-    "z_average": lambda value, tmp: mwd.z_average(value),
-    "viscosity_average": lambda value, tmp: mwd.viscosity_average(value, 0.7),
-    "hydrodynamic_mean": lambda value, tmp: mwd.hydrodynamic_mean(value, 0.5),
-    "sedimentation_mean": lambda value, tmp: mwd.sedimentation_mean(value, 0.5),
-    "effective_parameter_mean": lambda value, tmp: mwd.effective_parameter_mean(value),
-    "save_report-json": lambda value, tmp: mwd.save_report(value, tmp / "report.json"),
-    "save_report-txt": lambda value, tmp: mwd.save_report(value, tmp / "report.txt"),
-    "report_to_json": lambda value, tmp: mwd.report_to_json(value),
-    "report_to_text": lambda value, tmp: mwd.report_to_text(value),
-    "render_svg": lambda value, tmp: plotting.render_svg(value, {"Mn": 100.0}),
-    "render_csv": lambda value, tmp: plotting.render_csv(value, {"Mn": 100.0}),
-    "histogram_bins": lambda value, tmp: plotting.histogram_bins(value),
-}
-
-
 class TestWrongTypedArguments:
-    @pytest.mark.parametrize("call", TYPED_ARGUMENT_CALLS.values(), ids=TYPED_ARGUMENT_CALLS)
-    def test_every_hostile_value_gets_a_package_error(self, tmp_path, call):
-        for value in HOSTILE:
-            with pytest.raises(GinikitError):
-                call(value, tmp_path)
-        assert list(tmp_path.iterdir()) == []
-
+    # every hostile value in each parameter: tests/test_arguments.py
     def test_the_error_names_the_type(self, tmp_path):
         with pytest.raises(DataError, match="^expected MWDataset, got NoneType$"):
             save_mwd(None, tmp_path / "ds.csv")
@@ -849,46 +820,8 @@ class TestPathArguments:
 _SAMPLE = PositiveSample([1.0, 2.0])
 _PAIR = ExponentPair(2.0, 1.0)
 
-#: Every public function of ``means`` and ``audit`` that takes a sample, a
-#: pair or an order, called with ``value`` in that place and valid arguments
-#: everywhere else, with the error it must raise.
-SAMPLE_ARGUMENT_CALLS = {
-    "log_power_sum": (lambda value: means.log_power_sum(value, 1.0), DataError),
-    "gini_mean": (lambda value: means.gini_mean(value, _PAIR), DataError),
-    "gini_mean-pair": (lambda value: means.gini_mean(_SAMPLE, value), ParameterDomainError),
-    "secant_slope": (lambda value: means.secant_slope(value, 2.0, 1.0), DataError),
-    "power_mean": (lambda value: means.power_mean(value, 2.0), DataError),
-    "lehmer_mean": (lambda value: means.lehmer_mean(value, 2.0), DataError),
-    "identical_parameter_gini": (
-        lambda value: means.identical_parameter_gini(value, 2.0), DataError
-    ),
-    "extreme_value": (lambda value: means.extreme_value(value, "max"), DataError),
-    "convexity_gap": (lambda value: audit.convexity_gap(value, 1.0), DataError),
-    "check_monotonicity": (
-        lambda value: audit.check_monotonicity(
-            value, audit.ParameterOrder(ExponentPair(1.0, 0.0), _PAIR)
-        ),
-        DataError,
-    ),
-    "check_monotonicity-order": (
-        lambda value: audit.check_monotonicity(_SAMPLE, value), ParameterDomainError
-    ),
-    "check_power_mean_bound": (
-        lambda value: audit.check_power_mean_bound(value, 1.0, 0.0, 2.0), DataError
-    ),
-    "scan_monotonicity": (lambda value: audit.scan_monotonicity(value, [_PAIR]), DataError),
-}
-
-
 class TestWrongTypedSamples:
-    @pytest.mark.parametrize(
-        "call, error", SAMPLE_ARGUMENT_CALLS.values(), ids=SAMPLE_ARGUMENT_CALLS
-    )
-    def test_every_hostile_value_gets_its_package_error(self, call, error):
-        for value in HOSTILE:
-            with pytest.raises(error):
-                call(value)
-
+    # every hostile value in each parameter: tests/test_arguments.py
     def test_every_hostile_moments_value_gets_its_truth_or_a_parameter_error(self):
         refused = []
         for value in HOSTILE:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from ginikit.errors import DataError, ParameterDomainError
 from ginikit.mwd import MWDataset, generate_lognormal
 from ginikit.plotting import histogram_bins, render_csv, render_svg
 
@@ -113,3 +118,34 @@ class TestRenderSvg:
     def test_unknown_mark_gets_fallback_color(self, two_species):
         svg = render_svg(two_species, {"G(1.5,-1.5)": 220.0})
         assert "#636363" in svg
+
+
+class TestMarks:
+    @pytest.mark.parametrize("render", [render_csv, render_svg], ids=["csv", "svg"])
+    @pytest.mark.parametrize(
+        "marks, message",
+        [
+            ([("Mn", 100.0)], "marks must be a mapping of names to masses, got list"),
+            ({1: 100.0}, "mark names must be str, got 1"),
+            ({"Mn": 100.0, "Mw": 0.0}, "mark Mw must be a mass > 0, got 0.0"),
+            ({"Mn": math.inf}, "mark Mn must be a mass > 0, got inf"),
+            ({"Mn": "100"}, "mark Mn must be a mass > 0, got '100'"),
+        ],
+        ids=["list", "name", "zero", "inf", "str"],
+    )
+    def test_marks_that_are_no_masses_are_a_parameter_error(
+        self, two_species, render, marks, message
+    ):
+        with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
+            render(two_species, marks)
+
+    @pytest.mark.parametrize("render", [render_csv, render_svg], ids=["csv", "svg"])
+    def test_the_dataset_is_checked_first(self, render):
+        with pytest.raises(DataError, match="^expected MWDataset, got NoneType$"):
+            render(None, None)
+
+    def test_a_mark_of_another_real_type_acts_as_its_double(self, two_species):
+        marks = {"Mn": np.float64(150.0), "Mw": Fraction(250)}
+        doubles = {"Mn": 150.0, "Mw": 250.0}
+        for render in (render_csv, render_svg):
+            assert render(two_species, marks) == render(two_species, doubles)
