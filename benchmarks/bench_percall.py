@@ -86,6 +86,21 @@ def float_bits(*values: float) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
+def kernel_lists(s) -> list[bytes] | None:
+    """The bits of the float lists a sample hands the pure loop, or None when
+    its kernel reads the sorted arrays.  Either layout is read: the kernel
+    input kept as ``_kernel_logs`` and ``_kernel_log_weights``, or the older
+    ``_loop_lists``, None or a pair of lists, so a tree of either can be the
+    base."""
+    if hasattr(s, "_kernel_logs"):
+        lists = (s._kernel_logs, s._kernel_log_weights)
+        if lists[0] is s._sorted_log_values:
+            return None
+    else:
+        lists = s._loop_lists
+    return None if lists is None else [float_bits(*xs) for xs in lists]
+
+
 def digest_samples(samples) -> list[tuple]:
     def arrays(s):
         return (
@@ -100,7 +115,7 @@ def digest_samples(samples) -> list[tuple]:
             [(a.tobytes(), a.dtype.str, a.flags.writeable) for a in arrays(s)],
             float_bits(s.min_value, s.max_value, s._max_abs_log_value),
             s.is_uniform,
-            None if s._loop_lists is None else [float_bits(*xs) for xs in s._loop_lists],
+            kernel_lists(s),
         )
         for s in samples
     ]

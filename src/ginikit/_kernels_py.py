@@ -109,8 +109,8 @@ def _exp_moments_loop(
     p: float,
     moments: bool = True,
 ) -> tuple[float, float, float, float]:
-    # a list is read as it is, never written: a sample hands over the lists
-    # it keeps (``PositiveSample._loop_lists``), so no call copies its logs
+    # a list is read as it is, never written: a small sample keeps its logs
+    # as lists (``PositiveSample._kernel_logs``), so no call copies them
     lgs = logs if type(logs) is list else _as_list(logs)
     lws = log_weights if type(log_weights) is list else _as_list(log_weights)
     if not lgs:

@@ -32,11 +32,11 @@ exact type (``log_power_sum`` takes a ``float`` exponent and a ``bool``
 ``moments`` that way) and send every other argument to the full checks,
 so which errors are raised, with which messages and in which order, does
 not depend on that test.  The order rule: every parameter, each entry of
-a ``grid`` or ``custom`` included, is checked before any evaluation, and
-samples are checked when they are reached.  ``tests/test_arguments.py``
-sweeps every callable of ``ginikit.__all__``, the report writers of
-:mod:`ginikit.mwd` and :mod:`ginikit.plotting` with hostile values to hold
-the rules.
+a ``grid``, ``custom`` or ``samples`` included, is checked before any
+evaluation; only the oracle's domain is checked per sample and pair, when
+they are reached.  ``tests/test_arguments.py`` sweeps every callable of
+``ginikit.__all__``, the report writers of :mod:`ginikit.mwd` and
+:mod:`ginikit.plotting` with hostile values to hold the rules.
 """
 
 from __future__ import annotations

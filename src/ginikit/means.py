@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from . import _backend, _kernels_py
+from . import _backend
 from ._util import _number, _shown
 from .errors import ParameterDomainError
 from .sample import ExponentPair, PositiveSample, _checked_pairs, _checked_sample
@@ -110,10 +110,9 @@ def log_power_sum(
     Neumaier compensation in the sample's own order, ascending
     (ln a_i, ln w_i), which :class:`PositiveSample` fixes once for every
     exponent.  So the result is invariant under permutation of the sample
-    and reproducible to the bit across backends.  The pure kernel gets the
-    float lists a small sample keeps for its loop, and so does a wrapper of
-    it that names it as ``__wrapped__`` (as ``functools.wraps`` does, for a
-    tracer); any other kernel or wrapper gets the sorted arrays.
+    and reproducible to the bit across backends.  The kernel, or any wrapper
+    put in its place, gets the input the sample chose for it when it was
+    built: float lists for the pure loop, the sorted arrays otherwise.
 
     With ``moments=False`` the kernel sums the shifted weights alone, in one
     pass.  ``log_sum`` is then the same bits as the full call's, and
@@ -134,18 +133,10 @@ def log_power_sum(
         and math.isfinite(abs(p) * sample._max_abs_log_value)
     ):
         p, moments = _checked_arguments(sample, p, moments)
-    kernel = _backend.exp_moments
-    lists = sample._loop_lists
-    loop = _kernels_py.exp_moments
     # mean and variance are NaN from a total-only call, and stay NaN below
-    if lists is not None and (
-        kernel is loop or getattr(kernel, "__wrapped__", None) is loop
-    ):
-        shift, total, mean, variance = kernel(lists[0], lists[1], p, moments)
-    else:
-        shift, total, mean, variance = kernel(
-            sample._sorted_log_values, sample._sorted_log_weights, p, moments
-        )
+    shift, total, mean, variance = _backend.exp_moments(
+        sample._kernel_logs, sample._kernel_log_weights, p, moments
+    )
     log_sum = shift + math.log(total)
     if moments and sample.is_uniform:
         # All values equal c: the tilted distribution of ln a is a point mass

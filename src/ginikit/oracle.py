@@ -291,7 +291,7 @@ class EquivalenceSummary:
 
 
 def equivalence_report(
-    samples: Sequence[PositiveSample],
+    samples: Iterable[PositiveSample],
     grid: Iterable[ExponentPair],
     precision_digits: int = 50,
     *,
@@ -299,16 +299,16 @@ def equivalence_report(
 ) -> EquivalenceSummary:
     """Compare :func:`ginikit.means.gini_mean` against the oracle pointwise.
 
-    Every pair of ``grid``, read once, is evaluated on every sample, sample
-    by sample and pair by pair in the order given, at the working precision
-    ``precision_digits`` of :func:`oracle_gini`.  The summary holds five
-    fields: ``cases``, ``max_rel_error``, ``worst_index``, ``worst_params``
-    and ``passed``, which is true when the worst relative error is at most
-    :data:`REL_TOL`.  A grid entry that is not an :class:`ExponentPair`
-    raises :class:`ParameterDomainError` when the grid is read, before any
-    evaluation; ``samples`` that cannot be iterated raise :class:`DataError`
-    at once, and a sample that is not a :class:`PositiveSample` raises it
-    when it is reached, before it is evaluated.
+    Every pair of ``grid`` is evaluated on every sample of ``samples``, both
+    read once, sample by sample and pair by pair in the order given, at the
+    working precision ``precision_digits`` of :func:`oracle_gini`.  The
+    summary holds five fields: ``cases``, ``max_rel_error``,
+    ``worst_index``, ``worst_params`` and ``passed``, which is true when the
+    worst relative error is at most :data:`REL_TOL`.  A grid entry that is
+    not an :class:`ExponentPair` raises :class:`ParameterDomainError`, and
+    ``samples`` that cannot be iterated, or an entry of it that is not a
+    :class:`PositiveSample`, raise :class:`DataError`, each when it is
+    read, before any evaluation.
 
     The fast side holds one power-sum memo per sample, so each distinct
     exponent of a grid costs one kernel call (7 for the CLI's default grid
@@ -325,9 +325,9 @@ def equivalence_report(
     the power 1/(p - q) of a pair, which no sample changes, is shared across
     samples.  The precision is checked and set once per call, as there.
 
-    When ``samples`` is a ``Sequence`` whose sizes times the grid's pairs
-    sum to at least ``_FORK_MIN_TERMS``, and two CPUs are usable, the
-    references are computed from both ends (see
+    When the sizes of the samples times the grid's pairs sum to at least
+    ``_FORK_MIN_TERMS``, and two CPUs are usable, the references are
+    computed from both ends (see
     :func:`ginikit._util._from_both_ends`): a forked child streams each
     sample's references, as native doubles, from the last sample back,
     while this process runs the loop above from the first sample on and
@@ -335,13 +335,12 @@ def equivalence_report(
     Where the two meet, the child is killed.  The
     child makes no kernel call and raises nothing here: every error, its
     message and its order are those of the loop in one process, and so is
-    every byte of the summary.  Any other ``samples`` is read lazily, in
-    one process.
+    every byte of the summary.
     """
     digits = _checked_digits(precision_digits)
-    # both sides walk the grid once per sample, so an iterator is read once here
+    # both sides walk the grid per sample and index the samples: read each once here
     grid = _checked_pairs(grid)
-    checked = _checked_samples(samples)
+    samples = _checked_samples(samples)
     worst = 0.0
     worst_params: ExponentPair | None = None
     worst_index: int | None = None
@@ -350,16 +349,13 @@ def equivalence_report(
 
     def sent_references(index: int) -> bytes:  # the child's work
         # it raises, and so stops, where the loop below would raise
-        sample = _checked_sample(samples[index], index)
-        return record.pack(*_references(sample, grid, digits))
+        return record.pack(*_references(samples[index], grid, digits))
 
-    # only a Sequence is read from the back, and only where a fork pays
-    terms = 0
-    if isinstance(samples, Sequence):
-        terms = len(grid) * sum(s.n for s in samples if isinstance(s, PositiveSample))
+    # the samples are read from the back only where a fork pays
+    terms = len(grid) * sum(s.n for s in samples)
     count = len(samples) if terms >= _FORK_MIN_TERMS else 0
     with mp.workdps(digits), _from_both_ends(count, sent_references) as received:
-        for index, sample in enumerate(checked):
+        for index, sample in enumerate(samples):
             # both sides keep their sums per sample, and none across samples
             sums = _PowerSums(sample) if _memos is None else _memos[index]
             sent = received(index)

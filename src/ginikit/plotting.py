@@ -7,6 +7,7 @@ on every platform, so the SVG is assembled from fixed-format strings only.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 
 import numpy as np
@@ -43,19 +44,32 @@ def histogram_bins(dataset: MWDataset) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(edges, fractions)`` with ``len(edges) == len(fractions) + 1``.
     Monodisperse datasets get a single symmetric bin around the common mass.
+    An edge past the largest double is put at the largest mass (at the
+    largest double, for one bin), and abundances whose sum overflows are
+    scaled by the largest first.
     A ``dataset`` that is no :class:`MWDataset` raises
     :class:`ginikit.errors.DataError`; both renderers start here, so they
     refuse one the same way.
     """
     dataset = _checked(dataset, MWDataset)
     masses = dataset.masses
-    fractions = dataset.abundances / dataset.abundances.sum()
+    abundances = dataset.abundances
+    with np.errstate(over="ignore"):
+        if not math.isfinite(abundances.sum()):
+            abundances = abundances / abundances.max()
+    fractions = abundances / abundances.sum()
     lo = math.log10(float(masses.min()))
     hi = math.log10(float(masses.max()))
     if lo == hi:
-        edges = np.array([10.0 ** (lo - 0.05), 10.0 ** (lo + 0.05)])
+        try:
+            top = 10.0 ** (lo + 0.05)
+        except OverflowError:
+            top = sys.float_info.max
+        edges = np.array([10.0 ** (lo - 0.05), top])
         return edges, np.array([1.0])
-    edges = 10.0 ** np.linspace(lo, hi, _NUM_BINS + 1)
+    with np.errstate(over="ignore"):
+        edges = 10.0 ** np.linspace(lo, hi, _NUM_BINS + 1)
+    edges[np.isinf(edges)] = float(masses.max())
     # Guard against rounding pushing the extreme masses outside the edge
     # array; np.histogram treats the last bin as closed already.
     edges[0] = min(edges[0], float(masses.min()))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -79,10 +79,10 @@ class PositiveSample:
     and each one's four arrays are frozen views of four buffers shared by
     the batch, which stay alive while any of its samples does.
 
-    With the pure kernel, a sample of fewer than ``VECTOR_MIN_N`` values also
-    keeps the two sorted log arrays as Python float lists, made once, which
-    its loop reads (see :func:`ginikit.means.log_power_sum`).  Any other
-    sample keeps ``None`` there, and its kernel reads the arrays.
+    Each sample also keeps what its kernel reads (see
+    :func:`ginikit.means.log_power_sum`): with the pure kernel, a sample of
+    fewer than ``VECTOR_MIN_N`` values keeps its sorted logs as Python float
+    lists, made once, for the loop; any other keeps the sorted arrays.
     """
 
     __slots__ = (
@@ -94,7 +94,8 @@ class PositiveSample:
         "_sorted_log_values",
         "_sorted_log_weights",
         "_max_abs_log_value",
-        "_loop_lists",
+        "_kernel_logs",
+        "_kernel_log_weights",
     )
 
     values: np.ndarray
@@ -194,8 +195,8 @@ def _sample_batch(
     buffers = (values, weights, sorted_log_values, sorted_log_weights)
     for arr in buffers:
         arr.setflags(write=False)
-    # the pure kernel's loop lists, made once for the batch if any run is
-    # short enough to take them
+    # the pure kernel's loop reads lists, made once for the batch if any run
+    # is short enough to take them; every other run hands its kernel arrays
     lists = None
     if _backend.BACKEND == "python" and min(lengths) < VECTOR_MIN_N:
         lists = (sorted_log_values.tolist(), sorted_log_weights.tolist())
@@ -216,13 +217,10 @@ def _sample_batch(
         setattr_(sample, "_sorted_log_values", slv)
         setattr_(sample, "_sorted_log_weights", slw)
         setattr_(sample, "_max_abs_log_value", max(-slv.item(0), slv.item(-1)))
-        setattr_(
-            sample,
-            "_loop_lists",
-            (lists[0][start:end], lists[1][start:end])
-            if lists is not None and end - start < VECTOR_MIN_N
-            else None,
-        )
+        if lists is not None and end - start < VECTOR_MIN_N:
+            slv, slw = lists[0][start:end], lists[1][start:end]
+        setattr_(sample, "_kernel_logs", slv)
+        setattr_(sample, "_kernel_log_weights", slw)
     return samples
 
 
@@ -265,16 +263,16 @@ def _checked_sample(sample: object, index: int) -> PositiveSample:
     raise DataError(f"sample {index} must be a PositiveSample, got {type(sample).__name__}")
 
 
-def _checked_samples(samples: Iterable[object]) -> Iterator[PositiveSample]:
-    """``samples``, read lazily, each checked by :func:`_checked_sample` when it
-    is reached; a ``samples`` that cannot be iterated is refused at once."""
+def _checked_samples(samples: Iterable[object]) -> tuple[PositiveSample, ...]:
+    """``samples``, read once, as a tuple; each entry is checked by
+    :func:`_checked_sample`, and all of them before the caller evaluates any."""
     try:
         entries = iter(samples)
     except TypeError:
         raise DataError(
             f"samples must be an iterable of PositiveSample objects, got {_shown(samples)}"
         ) from None
-    return (_checked_sample(sample, index) for index, sample in enumerate(entries))
+    return tuple(_checked_sample(sample, index) for index, sample in enumerate(entries))
 
 
 def _checked_pairs(grid: Iterable[object]) -> tuple[ExponentPair, ...]:

@@ -696,18 +696,20 @@ def split_outcomes_under_both_backends(
 
 def sample_bits(sample: PositiveSample) -> tuple:
     """Every slot of ``sample``: arrays by dtype, bytes and flags, floats by
-    their bits (so -0.0 is not 0.0), and the loop lists entry by entry."""
+    their bits (so -0.0 is not 0.0), and the kernel input: None when it is
+    the sorted log arrays themselves, else the loop lists entry by entry."""
     arrays = (
         sample.values, sample.weights, sample._sorted_log_values, sample._sorted_log_weights
     )
-    lists = sample._loop_lists
+    kernel_input = (sample._kernel_logs, sample._kernel_log_weights)
     return (
         [(a.dtype.str, a.tobytes(), a.flags.writeable, a.flags.c_contiguous) for a in arrays],
         np.array([sample.min_value, sample.max_value, sample._max_abs_log_value]).tobytes(),
         [type(x) for x in (sample.min_value, sample.max_value, sample._max_abs_log_value)],
         sample.is_uniform,
-        None if lists is None else [
-            ({type(x) for x in lst}, np.array(lst, dtype=np.float64).tobytes()) for lst in lists
+        None if all(x is a for x, a in zip(kernel_input, arrays[2:])) else [
+            ({type(x) for x in xs}, np.array(xs, dtype=np.float64).tobytes())
+            for xs in kernel_input
         ],
     )
 
@@ -779,6 +781,44 @@ def batch_sample_outcomes() -> dict[str, object]:
         "with_lists": with_lists,
         "digest": digest.hexdigest(),
     }
+
+
+#: The smallest mass of each generated chain (the median, for lognormal),
+#: from the least positive double to near the top of the range.
+GENERATOR_M0 = (5e-324, 1e-320, 1e-310, 1e-300, 1e-150, 1.0, 28.0, 1e150, 1e300, 1e305)
+#: Each generator, as a function of m0 and its one parameter, and the
+#: values that parameter takes: Flory's x, Poisson's mean degree and the
+#: lognormal sigma, on 101 points.
+GENERATOR_PARAMETERS = {
+    "flory": (generate_flory, (0.5, 0.9, 0.999)),
+    "poisson": (mwd.generate_poisson, (1e-3, 5.0, 1e4, 1e6)),
+    "lognormal": (lambda m0, sigma: mwd.generate_lognormal(m0, sigma, 101), (0.1, 1.0, 5.0)),
+}
+
+
+def generator_chains() -> list[list[object]]:
+    """``[model, m0, parameter, chain]`` for every dataset the generators
+    make from :data:`GENERATOR_M0` and :data:`GENERATOR_PARAMETERS`; the
+    parameters a generator refuses are left out.  The chain holds Mn, Mv at
+    s = 0.1, 0.5, 0.7 and 1, Mw and Mz as hex, each from its own public
+    function, so no report's clamp touches them.  JSON-ready, so a
+    subprocess under another backend can report it."""
+    rows = []
+    for model, (generate, parameters) in GENERATOR_PARAMETERS.items():
+        for m0 in GENERATOR_M0:
+            for parameter in parameters:
+                try:
+                    dataset = generate(m0, parameter)
+                except ParameterDomainError:
+                    continue
+                chain = [
+                    mwd.number_average(dataset),
+                    *(mwd.viscosity_average(dataset, s) for s in (0.1, 0.5, 0.7, 1.0)),
+                    mwd.weight_average(dataset),
+                    mwd.z_average(dataset),
+                ]
+                rows.append([model, m0, parameter, [x.hex() for x in chain]])
+    return rows
 
 
 def compiled_kernel_file(src: Path) -> Path | None:

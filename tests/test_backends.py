@@ -320,9 +320,12 @@ class TestBitIdentity:
 
     def test_full_pipeline_identical(self, compiled_kernels, monkeypatch):
         # the mean evaluator looks the kernel up through the backend module,
-        # so swapping it there re-routes the whole pipeline
+        # so swapping it there re-routes the whole pipeline; the samples are
+        # built for the compiled kernel, as an install that runs it builds
+        # them, and the pure kernel reads their arrays as well
         rng = np.random.default_rng(23)
         cases = []
+        monkeypatch.setattr(_backend, "BACKEND", "compiled")
         monkeypatch.setattr(_backend, "exp_moments", compiled_kernels.exp_moments)
         for _ in range(150):
             s = random_sample(rng)

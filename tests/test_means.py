@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ginikit
 from ginikit import _backend, _kernels_py
 from ginikit.errors import DataError, ParameterDomainError
 from ginikit.means import (
@@ -97,8 +100,8 @@ class TestLogPowerSum:
 
     def test_summation_order_is_fixed_per_sample(self, monkeypatch):
         # every exponent sums the sample's own (ln a, ln w)-sorted logs: the
-        # same two arrays each time, handed over as built, with ties in ln a
-        # broken by ln w
+        # same two kernel inputs each time, handed over as built, with ties
+        # in ln a broken by ln w
         calls = []
         kernel = _backend.exp_moments
 
@@ -113,9 +116,11 @@ class TestLogPowerSum:
         for p in (-3.0, 0.0, 3.0):
             log_power_sum(s, p)
         assert len(calls) == 3
-        assert all(logs is s._sorted_log_values for logs, _ in calls)
-        assert all(lw is s._sorted_log_weights for _, lw in calls)
-        logs, lw = calls[0]
+        assert all(logs is s._kernel_logs for logs, _ in calls)
+        assert all(lw is s._kernel_log_weights for _, lw in calls)
+        logs, lw = np.array(calls[0][0]), np.array(calls[0][1])
+        assert logs.tobytes() == s._sorted_log_values.tobytes()
+        assert lw.tobytes() == s._sorted_log_weights.tobytes()
         assert np.all(np.diff(logs) >= 0.0)
         ties = np.diff(logs) == 0.0
         assert ties.any()
@@ -140,7 +145,7 @@ class TestLogPowerSum:
 
     def test_pure_loop_reads_the_lists_kept_once_per_sample(self, monkeypatch):
         # with the pure kernel, a sample below VECTOR_MIN_N hands the loop the
-        # two lists it made when it was built; a larger one keeps none
+        # two lists it made when it was built; a larger one hands its arrays
         monkeypatch.setattr(_backend, "exp_moments", _kernels_py.exp_moments)
         handed = []
         loop = _kernels_py._exp_moments_loop
@@ -153,8 +158,10 @@ class TestLogPowerSum:
         monkeypatch.setattr(_backend, "BACKEND", "python")
         small = PositiveSample([8.0, 2.0, 0.5], [1.0, 3.0, 2.0])
         large = PositiveSample(np.arange(1.0, _kernels_py.VECTOR_MIN_N + 1.0))
-        assert large._loop_lists is None
-        logs, log_weights = small._loop_lists
+        assert large._kernel_logs is large._sorted_log_values
+        assert large._kernel_log_weights is large._sorted_log_weights
+        logs, log_weights = small._kernel_logs, small._kernel_log_weights
+        assert type(logs) is list and type(log_weights) is list
         assert logs == small._sorted_log_values.tolist()
         assert log_weights == small._sorted_log_weights.tolist()
         for p in (-3.0, 0.0, 3.0):
@@ -167,20 +174,26 @@ class TestLogPowerSum:
         assert len(handed) == 6
         log_power_sum(large, 1.0)
         assert len(handed) == 6
-        # a tracer's functools.wraps wrapper of the pure kernel gets the lists too
-        monkeypatch.setattr(
-            _backend, "exp_moments", functools.wraps(_kernels_py.exp_moments)(
-                lambda *args: _kernels_py.exp_moments(*args)
-            ),
+        # every wrapper of the kernel gets the kernel input: a tracer's
+        # functools.wraps wrapper and a plain one alike
+        wrappers = (
+            functools.wraps(_kernels_py.exp_moments)(lambda *args: _kernels_py.exp_moments(*args)),
+            lambda *args: _kernels_py.exp_moments(*args),
         )
-        log_power_sum(small, 1.0, moments=False)
-        assert handed[-1][0] is logs and len(handed) == 7
+        for count, wrapper in enumerate(wrappers, 7):
+            monkeypatch.setattr(_backend, "exp_moments", wrapper)
+            log_power_sum(small, 1.0, moments=False)
+            assert handed[-1][0] is logs and len(handed) == count
 
     def test_lists_are_kept_for_the_pure_backend_alone(self, monkeypatch):
         monkeypatch.setattr(_backend, "BACKEND", "compiled")
-        assert PositiveSample([1.0, 2.0])._loop_lists is None
+        s = PositiveSample([1.0, 2.0])
+        assert s._kernel_logs is s._sorted_log_values
+        assert s._kernel_log_weights is s._sorted_log_weights
         monkeypatch.setattr(_backend, "BACKEND", "python")
-        assert PositiveSample([1.0, 2.0])._loop_lists is not None
+        s = PositiveSample([1.0, 2.0])
+        assert s._kernel_logs == s._sorted_log_values.tolist()
+        assert s._kernel_log_weights == s._sorted_log_weights.tolist()
 
     @pytest.mark.parametrize(
         "p, moments, want",
@@ -244,6 +257,62 @@ class TestLogPowerSum:
                 continue
             lps = log_power_sum(s, float(rng.uniform(-5, 5)))
             assert lps.moment2 > lps.moment1 * lps.moment1
+
+
+def _kernel_routes() -> list[tuple[str, str, tuple[str, ...]]]:
+    """What the package's source does with the kernel: each read of a
+    ``__wrapped__`` (``"__wrapped__"``), import of ``_kernels_py``
+    (``"import"``) and read of ``_backend.exp_moments`` (``"kernel"``), as
+    its file, kind and the functions and classes it lies in, outermost
+    first."""
+    found = []
+    for path in sorted(Path(ginikit.__file__).parent.glob("*.py")):
+
+        def visit(node: ast.AST, within: tuple[str, ...]) -> None:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                within = (*within, node.name)
+            if (isinstance(node, ast.Attribute) and node.attr == "__wrapped__") or (
+                isinstance(node, ast.Constant) and node.value == "__wrapped__"
+            ):
+                found.append((path.name, "__wrapped__", within))
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if (node.module or "").endswith("_kernels_py") or "_kernels_py" in names:
+                    found.append((path.name, "import", within))
+                if (node.module or "").endswith("_backend") and "exp_moments" in names:
+                    found.append((path.name, "kernel", within))
+            if isinstance(node, ast.Import) and any(
+                alias.name.endswith("_kernels_py") for alias in node.names
+            ):
+                found.append((path.name, "import", within))
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "_backend"
+                and node.attr == "exp_moments"
+            ):
+                found.append((path.name, "kernel", within))
+            for child in ast.iter_child_nodes(node):
+                visit(child, within)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+class TestOneKernelRoute:
+    """Each sample keeps what its kernel reads, so the one call to the
+    kernel needs to know neither which kernel is installed nor what wraps it."""
+
+    def test_no_module_reads_wrapped(self):
+        assert [route for route in _kernel_routes() if route[1] == "__wrapped__"] == []
+
+    def test_only_the_backend_and_the_sample_import_the_pure_kernel(self):
+        files = {file for file, kind, _ in _kernel_routes() if kind == "import"}
+        assert files == {"_backend.py", "sample.py"}
+
+    def test_only_log_power_sum_reads_the_installed_kernel(self):
+        places = {(file, within) for file, kind, within in _kernel_routes() if kind == "kernel"}
+        assert places == {("means.py", ("log_power_sum",))}
 
 
 class TestGiniMean:

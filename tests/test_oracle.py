@@ -165,7 +165,7 @@ class TestEquivalenceReport:
         message = "sample 0 must be a PositiveSample, got float"
         with pytest.raises(DataError, match=re.escape(message)):
             equivalence_report([1.0, 2.0], grid)
-        # refused when it is reached: the sample before it is evaluated first
+        # refused before any evaluation: not even the sample before it is evaluated
         good = PositiveSample([1.0, 2.0])
         seen = []
         real = _PowerSums.gini
@@ -173,8 +173,8 @@ class TestEquivalenceReport:
             _PowerSums, "gini", lambda sums, pair: seen.append(sums.sample) or real(sums, pair)
         )
         with pytest.raises(DataError, match="sample 1 must be a PositiveSample, got list"):
-            equivalence_report([good, [1.0, 2.0]], grid)
-        assert seen == [good]
+            equivalence_report(iter([good, [1.0, 2.0]]), grid)
+        assert seen == []
 
     @pytest.mark.parametrize(
         "samples, shown",
@@ -669,12 +669,14 @@ class TestTinyGaps:
 #: Per split case with the child joined before the report starts: the
 #: child's exit status, and the samples whose references this process
 #: computed.  A child that met a fault stops there and exits 1, and this
-#: process computes up to the fault and raises its error.
+#: process computes up to the fault and raises its error.  A sample that is
+#: no sample is refused before any of that: no child runs, and this process
+#: computes nothing.
 JOINED_SPLITS = {
     "seed-1": ([0], 0),
     "seed-2": ([0], 0),
     "seed-3": ([0], 0),
-    "not-a-sample": ([1], SPLIT_FAULT_INDEX),
+    "not-a-sample": ([], 0),
     "value-out-of-range": ([1], SPLIT_FAULT_INDEX + 1),
     "too-many-values": ([1], SPLIT_FAULT_INDEX + 1),
     "fast-side-raises": ([0], 0),
@@ -745,17 +747,18 @@ class TestReferencesFromBothEnds:
         equivalence_report(samples[:count], ORACLE_GRID)
         assert len(forks) == 1
 
-    def test_one_sample_and_lazy_samples_stay_in_one_process(self, forks):
+    def test_iterated_samples_fork_and_one_sample_stays_in_one_process(self, forks):
         samples = _random_samples(3, 60)
         want = equivalence_report(samples, ORACLE_GRID)
         assert len(forks) == 1
-        # a samples that is no Sequence is read lazily, one sample at a time
+        # samples of any iterable are read once, so an iterator forks as a list does
         assert equivalence_report(iter(samples), ORACLE_GRID) == want
         assert equivalence_report((s for s in samples), ORACLE_GRID) == want
+        assert len(forks) == 3
         big = PositiveSample(np.linspace(1.0, 2.0, oracle.MAX_N))
         for pair in ORACLE_GRID:
             oracle_gini(big, pair)
-        assert len(forks) == 1
+        assert len(forks) == 3
 
     def test_a_failing_fork_leaves_the_report_to_this_process(self, monkeypatch):
         samples = _random_samples(3, 60)

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ginikit.cli import main
 from ginikit.errors import DataError, ParameterDomainError
-from ginikit.mwd import MWDataset, generate_lognormal
+from ginikit.mwd import MWDataset, generate_lognormal, load_mwd
 from ginikit.plotting import histogram_bins, render_csv, render_svg
 
 
@@ -149,3 +151,41 @@ class TestMarks:
         doubles = {"Mn": 150.0, "Mw": 250.0}
         for render in (render_csv, render_svg):
             assert render(two_species, marks) == render(two_species, doubles)
+
+
+#: Distributions at the top of the double range, as CSV rows, and the bars
+#: each plot draws: a bin edge past the largest double, a monodisperse bin
+#: whose upper edge is past it, and abundances whose sum overflows.
+TOP_OF_THE_RANGE = {
+    "edge-past-the-largest-double": (["1,1", "1.7976931348623157e308,1"], 2),
+    "monodisperse-at-the-largest-double": (
+        ["1.7976931348623157e308,1", "1.7976931348623157e308,1"], 1
+    ),
+    "abundance-sum-overflows": (["1,1e308", "2,1e308", "3,5e307"], 3),
+}
+
+
+class TestTopOfTheDoubleRange:
+    @pytest.mark.parametrize("suffix", [".svg", ".csv"])
+    @pytest.mark.parametrize("name", TOP_OF_THE_RANGE)
+    def test_plot_has_finite_edges_whole_fractions_and_bars(self, tmp_path, capsys, name, suffix):
+        rows, bars = TOP_OF_THE_RANGE[name]
+        path = tmp_path / "distribution.csv"
+        path.write_text("molar_mass,abundance\n" + "\n".join(rows) + "\n")
+        out = tmp_path / f"plot{suffix}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plot", "--input", str(path), "--out", str(out)]) == 0
+            edges, fractions = histogram_bins(load_mwd(path))
+        assert capsys.readouterr().err == ""
+        assert np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)
+        assert math.fsum(fractions) == pytest.approx(1.0, abs=1e-15)
+        assert np.count_nonzero(fractions) == bars
+        text = out.read_text()
+        if suffix == ".svg":
+            assert text.count('fill="#4393c3"') == bars
+        else:
+            table = [line.split(",") for line in text.split("\n\n")[0].splitlines()[1:]]
+            assert [float(low) for low, _, _ in table] == edges[:-1].tolist()
+            assert float(table[-1][1]) == edges[-1]
+            assert sum(float(fraction) > 0.0 for _, _, fraction in table) == bars
