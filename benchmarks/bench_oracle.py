@@ -10,12 +10,17 @@ of ``verify --random SEED 200`` for seeds 0-4: as the package runs it, which
 forks a child that computes references from the last sample back when two
 CPUs are usable (the header line gives their number), and in one process,
 with one usable CPU; then the fast side alone (``gini_mean`` over the same
-pairs), so the oracle's own share in one process is the difference.  The ``finish`` row times the last step of a reference alone:
-the ratio of two power sums, raised to 1/(p - q) and rounded to a double,
-for every pair on lifts at 50 digits whose power sums were formed before the
-timing.  Then it times the forming of a lifted sample's terms at 50
-digits, per term, for three groups of exponents, each on a fresh lift so
-that a group pays for the square roots or logs it needs:
+pairs), so the oracle's own share in one process is the difference.  The
+``verify_op`` rows time the whole ``verify --random SEED 100 --oracle
+--report`` command in this process, for the same seeds: as the package runs
+it, which forks a child for the references while this process forms the
+fast side, the audit and its report rows, and with one usable CPU.  The
+``finish`` row times the last step of a reference alone: the ratio of two
+power sums, raised to 1/(p - q) and rounded to a double, for every pair on
+lifts at 50 digits whose power sums were formed before the timing.  Then
+it times the forming of a lifted sample's terms at 50 digits, per term,
+for three groups of exponents, each on a fresh lift so that a group pays
+for the square roots or logs it needs:
 
 - integer exponents of the default grid (-1, 0, 1, 2, 3);
 - odd multiples of 1/2 from it (1.5, -1.5);
@@ -32,14 +37,18 @@ last line of output is one JSON object with the medians.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import statistics
+import tempfile
 import time
+from pathlib import Path
 from unittest import mock
 
 import mpmath as mp
 
-from ginikit import _util, oracle
+from ginikit import _util, cli, oracle
 from ginikit._backend import backend_name
 from ginikit.cli import DEFAULT_GRID_CHAINS, _random_samples
 from ginikit.means import gini_mean
@@ -47,6 +56,8 @@ from ginikit.sample import ExponentPair
 
 SEEDS = range(5)
 SAMPLES_PER_SEED = 200
+#: Samples of the ``verify_op`` rows' command.
+VERIFY_SAMPLES = 100
 REPEATS = 5
 #: The pairs ``verify --oracle`` hands to ``equivalence_report``.
 GRID = list(
@@ -80,6 +91,20 @@ def fast_side(samples) -> None:
     for sample in samples:
         for pair in GRID:
             gini_mean(sample, pair)
+
+
+def verify_op(seed: int, report: Path) -> None:
+    """``verify --random SEED 100 --oracle --report`` in this process."""
+    argv = ["verify", "--random", str(seed), str(VERIFY_SAMPLES), "--oracle"]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main([*argv, "--report", str(report)])
+    if code != 0 or not stdout.getvalue().endswith("failed=0\n"):
+        raise AssertionError(f"verify --oracle failed on seed {seed}: exit {code}")
+
+
+def verify_op_one_process(seed: int, report: Path) -> None:
+    with mock.patch.object(_util, "_usable_cpus", lambda: 1):
+        verify_op(seed, report)
 
 
 def summed_lifts(samples) -> list:
@@ -117,11 +142,17 @@ def main() -> None:
         f"{len(GRID)} pairs on {len(batches)}x{SAMPLES_PER_SEED} samples, {REPEATS} rounds"
     )
     lifts = [summed_lifts(batch) for batch in batches]
+    workdir = tempfile.TemporaryDirectory()
+    report_path = Path(workdir.name) / "report.json"
     # name: (call, its input per batch, items per batch for the last column)
     rows = {
         "equivalence_report": (report, batches, None),
         "one_process": (one_process, batches, None),
         "fast_side": (fast_side, batches, None),
+        "verify_op": (lambda seed: verify_op(seed, report_path), SEEDS, None),
+        "verify_op_one_process": (
+            lambda seed: verify_op_one_process(seed, report_path), SEEDS, None
+        ),
         "finish": (finish, lifts, SAMPLES_PER_SEED * len(GRID)),
     }
     for name, exponents in TERM_GROUPS.items():
@@ -141,6 +172,7 @@ def main() -> None:
         medians[f"{name}_s"] = median
         per_item = "" if items is None else f"{median / items * 1e9:>8.0f}ns"
         print(f"{name:>20} {median * 1e3:>8.1f}ms {min(times) * 1e3:>8.1f}ms {per_item:>10}")
+    workdir.cleanup()
     medians["oracle_share_s"] = medians["one_process_s"] - medians["fast_side_s"]
     print(f"{'oracle share':>20} {medians['oracle_share_s'] * 1e3:>8.1f}ms")
     print(json.dumps({

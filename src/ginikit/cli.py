@@ -17,9 +17,11 @@ input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from array import array
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -46,11 +48,12 @@ DEFAULT_GRID_CHAINS: tuple[tuple[tuple[float, float], ...], ...] = (
 #: Most samples ``verify --random SEED N`` builds.  Every sample is held
 #: until the command ends.  Per sample added from 2,000 to 4,000
 #: (``tracemalloc``, pure kernel): the samples hold 1.66 KB each, and
-#: building them in one batch peaks at 2.23 KB each, which is also the whole
-#: command's peak; under ``--oracle``, which also holds each sample's memo
-#: of log sums from the oracle until its audit, the peak is 2.63 KB, and
-#: 6.6 KB with its ``--report`` rows.  A sample takes about 0.11 ms, 0.23 ms
-#: under ``--oracle``.  So a larger N is refused before any sample is built.
+#: building them in one batch peaks at 2.19 KB each, which is also the whole
+#: command's peak, under ``--oracle`` too: there each sample's memo of log
+#: sums is dropped after its audit, and only its 6 fast values wait for the
+#: references, 8 bytes each.  With ``--report`` rows the peak is 6.7 KB.  A
+#: sample takes about 0.11 ms, 0.13 ms under ``--oracle`` on two CPUs.  So
+#: a larger N is refused before any sample is built.
 MAX_RANDOM_SAMPLES = 100_000
 
 #: One check of a ``verify --report`` file, laid out as
@@ -471,34 +474,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         samples = _random_samples(seed, count)
         source = f"random(seed={seed}, n={count})"
 
-    oracle_payload: dict[str, object] | None = None
-    # under --oracle, each sample's memo of log sums is filled by the oracle's
-    # fast side and read again by that sample's audit
-    memos: list[_PowerSums] | None = None
-    if args.oracle:
-        # imported here, so no other command loads mpmath
-        from .oracle import REL_TOL, equivalence_report
-
-        # the oracle runs before the audit, so a sample or pair outside its
-        # domain ends the command before any audit line is printed
-        unique_pairs = list(dict.fromkeys(pair for chain in chains for pair in chain))
-        memos = [_PowerSums(sample) for sample in samples]
-        summary = equivalence_report(samples, unique_pairs, _memos=memos)
-        worst = None
-        if summary.worst_params is not None:
-            worst = {
-                "sample": summary.worst_index,
-                "p": summary.worst_params.p,
-                "q": summary.worst_params.q,
-                "rel_error": summary.max_rel_error,
-            }
-        oracle_payload = {
-            "cases": summary.cases,
-            "max_rel_error": summary.max_rel_error,
-            "rel_tol": REL_TOL,
-            "passed": summary.passed,
-            "worst": worst,
-        }
     # each link's "G(p,q) -> G(p,q)" label, formatted once per chain
     labels = [
         [
@@ -508,70 +483,109 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ]
         for chain in chains
     ]
-    checks: list[str] = []
-    tally = {"HOLDS": 0, "WEAK": 0, "DEGENERATE": 0, "FAIL": 0}
-    write = sys.stdout.write
-    for index, sample in enumerate(samples):
-        head = f"sample {index:04d}  "
-        # without --oracle each slope forms its log sums afresh, the kernel calls
-        # the tracer self-test pins until ROADMAP item 11; item 3 then drops fresh
-        memo = {} if memos is None else {"_sums": memos[index]}
-        for chain, chain_labels in zip(chains, labels):
-            verdicts = scan_monotonicity(sample, chain, **memo)
-            lines = []
-            for link, verdict in enumerate(verdicts):
-                if verdict.degenerate:
-                    status = "DEGENERATE"
-                elif not verdict.holds:
-                    status = "FAIL"
-                else:
-                    status = "WEAK" if verdict.weak else "HOLDS"
-                tally[status] += 1
-                lines.append(
-                    f"{head}{chain_labels[link]}  {status:<10s} margin={verdict.margin:.6e}\n"
-                )
-                if args.report is None:
-                    continue
-                lower, upper = chain[link], chain[link + 1]
-                checks.append(
-                    _CHECK_ROW % (
-                        index, lower.p, lower.q, upper.p, upper.q,
-                        _json_bool(verdict.holds), _json_bool(verdict.degenerate),
-                        _json_bool(verdict.weak), verdict.margin, verdict.tolerance,
-                    )
-                )
-            # one write per scan, before the next scan, which may raise
-            write("".join(lines))
-    counts = {
-        "holds": tally["HOLDS"] + tally["WEAK"],
-        "weak": tally["WEAK"],
-        "degenerate": tally["DEGENERATE"],
-        "failed": tally["FAIL"],
-    }
-
+    window: contextlib.AbstractContextManager = contextlib.nullcontext()
     if args.oracle:
+        # imported here, so no other command loads mpmath
+        from .oracle import REL_TOL, _reference_stream
+
+        # the window checks the oracle's domain of every sample and pair as it
+        # opens, so one outside it ends the command before any audit line is
+        # printed; then a forked child computes the references from the back
+        # while the loop below runs
+        unique_pairs = list(dict.fromkeys(pair for chain in chains for pair in chain))
+        window = _reference_stream(samples, unique_pairs, 50)
+    with window as compare:
+        fast = array("d")
+        checks: list[str] = []
+        tally = {"HOLDS": 0, "WEAK": 0, "DEGENERATE": 0, "FAIL": 0}
+        write = sys.stdout.write
+        for index, sample in enumerate(samples):
+            head = f"sample {index:04d}  "
+            # without --oracle each slope forms its log sums afresh, the kernel
+            # calls the tracer self-test pins until ROADMAP item 11; item 3 then
+            # drops fresh.  Under it, the sample's memo gets the oracle's fast
+            # values and the audit reads its slopes from there.
+            memo = {}
+            if compare is not None:
+                sums = _PowerSums(sample)
+                fast.extend([sums.gini(params) for params in unique_pairs])
+                memo = {"_sums": sums}
+            for chain, chain_labels in zip(chains, labels):
+                verdicts = scan_monotonicity(sample, chain, **memo)
+                lines = []
+                for link, verdict in enumerate(verdicts):
+                    if verdict.degenerate:
+                        status = "DEGENERATE"
+                    elif not verdict.holds:
+                        status = "FAIL"
+                    else:
+                        status = "WEAK" if verdict.weak else "HOLDS"
+                    tally[status] += 1
+                    lines.append(
+                        f"{head}{chain_labels[link]}  {status:<10s} margin={verdict.margin:.6e}\n"
+                    )
+                    if args.report is None:
+                        continue
+                    lower, upper = chain[link], chain[link + 1]
+                    checks.append(
+                        _CHECK_ROW % (
+                            index, lower.p, lower.q, upper.p, upper.q,
+                            _json_bool(verdict.holds), _json_bool(verdict.degenerate),
+                            _json_bool(verdict.weak), verdict.margin, verdict.tolerance,
+                        )
+                    )
+                # one write per scan, before the next scan, which may raise
+                write("".join(lines))
+        counts = {
+            "holds": tally["HOLDS"] + tally["WEAK"],
+            "weak": tally["WEAK"],
+            "degenerate": tally["DEGENERATE"],
+            "failed": tally["FAIL"],
+        }
+
+        oracle_payload: dict[str, object] | None = None
+        if compare is not None:
+            # the references from the front, up to where the child's stream begins
+            summary = compare(fast)
+            worst = None
+            if summary.worst_params is not None:
+                worst = {
+                    "sample": summary.worst_index,
+                    "p": summary.worst_params.p,
+                    "q": summary.worst_params.q,
+                    "rel_error": summary.max_rel_error,
+                }
+            oracle_payload = {
+                "cases": summary.cases,
+                "max_rel_error": summary.max_rel_error,
+                "rel_tol": REL_TOL,
+                "passed": summary.passed,
+                "worst": worst,
+            }
+            print(
+                f"oracle: cases={summary.cases} max_rel_error={summary.max_rel_error:.3e} "
+                f"tol={REL_TOL:.1e} -> {'ok' if summary.passed else 'FAIL'}"
+            )
+
+        total = sum(v for k, v in counts.items() if k != "weak")
         print(
-            f"oracle: cases={summary.cases} max_rel_error={summary.max_rel_error:.3e} "
-            f"tol={REL_TOL:.1e} -> {'ok' if summary.passed else 'FAIL'}"
+            f"checks={total} holds={counts['holds']} weak={counts['weak']} "
+            f"degenerate={counts['degenerate']} failed={counts['failed']}"
+        )
+        failed = counts["failed"] > 0 or (
+            oracle_payload is not None and not oracle_payload["passed"]
         )
 
-    total = sum(v for k, v in counts.items() if k != "weak")
-    print(
-        f"checks={total} holds={counts['holds']} weak={counts['weak']} "
-        f"degenerate={counts['degenerate']} failed={counts['failed']}"
-    )
-    failed = counts["failed"] > 0 or (
-        oracle_payload is not None and not oracle_payload["passed"]
-    )
-
-    if args.report is not None:
-        head = {
-            "source": source,
-            "grid": [[[pair.p, pair.q] for pair in chain] for chain in chains],
-            "summary": {"checks": total, **counts},
-        }
-        tail = {"oracle": oracle_payload, "all_passed": not failed}
-        atomic_write_text(args.report, _report_text(head, checks, tail))
+        if args.report is not None:
+            head = {
+                "source": source,
+                "grid": [[[pair.p, pair.q] for pair in chain] for chain in chains],
+                "summary": {"checks": total, **counts},
+            }
+            tail = {"oracle": oracle_payload, "all_passed": not failed}
+            atomic_write_text(args.report, _report_text(head, checks, tail))
+        # the window closes here, so a child killed where the two sides met
+        # is reaped after the output
 
     return 3 if failed else 0
 
@@ -626,7 +640,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             )
     dataset = mwdmod.load_mwd(args.input)
     # the sample and its memo are dropped before the plot is rendered
-    marks = dict(zip(names, mwdmod._evaluate(_PowerSums(dataset.to_sample()), names, args.s)))
+    marks = mwdmod._marks(dataset, names, args.s)
     text = (
         render_svg(dataset, marks) if suffix == ".svg" else render_csv(dataset, marks)
     )

@@ -255,7 +255,10 @@ class _PowerSums:
 
     def gini(self, params: ExponentPair) -> float:
         """G(p, q) of the sample; see :func:`gini_mean`."""
-        value = math.exp(self.slope(params.p, params.q))
+        try:
+            value = math.exp(self.slope(params.p, params.q))
+        except OverflowError:  # a slope a few ulps past ln of the largest double
+            value = math.inf
         # The exact mean lies in [min, max]; the computed one can escape by a few
         # ulps through the final exp.  Clamping restores the bound without moving
         # the value more than that rounding error.  On a uniform sample the

@@ -258,6 +258,43 @@ def _ginis(sums: _PowerSums, pairs: Sequence[ExponentPair]) -> list[float]:
     return values
 
 
+def _in_order(chain: dict[str, float], s: float) -> dict[str, float]:
+    """The averages of ``chain``, computed Mn, Mw, Mz and, if it holds one,
+    Mv at the Mark-Houwink exponent ``s``, with each inversion that
+    rounding made clamped away.
+
+    The chain is Mn <= Mv <= Mw <= Mz for s in (0, 1] and Mn <= Mw <= Mv
+    <= Mz for s in (1, 2].  Mw is raised to Mn and Mz to Mw, and Mv is
+    moved between its two neighbours, so it moves no other average.  A
+    chain already in order comes back exactly as computed.
+    """
+    mn = chain["Mn"]
+    mw = max(chain["Mw"], mn)
+    mz = max(chain["Mz"], mw)
+    ordered = {"Mn": mn, "Mw": mw, "Mz": mz}
+    if "Mv" in chain:
+        low, high = (mn, mw) if s <= 1.0 else (mw, mz)
+        ordered["Mv"] = min(max(chain["Mv"], low), high)
+    return ordered
+
+
+def _marks(dataset: MWDataset, names: Sequence[str], s: float) -> dict[str, float]:
+    """The plot marks ``names``, each a name of :data:`_CHAIN`, of ``dataset``.
+
+    Mn, Mw and Mz are evaluated for any mark, and Mv, at ``s``, only when it
+    is asked for, on one power-sum memo of the sample, and clamped by
+    :func:`_in_order`, so a mark is its :func:`polydispersity` value
+    wherever that one is defined.  The default marks cost 5 kernel calls,
+    and no marks none.
+    """
+    if not names:
+        return {}
+    evaluated = [name for name in _CHAIN if name != "Mv" or name in names]
+    values = _evaluate(_PowerSums(dataset.to_sample()), evaluated, s)
+    ordered = _in_order(dict(zip(evaluated, values)), s)
+    return {name: ordered[name] for name in names}
+
+
 def _average(dataset: MWDataset, name: str, parameter: float | None = None) -> float:
     """One named average of a dataset."""
     return _evaluate(_PowerSums(_checked(dataset, MWDataset).to_sample()), [name], parameter)[0]
@@ -359,9 +396,9 @@ def polydispersity(
     The chain is a theorem, but each average is rounded on its own, and at
     extreme spreads the log-domain rounding can invert two neighbours by a
     few ulps of their logs (masses {1e-308, 1e308} give Mz about 2e-13
-    below Mw).  Such an inversion is clamped: Mw is raised to Mn, Mz to
-    Mw, and Mv is moved into [Mn, Mw].  A chain already in order is
-    reported exactly as computed.
+    below Mw).  Such an inversion is clamped by :func:`_in_order`, as the
+    plot marks are.  A chain already in order is reported exactly as
+    computed.
 
     Every argument is checked before any mean is formed: ``s``, that
     ``custom`` is iterable, the dataset's type, then each ``custom`` entry,
@@ -386,10 +423,8 @@ def polydispersity(
     extras = tuple(
         CustomMean(pair.p, pair.q, value) for pair, value in zip(listed, values[len(chain) :])
     )
-    mn, mv, mw, mz = values[: len(chain)]
-    mw = max(mw, mn)
-    mz = max(mz, mw)
-    mv = min(max(mv, mn), mw)
+    ordered = _in_order(dict(zip(_CHAIN, values)), s)
+    mn, mv, mw, mz = (ordered[name] for name in _CHAIN)
     pdi = mw / mn
     return MeansReport(
         Mn=mn,

@@ -35,17 +35,19 @@ raising it to the power 1/h magnifies its rounding error by 1/h, so a fixed
 precision loses about ceil(-log10 h) digits.  Such a pair gets its own lift
 at the configured digits plus those, plus 10 of margin.  Every other pair
 runs at the configured digits, so its double does not depend on this rule.
-One body checks the domain, lifts and applies this rule for both
-:func:`oracle_gini` and :func:`equivalence_report`.
+One function checks the domain, and one body lifts and applies this rule,
+for both :func:`oracle_gini` and :func:`equivalence_report`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import struct
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath as mp
 from mpmath.libmp import (
@@ -209,30 +211,58 @@ class _LiftedSample:
         return to_float(result, rnd=rounding)
 
 
+def _check_domain(sample: PositiveSample, params: ExponentPair) -> None:
+    """Raise :class:`OracleDomainError` when ``params`` on ``sample`` lies
+    outside the certified domain: the one home of the domain checks, in the
+    order their errors come (size, exponents, values)."""
+    if sample.n > MAX_N:
+        raise OracleDomainError(f"sample size {sample.n} exceeds the oracle cap of {MAX_N}")
+    if max(abs(params.p), abs(params.q)) > MAX_ABS_EXPONENT:
+        raise OracleDomainError(
+            f"|exponents| must be <= {MAX_ABS_EXPONENT} for the oracle, "
+            f"got ({params.p}, {params.q})"
+        )
+    if sample.min_value < MIN_VALUE or sample.max_value > MAX_VALUE:
+        raise OracleDomainError(
+            f"oracle accepts values in [{MIN_VALUE}, {MAX_VALUE}], "
+            f"got range [{sample.min_value}, {sample.max_value}]"
+        )
+
+
+def _check_domains(samples: Sequence[PositiveSample], grid: Sequence[ExponentPair]) -> None:
+    """Check every (sample, pair) against the certified domain, sample by
+    sample and pair by pair, before any reference is formed.
+
+    At the first one outside it, the pair's fast value is formed before
+    its :class:`OracleDomainError` is raised, so a pair that both sides
+    refuse raises the fast side's error, as a loop that forms the fast
+    value and then the reference of each pair in turn would.  Inside the
+    domain neither side raises: |p| <= 30 and values in [1e-30, 1e30] keep
+    every tilt finite.
+    """
+    for index, sample in enumerate(samples):
+        # once every pair has passed on the first sample, every exponent is
+        # in bounds, and the first pair checks the rest of a sample
+        for params in grid if index == 0 else grid[:1]:
+            try:
+                _check_domain(sample, params)
+            except OracleDomainError:
+                _PowerSums(sample).gini(params)
+                raise
+
+
 def _references(
     sample: PositiveSample, grid: Iterable[ExponentPair], digits: int
 ) -> Iterator[float]:
     """Reference G(p, q) of each pair of ``grid`` on ``sample``, in order.
 
-    Run it inside ``mp.workdps(digits)``.  Each pair is checked against
-    the certified domain before anything is lifted.  The first ordinary
-    pair lifts the sample at ``digits``, for every ordinary pair after it;
-    a tiny-gap pair gets a raised lift of its own.
+    Run it inside ``mp.workdps(digits)``, on pairs that
+    :func:`_check_domain` has passed.  The first ordinary pair lifts the
+    sample at ``digits``, for every ordinary pair after it; a tiny-gap pair
+    gets a raised lift of its own.
     """
     lifted: _LiftedSample | None = None
     for params in grid:
-        if sample.n > MAX_N:
-            raise OracleDomainError(f"sample size {sample.n} exceeds the oracle cap of {MAX_N}")
-        if max(abs(params.p), abs(params.q)) > MAX_ABS_EXPONENT:
-            raise OracleDomainError(
-                f"|exponents| must be <= {MAX_ABS_EXPONENT} for the oracle, "
-                f"got ({params.p}, {params.q})"
-            )
-        if sample.min_value < MIN_VALUE or sample.max_value > MAX_VALUE:
-            raise OracleDomainError(
-                f"oracle accepts values in [{MIN_VALUE}, {MAX_VALUE}], "
-                f"got range [{sample.min_value}, {sample.max_value}]"
-            )
         gap = abs(params.p - params.q)
         if 0.0 < gap < TINY_GAP:
             cancelled = math.ceil(-math.log10(gap))
@@ -267,8 +297,10 @@ def oracle_gini(
     """
     digits = _checked_digits(precision_digits)
     grid = _checked_pairs([params])
+    sample = _checked_sample(sample, 0)
+    _check_domain(sample, params)
     with mp.workdps(digits):
-        return next(_references(_checked_sample(sample, 0), grid, digits))
+        return next(_references(sample, grid, digits))
 
 
 @dataclass(frozen=True)
@@ -290,93 +322,112 @@ class EquivalenceSummary:
     passed: bool
 
 
-def equivalence_report(
-    samples: Iterable[PositiveSample],
-    grid: Iterable[ExponentPair],
-    precision_digits: int = 50,
-    *,
-    _memos: Sequence[_PowerSums] | None = None,
-) -> EquivalenceSummary:
-    """Compare :func:`ginikit.means.gini_mean` against the oracle pointwise.
+@contextlib.contextmanager
+def _reference_stream(
+    samples: Sequence[PositiveSample], grid: Sequence[ExponentPair], digits: int
+) -> Iterator[Callable[[Sequence[float]], EquivalenceSummary]]:
+    """The oracle's side of a sweep of ``grid`` over ``samples``, around the
+    block that forms the fast side.
 
-    Every pair of ``grid`` is evaluated on every sample of ``samples``, both
-    read once, sample by sample and pair by pair in the order given, at the
-    working precision ``precision_digits`` of :func:`oracle_gini`.  The
-    summary holds five fields: ``cases``, ``max_rel_error``,
-    ``worst_index``, ``worst_params`` and ``passed``, which is true when the
-    worst relative error is at most :data:`REL_TOL`.  A grid entry that is
-    not an :class:`ExponentPair` raises :class:`ParameterDomainError`, and
-    ``samples`` that cannot be iterated, or an entry of it that is not a
-    :class:`PositiveSample`, raise :class:`DataError`, each when it is
-    read, before any evaluation.
-
-    The fast side holds one power-sum memo per sample, so each distinct
-    exponent of a grid costs one kernel call (7 for the CLI's default grid
-    of 6 pairs), and every fast value is bit for bit
-    ``gini_mean`` of its pair.  ``_memos`` is private: the memo
-    (:class:`ginikit.means._PowerSums`) of each sample, in the order of
-    ``samples``, for a caller that reads them again after this call, as
-    ``verify --oracle`` hands each to its sample's audit.  Without it, one
-    memo is built per sample and dropped with it.
-
-    The reference side runs the body of
-    :func:`oracle_gini` on the grid, lifting each sample once, so
-    every reference value is bit for bit ``oracle_gini`` of its pair; only
-    the power 1/(p - q) of a pair, which no sample changes, is shared across
-    samples.  The precision is checked and set once per call, as there.
-
-    When the sizes of the samples times the grid's pairs sum to at least
-    ``_FORK_MIN_TERMS``, and two CPUs are usable, the references are
-    computed from both ends (see
-    :func:`ginikit._util._from_both_ends`): a forked child streams each
-    sample's references, as native doubles, from the last sample back,
-    while this process runs the loop above from the first sample on and
-    takes a sample's references from the stream once they have arrived.
-    Where the two meet, the child is killed.  The
-    child makes no kernel call and raises nothing here: every error, its
-    message and its order are those of the loop in one process, and so is
-    every byte of the summary.
+    Every (sample, pair) is checked against the certified domain first
+    (:func:`_check_domains`), so nothing after that raises.  Then, when the
+    sizes of the samples times the grid's pairs sum to at least
+    ``_FORK_MIN_TERMS`` and two CPUs are usable, a forked child computes
+    the references from the last sample back and streams each sample's
+    doubles (see :func:`ginikit._util._from_both_ends`), while the block
+    runs.  The block gets ``compare``: ``compare(fast)`` takes the fast
+    values, sample by sample and pair by pair in order, walks the
+    references from the first sample on, taking each sample's from the
+    stream once it has arrived and computing it here before that, and
+    returns the :class:`EquivalenceSummary`.  The walk kills the child
+    where the two meet, and the child is reaped when the block ends, by
+    returning or by raising.  ``digits`` is checked already, and the
+    working precision is ``digits`` for the whole block.
     """
-    digits = _checked_digits(precision_digits)
-    # both sides walk the grid per sample and index the samples: read each once here
-    grid = _checked_pairs(grid)
-    samples = _checked_samples(samples)
-    worst = 0.0
-    worst_params: ExponentPair | None = None
-    worst_index: int | None = None
-    cases = 0
+    _check_domains(samples, grid)
     record = struct.Struct(f"={len(grid)}d")
 
     def sent_references(index: int) -> bytes:  # the child's work
-        # it raises, and so stops, where the loop below would raise
         return record.pack(*_references(samples[index], grid, digits))
 
     # the samples are read from the back only where a fork pays
     terms = len(grid) * sum(s.n for s in samples)
     count = len(samples) if terms >= _FORK_MIN_TERMS else 0
     with mp.workdps(digits), _from_both_ends(count, sent_references) as received:
-        for index, sample in enumerate(samples):
-            # both sides keep their sums per sample, and none across samples
-            sums = _PowerSums(sample) if _memos is None else _memos[index]
-            sent = received(index)
-            references = (
-                _references(sample, grid, digits) if sent is None else iter(record.unpack(sent))
-            )
-            for params in grid:
-                fast = sums.gini(params)
-                # after the fast value: a pair both sides refuse gets the fast side's error
-                reference = next(references)
-                rel = abs(fast - reference) / reference
-                cases += 1
-                if rel > worst:
-                    worst = rel
-                    worst_params = params
-                    worst_index = index
-    return EquivalenceSummary(
-        cases=cases,
-        max_rel_error=worst,
-        worst_index=worst_index,
-        worst_params=worst_params,
-        passed=worst <= REL_TOL,
-    )
 
+        def compare(fast: Sequence[float]) -> EquivalenceSummary:
+            worst = 0.0
+            worst_params: ExponentPair | None = None
+            worst_index: int | None = None
+            values = iter(fast)
+            for index, sample in enumerate(samples):
+                sent = received(index)
+                references = (
+                    _references(sample, grid, digits) if sent is None else record.unpack(sent)
+                )
+                for params, reference in zip(grid, references):
+                    rel = abs(next(values) - reference) / reference
+                    if rel > worst:
+                        worst = rel
+                        worst_params = params
+                        worst_index = index
+            return EquivalenceSummary(
+                cases=len(samples) * len(grid),
+                max_rel_error=worst,
+                worst_index=worst_index,
+                worst_params=worst_params,
+                passed=worst <= REL_TOL,
+            )
+
+        yield compare
+
+
+def equivalence_report(
+    samples: Iterable[PositiveSample],
+    grid: Iterable[ExponentPair],
+    precision_digits: int = 50,
+) -> EquivalenceSummary:
+    """Compare :func:`ginikit.means.gini_mean` against the oracle pointwise.
+
+    Every pair of ``grid`` is evaluated on every sample of ``samples``, both
+    read once, at the working precision ``precision_digits`` of
+    :func:`oracle_gini`.  The summary holds five fields: ``cases``,
+    ``max_rel_error``, ``worst_index``, ``worst_params`` and ``passed``,
+    which is true when the worst relative error is at most
+    :data:`REL_TOL`.  A grid entry that is not an :class:`ExponentPair`
+    raises :class:`ParameterDomainError`, and ``samples`` that cannot be
+    iterated, or an entry of it that is not a :class:`PositiveSample`, raise
+    :class:`DataError`, each when it is read, before any evaluation.  Then
+    every (sample, pair) is checked against the oracle's domain, sample by
+    sample and pair by pair, before any reference is formed: the first one
+    outside it raises :class:`OracleDomainError`, after its fast value, so
+    a pair that both sides refuse gets the fast side's error.
+
+    The fast side holds one power-sum memo per sample, dropped with it, so
+    each distinct exponent of a grid costs one kernel call (7 for the CLI's
+    default grid of 6 pairs), and every fast value is bit for bit
+    ``gini_mean`` of its pair.  The reference side runs the body of
+    :func:`oracle_gini` on the grid, lifting each sample once, so every
+    reference value is bit for bit ``oracle_gini`` of its pair; only the
+    power 1/(p - q) of a pair, which no sample changes, is shared across
+    samples.  The precision is checked and set once per call, as there.
+
+    When the sizes of the samples times the grid's pairs sum to at least
+    ``_FORK_MIN_TERMS``, and two CPUs are usable, a forked child computes
+    the references from the last sample back while this process forms the
+    fast values of every sample; this process then computes references from
+    the first sample on and takes the rest from the child's stream (see
+    :func:`_reference_stream`).  The child makes no kernel call and raises
+    nothing here, so every byte of the summary, and every error with its
+    message, is that of one process.
+    """
+    digits = _checked_digits(precision_digits)
+    # both sides walk the grid per sample and index the samples: read each once here
+    grid = _checked_pairs(grid)
+    samples = _checked_samples(samples)
+    with _reference_stream(samples, grid, digits) as compare:
+        fast = array("d")
+        for sample in samples:
+            sums = _PowerSums(sample)
+            fast.extend([sums.gini(params) for params in grid])
+        return compare(fast)

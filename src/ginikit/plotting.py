@@ -43,9 +43,11 @@ def histogram_bins(dataset: MWDataset) -> tuple[np.ndarray, np.ndarray]:
     """Log-spaced mass bins and the abundance fraction landing in each.
 
     Returns ``(edges, fractions)`` with ``len(edges) == len(fractions) + 1``.
-    Monodisperse datasets get a single symmetric bin around the common mass.
-    An edge past the largest double is put at the largest mass (at the
-    largest double, for one bin), and abundances whose sum overflows are
+    Monodisperse datasets get a single symmetric bin around the common mass;
+    where both its edges round to the mass (the least subnormals), the top
+    is the next double up, so every bin has positive edges and a positive
+    width.  An edge past the largest double is put at the largest mass (at
+    the largest double, for one bin), and abundances whose sum overflows are
     scaled by the largest first.
     A ``dataset`` that is no :class:`MWDataset` raises
     :class:`ginikit.errors.DataError`; both renderers start here, so they
@@ -65,7 +67,11 @@ def histogram_bins(dataset: MWDataset) -> tuple[np.ndarray, np.ndarray]:
             top = 10.0 ** (lo + 0.05)
         except OverflowError:
             top = sys.float_info.max
-        edges = np.array([10.0 ** (lo - 0.05), top])
+        bottom = 10.0 ** (lo - 0.05)
+        if top == bottom:
+            # among the least subnormals both edges round to the mass itself
+            top = math.nextafter(top, math.inf)
+        edges = np.array([bottom, top])
         return edges, np.array([1.0])
     with np.errstate(over="ignore"):
         edges = 10.0 ** np.linspace(lo, hi, _NUM_BINS + 1)

@@ -237,13 +237,17 @@ def audit_memo_cases() -> list[tuple[str, list[list[ExponentPair]], list[Positiv
 def filled_memos(
     chains: list[list[ExponentPair]], samples: list[PositiveSample]
 ) -> list[_PowerSums]:
-    """One memo per sample, filled by ``equivalence_report`` on the chains'
-    distinct pairs, as ``verify --oracle`` fills them."""
+    """One memo per sample, filled with the fast values of the chains'
+    distinct pairs, as ``verify --oracle`` fills them; the oracle passes
+    those values."""
     from ginikit.oracle import equivalence_report
 
     memos = [_PowerSums(sample) for sample in samples]
     pairs = list(dict.fromkeys(pair for chain in chains for pair in chain))
-    assert equivalence_report(samples, pairs, _memos=memos).passed
+    for memo in memos:
+        for pair in pairs:
+            memo.gini(pair)
+    assert equivalence_report(samples, pairs).passed
     return memos
 
 
@@ -667,14 +671,102 @@ def mwd_split_outcomes(kind: str, workdir: Path) -> list[list[object]]:
     ]
 
 
-def split_outcomes_under_both_backends(
-    compiled_src: Path, kind: str, workdir: Path
-) -> dict[str, list[list[object]]]:
-    """``mwd_split_outcomes(kind, workdir)``, or ``oracle_split_outcomes()``
-    for ``"oracle"``, run in a subprocess under each kernel backend."""
-    call = "oracle_split_outcomes()" if kind == "oracle" else (
-        f"mwd_split_outcomes({kind!r}, pathlib.Path({str(workdir)!r}))"
-    )
+#: ``verify --oracle`` on the samples of ``verify --random 7 100``.
+VERIFY_ORACLE_ARGV = ["verify", "--random", "7", "100", "--oracle", "--report"]
+
+
+def verify_oracle_outcomes(workdir: Path) -> dict[str, dict[str, object]]:
+    """:data:`VERIFY_ORACLE_ARGV` run in one process, forked with the child
+    running alongside, and forked with the child joined before the command
+    goes on (see :func:`two_cpus`), each as its exit code, stdout, report
+    text and the order of its work here.
+
+    A spy records each audit scan and each sample whose references this
+    process formed; ``audits_first`` is the number of scans made before
+    the first of those, and ``audits`` and ``references_here`` the totals.
+    JSON-ready, so a subprocess under another backend can report it.
+    """
+    runs: dict[str, dict[str, object]] = {}
+    modes = {
+        "one_process": lambda: mock.patch.object(_util, "_usable_cpus", lambda: 1),
+        "alongside": lambda: two_cpus(False),
+        "joined": lambda: two_cpus(True),
+    }
+    real_scan, real_references = cli.scan_monotonicity, oracle._references
+    for name, cpus in modes.items():
+        events: list[str] = []
+
+        def scan(*args, **kwargs):
+            events.append("audit")
+            return real_scan(*args, **kwargs)
+
+        def references(*args, **kwargs):
+            events.append("reference")
+            return real_references(*args, **kwargs)
+
+        report = workdir / f"{name}.json"
+        with cpus() as statuses, mock.patch.object(cli, "scan_monotonicity", scan):
+            with mock.patch.object(oracle, "_references", references):
+                code, stdout, text = _cli_output([*VERIFY_ORACLE_ARGV, str(report)], report)
+        first = events.index("reference") if "reference" in events else len(events)
+        runs[name] = {
+            "code": code, "stdout": stdout, "report": text,
+            "audits_first": events[:first].count("audit"),
+            "audits": events.count("audit"),
+            "references_here": events.count("reference"),
+            "child_statuses": statuses if name == "joined" else None,
+        }
+    return runs
+
+
+def oracle_error_outcomes(workdir: Path) -> dict[str, object]:
+    """The errors that the oracle's domain check gives, in one process and
+    with two usable CPUs, JSON-ready:
+
+    - ``later_fast_side``: a sweep of :data:`ORACLE_GRID` over 40 samples
+      whose sample 3 has a value past the domain, while the fast side
+      refuses every pair of sample 20;
+    - ``both_sides``: the same, while the fast side refuses the first pair
+      of sample 3 itself;
+    - ``grid``: ``verify --oracle --report`` on a two-species file with a
+      ``--grid`` pair past the exponent bound, as its exit code, stdout and
+      whether the report exists.
+    """
+    samples: list[object] = list(cli._random_samples(1, SPLIT_SAMPLES))
+    samples[3] = PositiveSample([1.0, 1e31])
+    real_gini = _PowerSums.gini
+
+    def refusing(refused: object, first_only: bool):
+        def gini(sums: _PowerSums, params: ExponentPair) -> float:
+            if sums.sample is refused and (params == ORACLE_GRID[0] or not first_only):
+                raise ParameterDomainError("the fast side refused")
+            return real_gini(sums, params)
+
+        return mock.patch.object(_PowerSums, "gini", gini)
+
+    path = workdir / "two.csv"
+    path.write_text(f"{CSV_HEADER}\n100,1\n300,1\n", encoding="utf-8")
+    report = workdir / "refused.json"
+    argv = ["verify", "--input", str(path), "--grid", "1:0,40:0", "--oracle"]
+    outcome: dict[str, object] = {}
+    for cpus in (1, 2):
+        with mock.patch.object(_util, "_usable_cpus", lambda: cpus):
+            for name, patch in (
+                ("later_fast_side", refusing(samples[20], False)),
+                ("both_sides", refusing(samples[3], True)),
+            ):
+                with patch:
+                    outcome[f"{name}-{cpus}"] = _split_summary(samples)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code, stdout, _ = _cli_output([*argv, "--report", str(report)], None)
+            outcome[f"grid-{cpus}"] = [code, stdout, stderr.getvalue(), report.exists()]
+    return outcome
+
+
+def outcomes_under_both_backends(compiled_src: Path, call: str) -> dict[str, object]:
+    """The JSON of ``helpers.<call>`` run in a subprocess under each kernel
+    backend, by backend name."""
     script = (
         "import json, pathlib, ginikit, helpers; print(ginikit.backend_name()); "
         f"print(json.dumps(helpers.{call}))"
@@ -692,6 +784,17 @@ def split_outcomes_under_both_backends(
         assert name == backend
         runs[backend] = json.loads(rows)
     return runs
+
+
+def split_outcomes_under_both_backends(
+    compiled_src: Path, kind: str, workdir: Path
+) -> dict[str, list[list[object]]]:
+    """``mwd_split_outcomes(kind, workdir)``, or ``oracle_split_outcomes()``
+    for ``"oracle"``, run in a subprocess under each kernel backend."""
+    call = "oracle_split_outcomes()" if kind == "oracle" else (
+        f"mwd_split_outcomes({kind!r}, pathlib.Path({str(workdir)!r}))"
+    )
+    return outcomes_under_both_backends(compiled_src, call)
 
 
 def sample_bits(sample: PositiveSample) -> tuple:

@@ -3,7 +3,8 @@
 No other test runs them, so a changed name or signature in ``src/`` would
 break a script unnoticed.  Each script is imported by path (each runs its
 ``main`` only as ``__main__``), and the oracle benchmark's ``report`` is
-called on two small samples, so a changed oracle signature fails here.
+called on two small samples and its ``verify_op`` once, so a changed oracle
+signature or CLI fails here.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ def test_script_imports(path):
     assert callable(_load(path).main)
 
 
-def test_oracle_benchmark_reports_on_two_samples():
+def test_oracle_benchmark_reports_on_two_samples(tmp_path):
     bench = _load(BENCHMARKS / "bench_oracle.py")
     # raises unless the report passes with one case per (sample, pair)
     bench.report(bench._random_samples(0, 2))
+    # raises unless the command exits 0 with every check held
+    bench.verify_op(0, tmp_path / "report.json")

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,10 @@ from ginikit.mwd import load_mwd, polydispersity
 from ginikit.oracle import oracle_gini
 from ginikit.sample import ExponentPair, PositiveSample
 
-from helpers import env_importing_from, two_cpus
+from helpers import (
+    env_importing_from, oracle_error_outcomes, outcomes_under_both_backends, two_cpus,
+    verify_oracle_outcomes,
+)
 
 
 def run_cli(*argv):
@@ -744,6 +748,55 @@ class TestVerify:
         assert json.dumps(json.loads(text)["checks"]) == json.dumps(want)
 
 
+class TestVerifyOracleOverlap:
+    """``verify --oracle`` checks the oracle's domain of every sample and pair
+    first, then forms each sample's fast values, audit, lines and report
+    rows while a forked child computes references from the last sample
+    back, and walks the references from the front only after that."""
+
+    @staticmethod
+    def assert_overlap(runs: dict) -> None:
+        one = runs["one_process"]
+        assert one["code"] == 0 and one["stdout"].endswith("failed=0\n")
+        assert one["stdout"].splitlines()[-2].startswith("oracle: cases=600 ")
+        for name, run in runs.items():
+            got = [run["code"], run["stdout"], run["report"]]
+            assert got == [one["code"], one["stdout"], one["report"]], name
+            # two chains per sample, each scanned before any reference is formed here
+            assert run["audits"] == run["audits_first"] == 200, name
+        assert one["references_here"] == 100
+        assert runs["joined"]["child_statuses"] == [0]
+        assert runs["joined"]["references_here"] == 0
+
+    @staticmethod
+    def assert_errors(outcome: dict) -> None:
+        values = "oracle accepts values in [1e-30, 1e+30], got range [1.0, 1e+31]"
+        grid = "error: |exponents| must be <= 30.0 for the oracle, got (40.0, 0.0)\n"
+        for cpus in (1, 2):
+            # sample 3 is refused before the fast side reaches sample 20
+            assert outcome[f"later_fast_side-{cpus}"] == ["OracleDomainError", values]
+            # a pair that both sides refuse gets the fast side's error
+            assert outcome[f"both_sides-{cpus}"] == ["ParameterDomainError", "the fast side refused"]
+            # no audit line and no report
+            assert outcome[f"grid-{cpus}"] == [1, "", grid, False]
+
+    def test_forked_runs_match_one_process(self, tmp_path):
+        self.assert_overlap(verify_oracle_outcomes(tmp_path))
+
+    def test_domain_errors_keep_their_order(self, tmp_path):
+        self.assert_errors(oracle_error_outcomes(tmp_path))
+
+    def test_both_backends(self, compiled_src, tmp_path):
+        workdir = f"pathlib.Path({str(tmp_path)!r})"
+        runs = outcomes_under_both_backends(compiled_src, f"verify_oracle_outcomes({workdir})")
+        for backend_runs in runs.values():
+            self.assert_overlap(backend_runs)
+        assert runs["compiled"]["one_process"] == runs["python"]["one_process"]
+        errors = outcomes_under_both_backends(compiled_src, f"oracle_error_outcomes({workdir})")
+        for outcome in errors.values():
+            self.assert_errors(outcome)
+
+
 class TestGenerate:
     def test_flory(self, tmp_path, capsys):
         out = tmp_path / "flory.csv"
@@ -892,6 +945,44 @@ class TestPlot:
         assert tail[0] == "mark,value"
         assert tail[1].startswith("Mn,")
         assert tail[2].startswith("Mz,")
+
+    @pytest.mark.parametrize("s", ["0.7", "1.5"])
+    def test_marks_keep_the_chain_at_the_top_of_the_range(self, tmp_path, s):
+        # the log-domain rounding puts Mz a few ulps below Mw on this file;
+        # the marks are clamped into the chain as the report's averages are
+        path = tmp_path / "wide.csv"
+        path.write_text("molar_mass,abundance\n1,1\n1.7976931348623157e308,1\n", encoding="utf-8")
+        chain = ["Mn", "Mv", "Mw", "Mz"] if s == "0.7" else ["Mn", "Mw", "Mv", "Mz"]
+        out = tmp_path / "plot.csv"
+
+        def marks(*extra: str) -> dict[str, float]:
+            argv = ["plot", "--input", str(path), "--out", str(out), "--s", s, *extra]
+            assert run_cli(*argv) == 0
+            rows = out.read_text(encoding="utf-8").splitlines()
+            pairs = (row.split(",") for row in rows[rows.index("mark,value") + 1 :])
+            return {name: float(value) for name, value in pairs}
+
+        got = marks()
+        values = [got[name] for name in chain]
+        assert values == sorted(values)
+        assert got["Mz"] == got["Mw"] == 1.7976931348622732e308
+        assert marks("--marks", "Mz") == {"Mz": got["Mz"]}
+        if s == "0.7":
+            report = polydispersity(load_mwd(path), 0.7)
+            assert got == {name: getattr(report, name) for name in chain}
+
+    def test_monodisperse_least_subnormal(self, tmp_path):
+        # both edges of the one bin round to the mass; the top goes one double up
+        path = tmp_path / "tiny.csv"
+        path.write_text("molar_mass,abundance\n5e-324,1\n5e-324,1\n", encoding="utf-8")
+        csv, svg = tmp_path / "plot.csv", tmp_path / "plot.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for out in (csv, svg):
+                assert run_cli("plot", "--input", str(path), "--out", str(out)) == 0
+        assert csv.read_text(encoding="utf-8").splitlines()[1] == "5e-324,1e-323,1"
+        bars = re.findall(r'<rect x="[^"]*" y="[^"]*" width="([^"]*)"', svg.read_text("utf-8"))
+        assert len(bars) == 1 and float(bars[0]) > 0.0
 
     def test_no_marks(self, data_dir, tmp_path):
         out = tmp_path / "plot.csv"

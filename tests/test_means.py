@@ -6,6 +6,7 @@ import ast
 import functools
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -659,6 +660,15 @@ class TestExtremeValue:
             s = random_sample(rng, value_lo=1e-200, value_hi=1e200)
             g = gini_mean(s, ExponentPair(60.0, -60.0))
             assert extreme_value(s, "min") <= g <= extreme_value(s, "max")
+
+
+    def test_slope_past_the_largest_double_gives_the_maximum(self):
+        # ln G(2.5, 1) rounds a few ulps past ln of the largest double, where
+        # the final exp overflows; the mean is the sample's maximum there
+        top = sys.float_info.max
+        s = PositiveSample([1.0, top])
+        assert _PowerSums(s).slope(2.5, 1.0) > math.log(top)
+        assert gini_mean(s, ExponentPair(2.5, 1.0)) == top
 
 
 class TestStability:
