@@ -18,21 +18,25 @@ total's pass alone and returns NaN for the mean and the variance.  Its
 running sum and compensation follow the same recurrence, in the same
 order, as the full call's, so its shift and total are the same bits.
 
-In the loop, the Neumaier steps of the weight total and of the variance
-test ``s >= y`` where the C kernel's one step tests ``fabs(s) >= fabs(y)``.
-Both take the same branch there, because neither operand can be negative:
-each weight exp(t_i - shift) is +0.0 or more (or NaN), each variance term
-(u * d) * d carries the sign of u, and a running sum of such terms starts
-at +0.0 and stays +0.0 or more, +inf or NaN.  For two such operands the
-signed test and the ``abs`` test agree, and NaN fails both.  The first
-moment's addends u_i * ln a_i can be negative, so its step keeps ``abs``,
-and so does the numpy path, where each test is one array operation either
-way.  The loop saves two ``abs`` calls per element; the C kernel, where
-``fabs`` costs next to nothing, keeps one step for all three sums.
+There are two paths, and both mirror the extension.  A total-only call on
+fewer than ``VECTOR_MIN_N`` elements runs a Python loop of the weight
+total's pass, which makes no numpy call.  Every other call, a full one of
+any size or a total-only one of ``VECTOR_MIN_N`` elements or more, runs a
+numpy path.  Below, "the loop" is the left-to-right recurrence that the
+extension runs for each sum and this module's loop runs for the total.
 
-Inputs of ``VECTOR_MIN_N`` or more elements take a numpy path that still
-mirrors the extension operation for operation, because it performs the same
-IEEE-754 double operations in the same order as the loop:
+This module's loop tests ``s0 >= x`` in its Neumaier step where the C
+kernel's step tests ``fabs(s) >= fabs(y)``.  Both take the same branch
+there, because neither operand can be negative: each weight
+exp(t_i - shift) is +0.0 or more (or NaN), and a running sum of such
+weights starts at +0.0 and stays +0.0 or more, +inf or NaN.  For two such
+operands the signed test and the ``abs`` test agree, and NaN fails both.
+The numpy path keeps ``abs`` for all three sums, since the first moment's
+addends u_i * ln a_i can be negative and each test is one array operation
+either way.
+
+The numpy path performs the same IEEE-754 double operations in the same
+order as the loop:
 
 * ``p * logs + log_weights`` rounds each product and each sum once, as the
   loop does;
@@ -56,8 +60,11 @@ IEEE-754 double operations in the same order as the loop:
 * products keep the association ``(u * d) * d`` and the final divisions are
   done on Python floats.
 
-Below ``VECTOR_MIN_N`` numpy's fixed per-call cost outweighs the loop, so
-small inputs stay on the loop, which makes no numpy call at all.
+Below ``VECTOR_MIN_N`` numpy's fixed per-call cost outweighs the loop, so a
+small total-only call, the request of every secant slope, stays on the
+loop.  A small full call pays that cost instead: only a tangent slope and
+``convexity_gap`` ask for moments, so the loop carries no moment pass that
+would have to be kept in step with ``_kernels.c``.
 """
 
 from __future__ import annotations
@@ -66,8 +73,9 @@ import math
 
 import numpy as np
 
-#: Inputs at least this long take the numpy path; shorter ones the loop.
-#: Both paths give bit-identical results, so this only affects speed.
+#: Total-only calls at least this long take the numpy path, shorter ones the
+#: loop; full calls take the numpy path at any length.  Both paths give
+#: bit-identical results, so this only affects speed.
 VECTOR_MIN_N = 128
 
 # The result for empty input: the largest of no terms is -inf, their sum
@@ -92,80 +100,43 @@ def exp_moments(
     and the result is ``(shift, total, nan, nan)``, with ``shift`` and
     ``total`` the same bits as the full call's.  Summation runs strictly in
     array order, so the caller fixes the order; the mean pipeline passes
-    each sample's (ln a, ln w) order.  Empty input gives
-    ``(-inf, 0.0, nan, nan)``; inputs of unequal length raise ValueError.
+    each sample's (ln a, ln w) order.  A total-only call of fewer than
+    ``VECTOR_MIN_N`` elements runs on the loop, every other call on the
+    numpy path.  Empty input gives ``(-inf, 0.0, nan, nan)``; inputs of
+    unequal length raise ValueError.
     """
     n = len(logs)
     if len(log_weights) != n:
         raise ValueError("logs and log_weights must have equal length")
-    if n >= VECTOR_MIN_N:
+    if not n:
+        return _EMPTY_RESULT
+    if moments or n >= VECTOR_MIN_N:
         return _exp_moments_vector(logs, log_weights, p, moments)
-    return _exp_moments_loop(logs, log_weights, p, moments)
+    return _exp_moments_loop(logs, log_weights, p)
 
 
 def _exp_moments_loop(
-    logs: "list[float] | object",
-    log_weights: "list[float] | object",
-    p: float,
-    moments: bool = True,
+    logs: "list[float] | object", log_weights: "list[float] | object", p: float
 ) -> tuple[float, float, float, float]:
     # a list is read as it is, never written: a small sample keeps its logs
     # as lists (``PositiveSample._kernel_logs``), so no call copies them
     lgs = logs if type(logs) is list else _as_list(logs)
     lws = log_weights if type(log_weights) is list else _as_list(log_weights)
-    if not lgs:
-        return _EMPTY_RESULT
     ts = [p * lg + lw for lg, lw in zip(lgs, lws)]
     shift = max(ts)
     exp = math.exp
-    if not moments:
-        # the full pass's s0/c0 steps alone, each weight formed as it is added
-        s0 = c0 = 0.0
-        for tilt in ts:
-            x = exp(tilt - shift)
-            t = s0 + x
-            if s0 >= x:
-                c0 += (s0 - t) + x
-            else:
-                c0 += (x - t) + s0
-            s0 = t
-        return shift, s0 + c0, math.nan, math.nan
-    u = [exp(t - shift) for t in ts]
-
-    # s0 and x, like s and y in the variance pass, are never negative, so
+    # each weight is formed as it is added; s0 and x are never negative, so
     # ``s0 >= x`` takes the branch of ``abs(s0) >= abs(x)`` (module docstring)
-    s0 = c0 = s1 = c1 = 0.0
-    for x, lg in zip(u, lgs):
+    s0 = c0 = 0.0
+    for tilt in ts:
+        x = exp(tilt - shift)
         t = s0 + x
         if s0 >= x:
             c0 += (s0 - t) + x
         else:
             c0 += (x - t) + s0
         s0 = t
-        y = x * lg
-        t = s1 + y
-        if abs(s1) >= abs(y):
-            c1 += (s1 - t) + y
-        else:
-            c1 += (y - t) + s1
-        s1 = t
-    total = s0 + c0
-    mean = (s1 + c1) / total
-
-    s = 0.0
-    c = 0.0
-    for x, lg in zip(u, lgs):
-        d = lg - mean
-        y = x * d * d
-        t = s + y
-        if s >= y:
-            c += (s - t) + y
-        else:
-            c += (y - t) + s
-        s = t
-    variance = (s + c) / total
-
-    return shift, total, mean, variance
+    return shift, s0 + c0, math.nan, math.nan
 
 
 def _as_list(values: object) -> list[float]:
@@ -178,18 +149,19 @@ def _exp_moments_vector(
     p: float,
     moments: bool = True,
 ) -> tuple[float, float, float, float]:
-    lgs = np.asarray(logs, dtype=np.float64)
-    t = p * lgs + np.asarray(log_weights, dtype=np.float64)
-    # the loop's max(): the first largest tilt, NaN only when t[0] is NaN
-    shift = float(t[0])
-    if not math.isnan(shift):
-        shift = float(t[np.argmax(t == np.fmax.reduce(t))])
-    # iterating a memoryview hands math.exp the same doubles as tolist() would,
-    # without building a list of them
-    u = np.fromiter(map(math.exp, memoryview(t - shift)), dtype=np.float64, count=t.size)
-    # np.where below evaluates both Neumaier branches; on non-finite input
-    # the unused one can raise floating-point warnings the loop never does
+    # no step may warn where the loop and the extension stay silent: the
+    # tilts, weights and sums of non-finite logs are NaN or infinite, and
+    # np.where below evaluates both Neumaier branches, the unused one too
     with np.errstate(all="ignore"):
+        lgs = np.asarray(logs, dtype=np.float64)
+        t = p * lgs + np.asarray(log_weights, dtype=np.float64)
+        # the loop's max(): the first largest tilt, NaN only when t[0] is NaN
+        shift = float(t[0])
+        if not math.isnan(shift):
+            shift = float(t[np.argmax(t == np.fmax.reduce(t))])
+        # iterating a memoryview hands math.exp the same doubles as tolist()
+        # would, without building a list of them
+        u = np.fromiter(map(math.exp, memoryview(t - shift)), dtype=np.float64, count=t.size)
         total = _neumaier_sum(u)
         if not moments:
             return shift, total, math.nan, math.nan

@@ -37,12 +37,12 @@ __all__ = [
 
 
 def strict_tolerance(log_scale: float) -> float:
-    """Margin below which a positive verdict is flagged as weak.
+    """Half-width of the band around zero in which a margin reads weak.
 
     Scaled to the magnitude of the log-means involved: differences smaller
     than about 1e-12 * (1 + |ln G|) are within accumulated rounding error of
-    the two slope evaluations, so a "holds" with such a margin should not be
-    read as numerically established.
+    the two slope evaluations, so a margin that small neither establishes
+    the strict inequality nor refutes it.
     """
     return 1e-12 * (1.0 + abs(log_scale))
 
@@ -52,16 +52,18 @@ class AuditVerdict:
     """Outcome of one inequality check.
 
     Attributes:
-        holds: the strict inequality was confirmed (margin > 0).  Always
-            False for degenerate inputs, where equality is the true answer.
+        holds: rounding cannot have made the strict inequality fail:
+            margin > -tolerance.  Always False for degenerate inputs, where
+            equality is the true answer.
         margin: log-domain gap ln RHS - ln LHS.  Positive when the strict
             inequality holds numerically.
         degenerate: the sample was uniform, so the inequality collapses to
             equality and neither "holds" nor "fails" applies.
         tolerance: the weak-margin threshold that applied to this check.
 
-    A verdict with ``0 < margin <= tolerance`` still reports ``holds=True``
-    but exposes ``weak=True`` so callers can treat it with suspicion.
+    A verdict with ``-tolerance < margin <= tolerance``, within rounding of
+    a tie, reports ``holds=True`` but exposes ``weak=True`` so callers can
+    treat it with suspicion; only a margin of ``-tolerance`` or less fails.
     """
 
     holds: bool
@@ -71,7 +73,7 @@ class AuditVerdict:
 
     @property
     def weak(self) -> bool:
-        """True when the inequality held by less than the noise tolerance."""
+        """True for a holding verdict whose margin is within the tolerance of zero."""
         return self.holds and self.margin <= self.tolerance
 
     @property
@@ -197,13 +199,14 @@ def scan_monotonicity(
     verdicts = []
     for lo, up in zip(slopes[0::2], slopes[1::2]):
         margin = up - lo
+        tolerance = strict_tolerance(max(abs(lo), abs(up)))
         # AuditVerdict(...) without the frozen __init__'s object.__setattr__ per field
         verdict = _new_object(AuditVerdict)
         verdict.__dict__.update(
-            holds=not degenerate and margin > 0.0,
+            holds=not degenerate and margin > -tolerance,
             margin=margin,
             degenerate=degenerate,
-            tolerance=strict_tolerance(max(abs(lo), abs(up))),
+            tolerance=tolerance,
         )
         verdicts.append(verdict)
     return verdicts

@@ -112,7 +112,9 @@ def log_power_sum(
     exponent.  So the result is invariant under permutation of the sample
     and reproducible to the bit across backends.  The kernel, or any wrapper
     put in its place, gets the input the sample chose for it when it was
-    built: float lists for the pure loop, the sorted arrays otherwise.
+    built: with the pure kernel, float lists below ``VECTOR_MIN_N`` values,
+    which its loop reads for a total-only call and its numpy path for a
+    full one; the sorted arrays otherwise.
 
     With ``moments=False`` the kernel sums the shifted weights alone, in one
     pass.  ``log_sum`` is then the same bits as the full call's, and

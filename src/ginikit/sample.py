@@ -82,7 +82,8 @@ class PositiveSample:
     Each sample also keeps what its kernel reads (see
     :func:`ginikit.means.log_power_sum`): with the pure kernel, a sample of
     fewer than ``VECTOR_MIN_N`` values keeps its sorted logs as Python float
-    lists, made once, for the loop; any other keeps the sorted arrays.
+    lists, made once, for the loop that runs its total-only calls; any other
+    keeps the sorted arrays.
     """
 
     __slots__ = (

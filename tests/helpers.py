@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -24,10 +25,10 @@ from ginikit import _backend, _util, cli, mwd, oracle
 from ginikit._kernels_py import VECTOR_MIN_N
 from ginikit._util import format_double
 from ginikit.audit import (
-    ParameterOrder, check_monotonicity, check_power_mean_bound, scan_monotonicity
+    ParameterOrder, check_monotonicity, check_power_mean_bound, convexity_gap, scan_monotonicity
 )
 from ginikit.errors import GinikitError, ParameterDomainError
-from ginikit.means import _PowerSums, gini_mean, identical_parameter_gini
+from ginikit.means import _PowerSums, gini_mean, identical_parameter_gini, log_power_sum
 from ginikit.mwd import (
     CSV_HEADER, MWDataset, generate_flory, load_mwd, polydispersity, save_mwd
 )
@@ -784,6 +785,65 @@ def outcomes_under_both_backends(compiled_src: Path, call: str) -> dict[str, obj
         assert name == backend
         runs[backend] = json.loads(rows)
     return runs
+
+
+#: Sizes of the full-request samples: one and two values, one like a
+#: ``verify`` sample, and both sides of the pure kernel's switch.
+FULL_REQUEST_SIZES = (1, 2, 16, VECTOR_MIN_N - 1, VECTOR_MIN_N)
+#: Exponents of the full requests: the G(p, p) route cases and four more.
+FULL_REQUEST_EXPONENTS = (*EQUAL_PAIR_EXPONENTS, -30.0, -1.0, 1.0, 3.0)
+#: A ``verify`` whose grid holds two tie pairs, each a full request per sample.
+TIE_GRID_ARGV = ["verify", "--random", "3", "200", "--grid", "0:0,1:0,1:1,2:1"]
+
+
+def full_request_samples() -> list[PositiveSample]:
+    """Seeded samples of each size in ``FULL_REQUEST_SIZES``: unweighted,
+    weighted, with tied values, over about 1e-271...1e274, and uniform.
+
+    Each value is an integer up to 1,000 scaled by a power of two, and each
+    weight one up to 8 scaled so, so no numpy function but ``np.log`` (in
+    ``PositiveSample``) touches them; on the values drawn it gives libm's
+    logs with and without numpy's AVX-512 dispatch.
+    """
+    rng = np.random.default_rng(36)
+
+    def draw(n: int, top: int, scale: int) -> np.ndarray:
+        mantissas = rng.integers(1, top + 1, n).astype(np.float64)
+        return np.ldexp(mantissas, rng.integers(-scale, scale + 1, n))
+
+    samples = []
+    for n in FULL_REQUEST_SIZES:
+        samples += [
+            PositiveSample(draw(n, 1000, 10)),
+            PositiveSample(draw(n, 1000, 10), draw(n, 8, 3)),
+            PositiveSample(rng.choice(draw(3, 1000, 10), n), draw(n, 8, 3)),
+            PositiveSample(draw(n, 1000, 900), draw(n, 8, 3)),
+            PositiveSample(np.full(n, draw(1, 1000, 10)[0]), draw(n, 8, 3)),
+        ]
+    return samples
+
+
+def full_request_outcomes() -> dict[str, object]:
+    """What the full-moment requests of the public API give under the
+    backend this process imported: a sha256 of ``identical_parameter_gini``,
+    ``convexity_gap`` and ``log_power_sum`` (with moments) of every
+    full-request sample at every full-request exponent, each result by its
+    bits and each error by class and message; then the exit code and the
+    sha256 of the stdout of ``TIE_GRID_ARGV``."""
+    digest = hashlib.sha256()
+    for sample in full_request_samples():
+        for p in FULL_REQUEST_EXPONENTS:
+            for call in (
+                lambda: identical_parameter_gini(sample, p).hex(),
+                lambda: convexity_gap(sample, p).hex(),
+                lambda: struct.pack("<5d", *log_power_sum(sample, p)).hex(),
+            ):
+                digest.update(repr(_outcome_of(call)).encode())
+    code, stdout, _ = _cli_output(TIE_GRID_ARGV, None)
+    return {
+        "values": digest.hexdigest(),
+        "verify": [code, hashlib.sha256(stdout.encode()).hexdigest()],
+    }
 
 
 def split_outcomes_under_both_backends(

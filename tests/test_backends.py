@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from ginikit.sample import ExponentPair, PositiveSample
 from helpers import (
     compiled_kernel_file,
     env_importing_from,
+    outcomes_under_both_backends,
     random_sample,
     reference_exp_moments,
 )
@@ -286,6 +288,15 @@ class TestSelection:
         assert out.stdout.strip() == expected
 
 
+#: ``helpers.full_request_outcomes()`` as recorded while the pure kernel's
+#: loop still had a moment pass of its own: the same under both backends,
+#: with numpy's AVX-512 dispatch and without it.
+FULL_REQUEST_OUTCOMES = {
+    "values": "ca4e399ff6320beedbb87bee6c1adaf01b8b187c1602d5da57527e24ae9bec2e",
+    "verify": [0, "05b6542387eea3e68bd269e759a9f74902151ef6f3d7ea6aed56866c4567fb17"],
+}
+
+
 class TestBitIdentity:
     def assert_backends_agree(self, compiled, la, lw, p):
         want = bits(reference(la, lw, p))
@@ -429,6 +440,13 @@ class TestBitIdentity:
             assert [row for row in runs[backend] if row[3] != row[4]] == []
         assert runs["compiled"] == runs["python"]
 
+    def test_full_requests_keep_their_bits(self, compiled_src):
+        # G(p, p), convexity_gap and log_power_sum with moments at n from 1
+        # to past the pure kernel's switch, and a verify with two tie pairs
+        # in its grid, all full-moment requests, under each backend
+        runs = outcomes_under_both_backends(compiled_src, "full_request_outcomes()")
+        assert runs == {"compiled": FULL_REQUEST_OUTCOMES, "python": FULL_REQUEST_OUTCOMES}
+
     def test_single_element_sample(self, compiled_kernels):
         la = np.array([1.5])
         lw = np.array([0.25])
@@ -478,17 +496,19 @@ class TestPureKernel:
 
     None of this needs the compiled backend, so it runs everywhere.  Each
     path is held to the three-pass reference in ``helpers``, which the
-    extension mirrors too.
+    extension mirrors too: the numpy path and ``exp_moments`` in full, the
+    loop, which runs the total-only pass alone, in its shift and total.
     """
 
     loop = staticmethod(_kernels_py._exp_moments_loop)
     vector = staticmethod(_kernels_py._exp_moments_vector)
 
     def assert_paths_agree(self, la, lw, p):
-        want = bits(reference(la, lw, p))
-        assert bits(self.loop(la, lw, p)) == want
-        assert bits(self.vector(la, lw, p)) == want
-        assert bits(_kernels_py.exp_moments(la, lw, p)) == want
+        want = reference(la, lw, p)
+        assert bits(self.vector(la, lw, p)) == bits(want)
+        assert bits(_kernels_py.exp_moments(la, lw, p)) == bits(want)
+        total_only = bits_nan_as_nan((*want[:2], math.nan, math.nan))
+        assert bits_nan_as_nan(self.loop(la, lw, p)) == total_only
 
     def assert_corpus(self, corpus, n):
         for case in CORPORA[corpus][0](n):
@@ -560,11 +580,21 @@ class TestPureKernel:
     def test_negative_zero_log(self, n):
         self.assert_corpus("negative_zero_log", n)
 
+    @pytest.mark.parametrize("padded", (False, True))
     @pytest.mark.parametrize("la,lw,p", NON_FINITE_CASES)
-    def test_non_finite_logs(self, la, lw, p):
+    def test_non_finite_logs(self, la, lw, p, padded):
+        # the numpy path forms the NaN and infinite tilts, weights and sums
+        # of the loop and of C, as silently as they do, at any size
+        if padded:
+            la = la + [0.25] * (130 - len(la))
+            lw = lw + [-1.0] * (130 - len(lw))
         want = bits_nan_as_nan(reference_first_largest(la, lw, p))
-        assert bits_nan_as_nan(self.loop(la, lw, p)) == want
-        assert bits_nan_as_nan(_kernels_py.exp_moments(la, lw, p)) == want
+        total_only = [*want[:2], "nan", "nan"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (self.vector, _kernels_py.exp_moments):
+                assert bits_nan_as_nan(kernel(la, lw, p)) == want
+                assert bits_nan_as_nan(kernel(la, lw, p, False)) == total_only
 
     def test_plain_list_inputs(self):
         rng = np.random.default_rng(5)
@@ -581,11 +611,16 @@ def kernel_module(request):
 
 
 def total_only_kernels(module):
-    """``(name, kernel)`` for each kernel entry point of a backend module:
-    ``exp_moments``, and for the pure one also its loop and numpy paths."""
-    kernels = [("exp_moments", module.exp_moments)]
+    """``(name, kernel)`` for each total-only entry of a backend module, each
+    called as ``kernel(logs, log_weights, p)``: ``exp_moments`` with
+    ``moments`` false, and for the pure one also its loop, which runs that
+    pass alone, and its numpy path with ``moments`` false."""
+    kernels = [("exp_moments", lambda la, lw, p: module.exp_moments(la, lw, p, False))]
     if module is _kernels_py:
-        kernels += [("loop", module._exp_moments_loop), ("vector", module._exp_moments_vector)]
+        kernels += [
+            ("loop", module._exp_moments_loop),
+            ("vector", lambda la, lw, p: module._exp_moments_vector(la, lw, p, False)),
+        ]
     return kernels
 
 
@@ -598,34 +633,31 @@ class TestTotalOnly:
     """
 
     @staticmethod
-    def assert_total_only(kernel, la, lw, p, want):
-        full = kernel(la, lw, p)
-        shift, total, mean, variance = kernel(la, lw, p, False)
-        assert bits_nan_as_nan((shift, total)) == bits_nan_as_nan(full[:2])
-        assert bits_nan_as_nan((shift, total)) == bits_nan_as_nan(want[:2])
-        assert math.isnan(mean) and math.isnan(variance)
+    def assert_total_only(module, la, lw, p, want):
+        full = module.exp_moments(la, lw, p)
+        for _, kernel in total_only_kernels(module):
+            shift, total, mean, variance = kernel(la, lw, p)
+            assert bits_nan_as_nan((shift, total)) == bits_nan_as_nan(full[:2])
+            assert bits_nan_as_nan((shift, total)) == bits_nan_as_nan(want[:2])
+            assert math.isnan(mean) and math.isnan(variance)
 
     @pytest.mark.parametrize("corpus,n", CORPUS_SIZES)
     def test_corpus(self, kernel_module, corpus, n):
         for la, lw, p in CORPORA[corpus][0](n):
-            want = reference(la, lw, p)
-            for _, kernel in total_only_kernels(kernel_module):
-                self.assert_total_only(kernel, la, lw, p, want)
+            self.assert_total_only(kernel_module, la, lw, p, reference(la, lw, p))
 
     def test_random_sizes(self, kernel_module):
         rng = np.random.default_rng(41)
         for _ in range(200):
             n = int(rng.integers(1, 4 * VECTOR_N))
             case = kernel_case(rng, n) if n % 2 else extreme_case(rng, n)
-            self.assert_total_only(kernel_module.exp_moments, *case, reference(*case))
+            self.assert_total_only(kernel_module, *case, reference(*case))
 
     @pytest.mark.parametrize("la,lw,p", NON_FINITE_CASES)
     def test_non_finite_logs(self, kernel_module, la, lw, p):
         want = reference_first_largest(la, lw, p)
         args = (la, lw, p) if kernel_module is _kernels_py else (np.array(la), np.array(lw), p)
-        self.assert_total_only(kernel_module.exp_moments, *args, want)
-        if kernel_module is _kernels_py:
-            self.assert_total_only(kernel_module._exp_moments_loop, *args, want)
+        self.assert_total_only(kernel_module, *args, want)
 
     def test_empty_and_single_element(self, kernel_module):
         empty = np.empty(0)
@@ -635,7 +667,7 @@ class TestTotalOnly:
         assert bits(kernel_module.exp_moments(*one, False)) == bits(
             (0.25, 1.0, math.nan, math.nan)
         )
-        self.assert_total_only(kernel_module.exp_moments, *one, reference(*one))
+        self.assert_total_only(kernel_module, *one, reference(*one))
 
     @pytest.mark.parametrize("n", (2, 5, VECTOR_N - 1, VECTOR_N, 4096))
     def test_signed_zero_shift_tie(self, kernel_module, n):
@@ -645,9 +677,10 @@ class TestTotalOnly:
         la = np.concatenate((np.linspace(-3.0, -0.5, n - 2), [-0.0, 0.0]))
         lw = np.full(n, -0.0)
         want = reference_first_largest(la.tolist(), lw.tolist(), 1.0)
+        full = kernel_module.exp_moments(la, lw, 1.0)
         for _, kernel in total_only_kernels(kernel_module):
-            shift, total, _, _ = kernel(la, lw, 1.0, False)
-            assert bits((shift, total)) == bits(kernel(la, lw, 1.0)[:2])
+            shift, total, _, _ = kernel(la, lw, 1.0)
+            assert bits((shift, total)) == bits(full[:2])
             assert bits((shift, total)) == bits((-0.0, want[1]))
 
     @pytest.mark.parametrize("n", (VECTOR_N - 1, VECTOR_N, 4096))
@@ -655,18 +688,19 @@ class TestTotalOnly:
     def test_nan_tilt_shift(self, compiled_kernels, n, at):
         # a NaN log makes a NaN tilt.  As Python's max does, every kernel
         # keeps a NaN t_0 as the shift and passes over a later NaN, and the
-        # loop, the numpy path and C give the same (shift, total) bits
+        # loop, the numpy path and C give the same (shift, total) bits, in a
+        # total-only call and in a full one
         la = np.linspace(-3.0, -0.5, n)
         la[at] = math.nan
         lw = np.zeros(n)
         shift = max((1.0 * la + lw).tolist())
         assert math.isnan(shift) == (at == 0)
-        kernels = [kernel for _, kernel in total_only_kernels(_kernels_py)]
-        kernels.append(compiled_kernels.exp_moments)
+        kernels = [_kernels_py.exp_moments, compiled_kernels.exp_moments]
+        for module in (_kernels_py, compiled_kernels):
+            kernels += [kernel for _, kernel in total_only_kernels(module)]
         for kernel in kernels:
-            for moments in (False, True):
-                got = kernel(la, lw, 1.0, moments)
-                assert bits(got[:2]) == bits((shift, math.nan))
+            got = kernel(la, lw, 1.0)
+            assert bits(got[:2]) == bits((shift, math.nan))
 
     def test_backends_agree(self, compiled_kernels):
         rng = np.random.default_rng(43)

@@ -145,17 +145,19 @@ class TestLogPowerSum:
                 assert all(math.isnan(x) for x in alone[2:])
 
     def test_pure_loop_reads_the_lists_kept_once_per_sample(self, monkeypatch):
-        # with the pure kernel, a sample below VECTOR_MIN_N hands the loop the
-        # two lists it made when it was built; a larger one hands its arrays
+        # with the pure kernel, a sample below VECTOR_MIN_N hands the two
+        # lists it made when it was built to the loop, which runs its
+        # total-only calls, and to the numpy path, which runs its full ones;
+        # a larger sample hands its arrays to the numpy path alone
         monkeypatch.setattr(_backend, "exp_moments", _kernels_py.exp_moments)
         handed = []
-        loop = _kernels_py._exp_moments_loop
+        for name in ("_exp_moments_loop", "_exp_moments_vector"):
 
-        def recording(logs, log_weights, p, moments=True):
-            handed.append((logs, log_weights))
-            return loop(logs, log_weights, p, moments)
+            def recording(logs, log_weights, *args, path=getattr(_kernels_py, name), name=name):
+                handed.append((name, logs, log_weights))
+                return path(logs, log_weights, *args)
 
-        monkeypatch.setattr(_kernels_py, "_exp_moments_loop", recording)
+            monkeypatch.setattr(_kernels_py, name, recording)
         monkeypatch.setattr(_backend, "BACKEND", "python")
         small = PositiveSample([8.0, 2.0, 0.5], [1.0, 3.0, 2.0])
         large = PositiveSample(np.arange(1.0, _kernels_py.VECTOR_MIN_N + 1.0))
@@ -167,24 +169,30 @@ class TestLogPowerSum:
         assert log_weights == small._sorted_log_weights.tolist()
         for p in (-3.0, 0.0, 3.0):
             full = log_power_sum(small, p)
-            assert handed[-1][0] is logs and handed[-1][1] is log_weights
+            name, got_logs, got_log_weights = handed[-1]
+            assert name == "_exp_moments_vector"
+            assert got_logs is logs and got_log_weights is log_weights
             alone = log_power_sum(small, p, moments=False)
-            assert handed[-1][0] is logs and handed[-1][1] is log_weights
+            name, got_logs, got_log_weights = handed[-1]
+            assert name == "_exp_moments_loop"
+            assert got_logs is logs and got_log_weights is log_weights
             assert alone.log_sum.hex() == full.log_sum.hex()
         assert logs == small._sorted_log_values.tolist()
         assert len(handed) == 6
         log_power_sum(large, 1.0)
-        assert len(handed) == 6
+        log_power_sum(large, 1.0, moments=False)
+        assert [name for name, *_ in handed[6:]] == ["_exp_moments_vector"] * 2
+        assert all(got[1] is large._sorted_log_values for got in handed[6:])
         # every wrapper of the kernel gets the kernel input: a tracer's
         # functools.wraps wrapper and a plain one alike
         wrappers = (
             functools.wraps(_kernels_py.exp_moments)(lambda *args: _kernels_py.exp_moments(*args)),
             lambda *args: _kernels_py.exp_moments(*args),
         )
-        for count, wrapper in enumerate(wrappers, 7):
+        for count, wrapper in enumerate(wrappers, 9):
             monkeypatch.setattr(_backend, "exp_moments", wrapper)
             log_power_sum(small, 1.0, moments=False)
-            assert handed[-1][0] is logs and len(handed) == count
+            assert handed[-1][1] is logs and len(handed) == count
 
     def test_lists_are_kept_for_the_pure_backend_alone(self, monkeypatch):
         monkeypatch.setattr(_backend, "BACKEND", "compiled")
